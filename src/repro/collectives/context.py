@@ -19,16 +19,25 @@ from repro.network.link import Link
 from repro.network.message import Message
 
 
+#: Sample-list length at which :class:`PhaseStats` and the system
+#: layer's ``DelayBreakdown`` compact their lists (see
+#: :meth:`PhaseStats.compact_values`).  Memory per list stays below this
+#: no matter how many messages are recorded.
+COMPACT_AT = 512
+
+
 @dataclass
 class PhaseStats:
     """Accumulated message timing for one phase index across a run.
 
-    Per-message values are kept and reduced with :func:`math.fsum` on
-    read: the exact sum rounded once, so the totals are bit-identical no
-    matter what order messages were recorded in.  An incrementally
-    rounded ``+=`` would drift in the last ulp whenever delivery order is
-    perturbed (parallel execution, schedule tie permutation — see
-    docs/DETERMINISM.md).
+    Totals are exact: each list holds floats whose exact (unrounded) sum
+    is the exact sum of every recorded sample, and reads reduce it with
+    :func:`math.fsum` — the exact sum rounded once, so the totals are
+    bit-identical no matter in what order messages were recorded, when
+    the lists were compacted or in what order scopes were merged.  An
+    incrementally rounded ``+=`` would drift in the last ulp whenever
+    delivery order is perturbed (parallel execution, schedule tie
+    permutation — see docs/DETERMINISM.md).
     """
 
     messages: int = 0
@@ -41,6 +50,35 @@ class PhaseStats:
         self.queue_values.append(message.queueing_cycles)
         self.network_values.append(message.network_cycles)
         self.byte_values.append(message.size_bytes)
+        if len(self.queue_values) >= COMPACT_AT:
+            self.compact()
+
+    @staticmethod
+    def compact_values(values: list[float]) -> None:
+        """Replace ``values`` in place by a few floats with the same exact sum.
+
+        ``s = fsum(values)`` is kept and ``-s`` appended to the rest, whose
+        exact sum is then the rounding error of ``s``; repeat until that
+        error is zero.  Each step shrinks the remainder below half an ulp
+        of ``s``, so a list of finite floats ends as at most ~40 floats
+        (typically one or two), determined by the exact sum alone.  A
+        non-finite sum (an inf or nan sample) stops at once.
+        """
+        if not values:
+            return
+        kept: list[float] = []
+        s = math.fsum(values)
+        while s != 0.0 and math.isfinite(s):
+            kept.append(s)
+            values.append(-s)
+            s = math.fsum(values)
+        # A zero or non-finite sum is kept as the fsum result itself, so a
+        # signed zero, inf or nan reads back as it did.
+        values[:] = kept or [s]
+
+    def compact(self) -> None:
+        for values in (self.queue_values, self.network_values, self.byte_values):
+            self.compact_values(values)
 
     @property
     def queue_cycles(self) -> float:
@@ -64,11 +102,13 @@ class PhaseStats:
 
     def merge_from(self, other: "PhaseStats") -> None:
         """Fold another phase's samples in (order-invariant: the merged
-        totals fsum over the union of samples)."""
+        lists hold the exact sum of both)."""
         self.messages += other.messages
         self.queue_values.extend(other.queue_values)
         self.network_values.extend(other.network_values)
         self.byte_values.extend(other.byte_values)
+        if len(self.queue_values) >= COMPACT_AT:
+            self.compact()
 
     def as_dict(self) -> dict:
         """JSON-serializable form (run-cache payloads, bench reports)."""

@@ -10,8 +10,6 @@ ties.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import NetworkError
 from repro.network.link import Link
 from repro.network.physical.fabric import Fabric
@@ -21,6 +19,10 @@ class FabricRouter:
     """Shortest-path router over all physical links of a fabric."""
 
     def __init__(self, fabric: Fabric):
+        # Imported here, not at module scope: it is slow to import and only
+        # point-to-point routing and auto-mapping need it.
+        import networkx as nx
+
         self.fabric = fabric
         self.graph = nx.DiGraph()
         for link in fabric.links:
@@ -39,6 +41,8 @@ class FabricRouter:
         cached = self._cache.get((src, dst))
         if cached is not None:
             return cached
+        import networkx as nx
+
         try:
             nodes = nx.shortest_path(self.graph, src, dst, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound):

@@ -50,7 +50,8 @@ from repro.system.stats import DelayBreakdown
 CACHE_SALT = "astra-repro/run-cache/v1"
 
 #: Payload schema version; entries with another schema are misses.
-PAYLOAD_SCHEMA = 1
+#: 2: the breakdown carries ``ready_queue_count`` and compacted delays.
+PAYLOAD_SCHEMA = 2
 
 
 def collective_cache_key(spec: Any, op: Any, size_bytes: float,

@@ -33,7 +33,8 @@ run does, by walking each module's AST with a small set of rules:
     ``+=`` of cycle/delay quantities in loops or stats attributes is
     order-sensitive in the last ulp; when the accumulation order can be
     perturbed (parallel delivery, schedule ties), sums diverge.  Collect
-    values and reduce with ``math.fsum`` (exact, order-independent).
+    values (compacted exactly, see ``PhaseStats.compact_values``) and
+    reduce with ``math.fsum`` on read (exact, order-independent).
 ``mutable-default-arg`` (error)
     A mutable default is shared across calls — state leaks between
     supposedly independent simulations.
@@ -582,7 +583,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
                         "float-accumulation", node,
                         f"incremental float accumulation into {name!r} is "
                         f"order-sensitive in the last ulp; collect values "
-                        f"and reduce with math.fsum")
+                        f"(exact compaction) and reduce with math.fsum on read")
         self.generic_visit(node)
 
     # -- entry ---------------------------------------------------------------

@@ -362,6 +362,9 @@ class _ServiceServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out as two writes; with Nagle on, the body
+    #: waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
     server: _ServiceServer
 
     # -- plumbing -------------------------------------------------------------------

@@ -86,6 +86,7 @@ class CollectiveSet:
             raise CollectiveError(f"set {self.set_id} over-completed")
         if self.chunks_done == self.num_chunks:
             self.finished_at = now
+            self.breakdown.compact()
             callbacks, self._callbacks = self._callbacks, []
             for callback in callbacks:
                 callback(self)

@@ -27,7 +27,6 @@ from repro.config.parameters import SchedulingPolicy, SystemConfig
 from repro.errors import SchedulerError
 from repro.network.physical.fabric import Fabric
 from repro.system.collective_set import CollectiveSet
-from repro.system.stats import DelayBreakdown
 
 @dataclass
 class ReadyChunk:
@@ -55,12 +54,10 @@ class Scheduler:
         self,
         fabric: Fabric,
         system: SystemConfig,
-        global_breakdown: DelayBreakdown,
         now: Callable[[], float],
     ):
         self.fabric = fabric
         self.system = system
-        self.global_breakdown = global_breakdown
         self._now = now
         self._ready: deque[ReadyChunk] = deque()
         self._chunk_ids = itertools.count()
@@ -139,9 +136,7 @@ class Scheduler:
 
     def _issue(self, ready: ReadyChunk) -> None:
         now = self._now()
-        delay = now - ready.enqueued_at
-        self.global_breakdown.record_ready_queue(delay)
-        ready.collective.breakdown.record_ready_queue(delay)
+        ready.collective.breakdown.record_ready_queue(now - ready.enqueued_at)
         if ready.collective.first_issue_at is None:
             ready.collective.first_issue_at = now
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.collectives.context import PhaseStats
+from repro.collectives.context import COMPACT_AT, PhaseStats
 from repro.network.message import Message
 
 #: Upper bound on phases any plan produces (enhanced all-reduce = 4).
@@ -23,10 +23,16 @@ MAX_PHASES = 8
 
 @dataclass
 class DelayBreakdown:
-    """Aggregated queue/network delays for one scope (a run or one set)."""
+    """Aggregated queue/network delays for one scope (a run or one set).
+
+    The sample lists are compacted exactly as they grow (see
+    :meth:`PhaseStats.compact_values`), so memory is bounded per scope
+    and phase while every total stays the exact sum rounded once.
+    """
 
     phase_stats: dict[int, PhaseStats] = field(default_factory=dict)
     ready_queue_delays: list[float] = field(default_factory=list)
+    ready_queue_count: int = 0
 
     def record_message(self, phase_index: int, message: Message) -> None:
         stats = self.phase_stats.get(phase_index)
@@ -35,7 +41,16 @@ class DelayBreakdown:
         stats.record(message)
 
     def record_ready_queue(self, delay_cycles: float) -> None:
+        self.ready_queue_count += 1
         self.ready_queue_delays.append(delay_cycles)
+        if len(self.ready_queue_delays) >= COMPACT_AT:
+            PhaseStats.compact_values(self.ready_queue_delays)
+
+    def compact(self) -> None:
+        """Compact every sample list now (a finished set's final state)."""
+        for stats in self.phase_stats.values():
+            stats.compact()
+        PhaseStats.compact_values(self.ready_queue_delays)
 
     @property
     def mean_ready_queue_delay(self) -> float:
@@ -44,9 +59,9 @@ class DelayBreakdown:
         ``fsum``: exact sum, so the mean does not depend on the order
         chunks were dispatched in (schedule-tie permutations reorder it).
         """
-        if not self.ready_queue_delays:
+        if not self.ready_queue_count:
             return 0.0
-        return math.fsum(self.ready_queue_delays) / len(self.ready_queue_delays)
+        return math.fsum(self.ready_queue_delays) / self.ready_queue_count
 
     def mean_queue_delay(self, phase_index: int) -> float:
         """Queue P<phase_index> (mean per-message link-wait cycles)."""
@@ -77,11 +92,16 @@ class DelayBreakdown:
         """JSON-serializable form; round-trips through :meth:`from_dict`.
 
         Used by the run cache (:mod:`repro.parallel.cache`) so a cached
-        collective result carries its full Fig. 12b breakdown.
+        collective result carries its full Fig. 12b breakdown.  The delays
+        are written fully compacted, which depends on their exact sum
+        alone, so the payload is the same under any dispatch order.
         """
+        delays = list(self.ready_queue_delays)
+        PhaseStats.compact_values(delays)
         return {
             "phase_stats": {str(p): s.as_dict() for p, s in self.phase_stats.items()},
-            "ready_queue_delays": list(self.ready_queue_delays),
+            "ready_queue_count": self.ready_queue_count,
+            "ready_queue_delays": delays,
         }
 
     @classmethod
@@ -90,10 +110,17 @@ class DelayBreakdown:
         for p, stats in data.get("phase_stats", {}).items():
             out.phase_stats[int(p)] = PhaseStats.from_dict(stats)
         out.ready_queue_delays = [float(d) for d in data.get("ready_queue_delays", [])]
+        # Schema-1 payloads (still in old supervisor/service journals) hold
+        # one raw delay per chunk and no count.
+        out.ready_queue_count = int(data.get("ready_queue_count",
+                                             len(out.ready_queue_delays)))
         return out
 
     def merge_from(self, other: "DelayBreakdown") -> None:
-        """Fold another breakdown into this one (per-layer -> per-run)."""
+        """Fold another breakdown into this one (per-set -> per-run)."""
         for p, stats in other.phase_stats.items():
             self.phase_stats.setdefault(p, PhaseStats()).merge_from(stats)
+        self.ready_queue_count += other.ready_queue_count
         self.ready_queue_delays.extend(other.ready_queue_delays)
+        if len(self.ready_queue_delays) >= COMPACT_AT:
+            PhaseStats.compact_values(self.ready_queue_delays)

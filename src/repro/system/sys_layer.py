@@ -80,9 +80,8 @@ class System:
         if fault_schedule is not None:
             self.fault_state = fault_schedule.install(topology.fabric, self.events)
             self.backend.faults = self.fault_state
-        self.breakdown = DelayBreakdown()
         self.scheduler = Scheduler(
-            topology.fabric, config.system, self.breakdown, now=lambda: self.events.now
+            topology.fabric, config.system, now=lambda: self.events.now
         )
         #: trace=True retains finished chunk executions so the timeline
         #: tooling (repro.analysis.trace) can reconstruct phase spans.
@@ -156,7 +155,7 @@ class System:
             reduction_cycles_per_kb=reduction_cycles_per_kb,
             packet_routing=sys_cfg.packet_routing,
             injection_policy=sys_cfg.injection_policy,
-            stats_sink=lambda phase, msg, c=collective: self._record(c, phase, msg),
+            stats_sink=collective.breakdown.record_message,
         )
         self.sets.append(collective)
         self.scheduler.enqueue_set(collective, ctx)
@@ -176,9 +175,18 @@ class System:
             )
         return self._p2p.send(src, dst, size_bytes, name=name)
 
-    def _record(self, collective: CollectiveSet, phase: int, message) -> None:
-        collective.breakdown.record_message(phase, message)
-        self.breakdown.record_message(phase, message)
+    @property
+    def breakdown(self) -> DelayBreakdown:
+        """The run's Fig. 12b breakdown: every set's breakdown merged.
+
+        Each message is recorded once, on its set; this per-run view is
+        built on read.  The merge is exact, so it does not depend on the
+        order sets were requested or finished in.
+        """
+        merged = DelayBreakdown()
+        for collective in self.sets:
+            merged.merge_from(collective.breakdown)
+        return merged
 
     # -- running -------------------------------------------------------------------------
 

@@ -7,6 +7,8 @@ counters, hash order).  Each test runs the same workload twice on fresh
 platforms and demands identical event counts, finish times and stats.
 """
 
+import math
+
 from repro.collectives import CollectiveContext, RingAllReduce
 from repro.collectives.types import CollectiveOp
 from repro.config import LinkConfig, NetworkConfig
@@ -31,7 +33,10 @@ def breakdown_snapshot(breakdown):
             phase: (s.messages, s.queue_cycles, s.network_cycles, s.bytes)
             for phase, s in sorted(breakdown.phase_stats.items())
         },
-        "ready": tuple(breakdown.ready_queue_delays),
+        # Count and exact total, not the raw list: compaction points may
+        # differ between schedules while the exact sum cannot.
+        "ready": (breakdown.ready_queue_count,
+                  math.fsum(breakdown.ready_queue_delays)),
     }
 
 

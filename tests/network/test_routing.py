@@ -1,5 +1,8 @@
 """Tests for the fabric router."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import AllToAllShape, TorusShape, paper_network_config
@@ -79,3 +82,12 @@ class TestAllToAllRouting:
         router = FabricRouter(fabric)
         path = router.path(fabric.npu_id(0, 1), fabric.npu_id(1, 1))
         assert all(l.kind == "local" for l in path)
+
+
+class TestLazyNetworkx:
+    def test_cli_import_does_not_load_networkx(self):
+        """Only FabricRouter needs networkx; a CLI collective must not pay
+        for importing it."""
+        code = ("import sys, repro.cli, repro.harness.runners; "
+                "sys.exit('networkx' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0

@@ -107,8 +107,11 @@ def hold_journal_lock(path: str, acquired_path: str, release_path: str):
     from repro.parallel import OutcomeJournal
 
     journal = OutcomeJournal(path, exclusive=True)
-    with open(acquired_path, "w") as f:
+    # Write-then-rename: the parent polls for the file and must never
+    # read it before the pid is in it.
+    with open(acquired_path + ".tmp", "w") as f:
         f.write(str(os.getpid()))
+    os.replace(acquired_path + ".tmp", acquired_path)
     while not os.path.exists(release_path):
         time.sleep(0.02)
     journal.close()

@@ -9,7 +9,9 @@ from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape
 from repro.harness.runners import run_collective, torus_platform
 from repro.parallel import (
+    ParallelExecutor,
     RunCache,
+    RunPoint,
     collective_cache_key,
     payload_to_result,
     result_to_payload,
@@ -136,6 +138,25 @@ class TestRunCache:
         assert cache.get(key) is None
         assert cache.stats.corrupt == 0
         assert os.path.exists(os.path.join(str(tmp_path), f"{key}.json"))
+
+    def test_schema_1_entry_is_a_miss_not_a_crash(self, tmp_path):
+        """A schema-1 payload (raw ready-queue delays, no count) is
+        re-simulated and overwritten, never rebuilt into a result."""
+        key = collective_cache_key(_spec(), CollectiveOp.ALL_REDUCE, KB64)
+        fresh = run_collective(_spec(), CollectiveOp.ALL_REDUCE, KB64)
+        old = result_to_payload(fresh, key)
+        old["schema"] = 1
+        del old["breakdown"]["ready_queue_count"]
+        old["breakdown"]["ready_queue_delays"] = [0.0] * 4
+        RunCache(str(tmp_path)).put(key, old)
+        executor = ParallelExecutor(jobs=1, cache=RunCache(str(tmp_path)))
+        point = RunPoint(builder=_spec, op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)
+        [result] = executor.run_points([point])
+        assert executor.cache.stats.as_dict() == {"hits": 0, "misses": 1,
+                                                  "stores": 1, "corrupt": 0}
+        assert result.duration_cycles == fresh.duration_cycles
+        assert result.breakdown.as_dict() == fresh.breakdown.as_dict()
+        assert RunCache(str(tmp_path)).get(key)["schema"] == PAYLOAD_SCHEMA
 
     def test_wrong_key_entry_is_quarantined(self, tmp_path):
         cache = RunCache(str(tmp_path))

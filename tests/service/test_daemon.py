@@ -7,6 +7,7 @@ already completed.
 """
 
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -24,6 +25,7 @@ from repro.service import (
     SimulationService,
     parse_payload,
 )
+from repro.service import daemon as daemon_module
 from repro.service.jobs import JobStore
 
 #: A tiny-but-real payload: 2x2x2 torus, 64 KB allreduce, 4 chunks.
@@ -309,6 +311,21 @@ class TestHTTP:
         status, body = client.get("/readyz")
         assert status == 200 and body["status"] == "ready"
         assert body["queue"]["limit"] == 8
+
+    def test_accepted_connections_disable_nagle(self, daemon, monkeypatch):
+        """Headers and body are two writes; with Nagle on, the body would
+        wait for the client's delayed ACK (~40 ms per response)."""
+        nodelay = []
+        setup = daemon_module._Handler.setup
+
+        def spy(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(daemon_module._Handler, "setup", spy)
+        assert _Client(daemon.address).get("/healthz")[0] == 200
+        assert nodelay and all(nodelay)
 
     def test_malformed_json_is_400(self, daemon):
         status, body, _ = _Client(daemon.address).post(

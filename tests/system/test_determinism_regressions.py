@@ -1,17 +1,24 @@
 """Regression tests for nondeterminism the source linter flagged.
 
 Each class pins one fixed bug: order-sensitive float accumulation in the
-stats (now fsum over stored samples) and the process-global chunk-id
+stats (now exact compaction, fsum on read) and the process-global chunk-id
 counter (now per-Scheduler).  See docs/DETERMINISM.md.
 """
 
+import contextlib
+import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
-from repro.collectives.context import PhaseStats
+from hypothesis import given, settings, strategies as st
+
+from repro.collectives import context
+from repro.collectives.context import COMPACT_AT, PhaseStats
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape
 from repro.harness.runners import run_collective, torus_platform
+from repro.system import stats as stats_module
 from repro.system.stats import DelayBreakdown
 
 #: Values chosen so naive left-to-right += rounds differently than the
@@ -73,6 +80,146 @@ class TestReadyQueueDelayOrderInvariance:
             backward.record_ready_queue(delay)
         assert (forward.mean_ready_queue_delay
                 == backward.mean_ready_queue_delay)
+
+
+@contextlib.contextmanager
+def compact_at(threshold):
+    """Run with another compaction threshold in both stats scopes."""
+    with mock.patch.object(context, "COMPACT_AT", threshold), \
+            mock.patch.object(stats_module, "COMPACT_AT", threshold):
+        yield
+
+
+#: Finite samples, bounded so no exact sum overflows a double.
+SAMPLES = st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                        min_value=-1e300, max_value=1e300),
+              st.sampled_from(ILL_CONDITIONED)),
+    max_size=80)
+
+
+def split(values, cuts):
+    """``values`` cut at the sorted positions ``cuts`` (empty parts kept)."""
+    bounds = [0, *sorted(cuts), len(values)]
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestStreamingExactStats:
+    """Compaction keeps the exact sum, so every total is bit-for-bit
+    ``fsum`` over the samples whatever the record order, compaction
+    threshold, merge split or merge order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=SAMPLES, threshold=st.sampled_from([1, 2, COMPACT_AT]),
+           data=st.data())
+    def test_phase_totals_equal_fsum(self, samples, threshold, data):
+        order = data.draw(st.permutations(samples))
+        cuts = data.draw(st.lists(st.integers(0, len(order)), max_size=4))
+        with compact_at(threshold):
+            parts = []
+            for part in split(order, cuts):
+                stats = PhaseStats()
+                for value in part:
+                    stats.record(message(q=value, n=-value, size=value))
+                parts.append(stats)
+            merged = PhaseStats()
+            for i in data.draw(st.permutations(range(len(parts)))):
+                merged.merge_from(parts[i])
+        expected = math.fsum(samples).hex()
+        assert merged.queue_cycles.hex() == expected
+        assert merged.bytes.hex() == expected
+        assert merged.network_cycles.hex() == math.fsum(-v for v in samples).hex()
+        assert merged.messages == len(samples)
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=SAMPLES, threshold=st.sampled_from([1, 2, COMPACT_AT]),
+           data=st.data())
+    def test_ready_queue_equals_fsum(self, samples, threshold, data):
+        order = data.draw(st.permutations(samples))
+        cuts = data.draw(st.lists(st.integers(0, len(order)), max_size=4))
+        with compact_at(threshold):
+            parts = []
+            for part in split(order, cuts):
+                breakdown = DelayBreakdown()
+                for value in part:
+                    breakdown.record_ready_queue(value)
+                parts.append(breakdown)
+            merged = DelayBreakdown()
+            for i in data.draw(st.permutations(range(len(parts)))):
+                merged.merge_from(parts[i])
+            if data.draw(st.booleans()):
+                merged.compact()
+        assert merged.ready_queue_count == len(samples)
+        total = math.fsum(samples)
+        assert math.fsum(merged.ready_queue_delays).hex() == total.hex()
+        if samples:
+            assert (merged.mean_ready_queue_delay.hex()
+                    == (total / len(samples)).hex())
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=SAMPLES, data=st.data())
+    def test_payload_independent_of_order(self, samples, data):
+        """Fully compacted delays depend on the exact sum alone."""
+        order = data.draw(st.permutations(samples))
+        a, b = DelayBreakdown(), DelayBreakdown()
+        for value in samples:
+            a.record_ready_queue(value)
+        with compact_at(data.draw(st.sampled_from([1, 2, COMPACT_AT]))):
+            for value in order:
+                b.record_ready_queue(value)
+        assert a.as_dict() == b.as_dict()
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=SAMPLES)
+    def test_as_dict_round_trip(self, samples):
+        breakdown = DelayBreakdown()
+        for value in samples:
+            breakdown.record_ready_queue(value)
+            breakdown.record_message(1, message(q=value, n=value, size=value))
+        again = DelayBreakdown.from_dict(json.loads(json.dumps(breakdown.as_dict())))
+        assert again.ready_queue_count == breakdown.ready_queue_count == len(samples)
+        assert (math.fsum(again.ready_queue_delays).hex()
+                == math.fsum(samples).hex())
+        assert again.rows() == breakdown.rows()
+        if samples:
+            stats, back = breakdown.phase_stats[1], again.phase_stats[1]
+            assert back.messages == stats.messages
+            assert back.queue_cycles.hex() == stats.queue_cycles.hex()
+
+    def test_retained_samples_bounded(self):
+        stats, breakdown = PhaseStats(), DelayBreakdown()
+        values = [i * 0.1 + (i % 7) * 1e-9 for i in range(100_000)]
+        for value in values:
+            stats.record(message(q=value, n=value, size=value))
+            breakdown.record_ready_queue(value)
+        for retained in (stats.queue_values, stats.network_values,
+                         stats.byte_values, breakdown.ready_queue_delays):
+            assert len(retained) < COMPACT_AT
+        breakdown.compact()
+        assert len(breakdown.ready_queue_delays) <= 2
+        assert stats.queue_cycles == math.fsum(values)
+        assert breakdown.mean_ready_queue_delay == math.fsum(values) / len(values)
+
+
+class TestRecordOnce:
+    def test_each_message_recorded_once_on_its_set(self):
+        """The per-run breakdown is a merged view of the sets, not a
+        second copy of every sample."""
+        spec = torus_platform(TorusShape(2, 2, 2))
+        system = spec.build_system()
+        for size in (64 * 1024, 256 * 1024):
+            system.request_collective(CollectiveOp.ALL_REDUCE, size)
+        with mock.patch.object(PhaseStats, "record", autospec=True,
+                               side_effect=PhaseStats.record) as record:
+            system.run_until_idle()
+        delivered = system.backend.messages_delivered
+        assert record.call_count == delivered
+        run = system.breakdown
+        assert sum(s.messages for s in run.phase_stats.values()) == delivered
+        assert run.ready_queue_count == sum(c.num_chunks for c in system.sets)
+        for collective in system.sets:
+            for stats in collective.breakdown.phase_stats.values():
+                assert len(stats.queue_values) <= 2
 
 
 class TestPerSystemChunkIds:

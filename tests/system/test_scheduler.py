@@ -98,7 +98,7 @@ class TestReadyQueueStats:
                            dispatch_batch=1)
         sys_.request_collective(CollectiveOp.ALL_REDUCE, 16 * MB)
         sys_.run_until_idle(max_events=100_000_000)
-        assert len(sys_.breakdown.ready_queue_delays) == 16
+        assert sys_.breakdown.ready_queue_count == 16
         assert sys_.breakdown.mean_ready_queue_delay > 0.0
 
     def test_immediate_dispatch_has_zero_p0(self):
