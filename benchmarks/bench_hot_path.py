@@ -21,7 +21,7 @@ away.  See docs/PERFORMANCE.md.
 
 Usage::
 
-    python benchmarks/bench_hot_path.py --out BENCH_PR10.json
+    python benchmarks/bench_hot_path.py --out BENCH_PR<k>.json
     python benchmarks/bench_hot_path.py --check            # newest BENCH_PR<k>.json
     python benchmarks/bench_hot_path.py --check BENCH_PR5.json
 

@@ -15,13 +15,23 @@ from typing import Callable, Optional
 
 from repro.collectives.context import CollectiveContext
 from repro.errors import CollectiveError
+from repro.network.message import Message
 
 NodeDoneCallback = Callable[[int], None]
 AllDoneCallback = Callable[[], None]
 
 
 class CollectiveAlgorithmBase:
-    """Per-group, per-chunk-phase collective state machine."""
+    """Per-group, per-chunk-phase collective state machine.
+
+    Every message an instance sends carries the same delivery handler,
+    :meth:`_delivered`: it records the message on the phase's stats and
+    reads what it needs (step, origin, destination) from ``message.tag``,
+    so a send builds no closure.  The handler is bound at each send rather
+    than stored on the instance: a stored bound method makes a reference
+    cycle of every instance, which measured about 6 MB more peak RSS on
+    the ResNet-50 step than a bound method that lives for one message.
+    """
 
     def __init__(
         self,
@@ -46,18 +56,39 @@ class CollectiveAlgorithmBase:
         self.on_all_done = on_all_done
         self.phase_index = phase_index
         self.label = label
+        #: Resolved once for the per-message path: the stats this phase's
+        #: messages record into (None when the context has no breakdown),
+        #: whether the backend reports failures (sends build an
+        #: ``on_failed`` callback only then) and the event queue's schedule.
+        self._stats = ctx.phase_stats(phase_index)
+        self._reliable = ctx.reliable
+        self._after = ctx.after
 
         self._joined: set[int] = set()
         self._done: set[int] = set()
-        self._pending: dict[int, list] = {n: [] for n in nodes}
+        #: Items received before their node joined; a node's list is made
+        #: by its first early item (most nodes never buffer one).
+        self._pending: dict[int, list] = {}
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        #: Where this instance sits in a multi-phase plan ("phase 2/3
-        #: (all_reduce over HORIZONTAL) of set1/c0"), attached by the chunk
-        #: coordinator so an unrecoverable transport failure in any phase
-        #: surfaces as a :class:`CollectiveError` that names the phase and
-        #: dimension instead of a bare transport diagnostic.
-        self.fail_context: str = ""
+        self.fail_context = ""
+
+    @property
+    def fail_context(self) -> str:
+        """Where this instance sits in a multi-phase plan ("phase 2/3
+        (all_reduce over HORIZONTAL) of set1/c0"), attached by the chunk
+        coordinator so an unrecoverable transport failure in any phase
+        surfaces as a :class:`CollectiveError` that names the phase and
+        dimension instead of a bare transport diagnostic.  Set as a string
+        or as a callable that builds one from the instance's
+        ``phase_index``, so the coordinator formats it only when a failure
+        reads it."""
+        context = self._fail_context
+        return context if isinstance(context, str) else context(self.phase_index)
+
+    @fail_context.setter
+    def fail_context(self, value) -> None:
+        self._fail_context = value
 
     def stuck_ranks(self) -> list[int]:
         """The ranks that have not completed this instance (failure report)."""
@@ -67,7 +98,7 @@ class CollectiveAlgorithmBase:
 
     def start_node(self, node: int) -> None:
         """``node`` joins this phase (its previous phase finished)."""
-        if node not in self._pending:
+        if node not in self.nodes:
             raise CollectiveError(f"node {node} is not part of {self.label or self!r}")
         if node in self._joined:
             raise CollectiveError(f"node {node} joined {self.label or self!r} twice")
@@ -75,8 +106,7 @@ class CollectiveAlgorithmBase:
         if self.started_at is None:
             self.started_at = self.ctx.now
         self._on_join(node)
-        buffered, self._pending[node] = self._pending[node], []
-        for item in buffered:
+        for item in self._pending.pop(node, ()):
             self._process(node, item)
 
     def start_all(self) -> None:
@@ -101,6 +131,12 @@ class CollectiveAlgorithmBase:
         """Handle one received item for a joined node.  Subclasses override."""
         raise NotImplementedError
 
+    def _delivered(self, message: Message) -> None:
+        """Handle one delivered message (the delivery handler of every
+        send): record it on the phase's stats, then route it.  Subclasses
+        override."""
+        raise NotImplementedError
+
     # -- helpers for subclasses ---------------------------------------------------
 
     def _deliver(self, node: int, item: object) -> None:
@@ -108,7 +144,7 @@ class CollectiveAlgorithmBase:
         if node in self._joined:
             self._process(node, item)
         else:
-            self._pending[node].append(item)
+            self._pending.setdefault(node, []).append(item)
 
     def _mark_done(self, node: int) -> None:
         if node in self._done:

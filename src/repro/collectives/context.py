@@ -2,21 +2,25 @@
 
 Bundles the network backend with the system-layer constants every
 algorithm needs (endpoint delay, local-reduction rate, routing mode) and
-a stats sink used to build the Fig. 12b / Fig. 16 queue-vs-network delay
-breakdowns.
+the owning collective set's delay breakdown, from which each algorithm
+instance resolves its phase's :class:`PhaseStats` once to build the
+Fig. 12b / Fig. 16 queue-vs-network delay breakdowns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config.parameters import InjectionPolicy, PacketRouting
 from repro.errors import CollectiveError
 from repro.network.api import NetworkBackend
 from repro.network.link import Link
 from repro.network.message import Message
+
+if TYPE_CHECKING:
+    from repro.system.stats import DelayBreakdown
 
 
 #: Sample-list length at which :class:`PhaseStats` and the system
@@ -46,9 +50,16 @@ class PhaseStats:
     byte_values: list[float] = field(default_factory=list, repr=False)
 
     def record(self, message: Message) -> None:
+        """Add one delivered message's samples.
+
+        The queueing and network cycles are the differences
+        ``Message.queueing_cycles`` and ``network_cycles`` compute, taken
+        from the timing fields directly: this runs once per message.
+        """
         self.messages += 1
-        self.queue_values.append(message.queueing_cycles)
-        self.network_values.append(message.network_cycles)
+        injected = message.injected_at
+        self.queue_values.append(injected - message.created_at)
+        self.network_values.append(message.delivered_at - injected)
         self.byte_values.append(message.size_bytes)
         if len(self.queue_values) >= COMPACT_AT:
             self.compact()
@@ -134,7 +145,9 @@ class CollectiveContext:
 
     ``reduction_cycles_per_kb`` is the layer's "local update time" from the
     workload file (Fig. 8): the average cycles to reduce 1 KB of received
-    data.  ``endpoint_delay`` is Table III #13.
+    data.  ``endpoint_delay`` is Table III #13.  ``breakdown`` is the
+    owning collective set's :class:`~repro.system.stats.DelayBreakdown`;
+    without one (unit tests, examples) nothing is recorded.
     """
 
     def __init__(
@@ -144,7 +157,7 @@ class CollectiveContext:
         reduction_cycles_per_kb: float = 1.0,
         packet_routing: PacketRouting = PacketRouting.SOFTWARE,
         injection_policy: InjectionPolicy = InjectionPolicy.NORMAL,
-        stats_sink: Optional[Callable[[int, Message], None]] = None,
+        breakdown: Optional[DelayBreakdown] = None,
     ):
         if endpoint_delay_cycles < 0:
             raise CollectiveError("endpoint delay must be >= 0")
@@ -158,23 +171,29 @@ class CollectiveContext:
         self.reduction_cycles_per_kb = reduction_cycles_per_kb
         self.packet_routing = packet_routing
         self.injection_policy = injection_policy
-        self.stats_sink = stats_sink
+        self.breakdown = breakdown
+        #: Whether the backend reports delivery failures (the reliable
+        #: transport); algorithms build ``on_failed`` callbacks only then.
+        self.reliable: bool = getattr(backend, "supports_failure_callback", False)
+        #: ``after(delay, callback)``: the event queue's own ``schedule``,
+        #: bound once, so a state machine's timer costs no wrapper calls.
+        self.after: Callable[[float, Callable[[], None]], object] = backend.events.schedule
+        self._send = backend.send
 
     @property
     def now(self) -> float:
         return self.backend.now
 
-    def after(self, delay: float, callback: Callable[[], None]) -> None:
-        self.backend.schedule(delay, callback)
-
     def reduction_cycles(self, size_bytes: float) -> float:
         """Local-reduction delay for ``size_bytes`` of received data."""
         return self.reduction_cycles_per_kb * size_bytes / 1024.0
 
-    @property
-    def reliable(self) -> bool:
-        """Whether the backend reports delivery failures (reliable transport)."""
-        return getattr(self.backend, "supports_failure_callback", False)
+    def phase_stats(self, phase_index: int) -> Optional[PhaseStats]:
+        """The stats every message of phase ``phase_index`` records into
+        (None without a breakdown); algorithm instances resolve it once."""
+        if self.breakdown is None:
+            return None
+        return self.breakdown.phase(phase_index)
 
     def send(
         self,
@@ -184,26 +203,21 @@ class CollectiveContext:
         path: list[Link],
         tag: object,
         on_delivered: Callable[[Message], None],
-        phase_index: int = 0,
         on_failed: Optional[Callable] = None,
     ) -> Message:
-        """Inject one message and record its timing under ``phase_index``.
+        """Inject one message; ``on_delivered(message)`` runs at arrival.
 
+        The delivery handler records the message's timing: algorithm
+        instances record into their phase's :class:`PhaseStats`.
         ``on_failed`` receives a :class:`repro.system.transport.TransportFailure`
         when the reliable transport exhausts its retry budget; it is only
         honored when the backend supports failure reporting (a raw backend
         never reports loss — an undeliverable message simply deadlocks the
         run, surfaced by the wait-for summary).
         """
-        message = Message(src=src, dst=dst, size_bytes=size_bytes, tag=tag)
-
-        def delivered(msg: Message) -> None:
-            if self.stats_sink is not None:
-                self.stats_sink(phase_index, msg)
-            on_delivered(msg)
-
+        message = Message(src, dst, size_bytes, tag)
         if on_failed is not None and self.reliable:
-            self.backend.send(message, path, delivered, on_failed=on_failed)
+            self._send(message, path, on_delivered, on_failed=on_failed)
         else:
-            self.backend.send(message, path, delivered)
+            self._send(message, path, on_delivered)
         return message

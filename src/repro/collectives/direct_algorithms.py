@@ -13,6 +13,7 @@ while small K models switch sharing and its queuing delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.collectives.base import (
@@ -24,6 +25,7 @@ from repro.collectives.context import CollectiveContext
 from repro.errors import CollectiveError
 from repro.events.engine import CountdownBarrier
 from repro.network.channel import SwitchChannel
+from repro.network.message import Message
 
 
 @dataclass
@@ -57,6 +59,10 @@ class _DirectExchangeBase(CollectiveAlgorithmBase):
         self.switches = list(switches)
         self.lsq_offset = lsq_offset
         self.message_bytes = self.size_bytes / len(self.nodes)
+        delay = ctx.endpoint_delay_cycles
+        if self.reduces:
+            delay += ctx.reduction_cycles(self.message_bytes)
+        self._receive_delay = delay
         # Each node is done after the N-1 concurrent receives of the
         # one-step exchange; the barrier's arrival accounting is what the
         # runtime sanitizer audits (over-arrival = duplicated delivery,
@@ -82,20 +88,21 @@ class _DirectExchangeBase(CollectiveAlgorithmBase):
             if peer == node:
                 continue
             switch = self._switch_for(node, peer)
-            self.ctx.send(
-                node, peer, self.message_bytes,
-                path=switch.path(node, peer),
-                tag=(self.label, node, peer),
-                on_delivered=lambda msg: self._deliver(msg.dst, _DirectReceive(msg.src)),
-                phase_index=self.phase_index,
-                on_failed=lambda failure, s=switch: self._fail_fast(failure, s),
-            )
+            on_failed = partial(self._fail_fast, switch=switch) if self._reliable else None
+            self.ctx.send(node, peer, self.message_bytes, switch.path(node, peer),
+                          (self.label, node, peer), self._delivered, on_failed)
+
+    def _delivered(self, message: Message) -> None:
+        if self._stats is not None:
+            self._stats.record(message)
+        self._deliver(message.dst, _DirectReceive(message.src))
 
     def _fail_fast(self, failure, switch: SwitchChannel) -> None:
         """A switch up/downlink died for good (retry budget exhausted):
         unlike rings there is no counter-rotating spare, so fail with the
         phase/dimension context instead of letting the barrier hang."""
-        where = f" in {self.fail_context}" if self.fail_context else ""
+        context = self.fail_context
+        where = f" in {context}" if context else ""
         raise CollectiveError(
             f"collective {self.label or type(self).__name__}{where} cannot "
             f"make progress through switch {switch.switch_id}: "
@@ -103,13 +110,7 @@ class _DirectExchangeBase(CollectiveAlgorithmBase):
         )
 
     def _process(self, node: int, item: _DirectReceive) -> None:
-        delay = self.ctx.endpoint_delay_cycles
-        if self.reduces:
-            delay += self.ctx.reduction_cycles(self.message_bytes)
-        self.ctx.after(delay, lambda: self._after_receive(node))
-
-    def _after_receive(self, node: int) -> None:
-        self._barriers[node].arrive()
+        self._after(self._receive_delay, self._barriers[node].arrive)
 
 
 class DirectReduceScatter(_DirectExchangeBase):
@@ -206,7 +207,7 @@ class DirectAllReduce:
         return self._scatter.fail_context
 
     @fail_context.setter
-    def fail_context(self, value: str) -> None:
+    def fail_context(self, value) -> None:
         # Both stages fail with the same phase/dimension context.
         self._scatter.fail_context = value
         self._gather.fail_context = value

@@ -25,9 +25,11 @@ from repro.collectives.ring_algorithms import (
     RingReduceScatter,
 )
 from repro.collectives.types import CollectiveOp, PhaseSpec
+from repro.dims import Dimension
 from repro.errors import CollectiveError
 from repro.network.channel import RingChannel, SwitchChannel
 from repro.network.physical.fabric import Fabric
+from repro.topology.mapping import MappedRingChannel
 
 _RING_ALGORITHMS = {
     CollectiveOp.REDUCE_SCATTER: RingReduceScatter,
@@ -87,6 +89,9 @@ class ChunkExecution:
         self.phase_spans: list[list[Optional[float]]] = [
             [None, None] for _ in self.plan
         ]
+        #: Every phase instance's ``fail_context``: bound once and shared,
+        #: so an instance holds no per-instance context object.
+        self._fail_context = self._phase_context
 
     # -- public ------------------------------------------------------------------
 
@@ -162,16 +167,6 @@ class ChunkExecution:
         size = self.chunk_bytes * spec.size_fraction
         on_node_done = lambda n, p=phase_idx: self._leave_phase(n, p)  # noqa: E731
         label = f"{self.label}/p{phase_idx + 1}:{spec.op.value}@{spec.dim}"
-        # Failure context propagated into the phase's algorithm: when a
-        # mid-phase link dies for good, the CollectiveError names the phase
-        # and dimension of the multi-phase plan, not just the group.
-        fail_context = (
-            f"phase {phase_idx + 1}/{len(self.plan)} "
-            f"({spec.op.value} over {spec.dim.name}) of {self.label}"
-        )
-
-        from repro.topology.mapping import MappedRingChannel
-
         first = channels[0]
         if isinstance(first, (RingChannel, MappedRingChannel)):
             ring = channels[self.chunk_index % len(channels)]
@@ -194,14 +189,23 @@ class ChunkExecution:
             )
         else:
             raise CollectiveError(f"unsupported channel type {type(first)!r}")
-        instance.fail_context = fail_context
+        instance.fail_context = self._fail_context
         return instance
+
+    def _phase_context(self, phase_index: int) -> str:
+        """Failure context of the algorithm of (1-based) ``phase_index``,
+        built only when a failure reads it: when a mid-phase link dies for
+        good, the CollectiveError names the phase and dimension of the
+        multi-phase plan, not just the group."""
+        spec = self.plan[phase_index - 1]
+        return (
+            f"phase {phase_index}/{len(self.plan)} "
+            f"({spec.op.value} over {spec.dim.name}) of {self.label}"
+        )
 
     def _alltoall_group_nodes(self, group: tuple) -> list[int]:
         """Members of an alltoall-dimension group, in package order (the
         NPUs with the same local index across all packages)."""
-        from repro.dims import Dimension
-
         return [
             n for n in self.nodes
             if self.fabric.group_of(Dimension.ALLTOALL, n) == group

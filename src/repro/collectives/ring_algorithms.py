@@ -16,6 +16,7 @@ count proportional to the number of nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.collectives.base import (
@@ -33,9 +34,9 @@ from repro.network.message import Message
 class _ResilientRingMixin:
     """Reroute-or-fail-fast policy shared by the ring algorithms.
 
-    Only active under the reliable transport (``ctx.send`` drops the
-    ``on_failed`` callback otherwise): when the retry budget for a message
-    is exhausted — a permanently dead link — the algorithm reroutes every
+    Only active under the reliable transport (sends carry an ``on_failed``
+    callback only then): when the retry budget for a message is
+    exhausted — a permanently dead link — the algorithm reroutes every
     subsequent message over the counter-rotating companion ring
     (``ring.reverse_channel``, same logical neighbors, opposite physical
     direction) when the fabric provides one.  A failure on the surviving
@@ -60,7 +61,8 @@ class _ResilientRingMixin:
     def _fail_fast(self, failure) -> None:
         stuck = self.stuck_ranks()
         direction = "surviving ring direction" if self._rerouted else "ring"
-        where = f" in {self.fail_context}" if self.fail_context else ""
+        context = self.fail_context
+        where = f" in {context}" if context else ""
         raise CollectiveError(
             f"collective {self.label or type(self).__name__}{where} cannot "
             f"make progress on the {direction}: {failure.describe()}; "
@@ -68,98 +70,78 @@ class _ResilientRingMixin:
         )
 
 
-class RingReduceScatter(_ResilientRingMixin, CollectiveAlgorithmBase):
+class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
+    """N-1 send-to-next steps over one ring (reduce-scatter, all-gather).
+
+    A node sends step 1 when it joins; every delivered step waits the same
+    per-step delay (the endpoint delay, plus the local reduction when
+    ``reduces``) before the receiver sends the next step.
+    """
+
+    #: Subclasses set whether a received step pays the local-reduction
+    #: delay, and the label an instance gets when the caller passes none.
+    reduces = False
+    default_label = ""
+
+    def __init__(
+        self,
+        ctx: CollectiveContext,
+        ring: RingChannel,
+        size_bytes: float,
+        on_node_done: Optional[NodeDoneCallback] = None,
+        on_all_done: Optional[AllDoneCallback] = None,
+        phase_index: int = 0,
+        label: Optional[str] = None,
+    ):
+        super().__init__(ctx, ring.nodes, size_bytes, on_node_done, on_all_done,
+                         phase_index, self.default_label if label is None else label)
+        self.ring = ring
+        self.message_bytes = self.size_bytes / ring.size
+        self._last_step = ring.size - 1
+        delay = ctx.endpoint_delay_cycles
+        if self.reduces:
+            delay += ctx.reduction_cycles(self.message_bytes)
+        self._step_delay = delay
+
+    def _send_step(self, node: int, step: int) -> None:
+        nxt = self.ring.next_node(node)
+        on_failed = (partial(self._on_send_failed, via_reverse=self._rerouted,
+                             resend=partial(self._send_step, node, step))
+                     if self._reliable else None)
+        self.ctx.send(node, nxt, self.message_bytes, self._route(node, nxt),
+                      (self.label, step), self._delivered, on_failed)
+
+    def _delivered(self, message: Message) -> None:
+        if self._stats is not None:
+            self._stats.record(message)
+        self._deliver(message.dst, message.tag[1])
+
+    def _on_join(self, node: int) -> None:
+        self._send_step(node, 1)
+
+    def _process(self, node: int, step: int) -> None:
+        self._after(self._step_delay, partial(self._advance, node, step))
+
+    def _advance(self, node: int, step: int) -> None:
+        if step < self._last_step:
+            self._send_step(node, step + 1)
+        else:
+            self._mark_done(node)
+
+
+class RingReduceScatter(_RingStepAlgorithm):
     """Ring reduce-scatter: after N-1 steps each node holds one globally
     reduced segment of size ``size_bytes / n``."""
 
-    def __init__(
-        self,
-        ctx: CollectiveContext,
-        ring: RingChannel,
-        size_bytes: float,
-        on_node_done: Optional[NodeDoneCallback] = None,
-        on_all_done: Optional[AllDoneCallback] = None,
-        phase_index: int = 0,
-        label: str = "ring-rs",
-    ):
-        super().__init__(ctx, ring.nodes, size_bytes, on_node_done, on_all_done,
-                         phase_index, label)
-        self.ring = ring
-        self.message_bytes = self.size_bytes / ring.size
-
-    def _send_step(self, node: int, step: int) -> None:
-        nxt = self.ring.next_node(node)
-        via_reverse = self._rerouted
-        self.ctx.send(
-            node, nxt, self.message_bytes,
-            path=self._route(node, nxt),
-            tag=(self.label, step),
-            on_delivered=lambda msg, s=step: self._deliver(msg.dst, s),
-            phase_index=self.phase_index,
-            on_failed=lambda failure: self._on_send_failed(
-                failure, via_reverse, lambda: self._send_step(node, step)),
-        )
-
-    def _on_join(self, node: int) -> None:
-        self._send_step(node, 1)
-
-    def _process(self, node: int, step: int) -> None:
-        delay = self.ctx.endpoint_delay_cycles + self.ctx.reduction_cycles(self.message_bytes)
-        self.ctx.after(delay, lambda: self._after_reduce(node, step))
-
-    def _after_reduce(self, node: int, step: int) -> None:
-        if step < self.ring.size - 1:
-            self._send_step(node, step + 1)
-        else:
-            self._mark_done(node)
+    reduces = True
+    default_label = "ring-rs"
 
 
-class RingAllGather(_ResilientRingMixin, CollectiveAlgorithmBase):
+class RingAllGather(_RingStepAlgorithm):
     """Ring all-gather: each node starts with ``size_bytes / n`` and relays
     until it holds all ``size_bytes``.  No reduction delay."""
 
-    def __init__(
-        self,
-        ctx: CollectiveContext,
-        ring: RingChannel,
-        size_bytes: float,
-        on_node_done: Optional[NodeDoneCallback] = None,
-        on_all_done: Optional[AllDoneCallback] = None,
-        phase_index: int = 0,
-        label: str = "ring-ag",
-    ):
-        super().__init__(ctx, ring.nodes, size_bytes, on_node_done, on_all_done,
-                         phase_index, label)
-        self.ring = ring
-        self.message_bytes = self.size_bytes / ring.size
-
-    def _send_step(self, node: int, step: int) -> None:
-        nxt = self.ring.next_node(node)
-        via_reverse = self._rerouted
-        self.ctx.send(
-            node, nxt, self.message_bytes,
-            path=self._route(node, nxt),
-            tag=(self.label, step),
-            on_delivered=lambda msg, s=step: self._deliver(msg.dst, s),
-            phase_index=self.phase_index,
-            on_failed=lambda failure: self._on_send_failed(
-                failure, via_reverse, lambda: self._send_step(node, step)),
-        )
-
-    def _on_join(self, node: int) -> None:
-        self._send_step(node, 1)
-
-    def _process(self, node: int, step: int) -> None:
-        self.ctx.after(
-            self.ctx.endpoint_delay_cycles,
-            lambda: self._after_receive(node, step),
-        )
-
-    def _after_receive(self, node: int, step: int) -> None:
-        if step < self.ring.size - 1:
-            self._send_step(node, step + 1)
-        else:
-            self._mark_done(node)
+    default_label = "ring-ag"
 
 
 class RingAllReduce:
@@ -222,7 +204,7 @@ class RingAllReduce:
         return self._scatter.fail_context
 
     @fail_context.setter
-    def fail_context(self, value: str) -> None:
+    def fail_context(self, value) -> None:
         # Both stages fail with the same phase/dimension context.
         self._scatter.fail_context = value
         self._gather.fail_context = value
@@ -263,6 +245,8 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
         self.message_bytes = self.size_bytes / ring.size
         self._received: dict[int, int] = {n: 0 for n in ring.nodes}
         self._rounds_issued: dict[int, int] = {n: 0 for n in ring.nodes}
+        self._hardware = ctx.packet_routing is PacketRouting.HARDWARE
+        self._paced = ctx.injection_policy is InjectionPolicy.NORMAL
 
     # -- sending ----------------------------------------------------------------
 
@@ -272,87 +256,62 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
         if round_index == self.ring.size - 1 and node in self._joined:
             # All receives may already have landed; re-check completion once
             # the final round is on the wire.
-            self.ctx.after(0.0, lambda: self._maybe_done(node))
-        if self.ctx.packet_routing is PacketRouting.HARDWARE:
-            via_reverse = self._rerouted
-            self.ctx.send(
-                node, final_dst, self.message_bytes, self._route(node, final_dst),
-                tag=(self.label, node, final_dst),
-                on_delivered=lambda msg: self._on_hop(msg, node, final_dst, round_index),
-                phase_index=self.phase_index,
-                on_failed=lambda failure: self._on_send_failed(
-                    failure, via_reverse,
-                    lambda: self._resend_direct(node, final_dst, round_index)),
-            )
+            self._after(0.0, partial(self._maybe_done, node))
+        if self._hardware:
+            self._send(node, final_dst, node, final_dst)
         else:
-            self._send_hop(node, node, final_dst, round_index)
+            self._send_hop(node, node, final_dst)
 
-    def _resend_direct(self, node: int, final_dst: int, round_index: int) -> None:
-        via_reverse = self._rerouted
-        self.ctx.send(
-            node, final_dst, self.message_bytes, self._route(node, final_dst),
-            tag=(self.label, node, final_dst),
-            on_delivered=lambda msg: self._on_hop(msg, node, final_dst, round_index),
-            phase_index=self.phase_index,
-            on_failed=lambda failure: self._on_send_failed(
-                failure, via_reverse,
-                lambda: self._resend_direct(node, final_dst, round_index)),
-        )
+    def _send_hop(self, current: int, origin: int, final_dst: int) -> None:
+        self._send(current, self.ring.next_node(current), origin, final_dst)
 
-    def _send_hop(self, current: int, origin: int, final_dst: int, round_index: int) -> None:
-        nxt = self.ring.next_node(current)
-        via_reverse = self._rerouted
-        self.ctx.send(
-            current, nxt, self.message_bytes,
-            path=self._route(current, nxt),
-            tag=(self.label, origin, final_dst),
-            on_delivered=lambda msg: self._on_hop(msg, origin, final_dst, round_index),
-            phase_index=self.phase_index,
-            on_failed=lambda failure: self._on_send_failed(
-                failure, via_reverse,
-                lambda: self._send_hop(current, origin, final_dst, round_index)),
-        )
+    def _send(self, src: int, dst: int, origin: int, final_dst: int) -> None:
+        """One message of ``origin``'s round toward ``final_dst``: the whole
+        path under hardware routing, one ring hop under software routing."""
+        on_failed = (partial(self._on_send_failed, via_reverse=self._rerouted,
+                             resend=partial(self._send, src, dst, origin, final_dst))
+                     if self._reliable else None)
+        self.ctx.send(src, dst, self.message_bytes, self._route(src, dst),
+                      (self.label, origin, final_dst), self._delivered, on_failed)
 
-    def _on_hop(self, message: Message, origin: int, final_dst: int, round_index: int) -> None:
+    def _delivered(self, message: Message) -> None:
+        if self._stats is not None:
+            self._stats.record(message)
+        _label, origin, final_dst = message.tag
         here = message.dst
+        ring = self.ring
         # NORMAL pacing: issue the origin's next round once this round has
         # cleared its injection point — the first ring hop under software
-        # routing, full delivery under hardware routing (where _on_hop only
-        # fires at the destination).
-        first_hop_cleared = (
-            here == final_dst
-            if self.ctx.packet_routing is PacketRouting.HARDWARE
-            else here == self.ring.next_node(origin)
-        )
-        if (first_hop_cleared
-                and self.ctx.injection_policy is InjectionPolicy.NORMAL
-                and self._rounds_issued[origin] == round_index
-                and round_index < self.ring.size - 1):
-            self._issue_round(origin, round_index + 1)
+        # routing, full delivery under hardware routing (where a message
+        # is only delivered at its destination).
+        first_hop_cleared = (here == final_dst if self._hardware
+                             else here == ring.next_node(origin))
+        if first_hop_cleared and self._paced:
+            # A message's round is its origin-to-destination distance.
+            round_index = (ring.position(final_dst) - ring.position(origin)) % ring.size
+            if (self._rounds_issued[origin] == round_index
+                    and round_index < ring.size - 1):
+                self._issue_round(origin, round_index + 1)
 
         if here == final_dst:
-            self.ctx.after(
-                self.ctx.endpoint_delay_cycles,
-                lambda: self._deliver(final_dst, _A2AReceive(origin)),
-            )
+            self._after(self.ctx.endpoint_delay_cycles,
+                        partial(self._deliver, final_dst, _A2AReceive(origin)))
         else:
             # Relay: the intermediate messaging unit forwards without
             # needing that node's own chunk data, so no join gating.
-            self.ctx.after(
-                self.ctx.endpoint_delay_cycles,
-                lambda: self._send_hop(here, origin, final_dst, round_index),
-            )
+            self._after(self.ctx.endpoint_delay_cycles,
+                        partial(self._send_hop, here, origin, final_dst))
 
     # -- lifecycle ----------------------------------------------------------------
 
     def _on_join(self, node: int) -> None:
         if self.ring.size < 2:  # pragma: no cover - guarded by RingChannel
             raise CollectiveError("all-to-all needs a ring of >= 2 nodes")
-        if self.ctx.injection_policy is InjectionPolicy.AGGRESSIVE:
+        if self._paced:
+            self._issue_round(node, 1)
+        else:
             for r in range(1, self.ring.size):
                 self._issue_round(node, r)
-        else:
-            self._issue_round(node, 1)
         self._maybe_done(node)
 
     def _process(self, node: int, item: _A2AReceive) -> None:

@@ -65,7 +65,15 @@ class RingChannel:
             raise TopologyError(f"node {node} is not on ring {self.name}") from None
 
     def next_node(self, node: int) -> int:
-        return self.nodes[(self.position(node) + 1) % self.size]
+        # Runs once per ring message: the position lookup is inlined rather
+        # than a call to position().  No successor table: every fabric of a
+        # search stays alive until the cyclic collector runs, and one table
+        # per ring measured more peak RSS than the arithmetic costs in time.
+        nodes = self.nodes
+        try:
+            return nodes[(self._index[node] + 1) % len(nodes)]
+        except KeyError:
+            raise TopologyError(f"node {node} is not on ring {self.name}") from None
 
     def prev_node(self, node: int) -> int:
         return self.nodes[(self.position(node) - 1) % self.size]

@@ -39,7 +39,7 @@ class Link:
 
     __slots__ = ("link_id", "src", "dst", "config", "kind", "clock",
                  "next_free", "stats", "_ser_config", "_bytes_per_cycle",
-                 "_memo_size", "_memo_ser", "_memo_head_ser")
+                 "_memos", "_memo_config", "_memo")
 
     def __init__(
         self,
@@ -48,6 +48,7 @@ class Link:
         config: LinkConfig,
         kind: str = "package",
         clock: Clock = DEFAULT_CLOCK,
+        memos: dict | None = None,
     ):
         if src == dst:
             raise NetworkError(f"link endpoints must differ, got {src}->{dst}")
@@ -65,12 +66,20 @@ class Link:
         # which invalidates the memo on the next call.
         self._ser_config: LinkConfig | None = None
         self._bytes_per_cycle = 0.0
-        # One-slot (config, size) -> serialization memo: a collective
-        # pushes one message size through a link thousands of times, so
-        # reserve() usually skips both serialization_cycles calls.
-        self._memo_size = -1.0
-        self._memo_ser = 0.0
-        self._memo_head_ser = 0.0
+        # Serialization memo for reserve(): config -> {size: (serialization,
+        # head serialization)}.  A run pushes a few chunk sizes through a
+        # link thousands of times, and the LIFO scheduler interleaves sets
+        # of different chunk sizes on the same link, so a one-slot memo
+        # would miss often.  The results depend only on the config's values
+        # and the clock, so a fabric passes one ``memos`` dict to all of its
+        # links (one clock), which then share one memo per link class
+        # instead of holding one each.  ``_memo`` is the entry for the
+        # config object ``_memo_config``; a new config (degrade_link)
+        # switches entries on the next reserve.
+        self._memos: dict[LinkConfig, dict[float, tuple[float, float]]] = (
+            {} if memos is None else memos)
+        self._memo_config = config
+        self._memo = self._memos.setdefault(config, {})
 
     def serialization_cycles(self, size_bytes: float) -> float:
         """Cycles to push ``size_bytes`` through this link (memoized BW).
@@ -102,16 +111,15 @@ class Link:
         if size_bytes < 0:
             raise NetworkError(f"size must be >= 0: {size_bytes}")
         config = self.config
-        if config is self._ser_config and size_bytes == self._memo_size:
-            ser = self._memo_ser
-            head_ser = self._memo_head_ser
-        else:
-            ser = self.serialization_cycles(size_bytes)
+        if config is not self._memo_config:
+            self._memo_config = config
+            self._memo = self._memos.setdefault(config, {})
+        memo = self._memo.get(size_bytes)
+        if memo is None:
             first_packet = min(size_bytes, float(config.packet_size_bytes))
-            head_ser = self.serialization_cycles(first_packet)
-            self._memo_size = size_bytes
-            self._memo_ser = ser
-            self._memo_head_ser = head_ser
+            memo = self._memo[size_bytes] = (self.serialization_cycles(size_bytes),
+                                             self.serialization_cycles(first_packet))
+        ser, head_ser = memo
         latency = config.latency_cycles
         start = max(at, self.next_free)
         head_arrival = start + head_ser + latency

@@ -35,7 +35,7 @@ class Message:
     dst: int
     size_bytes: float
     tag: object = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
 
     # Timing (simulated cycles), filled by the backend.
     created_at: float = 0.0

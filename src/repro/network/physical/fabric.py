@@ -31,6 +31,9 @@ class Fabric:
         self.network = network
         self.clock = clock
         self.links: list[Link] = []
+        #: Serialization memos shared by every link of this fabric (see
+        #: :class:`Link`): one per link config rather than one per link.
+        self._serialization_memos: dict = {}
         #: channels[dim][group_key] -> list of parallel channels for that group
         self.channels: dict[Dimension, dict[GroupKey, list[Channel]]] = {}
         self._next_switch_id = num_npus
@@ -38,7 +41,8 @@ class Fabric:
     # -- construction helpers -------------------------------------------------
 
     def _new_link(self, src: int, dst: int, config: LinkConfig, kind: str) -> Link:
-        link = Link(src, dst, config, kind=kind, clock=self.clock)
+        link = Link(src, dst, config, kind=kind, clock=self.clock,
+                    memos=self._serialization_memos)
         self.links.append(link)
         return link
 

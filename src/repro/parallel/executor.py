@@ -25,7 +25,10 @@ stored on the way out.
 from __future__ import annotations
 
 import logging
+import os
 import pickle
+import threading
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
@@ -98,6 +101,37 @@ def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
 
 _log = logging.getLogger("repro.parallel")
 
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL_S = 0.2
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker once its owner is gone.
+
+    An owner that dies without shutting its pool down (SIGKILL, the OOM
+    killer) would leave its workers running their jobs to the end —
+    minutes for a large point — with the owner's pipes still open.  A
+    daemon thread polls the parent pid and exits the worker as soon as it
+    has been reparented.  Polling rather than ``PR_SET_PDEATHSIG``: the
+    kernel ties that signal to the *thread* that forked the worker, and
+    pools grow from whichever thread submits work (the serve daemon's job
+    thread, for one).
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
+
+
+def worker_pool(max_workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers exit when the owning process dies."""
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=_exit_with_parent)
+
+
 #: The exception types CPython raises for genuinely unpicklable objects
 #: (closures, lambdas, local classes, live handles).  Anything *else*
 #: raised during pickling is a bug in the object's own
@@ -143,7 +177,7 @@ class ParallelExecutor:
 
     def _get_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = worker_pool(self.jobs)
         return self._pool
 
     def close(self) -> None:

@@ -49,7 +49,7 @@ import signal
 import time  # det: allow-file[wall-clock] supervision enforces host wall-clock deadlines by design
 import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from random import Random
@@ -68,6 +68,7 @@ from repro.parallel.executor import (
     RunPoint,
     _execute_point,
     _pickle_failure,
+    worker_pool,
 )
 
 #: Failure classes a supervised attempt can be charged with.
@@ -475,7 +476,7 @@ class _Slot:
     __slots__ = ("pool", "task", "future", "started")
 
     def __init__(self) -> None:
-        self.pool = ProcessPoolExecutor(max_workers=1)
+        self.pool = worker_pool(1)
         self.task: Optional[_Task] = None
         self.future = None
         self.started = 0.0

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 from repro.collectives.context import COMPACT_AT, PhaseStats
-from repro.network.message import Message
 
 #: Upper bound on phases any plan produces (enhanced all-reduce = 4).
 MAX_PHASES = 8
@@ -34,11 +33,16 @@ class DelayBreakdown:
     ready_queue_delays: list[float] = field(default_factory=list)
     ready_queue_count: int = 0
 
-    def record_message(self, phase_index: int, message: Message) -> None:
+    def phase(self, phase_index: int) -> PhaseStats:
+        """The stats of phase ``phase_index``, created on first use.
+
+        Collective algorithm instances resolve their phase's stats here
+        once and record every delivered message into it directly.
+        """
         stats = self.phase_stats.get(phase_index)
         if stats is None:
             stats = self.phase_stats[phase_index] = PhaseStats()
-        stats.record(message)
+        return stats
 
     def record_ready_queue(self, delay_cycles: float) -> None:
         self.ready_queue_count += 1

@@ -155,7 +155,7 @@ class System:
             reduction_cycles_per_kb=reduction_cycles_per_kb,
             packet_routing=sys_cfg.packet_routing,
             injection_policy=sys_cfg.injection_policy,
-            stats_sink=collective.breakdown.record_message,
+            breakdown=collective.breakdown,
         )
         self.sets.append(collective)
         self.scheduler.enqueue_set(collective, ctx)

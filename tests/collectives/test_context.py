@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.collectives import CollectiveContext, PhaseStats
+from repro.collectives import CollectiveContext, PhaseStats, RingReduceScatter
 from repro.config import LinkConfig, NetworkConfig
 from repro.errors import CollectiveError
 from repro.events import EventQueue
-from repro.network import FastBackend, Link, Message
+from repro.network import FastBackend, Link, Message, RingChannel
+from repro.system import DelayBreakdown, ReliableTransport
 
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,
@@ -33,24 +34,43 @@ class TestContext:
         assert fired == [7.0]
 
     def test_send_records_stats_by_phase(self):
-        recorded = []
-        events, ctx = make_ctx(stats_sink=lambda p, m: recorded.append((p, m)))
-        link = Link(0, 1, IDEAL)
-        ctx.send(0, 1, 1000.0, [link], tag="t",
-                 on_delivered=lambda m: None, phase_index=3)
+        """An algorithm instance resolves its phase's stats from the
+        context's breakdown once and records every delivered message
+        there: a 2-node reduce-scatter sends one 1000 B message per node."""
+        breakdown = DelayBreakdown()
+        events, ctx = make_ctx(breakdown=breakdown)
+        ring = RingChannel([0, 1], [Link(0, 1, IDEAL), Link(1, 0, IDEAL)])
+        RingReduceScatter(ctx, ring, 2000.0, phase_index=3).start_all()
         events.run()
-        assert len(recorded) == 1
-        phase, message = recorded[0]
-        assert phase == 3
-        assert message.delivered_at == pytest.approx(60.0)
+        assert list(breakdown.phase_stats) == [3]
+        stats = breakdown.phase_stats[3]
+        assert ctx.phase_stats(3) is stats
+        assert stats.messages == 2
+        # 1000 B at 100 B/cycle plus 50 cycles of latency, no queueing.
+        assert stats.network_cycles == pytest.approx(2 * 60.0)
+        assert stats.queue_cycles == 0.0
 
     def test_send_without_sink(self):
         events, ctx = make_ctx()
+        assert ctx.phase_stats(1) is None
         done = []
         ctx.send(0, 1, 100.0, [Link(0, 1, IDEAL)], tag=None,
                  on_delivered=done.append)
         events.run()
         assert len(done) == 1
+
+    def test_on_failed_reaches_only_a_reliable_backend(self):
+        """A raw backend never reports loss, so the context drops
+        ``on_failed`` for it; the reliable transport takes it."""
+        events, ctx = make_ctx()
+        assert not ctx.reliable
+        done = []
+        ctx.send(0, 1, 100.0, [Link(0, 1, IDEAL)], tag=None,
+                 on_delivered=done.append, on_failed=done.append)
+        events.run()
+        assert len(done) == 1
+        transport = ReliableTransport(FastBackend(EventQueue(), NET))
+        assert CollectiveContext(transport).reliable
 
     def test_validation(self):
         with pytest.raises(CollectiveError):

@@ -19,6 +19,7 @@ from repro.errors import CollectiveError
 from repro.events import EventQueue
 from repro.network import FastBackend
 from repro.network.physical import AllToAllFabric, TorusFabric
+from repro.system import DelayBreakdown
 
 NET = paper_network_config()
 
@@ -29,10 +30,10 @@ def make_platform():
     return events, CollectiveContext(backend)
 
 
-def run_chunk(fabric, plan, size, chunk_index=0, stats=None):
+def run_chunk(fabric, plan, size, chunk_index=0, breakdown=None):
     events = EventQueue()
     backend = FastBackend(events, NET)
-    ctx = CollectiveContext(backend, stats_sink=stats)
+    ctx = CollectiveContext(backend, breakdown=breakdown)
     done = []
     chunk = ChunkExecution(ctx, fabric, plan, size, chunk_index=chunk_index,
                            on_done=done.append)
@@ -128,10 +129,10 @@ class TestPhaseTracking:
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims,
                                 CollectiveAlgorithm.ENHANCED)
-        seen_phases = set()
-        run_chunk(fabric, plan, 256 * 1024,
-                  stats=lambda phase, msg: seen_phases.add(phase))
-        assert seen_phases == {1, 2, 3, 4}
+        breakdown = DelayBreakdown()
+        run_chunk(fabric, plan, 256 * 1024, breakdown=breakdown)
+        assert list(breakdown.phase_stats) == [1, 2, 3, 4]
+        assert all(s.messages > 0 for s in breakdown.phase_stats.values())
 
     def test_on_phase_done_fires_in_order(self):
         fabric = TorusFabric(TorusShape(2, 2, 2), NET)

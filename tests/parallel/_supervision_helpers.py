@@ -83,6 +83,17 @@ def hang_if_two(x: int):
     return x * x
 
 
+def report_pid_and_sleep(pid_dir: str, x: int):
+    """Write this worker's pid to ``pid_dir/<x>``, then sleep far past any
+    test deadline (the orphan tests kill the pool's owner meanwhile)."""
+    path = os.path.join(pid_dir, str(x))
+    with open(path + ".tmp", "w") as f:
+        f.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    time.sleep(60.0)
+    return x
+
+
 def append_journal_lines(path: str, writer_id: int, count: int):
     """Append ``count`` outcome records from one concurrent writer.
 

@@ -8,7 +8,7 @@ counter (now per-Scheduler).  See docs/DETERMINISM.md.
 import contextlib
 import json
 import math
-from types import SimpleNamespace
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from repro.collectives import context
 from repro.collectives.context import COMPACT_AT, PhaseStats
 from repro.collectives.types import CollectiveOp
-from repro.config.parameters import TorusShape
+from repro.config.parameters import TorusShape, TransportConfig
 from repro.harness.runners import run_collective, torus_platform
+from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
+from repro.network.message import Message
 from repro.system import stats as stats_module
 from repro.system.stats import DelayBreakdown
 
@@ -27,8 +29,18 @@ ILL_CONDITIONED = [1.0, 1e-16, 1e-16, 1e-16, -1.0, 1e16, -1e16]
 
 
 def message(q=0.0, n=0.0, size=0.0):
-    return SimpleNamespace(queueing_cycles=q, network_cycles=n,
-                           size_bytes=size)
+    """A delivered Message whose queueing/network cycles are exactly
+    ``q``/``n``: created at -q and injected at a zero with q's sign, so
+    both differences are exact, signed zeros included (only q and n both
+    -0.0 cannot be represented; no test here needs it).  ``size`` is set
+    after construction: the samples include negative values, which the
+    constructor rejects."""
+    m = Message(0, 1, 0.0)
+    m.created_at = -q
+    m.injected_at = math.copysign(0.0, q)
+    m.delivered_at = n
+    m.size_bytes = size
+    return m
 
 
 class TestPhaseStatsOrderInvariance:
@@ -175,7 +187,7 @@ class TestStreamingExactStats:
         breakdown = DelayBreakdown()
         for value in samples:
             breakdown.record_ready_queue(value)
-            breakdown.record_message(1, message(q=value, n=value, size=value))
+            breakdown.phase(1).record(message(q=value, n=value, size=value))
         again = DelayBreakdown.from_dict(json.loads(json.dumps(breakdown.as_dict())))
         assert again.ready_queue_count == breakdown.ready_queue_count == len(samples)
         assert (math.fsum(again.ready_queue_delays).hex()
@@ -220,6 +232,28 @@ class TestRecordOnce:
         for collective in system.sets:
             for stats in collective.breakdown.phase_stats.values():
                 assert len(stats.queue_values) <= 2
+
+    def test_each_delivery_recorded_once_under_retransmission(self):
+        """A link flap makes the reliable transport time out and resend:
+        only the delivery the transport accepts is recorded, once."""
+        spec = torus_platform(TorusShape(1, 8, 1), preferred_set_splits=4)
+        spec.config = replace(spec.config, system=replace(
+            spec.config.system, transport=TransportConfig()))
+        spec.fault_schedule = FaultSchedule([
+            FaultEvent(time=1000.0, action=FaultAction.LINK_DOWN, link=(1, 2)),
+            FaultEvent(time=400_000.0, action=FaultAction.LINK_UP, link=(1, 2)),
+        ])
+        system = spec.build_system()
+        system.request_collective(CollectiveOp.ALL_REDUCE, 1024 * 1024)
+        with mock.patch.object(PhaseStats, "record", autospec=True,
+                               side_effect=PhaseStats.record) as record:
+            system.run_until_idle()
+        transport = system.transport_stats()
+        assert transport.retries > 0 and transport.recovered > 0
+        accepted = transport.messages - transport.failed
+        assert record.call_count == accepted
+        assert sum(s.messages for s in system.breakdown.phase_stats.values()) == accepted
+        assert system.backend.messages_delivered >= accepted
 
 
 class TestPerSystemChunkIds:

@@ -17,8 +17,8 @@ def delivered_message(queue=5.0, network=20.0, size=100.0):
 class TestDelayBreakdown:
     def test_record_and_means(self):
         b = DelayBreakdown()
-        b.record_message(1, delivered_message(queue=10.0, network=30.0))
-        b.record_message(1, delivered_message(queue=20.0, network=50.0))
+        b.phase(1).record(delivered_message(queue=10.0, network=30.0))
+        b.phase(1).record(delivered_message(queue=20.0, network=50.0))
         assert b.mean_queue_delay(1) == pytest.approx(15.0)
         assert b.mean_network_delay(1) == pytest.approx(40.0)
 
@@ -37,8 +37,8 @@ class TestDelayBreakdown:
     def test_rows_structure(self):
         b = DelayBreakdown()
         b.record_ready_queue(50.0)
-        b.record_message(1, delivered_message())
-        b.record_message(3, delivered_message())
+        b.phase(1).record(delivered_message())
+        b.phase(3).record(delivered_message())
         rows = b.rows()
         assert [r["phase"] for r in rows] == [0, 1, 2, 3]
         assert rows[0]["queue"] == pytest.approx(50.0)
@@ -46,8 +46,8 @@ class TestDelayBreakdown:
 
     def test_merge_from(self):
         a, b = DelayBreakdown(), DelayBreakdown()
-        a.record_message(1, delivered_message(queue=10.0))
-        b.record_message(1, delivered_message(queue=30.0))
+        a.phase(1).record(delivered_message(queue=10.0))
+        b.phase(1).record(delivered_message(queue=30.0))
         b.record_ready_queue(7.0)
         a.merge_from(b)
         assert a.mean_queue_delay(1) == pytest.approx(20.0)
@@ -55,7 +55,7 @@ class TestDelayBreakdown:
 
     def test_phase_stats_bytes(self):
         b = DelayBreakdown()
-        b.record_message(2, delivered_message(size=300.0))
-        b.record_message(2, delivered_message(size=700.0))
+        b.phase(2).record(delivered_message(size=300.0))
+        b.phase(2).record(delivered_message(size=700.0))
         assert b.phase_stats[2].bytes == pytest.approx(1000.0)
         assert b.phase_stats[2].messages == 2
