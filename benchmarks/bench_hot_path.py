@@ -2,13 +2,13 @@
 
 Five benchmarks — three representative simulations (a fast-backend
 all-reduce, a fast-backend all-to-all over a switch fabric, a detailed
-flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs,
-deep enough to push the event queue into calendar mode), and a pure
-:class:`~repro.events.engine.EventQueue` schedule/cancel microbench.
-Together they exercise every hot path the perf work touches: the
-event-queue run loop and calendar scheduler, ``FastBackend.send`` +
-``Link.reserve`` + delivery coalescing, the channel route caches, and
-the detailed backend's ``TxPort`` arbitration with flit bursts.
+flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs),
+and a pure :class:`~repro.events.engine.EventQueue` schedule/cancel
+microbench.  Together they exercise every hot path the perf work
+touches: the event-queue run loop, heap scheduling and lazy
+cancellation, ``FastBackend.send`` + ``Link.reserve`` + delivery
+coalescing, the channel route caches, and the detailed backend's
+``TxPort`` arbitration with flit bursts.
 
 Each benchmark runs once as warm-up and then ``REPEATS`` times; the
 reported profile is the run with the *median* simulate-phase wall time,
@@ -90,9 +90,8 @@ def _profile_collective(name: str, make_spec, op: CollectiveOp,
 
 # -- EventQueue microbench ----------------------------------------------------------
 
-#: Outstanding-event population of the microbench; above the calendar
-#: upgrade threshold so the run exercises bucketed scheduling, lazy
-#: cancellation and compaction rather than the plain heap.
+#: Outstanding-event population of the microbench: a heap deep enough
+#: that push/pop cost, lazy cancellation and compaction all show.
 _CHURN_POPULATION = 4096
 _CHURN_TOTAL = 200_000
 
@@ -103,8 +102,7 @@ def _profile_eventqueue(name: str = "eventqueue_churn_200k") -> tuple[RunProfile
     Every fired event schedules one replacement at a deterministic
     pseudo-random delay (integer hash, no RNG state); every 5th
     replacement is immediately cancelled and re-issued, so the run also
-    measures lazy-cancellation drain and compaction — the operations the
-    calendar scheduler must not regress.
+    measures lazy-cancellation drain and compaction.
     """
     profile = RunProfile(name=name)
     with profile.phase("build"):

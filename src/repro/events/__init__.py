@@ -5,7 +5,6 @@ from repro.events.engine import (
     EventCallback,
     EventHandle,
     EventQueue,
-    Timeline,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "EventCallback",
     "EventHandle",
     "EventQueue",
-    "Timeline",
 ]

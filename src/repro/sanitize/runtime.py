@@ -76,8 +76,7 @@ class SanitizedEventQueue(EventQueue):
     def step(self) -> bool:
         # Cancelled heads are drained through the shared _pop_live()
         # primitive so the pending/compaction bookkeeping cannot drift
-        # from the base queue's drain paths, whichever mode (heap or
-        # calendar) the queue is in.
+        # from the base queue's drain paths.
         event = self._pop_live()
         if event is None:
             return False

@@ -4,8 +4,8 @@ The reliable transport cancels one delivery timer per acked message, so
 a long faulty run leaves the heap mostly dead entries.  Compaction
 rebuilds the heap once cancelled entries both cross
 ``COMPACT_MIN_CANCELLED`` and outnumber the live ones — and because heap
-order is (time, seq), the executed event sequence is identical with or
-without it.
+order is (time, tiebreak, seq), the executed event sequence is identical
+with or without it.
 """
 
 from repro.events import EventQueue
@@ -103,9 +103,9 @@ class TestPendingHeapInvariant:
 
 
 class TestUnifiedDrain:
-    """step() and run() drain cancelled heads through one helper
-    (_peek_live), so the pending/compaction counters cannot drift between
-    the two paths — whichever mix of them executes a run."""
+    """step() and run() drop cancelled heads with the same bookkeeping
+    (run() inlines _peek_live), so the pending/compaction counters cannot
+    drift between the two paths — whichever mix of them executes a run."""
 
     def test_interleaved_step_and_run_keep_counters_exact(self):
         queue = EventQueue()

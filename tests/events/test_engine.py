@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.events import CountdownBarrier, EventQueue, Timeline
+from repro.events import CountdownBarrier, EventQueue
 
 
 class TestEventQueue:
@@ -194,27 +194,6 @@ class TestEventQueue:
         q = EventQueue()
         handle = q.schedule_at(42.0, lambda: None)
         assert handle.time == 42.0
-
-
-class TestTimeline:
-    def test_wraps_queue(self):
-        q = EventQueue()
-        t = Timeline(q)
-        assert t.now == 0.0
-        fired = []
-        t.after(3.0, lambda: fired.append(t.now))
-        q.run()
-        assert fired == [3.0]
-
-    def test_call_soon_runs_at_current_time(self):
-        t = Timeline()
-        fired = []
-        t.call_soon(lambda: fired.append(t.now))
-        t.queue.run()
-        assert fired == [0.0]
-
-    def test_default_queue_created(self):
-        assert Timeline().queue.pending == 0
 
 
 class TestCountdownBarrier:
