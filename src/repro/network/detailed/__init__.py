@@ -1,7 +1,6 @@
 """Detailed flit-level network backend (Garnet-like VC/credit model)."""
 
-from repro.network.detailed.backend import DetailedBackend
-from repro.network.detailed.flit import Flit, Packet, build_packets
+from repro.network.detailed.backend import DetailedBackend, packet_flits
 from repro.network.detailed.router import HopContext, TxPort
 
-__all__ = ["DetailedBackend", "Flit", "HopContext", "Packet", "TxPort", "build_packets"]
+__all__ = ["DetailedBackend", "HopContext", "TxPort", "packet_flits"]

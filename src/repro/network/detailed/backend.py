@@ -10,16 +10,49 @@ timing on small configurations (see the backend-agreement tests and the
 
 from __future__ import annotations
 
-import itertools
+import numpy as np
 
 from repro.config.parameters import NetworkConfig
 from repro.errors import NetworkError
 from repro.events.engine import EventQueue
 from repro.network.api import DeliveryCallback, NetworkBackend, validate_path
-from repro.network.detailed.flit import build_packets
 from repro.network.detailed.router import HopContext, TxPort
 from repro.network.link import Link
-from repro.network.message import Message
+from repro.network.message import Message, packetize
+
+
+def _flit_split(packet_bytes: float, flit_bytes: int) -> tuple[int, float]:
+    """Flit count and last-flit size of one ``packet_bytes`` packet."""
+    count = 1
+    remaining = packet_bytes
+    while remaining > flit_bytes:
+        remaining -= flit_bytes
+        count += 1
+    return count, float(max(remaining, 0.0))
+
+
+def packet_flits(size_bytes: float, packet_bytes: int,
+                 flit_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose a message into per-packet flit counts and tail sizes.
+
+    Granularity follows Table II: the message splits into packets as in
+    :func:`packetize`, and packet ``i`` into ``flits[i]`` flits, each
+    ``flit_bytes`` wide except the last, which carries ``tails[i]`` bytes
+    (a zero-byte packet is one empty flit).  Phits are not modelled
+    separately: one flit serializes over a link in
+    ``flit_bytes / link_bytes_per_cycle`` cycles, which is exactly the
+    phit count times the phit time.
+    """
+    if flit_bytes <= 0:
+        raise NetworkError(f"flit width must be positive: {flit_bytes}")
+    sizes = packetize(size_bytes, packet_bytes)
+    # Every packet but the last is full-sized: split each size once.
+    count, tail = _flit_split(sizes[0], flit_bytes)
+    flits = np.full(len(sizes), count)
+    tails = np.full(len(sizes), tail)
+    if sizes[-1] != sizes[0]:
+        flits[-1], tails[-1] = _flit_split(sizes[-1], flit_bytes)
+    return flits, tails
 
 
 class DetailedBackend(NetworkBackend):
@@ -32,10 +65,10 @@ class DetailedBackend(NetworkBackend):
         self._faults = None
         super().__init__(events, sanitizer=sanitizer)
         self.network = network
-        # Per-backend VC assignment counter: using the global packet id
-        # would rotate VC choices with every packet built anywhere in the
-        # process, breaking run-to-run determinism.
-        self._vc_seq = itertools.count()
+        # Packets take VCs round-robin per backend: a process-global
+        # counter would rotate VC choices with every packet sent anywhere
+        # in the process, breaking run-to-run determinism.
+        self._next_vc = 0
 
     @property
     def faults(self):
@@ -67,27 +100,24 @@ class DetailedBackend(NetworkBackend):
         validate_path(message, path)
         self._record_send(message)
         message.created_at = self.now
-        # Drop before any flit is built so the flit ledgers stay balanced.
+        # Drop before any flit is counted so the flit ledgers stay balanced.
         if self._drop_if_faulty(message, path):
             return
 
         packet_bytes = min(link.config.packet_size_bytes for link in path)
-        flit_bytes = self.network.flit_width_bytes
-        packets = build_packets(message, packet_bytes, flit_bytes)
-        total_flits = sum(len(p.flits) for p in packets)
-        if total_flits == 0:
-            raise NetworkError("message produced no flits")
-        if self.sanitizer is not None:
-            self.sanitizer.conservation.flits_created(message, total_flits)
+        flits, tails = packet_flits(message.size_bytes, packet_bytes,
+                                    self.network.flit_width_bytes)
+        remaining = int(flits.sum())
+        conservation = None if self.sanitizer is None else self.sanitizer.conservation
+        if conservation is not None:
+            conservation.flits_created(message, remaining)
 
-        state = {"remaining": total_flits, "first_tx": None}
-        entry_port = self._port_for(path[0])
-
-        def flits_delivered(flits: list) -> None:
-            if self.sanitizer is not None:
-                self.sanitizer.conservation.flits_delivered(message, len(flits))
-            state["remaining"] -= len(flits)
-            if state["remaining"] == 0:
+        def delivered(count: int) -> None:
+            nonlocal remaining
+            if conservation is not None:
+                conservation.flits_delivered(message, count)
+            remaining -= count
+            if remaining == 0:
                 # Approximate injection time as creation (flit-level queues
                 # make per-message injection a fuzzy notion); queueing shows
                 # up in network_cycles instead.
@@ -96,24 +126,10 @@ class DetailedBackend(NetworkBackend):
                 self._record_delivery(message)
                 on_delivered(message)
 
-        def flit_delivered(flit) -> None:
-            flits_delivered((flit,))
-
-        vcs_per_vnet = self.network.vcs_per_vnet
-        groups = []
-        for packet in packets:
-            # One immutable HopContext per packet: every flit of the packet
-            # shares hop 0, the VC, and the delivery sinks.
-            ctx = HopContext(
-                path=path,
-                hop=0,
-                vc=next(self._vc_seq) % vcs_per_vnet,
-                upstream=None,
-                on_delivered_flit=flit_delivered,
-                on_delivered_flits=flits_delivered,
-            )
-            groups.append((ctx, packet.flits))
-        entry_port.enqueue_packets(groups)
+        vc = self._next_vc
+        self._next_vc = (vc + len(flits)) % self.network.vcs_per_vnet
+        ctx = HopContext(path=path, hop=0, upstream=None, on_delivered=delivered)
+        self._port_for(path[0]).enqueue_packets(ctx, vc, flits, tails)
 
     @property
     def total_flits_sent(self) -> int:

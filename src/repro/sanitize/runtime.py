@@ -33,8 +33,7 @@ from repro.sanitize.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.engine import CountdownBarrier
-    from repro.network.detailed.flit import Flit
-    from repro.network.detailed.router import HopContext, TxPort
+    from repro.network.detailed.router import TxPort
     from repro.network.message import Message
 
 
@@ -161,9 +160,9 @@ class ConservationChecker:
     def flits_delivered(self, message: "Message", count: int) -> None:
         """Bulk delivery credit: one ledger update for ``count`` flits.
 
-        Burst delivery batches (PR 10) land a whole message chunk in one
-        dispatch; per-flit ledger calls there would undo the batching's
-        point.  Identical accounting to ``count`` single calls.
+        Flit bursts land a whole message chunk in one dispatch; per-flit
+        ledger calls there would undo the batching's point.  Identical
+        accounting to ``count`` single calls.
         """
         ledger = self._ledger(message)
         ledger.delivered += count
@@ -191,15 +190,11 @@ class ConservationChecker:
     def register_port(self, port: "TxPort") -> None:
         self._ports[port.link.link_id] = port
 
-    def on_flit_enqueued(self, port: "TxPort", flit: "Flit",
-                         ctx: "HopContext") -> None:
-        pass  # queue population is re-derived at quiescence
-
-    def on_flit_transmit(self, port: "TxPort", flit: "Flit",
-                         ctx: "HopContext", credit_taken: bool) -> None:
-        if credit_taken:
-            key = (port.link.link_id, ctx.vc)
-            self._credits_out[key] = self._credits_out.get(key, 0) + 1
+    def on_flit_transmit(self, port: "TxPort", vc: int, credits: int) -> None:
+        """``credits`` flits left ``port`` on ``vc``, each taking one
+        downstream credit."""
+        key = (port.link.link_id, vc)
+        self._credits_out[key] = self._credits_out.get(key, 0) + credits
 
     def on_credit_released(self, port: "TxPort", vc: int) -> None:
         key = (port.link.link_id, vc)

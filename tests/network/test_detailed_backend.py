@@ -4,9 +4,11 @@ fast backend on uncontended transfers."""
 import pytest
 
 from repro.config import LinkConfig, NetworkConfig
+from repro.errors import NetworkError
 from repro.events import EventQueue
 from repro.network import FastBackend, Link, Message
-from repro.network.detailed import DetailedBackend, build_packets
+from repro.network.detailed import DetailedBackend, packet_flits
+from repro.network.message import packetize
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,
@@ -29,22 +31,55 @@ def run_send(backend, src, dst, size, path):
     return done[0]
 
 
+def _flit_sizes(size, packet_bytes, flit_bytes):
+    """Every packet's flit sizes, expanded from ``packet_flits``."""
+    flits, tails = packet_flits(size, packet_bytes, flit_bytes)
+    return [[float(flit_bytes)] * (count - 1) + [tail]
+            for count, tail in zip(flits.tolist(), tails.tolist())]
+
+
+#: Flit sizes per packet, as the decomposition produced them before flits
+#: stopped being objects: ``(packet_bytes, size) -> [[flit sizes]]``.
+FULL_512 = [128.0] * 4
+FULL_256 = [128.0] * 2
+EXACT_FLIT_SIZES = {
+    (512, 0): [[0.0]],
+    (512, 1): [[1.0]],
+    (512, 127): [[127.0]],
+    (512, 128): [[128.0]],
+    (512, 129): [[128.0, 1.0]],
+    (512, 1200): [FULL_512, FULL_512, [128.0, 48.0]],
+    (512, 65536): [FULL_512] * 128,
+    (256, 0): [[0.0]],
+    (256, 1): [[1.0]],
+    (256, 127): [[127.0]],
+    (256, 128): [[128.0]],
+    (256, 129): [[128.0, 1.0]],
+    (256, 1200): [FULL_256] * 4 + [[128.0, 48.0]],
+    (256, 65536): [FULL_256] * 256,
+}
+
+
 class TestFlitDecomposition:
     def test_packets_and_flits(self):
-        msg = Message(0, 1, 1200.0)
-        packets = build_packets(msg, packet_bytes=512, flit_bytes=128)
-        assert [p.size_bytes for p in packets] == [512.0, 512.0, 176.0]
-        assert [len(p.flits) for p in packets] == [4, 4, 2]
-        head = packets[0].flits[0]
-        assert head.is_head and not head.is_tail
-        tail = packets[2].flits[-1]
-        assert tail.is_tail
+        flits, tails = packet_flits(1200.0, packet_bytes=512, flit_bytes=128)
+        assert flits.tolist() == [4, 4, 2]
+        assert tails.tolist() == [128.0, 128.0, 48.0]
 
     def test_flit_sizes_sum_to_packet(self):
-        msg = Message(0, 1, 1000.0)
-        for packet in build_packets(msg, 512, 128):
-            assert sum(f.size_bytes for f in packet.flits) == pytest.approx(
-                packet.size_bytes)
+        packets = packetize(1000.0, 512)
+        for packet, sizes in zip(packets, _flit_sizes(1000.0, 512, 128),
+                                 strict=True):
+            assert sum(sizes) == pytest.approx(packet)
+
+    @pytest.mark.parametrize("packet_bytes,size", sorted(EXACT_FLIT_SIZES))
+    def test_exact_flit_sizes(self, packet_bytes, size):
+        assert _flit_sizes(float(size), packet_bytes, 128) == \
+            EXACT_FLIT_SIZES[(packet_bytes, size)]
+
+    def test_nonpositive_flit_width_rejected(self):
+        with pytest.raises(NetworkError, match="flit width"):
+            packet_flits(1024.0, 512, 0)
 
 
 class TestAgreementWithFastBackend:

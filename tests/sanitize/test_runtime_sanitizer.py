@@ -1,7 +1,7 @@
 """Tests for the runtime invariant checkers (repro.sanitize.runtime).
 
 Each checker class gets a deliberately injected violation — corrupted
-event heap, stolen flit, duplicated delivery, barrier over-arrival,
+event heap, stolen flit, lost credit, duplicated delivery, barrier over-arrival,
 truncated run — plus clean end-to-end runs on both backends proving the
 sanitizer stays silent on healthy simulations.
 """
@@ -160,6 +160,35 @@ class TestConservationChecker:
         assert "message-leak" in codes
         with pytest.raises(SanitizerError):
             sanitizer.verify_quiescent()
+
+
+    def test_lost_credit_leaks_on_detailed_backend(self):
+        """Drop one credit on its way upstream: the sanitizer reports it."""
+        sanitizer = RuntimeSanitizer()
+        events = sanitizer.make_event_queue()
+        n = 4
+        links = [Link(i, (i + 1) % n, IDEAL) for i in range(n)]
+        ring = RingChannel(list(range(n)), links)
+        backend = DetailedBackend(events, NET, sanitizer=sanitizer)
+        first_hop = backend._port_for(links[0])
+        release = first_hop.release_credit
+        lost = []
+
+        def lossy_release(vc):
+            if lost:
+                release(vc)
+            else:
+                lost.append(vc)
+
+        first_hop.release_credit = lossy_release
+        delivered = []
+        msg = Message(src=0, dst=2, size_bytes=4096.0, tag="lost-credit")
+        backend.send(msg, ring.path(0, 2), delivered.append)
+        events.run(max_events=100_000)
+        assert delivered == [msg]
+        findings = sanitizer.quiescence_findings()
+        assert [f.code for f in findings] == ["credit-leak"]
+        assert f"vc={lost[0]} holds 1 credits" in findings[0].message
 
 
 class TestBarrierChecker:
