@@ -1,12 +1,11 @@
-"""Ablation — resilience monitoring and supervision overhead, no faults.
+"""Ablation — stall-watchdog and supervision overhead, no faults.
 
 Two contracts, both "observation is free in simulated time":
 
-* The monitor (docs/RESILIENCE.md): checkpoints and the watchdog hang
-  off the event queue's ``watcher`` hook, which fires after each
-  executed event and never schedules anything — so a no-fault run with
-  the full monitor attached must land on the exact same cycle as a bare
-  run.  Timed bare, watchdog-only, and watchdog + checkpointing.
+* The watchdog (docs/RESILIENCE.md) is the event queue's ``watcher``,
+  which fires after each executed event and never schedules anything —
+  so a no-fault run with the watchdog attached must land on the exact
+  same cycle as a bare run.  Timed bare and with the watchdog.
 * The supervisor (docs/SUPERVISION.md): deadlines, retry budgets, and
   quarantine live entirely in the parent's dispatch loop — a no-fault
   supervised batch must produce bit-identical cycles to the plain
@@ -28,45 +27,34 @@ from repro.parallel import (
     SupervisedExecutor,
     SupervisionPolicy,
 )
-from repro.resilience import CheckpointConfig, ResilienceConfig, WatchdogConfig
+from repro.resilience import WatchdogConfig
 
 from bench_common import print_table, run_once
 
 
-def time_run(mode: str, checkpoint_dir: str):
+def time_run(mode: str):
     spec = torus_platform(TorusShape(2, 4, 4))
     spec.config = replace(
         spec.config,
         system=replace(spec.config.system, transport=TransportConfig()))
     if mode == "watchdog":
-        spec.resilience = ResilienceConfig(
-            watchdog=WatchdogConfig(stall_cycles=10_000_000.0,
-                                    check_every_events=256),
-            label=spec.name)
-    elif mode == "watchdog+checkpoint":
-        spec.resilience = ResilienceConfig(
-            checkpoint=CheckpointConfig(every_cycles=50_000.0,
-                                        directory=checkpoint_dir),
-            watchdog=WatchdogConfig(stall_cycles=10_000_000.0,
-                                    check_every_events=256),
-            label=spec.name)
+        spec.watchdog = WatchdogConfig(stall_cycles=10_000_000.0,
+                                       check_every_events=256)
     start = time.perf_counter()
     result = run_collective(spec, CollectiveOp.ALL_REDUCE, 4 * MB)
     elapsed = time.perf_counter() - start
     return result, elapsed
 
 
-def run_sweep(checkpoint_dir: str):
+def run_sweep():
     rows = []
     baseline = None
-    for mode in ("off", "watchdog", "watchdog+checkpoint"):
-        result, wall = time_run(mode, checkpoint_dir)
-        monitor = result.system.resilience
+    for mode in ("off", "watchdog"):
+        result, wall = time_run(mode)
         row = {
-            "resilience": mode,
+            "watchdog": mode,
             "sim cycles": result.duration_cycles,
             "wall s": wall,
-            "checkpoints": len(monitor.checkpoints) if monitor else 0,
         }
         if baseline is None:
             baseline = wall
@@ -76,21 +64,17 @@ def run_sweep(checkpoint_dir: str):
     return rows
 
 
-def test_resilience_overhead(benchmark, tmp_path):
-    rows = run_once(benchmark, lambda: run_sweep(str(tmp_path)))
-    print_table("Ablation: resilience monitoring overhead (no faults)", rows)
+def test_resilience_overhead(benchmark):
+    rows = run_once(benchmark, run_sweep)
+    print_table("Ablation: stall-watchdog overhead (no faults)", rows)
 
     cycles = {row["sim cycles"] for row in rows}
     assert len(cycles) == 1, (
-        "watchdog/checkpointing only observe; enabling them must not move "
-        f"a single simulated cycle (saw {sorted(cycles)})")
-    assert rows[2]["checkpoints"] > 0, (
-        "the cadence must actually capture checkpoints during the run")
-    # Wall-clock bounds are deliberately loose (shared CI machines): the
-    # watcher adds one call per event; a checkpoint serializes a small
-    # dict every 50k cycles.
+        "the watchdog only observes; enabling it must not move a single "
+        f"simulated cycle (saw {sorted(cycles)})")
+    # The wall-clock bound is deliberately loose (shared CI machines): the
+    # watcher adds one call per event.
     assert rows[1]["wall s"] < rows[0]["wall s"] * 5.0
-    assert rows[2]["wall s"] < rows[0]["wall s"] * 10.0
 
 
 # -- supervised execution overhead -------------------------------------------------

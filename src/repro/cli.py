@@ -97,7 +97,7 @@ def _build_platform(args: argparse.Namespace):
             global_switches=args.global_switches,
             preferred_set_splits=args.preferred_set_splits,
         )
-    return _apply_resilience_args(_apply_fault_args(spec, args), args)
+    return _apply_watchdog_args(_apply_fault_args(spec, args), args)
 
 
 def _apply_fault_args(spec, args: argparse.Namespace):
@@ -123,35 +123,24 @@ def _apply_fault_args(spec, args: argparse.Namespace):
     return spec
 
 
-def _apply_resilience_args(spec, args: argparse.Namespace):
-    """Attach --checkpoint-every / --resume-from / --watchdog to a spec.
+def _apply_watchdog_args(spec, args: argparse.Namespace):
+    """Attach --watchdog to a spec; --bundle-dir or an explicit
+    --watchdog-stall-cycles imply it.
 
-    Any of the three builds a :class:`repro.resilience.ResilienceConfig`;
-    the monitor observes through the event queue's watcher hook, so the
+    The watchdog observes through the event queue's watcher hook, so the
     simulated trajectory is identical with or without these flags
     (docs/RESILIENCE.md).
     """
-    checkpoint = watchdog = None
-    if getattr(args, "checkpoint_every", None):
-        from repro.resilience import CheckpointConfig
-
-        checkpoint = CheckpointConfig(every_cycles=args.checkpoint_every,
-                                      directory=args.checkpoint_dir)
-    if getattr(args, "watchdog", False):
+    stall_cycles = getattr(args, "watchdog_stall_cycles", None)
+    bundle_dir = getattr(args, "bundle_dir", None)
+    if getattr(args, "watchdog", False) or stall_cycles is not None \
+            or bundle_dir is not None:
         from repro.resilience import WatchdogConfig
 
-        watchdog = WatchdogConfig(stall_cycles=args.watchdog_stall_cycles,
-                                  bundle_dir=getattr(args, "bundle_dir", None))
-    resume = getattr(args, "resume_from", None)
-    if checkpoint is not None or watchdog is not None or resume:
-        from repro.resilience import ResilienceConfig
-        from repro.resilience.monitor import install_signal_handler
-
-        spec.resilience = ResilienceConfig(
-            checkpoint=checkpoint, watchdog=watchdog, resume_from=resume,
-            label=spec.name)
-        if checkpoint is not None:
-            install_signal_handler()
+        if stall_cycles is None:
+            stall_cycles = WatchdogConfig.stall_cycles
+        spec.watchdog = WatchdogConfig(stall_cycles=stall_cycles,
+                                       bundle_dir=bundle_dir)
     return spec
 
 
@@ -167,19 +156,6 @@ def _record_profile(system) -> None:
     profile = active_profile()
     if profile is not None and system is not None:
         profile.record_system(system)
-
-
-def _print_resilience(system) -> None:
-    monitor = getattr(system, "resilience", None)
-    if monitor is None:
-        return
-    if monitor.saved_paths:
-        print(f"checkpoints: {len(monitor.saved_paths)} saved, last "
-              f"{monitor.saved_paths[-1]}")
-    if monitor.resume_checkpoint is not None and monitor.resume_verified:
-        ckpt = monitor.resume_checkpoint
-        print(f"resume verified: replay matched the checkpoint at "
-              f"t={ckpt.cycle:,.0f} ({ckpt.events_processed} events)")
 
 
 def _add_execution_args(p: argparse.ArgumentParser) -> None:
@@ -288,24 +264,16 @@ def _add_platform_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transport", action="store_true",
                    help="wrap the network in the reliable transport "
                         "(timeouts, retransmission with backoff)")
-    p.add_argument("--checkpoint-every", type=float, default=None,
-                   metavar="CYCLES",
-                   help="take a verified-replay checkpoint every CYCLES "
-                        "simulated cycles (docs/RESILIENCE.md); SIGUSR1 "
-                        "also snapshots on demand")
-    p.add_argument("--checkpoint-dir", default="checkpoints", metavar="DIR",
-                   help="directory checkpoint files are written into")
-    p.add_argument("--resume-from", default=None, metavar="PATH",
-                   help="replay through PATH's checkpoint, verify the run "
-                        "is cycle-identical, then continue")
     p.add_argument("--watchdog", action="store_true",
                    help="abort with a StallError and a diagnostic bundle "
                         "when no progress happens for --watchdog-stall-cycles")
-    p.add_argument("--watchdog-stall-cycles", type=float, default=2_000_000.0,
+    p.add_argument("--watchdog-stall-cycles", type=float, default=None,
                    metavar="CYCLES",
-                   help="no-progress window before the watchdog trips")
+                   help="no-progress window before the watchdog trips "
+                        "(default 2,000,000; implies --watchdog)")
     p.add_argument("--bundle-dir", default=None, metavar="DIR",
-                   help="write watchdog diagnostic bundles into DIR")
+                   help="write watchdog diagnostic bundles into DIR "
+                        "(implies --watchdog)")
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -319,7 +287,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(RunSummary.from_report(report).format())
     _record_profile(system)
     _print_transport_stats(system.transport_stats())
-    _print_resilience(system)
     if args.layer_table:
         print()
         print(format_layer_table(report))
@@ -333,7 +300,7 @@ def _cmd_collective(args: argparse.Namespace) -> int:
     from repro.parallel import RunPoint, default_executor
 
     # One design-space point through the executor: pure runs hit the
-    # --cache-dir store; anything impure (faults, resilience, transport,
+    # --cache-dir store; anything impure (faults, watchdog, transport,
     # --sanitize) executes fresh in-process with its system kept live.
     point = RunPoint(builder=lambda: _build_platform(args), op=_OPS[args.op],
                      size_bytes=args.size_mb * MB, sanitize=args.sanitize)
@@ -350,7 +317,6 @@ def _cmd_collective(args: argparse.Namespace) -> int:
           f"({result.num_npus} NPUs): {result.duration_cycles:,.0f} cycles")
     _record_profile(result.system)
     _print_transport_stats(result.transport_stats)
-    _print_resilience(result.system)
     if args.breakdown:
         print()
         print(format_breakdown(result.breakdown))

@@ -64,9 +64,5 @@ class StallError(SimulationError):
     """The watchdog detected a no-progress window (see repro.resilience)."""
 
 
-class CheckpointError(ReproError):
-    """A checkpoint could not be taken, loaded, or verified on resume."""
-
-
 class SanitizerError(ReproError):
     """A runtime invariant checker detected a violation (see repro.sanitize)."""

@@ -61,8 +61,8 @@ class CollectiveResult:
     #: repro.system.transport.TransportStats when the run used the
     #: reliable transport; None otherwise.
     transport_stats: Optional[object] = None
-    #: The system the run executed on (checkpoint/watchdog state lives on
-    #: ``system.resilience``); kept out of repr, it is not a result value.
+    #: The system the run executed on (the watchdog, transport and fault
+    #: state live on it); kept out of repr, it is not a result value.
     system: Optional[System] = field(default=None, repr=False)
 
 
@@ -76,10 +76,9 @@ class PlatformSpec:
     #: Optional repro.network.fault_schedule.FaultSchedule installed into
     #: every system built from this spec.
     fault_schedule: Optional[object] = None
-    #: Optional repro.resilience.monitor.ResilienceConfig: checkpointing,
-    #: stall watchdog, and/or resume verification for every system built
-    #: from this spec (docs/RESILIENCE.md).
-    resilience: Optional[object] = None
+    #: Optional repro.resilience.watchdog.WatchdogConfig: stall detection
+    #: for every system built from this spec (docs/RESILIENCE.md).
+    watchdog: Optional[object] = None
     #: Optional backend constructor ``(events, network, sanitizer) ->
     #: NetworkBackend`` selecting a non-default backend (the detailed
     #: flit-level one); None builds the fast analytical backend.
@@ -102,7 +101,7 @@ class PlatformSpec:
         return System(topology, self.config, events=events,
                       sanitizer=sanitizer,
                       fault_schedule=self.fault_schedule,
-                      resilience=self.resilience,
+                      watchdog=self.watchdog,
                       backend_factory=self.backend_factory)
 
 

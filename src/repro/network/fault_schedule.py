@@ -217,9 +217,10 @@ class FaultState:
     def snapshot(self) -> dict[str, Any]:
         """JSON-serializable view of the live fault set.
 
-        Feeds the watchdog's diagnostic bundle and the checkpoint verifier;
-        ``rng_fingerprint`` summarizes the drop-RNG position so a resumed
-        run can prove it consumed the identical random sequence.
+        Feeds the watchdog's diagnostic bundle and
+        :meth:`repro.system.sys_layer.System.diagnostics`;
+        ``rng_fingerprint`` summarizes the drop-RNG position so two runs
+        can be shown to have consumed the identical random sequence.
         """
         import hashlib
 

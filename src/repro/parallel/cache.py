@@ -9,17 +9,16 @@ which makes its result cacheable under a content-addressed key:
     sha256(code salt | canonical SimulationConfig | topology identity |
            collective op | payload size | backend)
 
-The canonical config form reuses the platform-digest machinery from
-:mod:`repro.resilience.checkpoint`: ``repr`` of the frozen nested config
-dataclasses is deterministic and covers every field, so two points agree
-on a key iff a simulation cannot tell them apart.  ``CACHE_SALT`` is the
+The canonical config form is the ``repr`` of the frozen nested config
+dataclasses: it is deterministic and covers every field, so two points
+agree on a key iff a simulation cannot tell them apart.  ``CACHE_SALT`` is the
 code-version component — bump it whenever a change alters simulated
 timing, and every previously cached result is invalidated at once.
 
 Only *pure* points are cached: a platform carrying a fault schedule, a
-resilience monitor, a custom backend factory, a reliable transport, or a
+stall watchdog, a custom backend factory, a reliable transport, or a
 runtime sanitizer is executed fresh every time (faulty/chaos runs are
-exactly the ones whose side effects — bundles, checkpoints, sanitizer
+exactly the ones whose side effects — diagnostic bundles, sanitizer
 findings — the caller wants re-produced).
 
 Entries are one JSON file per key with atomic writes, so a cache
@@ -63,7 +62,7 @@ def collective_cache_key(spec: Any, op: Any, size_bytes: float,
     carries the topology identity (family + shape), and the frozen config
     repr carries every other simulated parameter.
     """
-    if spec.fault_schedule is not None or spec.resilience is not None:
+    if spec.fault_schedule is not None or spec.watchdog is not None:
         return None
     if spec.backend_factory is not None:
         return None
@@ -98,7 +97,7 @@ def payload_to_result(payload: dict[str, Any]) -> Any:
     """Rebuild a :class:`CollectiveResult` from a cached payload.
 
     The rebuilt result has ``system=None`` and ``transport_stats=None``:
-    cached points are pure (no transport, no resilience), so neither
+    cached points are pure (no transport, no watchdog), so neither
     field ever carried information for them.
     """
     from repro.collectives.types import CollectiveOp

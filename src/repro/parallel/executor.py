@@ -76,7 +76,7 @@ def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
     stripped — the live system holds the event queue's closures and
     cannot (and should not) cross a process boundary.  In-process
     execution passes ``keep_system=True`` so callers that need the
-    finished system (CLI resilience/profile reporting) still get it.
+    finished system (CLI profile reporting) still get it.
     """
     from repro.harness.runners import MAX_EVENTS, run_collective
 

@@ -1,20 +1,17 @@
 """Resilience tooling for long faulty runs (docs/RESILIENCE.md).
 
-Three cooperating pieces:
+Two cooperating pieces:
 
-* :mod:`repro.resilience.checkpoint` — versioned snapshots of simulator
-  progress, with verified deterministic resume.
 * :mod:`repro.resilience.watchdog` — stall detection on the event queue
   with diagnostic bundles.
 * :mod:`repro.resilience.chaos` — the ``astra-repro chaos`` fuzzing
   harness: randomized fault schedules and transport configs, every run
   classified, silent hangs forbidden.
 
-All of it hangs off the :attr:`repro.events.engine.EventQueue.watcher`
-observer hook, which fires after each executed event and never schedules
-events itself — so enabling checkpoints or the watchdog cannot change a
-single simulated cycle (asserted by
-``benchmarks/bench_resilience_overhead.py``).
+The watchdog is the :attr:`repro.events.engine.EventQueue.watcher`
+observer, which fires after each executed event and never schedules
+events itself — so enabling it cannot change a single simulated cycle
+(asserted by ``benchmarks/bench_resilience_overhead.py``).
 """
 
 from repro.resilience.chaos import (
@@ -24,30 +21,15 @@ from repro.resilience.chaos import (
     Outcome,
     run_chaos,
 )
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    CheckpointConfig,
-    config_digest,
-    platform_digest,
-)
-from repro.resilience.monitor import ResilienceConfig, ResilienceMonitor
 from repro.resilience.watchdog import StallDiagnostics, Watchdog, WatchdogConfig
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "ChaosConfig",
     "ChaosReport",
     "ChaosRun",
-    "Checkpoint",
-    "CheckpointConfig",
     "Outcome",
-    "ResilienceConfig",
-    "ResilienceMonitor",
     "StallDiagnostics",
     "Watchdog",
     "WatchdogConfig",
-    "config_digest",
-    "platform_digest",
     "run_chaos",
 ]

@@ -38,7 +38,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
-from repro.resilience.monitor import ResilienceConfig
 from repro.resilience.watchdog import WatchdogConfig
 
 #: Simulated-cycle window fault events are fuzzed into.  Sized to overlap
@@ -244,7 +243,7 @@ def _build_spec(backend: str, schedule: FaultSchedule,
     spec.config = replace(
         spec.config, system=replace(spec.config.system, transport=transport))
     spec.fault_schedule = schedule
-    spec.resilience = ResilienceConfig(watchdog=watchdog, label=spec.name)
+    spec.watchdog = watchdog
     if backend == "detailed":
         from repro.network.detailed.backend import DetailedBackend
 

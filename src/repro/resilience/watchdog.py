@@ -17,8 +17,7 @@ has not changed for ``stall_cycles`` of simulated time while events kept
 firing, the run is stalled: the watchdog assembles a
 :class:`StallDiagnostics` bundle (wait-for summary, per-chunk stuck
 phases, the live fault set, transport stats), optionally writes it to
-disk and/or captures a checkpoint, and aborts with
-:class:`~repro.errors.StallError`.
+disk, and aborts with :class:`~repro.errors.StallError`.
 
 Pure-compute gaps do not false-positive: during a long compute phase no
 events fire, so no checks run; the first check after the gap sees the
@@ -27,7 +26,6 @@ deliveries the resumed communication produced.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -36,17 +34,14 @@ from repro.errors import ConfigError, StallError
 
 @dataclass
 class WatchdogConfig:
-    """Stall-detection thresholds and what to do on a trip."""
+    """Stall-detection thresholds and where a trip's bundle lands."""
 
     #: Simulated cycles without progress before declaring a stall.
     stall_cycles: float = 2_000_000.0
     #: Sample the progress vector every this many executed events.
     check_every_events: int = 2048
-    #: ``"abort"`` raises :class:`StallError`; ``"checkpoint"`` also
-    #: captures a checkpoint into ``bundle_dir`` before raising.
-    action: str = "abort"
-    #: Where diagnostic bundles (and action="checkpoint" snapshots) land;
-    #: ``None`` keeps the diagnostics in the raised error only.
+    #: Where diagnostic bundles land; ``None`` keeps the diagnostics in
+    #: the raised :class:`StallError` only.
     bundle_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -57,14 +52,6 @@ class WatchdogConfig:
             raise ConfigError(
                 f"watchdog check_every_events must be positive, got "
                 f"{self.check_every_events}")
-        if self.action not in ("abort", "checkpoint"):
-            raise ConfigError(
-                f"watchdog action must be 'abort' or 'checkpoint', got "
-                f"{self.action!r}")
-        if self.action == "checkpoint" and self.bundle_dir is None:
-            raise ConfigError(
-                "watchdog action 'checkpoint' needs a bundle_dir to write "
-                "the snapshot into")
 
 
 @dataclass
@@ -115,9 +102,9 @@ class Watchdog:
 
     # -- the watcher-side entry point --------------------------------------------
 
-    def note_event(self) -> None:
-        """Called after every executed event (via the queue watcher)."""
-        events = self.system.events.events_processed
+    def note_event(self, queue) -> None:
+        """The queue's watcher: called after every executed event."""
+        events = queue.events_processed
         if events - self._events_at_last_check < self.config.check_every_events:
             return
         self._events_at_last_check = events
@@ -154,10 +141,4 @@ class Watchdog:
         from repro.resilience.bundles import write_bundle
 
         stem = f"stall-{diag.events_processed:012d}"
-        path = write_bundle(self.config.bundle_dir, stem, diag.to_dict())
-        if self.config.action == "checkpoint":
-            from repro.resilience.checkpoint import Checkpoint
-
-            ckpt = Checkpoint.capture(self.system)
-            ckpt.save(os.path.join(self.config.bundle_dir, stem + ".ckpt.json"))
-        return path
+        return write_bundle(self.config.bundle_dir, stem, diag.to_dict())

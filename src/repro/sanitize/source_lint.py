@@ -1,7 +1,7 @@
 """AST-based determinism lint over the simulator's own source.
 
-The repo's core contract — bit-identical results across serial/parallel
-execution, checkpoint/resume replay and the content-addressed run cache —
+The repo's core contract — bit-identical results across repeat runs,
+serial/parallel execution and the content-addressed run cache —
 rests on the source never consulting anything outside the simulation
 state.  This pass finds the usual ways that contract breaks *before* a
 run does, by walking each module's AST with a small set of rules:

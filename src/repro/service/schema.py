@@ -182,7 +182,7 @@ class SimulationPayload:
     def content_key(self) -> str:
         """The RunCache content key of this point.
 
-        Payloads are pure by construction (no faults, no resilience, no
+        Payloads are pure by construction (no faults, no watchdog, no
         transport), so the key always exists; two payloads share it iff
         a simulation cannot tell them apart.  The daemon coalesces
         identical in-flight requests on it, the journal records outcomes

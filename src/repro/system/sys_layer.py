@@ -38,7 +38,7 @@ class System:
         trace: bool = False,
         sanitizer=None,
         fault_schedule=None,
-        resilience=None,
+        watchdog=None,
         backend_factory=None,
     ):
         self.topology = topology
@@ -92,17 +92,16 @@ class System:
         # how many systems the process (or a pool worker) built before.
         self._set_ids = itertools.count()
         self._p2p: Optional[P2PEngine] = None
-        #: repro.resilience.monitor.ResilienceMonitor when a resilience
-        #: config (checkpointing / watchdog / resume) was supplied.  The
-        #: monitor observes through the queue's watcher hook and never
-        #: schedules events, so attaching it cannot change the simulated
-        #: trajectory.
-        self.resilience = None
-        if resilience is not None and resilience.enabled:
-            from repro.resilience.monitor import ResilienceMonitor
+        #: repro.resilience.watchdog.Watchdog when a WatchdogConfig was
+        #: supplied.  It is the queue's watcher: it observes after each
+        #: executed event and never schedules one, so attaching it cannot
+        #: change the simulated trajectory.
+        self.watchdog = None
+        if watchdog is not None:
+            from repro.resilience.watchdog import Watchdog
 
-            self.resilience = ResilienceMonitor(self, resilience)
-            self.events.watcher = self.resilience.on_event
+            self.watchdog = Watchdog(self, watchdog)
+            self.events.watcher = self.watchdog.note_event
 
     # -- time ----------------------------------------------------------------------
 
@@ -205,8 +204,6 @@ class System:
                 f"in flight and {self.scheduler.ready_count} ready (deadlock?)\n"
                 + self.wait_for_summary()
             )
-        if self.resilience is not None:
-            self.resilience.finalize()
         if self.sanitizer is not None:
             self.sanitizer.verify_quiescent(self)
         return self.events.now

@@ -269,11 +269,3 @@ class ReliableTransport:
         """The stats record with the backend's drop counter folded in."""
         self.stats.drops = self.inner.messages_dropped
         return self.stats
-
-    def rng_fingerprint(self) -> str:
-        """Digest of the jitter RNG position (checkpoint verification): a
-        resumed run that consumed a different backoff sequence cannot be
-        cycle-identical, and this catches it at the checkpoint boundary."""
-        import hashlib
-
-        return hashlib.sha256(repr(self._rng.getstate()).encode()).hexdigest()[:16]

@@ -8,15 +8,19 @@ platforms and demands identical event counts, finish times and stats.
 """
 
 import math
+from dataclasses import replace
+
+import pytest
 
 from repro.collectives import CollectiveContext, RingAllReduce
 from repro.collectives.types import CollectiveOp
 from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import AllToAllShape, TorusShape
+from repro.config.parameters import AllToAllShape, TorusShape, TransportConfig
 from repro.events import EventQueue
-from repro.harness.runners import alltoall_platform, torus_platform
+from repro.harness.runners import alltoall_platform, run_collective, torus_platform
 from repro.network import Link, RingChannel
 from repro.network.detailed import DetailedBackend
+from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
 from repro.sanitize import RuntimeSanitizer
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
@@ -73,6 +77,50 @@ def run_detailed(n=4, size=16 * 1024, sanitize=False):
     }
 
 
+def recoverable_schedule(horizon):
+    """A lossy link plus a flap, all healed within ``horizon`` cycles, so
+    the run completes (with retransmissions) rather than failing."""
+    return FaultSchedule([
+        FaultEvent(time=0.0, action=FaultAction.DROP, link=(0, 1),
+                   probability=0.2),
+        FaultEvent(time=horizon * 0.1, action=FaultAction.LINK_DOWN,
+                   link=(1, 0)),
+        FaultEvent(time=horizon * 0.6, action=FaultAction.LINK_UP,
+                   link=(1, 0)),
+    ], seed=11)
+
+
+#: Per backend: (all-reduce bytes, fault horizon in cycles).
+FAULTY_RUNS = {"fast": (256 * 1024, 8_000.0), "detailed": (16 * 1024, 2_000.0)}
+
+
+def run_faulty(backend):
+    """A 2x2x2 all-reduce through the reliable transport under
+    :func:`recoverable_schedule`; everything the drop RNG, the retry
+    timers and the fault state can perturb, in comparable form."""
+    size, horizon = FAULTY_RUNS[backend]
+    spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
+    spec.config = replace(
+        spec.config,
+        system=replace(spec.config.system, transport=TransportConfig()))
+    spec.fault_schedule = recoverable_schedule(horizon)
+    if backend == "detailed":
+        spec.backend_factory = (
+            lambda events, network, sanitizer:
+            DetailedBackend(events, network, sanitizer=sanitizer))
+    result = run_collective(spec, CollectiveOp.ALL_REDUCE, size)
+    system = result.system
+    return {
+        "duration": result.duration_cycles,
+        "delivered": system.backend.messages_delivered,
+        "bytes": system.backend.bytes_delivered,
+        "dropped": system.backend.messages_dropped,
+        "transport": system.transport_stats().as_dict(),
+        # Includes the drop-RNG fingerprint.
+        "faults": system.fault_state.snapshot(),
+    }
+
+
 class TestFastBackendDeterminism:
     def test_torus_allreduce_identical_twice(self):
         runs = [run_fast(lambda: torus_platform(TorusShape(2, 2, 2)),
@@ -103,3 +151,13 @@ class TestDetailedBackendDeterminism:
         plain = run_detailed(sanitize=False)
         checked = run_detailed(sanitize=True)
         assert plain == checked
+
+
+class TestFaultyRunDeterminism:
+    @pytest.mark.parametrize("backend", ["fast", "detailed"])
+    def test_identical_twice(self, backend):
+        """Drop RNG, retry timers and fault state replay identically."""
+        first = run_faulty(backend)
+        if backend == "fast":
+            assert first["transport"]["retries"] > 0, "faults must bite"
+        assert first == run_faulty(backend)

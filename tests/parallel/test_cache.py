@@ -62,16 +62,16 @@ class TestCacheKey:
 
         from repro.config.parameters import TransportConfig
         from repro.network.fault_schedule import FaultSchedule
-        from repro.resilience import ResilienceConfig
+        from repro.resilience import WatchdogConfig
 
         faulty = _spec()
         faulty.fault_schedule = FaultSchedule([])
         assert collective_cache_key(faulty, CollectiveOp.ALL_REDUCE, KB64) is None
 
-        resilient = _spec()
-        resilient.resilience = ResilienceConfig()
+        watched = _spec()
+        watched.watchdog = WatchdogConfig()
         assert collective_cache_key(
-            resilient, CollectiveOp.ALL_REDUCE, KB64) is None
+            watched, CollectiveOp.ALL_REDUCE, KB64) is None
 
         custom = _spec()
         custom.backend_factory = lambda e, n, s: None

@@ -16,7 +16,7 @@ from repro.config.parameters import TorusShape, TransportConfig
 from repro.errors import ConfigError, StallError
 from repro.harness.runners import run_collective, torus_platform
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
-from repro.resilience import ResilienceConfig, WatchdogConfig
+from repro.resilience import WatchdogConfig
 
 #: Tight timers so the stall develops (and is detected) quickly.
 STORMY = TransportConfig(timeout_cycles=2_000.0, timeout_per_byte=0.1,
@@ -25,7 +25,7 @@ STORMY = TransportConfig(timeout_cycles=2_000.0, timeout_per_byte=0.1,
                          max_paused_waits=10**9)
 
 
-def stalling_spec(bundle_dir=None, action="abort"):
+def stalling_spec(bundle_dir=None):
     """A platform where node 3 pauses at t=1000 and never resumes."""
     spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
     spec.config = replace(
@@ -33,11 +33,9 @@ def stalling_spec(bundle_dir=None, action="abort"):
     spec.fault_schedule = FaultSchedule([
         FaultEvent(time=1_000.0, action=FaultAction.NODE_PAUSE, node=3),
     ])
-    spec.resilience = ResilienceConfig(
-        watchdog=WatchdogConfig(stall_cycles=50_000.0, check_every_events=16,
-                                action=action,
-                                bundle_dir=bundle_dir),
-        label=spec.name)
+    spec.watchdog = WatchdogConfig(stall_cycles=50_000.0,
+                                   check_every_events=16,
+                                   bundle_dir=bundle_dir)
     return spec
 
 
@@ -60,25 +58,14 @@ class TestStallDetection:
         assert data["diagnostics"]["transport"]["paused_waits"] > 0
         assert data["stalled_for_cycles"] >= 50_000.0
 
-    def test_action_checkpoint_also_snapshots(self, tmp_path):
-        with pytest.raises(StallError):
-            run_collective(stalling_spec(bundle_dir=str(tmp_path),
-                                         action="checkpoint"),
-                           CollectiveOp.ALL_REDUCE, 256 * 1024,
-                           max_events=2_000_000)
-        assert list(tmp_path.glob("stall-*.ckpt.json")), (
-            "action='checkpoint' must leave a snapshot beside the bundle")
-
     def test_healthy_run_never_trips_and_is_cycle_identical(self):
         """Criterion 5 spot-check: the watchdog observes through the
         queue watcher, so enabling it must not move a single cycle."""
         def run(watchdog):
             spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
             if watchdog:
-                spec.resilience = ResilienceConfig(
-                    watchdog=WatchdogConfig(stall_cycles=5_000.0,
-                                            check_every_events=1),
-                    label=spec.name)
+                spec.watchdog = WatchdogConfig(stall_cycles=5_000.0,
+                                               check_every_events=1)
             return run_collective(spec, CollectiveOp.ALL_REDUCE, 256 * 1024)
 
         bare = run(watchdog=False)
@@ -93,8 +80,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"stall_cycles": 0.0},
         {"check_every_events": 0},
-        {"action": "explode"},
-        {"action": "checkpoint"},  # needs bundle_dir
+        {"stall_cycles": -1.0},
+        {"check_every_events": -16},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):

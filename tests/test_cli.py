@@ -60,6 +60,39 @@ class TestCollectiveCommand:
         assert code == 2
 
 
+class TestWatchdogFlags:
+    ARGS = ["collective", "--shape", "2x2x2", "--op", "allreduce",
+            "--size-mb", "1"]
+
+    def test_watchdog_does_not_move_cycles(self, capsys):
+        assert main(self.ARGS) == 0
+        bare = capsys.readouterr().out
+        assert main(self.ARGS + ["--watchdog"]) == 0
+        watched = capsys.readouterr().out
+        assert "54,639 cycles" in bare
+        assert watched == bare
+
+    def test_bundle_dir_implies_watchdog(self, tmp_path, capsys):
+        """Node 3 pauses forever: without the watchdog the transport
+        retries until it gives up; --bundle-dir and an explicit stall
+        window must turn that into a diagnosed stall with one bundle."""
+        schedule = tmp_path / "pause.json"
+        schedule.write_text('{"events": [{"time": 1000, '
+                            '"action": "node_pause", "node": 3}]}')
+        bundles = tmp_path / "bundles"
+        code = main(self.ARGS + ["--fault-schedule", str(schedule),
+                                 "--watchdog-stall-cycles", "50000",
+                                 "--bundle-dir", str(bundles)])
+        assert code == 2
+        assert "simulation stalled" in capsys.readouterr().err
+        assert len(list(bundles.glob("stall-*.json"))) == 1
+
+    def test_checkpoint_flags_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--checkpoint-every", "2000"])
+        assert exc.value.code == 2
+
+
 class TestTrainCommand:
     def test_mlp_training(self, capsys):
         code = main(["train", "--model", "mlp", "--shape", "2x2x2",
