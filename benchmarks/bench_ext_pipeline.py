@@ -10,7 +10,7 @@ from repro.config import paper_network_config
 from repro.config.units import KB
 from repro.system import System
 from repro.topology import build_torus_topology
-from repro.workload import PipelineStage, PipelineTrainingLoop
+from repro.workload.pipeline import PipelineStage, PipelineTrainingLoop
 
 from bench_common import print_table, run_once
 

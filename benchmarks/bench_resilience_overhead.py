@@ -21,12 +21,8 @@ from repro.config import TorusShape
 from repro.config.parameters import TransportConfig
 from repro.config.units import MB
 from repro.harness.runners import run_collective, torus_platform
-from repro.parallel import (
-    ParallelExecutor,
-    RunPoint,
-    SupervisedExecutor,
-    SupervisionPolicy,
-)
+from repro.parallel import ParallelExecutor, RunPoint
+from repro.parallel.supervisor import SupervisedExecutor, SupervisionPolicy
 from repro.resilience import WatchdogConfig
 
 from bench_common import print_table, run_once

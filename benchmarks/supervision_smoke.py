@@ -27,14 +27,8 @@ from dataclasses import replace
 
 from repro.collectives import CollectiveOp
 from repro.harness import fig09
-from repro.parallel import (
-    ParallelExecutor,
-    PointStatus,
-    SupervisedExecutor,
-    SupervisionPolicy,
-    exit_code_for,
-    results_with_gaps,
-)
+from repro.parallel import ParallelExecutor, PointStatus, exit_code_for, results_with_gaps
+from repro.parallel.supervisor import SupervisedExecutor, SupervisionPolicy
 
 SIZES = [64 * 1024.0, 256 * 1024.0]
 

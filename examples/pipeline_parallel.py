@@ -14,7 +14,7 @@ from repro import System, TorusShape, paper_simulation_config
 from repro.config.units import KB
 from repro.models import mlp
 from repro.topology import build_torus_topology
-from repro.workload import PipelineTrainingLoop, partition_model
+from repro.workload.pipeline import PipelineTrainingLoop, partition_model
 
 STAGE_NODES = [0, 2, 4, 6]
 

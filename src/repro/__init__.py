@@ -22,122 +22,53 @@ Quickstart::
     print(report.exposed_comm_ratio)
 """
 
-from repro.collectives import (
-    ChunkExecution,
-    CollectiveContext,
-    CollectiveOp,
-    PhaseSpec,
-    build_phase_plan,
-)
-from repro.compute import ConvSpec, GemmShape, LinearSpec, SystolicArrayModel
-from repro.config import (
-    AllToAllShape,
-    Clock,
-    CollectiveAlgorithm,
-    ComputeConfig,
-    LinkConfig,
-    NetworkConfig,
-    SchedulingPolicy,
-    SimulationConfig,
-    SystemConfig,
-    TopologyKind,
-    TorusShape,
-    paper_network_config,
-    paper_simulation_config,
-    paper_system_config,
-    symmetric_network_config,
-)
-from repro.dims import Dimension
-from repro.errors import (
-    CollectiveError,
-    ConfigError,
-    NetworkError,
-    ReproError,
-    SchedulerError,
-    SimulationError,
-    TopologyError,
-    WorkloadError,
-)
-from repro.events import EventQueue
-from repro.models import dlrm, mlp, resnet50, transformer
-from repro.network import FastBackend, Message
-from repro.network.detailed import DetailedBackend
-from repro.system import CollectiveSet, System
-from repro.topology import (
-    LogicalTopology,
-    build_alltoall_topology,
-    build_torus_topology,
-)
-from repro.workload import (
-    DATA_PARALLEL,
-    MODEL_PARALLEL,
-    CommSpec,
-    DNNModel,
-    LayerSpec,
-    ParallelismStrategy,
-    TrainingLoop,
-    TrainingPhase,
-    TrainingReport,
-    hybrid,
-)
+from importlib import import_module
+from typing import Any
+
+#: Public name -> the module that defines it.  Nothing is imported until a
+#: name is first used (PEP 562), so ``import repro`` stays cheap and each
+#: command loads only the layers it runs: numpy, for one, is imported only
+#: with ``DetailedBackend``.
+_EXPORTS = {
+    **dict.fromkeys(("ChunkExecution", "CollectiveContext", "CollectiveOp", "PhaseSpec",
+                     "build_phase_plan"), "repro.collectives"),
+    **dict.fromkeys(("ConvSpec", "GemmShape", "LinearSpec", "SystolicArrayModel"),
+                    "repro.compute"),
+    **dict.fromkeys(("AllToAllShape", "Clock", "CollectiveAlgorithm", "ComputeConfig",
+                     "LinkConfig", "NetworkConfig", "SchedulingPolicy", "SimulationConfig",
+                     "SystemConfig", "TopologyKind", "TorusShape", "paper_network_config",
+                     "paper_simulation_config", "paper_system_config",
+                     "symmetric_network_config"), "repro.config"),
+    "Dimension": "repro.dims",
+    **dict.fromkeys(("CollectiveError", "ConfigError", "NetworkError", "ReproError",
+                     "SchedulerError", "SimulationError", "TopologyError", "WorkloadError"),
+                    "repro.errors"),
+    "EventQueue": "repro.events",
+    **dict.fromkeys(("dlrm", "mlp", "resnet50", "transformer"), "repro.models"),
+    **dict.fromkeys(("FastBackend", "Message"), "repro.network"),
+    "DetailedBackend": "repro.network.detailed",
+    **dict.fromkeys(("CollectiveSet", "System"), "repro.system"),
+    **dict.fromkeys(("LogicalTopology", "build_alltoall_topology", "build_torus_topology"),
+                    "repro.topology"),
+    **dict.fromkeys(("DATA_PARALLEL", "MODEL_PARALLEL", "CommSpec", "DNNModel", "LayerSpec",
+                     "ParallelismStrategy", "TrainingLoop", "TrainingPhase", "TrainingReport",
+                     "hybrid"), "repro.workload"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AllToAllShape",
-    "ChunkExecution",
-    "Clock",
-    "CollectiveAlgorithm",
-    "CollectiveContext",
-    "CollectiveError",
-    "CollectiveOp",
-    "CollectiveSet",
-    "CommSpec",
-    "ComputeConfig",
-    "ConfigError",
-    "ConvSpec",
-    "DATA_PARALLEL",
-    "DetailedBackend",
-    "Dimension",
-    "DNNModel",
-    "EventQueue",
-    "FastBackend",
-    "GemmShape",
-    "LayerSpec",
-    "LinearSpec",
-    "LinkConfig",
-    "LogicalTopology",
-    "Message",
-    "MODEL_PARALLEL",
-    "NetworkConfig",
-    "NetworkError",
-    "ParallelismStrategy",
-    "PhaseSpec",
-    "ReproError",
-    "SchedulerError",
-    "SchedulingPolicy",
-    "SimulationConfig",
-    "SimulationError",
-    "System",
-    "SystemConfig",
-    "SystolicArrayModel",
-    "TopologyError",
-    "TopologyKind",
-    "TorusShape",
-    "TrainingLoop",
-    "TrainingPhase",
-    "TrainingReport",
-    "WorkloadError",
-    "build_alltoall_topology",
-    "build_phase_plan",
-    "build_torus_topology",
-    "dlrm",
-    "hybrid",
-    "mlp",
-    "paper_network_config",
-    "paper_simulation_config",
-    "paper_system_config",
-    "resnet50",
-    "symmetric_network_config",
-    "transformer",
-]

@@ -9,6 +9,10 @@ Exposes the Table III input parameters and the predefined workloads::
         --shape 4x4x4 --algorithm enhanced
 
     astra-repro workload-file my_dnn.txt --shape 2x2x2
+
+Each subcommand imports what it runs inside its own handler, so a
+``collective`` never loads the models, the figure harnesses, the search,
+the supervisor's process pools or numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.report import RunSummary, format_breakdown, format_layer_table
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import (
     AllToAllShape,
@@ -32,22 +35,12 @@ from repro.errors import (
     EXIT_OK,
     EXIT_PARTIAL,
     ConfigError,
+    PoisonPointError,
     ReproError,
 )
-from repro.harness.runners import (
-    alltoall_platform,
-    run_training,
-    torus_platform,
-)
-from repro.models import dlrm, mlp, resnet50, transformer
-from repro.workload import parser as workload_parser
 
-_MODELS = {
-    "resnet50": lambda compute: resnet50(compute=compute),
-    "transformer": lambda compute: transformer(compute=compute),
-    "dlrm": lambda compute: dlrm(compute=compute),
-    "mlp": lambda compute: mlp(compute=compute),
-}
+#: The predefined workloads (Table III #1), each a builder in repro.models.
+_MODELS = ("dlrm", "mlp", "resnet50", "transformer")
 
 _OPS = {
     "allreduce": CollectiveOp.ALL_REDUCE,
@@ -67,7 +60,15 @@ def _parse_shape(spec: str) -> tuple[int, ...]:
     return dims
 
 
+def _build_model(name: str, compute):
+    import repro.models
+
+    return getattr(repro.models, name)(compute=compute)
+
+
 def _build_platform(args: argparse.Namespace):
+    from repro.harness.runners import alltoall_platform, torus_platform
+
     topology = TopologyKind(args.topology)
     algorithm = CollectiveAlgorithm(args.algorithm)
     policy = SchedulingPolicy(args.scheduling_policy)
@@ -149,65 +150,71 @@ def _print_transport_stats(stats) -> None:
         print(stats.summary())
 
 
-def _record_profile(system) -> None:
+def _record_profile(args: argparse.Namespace, system) -> None:
     """Feed a finished system's event counters to the --profile output."""
+    if not args.profile or system is None:
+        return
     from repro.profiling import active_profile
 
     profile = active_profile()
-    if profile is not None and system is not None:
+    if profile is not None:
         profile.record_system(system)
 
 
-def _add_execution_args(p: argparse.ArgumentParser) -> None:
-    """Mirror the root --jobs/--cache-dir/--no-cache/--profile flags on a
-    subcommand so they work in either position (``astra-repro chaos
-    --jobs 4`` and ``astra-repro --jobs 4 chaos``).  SUPPRESS defaults:
-    an omitted subcommand flag must not clobber a root-level value."""
-    p.add_argument("--jobs", type=int, metavar="N", default=argparse.SUPPRESS,
-                   help="worker processes for independent simulation points")
-    p.add_argument("--cache-dir", metavar="DIR", default=argparse.SUPPRESS,
-                   help="content-addressed run cache directory")
-    p.add_argument("--no-cache", action="store_true", default=argparse.SUPPRESS,
+def _add_execution_args(p: argparse.ArgumentParser, default=None) -> None:
+    """The --jobs/--cache-dir/--no-cache/--profile and supervision flags.
+
+    Added to the root parser with real defaults (``default=None``) and
+    mirrored on subcommands with ``default=argparse.SUPPRESS``, so they
+    work in either position (``astra-repro chaos --jobs 4`` and
+    ``astra-repro --jobs 4 chaos``) and an omitted subcommand flag never
+    clobbers a root-level value."""
+    def real(value):
+        return default if default is argparse.SUPPRESS else value
+
+    p.add_argument("--jobs", type=int, default=real(1), metavar="N",
+                   help="fan independent simulation points (sweep sizes, "
+                        "chaos iterations) across N worker processes; "
+                        "results are bit-identical at any N")
+    p.add_argument("--cache-dir", default=real(None), metavar="DIR",
+                   help="content-addressed run cache: completed pure "
+                        "points are stored in DIR and re-served instead "
+                        "of re-simulated (docs/PERFORMANCE.md)")
+    p.add_argument("--no-cache", action="store_true", default=real(False),
                    help="ignore --cache-dir (always simulate fresh)")
-    p.add_argument("--profile", action="store_true", default=argparse.SUPPRESS,
-                   help="print per-phase wall-clock and events/sec")
-    _add_supervision_args(p, default=argparse.SUPPRESS)
-
-
-def _add_supervision_args(p: argparse.ArgumentParser, default=None) -> None:
-    """The supervised-execution flags (docs/SUPERVISION.md).  Added to
-    the root parser with real ``None`` defaults and mirrored on
-    subcommands with SUPPRESS, like the execution flags above."""
-    p.add_argument("--supervise", action="store_true",
-                   default=default if default is argparse.SUPPRESS else False,
+    p.add_argument("--profile", action="store_true", default=real(False),
+                   help="print per-phase wall-clock and events/sec after "
+                        "the command")
+    # The supervised-execution flags (docs/SUPERVISION.md).
+    p.add_argument("--supervise", action="store_true", default=real(False),
                    help="run design points crash-isolated: worker deaths "
                         "retry with seeded backoff, poison points are "
                         "quarantined and the batch continues "
                         "(docs/SUPERVISION.md)")
-    p.add_argument("--point-timeout", type=float, default=default,
+    p.add_argument("--point-timeout", type=float, default=real(None),
                    metavar="SECONDS",
                    help="wall-clock deadline per design point; a point that "
                         "exceeds it is reaped and charged a retry "
                         "(implies --supervise)")
-    p.add_argument("--point-event-budget", type=int, default=default,
+    p.add_argument("--point-event-budget", type=int, default=real(None),
                    metavar="N",
                    help="max simulated events per design point attempt "
                         "(implies --supervise)")
-    p.add_argument("--max-point-retries", type=int, default=default,
+    p.add_argument("--max-point-retries", type=int, default=real(None),
                    metavar="N",
                    help="failed attempts re-run up to N times before the "
                         "point is quarantined (default 2; implies "
                         "--supervise)")
     p.add_argument("--on-poison", choices=("quarantine", "fail"),
-                   default=default,
+                   default=real(None),
                    help="quarantine: record the poison point and continue "
                         "(exit 1); fail: abort the whole batch (implies "
                         "--supervise)")
-    p.add_argument("--journal", default=default, metavar="PATH",
+    p.add_argument("--journal", default=real(None), metavar="PATH",
                    help="append every point outcome to this JSONL journal; "
                         "a re-run resumes past completed AND quarantined "
                         "points (implies --supervise)")
-    p.add_argument("--quarantine-dir", default=default, metavar="DIR",
+    p.add_argument("--quarantine-dir", default=real(None), metavar="DIR",
                    help="write poison-point diagnostic bundles and the "
                         "quarantine report into DIR (implies --supervise)")
 
@@ -222,7 +229,7 @@ def _supervision_from_args(args: argparse.Namespace):
                                 "quarantine_dir")))
     if not given:
         return None, None, None
-    from repro.parallel import SupervisionPolicy
+    from repro.parallel.supervisor import SupervisionPolicy
 
     retries = getattr(args, "max_point_retries", None)
     policy = SupervisionPolicy(
@@ -277,15 +284,20 @@ def _add_platform_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from repro.analysis.report import RunSummary, format_breakdown, format_layer_table
+    from repro.harness.runners import run_training
+
     platform = _build_platform(args)
     if args.workload_file:
-        model = workload_parser.load(args.workload_file)
+        from repro.workload.parser import load
+
+        model = load(args.workload_file)
     else:
-        model = _MODELS[args.model](platform.config.compute)
+        model = _build_model(args.model, platform.config.compute)
     report, system = run_training(model, platform, num_iterations=args.num_passes,
                                   sanitize=args.sanitize)
     print(RunSummary.from_report(report).format())
-    _record_profile(system)
+    _record_profile(args, system)
     _print_transport_stats(system.transport_stats())
     if args.layer_table:
         print()
@@ -315,9 +327,11 @@ def _cmd_collective(args: argparse.Namespace) -> int:
     result = outcome.result
     print(f"{args.op} of {args.size_mb} MB on {result.label} "
           f"({result.num_npus} NPUs): {result.duration_cycles:,.0f} cycles")
-    _record_profile(result.system)
+    _record_profile(args, result.system)
     _print_transport_stats(result.transport_stats)
     if args.breakdown:
+        from repro.analysis.report import format_breakdown
+
         print()
         print(format_breakdown(result.breakdown))
     if args.check_schedule:
@@ -549,7 +563,7 @@ def _cmd_memory(args: argparse.Namespace) -> int:
     from repro.config.units import GB
     from repro.workload.memory import estimate_footprint
 
-    model = _MODELS[args.model](None)
+    model = _build_model(args.model, None)
     footprint = estimate_footprint(
         model, model_parallel_degree=args.model_parallel_degree)
     capacity = args.hbm_gb * GB
@@ -575,7 +589,7 @@ _SERVE_DEFAULT_TIMEOUT_S = 300.0
 def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
 
-    from repro.parallel import SupervisionPolicy
+    from repro.parallel.supervisor import SupervisionPolicy
     from repro.service import ServiceConfig, ServiceDaemon
 
     logging.basicConfig(
@@ -591,16 +605,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         journal_path=journal_path, cache_dir=args.cache_dir,
         quarantine_dir=quarantine_dir)
     daemon = ServiceDaemon(config)
-    host, port = daemon.address
-    print(f"astra-repro serve listening on http://{host}:{port}")
-    print(f"state: journal={config.resolved_journal()} "
-          f"cache={config.resolved_cache_dir()} "
-          f"quarantine={config.resolved_quarantine_dir()}")
-    service = daemon.service
-    if service.replayed_done or service.resumed_jobs:
-        print(f"journal replay: {service.replayed_done} completed job(s) "
-              f"restored, {service.resumed_jobs} re-enqueued")
-    return daemon.serve_until_signal()
+
+    def announce() -> None:
+        host, port = daemon.address
+        print(f"astra-repro serve listening on http://{host}:{port}")
+        print(f"state: journal={config.resolved_journal()} "
+              f"cache={config.resolved_cache_dir()} "
+              f"quarantine={config.resolved_quarantine_dir()}")
+        service = daemon.service
+        if service.replayed_done or service.resumed_jobs:
+            print(f"journal replay: {service.replayed_done} completed job(s) "
+                  f"restored, {service.resumed_jobs} re-enqueued")
+
+    return daemon.serve_until_signal(ready=announce)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -610,26 +627,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         epilog=_SUPERVISED_EXIT_CODES_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    root.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="fan independent simulation points (sweep sizes, "
-                           "chaos iterations) across N worker processes; "
-                           "results are bit-identical at any N")
-    root.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="content-addressed run cache: completed pure "
-                           "points are stored in DIR and re-served instead "
-                           "of re-simulated (docs/PERFORMANCE.md)")
-    root.add_argument("--no-cache", action="store_true",
-                      help="ignore --cache-dir (always simulate fresh)")
-    root.add_argument("--profile", action="store_true",
-                      help="print per-phase wall-clock and events/sec after "
-                           "the command")
-    _add_supervision_args(root)
+    _add_execution_args(root)
     sub = root.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="simulate a DNN training workload")
-    _add_execution_args(train)
+    _add_execution_args(train, default=argparse.SUPPRESS)
     _add_platform_args(train)
-    train.add_argument("--model", choices=sorted(_MODELS), default="resnet50",
+    train.add_argument("--model", choices=_MODELS, default="resnet50",
                        help="predefined DNN workload (Table III #1)")
     train.add_argument("--workload-file", default=None,
                        help="Fig. 8 workload file (overrides --model)")
@@ -642,7 +646,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=_cmd_train)
 
     coll = sub.add_parser("collective", help="time a single collective operation")
-    _add_execution_args(coll)
+    _add_execution_args(coll, default=argparse.SUPPRESS)
     _add_platform_args(coll)
     coll.add_argument("--op", choices=sorted(_OPS), default="allreduce")
     coll.add_argument("--size-mb", type=float, default=8.0,
@@ -660,29 +664,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     bw = sub.add_parser("bandwidth",
                         help="collective bandwidth test (algbw/busbw table)")
-    _add_execution_args(bw)
+    _add_execution_args(bw, default=argparse.SUPPRESS)
     _add_platform_args(bw)
     bw.add_argument("--op", choices=sorted(_OPS), default="allreduce")
     bw.add_argument("--sizes-mb", default="0.0625,0.5,4,32",
                     help="comma-separated payload sizes in MB")
     bw.set_defaults(func=_cmd_bandwidth)
 
-    from repro.search import OBJECTIVE_NAMES, STRATEGY_NAMES
-
     search = sub.add_parser(
         "search",
         help="optimizer-driven design-space search over topology x BW x "
              "collective x scheduler (docs/SEARCH.md)")
-    _add_execution_args(search)
+    _add_execution_args(search, default=argparse.SUPPRESS)
     search.add_argument("--space", required=True, metavar="PATH",
                         help="search-space JSON (axes, constraints, cost "
                              "table; docs/SEARCH.md)")
-    search.add_argument("--objective", choices=OBJECTIVE_NAMES, default="time",
-                        help="scoring: raw cycles, amortized $/step, or "
-                             "negated GB/s per interconnect dollar")
-    search.add_argument("--strategy", choices=STRATEGY_NAMES,
-                        default="evolutionary",
-                        help="seeded proposal loop")
+    # The objective and strategy names are checked by make_objective and
+    # make_strategy, so building the parser never imports repro.search.
+    search.add_argument("--objective", default="time",
+                        help="scoring: time (raw cycles), cost (amortized "
+                             "$/step) or perf-per-link-dollar (negated GB/s "
+                             "per interconnect dollar)")
+    search.add_argument("--strategy", default="evolutionary",
+                        help="seeded proposal loop: random or evolutionary")
     search.add_argument("--budget", type=int, default=32, metavar="N",
                         help="unique design points to evaluate")
     search.add_argument("--seed", type=int, default=2020,
@@ -769,7 +773,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="fuzz seeded fault schedules + transport configs; every run "
              "must end classified (success / graceful failure / diagnosed "
              "stall), never in a silent hang")
-    _add_execution_args(chaos)
+    _add_execution_args(chaos, default=argparse.SUPPRESS)
     chaos.add_argument("--iterations", type=int, default=25,
                        help="fuzzed runs (round-robin across --backends)")
     chaos.add_argument("--seed", type=int, default=0,
@@ -789,7 +793,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     mem = sub.add_parser("memory",
                          help="estimate per-NPU memory footprint of a model")
-    mem.add_argument("--model", choices=sorted(_MODELS), default="resnet50")
+    mem.add_argument("--model", choices=_MODELS, default="resnet50")
     mem.add_argument("--hbm-gb", type=float, default=32.0,
                      help="HBM capacity per NPU in GB")
     mem.add_argument("--model-parallel-degree", type=int, default=1)
@@ -802,7 +806,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "execution, journal-backed crash recovery (docs/SERVICE.md)",
         epilog=_SUPERVISED_EXIT_CODES_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_execution_args(serve)
+    _add_execution_args(serve, default=argparse.SUPPRESS)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default loopback only)")
     serve.add_argument("--port", type=int, default=8421,
@@ -831,8 +835,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
 
-    from repro.parallel import PoisonPointError, configure_default, set_default_executor
-    from repro.profiling import RunProfile, set_active_profile
+    from repro.parallel import configure_default, set_default_executor
 
     try:
         policy, journal_path, quarantine_dir = _supervision_from_args(args)
@@ -844,8 +847,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    profile = RunProfile(name=args.command) if args.profile else None
-    set_active_profile(profile)
+    profile = None
+    if args.profile:
+        from repro.profiling import RunProfile, set_active_profile
+
+        profile = RunProfile(name=args.command)
+        set_active_profile(profile)
     try:
         if profile is not None:
             with profile.phase("command"):
@@ -863,7 +870,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         set_default_executor(None)
         executor.close()
-        set_active_profile(None)
+        if profile is not None:
+            set_active_profile(None)
     if executor.cache is not None:
         print(executor.cache_summary())
     if profile is not None:

@@ -64,5 +64,10 @@ class StallError(SimulationError):
     """The watchdog detected a no-progress window (see repro.resilience)."""
 
 
+class PoisonPointError(ReproError):
+    """A supervised point exhausted its retry budget under ``on_poison="fail"``
+    (see repro.parallel.supervisor)."""
+
+
 class SanitizerError(ReproError):
     """A runtime invariant checker detected a violation (see repro.sanitize)."""

@@ -1,24 +1,17 @@
-"""Per-figure experiment runners regenerating the paper's evaluation."""
+"""Per-figure experiment runners regenerating the paper's evaluation.
 
-from repro.harness import (
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    fig18,
-)
+The package re-exports the shared runners and the bandwidth test.  The
+per-figure modules (``fig09``-``fig18``) and ``sweep`` are imported as
+submodules (``from repro.harness import fig09``), so running one
+collective does not load every figure.
+"""
+
 from repro.harness.bandwidth_test import (
     BandwidthPoint,
     format_points,
     measure,
     traffic_factor,
 )
-from repro.harness.sweep import SweepResult, sweep
 from repro.harness.runners import (
     SWEEP_SIZES,
     CollectiveResult,
@@ -33,24 +26,12 @@ from repro.harness.runners import (
 __all__ = [
     "BandwidthPoint",
     "CollectiveResult",
-    "SweepResult",
     "format_points",
     "measure",
-    "sweep",
     "traffic_factor",
     "PlatformSpec",
     "SWEEP_SIZES",
     "alltoall_platform",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
     "run_collective",
     "run_training",
     "sweep_collective",

@@ -235,7 +235,7 @@ def sweep_collective(
     come back in size order regardless of job count, bit-identical to the
     serial loop this used to be.
 
-    Under a :class:`repro.parallel.SupervisedExecutor` a quarantined
+    Under a :class:`repro.parallel.supervisor.SupervisedExecutor` a quarantined
     point comes back as an explicit ``None`` gap instead of aborting the
     sweep; :func:`sweep_collective_outcomes` exposes the full typed
     outcome per point.

@@ -59,7 +59,7 @@ def sweep(
     given, points fan out through its ordered :meth:`map` — a ``run``
     that is not picklable (e.g. a closure) transparently falls back to
     the serial loop, with identical results either way.  A
-    :class:`repro.parallel.SupervisedExecutor` routes through its
+    :class:`repro.parallel.supervisor.SupervisedExecutor` routes through its
     supervised map instead: a crashed/hung/poison point becomes an entry
     in ``SweepResult.gaps`` and the rest of the sweep completes.
 

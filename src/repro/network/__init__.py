@@ -1,4 +1,9 @@
-"""Network layer: links, channels, physical fabrics, and two backends."""
+"""Network layer: links, channels, physical fabrics, and two backends.
+
+Fault injection (:mod:`repro.network.fault_schedule`) and the detailed
+backend (:mod:`repro.network.detailed`, which needs numpy) are imported
+as submodules by the runs that use them.
+"""
 
 from repro.network.api import DeliveryCallback, NetworkBackend, validate_path
 from repro.network.channel import (
@@ -8,12 +13,6 @@ from repro.network.channel import (
     pair_reverse_rings,
 )
 from repro.network.fast_backend import FastBackend
-from repro.network.fault_schedule import (
-    FaultAction,
-    FaultEvent,
-    FaultSchedule,
-    FaultState,
-)
 from repro.network.link import Link, LinkStats
 from repro.network.message import Message, num_packets, packetize
 
@@ -21,10 +20,6 @@ __all__ = [
     "Channel",
     "DeliveryCallback",
     "FastBackend",
-    "FaultAction",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultState",
     "Link",
     "LinkStats",
     "Message",

@@ -15,6 +15,10 @@ Three pieces (docs/PERFORMANCE.md, docs/SUPERVISION.md):
   typed :class:`PointOutcome` partial results journal to an append-only
   JSONL so interrupted campaigns resume.
 
+The package re-exports the executor and the cache; the supervisor, which
+loads :mod:`multiprocessing`, is imported from
+:mod:`repro.parallel.supervisor` by the commands that supervise.
+
 The CLI's global ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags
 configure a process-wide default executor that the harness entry points
 (:func:`repro.harness.runners.sweep_collective`, the per-figure
@@ -31,36 +35,24 @@ from repro.parallel.cache import (
 )
 from repro.parallel.executor import (
     ParallelExecutor,
+    PointOutcome,
+    PointStatus,
     RunPoint,
     configure_default,
     default_executor,
-    set_default_executor,
-)
-from repro.parallel.supervisor import (
-    OutcomeJournal,
-    PointOutcome,
-    PointStatus,
-    PoisonPointError,
-    QuarantineRecord,
-    SupervisedExecutor,
-    SupervisionPolicy,
     exit_code_for,
     results_with_gaps,
+    set_default_executor,
 )
 
 __all__ = [
     "CACHE_SALT",
     "CacheStats",
-    "OutcomeJournal",
     "ParallelExecutor",
     "PointOutcome",
     "PointStatus",
-    "PoisonPointError",
-    "QuarantineRecord",
     "RunCache",
     "RunPoint",
-    "SupervisedExecutor",
-    "SupervisionPolicy",
     "collective_cache_key",
     "configure_default",
     "default_executor",

@@ -24,22 +24,25 @@ stored on the way out.
 
 from __future__ import annotations
 
+import enum
 import logging
 import os
 import pickle
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import EXIT_OK, EXIT_PARTIAL, ReproError
 from repro.parallel.cache import (
     RunCache,
     collective_cache_key,
     payload_to_result,
     result_to_payload,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,84 @@ class RunPoint:
     progress_path: Optional[str] = None
     #: Snapshot cadence in executed events (only with ``progress_path``).
     progress_every_events: int = 4096
+
+
+class PointStatus(enum.Enum):
+    """How one design point ended.  Only the supervisor
+    (:mod:`repro.parallel.supervisor`) produces anything but ``OK``."""
+
+    #: Completed on the first attempt (or served from cache/journal).
+    OK = "ok"
+    #: Completed after at least one failed attempt — result is
+    #: bit-identical to a clean run (determinism contract).
+    RETRIED = "retried"
+    #: Exhausted its retry budget on wall-clock deadline overruns.
+    TIMEOUT = "timeout"
+    #: Exhausted its retry budget on worker deaths (BrokenProcessPool).
+    CRASHED = "crashed"
+    #: Exhausted its retry budget on in-simulation errors.
+    FAILED = "failed"
+    #: Skipped without running: a resumed journal had already
+    #: quarantined this point.
+    QUARANTINED = "quarantined"
+
+
+#: Statuses that carry a usable result.
+_OK_STATUSES = frozenset({PointStatus.OK, PointStatus.RETRIED})
+#: Terminal-failure statuses (the point is in quarantine).
+_POISON_STATUSES = frozenset({PointStatus.TIMEOUT, PointStatus.CRASHED,
+                              PointStatus.FAILED, PointStatus.QUARANTINED})
+
+
+@dataclass
+class PointOutcome:
+    """Typed result of one design point (:meth:`ParallelExecutor.run_outcomes`)."""
+
+    index: int
+    key: str
+    label: str
+    status: PointStatus
+    #: The CollectiveResult (or map return value); ``None`` on poison.
+    result: Optional[Any] = None
+    #: Total attempts executed this run (0 for cache/journal replays).
+    attempts: int = 0
+    failure_class: Optional[str] = None
+    error: Optional[str] = None
+    bundle_path: Optional[str] = None
+    from_cache: bool = False
+    from_journal: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.status in _OK_STATUSES
+
+    @property
+    def quarantined(self) -> bool:
+        return self.status in _POISON_STATUSES
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "index": self.index,
+            "key": self.key,
+            "label": self.label,
+            "status": self.status.value,
+            "attempts": self.attempts,
+            "failure_class": self.failure_class,
+            "error": self.error,
+            "bundle_path": self.bundle_path,
+            "from_cache": self.from_cache,
+            "from_journal": self.from_journal,
+        }
+
+
+def results_with_gaps(outcomes: Sequence[PointOutcome]) -> list[Optional[Any]]:
+    """Input-ordered results; quarantined points are explicit ``None`` gaps."""
+    return [o.result for o in outcomes]
+
+
+def exit_code_for(outcomes: Sequence[PointOutcome]) -> int:
+    """The documented CLI exit code for a batch: 0 all-ok, 1 partial."""
+    return EXIT_OK if all(o.ok for o in outcomes) else EXIT_PARTIAL
 
 
 def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
@@ -128,7 +209,13 @@ def _exit_with_parent() -> None:
 
 
 def worker_pool(max_workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers exit when the owning process dies."""
+    """A process pool whose workers exit when the owning process dies.
+
+    ``concurrent.futures`` (and with it ``multiprocessing``) is imported
+    here, on the first parallel batch, not by every serial command.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=max_workers, initializer=_exit_with_parent)
 
 
@@ -223,8 +310,8 @@ class ParallelExecutor:
                     self.cache.put(key, result_to_payload(results[i], key))  # type: ignore[union-attr]
         return results
 
-    def run_outcomes(self, points: Sequence[RunPoint]) -> list[Any]:
-        """Typed outcomes for a batch (``repro.parallel.supervisor``).
+    def run_outcomes(self, points: Sequence[RunPoint]) -> list[PointOutcome]:
+        """Typed outcomes for a batch (:class:`PointOutcome`).
 
         The plain executor has no supervision: any failure raises
         exactly as :meth:`run_points` always has, so every outcome that
@@ -232,10 +319,9 @@ class ParallelExecutor:
         :class:`~repro.parallel.supervisor.SupervisedExecutor` overrides
         this with deadlines, retries, and quarantine.
         """
-        from repro.parallel.supervisor import outcomes_from_results
-
-        points = list(points)
-        return outcomes_from_results(points, self.run_points(points))
+        return [PointOutcome(index=i, key="", label=getattr(result, "label", ""),
+                             status=PointStatus.OK, result=result, attempts=1)
+                for i, result in enumerate(self.run_points(points))]
 
     def _local_reason(self, obj: Any) -> Optional[BaseException]:
         """Why ``obj`` must run in-process (None = picklable, pool ok).
@@ -307,6 +393,8 @@ class ParallelExecutor:
         if (self._local_reason(fn) is not None
                 or any(self._local_reason(it) is not None for it in items)):
             return [fn(item) for item in items]
+        from concurrent.futures import FIRST_COMPLETED, wait
+
         results: list[Any] = [None] * len(items)
         pool = self._get_pool()
         futures = {pool.submit(fn, item): i for i, item in enumerate(items)}

@@ -41,7 +41,6 @@ Exit-code contract (``docs/SUPERVISION.md``): 0 — every point ok;
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import json
 import os
@@ -56,18 +55,19 @@ from random import Random
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import (
-    EXIT_OK,
-    EXIT_PARTIAL,
     ConfigError,
-    ReproError,
+    PoisonPointError,
     SimulationError,
 )
 from repro.parallel.cache import payload_to_result, result_to_payload
 from repro.parallel.executor import (
     ParallelExecutor,
+    PointOutcome,
+    PointStatus,
     RunPoint,
     _execute_point,
     _pickle_failure,
+    results_with_gaps,
     worker_pool,
 )
 
@@ -76,36 +76,6 @@ FAILURE_CLASSES = ("timeout", "crash", "event-budget", "error")
 
 #: Journal format version; records with another version are ignored.
 JOURNAL_SCHEMA = 1
-
-
-class PointStatus(enum.Enum):
-    """How one supervised point ended."""
-
-    #: Completed on the first attempt (or served from cache/journal).
-    OK = "ok"
-    #: Completed after at least one failed attempt — result is
-    #: bit-identical to a clean run (determinism contract).
-    RETRIED = "retried"
-    #: Exhausted its retry budget on wall-clock deadline overruns.
-    TIMEOUT = "timeout"
-    #: Exhausted its retry budget on worker deaths (BrokenProcessPool).
-    CRASHED = "crashed"
-    #: Exhausted its retry budget on in-simulation errors.
-    FAILED = "failed"
-    #: Skipped without running: a resumed journal had already
-    #: quarantined this point.
-    QUARANTINED = "quarantined"
-
-
-#: Statuses that carry a usable result.
-_OK_STATUSES = frozenset({PointStatus.OK, PointStatus.RETRIED})
-#: Terminal-failure statuses (the point is in quarantine).
-_POISON_STATUSES = frozenset({PointStatus.TIMEOUT, PointStatus.CRASHED,
-                              PointStatus.FAILED, PointStatus.QUARANTINED})
-
-
-class PoisonPointError(ReproError):
-    """A point exhausted its retry budget under ``on_poison="fail"``."""
 
 
 @dataclass(frozen=True)
@@ -169,47 +139,6 @@ class SupervisionPolicy:
 
 
 @dataclass
-class PointOutcome:
-    """Typed result of one supervised design point."""
-
-    index: int
-    key: str
-    label: str
-    status: PointStatus
-    #: The CollectiveResult (or map return value); ``None`` on poison.
-    result: Optional[Any] = None
-    #: Total attempts executed this run (0 for cache/journal replays).
-    attempts: int = 0
-    failure_class: Optional[str] = None
-    error: Optional[str] = None
-    bundle_path: Optional[str] = None
-    from_cache: bool = False
-    from_journal: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.status in _OK_STATUSES
-
-    @property
-    def quarantined(self) -> bool:
-        return self.status in _POISON_STATUSES
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "key": self.key,
-            "label": self.label,
-            "status": self.status.value,
-            "attempts": self.attempts,
-            "failure_class": self.failure_class,
-            "error": self.error,
-            "bundle_path": self.bundle_path,
-            "from_cache": self.from_cache,
-            "from_journal": self.from_journal,
-        }
-
-
-@dataclass
 class QuarantineRecord:
     """One poison point, as reported and journaled."""
 
@@ -231,30 +160,6 @@ class QuarantineRecord:
             "traceback": self.traceback,
             "bundle_path": self.bundle_path,
         }
-
-
-def outcomes_from_results(points: Sequence[RunPoint],
-                          results: Sequence[Any]) -> list[PointOutcome]:
-    """Wrap already-computed strict results as all-OK outcomes.
-
-    The plain (unsupervised) executor path: errors have already
-    propagated, so every surviving result is OK by construction.
-    """
-    return [
-        PointOutcome(index=i, key="", label=getattr(result, "label", ""),
-                     status=PointStatus.OK, result=result, attempts=1)
-        for i, (_, result) in enumerate(zip(points, results))
-    ]
-
-
-def results_with_gaps(outcomes: Sequence[PointOutcome]) -> list[Optional[Any]]:
-    """Input-ordered results; quarantined points are explicit ``None`` gaps."""
-    return [o.result for o in outcomes]
-
-
-def exit_code_for(outcomes: Sequence[PointOutcome]) -> int:
-    """The documented CLI exit code for a batch: 0 all-ok, 1 partial."""
-    return EXIT_OK if all(o.ok for o in outcomes) else EXIT_PARTIAL
 
 
 # -- the append-only outcome journal -----------------------------------------------

@@ -323,7 +323,7 @@ def run_chaos(config: ChaosConfig,
     point — and the report is identical at any job count because every
     iteration seeds its own RNG from ``(seed, i)``.
 
-    Under a :class:`repro.parallel.SupervisedExecutor` an iteration
+    Under a :class:`repro.parallel.supervisor.SupervisedExecutor` an iteration
     whose *worker* dies or hangs (as opposed to the simulated platform
     failing) is classified :attr:`Outcome.HOST_FAILURE` — never
     acceptable — instead of silently aborting the campaign.

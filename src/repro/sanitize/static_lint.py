@@ -48,7 +48,7 @@ RUN_SPEC_KEYS = {"config", "topology", "expected_npus", "faults",
                  "fault_schedule", "supervision"}
 
 #: Keys of the ``supervision`` section of a run spec
-#: (:class:`repro.parallel.SupervisionPolicy` fields; docs/SUPERVISION.md).
+#: (:class:`repro.parallel.supervisor.SupervisionPolicy` fields; docs/SUPERVISION.md).
 SUPERVISION_KEYS = {"point_timeout_s", "point_event_budget", "max_retries",
                     "backoff_base_s", "backoff_factor", "backoff_max_s",
                     "seed", "on_poison", "poll_interval_s"}
@@ -567,7 +567,7 @@ def lint_supervision(data: Any, source: str = "") -> list[Finding]:
 
     Per-field range rules and the ``on_poison`` enum fire first with
     parameter-anchored findings; a clean section is then constructed via
-    :class:`repro.parallel.SupervisionPolicy` so every cross-field
+    :class:`repro.parallel.supervisor.SupervisionPolicy` so every cross-field
     ConfigError the runtime would raise surfaces here instead.
     """
     report = LintReport(source=source)

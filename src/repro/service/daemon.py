@@ -42,8 +42,12 @@ import threading
 import time  # det: allow-file[wall-clock] daemon drain polls and HTTP timeouts are host-side by design
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
+# The job path (runners, workload, the simulator under them), imported
+# here so the supervisor's worker processes inherit it when they fork
+# instead of importing it on their first job.
+import repro.harness.runners  # noqa: F401
 from repro.errors import EXIT_OK, EXIT_PARTIAL, ConfigError
 from repro.parallel.cache import RunCache, payload_to_result
 from repro.parallel.executor import RunPoint
@@ -579,12 +583,19 @@ class ServiceDaemon:
         self.httpd.server_close()
         return code
 
-    def serve_until_signal(self) -> int:
-        """CLI entry: serve until SIGTERM/SIGINT, then drain gracefully."""
+    def serve_until_signal(self, ready: Optional[Callable[[], None]] = None) -> int:
+        """CLI entry: serve until SIGTERM/SIGINT, then drain gracefully.
+
+        ``ready`` runs once the signal handlers are installed and the
+        service has started, so a client that acts on the readiness it
+        announces can always stop the daemon gracefully.
+        """
         signal.signal(signal.SIGTERM, self.request_stop)
         signal.signal(signal.SIGINT, self.request_stop)
         self.start()
         host, port = self.address
         _log.info("astra-repro serve listening on %s:%d", host, port)
+        if ready is not None:
+            ready()
         self.wait()
         return self.stop()

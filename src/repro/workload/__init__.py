@@ -1,4 +1,8 @@
-"""Workload layer: layers, models, parallelism, parser, training loop."""
+"""Workload layer: layers, models, parallelism, parser, training loop.
+
+Pipeline parallelism lives in :mod:`repro.workload.pipeline`, imported
+only by the runs that use it.
+"""
 
 from repro.workload.layer import NO_COMM, CommSpec, LayerSpec
 from repro.workload.memory import (
@@ -19,13 +23,6 @@ from repro.workload.parallelism import (
 )
 from repro.workload.generator import GeneratorSpec, synthetic_model
 from repro.workload.parser import dump, dumps, load, loads
-from repro.workload.pipeline import (
-    PipelineReport,
-    PipelineSchedule,
-    PipelineStage,
-    PipelineTrainingLoop,
-    partition_model,
-)
 from repro.workload.training_loop import LayerReport, TrainingLoop, TrainingReport
 
 __all__ = [
@@ -41,11 +38,6 @@ __all__ = [
     "NO_COMM",
     "ParallelismKind",
     "ParallelismStrategy",
-    "PipelineReport",
-    "PipelineSchedule",
-    "PipelineStage",
-    "PipelineTrainingLoop",
-    "partition_model",
     "TRANSFORMER_HYBRID",
     "TrainingLoop",
     "TrainingPhase",

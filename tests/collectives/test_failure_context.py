@@ -17,8 +17,8 @@ from repro.config.parameters import TorusShape, TransportConfig
 from repro.errors import CollectiveError
 from repro.events import EventQueue
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import FastBackend, FaultState
-from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
+from repro.network import FastBackend
+from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule, FaultState
 from repro.system import ReliableTransport
 
 from collective_helpers import IDEAL_NET, make_switches

@@ -15,7 +15,8 @@ from repro.config.parameters import TorusShape
 from repro.config.presets import paper_simulation_config
 from repro.errors import ConfigError, NetworkError
 from repro.events import EventQueue
-from repro.network import FastBackend, FaultAction, FaultSchedule, FaultState, Link
+from repro.network import FastBackend, Link
+from repro.network.fault_schedule import FaultAction, FaultSchedule, FaultState
 from repro.network.message import Message
 from repro.topology.logical import build_torus_topology
 

@@ -1,5 +1,7 @@
 """Tests for the fabric router."""
 
+import importlib
+import json
 import subprocess
 import sys
 
@@ -84,6 +86,33 @@ class TestAllToAllRouting:
         assert all(l.kind == "local" for l in path)
 
 
+#: Modules a CLI ``collective`` on the fast backend never runs, so it must
+#: not import them: the cold start is what a CLI user waits for.
+COLLECTIVE_NEVER_IMPORTS = (
+    "numpy",
+    "networkx",
+    "repro.network.detailed",
+    "repro.network.fault_schedule",
+    "repro.models",
+    *(f"repro.harness.fig{n:02d}" for n in range(9, 19)),
+    "repro.search",
+    "repro.workload.pipeline",
+    "repro.parallel.supervisor",
+    "repro.profiling",
+    "multiprocessing",
+    "concurrent.futures",
+)
+
+
+def _modules_loaded_by(code: str, candidates) -> list[str]:
+    """The ``candidates`` that a fresh interpreter running ``code`` imports."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {list(candidates)!r} if m in sys.modules]))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestLazyNetworkx:
     def test_cli_import_does_not_load_networkx(self):
         """Only FabricRouter needs networkx; a CLI collective must not pay
@@ -91,3 +120,35 @@ class TestLazyNetworkx:
         code = ("import sys, repro.cli, repro.harness.runners; "
                 "sys.exit('networkx' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+    def test_cli_collective_imports_only_what_it_runs(self):
+        code = ("from repro.cli import main\n"
+                "assert main(['collective', '--shape', '2x2x2', '--op', 'allreduce', "
+                "'--size-mb', '1']) == 0")
+        assert _modules_loaded_by(code, COLLECTIVE_NEVER_IMPORTS) == []
+
+    def test_bare_import_does_not_load_numpy(self):
+        assert _modules_loaded_by("import repro", ["numpy", "repro.network.detailed"]) == []
+
+    def test_every_exported_name_resolves(self):
+        """Each package's ``__all__`` (lazy or eager) names real objects."""
+        import pkgutil
+
+        import repro
+
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg]
+        for package in packages:
+            for name in getattr(package, "__all__", ()):
+                assert getattr(package, name) is not None, (package.__name__, name)
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["DetailedBackend"].__module__ == "repro.network.detailed.backend"
+
+    def test_unknown_top_level_name_is_an_attribute_error(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018

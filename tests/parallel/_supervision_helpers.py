@@ -100,7 +100,7 @@ def append_journal_lines(path: str, writer_id: int, count: int):
     Used by the shared-journal race tests: several processes run this
     simultaneously against one path, and every written line must come
     back whole (O_APPEND single-write atomicity)."""
-    from repro.parallel import OutcomeJournal
+    from repro.parallel.supervisor import OutcomeJournal
 
     journal = OutcomeJournal(path)
     for i in range(count):
@@ -115,7 +115,7 @@ def hold_journal_lock(path: str, acquired_path: str, release_path: str):
 
     Runs in a live subprocess so the lock's owner pid passes the
     ``os.kill(pid, 0)`` liveness probe in the parent's test."""
-    from repro.parallel import OutcomeJournal
+    from repro.parallel.supervisor import OutcomeJournal
 
     journal = OutcomeJournal(path, exclusive=True)
     # Write-then-rename: the parent polls for the file and must never

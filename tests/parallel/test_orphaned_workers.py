@@ -26,7 +26,8 @@ OWNER = """\
 import functools, sys
 sys.path.insert(0, {here!r})
 from _supervision_helpers import report_pid_and_sleep
-from repro.parallel import ParallelExecutor, SupervisedExecutor
+from repro.parallel import ParallelExecutor
+from repro.parallel.supervisor import SupervisedExecutor
 job = functools.partial(report_pid_and_sleep, {pid_dir!r})
 {call}
 """

@@ -14,19 +14,20 @@ import time
 import pytest
 
 from repro.collectives.types import CollectiveOp
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PoisonPointError
 from repro.parallel import (
-    OutcomeJournal,
     ParallelExecutor,
     PointStatus,
-    PoisonPointError,
     RunCache,
     RunPoint,
-    SupervisedExecutor,
-    SupervisionPolicy,
     configure_default,
     exit_code_for,
     set_default_executor,
+)
+from repro.parallel.supervisor import (
+    OutcomeJournal,
+    SupervisedExecutor,
+    SupervisionPolicy,
 )
 
 from _supervision_helpers import (

@@ -134,6 +134,13 @@ class TestSearchCommand:
         assert "objective: cost" in out
         assert "strategy: random" in out
 
+    def test_unknown_objective_or_strategy_is_a_config_error(self, tmp_path, capsys):
+        space = small_space(tmp_path)
+        assert main(["search", "--space", space, "--objective", "speed"]) == 2
+        assert "unknown objective 'speed'" in capsys.readouterr().err
+        assert main(["search", "--space", space, "--strategy", "greedy"]) == 2
+        assert "unknown strategy 'greedy'" in capsys.readouterr().err
+
     def test_top_limits_table(self, tmp_path, capsys):
         code = main(["search", "--space", small_space(tmp_path),
                      "--budget", "6", "--top", "2"])

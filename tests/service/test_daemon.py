@@ -15,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.errors import EXIT_OK, EXIT_PARTIAL, ConfigError
-from repro.parallel import SupervisionPolicy
+from repro.parallel.supervisor import SupervisionPolicy
 from repro.service import (
     JobState,
     PayloadError,

@@ -17,8 +17,8 @@ from repro.config import LinkConfig, NetworkConfig
 from repro.config.parameters import ConfigError, TorusShape, TransportConfig
 from repro.events import EventQueue
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import FastBackend, FaultState, Link
-from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
+from repro.network import FastBackend, Link
+from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule, FaultState
 from repro.network.message import Message
 from repro.system import ReliableTransport
 

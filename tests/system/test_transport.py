@@ -20,7 +20,8 @@ from repro.config.presets import paper_simulation_config
 from repro.errors import CollectiveError, ConfigError, TransportError
 from repro.events import EventQueue
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import FastBackend, FaultSchedule, FaultState, Link
+from repro.network import FastBackend, Link
+from repro.network.fault_schedule import FaultSchedule, FaultState
 from repro.network.detailed import DetailedBackend
 from repro.network.message import Message
 from repro.sanitize import RuntimeSanitizer

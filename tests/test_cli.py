@@ -1,5 +1,9 @@
 """Tests for the astra-repro command line interface."""
 
+import io
+import signal
+import sys
+
 import pytest
 
 from repro.cli import build_arg_parser, main
@@ -207,6 +211,30 @@ class TestServeCommand:
         assert args.point_timeout == 30.0
         assert args.max_point_retries == 1
         assert args.quarantine_dir == "q"
+
+    def test_sigterm_handler_installed_before_listening_line(self, tmp_path, monkeypatch):
+        """A client that sends SIGTERM as soon as it reads the listening
+        line must get a graceful drain, never the signal's default action."""
+        from repro.service.daemon import ServiceDaemon
+
+        handlers_at_announce = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                if "listening on" in text:
+                    handlers_at_announce.append(signal.getsignal(signal.SIGTERM))
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        monkeypatch.setattr(ServiceDaemon, "wait", lambda self, timeout=None: True)
+        previous = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            assert main(["serve", "--port", "0", "--state-dir", str(tmp_path / "s")]) == 0
+        finally:
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+        [handler] = handlers_at_announce
+        assert getattr(handler, "__func__", None) is ServiceDaemon.request_stop
 
     def test_serve_rejects_bad_queue_limit(self, tmp_path, capsys):
         code = main(["serve", "--port", "0", "--queue-limit", "0",

@@ -22,7 +22,7 @@ from repro.network.physical import TorusFabric
 from repro.network.routing import FabricRouter
 from repro.system import System
 from repro.topology import build_torus_topology
-from repro.workload import PipelineStage, PipelineTrainingLoop
+from repro.workload.pipeline import PipelineStage, PipelineTrainingLoop
 
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

@@ -13,7 +13,7 @@ from repro.errors import WorkloadError
 from repro.models import mlp
 from repro.system import System
 from repro.topology import build_torus_topology
-from repro.workload import (
+from repro.workload.pipeline import (
     PipelineStage,
     PipelineTrainingLoop,
     partition_model,
@@ -178,7 +178,6 @@ class TestPartitionModel:
 
 class TestOneFOneB:
     def _run(self, schedule, microbatches=8, num_stages=4):
-        from repro.workload import PipelineSchedule  # noqa: F401
         from repro.workload.pipeline import PipelineSchedule as PS
 
         return PipelineTrainingLoop(
