@@ -13,8 +13,10 @@ from repro.config import (
     TorusShape,
     paper_network_config,
 )
+from repro.config.presets import DEFAULT_SCALEOUT_LINK
 from repro.config.units import MB
-from repro.network.physical import build_4d_torus, build_scaleout_torus
+from repro.dims import Dimension
+from repro.network.physical import Fabric, Ring
 from repro.system import System
 from repro.topology import LogicalTopology, build_torus_topology
 
@@ -34,6 +36,17 @@ def time_all_reduce(topology, network):
     return collective.duration_cycles
 
 
+def ring_stack(network, outer):
+    """2-NAM local rings and 2x2 package rings, then ``outer``."""
+    return LogicalTopology(Fabric([
+        Ring(Dimension.LOCAL, 2, network.local_link, rings=2,
+             bidirectional=False, kind="local"),
+        Ring(Dimension.VERTICAL, 2, network.package_link),
+        Ring(Dimension.HORIZONTAL, 2, network.package_link),
+        outer,
+    ], network))
+
+
 def run_comparison():
     network = paper_network_config()
     return [
@@ -42,10 +55,12 @@ def run_comparison():
              build_torus_topology(TorusShape(2, 4, 4), network), network)},
         {"system": "4D torus 2x2x2x4",
          "cycles": time_all_reduce(
-             LogicalTopology(build_4d_torus((2, 2, 2, 4), network)), network)},
+             ring_stack(network, Ring(Dimension.FOURTH, 4, network.package_link)),
+             network)},
         {"system": "scale-out 4x(2x2x2)",
          "cycles": time_all_reduce(
-             LogicalTopology(build_scaleout_torus((2, 2, 2), 4, network)),
+             ring_stack(network, Ring(Dimension.SCALEOUT, 4, DEFAULT_SCALEOUT_LINK,
+                                      kind="scaleout")),
              network)},
     ]
 

@@ -24,11 +24,25 @@ from repro import (
     TorusShape,
     paper_network_config,
 )
+from repro.config.presets import DEFAULT_SCALEOUT_LINK
 from repro.config.units import MB, format_bytes
-from repro.network.physical import build_4d_torus, build_scaleout_torus
+from repro.dims import Dimension
+from repro.network.physical import Fabric, Ring
 from repro.topology import LogicalTopology, build_torus_topology
 
 SIZE = 8 * MB
+
+
+def ring_stack(network, outer: Ring) -> LogicalTopology:
+    """Two unidirectional local rings per 2-NAM package, bidirectional
+    2x2 package rings, then ``outer`` as the slowest dimension."""
+    return LogicalTopology(Fabric([
+        Ring(Dimension.LOCAL, 2, network.local_link, rings=2,
+             bidirectional=False, kind="local"),
+        Ring(Dimension.VERTICAL, 2, network.package_link),
+        Ring(Dimension.HORIZONTAL, 2, network.package_link),
+        outer,
+    ], network))
 
 
 def time_all_reduce(topology: LogicalTopology, network) -> float:
@@ -51,11 +65,12 @@ def main() -> None:
     print(f"  3D torus 2x4x4:              "
           f"{time_all_reduce(torus3d, network):>12,.0f} cycles")
 
-    torus4d = LogicalTopology(build_4d_torus((2, 2, 2, 4), network))
+    torus4d = ring_stack(network, Ring(Dimension.FOURTH, 4, network.package_link))
     print(f"  4D torus 2x2x2x4:            "
           f"{time_all_reduce(torus4d, network):>12,.0f} cycles")
 
-    scaleout = LogicalTopology(build_scaleout_torus((2, 2, 2), 4, network))
+    scaleout = ring_stack(network, Ring(Dimension.SCALEOUT, 4, DEFAULT_SCALEOUT_LINK,
+                                        kind="scaleout"))
     print(f"  4 pods of 2x2x2 over 100GbE: "
           f"{time_all_reduce(scaleout, network):>12,.0f} cycles")
 

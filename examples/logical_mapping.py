@@ -14,13 +14,12 @@ Run with::
     python examples/logical_mapping.py
 """
 
-from repro import CollectiveOp, EventQueue, FastBackend, Message, TorusShape
+from repro import EventQueue, FastBackend, SystemConfig, TorusShape
 from repro import paper_network_config
 from repro.collectives import CollectiveContext, RingAllReduce
 from repro.config.units import MB
 from repro.dims import Dimension
-from repro.network.physical import TorusFabric
-from repro.topology import map_ring_over_ring
+from repro.topology import build_torus_topology, map_ring_over_ring
 
 
 def time_all_reduce(ring, network, size_bytes: float) -> float:
@@ -36,7 +35,8 @@ def time_all_reduce(ring, network, size_bytes: float) -> float:
 
 def main() -> None:
     network = paper_network_config()
-    fabric = TorusFabric(TorusShape(1, 8, 1), network, horizontal_rings=1)
+    fabric = build_torus_topology(TorusShape(1, 8, 1), network,
+                                  SystemConfig(horizontal_rings=1)).fabric
     physical = fabric.channels[Dimension.HORIZONTAL][(0, 0)][0]
     size = 4 * MB
 

@@ -175,12 +175,12 @@ class LinkCounts:
 
 
 def torus_link_counts(local: int, horizontal: int, vertical: int,
-                      local_rings: int = 2, horizontal_rings: int = 1,
-                      vertical_rings: int = 1) -> LinkCounts:
+                      local_rings: int = 2, horizontal_rings: int = 2,
+                      vertical_rings: int = 2) -> LinkCounts:
     """Link inventory of an ``MxNxK`` hierarchical torus.
 
     Matches the fabric the simulator builds
-    (:class:`repro.network.physical.torus.TorusFabric`): local rings are
+    (:func:`repro.topology.logical.build_torus_topology`): local rings are
     unidirectional — ``num_npus x local_rings`` links — while the
     horizontal and vertical dimensions use *bidirectional* rings, each
     yielding a CW and a CCW channel: ``num_npus x rings x 2`` links per
@@ -212,7 +212,9 @@ def alltoall_link_counts(local: int, packages: int, local_rings: int = 2,
 
     Local rings as in the torus; the package fabric gives every NPU one
     uplink per global switch (the Sec. V-A setup drives 7 switches from
-    8 packages so each peer pair has a dedicated path).
+    8 packages so each peer pair has a dedicated path).  The built fabric
+    pairs each uplink with a downlink; ``package`` counts the pair once,
+    as one switch port.
     """
     if local < 1:
         raise ConfigError(f"alltoall local dimension must be >= 1, got {local}")

@@ -3,8 +3,8 @@
 
 Every node exchanges with all peers "at the same time": a node issues one
 message per peer in a single logical step, each routed through a global
-switch.  Switch selection uses the Latin-square distance spread of
-:meth:`AllToAllFabric.switch_for` (offset by the chunk's LSQ index) so
+switch.  Switch selection is a Latin-square spread over the group: the
+pair at distance d uses switch (d - 1 + the chunk's LSQ index) mod K, so
 that with K switches >= peers every peer pair gets a dedicated
 uplink/downlink, reproducing the Fig. 9 "one link per peer NAM" setup,
 while small K models switch sharing and its queuing delays.

@@ -44,6 +44,17 @@ PAPER_PACKAGE_LINK = LinkConfig(
 )
 
 
+#: A representative scale-out link (Sec. VII's planned Ethernet-class
+#: extension): 12.5 GB/s (100 GbE), 2 us latency at 1 GHz, jumbo-frame
+#: packets, typical protocol efficiency.
+DEFAULT_SCALEOUT_LINK = LinkConfig(
+    bandwidth_gbps=12.5,
+    latency_cycles=2000.0,
+    packet_size_bytes=4096,
+    efficiency=0.90,
+)
+
+
 def paper_network_config(local_bandwidth_scale: float = 1.0) -> NetworkConfig:
     """The Table IV network parameters.
 

@@ -1,24 +1,5 @@
-"""Physical fabric builders: hierarchical torus and alltoall (Fig. 3)."""
+"""Physical fabrics built from Ring and Switch dimension blocks (Fig. 3)."""
 
-from repro.network.physical.alltoall import AllToAllFabric
-from repro.network.physical.fabric import Fabric, GroupKey
-from repro.network.physical.ndtorus import (
-    DEFAULT_SCALEOUT_LINK,
-    DimensionSpec,
-    NDTorusFabric,
-    build_4d_torus,
-    build_scaleout_torus,
-)
-from repro.network.physical.torus import TorusFabric
+from repro.network.physical.fabric import Fabric, GroupKey, Ring, Switch
 
-__all__ = [
-    "AllToAllFabric",
-    "DEFAULT_SCALEOUT_LINK",
-    "DimensionSpec",
-    "Fabric",
-    "GroupKey",
-    "NDTorusFabric",
-    "TorusFabric",
-    "build_4d_torus",
-    "build_scaleout_torus",
-]
+__all__ = ["Fabric", "GroupKey", "Ring", "Switch"]

@@ -10,12 +10,12 @@ feature exists to study.
 
 from __future__ import annotations
 
-from repro.config.parameters import TorusShape
+from repro.config.parameters import SystemConfig, TorusShape
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.network.physical.fabric import Fabric
+from repro.network.physical.fabric import Fabric, GroupKey
 from repro.network.routing import FabricRouter
-from repro.topology.logical import LogicalTopology
+from repro.topology.logical import LogicalTopology, torus_blocks
 from repro.topology.mapping import MappedRingChannel
 
 
@@ -28,28 +28,12 @@ class _MappedFabricView(Fabric):
 
     def __init__(self, host: Fabric, shape: TorusShape):
         # Deliberately skip Fabric.__init__'s link allocation: this view
-        # owns no links of its own.
-        self.num_npus = host.num_npus
+        # owns no links of its own, only the logical shape's coordinates.
+        self._set_blocks(torus_blocks(shape, host.network, SystemConfig()))
         self.network = host.network
         self.clock = host.clock
         self.links = host.links
         self.channels = {}
-        self._next_switch_id = host._next_switch_id
-        self.shape = shape
-        self._host = host
-
-    def group_of(self, dim: Dimension, npu: int) -> tuple[int, ...]:
-        s = self.shape
-        local = npu % s.local
-        horizontal = (npu // s.local) % s.horizontal
-        vertical = npu // (s.local * s.horizontal)
-        if dim is Dimension.LOCAL:
-            return (horizontal, vertical)
-        if dim is Dimension.HORIZONTAL:
-            return (local, vertical)
-        if dim is Dimension.VERTICAL:
-            return (horizontal, local)
-        raise TopologyError(f"mapped torus has no {dim} dimension")
 
 
 def map_torus_onto_fabric(
@@ -76,10 +60,7 @@ def map_torus_onto_fabric(
     router = FabricRouter(physical)
     view = _MappedFabricView(physical, shape)
 
-    def npu_id(l: int, h: int, v: int) -> int:
-        return l + shape.local * h + shape.local * shape.horizontal * v
-
-    def add_rings(dim: Dimension, group: tuple[int, ...], nodes: list[int]) -> None:
+    def add_rings(dim: Dimension, group: GroupKey, nodes: list[int]) -> None:
         hop_paths = [
             router.path(nodes[i], nodes[(i + 1) % len(nodes)])
             for i in range(len(nodes))
@@ -94,21 +75,10 @@ def map_torus_onto_fabric(
                 order, paths, name=f"mapped-{dim}{group}#{r}"))
         view._add_channels(dim, group, channels)
 
-    if shape.local >= 2:
-        for v in range(shape.vertical):
-            for h in range(shape.horizontal):
-                add_rings(Dimension.LOCAL, (h, v),
-                          [npu_id(l, h, v) for l in range(shape.local)])
-    if shape.horizontal >= 2:
-        for v in range(shape.vertical):
-            for l in range(shape.local):
-                add_rings(Dimension.HORIZONTAL, (l, v),
-                          [npu_id(l, h, v) for h in range(shape.horizontal)])
-    if shape.vertical >= 2:
-        for h in range(shape.horizontal):
-            for l in range(shape.local):
-                add_rings(Dimension.VERTICAL, (h, l),
-                          [npu_id(l, h, v) for v in range(shape.vertical)])
+    for axis, block in enumerate(view.blocks):
+        if block.size >= 2:
+            for group, nodes in view.block_groups(axis):
+                add_rings(block.dim, group, nodes)
     if not view.channels:
         raise TopologyError(f"degenerate logical shape {shape}")
     return LogicalTopology(view)

@@ -21,9 +21,7 @@ from repro.config.parameters import (
 )
 from repro.config.units import Clock, DEFAULT_CLOCK
 from repro.errors import TopologyError
-from repro.network.physical.alltoall import AllToAllFabric
-from repro.network.physical.fabric import Fabric
-from repro.network.physical.torus import TorusFabric
+from repro.network.physical.fabric import Fabric, Ring, Switch
 from repro.dims import Dimension
 
 
@@ -66,6 +64,27 @@ class LogicalTopology:
         return min(counts)
 
 
+def _local_rings(size: int, network: NetworkConfig, system: SystemConfig) -> Ring:
+    """The intra-package dimension: unidirectional rings that alternate
+    direction for link-load balance."""
+    return Ring(Dimension.LOCAL, size, network.local_link,
+                rings=system.local_rings, bidirectional=False, kind="local")
+
+
+def torus_blocks(
+    shape: TorusShape, network: NetworkConfig, system: SystemConfig
+) -> list[Ring]:
+    """The Fig. 3a torus as blocks: NPU ``l + M*h + M*N*v`` at (l, h, v),
+    bidirectional inter-package rings (Table III #9-#11 ring counts)."""
+    return [
+        _local_rings(shape.local, network, system),
+        Ring(Dimension.HORIZONTAL, shape.horizontal, network.package_link,
+             rings=system.horizontal_rings),
+        Ring(Dimension.VERTICAL, shape.vertical, network.package_link,
+             rings=system.vertical_rings),
+    ]
+
+
 def build_torus_topology(
     shape: TorusShape,
     network: NetworkConfig,
@@ -75,15 +94,7 @@ def build_torus_topology(
     """Build a hierarchical torus with ring counts from ``system``
     (Table III #9-#11); defaults to the Table IV ring counts."""
     system = system if system is not None else SystemConfig()
-    fabric = TorusFabric(
-        shape,
-        network,
-        local_rings=system.local_rings,
-        horizontal_rings=system.horizontal_rings,
-        vertical_rings=system.vertical_rings,
-        clock=clock,
-    )
-    return LogicalTopology(fabric)
+    return LogicalTopology(Fabric(torus_blocks(shape, network, system), network, clock))
 
 
 def build_alltoall_topology(
@@ -92,14 +103,12 @@ def build_alltoall_topology(
     system: Optional[SystemConfig] = None,
     clock: Clock = DEFAULT_CLOCK,
 ) -> LogicalTopology:
-    """Build a hierarchical alltoall with the configured switch count
-    (Table III #12)."""
+    """Build a Fig. 3b hierarchical alltoall: local rings plus the
+    configured global switches (Table III #12), which attach every NPU."""
     system = system if system is not None else SystemConfig()
-    fabric = AllToAllFabric(
-        shape,
-        network,
-        local_rings=system.local_rings,
-        global_switches=system.global_switches,
-        clock=clock,
-    )
-    return LogicalTopology(fabric)
+    blocks = [
+        _local_rings(shape.local, network, system),
+        Switch(Dimension.ALLTOALL, shape.packages, network.package_link,
+               switches=system.global_switches),
+    ]
+    return LogicalTopology(Fabric(blocks, network, clock))

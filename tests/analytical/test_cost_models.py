@@ -149,18 +149,56 @@ class TestLinkCounts:
                                    horizontal_rings=4, vertical_rings=2)
         assert counts == LinkCounts(local=0, package=64, switches=0)
 
-    def test_torus_matches_built_fabric(self):
-        from repro.config.parameters import SystemConfig, TorusShape
+    @pytest.mark.parametrize("kind, shape, rings", [
+        ("torus", (2, 4, 1), (2, 1, 1)),
+        ("torus", (2, 4, 4), (2, 2, 2)),
+        ("torus", (1, 8, 1), (3, 2, 1)),
+        ("torus", (4, 1, 3), (1, 3, 2)),
+        ("alltoall", (1, 8), (2, 7)),
+        ("alltoall", (2, 4), (2, 2)),
+        ("alltoall", (4, 16), (3, 1)),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_counts_match_built_fabric(self, kind, shape, rings):
+        """The closed forms the search's ``$`` objective reads agree with
+        the fabric the simulator builds, link kind by link kind."""
+        from repro.config.parameters import AllToAllShape, SystemConfig, TorusShape
         from repro.config.presets import paper_network_config
-        from repro.topology.logical import build_torus_topology
+        from repro.dims import Dimension
+        from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
-        system = SystemConfig(local_rings=2, horizontal_rings=1,
-                              vertical_rings=1)
-        topology = build_torus_topology(TorusShape(2, 4, 1),
-                                        paper_network_config(), system)
-        counts = torus_link_counts(2, 4, 1, local_rings=2,
-                                   horizontal_rings=1, vertical_rings=1)
-        assert counts.total_links == topology.fabric.total_links()
+        if kind == "torus":
+            system = SystemConfig(local_rings=rings[0], horizontal_rings=rings[1],
+                                  vertical_rings=rings[2])
+            fabric = build_torus_topology(TorusShape(*shape),
+                                          paper_network_config(), system).fabric
+            counts = torus_link_counts(*shape, *rings)
+            switches = 0
+        else:
+            system = SystemConfig(local_rings=rings[0], global_switches=rings[1])
+            fabric = build_alltoall_topology(AllToAllShape(*shape),
+                                             paper_network_config(), system).fabric
+            counts = alltoall_link_counts(*shape, *rings)
+            switches = len(fabric.channels_for(Dimension.ALLTOALL, (0,)))
+        by_kind = {"local": 0, "package": 0}
+        for link in fabric.links:
+            by_kind[link.kind] += 1
+        assert counts.local == by_kind["local"]
+        assert counts.switches == switches
+        if kind == "torus":
+            assert counts.package == by_kind["package"]
+            assert counts.total_links == fabric.total_links()
+        else:
+            # One closed-form package link per switch port: the built
+            # fabric's uplink and downlink pair.
+            assert 2 * counts.package == by_kind["package"]
+
+    def test_torus_defaults_match_system_config(self):
+        from repro.config.parameters import SystemConfig
+
+        system = SystemConfig()
+        assert torus_link_counts(2, 4, 4) == torus_link_counts(
+            2, 4, 4, system.local_rings, system.horizontal_rings,
+            system.vertical_rings)
 
     def test_alltoall_closed_form(self):
         # 1x8 with 7 switches: no local rings, one uplink per NPU per

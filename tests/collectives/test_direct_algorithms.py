@@ -121,12 +121,17 @@ class TestSwitchSpreading:
         assert s0.switch_id != s1.switch_id
 
     def test_distance_spread_contention_free(self, platform):
-        """switches == peers: each sender's peers use distinct switches."""
+        """switches == peers: each sender's peers use distinct switches
+        (uplinks), and so do each receiver's (downlinks)."""
         switches = make_switches(3, NODES)
         algo = DirectReduceScatter(platform.ctx, NODES, switches, 4000.0)
         for src in NODES:
             used = {algo._switch_for(src, dst).switch_id
                     for dst in NODES if dst != src}
+            assert len(used) == 3
+        for dst in NODES:
+            used = {algo._switch_for(src, dst).switch_id
+                    for src in NODES if src != dst}
             assert len(used) == 3
 
     def test_duplicate_nodes_rejected(self, platform):

@@ -11,6 +11,7 @@ from repro.collectives import (
 from repro.config import (
     AllToAllShape,
     CollectiveAlgorithm,
+    SystemConfig,
     TorusShape,
     paper_network_config,
 )
@@ -18,8 +19,8 @@ from repro.dims import Dimension
 from repro.errors import CollectiveError
 from repro.events import EventQueue
 from repro.network import FastBackend
-from repro.network.physical import AllToAllFabric, TorusFabric
 from repro.system import DelayBreakdown
+from repro.topology import build_alltoall_topology, build_torus_topology
 
 NET = paper_network_config()
 
@@ -45,7 +46,7 @@ def run_chunk(fabric, plan, size, chunk_index=0, breakdown=None):
 
 class TestTorusExecution:
     def test_baseline_all_reduce_completes(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims)
         chunk = run_chunk(fabric, plan, 64 * 1024)
@@ -54,7 +55,7 @@ class TestTorusExecution:
 
     def test_enhanced_beats_baseline_on_asymmetric_fabric(self):
         def time_for(algorithm):
-            fabric = TorusFabric(TorusShape(4, 4, 4), NET)
+            fabric = build_torus_topology(TorusShape(4, 4, 4), NET).fabric
             dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
             plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims, algorithm)
             return run_chunk(fabric, plan, 1024 * 1024).finished_at
@@ -65,14 +66,14 @@ class TestTorusExecution:
         assert enhanced < baseline / 2
 
     def test_empty_plan_completes_immediately(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         chunk = run_chunk(fabric, [], 1024)
         assert chunk.finished_at == 0.0
 
     def test_chunk_index_selects_different_rings(self):
         """Chunks land on their LSQ's dedicated ring: two chunks with
         different indices must use different local rings."""
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET, local_rings=2)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET, SystemConfig(local_rings=2)).fabric
         dims = [(Dimension.LOCAL, 2)]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims)
 
@@ -88,7 +89,7 @@ class TestTorusExecution:
 
         # Same index twice -> shared ring -> the pair takes longer.
         events2 = EventQueue()
-        fabric2 = TorusFabric(TorusShape(2, 2, 2), NET, local_rings=2)
+        fabric2 = build_torus_topology(TorusShape(2, 2, 2), NET, SystemConfig(local_rings=2)).fabric
         ctx2 = CollectiveContext(FastBackend(events2, NET))
         d0 = ChunkExecution(ctx2, fabric2, plan, 64 * 1024, chunk_index=0)
         d1 = ChunkExecution(ctx2, fabric2, plan, 64 * 1024, chunk_index=2)
@@ -98,7 +99,7 @@ class TestTorusExecution:
         assert max(d0.finished_at, d1.finished_at) > c0.finished_at
 
     def test_scoped_plan_only_uses_scoped_dimension(self):
-        fabric = TorusFabric(TorusShape(2, 4, 4), NET)
+        fabric = build_torus_topology(TorusShape(2, 4, 4), NET).fabric
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE,
                                 [(Dimension.VERTICAL, 4)])
         chunk = run_chunk(fabric, plan, 64 * 1024)
@@ -107,7 +108,7 @@ class TestTorusExecution:
                 assert link.stats.messages == 0
 
     def test_double_start_rejected(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         events = EventQueue()
         ctx = CollectiveContext(FastBackend(events, NET))
         chunk = ChunkExecution(ctx, fabric, [], 1024)
@@ -116,7 +117,7 @@ class TestTorusExecution:
             chunk.start()
 
     def test_rejects_nonpositive_chunk(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         events = EventQueue()
         ctx = CollectiveContext(FastBackend(events, NET))
         with pytest.raises(CollectiveError):
@@ -125,7 +126,7 @@ class TestTorusExecution:
 
 class TestPhaseTracking:
     def test_stats_cover_all_phases(self):
-        fabric = TorusFabric(TorusShape(4, 4, 4), NET)
+        fabric = build_torus_topology(TorusShape(4, 4, 4), NET).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims,
                                 CollectiveAlgorithm.ENHANCED)
@@ -135,7 +136,7 @@ class TestPhaseTracking:
         assert all(s.messages > 0 for s in breakdown.phase_stats.values())
 
     def test_on_phase_done_fires_in_order(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims)
         drained = []
@@ -148,7 +149,7 @@ class TestPhaseTracking:
         assert drained == [0, 1, 2]
 
     def test_min_phase_progression(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims)
         events = EventQueue()
@@ -162,7 +163,7 @@ class TestPhaseTracking:
 
 class TestAllToAllFabricExecution:
     def test_hierarchical_all_reduce(self):
-        fabric = AllToAllFabric(AllToAllShape(2, 4), NET)
+        fabric = build_alltoall_topology(AllToAllShape(2, 4), NET).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims,
                                 CollectiveAlgorithm.ENHANCED)
@@ -172,14 +173,15 @@ class TestAllToAllFabricExecution:
         assert chunk.done
 
     def test_hierarchical_all_to_all(self):
-        fabric = AllToAllFabric(AllToAllShape(2, 4), NET)
+        fabric = build_alltoall_topology(AllToAllShape(2, 4), NET).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_TO_ALL, dims)
         chunk = run_chunk(fabric, plan, 64 * 1024)
         assert chunk.done
 
     def test_single_nam_alltoall(self):
-        fabric = AllToAllFabric(AllToAllShape(1, 8), NET, global_switches=7)
+        fabric = build_alltoall_topology(
+            AllToAllShape(1, 8), NET, SystemConfig(global_switches=7)).fabric
         dims = [(d, fabric.dim_size(d)) for d in fabric.dimensions]
         plan = build_phase_plan(CollectiveOp.ALL_REDUCE, dims)
         chunk = run_chunk(fabric, plan, 64 * 1024)

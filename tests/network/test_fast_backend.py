@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.config import LinkConfig, NetworkConfig, TorusShape, paper_network_config
+from repro.config import (
+    LinkConfig,
+    NetworkConfig,
+    SystemConfig,
+    TorusShape,
+    paper_network_config,
+)
 from repro.config.parameters import AllToAllShape
 from repro.dims import Dimension
 from repro.errors import NetworkError
 from repro.events import EventQueue
 from repro.network import FastBackend, Link, Message, validate_path
-from repro.network.physical import AllToAllFabric, TorusFabric
+from repro.topology import build_alltoall_topology, build_torus_topology
 
 #: An idealized link class for exact hand calculations.
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
@@ -78,10 +84,12 @@ class TestMultiHop:
 
     def test_switch_path_through_fabric(self):
         net = paper_network_config()
-        fabric = AllToAllFabric(AllToAllShape(1, 4), net, global_switches=3)
+        fabric = build_alltoall_topology(
+            AllToAllShape(1, 4), net, SystemConfig(global_switches=3)).fabric
         q = EventQueue()
         backend = FastBackend(q, net)
-        switch = fabric.switch_for(0, 2)
+        # The pair at distance 2 uses switch (2 - 1) mod 3.
+        switch = fabric.channels_for(Dimension.ALLTOALL, (0,))[1]
         msg = deliver(backend, 0, 2, 1024.0, switch.path(0, 2))
         assert msg.delivered_at > 2 * net.package_link.latency_cycles
 
@@ -134,7 +142,7 @@ class TestScheduling:
     def test_paper_parameters_end_to_end(self):
         """200 GB/s local link at 94% efficiency with 512 B quanta."""
         net = paper_network_config()
-        fabric = TorusFabric(TorusShape(2, 2, 1), net)
+        fabric = build_torus_topology(TorusShape(2, 2, 1), net).fabric
         ring = fabric.channels_for(Dimension.LOCAL, (0, 0))[0]
         q = EventQueue()
         backend = FastBackend(q, net)

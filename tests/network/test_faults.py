@@ -20,9 +20,8 @@ from repro.network.faults import (
     degrade_random_links,
     slowest_link_bandwidth,
 )
-from repro.network.physical import TorusFabric
 from repro.system import System
-from repro.topology import LogicalTopology
+from repro.topology import LogicalTopology, build_torus_topology
 
 NET = paper_network_config()
 
@@ -37,21 +36,21 @@ def all_reduce_time(fabric, size=2 * MB):
 
 class TestDegradeLink:
     def test_bandwidth_scaled(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         link = fabric.links[0]
         before = link.config.bandwidth_gbps
         degrade_link(link, bandwidth_factor=0.25)
         assert link.config.bandwidth_gbps == pytest.approx(before / 4)
 
     def test_extra_latency_added(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         link = fabric.links[0]
         before = link.config.latency_cycles
         degrade_link(link, extra_latency_cycles=500.0)
         assert link.config.latency_cycles == before + 500.0
 
     def test_validation(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         with pytest.raises(NetworkError):
             degrade_link(fabric.links[0], bandwidth_factor=0.0)
         with pytest.raises(NetworkError):
@@ -61,8 +60,10 @@ class TestDegradeLink:
 class TestCollectivesUnderFaults:
     def test_one_bad_link_slows_the_whole_ring(self):
         """A ring all-reduce runs at the speed of its slowest link."""
-        healthy = TorusFabric(TorusShape(1, 4, 1), NET, horizontal_rings=1)
-        faulty = TorusFabric(TorusShape(1, 4, 1), NET, horizontal_rings=1)
+        healthy = build_torus_topology(
+            TorusShape(1, 4, 1), NET, SystemConfig(horizontal_rings=1)).fabric
+        faulty = build_torus_topology(
+            TorusShape(1, 4, 1), NET, SystemConfig(horizontal_rings=1)).fabric
         ring = faulty.channels_for(Dimension.HORIZONTAL, (0, 0))[0]
         degrade_link(ring.links[0], bandwidth_factor=0.25)
 
@@ -79,13 +80,13 @@ class TestCollectivesUnderFaults:
         assert ring_time(faulty) > 1.5 * ring_time(healthy)
 
     def test_degraded_fabric_still_completes(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         degrade_random_links(fabric, count=4, bandwidth_factor=0.5, seed=3)
         assert all_reduce_time(fabric) > 0
 
     def test_degradation_monotone(self):
         def time_with_factor(factor):
-            fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+            fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
             degrade_random_links(fabric, count=4, bandwidth_factor=factor,
                                  seed=1, kind="package")
             return all_reduce_time(fabric)
@@ -95,30 +96,30 @@ class TestCollectivesUnderFaults:
 
 class TestDegradeRandomLinks:
     def test_deterministic_for_seed(self):
-        f1 = TorusFabric(TorusShape(2, 2, 2), NET)
-        f2 = TorusFabric(TorusShape(2, 2, 2), NET)
+        f1 = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
+        f2 = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         v1 = degrade_random_links(f1, 3, 0.5, seed=9)
         v2 = degrade_random_links(f2, 3, 0.5, seed=9)
         assert [l.link_id - f1.links[0].link_id for l in v1] == \
             [l.link_id - f2.links[0].link_id for l in v2]
 
     def test_kind_filter(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         victims = degrade_random_links(fabric, 2, 0.5, kind="local")
         assert all(l.kind == "local" for l in victims)
 
     def test_count_bounds(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         with pytest.raises(NetworkError):
             degrade_random_links(fabric, 10**6, 0.5)
 
     def test_slowest_link_reporting(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         degrade_random_links(fabric, 1, 0.1, kind="package")
         assert slowest_link_bandwidth(fabric) == pytest.approx(2.5)
 
     def test_extra_latency_forwarded_to_victims(self):
-        fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
         baseline = {l.link_id: l.config.latency_cycles for l in fabric.links}
         victims = degrade_random_links(fabric, 3, seed=5,
                                        extra_latency_cycles=750.0)

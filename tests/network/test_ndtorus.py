@@ -1,5 +1,5 @@
-"""Tests for the generalized N-D torus and scale-out fabrics (the paper's
-stated future-work extensions)."""
+"""Tests for the 4D/5D torus and scale-out fabrics (the paper's stated
+future-work extensions), stacked from Ring blocks."""
 
 import pytest
 
@@ -10,85 +10,95 @@ from repro.config import (
     SystemConfig,
     paper_network_config,
 )
+from repro.config.presets import DEFAULT_SCALEOUT_LINK
 from repro.config.units import MB
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.network.physical import (
-    DEFAULT_SCALEOUT_LINK,
-    DimensionSpec,
-    NDTorusFabric,
-    build_4d_torus,
-    build_scaleout_torus,
-)
+from repro.network.physical import Fabric, Ring
 from repro.system import System
 from repro.topology import LogicalTopology
 
 NET = paper_network_config()
+INTER_DIMS = (Dimension.VERTICAL, Dimension.HORIZONTAL, Dimension.FOURTH)
+
+
+def local_rings(size):
+    return Ring(Dimension.LOCAL, size, NET.local_link, rings=2,
+                bidirectional=False, kind="local")
+
+
+def torus_4d(sizes, inter_rings=1):
+    """Local rings plus three bidirectional package-ring dimensions."""
+    local, *inter = sizes
+    return Fabric([local_rings(local)] + [
+        Ring(dim, size, NET.package_link, rings=inter_rings)
+        for dim, size in zip(INTER_DIMS, inter)
+    ], NET)
+
+
+def scaleout_torus(scaleup_sizes, scaleout_size):
+    """A scale-up torus replicated over an outermost scale-out ring."""
+    local, vertical, horizontal = scaleup_sizes
+    return Fabric([
+        local_rings(local),
+        Ring(Dimension.VERTICAL, vertical, NET.package_link),
+        Ring(Dimension.HORIZONTAL, horizontal, NET.package_link),
+        Ring(Dimension.SCALEOUT, scaleout_size, DEFAULT_SCALEOUT_LINK,
+             kind="scaleout"),
+    ], NET)
 
 
 class TestNDTorusConstruction:
     def test_coordinates_round_trip(self):
-        fabric = build_4d_torus((2, 3, 2, 4), NET)
+        fabric = torus_4d((2, 3, 2, 4))
         for npu in range(fabric.num_npus):
             assert fabric.npu_id(fabric.coords(npu)) == npu
 
     def test_four_dimensions_present(self):
-        fabric = build_4d_torus((2, 2, 2, 4), NET)
+        fabric = torus_4d((2, 2, 2, 4))
         assert fabric.dimensions == [
             Dimension.LOCAL, Dimension.VERTICAL, Dimension.HORIZONTAL,
             Dimension.FOURTH,
         ]
 
     def test_five_dimensions(self):
-        specs = [
-            DimensionSpec(Dimension.LOCAL, 2, NET.local_link,
-                          bidirectional=False, kind="local"),
-            DimensionSpec(Dimension.VERTICAL, 2, NET.package_link),
-            DimensionSpec(Dimension.HORIZONTAL, 2, NET.package_link),
-            DimensionSpec(Dimension.FOURTH, 2, NET.package_link),
-            DimensionSpec(Dimension.FIFTH, 2, NET.package_link),
+        blocks = [
+            Ring(Dimension.LOCAL, 2, NET.local_link,
+                 bidirectional=False, kind="local"),
+            Ring(Dimension.VERTICAL, 2, NET.package_link),
+            Ring(Dimension.HORIZONTAL, 2, NET.package_link),
+            Ring(Dimension.FOURTH, 2, NET.package_link),
+            Ring(Dimension.FIFTH, 2, NET.package_link),
         ]
-        fabric = NDTorusFabric(specs, NET)
+        fabric = Fabric(blocks, NET)
         assert fabric.num_npus == 32
         assert len(fabric.dimensions) == 5
 
     def test_size_one_dimensions_skipped(self):
-        fabric = build_4d_torus((1, 2, 2, 2), NET)
+        fabric = torus_4d((1, 2, 2, 2))
         assert Dimension.LOCAL not in fabric.dimensions
 
     def test_group_membership_consistent(self):
-        fabric = build_4d_torus((2, 2, 2, 2), NET)
+        fabric = torus_4d((2, 2, 2, 2))
         for dim in fabric.dimensions:
             for group, channels in fabric.groups(dim).items():
                 for node in channels[0].nodes:
                     assert fabric.group_of(dim, node) == group
 
     def test_bidirectional_rings_double_channels(self):
-        fabric = build_4d_torus((2, 4, 1, 1), NET, inter_rings=2)
+        fabric = torus_4d((2, 4, 1, 1), inter_rings=2)
         channels = next(iter(fabric.groups(Dimension.VERTICAL).values()))
         assert len(channels) == 4
 
     def test_rejects_duplicate_dims(self):
-        specs = [DimensionSpec(Dimension.VERTICAL, 2, NET.package_link)] * 2
+        blocks = [Ring(Dimension.VERTICAL, 2, NET.package_link)] * 2
         with pytest.raises(TopologyError):
-            NDTorusFabric(specs, NET)
-
-    def test_rejects_out_of_order_dims(self):
-        specs = [
-            DimensionSpec(Dimension.HORIZONTAL, 2, NET.package_link),
-            DimensionSpec(Dimension.VERTICAL, 2, NET.package_link),
-        ]
-        with pytest.raises(TopologyError):
-            NDTorusFabric(specs, NET)
-
-    def test_rejects_alltoall_dim(self):
-        with pytest.raises(TopologyError):
-            DimensionSpec(Dimension.ALLTOALL, 2, NET.package_link)
+            Fabric(blocks, NET)
 
     def test_rejects_fully_degenerate(self):
-        specs = [DimensionSpec(Dimension.LOCAL, 1, NET.local_link)]
+        blocks = [Ring(Dimension.LOCAL, 1, NET.local_link)]
         with pytest.raises(TopologyError):
-            NDTorusFabric(specs, NET)
+            Fabric(blocks, NET)
 
 
 def run_all_reduce(fabric, size=2 * MB):
@@ -103,16 +113,16 @@ def run_all_reduce(fabric, size=2 * MB):
 
 class TestCollectivesOnExtensions:
     def test_all_reduce_on_4d(self):
-        collective = run_all_reduce(build_4d_torus((2, 2, 2, 4), NET))
+        collective = run_all_reduce(torus_4d((2, 2, 2, 4)))
         # Enhanced: RS local, AR on three inter dims, AG local = 5 phases.
         assert len(collective.plan) == 5
 
     def test_4d_matches_3d_when_fourth_is_degenerate(self):
-        flat = run_all_reduce(build_4d_torus((2, 4, 4, 1), NET))
+        flat = run_all_reduce(torus_4d((2, 4, 4, 1)))
         assert len(flat.plan) == 4
 
     def test_scaleout_dimension_is_outermost_phase(self):
-        fabric = build_scaleout_torus((2, 2, 2), 4, NET)
+        fabric = scaleout_torus((2, 2, 2), 4)
         collective = run_all_reduce(fabric)
         inter_phases = [p.dim for p in collective.plan[1:-1]]
         assert inter_phases[-1] is Dimension.SCALEOUT
@@ -120,8 +130,8 @@ class TestCollectivesOnExtensions:
     def test_scaleout_slower_than_extra_scaleup_dim(self):
         """The same node count with the outermost dimension on Ethernet-
         class links must be slower than on scale-up links."""
-        scaleup = run_all_reduce(build_4d_torus((2, 2, 2, 4), NET))
-        scaleout = run_all_reduce(build_scaleout_torus((2, 2, 2), 4, NET))
+        scaleup = run_all_reduce(torus_4d((2, 2, 2, 4)))
+        scaleout = run_all_reduce(scaleout_torus((2, 2, 2), 4))
         assert scaleout.duration_cycles > scaleup.duration_cycles
 
     def test_scaleout_link_defaults(self):
@@ -129,7 +139,7 @@ class TestCollectivesOnExtensions:
         assert DEFAULT_SCALEOUT_LINK.latency_cycles > NET.package_link.latency_cycles
 
     def test_all_to_all_on_4d(self):
-        fabric = build_4d_torus((2, 2, 2, 2), NET)
+        fabric = torus_4d((2, 2, 2, 2))
         topo = LogicalTopology(fabric)
         cfg = SystemConfig()
         system = System(topo, SimulationConfig(system=cfg, network=NET))

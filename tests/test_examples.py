@@ -15,6 +15,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 FAST_EXAMPLES = [
     "custom_workload_file.py",
+    "future_topologies.py",
     "logical_mapping.py",
     "pipeline_parallel.py",
 ]

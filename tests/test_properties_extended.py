@@ -18,7 +18,6 @@ from repro.config import (
 from repro.events import EventQueue
 from repro.network import FastBackend, Link, SwitchChannel
 from repro.network.faults import degrade_random_links
-from repro.network.physical import TorusFabric
 from repro.network.routing import FabricRouter
 from repro.system import System
 from repro.topology import build_torus_topology
@@ -76,7 +75,7 @@ def test_ring_routing_is_shortest_way_round(n, src, dst):
     src, dst = src % n, dst % n
     if src == dst:
         return
-    fabric = TorusFabric(TorusShape(1, n, 1), NET, horizontal_rings=1)
+    fabric = build_torus_topology(TorusShape(1, n, 1), NET, SystemConfig(horizontal_rings=1)).fabric
     router = FabricRouter(fabric)
     forward = (dst - src) % n
     backward = (src - dst) % n
@@ -87,7 +86,7 @@ def test_ring_routing_is_shortest_way_round(n, src, dst):
 @given(seed=st.integers(min_value=0, max_value=1000))
 def test_routing_survives_random_degradation(seed):
     """Degrading links changes weights, never connectivity."""
-    fabric = TorusFabric(TorusShape(2, 2, 2), NET)
+    fabric = build_torus_topology(TorusShape(2, 2, 2), NET).fabric
     degrade_random_links(fabric, count=6, bandwidth_factor=0.5, seed=seed)
     router = FabricRouter(fabric)
     assert all(router.reachable(0, d) for d in range(1, 8))
@@ -101,7 +100,7 @@ def test_degradation_never_speeds_up_collectives(factor):
     from repro.collectives import CollectiveOp
 
     def all_reduce_time(degrade):
-        fabric = TorusFabric(TorusShape(2, 2, 2), PAPER_NET)
+        fabric = build_torus_topology(TorusShape(2, 2, 2), PAPER_NET).fabric
         if degrade:
             degrade_random_links(fabric, count=4, bandwidth_factor=factor,
                                  seed=5, kind="package")
@@ -151,7 +150,7 @@ def test_baseline_all_reduce_moves_expected_bytes(local, horizontal, vertical):
     from repro.topology import LogicalTopology
 
     shape = TorusShape(local, horizontal, vertical)
-    fabric = TorusFabric(shape, NET)
+    fabric = build_torus_topology(shape, NET).fabric
     system = System(LogicalTopology(fabric),
                     SimulationConfig(system=SystemConfig(preferred_set_splits=2),
                                      network=NET))

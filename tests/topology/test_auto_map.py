@@ -13,15 +13,15 @@ from repro.config import (
 from repro.config.units import MB
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.network.physical import TorusFabric
 from repro.system import System
-from repro.topology import LogicalTopology, map_torus_onto_fabric
+from repro.topology import LogicalTopology, build_torus_topology, map_torus_onto_fabric
 
 NET = paper_network_config()
 
 
 def physical_ring(n=8, rings=2):
-    return TorusFabric(TorusShape(1, n, 1), NET, horizontal_rings=rings)
+    return build_torus_topology(
+        TorusShape(1, n, 1), NET, SystemConfig(horizontal_rings=rings)).fabric
 
 
 def run_all_reduce(topology: LogicalTopology, size=1 * MB,

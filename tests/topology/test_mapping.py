@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.config import TorusShape, paper_network_config
+from repro.config import SystemConfig, TorusShape, paper_network_config
 from repro.collectives import CollectiveContext, RingAllReduce
 from repro.dims import Dimension
 from repro.errors import TopologyError
 from repro.events import EventQueue
 from repro.network import FastBackend
-from repro.network.physical import TorusFabric
-from repro.topology import MappedRingChannel, map_ring_over_ring
+from repro.topology import MappedRingChannel, build_torus_topology, map_ring_over_ring
 
 NET = paper_network_config()
 
 
 def physical_ring(n=8):
-    fabric = TorusFabric(TorusShape(1, n, 1), NET, horizontal_rings=1)
+    fabric = build_torus_topology(TorusShape(1, n, 1), NET, SystemConfig(horizontal_rings=1)).fabric
     return fabric.channels_for(Dimension.HORIZONTAL, (0, 0))[0]
 
 
