@@ -16,8 +16,9 @@ them over a platform lifetime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from repro.config.fields import check, number
 from repro.errors import CollectiveError, ConfigError
 
 
@@ -240,33 +241,14 @@ class CostTable:
     lifetime for the $/step framing (default three years).
     """
 
-    local_link_dollars_per_gbps: float = 2.0
-    package_link_dollars_per_gbps: float = 10.0
-    switch_dollars: float = 5_000.0
-    npu_dollars: float = 10_000.0
-    amortization_seconds: float = 3 * 365 * 24 * 3600.0
+    local_link_dollars_per_gbps: float = number(2.0, ge=0)
+    package_link_dollars_per_gbps: float = number(10.0, ge=0)
+    switch_dollars: float = number(5_000.0, ge=0)
+    npu_dollars: float = number(10_000.0, ge=0)
+    amortization_seconds: float = number(3 * 365 * 24 * 3600.0, gt=0)
 
     def __post_init__(self) -> None:
-        for name in ("local_link_dollars_per_gbps",
-                     "package_link_dollars_per_gbps", "switch_dollars",
-                     "npu_dollars"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.amortization_seconds <= 0:
-            raise ConfigError(
-                f"amortization_seconds must be positive, got "
-                f"{self.amortization_seconds}")
-
-    @classmethod
-    def field_names(cls) -> set[str]:
-        return {f.name for f in fields(cls)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostTable":
-        unknown = sorted(set(data) - cls.field_names())
-        if unknown:
-            raise ConfigError(f"unknown cost-table keys: {unknown}")
-        return cls(**data)
+        check(self)
 
 
 def link_dollars(counts: LinkCounts, local_bandwidth_gbps: float,

@@ -21,13 +21,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.collectives.types import CollectiveOp
+from repro.collectives.types import COLLECTIVE_OPS, CollectiveOp
+from repro.config.fields import parse_shape
 from repro.config.parameters import (
-    AllToAllShape,
     CollectiveAlgorithm,
     SchedulingPolicy,
     TopologyKind,
-    TorusShape,
 )
 from repro.config.units import MB
 from repro.errors import (
@@ -42,22 +41,8 @@ from repro.errors import (
 #: The predefined workloads (Table III #1), each a builder in repro.models.
 _MODELS = ("dlrm", "mlp", "resnet50", "transformer")
 
-_OPS = {
-    "allreduce": CollectiveOp.ALL_REDUCE,
-    "allgather": CollectiveOp.ALL_GATHER,
-    "reducescatter": CollectiveOp.REDUCE_SCATTER,
-    "alltoall": CollectiveOp.ALL_TO_ALL,
-}
-
-
-def _parse_shape(spec: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(tok) for tok in spec.lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"bad shape {spec!r}; expected e.g. 2x4x4 or 4x16") from None
-    if len(dims) not in (2, 3):
-        raise ConfigError(f"shape {spec!r} must have 2 (alltoall) or 3 (torus) dims")
-    return dims
+#: The ``--op`` choices: the shared op table, spelled by value.
+_OP_NAMES = sorted(op.value for op in COLLECTIVE_OPS)
 
 
 def _build_model(name: str, compute):
@@ -67,37 +52,21 @@ def _build_model(name: str, compute):
 
 
 def _build_platform(args: argparse.Namespace):
-    from repro.harness.runners import alltoall_platform, torus_platform
+    from repro.harness.runners import platform_for
 
-    topology = TopologyKind(args.topology)
-    algorithm = CollectiveAlgorithm(args.algorithm)
-    policy = SchedulingPolicy(args.scheduling_policy)
-    dims = _parse_shape(args.shape)
-    if topology is TopologyKind.TORUS:
-        if len(dims) != 3:
-            raise ConfigError("Torus shapes are MxNxK, e.g. 2x4x4")
-        spec = torus_platform(
-            TorusShape(*dims),
-            algorithm=algorithm,
-            scheduling_policy=policy,
-            symmetric=args.symmetric,
-            local_rings=args.local_rings,
-            horizontal_rings=args.horizontal_rings,
-            vertical_rings=args.vertical_rings,
-            compute_scale=args.compute_scale,
-            preferred_set_splits=args.preferred_set_splits,
-        )
-    else:
-        if len(dims) != 2:
-            raise ConfigError("AllToAll shapes are MxN, e.g. 4x16")
-        spec = alltoall_platform(
-            AllToAllShape(*dims),
-            algorithm=algorithm,
-            symmetric=args.symmetric,
-            local_rings=args.local_rings,
-            global_switches=args.global_switches,
-            preferred_set_splits=args.preferred_set_splits,
-        )
+    spec = platform_for(
+        TopologyKind(args.topology),
+        parse_shape(args.shape),
+        algorithm=CollectiveAlgorithm(args.algorithm),
+        scheduling_policy=SchedulingPolicy(args.scheduling_policy),
+        symmetric=args.symmetric,
+        local_rings=args.local_rings,
+        horizontal_rings=args.horizontal_rings,
+        vertical_rings=args.vertical_rings,
+        global_switches=args.global_switches,
+        preferred_set_splits=args.preferred_set_splits,
+        compute_scale=args.compute_scale,
+    )
     return _apply_watchdog_args(_apply_fault_args(spec, args), args)
 
 
@@ -314,7 +283,7 @@ def _cmd_collective(args: argparse.Namespace) -> int:
     # One design-space point through the executor: pure runs hit the
     # --cache-dir store; anything impure (faults, watchdog, transport,
     # --sanitize) executes fresh in-process with its system kept live.
-    point = RunPoint(builder=lambda: _build_platform(args), op=_OPS[args.op],
+    point = RunPoint(builder=lambda: _build_platform(args), op=CollectiveOp(args.op),
                      size_bytes=args.size_mb * MB, sanitize=args.sanitize)
     outcome = default_executor().run_outcomes([point])[0]
     if not outcome.ok:
@@ -340,7 +309,7 @@ def _cmd_collective(args: argparse.Namespace) -> int:
         probe = CollectiveProbe(
             label=f"collective/{args.op}",
             platform_builder=lambda: _build_platform(args),
-            op=_OPS[args.op],
+            op=CollectiveOp(args.op),
             size_bytes=args.size_mb * MB,
         )
         report = run_schedule_trials(probe, trials=args.schedule_trials,
@@ -358,7 +327,7 @@ def _cmd_bandwidth(args: argparse.Namespace) -> int:
         sizes = [float(tok) * MB for tok in args.sizes_mb.split(",")]
     except ValueError:
         raise ConfigError(f"bad --sizes-mb list: {args.sizes_mb!r}") from None
-    points = measure(lambda: _build_platform(args), _OPS[args.op], sizes,
+    points = measure(lambda: _build_platform(args), CollectiveOp(args.op), sizes,
                      sanitize=args.sanitize)
     print(f"{args.op} bandwidth test on {_build_platform(args).name}:")
     print(format_points(points))
@@ -648,7 +617,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     coll = sub.add_parser("collective", help="time a single collective operation")
     _add_execution_args(coll, default=argparse.SUPPRESS)
     _add_platform_args(coll)
-    coll.add_argument("--op", choices=sorted(_OPS), default="allreduce")
+    coll.add_argument("--op", choices=_OP_NAMES, default="allreduce")
     coll.add_argument("--size-mb", type=float, default=8.0,
                       help="collective payload in MB")
     coll.add_argument("--breakdown", action="store_true")
@@ -666,7 +635,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="collective bandwidth test (algbw/busbw table)")
     _add_execution_args(bw, default=argparse.SUPPRESS)
     _add_platform_args(bw)
-    bw.add_argument("--op", choices=sorted(_OPS), default="allreduce")
+    bw.add_argument("--op", choices=_OP_NAMES, default="allreduce")
     bw.add_argument("--sizes-mb", default="0.0625,0.5,4,32",
                     help="comma-separated payload sizes in MB")
     bw.set_defaults(func=_cmd_bandwidth)

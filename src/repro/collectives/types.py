@@ -29,6 +29,12 @@ class CollectiveOp(enum.Enum):
     NONE = "none"
 
 
+#: The collectives a run can request: the one op table behind the CLI's
+#: ``--op``, the service payload's ``op`` and a search space's
+#: ``collective``, each spelled by its value (``allreduce``, ...).
+COLLECTIVE_OPS = tuple(op for op in CollectiveOp if op is not CollectiveOp.NONE)
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     """One phase of a multi-phase collective.

@@ -7,80 +7,26 @@ re-run it later: the reproducibility leg of the harness.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import Any
 
-from repro.config.parameters import (
-    CollectiveAlgorithm,
-    ComputeConfig,
-    InjectionPolicy,
-    LinkConfig,
-    NetworkConfig,
-    PacketRouting,
-    SchedulingPolicy,
-    SimulationConfig,
-    SystemConfig,
-    TopologyKind,
-    TransportConfig,
-)
-from repro.config.units import Clock
+from repro.config.fields import build, to_raw
+from repro.config.parameters import SimulationConfig
 from repro.errors import ConfigError
-
-_ENUMS = {
-    "topology": TopologyKind,
-    "algorithm": CollectiveAlgorithm,
-    "scheduling_policy": SchedulingPolicy,
-    "packet_routing": PacketRouting,
-    "injection_policy": InjectionPolicy,
-}
 
 
 def config_to_dict(config: SimulationConfig) -> dict[str, Any]:
     """A JSON-ready dictionary of the full parameter bundle."""
-    out = asdict(config)
-    system = out["system"]
-    for key in _ENUMS:
-        system[key] = getattr(config.system, key).value
-    return out
+    return to_raw(config)
 
 
 def config_to_json(config: SimulationConfig, indent: int = 2) -> str:
     return json.dumps(config_to_dict(config), indent=indent)
 
 
-def _link_from_dict(data: dict[str, Any]) -> LinkConfig:
-    return LinkConfig(**data)
-
-
 def config_from_dict(data: dict[str, Any]) -> SimulationConfig:
-    """Rebuild a SimulationConfig; raises ConfigError on malformed input."""
-    try:
-        system_data = dict(data["system"])
-        for key, enum_cls in _ENUMS.items():
-            system_data[key] = enum_cls(system_data[key])
-        if system_data.get("transport") is not None:
-            system_data["transport"] = TransportConfig(**system_data["transport"])
-        system = SystemConfig(**system_data)
-
-        network = None
-        if data.get("network") is not None:
-            network_data = dict(data["network"])
-            network_data["local_link"] = _link_from_dict(network_data["local_link"])
-            network_data["package_link"] = _link_from_dict(
-                network_data["package_link"])
-            network = NetworkConfig(**network_data)
-
-        compute = ComputeConfig(**data["compute"])
-        clock = Clock(**data["clock"])
-        return SimulationConfig(
-            system=system,
-            network=network,
-            compute=compute,
-            clock=clock,
-            num_passes=data["num_passes"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed configuration data: {exc}") from exc
+    """Rebuild a SimulationConfig; omitted fields take their defaults.
+    Raises ConfigError naming every field the field tables reject."""
+    return build(SimulationConfig, data)
 
 
 def config_from_json(text: str) -> SimulationConfig:

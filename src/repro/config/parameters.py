@@ -3,15 +3,26 @@
 These mirror the ASTRA-SIM input parameters of Table III and the system
 parameters of Table IV in the paper.  Everything is validated eagerly at
 construction so that a bad configuration fails before a long simulation
-starts.
+starts.  Each field's type, default, range and allowed values are
+declared once, as a :mod:`repro.config.fields` rule; ``__post_init__``
+checks them, and the linter and the service validate raw JSON documents
+against the same declarations.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.config.fields import (
+    FieldError,
+    check,
+    choice,
+    integer,
+    number,
+    section,
+)
 from repro.config.units import Clock, DEFAULT_CLOCK
 from repro.errors import ConfigError
 
@@ -77,34 +88,21 @@ class LinkConfig:
     ``packet_size_bytes`` bounds network-layer packetization.
     """
 
-    bandwidth_gbps: float
-    latency_cycles: float
-    packet_size_bytes: int
-    efficiency: float = 0.94
+    bandwidth_gbps: float = number(gt=0)
+    latency_cycles: float = number(ge=0)
+    packet_size_bytes: int = integer(ge=1)
+    efficiency: float = number(0.94, gt=0, le=1)
     #: Table IV "Message size": collective payloads move as fixed-size
     #: network messages; each quantum pays ``quantum_overhead_cycles`` of
     #: messaging-unit processing at the receiving endpoint (Table IV
     #: "Endpoint delay"), which serializes with the link stream under the
     #: software-routed / on-load endpoint design of Sec. V.  ``None``
     #: disables per-quantum overheads (idealized link).
-    message_quantum_bytes: Optional[int] = 512
-    quantum_overhead_cycles: float = 10.0
+    message_quantum_bytes: Optional[int] = integer(512, ge=1, optional=True)
+    quantum_overhead_cycles: float = number(10.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0:
-            raise ConfigError(f"link bandwidth must be positive: {self.bandwidth_gbps}")
-        if self.latency_cycles < 0:
-            raise ConfigError(f"link latency must be >= 0: {self.latency_cycles}")
-        if self.packet_size_bytes <= 0:
-            raise ConfigError(f"packet size must be positive: {self.packet_size_bytes}")
-        if not 0 < self.efficiency <= 1:
-            raise ConfigError(f"link efficiency must be in (0, 1]: {self.efficiency}")
-        if self.message_quantum_bytes is not None and self.message_quantum_bytes <= 0:
-            raise ConfigError(
-                f"message quantum must be positive: {self.message_quantum_bytes}"
-            )
-        if self.quantum_overhead_cycles < 0:
-            raise ConfigError("quantum overhead must be >= 0")
+        check(self)
 
     def effective_bytes_per_cycle(self, clock: Clock = DEFAULT_CLOCK) -> float:
         """Usable payload bandwidth after header overhead (wire rate only;
@@ -133,23 +131,16 @@ class LinkConfig:
 class NetworkConfig:
     """Garnet-level parameters (Table III #17-#28) plus both link classes."""
 
-    local_link: LinkConfig
-    package_link: LinkConfig
-    flit_width_bits: int = 1024
-    router_latency_cycles: float = 1.0
-    vcs_per_vnet: int = 50
-    buffers_per_vc: int = 5000
-    switch_latency_cycles: float = 1.0
+    local_link: LinkConfig = section(LinkConfig)
+    package_link: LinkConfig = section(LinkConfig)
+    flit_width_bits: int = integer(1024, ge=1)
+    router_latency_cycles: float = number(1.0, ge=0)
+    vcs_per_vnet: int = integer(50, ge=1)
+    buffers_per_vc: int = integer(5000, ge=1)
+    switch_latency_cycles: float = number(1.0, ge=0)
 
     def __post_init__(self) -> None:
-        if self.flit_width_bits <= 0:
-            raise ConfigError(f"flit width must be positive: {self.flit_width_bits}")
-        if self.router_latency_cycles < 0:
-            raise ConfigError("router latency must be >= 0")
-        if self.vcs_per_vnet <= 0:
-            raise ConfigError("vcs_per_vnet must be positive")
-        if self.buffers_per_vc <= 0:
-            raise ConfigError("buffers_per_vc must be positive")
+        check(self)
 
     @property
     def flit_width_bytes(self) -> int:
@@ -166,18 +157,12 @@ class TorusShape:
     headline asymmetric system is ``TorusShape(4, 4, 4)``.
     """
 
-    local: int
-    horizontal: int
-    vertical: int
+    local: int = integer(ge=1)
+    horizontal: int = integer(ge=1)
+    vertical: int = integer(ge=1)
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("local", self.local),
-            ("horizontal", self.horizontal),
-            ("vertical", self.vertical),
-        ):
-            if value < 1:
-                raise ConfigError(f"torus {name} dimension must be >= 1, got {value}")
+        check(self)
 
     @property
     def num_npus(self) -> int:
@@ -196,16 +181,11 @@ class AllToAllShape:
     """An M x N hierarchical alltoall: M NAMs per package, N packages
     fully connected through global switches (Sec. III-C)."""
 
-    local: int
-    packages: int
+    local: int = integer(ge=1)
+    packages: int = integer(ge=2)
 
     def __post_init__(self) -> None:
-        if self.local < 1:
-            raise ConfigError(f"alltoall local dimension must be >= 1, got {self.local}")
-        if self.packages < 2:
-            raise ConfigError(
-                f"alltoall needs at least 2 packages, got {self.packages}"
-            )
+        check(self)
 
     @property
     def num_npus(self) -> int:
@@ -213,6 +193,19 @@ class AllToAllShape:
 
     def __str__(self) -> str:
         return f"{self.local}x{self.packages}"
+
+
+#: Dimensions of each topology family's shape: MxNxK torus, MxN alltoall.
+SHAPE_ARITY = {TopologyKind.TORUS: 3, TopologyKind.ALLTOALL: 2}
+
+
+def check_arity(kind: TopologyKind, dims) -> None:
+    """Raise a ``bad-shape`` :class:`FieldError` unless ``dims`` has the
+    dimension count of a ``kind`` shape."""
+    if len(dims) != SHAPE_ARITY[kind]:
+        raise FieldError("bad-shape", f"{kind.value} shapes have "
+                         f"{SHAPE_ARITY[kind]} dimensions, got {len(dims)} "
+                         f"in {'x'.join(map(str, dims))}")
 
 
 @dataclass(frozen=True)
@@ -227,82 +220,56 @@ class TransportConfig:
     ``benchmarks/bench_transport_overhead.py``).
     """
 
-    timeout_cycles: float = 50_000.0
-    timeout_per_byte: float = 4.0
-    max_retries: int = 6
-    backoff_base_cycles: float = 1_000.0
-    backoff_factor: float = 2.0
-    backoff_max_cycles: float = 200_000.0
-    jitter: float = 0.1
-    seed: int = 0
+    timeout_cycles: float = number(50_000.0, gt=0)
+    timeout_per_byte: float = number(4.0, ge=0)
+    max_retries: int = integer(6, ge=0)
+    backoff_base_cycles: float = number(1_000.0, ge=0)
+    backoff_factor: float = number(2.0, ge=1)
+    backoff_max_cycles: float = number(200_000.0, ge="backoff_base_cycles")
+    jitter: float = number(0.1, ge=0, le=1)
+    seed: int = integer(0)
     #: Attempts lost to a *paused* endpoint are flow control, not path
     #: failure: they retry with backoff but are not charged against
     #: ``max_retries``.  This valve bounds how long a sender waits out a
     #: pause before giving up anyway (a node that never resumes must not
     #: retransmit forever on watchdog-less runs).
-    max_paused_waits: int = 1_000
+    max_paused_waits: int = integer(1_000, ge=0)
 
     def __post_init__(self) -> None:
-        if self.timeout_cycles <= 0:
-            raise ConfigError(f"timeout_cycles must be positive: {self.timeout_cycles}")
-        if self.timeout_per_byte < 0:
-            raise ConfigError(f"timeout_per_byte must be >= 0: {self.timeout_per_byte}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0: {self.max_retries}")
-        if self.backoff_base_cycles < 0:
-            raise ConfigError("backoff_base_cycles must be >= 0")
-        if self.backoff_factor < 1:
-            raise ConfigError(f"backoff_factor must be >= 1: {self.backoff_factor}")
-        if self.backoff_max_cycles < self.backoff_base_cycles:
-            raise ConfigError("backoff_max_cycles must be >= backoff_base_cycles")
-        if not 0 <= self.jitter <= 1:
-            raise ConfigError(f"jitter must be in [0, 1]: {self.jitter}")
-        if self.max_paused_waits < 0:
-            raise ConfigError(
-                f"max_paused_waits must be >= 0: {self.max_paused_waits}"
-            )
+        check(self)
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """System-layer parameters (Table III #3-#16)."""
 
-    topology: TopologyKind = TopologyKind.TORUS
-    algorithm: CollectiveAlgorithm = CollectiveAlgorithm.BASELINE
-    scheduling_policy: SchedulingPolicy = SchedulingPolicy.LIFO
-    local_rings: int = 2
-    vertical_rings: int = 2
-    horizontal_rings: int = 2
-    global_switches: int = 2
-    endpoint_delay_cycles: float = 10.0
-    packet_routing: PacketRouting = PacketRouting.SOFTWARE
-    injection_policy: InjectionPolicy = InjectionPolicy.NORMAL
-    preferred_set_splits: int = 16
+    topology: TopologyKind = choice(TopologyKind, TopologyKind.TORUS)
+    algorithm: CollectiveAlgorithm = choice(CollectiveAlgorithm,
+                                            CollectiveAlgorithm.BASELINE)
+    scheduling_policy: SchedulingPolicy = choice(SchedulingPolicy,
+                                                 SchedulingPolicy.LIFO)
+    local_rings: int = integer(2, ge=1)
+    vertical_rings: int = integer(2, ge=1)
+    horizontal_rings: int = integer(2, ge=1)
+    global_switches: int = integer(2, ge=1)
+    endpoint_delay_cycles: float = number(10.0, ge=0)
+    packet_routing: PacketRouting = choice(PacketRouting, PacketRouting.SOFTWARE)
+    injection_policy: InjectionPolicy = choice(InjectionPolicy,
+                                               InjectionPolicy.NORMAL)
+    preferred_set_splits: int = integer(16, ge=1)
     #: Dispatcher threshold T: issue new chunks when in-flight first-phase
     #: chunks drop below this (Sec. IV-B / Fig. 7).
-    dispatch_threshold: int = 8
+    dispatch_threshold: int = integer(8, ge=1)
     #: Dispatcher issue count P: how many chunks to issue at once.
-    dispatch_batch: int = 16
+    dispatch_batch: int = integer(16, ge=1)
     #: Average cycles to reduce 1 KB of received data (Fig. 8 "local update").
-    reduction_cycles_per_kb: float = 1.0
+    reduction_cycles_per_kb: float = number(1.0, ge=0)
     #: Reliable transport (timeouts/retries); ``None`` sends raw —
     #: required for surviving fault schedules (docs/FAULTS.md).
-    transport: Optional[TransportConfig] = None
+    transport: Optional[TransportConfig] = section(TransportConfig, None)
 
     def __post_init__(self) -> None:
-        for name in ("local_rings", "vertical_rings", "horizontal_rings", "global_switches"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.endpoint_delay_cycles < 0:
-            raise ConfigError("endpoint delay must be >= 0")
-        if self.preferred_set_splits < 1:
-            raise ConfigError("preferred_set_splits must be >= 1")
-        if self.dispatch_threshold < 1:
-            raise ConfigError("dispatch_threshold must be >= 1")
-        if self.dispatch_batch < 1:
-            raise ConfigError("dispatch_batch must be >= 1")
-        if self.reduction_cycles_per_kb < 0:
-            raise ConfigError("reduction_cycles_per_kb must be >= 0")
+        check(self)
 
 
 @dataclass(frozen=True)
@@ -315,30 +282,19 @@ class ComputeConfig:
     effective compute power for the Fig. 18 sensitivity study.
     """
 
-    array_rows: int = 256
-    array_cols: int = 256
-    dram_bandwidth_gbps: float = 3600.0
-    non_gemm_overhead_cycles: float = 1000.0
-    compute_scale: float = 1.0
-    bytes_per_element: int = 4
+    array_rows: int = integer(256, ge=1)
+    array_cols: int = integer(256, ge=1)
+    dram_bandwidth_gbps: float = number(3600.0, gt=0)
+    non_gemm_overhead_cycles: float = number(1000.0, ge=0)
+    compute_scale: float = number(1.0, gt=0)
+    bytes_per_element: int = integer(4, ge=1)
     #: NPU core clock relative to the 1 GHz network clock: TPU-class
     #: accelerators run their MXU around 1-2 GHz, while all simulator
     #: timing is in network cycles.  Array cycles are divided by this.
-    clock_ghz: float = 2.0
+    clock_ghz: float = number(2.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.array_rows < 1 or self.array_cols < 1:
-            raise ConfigError("systolic array dimensions must be >= 1")
-        if self.clock_ghz <= 0:
-            raise ConfigError("compute clock must be positive")
-        if self.dram_bandwidth_gbps <= 0:
-            raise ConfigError("DRAM bandwidth must be positive")
-        if self.non_gemm_overhead_cycles < 0:
-            raise ConfigError("non-GEMM overhead must be >= 0")
-        if self.compute_scale <= 0:
-            raise ConfigError("compute_scale must be positive")
-        if self.bytes_per_element < 1:
-            raise ConfigError("bytes_per_element must be >= 1")
+        check(self)
 
     def scaled(self, factor: float) -> "ComputeConfig":
         """A copy with ``compute_scale`` multiplied by ``factor``."""
@@ -349,12 +305,11 @@ class ComputeConfig:
 class SimulationConfig:
     """The full bundle handed to a simulation run."""
 
-    system: SystemConfig = field(default_factory=SystemConfig)
-    network: Optional[NetworkConfig] = None
-    compute: ComputeConfig = field(default_factory=ComputeConfig)
-    clock: Clock = field(default_factory=Clock)
-    num_passes: int = 1
+    system: SystemConfig = section(SystemConfig, default_factory=SystemConfig)
+    network: Optional[NetworkConfig] = section(NetworkConfig, None)
+    compute: ComputeConfig = section(ComputeConfig, default_factory=ComputeConfig)
+    clock: Clock = section(Clock, default_factory=Clock)
+    num_passes: int = integer(1, ge=1)
 
     def __post_init__(self) -> None:
-        if self.num_passes < 1:
-            raise ConfigError(f"num_passes must be >= 1, got {self.num_passes}")
+        check(self)

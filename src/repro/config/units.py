@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config.fields import check, number
 from repro.errors import ConfigError
 
 KB = 1024
@@ -27,11 +28,10 @@ class Clock:
     200 GB/s link moves 200 bytes per cycle — convenient for sanity checks.
     """
 
-    frequency_hz: float = 1e9
+    frequency_hz: float = number(1e9, gt=0)
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ConfigError(f"clock frequency must be positive, got {self.frequency_hz}")
+        check(self)
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.frequency_hz

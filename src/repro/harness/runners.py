@@ -21,7 +21,9 @@ from repro.config.parameters import (
     SchedulingPolicy,
     SimulationConfig,
     SystemConfig,
+    TopologyKind,
     TorusShape,
+    check_arity,
 )
 from repro.config.presets import (
     paper_compute_config,
@@ -161,11 +163,13 @@ def alltoall_platform(
     global_switches: int = 2,
     preferred_set_splits: int = 16,
     scheduling_policy: SchedulingPolicy = SchedulingPolicy.LIFO,
+    compute_scale: float = 1.0,
 ) -> PlatformSpec:
     """A hierarchical alltoall platform with Table IV parameters."""
     network = symmetric_network_config() if symmetric else paper_network_config()
     base = paper_simulation_config(algorithm=algorithm,
                                    scheduling_policy=scheduling_policy,
+                                   compute_scale=compute_scale,
                                    preferred_set_splits=preferred_set_splits)
     system = SystemConfig(
         topology=base.system.topology,
@@ -178,12 +182,45 @@ def alltoall_platform(
         dispatch_threshold=base.system.dispatch_threshold,
         dispatch_batch=base.system.dispatch_batch,
     )
-    config = SimulationConfig(system=system, network=network)
+    config = SimulationConfig(system=system, network=network, compute=base.compute)
     return PlatformSpec(
         name=f"alltoall-{shape}",
         topology_builder=lambda sys_cfg: build_alltoall_topology(shape, network, sys_cfg),
         config=config,
     )
+
+
+def platform_for(
+    topology: TopologyKind,
+    dims: Sequence[int],
+    *,
+    algorithm: CollectiveAlgorithm,
+    scheduling_policy: SchedulingPolicy,
+    symmetric: bool,
+    local_rings: int,
+    horizontal_rings: int,
+    vertical_rings: int,
+    global_switches: int,
+    preferred_set_splits: int,
+    compute_scale: float = 1.0,
+) -> PlatformSpec:
+    """The platform of one Table III design point: the CLI, the service
+    payload and the search all build here.
+
+    ``dims`` must have the family's dimension count.  A torus takes
+    the horizontal and vertical ring counts, an alltoall the global
+    switch count; every other knob applies to both.
+    """
+    check_arity(topology, dims)
+    common = dict(algorithm=algorithm, scheduling_policy=scheduling_policy,
+                  symmetric=symmetric, local_rings=local_rings,
+                  compute_scale=compute_scale,
+                  preferred_set_splits=preferred_set_splits)
+    if topology is TopologyKind.TORUS:
+        return torus_platform(TorusShape(*dims), horizontal_rings=horizontal_rings,
+                              vertical_rings=vertical_rings, **common)
+    return alltoall_platform(AllToAllShape(*dims), global_switches=global_switches,
+                             **common)
 
 
 def run_collective(

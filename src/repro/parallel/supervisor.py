@@ -54,6 +54,7 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Any, Callable, Optional, Sequence
 
+from repro.config.fields import check, choice, integer, number
 from repro.errors import (
     ConfigError,
     PoisonPointError,
@@ -87,45 +88,26 @@ class SupervisionPolicy:
     """
 
     #: Wall-clock deadline per attempt; ``None`` disables reaping.
-    point_timeout_s: Optional[float] = None
+    point_timeout_s: Optional[float] = number(None, gt=0)
     #: Engine-level event budget per attempt (tightens ``max_events``).
-    point_event_budget: Optional[int] = None
+    point_event_budget: Optional[int] = integer(None, ge=1)
     #: Failed attempts re-run up to this many times (total attempts =
     #: ``max_retries + 1``) before the point is quarantined.
-    max_retries: int = 2
+    max_retries: int = integer(2, ge=0)
     #: Seeded exponential backoff between retries (host sleep only).
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 1.0
+    backoff_base_s: float = number(0.05, ge=0)
+    backoff_factor: float = number(2.0, ge=1)
+    backoff_max_s: float = number(1.0, ge=0)
     #: Seed of the backoff jitter stream (never touches simulation).
-    seed: int = 2020
+    seed: int = integer(2020)
     #: ``"quarantine"`` records the poison point and continues the
     #: batch; ``"fail"`` raises :class:`PoisonPointError`.
-    on_poison: str = "quarantine"
+    on_poison: str = choice(("quarantine", "fail"), "quarantine")
     #: Supervision loop tick while waiting on in-flight points.
-    poll_interval_s: float = 0.05
+    poll_interval_s: float = number(0.05, gt=0)
 
     def __post_init__(self) -> None:
-        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
-            raise ConfigError(
-                f"point_timeout_s must be positive, got {self.point_timeout_s}")
-        if self.point_event_budget is not None and self.point_event_budget < 1:
-            raise ConfigError(
-                f"point_event_budget must be >= 1, got {self.point_event_budget}")
-        if self.max_retries < 0:
-            raise ConfigError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigError("backoff bounds must be >= 0")
-        if self.backoff_factor < 1:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.on_poison not in ("quarantine", "fail"):
-            raise ConfigError(
-                f"on_poison must be 'quarantine' or 'fail', got {self.on_poison!r}")
-        if self.poll_interval_s <= 0:
-            raise ConfigError(
-                f"poll_interval_s must be positive, got {self.poll_interval_s}")
+        check(self)
 
     def backoff_s(self, key: str, attempt: int) -> float:
         """Deterministic backoff before retry number ``attempt`` (>= 1).

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.collectives.types import CollectiveOp
+from repro.collectives.types import COLLECTIVE_OPS
 from repro.config.parameters import TorusShape, TransportConfig
 from repro.errors import (
     CollectiveError,
@@ -44,10 +44,6 @@ from repro.resilience.watchdog import WatchdogConfig
 #: the first few thousand cycles of the fuzzed collectives, so faults
 #: actually intersect in-flight traffic instead of landing after the run.
 FAULT_HORIZON = 8_000.0
-
-_OPS = (CollectiveOp.ALL_REDUCE, CollectiveOp.ALL_GATHER,
-        CollectiveOp.REDUCE_SCATTER, CollectiveOp.ALL_TO_ALL)
-
 
 class Outcome(enum.Enum):
     """How one chaos iteration ended."""
@@ -275,7 +271,7 @@ def run_iteration(config: ChaosConfig, i: int) -> ChaosRun:
 
     rng = random.Random(f"{config.seed}:{i}")
     backend = config.backends[i % len(config.backends)]
-    op = rng.choice(_OPS)
+    op = rng.choice(COLLECTIVE_OPS)
     size = (config.size_bytes_detailed if backend == "detailed"
             else config.size_bytes_fast)
     transport = fuzz_transport(rng)

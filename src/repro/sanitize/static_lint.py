@@ -2,8 +2,10 @@
 
 Checks everything that can be checked *before* the first event fires:
 
-* parameter-level unit consistency and ranges (on the raw dict, so a bad
-  file yields findings with parameter paths instead of one exception),
+* every field against its declaration (:mod:`repro.config.fields`): the
+  raw document is walked against the same field tables the config
+  dataclasses check at construction, so a bad file yields one finding
+  per bad value with its parameter path instead of one exception,
 * cross-parameter consistency — flit width divides packet size, message
   quantum fits a packet, bandwidth hierarchy sanity,
 * logical-topology structure — dimension products match the NPU count,
@@ -24,22 +26,20 @@ payloads (the ``astra-repro serve`` POST body; docs/SERVICE.md) route to
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 from typing import Any, Optional
 
+from repro.config.fields import FieldError, field_errors, parse_shape, unknown_keys
 from repro.config.io import config_from_dict
 from repro.config.parameters import (
     AllToAllShape,
-    ComputeConfig,
     LinkConfig,
-    NetworkConfig,
     SimulationConfig,
-    SystemConfig,
     TopologyKind,
     TorusShape,
+    check_arity,
 )
-from repro.config.units import Clock
 from repro.errors import ConfigError, ReproError
 from repro.sanitize.findings import Finding, LintReport, Severity
 
@@ -47,103 +47,17 @@ from repro.sanitize.findings import Finding, LintReport, Severity
 RUN_SPEC_KEYS = {"config", "topology", "expected_npus", "faults",
                  "fault_schedule", "supervision"}
 
-#: Keys of the ``supervision`` section of a run spec
-#: (:class:`repro.parallel.supervisor.SupervisionPolicy` fields; docs/SUPERVISION.md).
-SUPERVISION_KEYS = {"point_timeout_s", "point_event_budget", "max_retries",
-                    "backoff_base_s", "backoff_factor", "backoff_max_s",
-                    "seed", "on_poison", "poll_interval_s"}
-
 #: Keys of the ``topology`` section of a run spec.
 TOPOLOGY_KEYS = {"kind", "shape"}
 
 #: Keys of the ``faults`` section of a run spec.
 FAULT_KEYS = {"count", "bandwidth_factor", "extra_latency_cycles", "kind", "seed"}
 
-_SECTION_TYPES = {
-    "system": SystemConfig,
-    "compute": ComputeConfig,
-    "clock": Clock,
-}
 
-#: (section path, field, check, message) — raw-value range rules that give
-#: the parameter path in the finding instead of a bare ConfigError.
-_POSITIVE = ("must be positive", lambda v: v > 0)
-_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
-_LINK_RULES = {
-    "bandwidth_gbps": _POSITIVE,
-    "latency_cycles": _NON_NEGATIVE,
-    "packet_size_bytes": _POSITIVE,
-    "efficiency": ("must be in (0, 1]", lambda v: 0 < v <= 1),
-    "quantum_overhead_cycles": _NON_NEGATIVE,
-}
-_NETWORK_RULES = {
-    "flit_width_bits": _POSITIVE,
-    "router_latency_cycles": _NON_NEGATIVE,
-    "vcs_per_vnet": _POSITIVE,
-    "buffers_per_vc": _POSITIVE,
-    "switch_latency_cycles": _NON_NEGATIVE,
-}
-_SYSTEM_RULES = {
-    "local_rings": ("must be >= 1", lambda v: v >= 1),
-    "vertical_rings": ("must be >= 1", lambda v: v >= 1),
-    "horizontal_rings": ("must be >= 1", lambda v: v >= 1),
-    "global_switches": ("must be >= 1", lambda v: v >= 1),
-    "endpoint_delay_cycles": _NON_NEGATIVE,
-    "preferred_set_splits": ("must be >= 1", lambda v: v >= 1),
-    "dispatch_threshold": ("must be >= 1", lambda v: v >= 1),
-    "dispatch_batch": ("must be >= 1", lambda v: v >= 1),
-    "reduction_cycles_per_kb": _NON_NEGATIVE,
-}
-_TRANSPORT_RULES = {
-    "timeout_cycles": _POSITIVE,
-    "timeout_per_byte": _NON_NEGATIVE,
-    "max_retries": _NON_NEGATIVE,
-    "backoff_base_cycles": _NON_NEGATIVE,
-    "backoff_factor": ("must be >= 1", lambda v: v >= 1),
-    "backoff_max_cycles": _NON_NEGATIVE,
-    "jitter": ("must be in [0, 1]", lambda v: 0 <= v <= 1),
-}
-_SUPERVISION_RULES = {
-    "point_timeout_s": _POSITIVE,
-    "point_event_budget": ("must be >= 1", lambda v: v >= 1),
-    "max_retries": _NON_NEGATIVE,
-    "backoff_base_s": _NON_NEGATIVE,
-    "backoff_factor": ("must be >= 1", lambda v: v >= 1),
-    "backoff_max_s": _NON_NEGATIVE,
-    "poll_interval_s": _POSITIVE,
-}
-
-
-def _known_fields(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-def _check_rules(report: LintReport, data: dict, rules: dict, prefix: str) -> None:
-    for name, (msg, predicate) in rules.items():
-        value = data.get(name)
-        if value is None or isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        if not predicate(value):
-            report.add(Severity.ERROR, "out-of-range", f"{prefix}.{name}",
-                       f"{msg}, got {value}")
-
-
-def _check_unknown_keys(report: LintReport, data: dict, known: set[str],
-                        prefix: str) -> None:
-    for key in data:
-        if key not in known:
-            hint = _closest(key, known)
-            suffix = f" (did you mean {hint!r}?)" if hint else ""
-            report.add(Severity.ERROR, "unknown-parameter",
-                       f"{prefix}.{key}" if prefix else key,
-                       f"unknown parameter{suffix}")
-
-
-def _closest(key: str, known: set[str]) -> Optional[str]:
-    """Cheap typo suggestion: a known key sharing a long prefix/suffix."""
-    candidates = [k for k in known
-                  if k.startswith(key[:4]) or k.endswith(key[-4:])]
-    return min(candidates, key=len) if candidates else None
+def _add_errors(report: LintReport, errors) -> None:
+    """Record ``(path, code, message)`` field errors as ERROR findings."""
+    for path, code, message in errors:
+        report.add(Severity.ERROR, code, path, message)
 
 
 # -- config-level lint ----------------------------------------------------------
@@ -234,77 +148,18 @@ def lint_config(config: SimulationConfig, source: str = "") -> list[Finding]:
 def lint_config_dict(
     data: dict, source: str = ""
 ) -> tuple[Optional[SimulationConfig], list[Finding]]:
-    """Lint a raw SimulationConfig dict, then construct it.
-
-    Raw-level rules fire first so a bad file produces parameter-anchored
-    findings; construction catches whatever the rules do not cover.
-    """
+    """Lint a raw SimulationConfig dict against its field tables, then
+    construct it and run the cross-parameter checks."""
     report = LintReport(source=source)
-    _check_unknown_keys(report, data,
-                        {"system", "network", "compute", "clock", "num_passes"},
-                        "")
-    for section, cls in _SECTION_TYPES.items():
-        sub = data.get(section)
-        if isinstance(sub, dict):
-            _check_unknown_keys(report, sub, _known_fields(cls), section)
-    network_data = data.get("network")
-    if isinstance(network_data, dict):
-        _check_unknown_keys(report, network_data, _known_fields(NetworkConfig),
-                            "network")
-        _check_rules(report, network_data, _NETWORK_RULES, "network")
-        for link_key in ("local_link", "package_link"):
-            link_data = network_data.get(link_key)
-            if isinstance(link_data, dict):
-                _check_unknown_keys(report, link_data,
-                                    _known_fields(LinkConfig),
-                                    f"network.{link_key}")
-                _check_rules(report, link_data, _LINK_RULES,
-                             f"network.{link_key}")
-    system_data = data.get("system")
-    if isinstance(system_data, dict):
-        _check_rules(report, system_data, _SYSTEM_RULES, "system")
-        transport_data = system_data.get("transport")
-        if isinstance(transport_data, dict):
-            from repro.config.parameters import TransportConfig
-
-            _check_unknown_keys(report, transport_data,
-                                _known_fields(TransportConfig),
-                                "system.transport")
-            _check_rules(report, transport_data, _TRANSPORT_RULES,
-                         "system.transport")
-            base = transport_data.get("backoff_base_cycles")
-            cap = transport_data.get("backoff_max_cycles")
-            if (isinstance(base, (int, float)) and isinstance(cap, (int, float))
-                    and not isinstance(base, bool) and not isinstance(cap, bool)
-                    and cap < base):
-                report.add(
-                    Severity.ERROR, "out-of-range",
-                    "system.transport.backoff_max_cycles",
-                    f"backoff cap {cap} is below the base backoff {base}",
-                )
+    _add_errors(report, field_errors(SimulationConfig, data))
     if report.errors:
         return None, report.findings
-
-    try:
-        config = config_from_dict(data)
-    except ConfigError as exc:
-        report.add(Severity.ERROR, "config-error", "config", str(exc))
-        return None, report.findings
+    config = config_from_dict(data)
     report.extend(lint_config(config, source=source))
     return config, report.findings
 
 
 # -- topology lint --------------------------------------------------------------
-
-
-def parse_shape(spec: str) -> tuple[int, ...]:
-    """Parse an ``MxN`` / ``MxNxK`` shape string (lint-friendly errors)."""
-    try:
-        return tuple(int(tok) for tok in str(spec).lower().split("x"))
-    except ValueError:
-        raise ConfigError(
-            f"bad shape {spec!r}; expected e.g. 2x4x4 or 4x16"
-        ) from None
 
 
 def lint_fabric_structure(topology, source: str = "") -> list[Finding]:
@@ -399,51 +254,45 @@ def lint_topology(
     source: str = "",
 ) -> list[Finding]:
     """Shape/kind consistency, then full structural lint of the built fabric."""
-    from repro.topology.logical import build_alltoall_topology, build_torus_topology
-
     report = LintReport(source=source)
-    if kind is TopologyKind.TORUS and len(shape_dims) != 3:
-        report.add(
-            Severity.ERROR, "shape-arity", "topology.shape",
-            f"Torus shapes are MxNxK (3 dims), got {'x'.join(map(str, shape_dims))}",
-        )
-        return report.findings
-    if kind is TopologyKind.ALLTOALL and len(shape_dims) != 2:
-        report.add(
-            Severity.ERROR, "shape-arity", "topology.shape",
-            f"AllToAll shapes are MxN (2 dims), got {'x'.join(map(str, shape_dims))}",
-        )
+    try:
+        check_arity(kind, shape_dims)
+    except FieldError as exc:
+        report.add(Severity.ERROR, "shape-arity", "topology.shape", str(exc))
         return report.findings
 
-    product = 1
-    for d in shape_dims:
-        product *= d
-    if expected_npus is not None and product != expected_npus:
+    if expected_npus is not None and math.prod(shape_dims) != expected_npus:
         report.add(
             Severity.ERROR, "dim-product-mismatch", "topology.shape",
-            f"shape {'x'.join(map(str, shape_dims))} yields {product} NPUs "
+            f"shape {'x'.join(map(str, shape_dims))} yields "
+            f"{math.prod(shape_dims)} NPUs "
             f"but the run declares expected_npus={expected_npus}",
         )
 
-    network = config.network
-    if network is None:
+    if config.network is None:
         report.add(
             Severity.ERROR, "missing-network", "network",
             "run spec builds a topology but the config carries no network section",
         )
         return report.findings
     try:
-        if kind is TopologyKind.TORUS:
-            topology = build_torus_topology(
-                TorusShape(*shape_dims), network, config.system)
-        else:
-            topology = build_alltoall_topology(
-                AllToAllShape(*shape_dims), network, config.system)
+        topology = _build_topology(kind, shape_dims, config)
     except ReproError as exc:
         report.add(Severity.ERROR, "topology-error", "topology.shape", str(exc))
         return report.findings
     report.extend(lint_fabric_structure(topology, source=source))
     return report.findings
+
+
+def _build_topology(kind: TopologyKind, dims: tuple[int, ...],
+                    config: SimulationConfig):
+    """The logical topology a run spec describes, on its own network."""
+    from repro.topology.logical import build_alltoall_topology, build_torus_topology
+
+    check_arity(kind, dims)
+    if kind is TopologyKind.TORUS:
+        return build_torus_topology(TorusShape(*dims), config.network, config.system)
+    return build_alltoall_topology(AllToAllShape(*dims), config.network, config.system)
 
 
 # -- fault lint -----------------------------------------------------------------
@@ -453,7 +302,7 @@ def lint_faults(data: dict, num_links: Optional[int] = None,
                 source: str = "") -> list[Finding]:
     """Fault-injection parameters (see :mod:`repro.network.faults`)."""
     report = LintReport(source=source)
-    _check_unknown_keys(report, data, FAULT_KEYS, "faults")
+    _add_errors(report, unknown_keys(data, FAULT_KEYS, "faults"))
     factor = data.get("bandwidth_factor")
     if factor is not None and isinstance(factor, (int, float)):
         if not 0 < factor <= 1:
@@ -511,7 +360,7 @@ def lint_fault_schedule(data: Any, source: str = "") -> list[Finding]:
         report.add(Severity.ERROR, "malformed-spec", "fault_schedule",
                    f"fault schedule must be an object, got {type(data).__name__}")
         return report.findings
-    _check_unknown_keys(report, data, SCHEDULE_KEYS, "fault_schedule")
+    _add_errors(report, unknown_keys(data, SCHEDULE_KEYS, "fault_schedule"))
     seed = data.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         report.add(Severity.ERROR, "fault-factor-out-of-range",
@@ -529,7 +378,7 @@ def lint_fault_schedule(data: Any, source: str = "") -> list[Finding]:
             key=lambda e: e.get("time", 0)
             if isinstance(e.get("time", 0), (int, float)) else 0)):
         prefix = f"fault_schedule.events[{i}]"
-        _check_unknown_keys(report, entry, EVENT_KEYS, prefix)
+        _add_errors(report, unknown_keys(entry, EVENT_KEYS, prefix))
         try:
             event = FaultEvent.from_dict(
                 {k: v for k, v in entry.items() if k in EVENT_KEYS})
@@ -563,61 +412,35 @@ def lint_fault_schedule(data: Any, source: str = "") -> list[Finding]:
 
 
 def lint_supervision(data: Any, source: str = "") -> list[Finding]:
-    """Lint a run spec's ``supervision`` section (docs/SUPERVISION.md).
+    """Lint a run spec's ``supervision`` section (docs/SUPERVISION.md)
+    against :class:`repro.parallel.supervisor.SupervisionPolicy`'s field
+    table — the rules the policy checks at construction."""
+    from repro.parallel.supervisor import SupervisionPolicy
 
-    Per-field range rules and the ``on_poison`` enum fire first with
-    parameter-anchored findings; a clean section is then constructed via
-    :class:`repro.parallel.supervisor.SupervisionPolicy` so every cross-field
-    ConfigError the runtime would raise surfaces here instead.
-    """
     report = LintReport(source=source)
     if not isinstance(data, dict):
         report.add(Severity.ERROR, "malformed-spec", "supervision",
                    f"supervision section must be an object, got "
                    f"{type(data).__name__}")
         return report.findings
-    _check_unknown_keys(report, data, SUPERVISION_KEYS, "supervision")
-    _check_rules(report, data, _SUPERVISION_RULES, "supervision")
-    on_poison = data.get("on_poison")
-    if on_poison is not None and on_poison not in ("quarantine", "fail"):
-        report.add(Severity.ERROR, "out-of-range", "supervision.on_poison",
-                   f"must be 'quarantine' or 'fail', got {on_poison!r}")
-    if report.ok(strict=False):
-        from repro.parallel.supervisor import SupervisionPolicy
-
-        try:
-            SupervisionPolicy(
-                **{k: v for k, v in data.items() if k in SUPERVISION_KEYS})
-        except (ConfigError, TypeError) as exc:
-            report.add(Severity.ERROR, "supervision-invalid", "supervision",
-                       str(exc))
+    _add_errors(report, field_errors(SupervisionPolicy, data, "supervision"))
     return report.findings
 
 
 # -- search-space specs ---------------------------------------------------------
 
-#: Axes whose values are plain integers >= 1 (rings, switches, chunks).
-_INT_AXES = ("chunks", "local_rings", "horizontal_rings", "vertical_rings",
-             "global_switches")
-
 
 def lint_search_space(data: Any, source: str = "") -> list[Finding]:
     """Lint a search-space spec for `astra-repro search` (docs/SEARCH.md).
 
-    Raw-level checks fire first (unknown keys, empty axes, out-of-range
-    bounds) so a bad file yields parameter-anchored findings; a clean
-    document is then constructed via
-    :class:`repro.search.space.SearchSpace` to catch everything else
-    (shape/NPU mismatches, infeasible constraints).
+    The document is checked against its field tables (unknown keys,
+    types, empty axes, out-of-range values, each axis against the field
+    it sweeps) with parameter-anchored findings; a clean document is
+    then constructed via :class:`repro.search.space.SearchSpace` to catch
+    the cross-field rules (shape/NPU mismatches, a topology without a
+    shape).
     """
-    from repro.analytical.cost_models import CostTable
-    from repro.search.space import (
-        AXIS_NAMES,
-        COLLECTIVE_NAMES,
-        CONSTRAINT_KEYS,
-        SPACE_KEYS,
-        SearchSpace,
-    )
+    from repro.search.space import SearchSpace, SpaceDocument
 
     report = LintReport(source=source)
     if not isinstance(data, dict):
@@ -625,81 +448,7 @@ def lint_search_space(data: Any, source: str = "") -> list[Finding]:
                    f"search space must be a JSON object, got "
                    f"{type(data).__name__}")
         return report.findings
-    _check_unknown_keys(report, data, SPACE_KEYS, "")
-
-    num_npus = data.get("num_npus")
-    if num_npus is None:
-        report.add(Severity.ERROR, "missing-parameter", "num_npus",
-                   "search space needs an integer num_npus")
-    elif isinstance(num_npus, bool) or not isinstance(num_npus, int) \
-            or num_npus < 2:
-        report.add(Severity.ERROR, "out-of-range", "num_npus",
-                   f"must be an integer >= 2, got {num_npus!r}")
-
-    collective = data.get("collective")
-    if collective is not None and collective not in COLLECTIVE_NAMES:
-        report.add(Severity.ERROR, "unknown-parameter", "collective",
-                   f"unknown collective {collective!r}; expected one of "
-                   f"{', '.join(COLLECTIVE_NAMES)}")
-
-    size = data.get("size_bytes")
-    if size is not None and (isinstance(size, bool)
-                             or not isinstance(size, (int, float))
-                             or size <= 0):
-        report.add(Severity.ERROR, "out-of-range", "size_bytes",
-                   f"must be positive, got {size!r}")
-
-    axes = data.get("axes")
-    if axes is not None:
-        if not isinstance(axes, dict):
-            report.add(Severity.ERROR, "malformed-spec", "axes",
-                       "axes must be an object mapping axis -> values")
-        else:
-            _check_unknown_keys(report, axes, set(AXIS_NAMES), "axes")
-            for name, values in axes.items():
-                if name not in AXIS_NAMES:
-                    continue
-                if not isinstance(values, list):
-                    report.add(Severity.ERROR, "malformed-spec",
-                               f"axes.{name}", "axis values must be a list")
-                elif not values:
-                    report.add(Severity.ERROR, "empty-axis", f"axes.{name}",
-                               "axis has no values; drop it to use the "
-                               "default range")
-                elif name in _INT_AXES:
-                    for v in values:
-                        if isinstance(v, bool) or not isinstance(v, int) \
-                                or v < 1:
-                            report.add(Severity.ERROR, "out-of-range",
-                                       f"axes.{name}",
-                                       f"values must be integers >= 1, "
-                                       f"got {v!r}")
-
-    constraints = data.get("constraints")
-    if constraints is not None:
-        if not isinstance(constraints, dict):
-            report.add(Severity.ERROR, "malformed-spec", "constraints",
-                       "constraints must be an object")
-        else:
-            _check_unknown_keys(report, constraints, CONSTRAINT_KEYS,
-                                "constraints")
-            _check_rules(report, constraints, {
-                "max_links_per_npu": ("must be >= 1", lambda v: v >= 1),
-                "max_platform_dollars": ("must be positive", lambda v: v > 0),
-            }, "constraints")
-
-    cost = data.get("cost")
-    if cost is not None:
-        if not isinstance(cost, dict):
-            report.add(Severity.ERROR, "malformed-spec", "cost",
-                       "cost must be an object of CostTable fields")
-        else:
-            _check_unknown_keys(report, cost, CostTable.field_names(), "cost")
-            _check_rules(report, cost, {
-                name: ("must be >= 0", lambda v: v >= 0)
-                for name in CostTable.field_names()
-            }, "cost")
-
+    _add_errors(report, field_errors(SpaceDocument, data))
     if report.errors:
         return report.findings
     try:
@@ -749,30 +498,37 @@ def lint_run_spec(data: Any, source: str = "") -> LintReport:
         config_data, spec = data, {}
     else:
         spec = data
-        _check_unknown_keys(report, spec, RUN_SPEC_KEYS, "")
+        _add_errors(report, unknown_keys(spec, RUN_SPEC_KEYS))
         config_data = spec.get("config")
 
-    if config_data is not None:
+    if isinstance(config_data, dict):
         config, findings = lint_config_dict(config_data, source=source)
         report.extend(findings)
+    elif config_data is not None:
+        config = None
+        report.add(Severity.ERROR, "malformed-spec", "config",
+                   f"config section must be an object, got "
+                   f"{type(config_data).__name__}")
     else:
         from repro.config.presets import paper_simulation_config
 
         config = paper_simulation_config()
 
     topo_data = spec.get("topology")
+    topology = None
     if topo_data is not None and config is not None:
         if not isinstance(topo_data, dict):
             report.add(Severity.ERROR, "malformed-spec", "topology",
                        "topology section must be an object with kind/shape")
         else:
-            _check_unknown_keys(report, topo_data, TOPOLOGY_KEYS, "topology")
+            _add_errors(report, unknown_keys(topo_data, TOPOLOGY_KEYS, "topology"))
             try:
                 kind = TopologyKind(topo_data.get("kind", "Torus"))
                 dims = parse_shape(topo_data.get("shape", ""))
             except (ConfigError, ValueError) as exc:
                 report.add(Severity.ERROR, "malformed-spec", "topology", str(exc))
             else:
+                topology = (kind, dims)
                 report.extend(lint_topology(
                     kind, dims, config,
                     expected_npus=spec.get("expected_npus"),
@@ -785,7 +541,7 @@ def lint_run_spec(data: Any, source: str = "") -> LintReport:
             report.add(Severity.ERROR, "malformed-spec", "faults",
                        "faults section must be an object")
         else:
-            num_links = _count_links(spec, config)
+            num_links = _count_links(topology, config)
             report.extend(lint_faults(faults, num_links=num_links, source=source))
 
     schedule = spec.get("fault_schedule")
@@ -798,25 +554,15 @@ def lint_run_spec(data: Any, source: str = "") -> LintReport:
     return report
 
 
-def _count_links(spec: dict, config: Optional[SimulationConfig]) -> Optional[int]:
+def _count_links(topology: Optional[tuple], config: Optional[SimulationConfig]
+                 ) -> Optional[int]:
     """Total fabric links when the spec describes a buildable topology."""
-    topo_data = spec.get("topology")
-    if config is None or config.network is None or not isinstance(topo_data, dict):
+    if topology is None or config.network is None:
         return None
-    from repro.topology.logical import build_alltoall_topology, build_torus_topology
-
     try:
-        kind = TopologyKind(topo_data.get("kind", "Torus"))
-        dims = parse_shape(topo_data.get("shape", ""))
-        if kind is TopologyKind.TORUS:
-            topology = build_torus_topology(TorusShape(*dims), config.network,
-                                            config.system)
-        else:
-            topology = build_alltoall_topology(AllToAllShape(*dims),
-                                               config.network, config.system)
-    except (ReproError, ValueError, TypeError):
+        return _build_topology(*topology, config).fabric.total_links()
+    except ReproError:
         return None
-    return topology.fabric.total_links()
 
 
 def lint_spec_file(path: str) -> LintReport:

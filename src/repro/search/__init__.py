@@ -21,12 +21,8 @@ from repro.search.objectives import (
 from repro.search.report import SearchReport
 from repro.search.space import (
     AXIS_NAMES,
-    COLLECTIVE_NAMES,
-    CONSTRAINT_KEYS,
-    SPACE_KEYS,
     SearchPoint,
     SearchSpace,
-    parse_shape_value,
     platform_for_point,
 )
 from repro.search.strategies import (
@@ -39,10 +35,7 @@ from repro.search.strategies import (
 
 __all__ = [
     "AXIS_NAMES",
-    "COLLECTIVE_NAMES",
-    "CONSTRAINT_KEYS",
     "OBJECTIVE_NAMES",
-    "SPACE_KEYS",
     "STRATEGY_NAMES",
     "CostObjective",
     "Evaluation",
@@ -59,7 +52,6 @@ __all__ = [
     "load_trajectory",
     "make_objective",
     "make_strategy",
-    "parse_shape_value",
     "platform_for_point",
     "rank_frontier",
     "run_search",

@@ -16,18 +16,24 @@ counts on size-1 dimensions.  :meth:`SearchSpace.canonical` zeroes dead
 genes so that equivalent genomes collapse to one evaluated point and
 revisits are free.
 
-Validation happens in two layers: :func:`repro.sanitize.lint_search_space`
-lints the raw JSON (unknown keys, empty axes, out-of-range bounds) with
-parameter-anchored findings, and construction here rejects anything a
-simulation could not run (infeasible shapes, impossible constraints)
-with :class:`~repro.errors.ConfigError`.
+Every field of a space document is declared once, as a
+:mod:`repro.config.fields` table (:class:`SpaceDocument`, :class:`Axes`,
+:class:`Constraints` and :class:`~repro.analytical.cost_models.CostTable`);
+each axis checks its values against the rule of the field it sweeps
+(``chunks`` against ``SystemConfig.preferred_set_splits``).
+:func:`repro.sanitize.lint_search_space` reports the table's findings
+with parameter paths, and :meth:`SearchSpace.from_dict` raises on the
+same findings; construction then rejects what no single field can
+express (shapes whose NPU count differs from ``num_npus``, a topology
+with no matching shape).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+import math
+from dataclasses import asdict, dataclass, fields
+from typing import Optional, Sequence
 
 from repro.analytical.cost_models import (
     CostTable,
@@ -36,45 +42,77 @@ from repro.analytical.cost_models import (
     platform_dollars,
     torus_link_counts,
 )
-from repro.collectives.types import CollectiveOp
+from repro.collectives.types import COLLECTIVE_OPS, CollectiveOp
+from repro.config.fields import Rule, build, choice, declare, integer, number, rules, section
 from repro.config.parameters import (
+    SHAPE_ARITY,
     AllToAllShape,
     CollectiveAlgorithm,
     SchedulingPolicy,
+    SystemConfig,
+    TopologyKind,
     TorusShape,
 )
 from repro.config.presets import PAPER_LOCAL_LINK, PAPER_PACKAGE_LINK
+from repro.config.units import MB
 from repro.errors import ConfigError
-from repro.harness.runners import PlatformSpec, alltoall_platform, torus_platform
+from repro.harness.runners import PlatformSpec, platform_for
 
-#: Top-level keys a search-space JSON document may carry.
-SPACE_KEYS = {"name", "num_npus", "collective", "size_bytes", "axes",
-              "constraints", "cost"}
+
+def _sweeps(rule: Rule, default: Optional[tuple] = None):
+    """A search axis: a non-empty list of values each obeying ``rule``.
+    An omitted axis sweeps ``default``, or a range derived from
+    ``num_npus`` when that is ``None``."""
+    return declare(Rule("axis", item=rule), default)
+
+
+_SYSTEM = rules(SystemConfig)
+
+
+@dataclass(frozen=True)
+class Axes:
+    """The ``axes`` section, in genome order.  Each axis lists the values
+    it sweeps, checked against the rule of the field it sets."""
+
+    topology: Optional[tuple] = _sweeps(_SYSTEM["topology"])
+    torus_shape: Optional[tuple] = _sweeps(
+        Rule("shape", arity=SHAPE_ARITY[TopologyKind.TORUS]))
+    alltoall_shape: Optional[tuple] = _sweeps(
+        Rule("shape", arity=SHAPE_ARITY[TopologyKind.ALLTOALL]))
+    algorithm: tuple = _sweeps(_SYSTEM["algorithm"], _SYSTEM["algorithm"].tokens)
+    scheduling_policy: tuple = _sweeps(_SYSTEM["scheduling_policy"],
+                                       _SYSTEM["scheduling_policy"].tokens)
+    chunks: tuple = _sweeps(_SYSTEM["preferred_set_splits"], (1, 4, 16))
+    local_rings: tuple = _sweeps(_SYSTEM["local_rings"], (1, 2))
+    horizontal_rings: tuple = _sweeps(_SYSTEM["horizontal_rings"], (1, 2))
+    vertical_rings: tuple = _sweeps(_SYSTEM["vertical_rings"], (1, 2))
+    global_switches: tuple = _sweeps(_SYSTEM["global_switches"], (1, 2, 4))
+    symmetric: tuple = _sweeps(Rule("bool"), (False, True))
+
+
+@dataclass(frozen=True)
+class Constraints:
+    """The optional ``constraints`` section."""
+
+    max_links_per_npu: Optional[int] = integer(None, ge=1)
+    max_platform_dollars: Optional[float] = number(None, gt=0)
+
+
+@dataclass(frozen=True)
+class SpaceDocument:
+    """A search-space JSON document (docs/SEARCH.md)."""
+
+    num_npus: int = integer(ge=2)
+    name: Optional[str] = declare(Rule("text"), None)
+    collective: CollectiveOp = choice(COLLECTIVE_OPS, CollectiveOp.ALL_REDUCE)
+    size_bytes: float = number(4 * MB, gt=0)
+    axes: Axes = section(Axes, default_factory=Axes)
+    constraints: Optional[Constraints] = section(Constraints, None)
+    cost: Optional[CostTable] = section(CostTable, None)
+
 
 #: Axis names in genome order.  A genome is one index per axis.
-AXIS_NAMES = (
-    "topology",
-    "torus_shape",
-    "alltoall_shape",
-    "algorithm",
-    "scheduling_policy",
-    "chunks",
-    "local_rings",
-    "horizontal_rings",
-    "vertical_rings",
-    "global_switches",
-    "symmetric",
-)
-
-#: Keys of the optional ``constraints`` section.
-CONSTRAINT_KEYS = {"max_links_per_npu", "max_platform_dollars"}
-
-#: Collective names accepted by the ``collective`` field.
-COLLECTIVE_NAMES = ("allreduce", "allgather", "reducescatter", "alltoall")
-
-_TOPOLOGIES = ("Torus", "AllToAll")
-_ALGORITHMS = tuple(a.value for a in CollectiveAlgorithm)
-_POLICIES = tuple(p.value for p in SchedulingPolicy)
+AXIS_NAMES = tuple(f.name for f in fields(Axes))
 
 #: How many feasibility-rejected samples :meth:`random_point` tolerates
 #: before concluding the constraints admit no point at all.
@@ -98,10 +136,7 @@ class SearchPoint:
 
     @property
     def num_npus(self) -> int:
-        product = 1
-        for d in self.shape:
-            product *= d
-        return product
+        return math.prod(self.shape)
 
     @property
     def label(self) -> str:
@@ -149,53 +184,17 @@ def platform_for_point(point: SearchPoint) -> PlatformSpec:
     Module-level (not a closure) so ``functools.partial`` over it is
     picklable and search evaluations can cross process boundaries.
     """
-    algorithm = CollectiveAlgorithm(point.algorithm)
-    policy = SchedulingPolicy(point.scheduling_policy)
-    if point.topology == "Torus":
-        return torus_platform(
-            TorusShape(*point.shape),
-            algorithm=algorithm,
-            scheduling_policy=policy,
-            symmetric=point.symmetric,
-            local_rings=point.local_rings,
-            horizontal_rings=point.horizontal_rings,
-            vertical_rings=point.vertical_rings,
-            preferred_set_splits=point.chunks,
-        )
-    return alltoall_platform(
-        AllToAllShape(*point.shape),
-        algorithm=algorithm,
-        scheduling_policy=policy,
+    return platform_for(
+        TopologyKind(point.topology), point.shape,
+        algorithm=CollectiveAlgorithm(point.algorithm),
+        scheduling_policy=SchedulingPolicy(point.scheduling_policy),
         symmetric=point.symmetric,
         local_rings=point.local_rings,
+        horizontal_rings=point.horizontal_rings,
+        vertical_rings=point.vertical_rings,
         global_switches=point.global_switches,
         preferred_set_splits=point.chunks,
     )
-
-
-def parse_shape_value(value: Any, arity: int, num_npus: int,
-                      axis: str) -> tuple[int, ...]:
-    """Parse one shape axis value (``"2x4x1"`` or ``[2, 4, 1]``)."""
-    if isinstance(value, str):
-        try:
-            dims = tuple(int(tok) for tok in value.lower().split("x"))
-        except ValueError:
-            raise ConfigError(f"{axis}: bad shape {value!r}") from None
-    elif isinstance(value, (list, tuple)):
-        dims = tuple(value)
-    else:
-        raise ConfigError(f"{axis}: shape must be a string or list, got {value!r}")
-    if len(dims) != arity or not all(isinstance(d, int) and d >= 1 for d in dims):
-        raise ConfigError(
-            f"{axis}: shape {value!r} must have {arity} dimensions >= 1")
-    product = 1
-    for d in dims:
-        product *= d
-    if product != num_npus:
-        raise ConfigError(
-            f"{axis}: shape {value!r} yields {product} NPUs, space declares "
-            f"num_npus={num_npus}")
-    return dims
 
 
 def _factorizations(n: int, dims: int) -> list[tuple[int, ...]]:
@@ -209,44 +208,21 @@ def _factorizations(n: int, dims: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _default_axes(num_npus: int) -> dict[str, tuple]:
-    """Axis defaults when the JSON omits an axis entirely."""
-    alltoall_shapes = tuple(
-        s for s in _factorizations(num_npus, 2) if s[1] >= 2)
-    return {
-        "topology": _TOPOLOGIES if alltoall_shapes else ("Torus",),
-        "torus_shape": tuple(_factorizations(num_npus, 3)),
-        "alltoall_shape": alltoall_shapes,
-        "algorithm": _ALGORITHMS,
-        "scheduling_policy": _POLICIES,
-        "chunks": (1, 4, 16),
-        "local_rings": (1, 2),
-        "horizontal_rings": (1, 2),
-        "vertical_rings": (1, 2),
-        "global_switches": (1, 2, 4),
-        "symmetric": (False, True),
-    }
-
-
 class SearchSpace:
     """A validated cross product of design axes plus the workload point
     (one collective at one payload size) candidates are judged on."""
 
     def __init__(self, name: str, num_npus: int, collective: CollectiveOp,
                  size_bytes: float, axes: dict[str, tuple],
-                 constraints: Optional[dict] = None,
+                 constraints: Optional[Constraints] = None,
                  cost_table: Optional[CostTable] = None,
                  source: str = ""):
-        if num_npus < 2:
-            raise ConfigError(f"search space needs num_npus >= 2, got {num_npus}")
-        if size_bytes <= 0:
-            raise ConfigError(f"size_bytes must be positive, got {size_bytes}")
         self.name = name
         self.num_npus = num_npus
         self.collective = collective
         self.size_bytes = float(size_bytes)
         self.axes = {axis: tuple(axes[axis]) for axis in AXIS_NAMES}
-        self.constraints = dict(constraints or {})
+        self.constraints = constraints if constraints is not None else Constraints()
         self.cost_table = cost_table if cost_table is not None else CostTable()
         self.source = source
         self._validate()
@@ -255,53 +231,25 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "") -> "SearchSpace":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"search space must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - SPACE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown search-space keys: {unknown}")
-        try:
-            num_npus = int(data["num_npus"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("search space needs an integer num_npus") from None
-        collective_name = data.get("collective", "allreduce")
-        if collective_name not in COLLECTIVE_NAMES:
-            raise ConfigError(
-                f"unknown collective {collective_name!r}; expected one of "
-                f"{', '.join(COLLECTIVE_NAMES)}")
-        raw_axes = data.get("axes", {})
-        if not isinstance(raw_axes, dict):
-            raise ConfigError("axes must be an object mapping axis -> values")
-        unknown_axes = sorted(set(raw_axes) - set(AXIS_NAMES))
-        if unknown_axes:
-            raise ConfigError(f"unknown axes: {unknown_axes}")
-        defaults = _default_axes(num_npus)
-        axes: dict[str, tuple] = {}
-        for axis in AXIS_NAMES:
-            if axis in raw_axes:
-                values = raw_axes[axis]
-                if not isinstance(values, list) or not values:
-                    raise ConfigError(f"axis {axis!r} must be a non-empty list")
-                axes[axis] = cls._parse_axis(axis, values, num_npus)
-            else:
-                axes[axis] = defaults[axis]
-        constraints = data.get("constraints") or {}
-        if not isinstance(constraints, dict):
-            raise ConfigError("constraints must be an object")
-        unknown_constraints = sorted(set(constraints) - CONSTRAINT_KEYS)
-        if unknown_constraints:
-            raise ConfigError(f"unknown constraints: {unknown_constraints}")
-        cost_data = data.get("cost")
-        cost_table = CostTable.from_dict(cost_data) if cost_data else None
+        """Build from a space document; raises :class:`ConfigError` on
+        the findings :func:`repro.sanitize.lint_search_space` reports."""
+        doc = build(SpaceDocument, data)
+        alltoall_shapes = tuple(s for s in _factorizations(doc.num_npus, 2) if s[1] >= 2)
+        derived = {  # the default ranges that depend on num_npus
+            "topology": _SYSTEM["topology"].tokens if alltoall_shapes else ("Torus",),
+            "torus_shape": tuple(_factorizations(doc.num_npus, 3)),
+            "alltoall_shape": alltoall_shapes,
+        }
+        given = {axis: values for axis, values in asdict(doc.axes).items()
+                 if values is not None}
         return cls(
-            name=str(data.get("name", source or "search-space")),
-            num_npus=num_npus,
-            collective=CollectiveOp(collective_name),
-            size_bytes=float(data.get("size_bytes", 4 * 1024 * 1024)),
-            axes=axes,
-            constraints=constraints,
-            cost_table=cost_table,
+            name=doc.name if doc.name is not None else source or "search-space",
+            num_npus=doc.num_npus,
+            collective=doc.collective,
+            size_bytes=doc.size_bytes,
+            axes={**derived, **given},
+            constraints=doc.constraints,
+            cost_table=doc.cost,
             source=source,
         )
 
@@ -316,73 +264,24 @@ class SearchSpace:
             raise ConfigError(f"search space {path}: invalid JSON: {exc}") from None
         return cls.from_dict(data, source=str(path))
 
-    @staticmethod
-    def _parse_axis(axis: str, values: list, num_npus: int) -> tuple:
-        if axis == "topology":
-            for v in values:
-                if v not in _TOPOLOGIES:
-                    raise ConfigError(
-                        f"topology axis value {v!r} must be one of {_TOPOLOGIES}")
-            return tuple(values)
-        if axis == "torus_shape":
-            return tuple(parse_shape_value(v, 3, num_npus, axis) for v in values)
-        if axis == "alltoall_shape":
-            shapes = tuple(parse_shape_value(v, 2, num_npus, axis) for v in values)
-            for s in shapes:
-                if s[1] < 2:
-                    raise ConfigError(
-                        f"alltoall_shape: {s} needs at least 2 packages")
-            return shapes
-        if axis == "algorithm":
-            for v in values:
-                if v not in _ALGORITHMS:
-                    raise ConfigError(
-                        f"algorithm axis value {v!r} must be one of {_ALGORITHMS}")
-            return tuple(values)
-        if axis == "scheduling_policy":
-            for v in values:
-                if v not in _POLICIES:
-                    raise ConfigError(
-                        f"scheduling_policy axis value {v!r} must be one of "
-                        f"{_POLICIES}")
-            return tuple(values)
-        if axis == "symmetric":
-            for v in values:
-                if not isinstance(v, bool):
-                    raise ConfigError(
-                        f"symmetric axis values must be booleans, got {v!r}")
-            return tuple(values)
-        # Integer axes: chunks, ring counts, global switches.
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(
-                    f"axis {axis!r} values must be integers >= 1, got {v!r}")
-        return tuple(values)
-
     def _validate(self) -> None:
-        for axis in AXIS_NAMES:
-            if not self.axes[axis] and axis not in ("torus_shape", "alltoall_shape"):
-                raise ConfigError(f"axis {axis!r} has no values")
-        if "Torus" in self.axes["topology"] and not self.axes["torus_shape"]:
-            raise ConfigError(
-                "topology axis includes 'Torus' but no torus_shape matches "
-                f"num_npus={self.num_npus}")
-        if "AllToAll" in self.axes["topology"] and not self.axes["alltoall_shape"]:
-            raise ConfigError(
-                "topology axis includes 'AllToAll' but no alltoall_shape "
-                f"matches num_npus={self.num_npus}")
-        max_links = self.constraints.get("max_links_per_npu")
-        if max_links is not None and (isinstance(max_links, bool)
-                                      or not isinstance(max_links, int)
-                                      or max_links < 1):
-            raise ConfigError(
-                f"max_links_per_npu must be an integer >= 1, got {max_links!r}")
-        max_dollars = self.constraints.get("max_platform_dollars")
-        if max_dollars is not None and (isinstance(max_dollars, bool)
-                                        or not isinstance(max_dollars, (int, float))
-                                        or max_dollars <= 0):
-            raise ConfigError(
-                f"max_platform_dollars must be positive, got {max_dollars!r}")
+        """Cross-field rules: every shape has ``num_npus`` NPUs and is a
+        valid torus or alltoall shape, and each topology has a shape."""
+        for name, shape_cls in (("torus_shape", TorusShape),
+                                ("alltoall_shape", AllToAllShape)):
+            for dims in self.axes[name]:
+                shape_cls(*dims)
+                if math.prod(dims) != self.num_npus:
+                    raise ConfigError(
+                        f"{name}: shape {'x'.join(map(str, dims))} yields "
+                        f"{math.prod(dims)} NPUs, space declares "
+                        f"num_npus={self.num_npus}")
+        for topology, name in (("Torus", "torus_shape"),
+                               ("AllToAll", "alltoall_shape")):
+            if topology in self.axes["topology"] and not self.axes[name]:
+                raise ConfigError(
+                    f"topology axis includes {topology!r} but no {name} "
+                    f"matches num_npus={self.num_npus}")
 
     # -- genomes -------------------------------------------------------------
 
@@ -479,12 +378,12 @@ class SearchSpace:
             # direct algorithms never schedule — reject as wasted budget.
             if point.global_switches > point.shape[1] - 1:
                 return False
-        max_links = self.constraints.get("max_links_per_npu")
+        max_links = self.constraints.max_links_per_npu
         if max_links is not None:
             counts = point.link_counts()
             if counts.total_links > max_links * self.num_npus:
                 return False
-        max_dollars = self.constraints.get("max_platform_dollars")
+        max_dollars = self.constraints.max_platform_dollars
         if max_dollars is not None:
             if point.dollars(self.cost_table) > max_dollars:
                 return False

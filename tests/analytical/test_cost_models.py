@@ -22,6 +22,7 @@ from repro.analytical import (
     ring_reduce_scatter_cycles,
     torus_link_counts,
 )
+from repro.config.fields import build
 from repro.errors import CollectiveError, ConfigError
 
 LINK = LinkParams(bytes_per_cycle=100.0, latency_cycles=50.0,
@@ -219,8 +220,8 @@ class TestLinkCounts:
 
 class TestCostTable:
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="cost-table"):
-            CostTable.from_dict({"link_dollars": 1.0})
+        with pytest.raises(ConfigError, match="link_dollars: unknown parameter"):
+            build(CostTable, {"link_dollars": 1.0})
 
     def test_rejects_negative_prices(self):
         with pytest.raises(ConfigError):

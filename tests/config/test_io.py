@@ -54,8 +54,10 @@ class TestErrors:
             config_from_json("{not json")
 
     def test_missing_fields(self):
+        # Omitted sections and fields take their defaults; a link's
+        # bandwidth, latency and packet size have none.
         with pytest.raises(ConfigError):
-            config_from_dict({"system": {}})
+            config_from_dict({"network": {"local_link": {}}})
 
     def test_bad_enum_value(self):
         d = config_to_dict(paper_simulation_config())

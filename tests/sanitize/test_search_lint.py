@@ -3,7 +3,11 @@ search-space JSONs and the seeded good/bad fixtures)."""
 
 import json
 
+import pytest
+
 from repro.cli import main
+from repro.errors import ConfigError
+from repro.search import SearchSpace
 from repro.sanitize import lint_run_spec, lint_search_space, lint_spec_file
 
 GOOD = "examples/configs/search_fig09.json"
@@ -79,6 +83,25 @@ class TestLintSearchSpace:
     def test_not_an_object(self):
         findings = lint_search_space(["axes"])
         assert "malformed-spec" in checks_of(findings)
+
+
+class TestFieldTypes:
+    """The linter and SearchSpace.from_dict reject the same mistyped values
+    (from_dict used to run ``num_npus: 8.9`` as 8, accept ``"8"``, a
+    ``true`` size and a ``true`` shape dimension)."""
+
+    @pytest.mark.parametrize("key,value,param", [
+        ("num_npus", 8.9, "num_npus"),
+        ("num_npus", "8", "num_npus"),
+        ("size_bytes", True, "size_bytes"),
+        ("axes", {"torus_shape": [[2, 4, True]]}, "axes.torus_shape"),
+    ])
+    def test_one_bad_type_error_and_construction_refuses(self, key, value, param):
+        data = dict(good_data(), **{key: value})
+        findings = lint_search_space(data)
+        assert [(f.code, f.param) for f in findings] == [("bad-type", param)]
+        with pytest.raises(ConfigError, match=param):
+            SearchSpace.from_dict(data)
 
 
 class TestRouting:

@@ -219,17 +219,19 @@ class TestSupervisionLint:
 
     def test_on_poison_enum(self):
         findings = lint_supervision({"on_poison": "explode"})
-        assert "out-of-range" in error_codes(findings)
+        assert error_codes(findings) == {"bad-enum-value"}
+        assert "quarantine, fail" in findings[0].message
 
     def test_non_dict_section(self):
         findings = lint_supervision(["timeout", 30])
         assert "malformed-spec" in error_codes(findings)
 
     def test_policy_construction_catches_the_rest(self):
-        # Non-numeric values skip the raw range rules; constructing the
-        # policy itself surfaces the TypeError as a finding.
+        # A value of the wrong type is a typed finding at its own path,
+        # from the same table the policy checks at construction.
         findings = lint_supervision({"point_timeout_s": "forever"})
-        assert "supervision-invalid" in error_codes(findings)
+        assert [(f.code, f.param) for f in findings] == [
+            ("bad-type", "supervision.point_timeout_s")]
 
 
 class TestPresets:
@@ -265,7 +267,8 @@ class TestFindings:
 
 @pytest.mark.parametrize("name", [
     "dimension_mismatch", "flit_misalignment", "bad_fault_factor",
-    "bad_fault_schedule_action", "bad_fault_schedule_link"])
+    "bad_fault_schedule_action", "bad_fault_schedule_link", "bad_field_types",
+    "bad_payload", "bad_supervision"])
 def test_seeded_bad_configs_flag_errors(name):
     import os
 
@@ -290,3 +293,24 @@ def test_shipped_examples_are_clean():
     for path in paths:
         report = lint_spec_file(path)
         assert not report.errors, report.format()
+
+
+def test_bad_field_types_give_one_bad_type_error_each():
+    """Each wrongly typed value is one bad-type ERROR at its own path —
+    a float ring count used to crash the fabric build, a bool chunk
+    count and a float array size used to pass, and a string bandwidth
+    used to surface only as a config-wide error."""
+    import os
+
+    from repro.sanitize import lint_spec_file
+
+    path = os.path.join(os.path.dirname(__file__), "..", "data",
+                        "badconfigs", "bad_field_types.json")
+    errors = [(f.code, f.param) for f in lint_spec_file(path).findings
+              if f.severity is Severity.ERROR]
+    assert sorted(errors) == [
+        ("bad-type", "compute.array_rows"),
+        ("bad-type", "network.local_link.bandwidth_gbps"),
+        ("bad-type", "system.local_rings"),
+        ("bad-type", "system.preferred_set_splits"),
+    ]

@@ -73,6 +73,14 @@ class TestValidPayloads:
         high = parse_payload({**GOOD, "priority": 9})
         assert low.content_key() == high.content_key()
 
+    def test_alltoall_compute_scale_in_content_key(self):
+        """An AllToAll payload's compute scale reaches its platform, so
+        two scales never share a cache entry."""
+        base = {"op": "allreduce", "size_mb": 0.0625, "topology": "AllToAll",
+                "shape": "2x4"}
+        assert (parse_payload(base).content_key()
+                != parse_payload({**base, "compute_scale": 2}).content_key())
+
     def test_builder_is_picklable_and_rebuilds(self):
         import pickle
 

@@ -64,6 +64,26 @@ class TestCollectiveCommand:
         assert code == 2
 
 
+class TestAllToAllPlatformFlags:
+    """--scheduling-policy and --compute-scale reach an AllToAll platform
+    as they reach a torus one (both used to be dropped silently)."""
+
+    ARGS = ["train", "--model", "mlp", "--topology", "AllToAll", "--shape", "2x4",
+            "--num-passes", "1"]
+
+    def summary(self, capsys, *flags):
+        assert main(self.ARGS + list(flags)) == 0
+        return next(line for line in capsys.readouterr().out.splitlines()
+                    if "cycles" in line)
+
+    def test_scheduling_policy_changes_the_run(self, capsys):
+        assert self.summary(capsys) != self.summary(capsys, "--scheduling-policy", "FIFO")
+
+    def test_compute_scale_speeds_up_compute(self, capsys):
+        assert "compute 154,650" in self.summary(capsys)
+        assert "compute 38,663" in self.summary(capsys, "--compute-scale", "4")
+
+
 class TestWatchdogFlags:
     ARGS = ["collective", "--shape", "2x2x2", "--op", "allreduce",
             "--size-mb", "1"]
