@@ -7,7 +7,6 @@ fraction of the budget.  Both paths run through the parallel executor,
 so this also exercises the generation-batching hot path.
 """
 
-import functools
 import json
 
 from repro.parallel import ParallelExecutor, RunPoint
@@ -15,7 +14,6 @@ from repro.search import (
     SearchSpace,
     make_objective,
     make_strategy,
-    platform_for_point,
     rank_frontier,
     run_search,
 )
@@ -42,7 +40,7 @@ def test_search_beats_exhaustive_enumeration(benchmark):
 
     ex = ParallelExecutor(jobs=JOBS)
     results = ex.run_points([
-        RunPoint(builder=functools.partial(platform_for_point, space.decode(g)),
+        RunPoint(builder=space.decode(g).platform_spec,
                  op=space.collective, size_bytes=space.size_bytes)
         for g in genomes])
     exhaustive_best = min(r.duration_cycles for r in results)

@@ -18,16 +18,13 @@ the supervisor's process pools or numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from repro.collectives.types import COLLECTIVE_OPS, CollectiveOp
-from repro.config.fields import parse_shape
-from repro.config.parameters import (
-    CollectiveAlgorithm,
-    SchedulingPolicy,
-    TopologyKind,
-)
+from repro.config.fields import RULE, build, rules
+from repro.config.parameters import DesignPoint
 from repro.config.units import MB
 from repro.errors import (
     EXIT_CONFIG,
@@ -52,22 +49,8 @@ def _build_model(name: str, compute):
 
 
 def _build_platform(args: argparse.Namespace):
-    from repro.harness.runners import platform_for
-
-    spec = platform_for(
-        TopologyKind(args.topology),
-        parse_shape(args.shape),
-        algorithm=CollectiveAlgorithm(args.algorithm),
-        scheduling_policy=SchedulingPolicy(args.scheduling_policy),
-        symmetric=args.symmetric,
-        local_rings=args.local_rings,
-        horizontal_rings=args.horizontal_rings,
-        vertical_rings=args.vertical_rings,
-        global_switches=args.global_switches,
-        preferred_set_splits=args.preferred_set_splits,
-        compute_scale=args.compute_scale,
-    )
-    return _apply_watchdog_args(_apply_fault_args(spec, args), args)
+    point = build(DesignPoint, {name: getattr(args, name) for name in rules(DesignPoint)})
+    return _apply_watchdog_args(_apply_fault_args(point.platform_spec(), args), args)
 
 
 def _apply_fault_args(spec, args: argparse.Namespace):
@@ -211,25 +194,37 @@ def _supervision_from_args(args: argparse.Namespace):
             getattr(args, "quarantine_dir", None))
 
 
+#: Help for the design-point flags.  Each flag's name, type, choices and
+#: default come from the :class:`DesignPoint` table.
+_DESIGN_HELP = {
+    "topology": "logical topology (Table III #8)",
+    "shape": "MxNxK torus (local x horizontal x vertical) or MxN alltoall "
+             "(default 2x4x4 torus, 4x16 alltoall)",
+    "algorithm": "collective algorithm (Table III #3)",
+    "scheduling_policy": "ready-queue order (Table III #7)",
+    "symmetric": "equalize local links to inter-package bandwidth",
+    "local_rings": "Table III #9",
+    "horizontal_rings": "Table III #11",
+    "vertical_rings": "Table III #10",
+    "global_switches": "Table III #12",
+    "preferred_set_splits": "chunks per collective set (Table III #16)",
+    "compute_scale": "NPU compute-power multiplier (Fig. 18)",
+}
+
+#: The flag type of each field kind; booleans are store_true switches.
+_FLAG_TYPES = {"int": int, "number": float, "choice": str, "shape": str}
+
+
 def _add_platform_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--topology", choices=[k.value for k in TopologyKind],
-                   default="Torus", help="logical topology (Table III #8)")
-    p.add_argument("--shape", default="2x4x4",
-                   help="MxNxK torus (local x horizontal x vertical) or MxN alltoall")
-    p.add_argument("--algorithm", choices=[a.value for a in CollectiveAlgorithm],
-                   default="baseline", help="collective algorithm (Table III #3)")
-    p.add_argument("--scheduling-policy", choices=[s.value for s in SchedulingPolicy],
-                   default="LIFO", help="ready-queue order (Table III #7)")
-    p.add_argument("--symmetric", action="store_true",
-                   help="equalize local links to inter-package bandwidth")
-    p.add_argument("--local-rings", type=int, default=2, help="Table III #9")
-    p.add_argument("--horizontal-rings", type=int, default=1, help="Table III #11")
-    p.add_argument("--vertical-rings", type=int, default=1, help="Table III #10")
-    p.add_argument("--global-switches", type=int, default=2, help="Table III #12")
-    p.add_argument("--preferred-set-splits", type=int, default=16,
-                   help="chunks per collective set (Table III #16)")
-    p.add_argument("--compute-scale", type=float, default=1.0,
-                   help="NPU compute-power multiplier (Fig. 18)")
+    for f in dataclasses.fields(DesignPoint):
+        flag, rule = "--" + f.name.replace("_", "-"), f.metadata[RULE]
+        if rule.kind == "bool":
+            p.add_argument(flag, action="store_true", help=_DESIGN_HELP[f.name])
+        else:
+            p.add_argument(flag, type=_FLAG_TYPES[rule.kind],
+                           choices=rule.tokens or None,
+                           default=getattr(f.default, "value", f.default),
+                           help=_DESIGN_HELP[f.name])
     p.add_argument("--sanitize", action="store_true",
                    help="enable the runtime invariant sanitizer (time-travel, "
                         "livelock, flit/credit conservation, barrier checks)")

@@ -243,8 +243,7 @@ def _construct(cls: type, data: dict):
 
 
 def _convert(rule: Rule, value: Any) -> Any:
-    """A checked JSON value as the field holds it.  Axes keep enum tokens:
-    a search point names its algorithm and policy by value."""
+    """A checked JSON value as the field holds it."""
     if value is None:
         return None
     if rule.kind == "number":
@@ -256,8 +255,7 @@ def _convert(rule: Rule, value: Any) -> Any:
     if rule.kind == "shape":
         return parse_shape(value, rule.arity)
     if rule.kind == "axis":
-        return tuple(parse_shape(v, rule.item.arity) if rule.item.kind == "shape"
-                     else v for v in value)
+        return tuple(_convert(rule.item, v) for v in value)
     return value
 
 
@@ -306,27 +304,34 @@ def _range_errors(rule: Rule, value: Any, where: str, cls: type, siblings: Any,
                   raw: bool) -> list[tuple[str, str, str]]:
     """``out-of-range`` when ``value`` breaks the rule's bounds; the
     message states the whole range."""
-    low, low_text = _bound(rule.ge if rule.gt is None else rule.gt, cls, siblings, raw)
-    high, high_text = _bound(rule.le, cls, siblings, raw)
+    low_bound = rule.ge if rule.gt is None else rule.gt
+    low = _bound(low_bound, cls, siblings, raw)
+    high = _bound(rule.le, cls, siblings, raw)
     too_low = low is not None and (value <= low if rule.gt is not None else value < low)
     if not too_low and (high is None or value <= high):
         return []
     if low is not None and high is not None:
-        wanted = f"in {'(' if rule.gt is not None else '['}{low_text}, {high_text}]"
+        wanted = (f"in {'(' if rule.gt is not None else '['}{_bound_text(low_bound, low)}, "
+                  f"{_bound_text(rule.le, high)}]")
     elif low is not None:
-        wanted = f"{'>' if rule.gt is not None else '>='} {low_text}"
+        wanted = f"{'>' if rule.gt is not None else '>='} {_bound_text(low_bound, low)}"
     else:
-        wanted = f"<= {high_text}"
+        wanted = f"<= {_bound_text(rule.le, high)}"
     return [(where, "out-of-range", f"must be {wanted}, got {value!r}")]
 
 
 def _bound(bound: Bound, cls: type, siblings: Any, raw: bool):
-    """(value, text) of a bound.  A sibling-field bound reads the same
+    """The value of a bound.  A sibling-field bound reads the same
     document or object, and is skipped unless that value is a number."""
     if not isinstance(bound, str):
-        return bound, (None if bound is None else f"{bound:g}")
+        return bound
     value = (siblings.get(bound, getattr(cls, bound)) if raw
              else getattr(siblings, bound))
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None, None
-    return value, f"{bound} ({value:g})"
+        return None
+    return value
+
+
+def _bound_text(bound: Bound, value: Any) -> str:
+    """A bound as range messages state it: ``1`` or ``name (500)``."""
+    return f"{bound} ({value:g})" if isinstance(bound, str) else f"{value:g}"

@@ -17,9 +17,12 @@ from typing import Optional
 
 from repro.config.fields import (
     FieldError,
+    Rule,
     check,
     choice,
+    declare,
     integer,
+    like,
     number,
     section,
 )
@@ -313,3 +316,47 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         check(self)
+
+
+#: The shape a design point gets when it names a topology but no shape.
+DEFAULT_SHAPES = {TopologyKind.TORUS: (2, 4, 4), TopologyKind.ALLTOALL: (4, 16)}
+
+
+@dataclass(frozen=True)
+class DesignPoint:
+    """One Table III design point: topology family and shape, collective
+    algorithm, scheduling policy, link symmetry, ring and switch counts,
+    chunks per set and compute scale.
+
+    The CLI's platform flags, the service payload and the search point
+    are this table; :meth:`platform_spec` builds its platform.  The ring
+    and switch counts default as :func:`~repro.config.presets.paper_system_config`
+    sets them; the shape defaults per topology (:data:`DEFAULT_SHAPES`).
+    """
+
+    topology: TopologyKind = like(SystemConfig, "topology", TopologyKind.TORUS)
+    #: ``None`` picks the topology's default shape.
+    shape: tuple[int, ...] = declare(Rule("shape"), None)
+    algorithm: CollectiveAlgorithm = like(SystemConfig, "algorithm",
+                                          CollectiveAlgorithm.BASELINE)
+    scheduling_policy: SchedulingPolicy = like(SystemConfig, "scheduling_policy",
+                                               SchedulingPolicy.LIFO)
+    symmetric: bool = declare(Rule("bool"), False)
+    local_rings: int = like(SystemConfig, "local_rings", 2)
+    horizontal_rings: int = like(SystemConfig, "horizontal_rings", 1)
+    vertical_rings: int = like(SystemConfig, "vertical_rings", 1)
+    global_switches: int = like(SystemConfig, "global_switches", 2)
+    preferred_set_splits: int = like(SystemConfig, "preferred_set_splits", 16)
+    compute_scale: float = like(ComputeConfig, "compute_scale", 1.0)
+
+    def __post_init__(self) -> None:
+        check(self)
+        if self.shape is None:
+            object.__setattr__(self, "shape", DEFAULT_SHAPES[self.topology])
+        check_arity(self.topology, self.shape)
+
+    def platform_spec(self):
+        """The :class:`~repro.harness.runners.PlatformSpec` of this point."""
+        from repro.harness.runners import platform_for
+
+        return platform_for(self)

@@ -11,22 +11,21 @@ Two entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import (
     AllToAllShape,
     CollectiveAlgorithm,
+    DesignPoint,
     SchedulingPolicy,
     SimulationConfig,
     SystemConfig,
     TopologyKind,
     TorusShape,
-    check_arity,
 )
 from repro.config.presets import (
-    paper_compute_config,
     paper_network_config,
     paper_simulation_config,
     symmetric_network_config,
@@ -35,11 +34,7 @@ from repro.errors import ConfigError
 from repro.events.engine import EventQueue
 from repro.system.stats import DelayBreakdown
 from repro.system.sys_layer import System
-from repro.topology.logical import (
-    LogicalTopology,
-    build_alltoall_topology,
-    build_torus_topology,
-)
+from repro.topology.logical import LogicalTopology, topology_builder
 from repro.workload.model import DNNModel
 from repro.workload.training_loop import TrainingLoop, TrainingReport
 
@@ -118,41 +113,13 @@ def torus_platform(
     compute_scale: float = 1.0,
     preferred_set_splits: int = 16,
 ) -> PlatformSpec:
-    """A hierarchical torus platform with Table IV parameters.
-
-    ``symmetric=True`` equalizes every link to the inter-package class
-    (the Sec. V-A/V-B "links with same BW" setting).
-    """
-    network = symmetric_network_config() if symmetric else paper_network_config()
-    base = paper_simulation_config(
-        algorithm=algorithm,
-        scheduling_policy=scheduling_policy,
-        compute_scale=compute_scale,
-        preferred_set_splits=preferred_set_splits,
-    )
-    system = SystemConfig(
-        topology=base.system.topology,
-        algorithm=algorithm,
-        scheduling_policy=scheduling_policy,
-        local_rings=local_rings,
-        horizontal_rings=horizontal_rings,
-        vertical_rings=vertical_rings,
-        global_switches=base.system.global_switches,
-        endpoint_delay_cycles=base.system.endpoint_delay_cycles,
-        preferred_set_splits=preferred_set_splits,
-        dispatch_threshold=base.system.dispatch_threshold,
-        dispatch_batch=base.system.dispatch_batch,
-    )
-    config = SimulationConfig(
-        system=system,
-        network=network,
-        compute=paper_compute_config(compute_scale=compute_scale),
-    )
-    return PlatformSpec(
-        name=f"torus-{shape}",
-        topology_builder=lambda sys_cfg: build_torus_topology(shape, network, sys_cfg),
-        config=config,
-    )
+    """A hierarchical torus platform with Table IV parameters."""
+    return platform_for(DesignPoint(
+        topology=TopologyKind.TORUS, shape=astuple(shape), algorithm=algorithm,
+        scheduling_policy=scheduling_policy, symmetric=symmetric,
+        local_rings=local_rings, horizontal_rings=horizontal_rings,
+        vertical_rings=vertical_rings, preferred_set_splits=preferred_set_splits,
+        compute_scale=compute_scale))
 
 
 def alltoall_platform(
@@ -166,61 +133,42 @@ def alltoall_platform(
     compute_scale: float = 1.0,
 ) -> PlatformSpec:
     """A hierarchical alltoall platform with Table IV parameters."""
-    network = symmetric_network_config() if symmetric else paper_network_config()
-    base = paper_simulation_config(algorithm=algorithm,
-                                   scheduling_policy=scheduling_policy,
-                                   compute_scale=compute_scale,
-                                   preferred_set_splits=preferred_set_splits)
-    system = SystemConfig(
-        topology=base.system.topology,
-        algorithm=algorithm,
-        scheduling_policy=scheduling_policy,
-        local_rings=local_rings,
-        global_switches=global_switches,
-        endpoint_delay_cycles=base.system.endpoint_delay_cycles,
-        preferred_set_splits=preferred_set_splits,
-        dispatch_threshold=base.system.dispatch_threshold,
-        dispatch_batch=base.system.dispatch_batch,
-    )
-    config = SimulationConfig(system=system, network=network, compute=base.compute)
-    return PlatformSpec(
-        name=f"alltoall-{shape}",
-        topology_builder=lambda sys_cfg: build_alltoall_topology(shape, network, sys_cfg),
-        config=config,
-    )
+    return platform_for(DesignPoint(
+        topology=TopologyKind.ALLTOALL, shape=astuple(shape), algorithm=algorithm,
+        scheduling_policy=scheduling_policy, symmetric=symmetric,
+        local_rings=local_rings, global_switches=global_switches,
+        preferred_set_splits=preferred_set_splits, compute_scale=compute_scale))
 
 
-def platform_for(
-    topology: TopologyKind,
-    dims: Sequence[int],
-    *,
-    algorithm: CollectiveAlgorithm,
-    scheduling_policy: SchedulingPolicy,
-    symmetric: bool,
-    local_rings: int,
-    horizontal_rings: int,
-    vertical_rings: int,
-    global_switches: int,
-    preferred_set_splits: int,
-    compute_scale: float = 1.0,
-) -> PlatformSpec:
-    """The platform of one Table III design point: the CLI, the service
-    payload and the search all build here.
+def platform_for(point: DesignPoint) -> PlatformSpec:
+    """The platform of one Table III design point with Table IV
+    parameters: the CLI, the service payload, the search and the figure
+    harnesses all build here.
 
-    ``dims`` must have the family's dimension count.  A torus takes
-    the horizontal and vertical ring counts, an alltoall the global
-    switch count; every other knob applies to both.
+    ``symmetric`` equalizes every link to the inter-package class (the
+    Sec. V-A/V-B "links with same BW" setting).  A torus reads the
+    horizontal and vertical ring counts, an alltoall the global switch
+    count; every other knob applies to both.
     """
-    check_arity(topology, dims)
-    common = dict(algorithm=algorithm, scheduling_policy=scheduling_policy,
-                  symmetric=symmetric, local_rings=local_rings,
-                  compute_scale=compute_scale,
-                  preferred_set_splits=preferred_set_splits)
-    if topology is TopologyKind.TORUS:
-        return torus_platform(TorusShape(*dims), horizontal_rings=horizontal_rings,
-                              vertical_rings=vertical_rings, **common)
-    return alltoall_platform(AllToAllShape(*dims), global_switches=global_switches,
-                             **common)
+    torus = point.topology is TopologyKind.TORUS
+    base = paper_simulation_config(
+        algorithm=point.algorithm, scheduling_policy=point.scheduling_policy,
+        compute_scale=point.compute_scale,
+        preferred_set_splits=point.preferred_set_splits)
+    network = symmetric_network_config() if point.symmetric else paper_network_config()
+    # Values a family never reads stay fixed so that configs, and the
+    # run-cache keys made from them, do not depend on them: an AllToAll
+    # config keeps topology=TORUS and 2 horizontal and vertical rings, a
+    # torus keeps 2 global switches.
+    system = replace(base.system, local_rings=point.local_rings,
+                     horizontal_rings=point.horizontal_rings if torus else 2,
+                     vertical_rings=point.vertical_rings if torus else 2,
+                     global_switches=2 if torus else point.global_switches)
+    return PlatformSpec(
+        name=f"{point.topology.value.lower()}-{'x'.join(map(str, point.shape))}",
+        topology_builder=topology_builder(point.topology, point.shape, network),
+        config=replace(base, system=system, network=network),
+    )
 
 
 def run_collective(

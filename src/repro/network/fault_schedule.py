@@ -131,20 +131,17 @@ class FaultEvent:
                 )
             link = (link[0], link[1])
         node = data.get("node")
-        if node is not None and (isinstance(node, bool) or not isinstance(node, int)):
-            raise ConfigError(f"fault node must be an int NPU id, got {node!r}")
-        time = data.get("time")
-        if isinstance(time, bool) or not isinstance(time, (int, float)):
-            raise ConfigError(f"fault event time must be a number, got {time!r}")
-        return cls(
-            time=float(time),
-            action=action,
-            link=link,
-            node=node,
-            bandwidth_factor=float(data.get("bandwidth_factor", 1.0)),
-            extra_latency_cycles=float(data.get("extra_latency_cycles", 0.0)),
-            probability=float(data.get("probability", 0.0)),
-        )
+        if node is not None and (isinstance(node, bool) or not isinstance(node, int)
+                                 or node < 0):
+            raise ConfigError(f"fault node must be an NPU id (an int >= 0), got {node!r}")
+        numbers: dict[str, float] = {}
+        for key, default in (("time", None), ("bandwidth_factor", 1.0),
+                             ("extra_latency_cycles", 0.0), ("probability", 0.0)):
+            value = data.get(key, default)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"fault event {key} must be a number, got {value!r}")
+            numbers[key] = float(value)
+        return cls(action=action, link=link, node=node, **numbers)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"time": self.time, "action": self.action.value}

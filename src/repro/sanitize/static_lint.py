@@ -32,14 +32,7 @@ from typing import Any, Optional
 
 from repro.config.fields import FieldError, field_errors, parse_shape, unknown_keys
 from repro.config.io import config_from_dict
-from repro.config.parameters import (
-    AllToAllShape,
-    LinkConfig,
-    SimulationConfig,
-    TopologyKind,
-    TorusShape,
-    check_arity,
-)
+from repro.config.parameters import LinkConfig, SimulationConfig, TopologyKind, check_arity
 from repro.errors import ConfigError, ReproError
 from repro.sanitize.findings import Finding, LintReport, Severity
 
@@ -287,12 +280,9 @@ def lint_topology(
 def _build_topology(kind: TopologyKind, dims: tuple[int, ...],
                     config: SimulationConfig):
     """The logical topology a run spec describes, on its own network."""
-    from repro.topology.logical import build_alltoall_topology, build_torus_topology
+    from repro.topology.logical import topology_builder
 
-    check_arity(kind, dims)
-    if kind is TopologyKind.TORUS:
-        return build_torus_topology(TorusShape(*dims), config.network, config.system)
-    return build_alltoall_topology(AllToAllShape(*dims), config.network, config.system)
+    return topology_builder(kind, dims, config.network)(config.system)
 
 
 # -- fault lint -----------------------------------------------------------------
@@ -372,11 +362,13 @@ def lint_fault_schedule(data: Any, source: str = "") -> list[Finding]:
                    "events must be a list")
         return report.findings
 
+    # Events are walked in time order (a link_up must follow its
+    # link_down) but reported at their index in the document.
     downed: set[tuple[int, int]] = set()
-    for i, entry in enumerate(sorted(
-            (e for e in events if isinstance(e, dict)),
-            key=lambda e: e.get("time", 0)
-            if isinstance(e.get("time", 0), (int, float)) else 0)):
+    for i, entry in sorted(
+            ((i, e) for i, e in enumerate(events) if isinstance(e, dict)),
+            key=lambda item: item[1].get("time", 0)
+            if isinstance(item[1].get("time", 0), (int, float)) else 0):
         prefix = f"fault_schedule.events[{i}]"
         _add_errors(report, unknown_keys(entry, EVENT_KEYS, prefix))
         try:

@@ -19,12 +19,7 @@ from repro.search.objectives import (
     make_objective,
 )
 from repro.search.report import SearchReport
-from repro.search.space import (
-    AXIS_NAMES,
-    SearchPoint,
-    SearchSpace,
-    platform_for_point,
-)
+from repro.search.space import AXIS_NAMES, SearchPoint, SearchSpace
 from repro.search.strategies import (
     STRATEGY_NAMES,
     EvolutionaryStrategy,
@@ -52,7 +47,6 @@ __all__ = [
     "load_trajectory",
     "make_objective",
     "make_strategy",
-    "platform_for_point",
     "rank_frontier",
     "run_search",
 ]

@@ -16,7 +16,6 @@ warm run cache replays the same trajectory with zero simulations.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from typing import Optional
 
 from repro.errors import ConfigError
 from repro.search.objectives import Objective, floor_cycles
-from repro.search.space import SearchSpace, platform_for_point
+from repro.search.space import SearchSpace
 from repro.search.strategies import Genome, Strategy
 
 #: Consecutive generations with no new unique point before giving up —
@@ -202,7 +201,7 @@ def run_search(
                 points = [space.decode(g) for g in fresh_genomes]
                 run_points = [
                     RunPoint(
-                        builder=functools.partial(platform_for_point, point),
+                        builder=point.platform_spec,
                         op=space.collective,
                         size_bytes=space.size_bytes,
                     )

@@ -5,10 +5,10 @@ family and shape, bandwidth partitioning (ring/switch counts, symmetric
 links), collective algorithm, scheduler policy and chunk count — as a
 cross product of named *axes*, each a finite ordered list of values.  A
 candidate is a *genome*: one index per axis, in :data:`AXIS_NAMES` order.
-Genomes decode to frozen :class:`SearchPoint` records, which build
-harness :class:`~repro.harness.runners.PlatformSpec` platforms via the
-module-level :func:`platform_for_point` (module-level so executor points
-stay picklable for process pools).
+Genomes decode to frozen :class:`SearchPoint` records: design points
+(:class:`~repro.config.parameters.DesignPoint`, the ``chunks`` axis
+setting ``preferred_set_splits``) whose bound ``platform_spec`` builds
+the platform and stays picklable for process pools.
 
 Not every gene matters for every point — a torus genome's
 ``alltoall_shape`` and ``global_switches`` genes are dead, as are ring
@@ -47,8 +47,7 @@ from repro.config.fields import Rule, build, choice, declare, integer, number, r
 from repro.config.parameters import (
     SHAPE_ARITY,
     AllToAllShape,
-    CollectiveAlgorithm,
-    SchedulingPolicy,
+    DesignPoint,
     SystemConfig,
     TopologyKind,
     TorusShape,
@@ -56,7 +55,6 @@ from repro.config.parameters import (
 from repro.config.presets import PAPER_LOCAL_LINK, PAPER_PACKAGE_LINK
 from repro.config.units import MB
 from repro.errors import ConfigError
-from repro.harness.runners import PlatformSpec, platform_for
 
 
 def _sweeps(rule: Rule, default: Optional[tuple] = None):
@@ -79,9 +77,9 @@ class Axes:
         Rule("shape", arity=SHAPE_ARITY[TopologyKind.TORUS]))
     alltoall_shape: Optional[tuple] = _sweeps(
         Rule("shape", arity=SHAPE_ARITY[TopologyKind.ALLTOALL]))
-    algorithm: tuple = _sweeps(_SYSTEM["algorithm"], _SYSTEM["algorithm"].tokens)
+    algorithm: tuple = _sweeps(_SYSTEM["algorithm"], _SYSTEM["algorithm"].options)
     scheduling_policy: tuple = _sweeps(_SYSTEM["scheduling_policy"],
-                                       _SYSTEM["scheduling_policy"].tokens)
+                                       _SYSTEM["scheduling_policy"].options)
     chunks: tuple = _sweeps(_SYSTEM["preferred_set_splits"], (1, 4, 16))
     local_rings: tuple = _sweeps(_SYSTEM["local_rings"], (1, 2))
     horizontal_rings: tuple = _sweeps(_SYSTEM["horizontal_rings"], (1, 2))
@@ -119,20 +117,8 @@ AXIS_NAMES = tuple(f.name for f in fields(Axes))
 _SAMPLE_RETRIES = 2000
 
 
-@dataclass(frozen=True)
-class SearchPoint:
-    """One decoded design point: everything needed to build a platform."""
-
-    topology: str
-    shape: tuple[int, ...]
-    algorithm: str
-    scheduling_policy: str
-    chunks: int
-    local_rings: int
-    horizontal_rings: int
-    vertical_rings: int
-    global_switches: int
-    symmetric: bool
+class SearchPoint(DesignPoint):
+    """One decoded design point, with its link inventory and price."""
 
     @property
     def num_npus(self) -> int:
@@ -140,19 +126,18 @@ class SearchPoint:
 
     @property
     def label(self) -> str:
-        shape = "x".join(str(d) for d in self.shape)
-        sym = "/sym" if self.symmetric else ""
-        if self.topology == "Torus":
-            rings = f"r{self.local_rings}.{self.horizontal_rings}.{self.vertical_rings}"
-            return (f"torus-{shape}/{self.algorithm}/{self.scheduling_policy}"
-                    f"/c{self.chunks}/{rings}{sym}")
-        return (f"alltoall-{shape}/{self.algorithm}/{self.scheduling_policy}"
-                f"/c{self.chunks}/r{self.local_rings}/s{self.global_switches}{sym}")
+        if self.topology is TopologyKind.TORUS:
+            links = f"r{self.local_rings}.{self.horizontal_rings}.{self.vertical_rings}"
+        else:
+            links = f"r{self.local_rings}/s{self.global_switches}"
+        return (f"{self.topology.value.lower()}-{'x'.join(map(str, self.shape))}"
+                f"/{self.algorithm.value}/{self.scheduling_policy.value}"
+                f"/c{self.preferred_set_splits}/{links}{'/sym' if self.symmetric else ''}")
 
     def link_counts(self) -> LinkCounts:
         """Link inventory via the closed forms in
         :mod:`repro.analytical.cost_models`."""
-        if self.topology == "Torus":
+        if self.topology is TopologyKind.TORUS:
             return torus_link_counts(
                 *self.shape,
                 local_rings=self.local_rings,
@@ -176,25 +161,6 @@ class SearchPoint:
         local_gbps, package_gbps = self.bandwidths_gbps()
         return platform_dollars(self.link_counts(), self.num_npus,
                                 local_gbps, package_gbps, table)
-
-
-def platform_for_point(point: SearchPoint) -> PlatformSpec:
-    """Build the harness platform for one decoded point.
-
-    Module-level (not a closure) so ``functools.partial`` over it is
-    picklable and search evaluations can cross process boundaries.
-    """
-    return platform_for(
-        TopologyKind(point.topology), point.shape,
-        algorithm=CollectiveAlgorithm(point.algorithm),
-        scheduling_policy=SchedulingPolicy(point.scheduling_policy),
-        symmetric=point.symmetric,
-        local_rings=point.local_rings,
-        horizontal_rings=point.horizontal_rings,
-        vertical_rings=point.vertical_rings,
-        global_switches=point.global_switches,
-        preferred_set_splits=point.chunks,
-    )
 
 
 def _factorizations(n: int, dims: int) -> list[tuple[int, ...]]:
@@ -222,6 +188,8 @@ class SearchSpace:
         self.collective = collective
         self.size_bytes = float(size_bytes)
         self.axes = {axis: tuple(axes[axis]) for axis in AXIS_NAMES}
+        #: Gene range per axis, in genome order (an empty axis has one gene).
+        self._sizes = tuple(max(1, len(self.axes[axis])) for axis in AXIS_NAMES)
         self.constraints = constraints if constraints is not None else Constraints()
         self.cost_table = cost_table if cost_table is not None else CostTable()
         self.source = source
@@ -236,7 +204,8 @@ class SearchSpace:
         doc = build(SpaceDocument, data)
         alltoall_shapes = tuple(s for s in _factorizations(doc.num_npus, 2) if s[1] >= 2)
         derived = {  # the default ranges that depend on num_npus
-            "topology": _SYSTEM["topology"].tokens if alltoall_shapes else ("Torus",),
+            "topology": (_SYSTEM["topology"].options if alltoall_shapes
+                         else (TopologyKind.TORUS,)),
             "torus_shape": tuple(_factorizations(doc.num_npus, 3)),
             "alltoall_shape": alltoall_shapes,
         }
@@ -276,11 +245,11 @@ class SearchSpace:
                         f"{name}: shape {'x'.join(map(str, dims))} yields "
                         f"{math.prod(dims)} NPUs, space declares "
                         f"num_npus={self.num_npus}")
-        for topology, name in (("Torus", "torus_shape"),
-                               ("AllToAll", "alltoall_shape")):
+        for topology, name in ((TopologyKind.TORUS, "torus_shape"),
+                               (TopologyKind.ALLTOALL, "alltoall_shape")):
             if topology in self.axes["topology"] and not self.axes[name]:
                 raise ConfigError(
-                    f"topology axis includes {topology!r} but no {name} "
+                    f"topology axis includes {topology.value!r} but no {name} "
                     f"matches num_npus={self.num_npus}")
 
     # -- genomes -------------------------------------------------------------
@@ -294,17 +263,13 @@ class SearchSpace:
 
     def num_genomes(self) -> int:
         """Size of the raw cross product (counts equivalent genomes)."""
-        product = 1
-        for axis in AXIS_NAMES:
-            product *= max(1, len(self.axes[axis]))
-        return product
+        return math.prod(self._sizes)
 
     def _check_genome(self, genome: Sequence[int]) -> None:
         if len(genome) != len(AXIS_NAMES):
             raise ConfigError(
                 f"genome must have {len(AXIS_NAMES)} genes, got {len(genome)}")
-        for axis, gene in zip(AXIS_NAMES, genome):
-            size = max(1, len(self.axes[axis]))
+        for axis, gene, size in zip(AXIS_NAMES, genome, self._sizes):
             if not 0 <= gene < size:
                 raise ConfigError(
                     f"gene for axis {axis!r} out of range: {gene} not in "
@@ -319,13 +284,13 @@ class SearchSpace:
             return self.axes[axis][genes[axis]]
 
         topology = value("topology")
-        shape = value("torus_shape" if topology == "Torus" else "alltoall_shape")
         return SearchPoint(
             topology=topology,
-            shape=shape,
+            shape=value("torus_shape" if topology is TopologyKind.TORUS
+                        else "alltoall_shape"),
             algorithm=value("algorithm"),
             scheduling_policy=value("scheduling_policy"),
-            chunks=value("chunks"),
+            preferred_set_splits=value("chunks"),
             local_rings=value("local_rings"),
             horizontal_rings=value("horizontal_rings"),
             vertical_rings=value("vertical_rings"),
@@ -344,7 +309,7 @@ class SearchSpace:
         self._check_genome(genome)
         genes = dict(zip(AXIS_NAMES, genome))
         topology = self.axes["topology"][genes["topology"]]
-        if topology == "Torus":
+        if topology is TopologyKind.TORUS:
             shape = self.axes["torus_shape"][genes["torus_shape"]]
             genes["alltoall_shape"] = 0
             genes["global_switches"] = 0
@@ -373,7 +338,7 @@ class SearchSpace:
         cross-axis constraints a single axis cannot express.
         """
         point = self.decode(genome)
-        if point.topology == "AllToAll":
+        if point.topology is TopologyKind.ALLTOALL:
             # More switch planes than peer packages duplicates paths the
             # direct algorithms never schedule — reject as wasted budget.
             if point.global_switches > point.shape[1] - 1:
@@ -395,8 +360,7 @@ class SearchSpace:
         """One feasible canonical genome drawn from ``rng`` (seeded
         ``random.Random``); raises when constraints admit no point."""
         for _ in range(_SAMPLE_RETRIES):
-            genome = tuple(rng.randrange(max(1, len(self.axes[axis])))
-                           for axis in AXIS_NAMES)
+            genome = tuple(rng.randrange(size) for size in self._sizes)
             if self.is_feasible(genome):
                 return self.canonical(genome)
         raise ConfigError(
@@ -416,8 +380,7 @@ class SearchSpace:
         for _ in range(_SAMPLE_RETRIES // 10):
             mutant = list(genome)
             changed = False
-            for i, axis in enumerate(AXIS_NAMES):
-                size = max(1, len(self.axes[axis]))
+            for i, size in enumerate(self._sizes):
                 if size > 1 and rng.random() < rate:
                     mutant[i] = rng.randrange(size)
                     changed = True
@@ -452,7 +415,7 @@ class SearchSpace:
                 f"refusing to enumerate more than {limit}")
         seen: set[tuple[int, ...]] = set()
         out: list[tuple[int, ...]] = []
-        sizes = [max(1, len(self.axes[axis])) for axis in AXIS_NAMES]
+        sizes = self._sizes
         genome = [0] * len(sizes)
         while True:
             g = tuple(genome)

@@ -1,20 +1,21 @@
 """The validated request schema of the simulation service.
 
 Every request the ``astra-repro serve`` daemon accepts is a
-:class:`SimulationPayload`: a strict, typed contract over the Table III
-design-point parameters, validated entirely *before* any engine state is
-touched, in two passes:
+:class:`SimulationPayload`: a strict, typed contract over one Table III
+design point (:class:`~repro.config.parameters.DesignPoint`) plus the
+collective, its size and a priority, validated entirely *before* any
+engine state is touched, in two passes:
 
 1. **Fields** — the document is checked against the payload's field
-   table (:mod:`repro.config.fields`; the ring counts, algorithm, policy,
-   chunks and compute scale reuse the config dataclasses' rules).
-   Unknown keys are rejected with a typo hint, never ignored: a client
-   that misspells ``algorithm`` must not silently simulate the default.
+   table (:mod:`repro.config.fields`): the design point's table plus
+   ``op``, ``size_mb`` and ``priority``.  Unknown keys are rejected
+   with a typo hint, never ignored: a client that misspells
+   ``algorithm`` must not silently simulate the default.
 2. **Cross-parameter** — the payload is built into the platform the CLI
-   builds (:func:`~repro.harness.runners.platform_for`) and routed
-   through :func:`repro.sanitize.static_lint.lint_platform`, so an
-   inconsistent platform is rejected with the findings ``astra-repro
-   lint`` reports.
+   builds (:meth:`~repro.config.parameters.DesignPoint.platform_spec`)
+   and routed through :func:`repro.sanitize.static_lint.lint_platform`,
+   so an inconsistent platform is rejected with the findings
+   ``astra-repro lint`` reports.
 
 A rejected payload raises :class:`PayloadError` carrying every field
 error — the daemon serializes it straight into the 400 response body.
@@ -27,19 +28,12 @@ is the RunCache content key the daemon's dedupe, journal and cache share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.collectives.types import COLLECTIVE_OPS, CollectiveOp
 from repro.config import fields
-from repro.config.fields import FieldError, Rule, choice, declare, integer, like, number
-from repro.config.parameters import (
-    CollectiveAlgorithm,
-    ComputeConfig,
-    SchedulingPolicy,
-    SystemConfig,
-    TopologyKind,
-    check_arity,
-)
+from repro.config.fields import FieldError, choice, integer, number
+from repro.config.parameters import DesignPoint
 from repro.config.units import MB
 from repro.errors import ConfigError, ReproError
 from repro.sanitize.findings import Finding, Severity
@@ -56,9 +50,6 @@ MAX_SIZE_MB = 1024.0
 #: Priorities are a small fixed band so clients cannot starve each other
 #: with unbounded values.
 MAX_PRIORITY = 9
-
-#: The shape a payload gets when it names a topology but no shape.
-DEFAULT_SHAPES = {TopologyKind.TORUS: (2, 4, 4), TopologyKind.ALLTOALL: (4, 16)}
 
 
 class PayloadError(ConfigError):
@@ -80,40 +71,22 @@ class PayloadError(ConfigError):
         return {"error": "invalid-payload", "errors": self.errors}
 
 
-@dataclass(frozen=True)
-class SimulationPayload:
-    """One validated simulation request (a pure, cacheable design point).
+@dataclass(frozen=True, kw_only=True)
+class SimulationPayload(DesignPoint):
+    """One validated simulation request (a pure, cacheable design point):
+    a :class:`~repro.config.parameters.DesignPoint` plus the collective,
+    its size and a queue priority.
 
-    Defaults mirror the ``astra-repro collective`` CLI defaults, so the
-    minimal payload is just ``{"op": ..., "size_mb": ...}``; the shape
-    defaults per topology (:data:`DEFAULT_SHAPES`).
+    The design point defaults as the ``astra-repro collective`` CLI does,
+    so the minimal payload is just ``{"op": ..., "size_mb": ...}``.
     """
 
     op: CollectiveOp = choice(COLLECTIVE_OPS)
     size_mb: float = number(gt=0, le=MAX_SIZE_MB)
-    topology: TopologyKind = like(SystemConfig, "topology", TopologyKind.TORUS)
-    shape: Optional[tuple[int, ...]] = declare(Rule("shape"), None)
-    algorithm: CollectiveAlgorithm = like(SystemConfig, "algorithm",
-                                          CollectiveAlgorithm.BASELINE)
-    scheduling_policy: SchedulingPolicy = like(SystemConfig, "scheduling_policy",
-                                               SchedulingPolicy.LIFO)
-    symmetric: bool = declare(Rule("bool"), False)
-    local_rings: int = like(SystemConfig, "local_rings", 2)
-    horizontal_rings: int = like(SystemConfig, "horizontal_rings", 1)
-    vertical_rings: int = like(SystemConfig, "vertical_rings", 1)
-    global_switches: int = like(SystemConfig, "global_switches", 2)
-    preferred_set_splits: int = like(SystemConfig, "preferred_set_splits", 16)
-    compute_scale: float = like(ComputeConfig, "compute_scale", 1.0)
     #: Scheduling priority in the service queue (higher first, 0-9).
     #: Deliberately *not* part of the content key: priority affects when
     #: a point runs, never what it computes.
     priority: int = integer(0, ge=0, le=MAX_PRIORITY)
-
-    def __post_init__(self) -> None:
-        fields.check(self)
-        if self.shape is None:
-            object.__setattr__(self, "shape", DEFAULT_SHAPES[self.topology])
-        check_arity(self.topology, self.shape)
 
     @property
     def size_bytes(self) -> float:
@@ -123,25 +96,6 @@ class SimulationPayload:
         """The canonical JSON form; round-trips through
         :func:`parse_payload` and is what the daemon journals."""
         return {"schema": PAYLOAD_VERSION, **fields.to_raw(self)}
-
-    def platform_spec(self):
-        """The :class:`~repro.harness.runners.PlatformSpec` this payload
-        describes — the exact spec the CLI would build for the same
-        flags."""
-        from repro.harness.runners import platform_for
-
-        return platform_for(
-            self.topology, self.shape,
-            algorithm=self.algorithm,
-            scheduling_policy=self.scheduling_policy,
-            symmetric=self.symmetric,
-            local_rings=self.local_rings,
-            horizontal_rings=self.horizontal_rings,
-            vertical_rings=self.vertical_rings,
-            global_switches=self.global_switches,
-            preferred_set_splits=self.preferred_set_splits,
-            compute_scale=self.compute_scale,
-        )
 
     def content_key(self) -> str:
         """The RunCache content key of this point.

@@ -11,13 +11,16 @@ Non-identity mappings are built with :mod:`repro.topology.mapping`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import functools
+from typing import Callable, Optional, Sequence
 
 from repro.config.parameters import (
     AllToAllShape,
     NetworkConfig,
     SystemConfig,
+    TopologyKind,
     TorusShape,
+    check_arity,
 )
 from repro.config.units import Clock, DEFAULT_CLOCK
 from repro.errors import TopologyError
@@ -112,3 +115,15 @@ def build_alltoall_topology(
                switches=system.global_switches),
     ]
     return LogicalTopology(Fabric(blocks, network, clock))
+
+
+def topology_builder(kind: TopologyKind, dims: Sequence[int], network: NetworkConfig
+                     ) -> Callable[[Optional[SystemConfig]], LogicalTopology]:
+    """The builder of the ``kind`` topology of shape ``dims`` on ``network``,
+    called with the system config that sets its ring and switch counts:
+    the one place a family picks its shape class and builder.  The shape
+    is checked now, not when the builder runs."""
+    check_arity(kind, dims)
+    if kind is TopologyKind.TORUS:
+        return functools.partial(build_torus_topology, TorusShape(*dims), network)
+    return functools.partial(build_alltoall_topology, AllToAllShape(*dims), network)

@@ -102,12 +102,12 @@ def payload_pins() -> list:
 def platform_specs():
     """Every platform the digest covers, in a fixed order."""
     from repro.cli import _build_platform, build_arg_parser
-    from repro.search import SearchSpace, platform_for_point
+    from repro.search import SearchSpace
     from repro.service.schema import parse_payload
 
     space = SearchSpace.from_file(str(ROOT / "examples" / "configs" / "search_fig09.json"))
     for genome in space.enumerate_genomes():
-        yield platform_for_point(space.decode(genome))
+        yield space.decode(genome).platform_spec()
     for topo, shape, op in SERVICE_CELLS:
         yield parse_payload({"op": op, "size_mb": 0.0625, "topology": topo,
                              "shape": shape}).platform_spec()

@@ -97,6 +97,12 @@ class TestParsing:
         {"events": [{"time": 1, "action": "link_degrade", "link": [0, 1],
                      "extra_latency_cycles": -5}]},
         {"events": [{"time": True, "action": "link_down", "link": [0, 1]}]},
+        {"events": [{"time": 1, "action": "drop", "probability": "0.5"}]},
+        {"events": [{"time": 1, "action": "link_degrade", "link": [0, 1],
+                     "bandwidth_factor": True}]},
+        {"events": [{"time": 1, "action": "link_degrade", "link": [0, 1],
+                     "extra_latency_cycles": "5"}]},
+        {"events": [{"time": 1, "action": "node_pause", "node": -1}]},
         {"events": ["link_down"]},
         {"events": {"time": 1}},
         {"seed": "zero", "events": []},
@@ -272,6 +278,31 @@ class TestScheduleLint:
     def test_bad_seed_flagged(self):
         errors, _ = self.lint({"seed": "x", "events": []})
         assert any(f.param == "fault_schedule.seed" for f in errors)
+
+    def test_errors_name_the_events_document_index(self):
+        errors, _ = self.lint({"events": [
+            {"time": 500, "action": "link_down", "link": [0, 1]},
+            {"time": 10, "action": "bogus"}]})
+        assert [f.param for f in errors] == ["fault_schedule.events[1]"]
+        errors, _ = self.lint({"events": [
+            "not an event",
+            {"time": 1, "action": "link_down", "link": [0, 1], "lnik": 2}]})
+        assert "fault_schedule.events[1].lnik" in [f.param for f in errors]
+
+    def test_link_up_is_checked_in_time_order(self):
+        errors, warnings = self.lint({"events": [
+            {"time": 500, "action": "link_up", "link": [0, 1]},
+            {"time": 10, "action": "link_down", "link": [0, 1]}]})
+        assert errors == [] and warnings == []
+
+    def test_non_numbers_and_negative_nodes_are_errors_at_the_event(self):
+        errors, _ = self.lint({"events": [
+            {"time": 1, "action": "drop", "probability": "0.5"},
+            {"time": 2, "action": "link_degrade", "link": [0, 1],
+             "bandwidth_factor": True},
+            {"time": 3, "action": "node_pause", "node": -1}]})
+        assert sorted((f.code, f.param) for f in errors) == [
+            ("fault-event-invalid", f"fault_schedule.events[{i}]") for i in range(3)]
 
     def test_link_up_without_down_warns(self):
         errors, warnings = self.lint(

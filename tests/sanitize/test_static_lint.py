@@ -268,7 +268,7 @@ class TestFindings:
 @pytest.mark.parametrize("name", [
     "dimension_mismatch", "flit_misalignment", "bad_fault_factor",
     "bad_fault_schedule_action", "bad_fault_schedule_link", "bad_field_types",
-    "bad_payload", "bad_supervision"])
+    "bad_payload", "bad_supervision", "bad_fault_event_types"])
 def test_seeded_bad_configs_flag_errors(name):
     import os
 

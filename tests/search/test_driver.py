@@ -185,15 +185,12 @@ class TestFig09Acceptance:
                                    space.size_bytes)
 
         genomes = space.enumerate_genomes()
-        import functools
-
         from repro.parallel import RunPoint
-        from repro.search import platform_for_point
 
         ex = ParallelExecutor(jobs=4)
         points = [space.decode(g) for g in genomes]
         results = ex.run_points([
-            RunPoint(builder=functools.partial(platform_for_point, p),
+            RunPoint(builder=p.platform_spec,
                      op=space.collective, size_bytes=space.size_bytes)
             for p in points])
         exhaustive_best = min(r.duration_cycles for r in results)

@@ -6,12 +6,9 @@ import random
 import pytest
 
 from repro.config.fields import parse_shape
+from repro.config.parameters import TopologyKind
 from repro.errors import ConfigError
-from repro.search import (
-    AXIS_NAMES,
-    SearchSpace,
-    platform_for_point,
-)
+from repro.search import AXIS_NAMES, SearchSpace
 
 SPEC = {
     "name": "unit",
@@ -107,7 +104,7 @@ class TestGenomes:
         space = space_for()
         genome = space.canonical((0,) * len(AXIS_NAMES))
         point = space.decode(genome)
-        assert point.topology == "Torus"
+        assert point.topology is TopologyKind.TORUS
         assert point.shape == (2, 4, 1)
         assert point.num_npus == 8
         assert "torus-2x4x1" in point.label
@@ -220,7 +217,7 @@ class TestPlatformBuilding:
     def test_torus_platform(self):
         space = space_for()
         point = space.decode(space.canonical((0,) * len(AXIS_NAMES)))
-        spec = platform_for_point(point)
+        spec = point.platform_spec()
         assert spec.name == "torus-2x4x1"
         assert spec.config.system.scheduling_policy.value == "LIFO"
 
@@ -232,7 +229,7 @@ class TestPlatformBuilding:
                       alltoall_shape=["1x8"]),
         ))
         point = space.decode(space.canonical((0,) * len(AXIS_NAMES)))
-        spec = platform_for_point(point)
+        spec = point.platform_spec()
         assert spec.name == "alltoall-1x8"
         assert spec.config.system.global_switches == 7
         assert spec.config.system.scheduling_policy.value == "PRIORITY"

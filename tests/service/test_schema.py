@@ -9,8 +9,10 @@ CLI platform it mirrors.
 import pytest
 
 from repro.collectives.types import CollectiveOp
+from repro.config.fields import rules
 from repro.config.parameters import (
     CollectiveAlgorithm,
+    DesignPoint,
     SchedulingPolicy,
     TopologyKind,
 )
@@ -22,12 +24,19 @@ from repro.service.schema import (
     MAX_SIZE_MB,
     PAYLOAD_VERSION,
     PayloadError,
+    SimulationPayload,
     build_payload_platform,
     lint_payload,
     parse_payload,
 )
 
 GOOD = {"op": "allreduce", "size_mb": 0.0625}
+
+
+def test_payload_table_is_the_design_point_plus_op_size_and_priority():
+    table = rules(SimulationPayload)
+    assert list(table) == [*rules(DesignPoint), "op", "size_mb", "priority"]
+    assert all(table[name] is rule for name, rule in rules(DesignPoint).items())
 
 
 class TestValidPayloads:

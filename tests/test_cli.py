@@ -1,12 +1,18 @@
 """Tests for the astra-repro command line interface."""
 
+import argparse
+import dataclasses
 import io
+import json
 import signal
+import subprocess
 import sys
 
 import pytest
 
-from repro.cli import build_arg_parser, main
+from repro.cli import _build_platform, build_arg_parser, main
+from repro.config.fields import RULE, build, rules
+from repro.config.parameters import DesignPoint
 from repro.workload import dumps
 from repro.models import mlp
 
@@ -15,7 +21,7 @@ class TestArgumentParsing:
     def test_train_defaults(self):
         args = build_arg_parser().parse_args(["train"])
         assert args.model == "resnet50"
-        assert args.shape == "2x4x4"
+        assert _build_platform(args).name == "torus-2x4x4"
         assert args.num_passes == 2
 
     def test_collective_defaults(self):
@@ -62,6 +68,51 @@ class TestCollectiveCommand:
         code = main(["collective", "--topology", "AllToAll",
                      "--shape", "2x2x2"])
         assert code == 2
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    parser = build_arg_parser()
+    [subparsers] = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]
+
+
+class TestDesignPointFlags:
+    """The train/collective/bandwidth platform flags are the DesignPoint
+    table, so they cannot drift from the service payload or the search."""
+
+    @pytest.mark.parametrize("command", ["train", "collective", "bandwidth"])
+    def test_every_field_is_a_flag_with_the_tables_default_and_choices(self, command):
+        actions = {a.dest: a for a in _subparser(command)._actions}
+        for f in dataclasses.fields(DesignPoint):
+            action = actions[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert tuple(action.choices or ()) == f.metadata[RULE].tokens
+        args = build_arg_parser().parse_args([command])
+        assert build(DesignPoint, {n: getattr(args, n) for n in rules(DesignPoint)}) \
+            == DesignPoint()
+
+    @pytest.mark.parametrize("command", ["train", "collective", "bandwidth"])
+    def test_alltoall_without_shape_builds_4x16(self, command):
+        args = build_arg_parser().parse_args([command, "--topology", "AllToAll"])
+        assert _build_platform(args).name == "alltoall-4x16"
+
+    def test_alltoall_collective_without_shape_runs(self, capsys):
+        assert main(["collective", "--topology", "AllToAll", "--size-mb", "0.0625"]) == 0
+        assert "alltoall-4x16" in capsys.readouterr().out
+
+    def test_bad_design_value_is_a_config_error(self, capsys):
+        assert main(["collective", "--shape", "2x2x2", "--local-rings", "0"]) == 2
+        assert "local_rings" in capsys.readouterr().err
+
+    def test_cli_import_loads_no_harness_search_service_or_parallel(self):
+        """Guards the cold start: the flags come from the config layer."""
+        code = ("import json, sys, repro.cli\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] in "
+                "[['repro', p] for p in ('harness', 'search', 'service', 'parallel')])))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert json.loads(done.stdout) == []
 
 
 class TestAllToAllPlatformFlags:
