@@ -175,9 +175,10 @@ class CollectiveContext:
         #: Whether the backend reports delivery failures (the reliable
         #: transport); algorithms build ``on_failed`` callbacks only then.
         self.reliable: bool = getattr(backend, "supports_failure_callback", False)
-        #: ``after(delay, callback)``: the event queue's own ``schedule``,
-        #: bound once, so a state machine's timer costs no wrapper calls.
-        self.after: Callable[[float, Callable[[], None]], object] = backend.events.schedule
+        #: ``after(delay, callback)``: the event queue's own ``after``,
+        #: bound once, so a state machine's timer costs no wrapper calls
+        #: and same-time timers of one step share a dispatch (a step group).
+        self.after: Callable[[float, Callable[[], None]], None] = backend.events.after
         self._send = backend.send
 
     @property

@@ -9,6 +9,19 @@ until it reaches the head or a compaction purges it), and the executed
 event order is ``(time, tiebreak, seq)`` with or without compaction (see
 docs/DETERMINISM.md).
 
+Step groups.  A collective step issues many timers for the same cycle in
+a row (64 sends per timestamp on the ResNet-50 step).  :meth:`EventQueue.after`
+lets such a run share one heap entry: a timer for the same time as the
+queue's most recent schedule, itself an unfired ``after``, joins that
+group's member list instead of pushing its own event.  Any other
+schedule in between starts a new group, so a group is always a run of
+adjacent sequence numbers and firing its members in list order is
+exactly the ``(time, seq)`` order separate events would run.  A group
+counts one dispatch (:attr:`EventQueue.events_processed`) and credits its
+other members as batched logical events (:attr:`EventQueue.events_simulated`).
+Grouping is off while a :attr:`EventQueue.tie_breaker` is installed, so
+the schedule race detector permutes every member on its own.
+
 Time is kept in floating-point *cycles*.  The mapping between cycles and
 wall-clock seconds is owned by the configuration layer (``ClockConfig``),
 not by the engine.
@@ -19,6 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -116,6 +130,12 @@ class EventQueue:
         self._running = False
         self._cancelled_in_heap = 0
         self._compactions = 0
+        #: The open step group: the member list of the most recent
+        #: schedule when that was an unfired :meth:`after` group, and its
+        #: time.  Any other schedule, the group firing and :meth:`reset`
+        #: close it (set it to ``None``).
+        self._group: Optional[list[EventCallback]] = None
+        self._group_time = 0.0
         #: Optional progress observer (see :mod:`repro.resilience`): called
         #: as ``watcher(queue)`` after every executed event.  ``None`` (the
         #: default) keeps the hot loop branch-predictable and the simulated
@@ -131,7 +151,9 @@ class EventQueue:
         #: default) ranks every event 0, i.e. plain FIFO — the production
         #: schedule.  A correct simulation must produce bit-identical
         #: results under any tie-break permutation; the race detector
-        #: installs seeded permutations here to prove it.
+        #: installs seeded permutations here to prove it.  While a hook is
+        #: installed :meth:`after` opens no groups, so the hook ranks
+        #: every timer on its own (install it before scheduling).
         self.tie_breaker: Optional[Callable[[float, int], int]] = None
 
     # -- introspection ---------------------------------------------------------
@@ -143,7 +165,8 @@ class EventQueue:
 
     @property
     def events_processed(self) -> int:
-        """Number of event-queue dispatches executed so far."""
+        """Number of event-queue dispatches executed so far (a step group
+        is one dispatch)."""
         return self._events_processed
 
     @property
@@ -155,8 +178,9 @@ class EventQueue:
     @property
     def events_simulated(self) -> int:
         """Total logical events simulated: dispatches plus the per-flit /
-        per-message events that batched handlers covered in bulk.  This is
-        the throughput numerator profiling reports (events/sec) — it keeps
+        per-message events that batched handlers and step groups covered in
+        bulk.  This is the throughput numerator profiling reports
+        (events/sec) and what ``run(max_events=...)`` bounds — it keeps
         the figure comparable across batched and unbatched engines, which
         simulate the same logical work in different numbers of dispatches.
         """
@@ -164,7 +188,8 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Number of *live* (non-cancelled) events still in the queue."""
+        """Number of *live* (non-cancelled) events still in the queue (a
+        step group counts once)."""
         return len(self._heap) - self._cancelled_in_heap
 
     @property
@@ -188,9 +213,9 @@ class EventQueue:
     def credit_batched(self, count: int) -> None:
         """Record that the current dispatch covered ``count`` additional
         logical events (a batched handler standing in for ``count``
-        singleton dispatches).  Feeds :attr:`events_simulated` only —
-        ``events_processed``, watcher cadence and ``max_events`` keep
-        counting real dispatches.
+        singleton dispatches).  Feeds :attr:`events_simulated`, and so the
+        ``max_events`` budget of :meth:`run`; ``events_processed`` and the
+        watcher cadence keep counting real dispatches.
         """
         self._batched_events += count
 
@@ -236,6 +261,7 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
+        self._group = None
         seq = next(self._seq)
         tie_breaker = self.tie_breaker
         tiebreak = 0 if tie_breaker is None else tie_breaker(time, seq)
@@ -249,6 +275,63 @@ class EventQueue:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_at(self._now + delay, callback)
+
+    def after(self, delay: float, callback: EventCallback) -> None:
+        """Schedule ``callback`` ``delay`` cycles from now, without a handle.
+
+        If the queue's most recent schedule was an ``after`` for the same
+        time whose event has not fired yet, ``callback`` joins that step
+        group; otherwise it opens a new group of one.  The members fire in
+        the order they joined, in one dispatch, which is the order separate
+        events would have fired in (see the module docstring).  With a
+        :attr:`tie_breaker` installed every call is a plain
+        :meth:`schedule`.
+
+        If a member raises, the exception propagates out of :meth:`step` /
+        :meth:`run` and the members after it stay queued at the group's
+        place in the ``(time, seq)`` order: the next ``step``/``run`` fires
+        them first, as it would have fired the separate events.
+        """
+        time = self._now + delay
+        members = self._group
+        if members is not None and time == self._group_time:
+            members.append(callback)
+            return
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        if self.tie_breaker is not None:
+            self.schedule_at(time, callback)
+            return
+        # schedule_at's past-time check cannot trip: delay >= 0.
+        members = [callback]
+        self._push_group(time, next(self._seq), members)
+        self._group = members
+        self._group_time = time
+
+    def _push_group(self, time: float, seq: int,
+                    members: list[EventCallback]) -> None:
+        event = _ScheduledEvent(time=time, tiebreak=0, seq=seq,
+                                callback=partial(self._fire_group, seq, members))
+        heapq.heappush(self._heap, (time, 0, seq, event))
+
+    def _fire_group(self, seq: int, members: list[EventCallback]) -> None:
+        """Run one step group's members (the group event's callback)."""
+        if self._group is members:
+            # Closed before the members run: a same-time ``after`` from a
+            # member opens a new group behind this one.  Dropping the
+            # reference also frees the members once they have run.
+            self._group = None
+        remaining = iter(members)
+        try:
+            for callback in remaining:
+                callback()
+        except BaseException:
+            rest = list(remaining)
+            self._batched_events += len(members) - len(rest) - 1
+            if rest:
+                self._push_group(self._now, seq, rest)
+            raise
+        self._batched_events += len(members) - 1
 
     # -- draining --------------------------------------------------------------
 
@@ -305,13 +388,17 @@ class EventQueue:
 
         ``until`` is an inclusive horizon: events at exactly ``until`` fire,
         including events a handler schedules at ``until`` while it runs.
-        ``max_events`` guards against runaway simulations (it counts
-        dispatches, not batched logical events).
+        ``max_events`` guards against runaway simulations: no dispatch
+        starts once this call has simulated ``max_events`` logical events
+        (:attr:`events_simulated`, so the budget does not depend on how
+        timers group or deliveries batch; the last dispatch may overshoot
+        by its batch).
         """
         if self._running:
             raise SimulationError("EventQueue.run() is not re-entrant")
         self._running = True
-        executed = 0
+        budget_end = (None if max_events is None
+                      else self.events_simulated + max_events)
         try:
             if type(self).step is not EventQueue.step:
                 # A subclass instrumented the per-event path (e.g. the
@@ -327,12 +414,12 @@ class EventQueue:
                     if until is not None and head.time > until:
                         self._now = max(self._now, until)
                         return
-                    if max_events is not None and executed >= max_events:
+                    if (budget_end is not None
+                            and self.events_simulated >= budget_end):
                         raise SimulationError(
                             f"exceeded max_events={max_events} (possible livelock)"
                         )
                     step()
-                    executed += 1
             # Hot loop: _peek_live/_pop_live inlined.  ``heap`` stays the
             # live list because compaction and reset mutate it in place.
             heap = self._heap
@@ -349,7 +436,8 @@ class EventQueue:
                     # Never rewind: run(until=past) must not move time back.
                     self._now = max(self._now, until)
                     return
-                if max_events is not None and executed >= max_events:
+                if (budget_end is not None and self._events_processed
+                        + self._batched_events >= budget_end):
                     raise SimulationError(
                         f"exceeded max_events={max_events} (possible livelock)"
                     )
@@ -361,7 +449,6 @@ class EventQueue:
                 watcher = self.watcher
                 if watcher is not None:
                     watcher(self)
-                executed += 1
         finally:
             self._running = False
 
@@ -379,6 +466,8 @@ class EventQueue:
         self._batched_events = 0
         self._cancelled_in_heap = 0
         self._compactions = 0
+        self._group = None
+
 
 class CountdownBarrier:
     """Fires ``on_done`` once :meth:`arrive` has been called ``count`` times.

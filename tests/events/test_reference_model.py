@@ -1,16 +1,23 @@
 """EventQueue against a sorted-list reference model (hypothesis).
 
-Random interleavings of ``schedule_at``, ``schedule``, ``cancel`` (of
-live, cancelled and already-fired handles), ``step``, ``run(until=...)``
-and ``run(max_events=...)`` drive the real queue and a plain list of
-live ``(time, tiebreak, seq)`` keys in lockstep.  Fired events may
-themselves schedule or cancel, and ``COMPACT_MIN_CANCELLED`` is lowered
-on the instance so compaction happens in the middle of runs.  Checked:
+Random interleavings of ``schedule_at``, ``schedule``, ``after``,
+``cancel`` (of live, cancelled and already-fired handles), ``step``,
+``run(until=...)`` and ``run(max_events=...)`` drive the real queue and a
+plain list of live ``(time, tiebreak, seq)`` keys in lockstep, one key per
+callback.  Fired events may themselves schedule (either way) or cancel,
+and ``COMPACT_MIN_CANCELLED`` is lowered on the instance so compaction
+happens in the middle of runs.  Checked:
 
-* every fired event is the model's minimum live key — the executed order
-  is ``(time, tiebreak, seq)``, with and without a seeded tie-breaker;
-* ``pending == live_count()`` (== the model's population) after every
-  dispatch and every operation;
+* every fired callback is the model's minimum live key — the executed
+  order is ``(time, tiebreak, seq)``, with and without a seeded
+  tie-breaker, however ``after`` timers group;
+* ``pending == live_count()`` == the model's number of live step groups
+  (an ``after`` joins the open group when it is for the same time and
+  nothing else was scheduled since; without a tie-breaker only) after
+  every dispatch and every operation;
+* ``events_simulated`` equals the number of callbacks fired, and a
+  ``max_events`` budget counts callbacks, overshooting by at most the
+  last dispatch's group;
 * ``now`` never rewinds.
 """
 
@@ -29,15 +36,19 @@ HORIZONS = st.sampled_from([-3.0, 0.0, 0.5, 1.0, 2.0, 7.5, 100.0])
 # Handle picks for a cancel, several per operation so that cancelled
 # entries can outnumber live ones and trigger compaction.
 PICKS = st.lists(st.integers(0, 1 << 16), min_size=1, max_size=8)
-# What a fired event does: nothing, schedule a child, or cancel handles.
+# What a fired event does: nothing, schedule a child (as an event or an
+# ``after`` timer), or cancel handles.
 ACTIONS = st.one_of(
     st.none(),
-    st.tuples(st.just("spawn"), OFFSETS),
+    st.tuples(st.sampled_from(["schedule", "after"]), OFFSETS),
     st.tuples(st.just("cancel"), PICKS),
 )
 OPS = st.lists(st.one_of(
     st.tuples(st.just("schedule_at"), OFFSETS, ACTIONS),
     st.tuples(st.just("schedule"), OFFSETS, ACTIONS),
+    st.tuples(st.just("after"), OFFSETS, ACTIONS),
+    # Several same-time ``after`` timers in a row: a step group.
+    st.tuples(st.just("afters"), OFFSETS, st.lists(ACTIONS, min_size=2, max_size=4)),
     st.tuples(st.just("cancel"), PICKS),
     st.tuples(st.just("step")),
     st.tuples(st.just("until"), HORIZONS),
@@ -52,20 +63,25 @@ class Harness:
         self.q = EventQueue()
         self.q.tie_breaker = tie_breaker
         self.q.COMPACT_MIN_CANCELLED = compact_at
-        self.q.watcher = self.check
+        self.q.watcher = self.dispatched
         self.tie_breaker = tie_breaker
-        self.handles: list = []
+        self.handles: list = []  # by seq; None for an ``after`` timer
         self.actions: list = []
+        self.groups: list[int] = []  # by seq: the step group it fires in
+        self.open_group: Optional[tuple[float, int]] = None  # (time, group)
         self.live: list[tuple[float, int, int]] = []  # the model
         self.model_now = 0.0
         self.last_now = 0.0
         self.fired = 0
+        self.fired_at_dispatch = 0
+        self.last_dispatch = 0
 
     # -- both sides ------------------------------------------------------------
 
     def add(self, kind: str, offset: float, action) -> None:
-        """Schedule at ``now + offset`` through ``schedule_at`` or
-        ``schedule``; the event fires :meth:`fire` with its seq."""
+        """Schedule at ``now + offset`` through ``schedule_at``,
+        ``schedule`` or ``after``; the callback fires :meth:`fire` with its
+        seq (the model numbers callbacks, not heap entries)."""
         seq = len(self.handles)
         time = self.model_now + offset
         rank = 0 if self.tie_breaker is None else self.tie_breaker(time, seq)
@@ -75,6 +91,17 @@ class Harness:
         def callback() -> None:
             self.fire(seq)
 
+        group = seq
+        if kind == "after":
+            if self.open_group is not None and self.open_group[0] == time:
+                group = self.open_group[1]
+            elif self.tie_breaker is None:
+                self.open_group = (time, group)
+            self.groups.append(group)
+            self.handles.append(self.q.after(offset, callback))
+            return
+        self.open_group = None
+        self.groups.append(group)
         if kind == "schedule_at":
             self.handles.append(self.q.schedule_at(time, callback))
         else:
@@ -82,12 +109,16 @@ class Harness:
 
     def cancel(self, picks: list[int]) -> None:
         """An even pick cancels a live event; an odd pick any handle,
-        which may already have fired or been cancelled."""
+        which may already have fired or been cancelled.  ``after`` timers
+        have no handle and are never picked."""
+        cancellable = [seq for seq, h in enumerate(self.handles) if h is not None]
         for k in picks:
-            if k % 2 == 0 and self.live:
-                seq = sorted(self.live)[k // 2 % len(self.live)][2]
-            elif self.handles:
-                seq = k // 2 % len(self.handles)
+            live = sorted(key for key in self.live
+                          if self.handles[key[2]] is not None)
+            if k % 2 == 0 and live:
+                seq = live[k // 2 % len(live)][2]
+            elif cancellable:
+                seq = cancellable[k // 2 % len(cancellable)]
             else:
                 continue
             self.live = [key for key in self.live if key[2] != seq]
@@ -99,17 +130,29 @@ class Harness:
         self.live.remove(head)
         self.model_now = head[0]
         self.fired += 1
+        if (self.open_group is not None
+                and self.open_group[1] == self.groups[seq]):
+            self.open_group = None  # a firing group takes no new members
         action = self.actions[seq]
         if action is None:
             return
-        if action[0] == "spawn":
-            self.add("schedule", action[1], None)
-        else:
+        if action[0] == "cancel":
             self.cancel(action[1])
+        else:
+            self.add(action[0], action[1], None)
 
-    def check(self, _queue: Optional[EventQueue] = None) -> None:
+    def dispatched(self, _queue: EventQueue) -> None:
+        """The watcher: once per dispatch, however many callbacks it ran."""
+        self.last_dispatch = self.fired - self.fired_at_dispatch
+        self.fired_at_dispatch = self.fired
+        assert self.last_dispatch >= 1
+        self.check()
+
+    def check(self) -> None:
         q = self.q
-        assert q.pending == q.live_count() == len(self.live)
+        live_groups = {self.groups[key[2]] for key in self.live}
+        assert q.pending == q.live_count() == len(live_groups)
+        assert q.events_simulated == self.fired
         assert q.now >= self.last_now, "now rewound"
         self.last_now = q.now
         assert q.now == self.model_now
@@ -118,8 +161,11 @@ class Harness:
 
     def apply(self, op: tuple) -> None:
         kind = op[0]
-        if kind in ("schedule_at", "schedule"):
+        if kind in ("schedule_at", "schedule", "after"):
             self.add(kind, op[1], op[2])
+        elif kind == "afters":
+            for action in op[2]:
+                self.add("after", op[1], action)
         elif kind == "cancel":
             self.cancel(op[1])
         elif kind == "step":
@@ -134,12 +180,15 @@ class Harness:
         else:
             limit = op[1]
             before = self.fired
+            self.last_dispatch = 0
             try:
                 self.q.run(max_events=limit)
             except SimulationError:
-                assert self.live and self.fired - before == limit
+                assert self.live and self.fired - before >= limit
             else:
-                assert not self.live and self.fired - before <= limit
+                assert not self.live
+            # No dispatch starts once the budget is spent.
+            assert self.fired - before - self.last_dispatch < max(limit, 1)
         self.check()
 
 
