@@ -9,6 +9,7 @@ scheduler intends (different phases use different dedicated links).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.collectives.context import CollectiveContext
@@ -78,7 +79,20 @@ class ChunkExecution:
         self.label = label
 
         self.nodes = list(range(fabric.num_npus))
-        self._instances: dict[tuple[int, tuple], object] = {}
+        #: Per phase: group key -> that group's algorithm instance, built
+        #: when the group's first node enters.  A phase's table is dropped
+        #: (None) once every node has left the phase, so a finished
+        #: instance is freed by reference counting: its ``on_node_done``
+        #: points back at this execution.
+        self._instances: list[Optional[dict[tuple, object]]] = [
+            {} for _ in self.plan
+        ]
+        #: Per-phase instance labels ("set3/c0/p2:all_reduce@VERTICAL"),
+        #: formatted once per chunk rather than once per instance.
+        self._phase_labels = [
+            f"{label}/p{i + 1}:{spec.op.value}@{spec.dim}"
+            for i, spec in enumerate(self.plan)
+        ]
         self._finished_nodes = 0
         self._nodes_in_phase: list[int] = [0] * (len(self.plan) + 1)
         self._nodes_left_phase: list[int] = [0] * (len(self.plan) + 1)
@@ -89,9 +103,6 @@ class ChunkExecution:
         self.phase_spans: list[list[Optional[float]]] = [
             [None, None] for _ in self.plan
         ]
-        #: Every phase instance's ``fail_context``: bound once and shared,
-        #: so an instance holds no per-instance context object.
-        self._fail_context = self._phase_context
 
     # -- public ------------------------------------------------------------------
 
@@ -102,8 +113,9 @@ class ChunkExecution:
         self.started_at = self.ctx.now
         if not self.plan:
             self.finished_at = self.ctx.now
-            if self.on_done is not None:
-                self.ctx.after(0.0, lambda: self.on_done(self))
+            on_done = self._release_callbacks()
+            if on_done is not None:
+                self.ctx.after(0.0, partial(on_done, self))
             return
         for node in self.nodes:
             self._enter_phase(node, 0)
@@ -138,8 +150,11 @@ class ChunkExecution:
         self._nodes_left_phase[phase_idx] += 1
         if self._nodes_left_phase[phase_idx] == len(self.nodes):
             # Every node has passed through this phase (a transient zero
-            # while slow groups are still upstream does not count).
+            # while slow groups are still upstream does not count).  From
+            # here on the trace, the progress vector and the wait-for
+            # summary read only phase_spans and _nodes_in_phase.
             self.phase_spans[phase_idx][1] = self.ctx.now
+            self._instances[phase_idx] = None
             if self.on_phase_done is not None:
                 self.on_phase_done(self.chunk_index, phase_idx)
         next_idx = phase_idx + 1
@@ -149,24 +164,33 @@ class ChunkExecution:
             self._finished_nodes += 1
             if self._finished_nodes == len(self.nodes):
                 self.finished_at = self.ctx.now
-                if self.on_done is not None:
-                    self.on_done(self)
+                on_done = self._release_callbacks()
+                if on_done is not None:
+                    on_done(self)
+
+    def _release_callbacks(self):
+        """Drop the owner's callbacks once the chunk is done (they point
+        back at the scheduler, which may keep this execution for the
+        trace); returns ``on_done`` for the caller to run."""
+        on_done = self.on_done
+        self.on_done = self.on_phase_done = None
+        return on_done
 
     def _instance_for(self, node: int, phase_idx: int):
         spec = self.plan[phase_idx]
         group = self.fabric.group_of(spec.dim, node)
-        key = (phase_idx, group)
-        instance = self._instances.get(key)
+        instances = self._instances[phase_idx]
+        instance = instances.get(group)
         if instance is None:
             instance = self._build_instance(spec, group, phase_idx)
-            self._instances[key] = instance
+            instances[group] = instance
         return instance
 
     def _build_instance(self, spec: PhaseSpec, group: tuple, phase_idx: int):
         channels = self.fabric.channels_for(spec.dim, group)
         size = self.chunk_bytes * spec.size_fraction
-        on_node_done = lambda n, p=phase_idx: self._leave_phase(n, p)  # noqa: E731
-        label = f"{self.label}/p{phase_idx + 1}:{spec.op.value}@{spec.dim}"
+        on_node_done = partial(self._leave_phase, phase_idx=phase_idx)
+        label = self._phase_labels[phase_idx]
         first = channels[0]
         if isinstance(first, (RingChannel, MappedRingChannel)):
             ring = channels[self.chunk_index % len(channels)]
@@ -189,7 +213,9 @@ class ChunkExecution:
             )
         else:
             raise CollectiveError(f"unsupported channel type {type(first)!r}")
-        instance.fail_context = self._fail_context
+        # Bound per instance: the instance, not this execution, owns the
+        # reference, and it goes when the phase's table is dropped.
+        instance.fail_context = self._phase_context
         return instance
 
     def _phase_context(self, phase_index: int) -> str:

@@ -521,7 +521,10 @@ class CountdownBarrier:
             raise SimulationError("barrier over-arrived")
 
     def _fire(self) -> None:
+        # ``on_done`` is released as it runs: it usually points back at
+        # the state machine that owns this barrier.
+        on_done, self._on_done = self._on_done, None
         self._fired = True
         if self._sanitizer is not None:
             self._sanitizer.barriers.fired(self)
-        self._on_done()
+        on_done()

@@ -87,7 +87,7 @@ class DetailedBackend(NetworkBackend):
     def _port_for(self, link: Link) -> TxPort:
         port = self._ports.get(link.link_id)
         if port is None:
-            port = TxPort(link, self.network, self.events, self._port_for)
+            port = TxPort(link, self.network, self.events)
             if self._faults is not None:
                 port.burst_enabled = False
             if self.sanitizer is not None:
@@ -128,7 +128,8 @@ class DetailedBackend(NetworkBackend):
 
         vc = self._next_vc
         self._next_vc = (vc + len(flits)) % self.network.vcs_per_vnet
-        ctx = HopContext(path=path, hop=0, upstream=None, on_delivered=delivered)
+        ctx = HopContext(path=path, hop=0, upstream=None, on_delivered=delivered,
+                         port_for=self._port_for)
         self._port_for(path[0]).enqueue_packets(ctx, vc, flits, tails)
 
     @property

@@ -90,6 +90,10 @@ class HopContext:
     #: Delivery sink, called with a flit count as flits reach the
     #: destination.
     on_delivered: Callable[[int], None]
+    #: The backend's link -> port lookup, for forwarding to the next hop.
+    #: It travels with the packet rather than living on each port: a port
+    #: holding it would make the backend's port table a reference cycle.
+    port_for: Callable[[Link], "TxPort"]
 
     @property
     def is_last_hop(self) -> bool:
@@ -134,12 +138,10 @@ class TxPort:
         link: Link,
         network: NetworkConfig,
         events: EventQueue,
-        next_port_for: Callable[[Link], "TxPort"],
     ):
         self.link = link
         self.network = network
         self.events = events
-        self._next_port_for = next_port_for
         self._flit_bytes = float(network.flit_width_bytes)
         self.queues: list[deque] = [deque() for _ in range(network.vcs_per_vnet)]
         self.credits: list[int] = [network.buffers_per_vc] * network.vcs_per_vnet
@@ -293,8 +295,9 @@ class TxPort:
             # consumed for the final hop.
             ctx.on_delivered(1)
             return
-        next_port = self._next_port_for(ctx.path[ctx.hop + 1])
-        next_ctx = HopContext(ctx.path, ctx.hop + 1, self, ctx.on_delivered)
+        next_port = ctx.port_for(ctx.path[ctx.hop + 1])
+        next_ctx = HopContext(ctx.path, ctx.hop + 1, self, ctx.on_delivered,
+                              ctx.port_for)
         self.events.schedule(
             self.network.router_latency_cycles,
             lambda: next_port.enqueue(vc, next_ctx, 1, size),

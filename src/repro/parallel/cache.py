@@ -227,9 +227,10 @@ class RunCache:
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
         tmp = f"{path}.{os.getpid()}.{next(_TMP_SEQ)}.tmp"
+        # One dumps call: json.dump streams through the pure-Python
+        # encoder, whose nested closures leave a reference cycle per write.
         with open(tmp, "w") as f:
-            json.dump(payload, f, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(payload, sort_keys=True) + "\n")
         os.replace(tmp, path)
         self.stats.stores += 1
 

@@ -26,6 +26,7 @@ deliveries the resumed communication produced.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -91,7 +92,9 @@ class Watchdog:
     """Progress monitor for one :class:`~repro.system.sys_layer.System`."""
 
     def __init__(self, system, config: Optional[WatchdogConfig] = None):
-        self.system = system
+        # Weak: the system's queue holds this watchdog (as its watcher),
+        # so a strong reference back would make the pair a reference cycle.
+        self._system = weakref.ref(system)
         self.config = config if config is not None else WatchdogConfig()
         self._events_at_last_check = system.events.events_processed
         self._last_vector: Optional[tuple] = None
@@ -99,6 +102,11 @@ class Watchdog:
         #: The diagnostics of the trip, kept for post-mortem inspection
         #: (the chaos harness reads it after catching the StallError).
         self.tripped: Optional[StallDiagnostics] = None
+
+    @property
+    def system(self):
+        """The watched system (alive whenever its queue runs)."""
+        return self._system()
 
     # -- the watcher-side entry point --------------------------------------------
 

@@ -171,8 +171,8 @@ def run_search(
                      and os.path.getsize(trajectory_path) > 0)
         log = open(trajectory_path, "w" if fresh else "a")
         if fresh:
-            json.dump(_trajectory_header(space, objective, strategy), log)
-            log.write("\n")
+            log.write(json.dumps(_trajectory_header(space, objective, strategy))
+                      + "\n")
 
     trajectory: list[Evaluation] = []
     evaluated = 0
@@ -215,14 +215,13 @@ def run_search(
                         # and the trajectory, keep searching.
                         poisoned.add(genome)
                         if log is not None:
-                            json.dump({
+                            log.write(json.dumps({
                                 "type": "quarantined",
                                 "genome": list(genome),
                                 "label": point.label,
                                 "failure_class": outcome.failure_class,
                                 "error": outcome.error,
-                            }, log)
-                            log.write("\n")
+                            }) + "\n")
                         continue
                     result = outcome.result
                     evaluation = Evaluation(
@@ -238,8 +237,7 @@ def run_search(
                     trajectory.append(evaluation)
                     evaluated += 1
                     if log is not None:
-                        json.dump(evaluation.to_dict(), log)
-                        log.write("\n")
+                        log.write(json.dumps(evaluation.to_dict()) + "\n")
                 if log is not None:
                     log.flush()
             else:

@@ -67,8 +67,7 @@ class ProgressWriter:
         tmp = f"{self.path}.tmp"
         try:
             with open(tmp, "w") as f:
-                json.dump(snapshot, f, sort_keys=True)
-                f.write("\n")
+                f.write(json.dumps(snapshot, sort_keys=True) + "\n")
             os.replace(tmp, self.path)
         except OSError:
             pass  # best-effort telemetry: never fail the simulation

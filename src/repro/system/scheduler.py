@@ -19,12 +19,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.collectives.context import CollectiveContext
 from repro.collectives.hierarchical import ChunkExecution
 from repro.config.parameters import SchedulingPolicy, SystemConfig
 from repro.errors import SchedulerError
+from repro.events.engine import EventQueue
 from repro.network.physical.fabric import Fabric
 from repro.system.collective_set import CollectiveSet
 
@@ -54,11 +54,12 @@ class Scheduler:
         self,
         fabric: Fabric,
         system: SystemConfig,
-        now: Callable[[], float],
+        events: EventQueue,
     ):
         self.fabric = fabric
         self.system = system
-        self._now = now
+        #: The owning system's queue, read for the current time.
+        self._events = events
         self._ready: deque[ReadyChunk] = deque()
         self._chunk_ids = itertools.count()
         self._first_phase_chunks = 0
@@ -93,7 +94,7 @@ class Scheduler:
 
     def enqueue_set(self, collective: CollectiveSet, ctx: CollectiveContext) -> None:
         """Split a collective set into ready chunks and try dispatching."""
-        now = self._now()
+        now = self._events.now
         collective.created_at = now
         for i, size in enumerate(collective.chunk_sizes):
             self._ready.append(
@@ -135,7 +136,7 @@ class Scheduler:
             self._issue(self._pop_ready())
 
     def _issue(self, ready: ReadyChunk) -> None:
-        now = self._now()
+        now = self._events.now
         ready.collective.breakdown.record_ready_queue(now - ready.enqueued_at)
         if ready.collective.first_issue_at is None:
             ready.collective.first_issue_at = now
@@ -174,7 +175,7 @@ class Scheduler:
             # Degenerate chunk (no communication dimensions): it never held
             # a first-phase slot, but its completion may still free budget.
             self._maybe_dispatch()
-        ready.collective._chunk_finished(self._now())
+        ready.collective._chunk_finished(self._events.now)
 
     # -- LSQ reporting ------------------------------------------------------------
 

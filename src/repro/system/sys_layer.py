@@ -80,9 +80,7 @@ class System:
         if fault_schedule is not None:
             self.fault_state = fault_schedule.install(topology.fabric, self.events)
             self.backend.faults = self.fault_state
-        self.scheduler = Scheduler(
-            topology.fabric, config.system, now=lambda: self.events.now
-        )
+        self.scheduler = Scheduler(topology.fabric, config.system, self.events)
         #: trace=True retains finished chunk executions so the timeline
         #: tooling (repro.analysis.trace) can reconstruct phase spans.
         self.scheduler.keep_completed = trace

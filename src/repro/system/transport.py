@@ -210,7 +210,9 @@ class ReliableTransport:
             return  # a late duplicate from a superseded attempt
         entry.done = True
         if entry.timer is not None:
+            # The timer's callback holds the entry: release it either way.
             entry.timer.cancel()
+            entry.timer = None
         if entry.attempts > 1:
             self.stats.recovered += 1
         entry.on_delivered(delivered)
@@ -218,6 +220,7 @@ class ReliableTransport:
     def _on_timeout(self, entry: _Entry, attempt: int) -> None:
         if entry.done or attempt != entry.attempts:
             return  # delivered, or this timer belongs to a superseded attempt
+        entry.timer = None  # fired: drop the handle, whose callback holds the entry
         self.stats.timeouts += 1
         # An attempt the fault layer dropped because an endpoint is paused
         # is flow control, not path failure: wait it out with backoff

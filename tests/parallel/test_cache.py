@@ -158,6 +158,22 @@ class TestRunCache:
         assert result.breakdown.as_dict() == fresh.breakdown.as_dict()
         assert RunCache(str(tmp_path)).get(key)["schema"] == PAYLOAD_SCHEMA
 
+    def test_entry_bytes_match_streamed_encoder(self, tmp_path):
+        """``put`` encodes with one ``json.dumps`` (the C encoder); a
+        real payload's file holds exactly the bytes the streaming
+        ``json.dump`` writes, so existing cache files stay valid."""
+        import io
+
+        key = collective_cache_key(_spec(), CollectiveOp.ALL_REDUCE, KB64)
+        payload = result_to_payload(
+            run_collective(_spec(), CollectiveOp.ALL_REDUCE, KB64), key)
+        streamed = io.StringIO()
+        json.dump(payload, streamed, sort_keys=True)
+        streamed.write("\n")
+        RunCache(str(tmp_path)).put(key, payload)
+        with open(os.path.join(str(tmp_path), f"{key}.json"), "rb") as f:
+            assert f.read() == streamed.getvalue().encode()
+
     def test_wrong_key_entry_is_quarantined(self, tmp_path):
         cache = RunCache(str(tmp_path))
         key = "c" * 64
