@@ -45,7 +45,7 @@ _EXPORTS = {
                     "repro.errors"),
     "EventQueue": "repro.events",
     **dict.fromkeys(("dlrm", "mlp", "resnet50", "transformer"), "repro.models"),
-    **dict.fromkeys(("FastBackend", "Message"), "repro.network"),
+    "FastBackend": "repro.network",
     "DetailedBackend": "repro.network.detailed",
     **dict.fromkeys(("CollectiveSet", "System"), "repro.system"),
     **dict.fromkeys(("LogicalTopology", "build_alltoall_topology", "build_torus_topology"),

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from repro.collectives.context import CollectiveContext
 from repro.errors import CollectiveError
-from repro.network.message import Message
+from repro.network.api import DeliveryRecord
 
 NodeDoneCallback = Callable[[int], None]
 AllDoneCallback = Callable[[], None]
@@ -25,12 +25,13 @@ class CollectiveAlgorithmBase:
     """Per-group, per-chunk-phase collective state machine.
 
     Every message an instance sends carries the same delivery handler,
-    :meth:`_delivered`: it records the message on the phase's stats and
-    reads what it needs (step, origin, destination) from ``message.tag``,
-    so a send builds no closure.  The handler is bound at each send rather
-    than stored on the instance: a stored bound method makes a reference
-    cycle of every instance, which measured about 6 MB more peak RSS on
-    the ResNet-50 step than a bound method that lives for one message.
+    :meth:`_delivered`: it records the backend's delivery record on the
+    phase's stats and reads what it needs (step, origin, destination)
+    from the record's endpoints and tag, so a send builds no closure.
+    The handler is bound at each send rather than stored on the instance:
+    a stored bound method makes a reference cycle of every instance, which
+    measured about 6 MB more peak RSS on the ResNet-50 step than a bound
+    method that lives for one message.
     """
 
     def __init__(
@@ -59,9 +60,11 @@ class CollectiveAlgorithmBase:
         #: Resolved once for the per-message path: the stats this phase's
         #: messages record into (None when the context has no breakdown),
         #: whether the backend reports failures (sends build an
-        #: ``on_failed`` callback only then) and the event queue's schedule.
+        #: ``on_failed`` callback only then), the event queue (its ``now``
+        #: is a delivery's time) and its ``after``.
         self._stats = ctx.phase_stats(phase_index)
         self._reliable = ctx.reliable
+        self._events = ctx.events
         self._after = ctx.after
 
         self._joined: set[int] = set()
@@ -131,8 +134,9 @@ class CollectiveAlgorithmBase:
         """Handle one received item for a joined node.  Subclasses override."""
         raise NotImplementedError
 
-    def _delivered(self, message: Message) -> None:
-        """Handle one delivered message (the delivery handler of every
+    def _delivered(self, record: DeliveryRecord) -> None:
+        """Handle one delivery record ``(handler, src, dst, size_bytes,
+        tag, created_at, injected_at)`` (the delivery handler of every
         send): record it on the phase's stats, then route it.  Subclasses
         override."""
         raise NotImplementedError

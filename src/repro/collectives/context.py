@@ -15,9 +15,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config.parameters import InjectionPolicy, PacketRouting
 from repro.errors import CollectiveError
-from repro.network.api import NetworkBackend
+from repro.network.api import DeliveryCallback, DeliveryRecord, Drop, NetworkBackend
 from repro.network.link import Link
-from repro.network.message import Message
 
 if TYPE_CHECKING:
     from repro.system.stats import DelayBreakdown
@@ -49,19 +48,18 @@ class PhaseStats:
     network_values: list[float] = field(default_factory=list, repr=False)
     byte_values: list[float] = field(default_factory=list, repr=False)
 
-    def record(self, message: Message) -> None:
-        """Add one delivered message's samples.
-
-        The queueing and network cycles are the differences
-        ``Message.queueing_cycles`` and ``network_cycles`` compute, taken
-        from the timing fields directly: this runs once per message.
-        """
+    def record(self, record: DeliveryRecord, delivered_at: float) -> None:
+        """Add one delivered message's samples: queueing cycles (first-link
+        grant minus creation), network cycles (delivery minus grant) and
+        bytes, read from the backend's delivery ``record``.  Runs once per
+        message."""
         self.messages += 1
-        injected = message.injected_at
-        self.queue_values.append(injected - message.created_at)
-        self.network_values.append(message.delivered_at - injected)
-        self.byte_values.append(message.size_bytes)
-        if len(self.queue_values) >= COMPACT_AT:
+        injected = record[6]
+        queue_values = self.queue_values
+        queue_values.append(injected - record[5])
+        self.network_values.append(delivered_at - injected)
+        self.byte_values.append(record[3])
+        if len(queue_values) >= COMPACT_AT:
             self.compact()
 
     @staticmethod
@@ -179,6 +177,9 @@ class CollectiveContext:
         #: bound once, so a state machine's timer costs no wrapper calls
         #: and same-time timers of one step share a dispatch (a step group).
         self.after: Callable[[float, Callable[[], None]], None] = backend.events.after
+        #: The event queue; a delivery handler reads the delivery time as
+        #: its ``now``.
+        self.events = backend.events
         self._send = backend.send
 
     @property
@@ -203,10 +204,10 @@ class CollectiveContext:
         size_bytes: float,
         path: list[Link],
         tag: object,
-        on_delivered: Callable[[Message], None],
+        on_delivered: DeliveryCallback,
         on_failed: Optional[Callable] = None,
-    ) -> Message:
-        """Inject one message; ``on_delivered(message)`` runs at arrival.
+    ) -> Optional[Drop]:
+        """Inject one message; ``on_delivered(record)`` runs at arrival.
 
         The delivery handler records the message's timing: algorithm
         instances record into their phase's :class:`PhaseStats`.
@@ -214,11 +215,10 @@ class CollectiveContext:
         when the reliable transport exhausts its retry budget; it is only
         honored when the backend supports failure reporting (a raw backend
         never reports loss — an undeliverable message simply deadlocks the
-        run, surfaced by the wait-for summary).
+        run, surfaced by the wait-for summary).  Returns the backend's
+        drop, if the fault layer dropped the message at injection.
         """
-        message = Message(src, dst, size_bytes, tag)
         if on_failed is not None and self.reliable:
-            self._send(message, path, on_delivered, on_failed=on_failed)
-        else:
-            self._send(message, path, on_delivered)
-        return message
+            return self._send(src, dst, size_bytes, path, tag, on_delivered,
+                              on_failed=on_failed)
+        return self._send(src, dst, size_bytes, path, tag, on_delivered)

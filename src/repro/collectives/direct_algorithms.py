@@ -24,8 +24,8 @@ from repro.collectives.base import (
 from repro.collectives.context import CollectiveContext
 from repro.errors import CollectiveError
 from repro.events.engine import CountdownBarrier
+from repro.network.api import DeliveryRecord
 from repro.network.channel import SwitchChannel
-from repro.network.message import Message
 
 
 @dataclass
@@ -92,10 +92,11 @@ class _DirectExchangeBase(CollectiveAlgorithmBase):
             self.ctx.send(node, peer, self.message_bytes, switch.path(node, peer),
                           (self.label, node, peer), self._delivered, on_failed)
 
-    def _delivered(self, message: Message) -> None:
+    def _delivered(self, record: DeliveryRecord) -> None:
         if self._stats is not None:
-            self._stats.record(message)
-        self._deliver(message.dst, _DirectReceive(message.src))
+            self._stats.record(record, self._events.now)
+        # record[2] is the receiver, record[1] the sender.
+        self._deliver(record[2], _DirectReceive(record[1]))
 
     def _fail_fast(self, failure, switch: SwitchChannel) -> None:
         """A switch up/downlink died for good (retry budget exhausted):

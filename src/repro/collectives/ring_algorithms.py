@@ -27,8 +27,8 @@ from repro.collectives.base import (
 from repro.collectives.context import CollectiveContext
 from repro.config.parameters import InjectionPolicy, PacketRouting
 from repro.errors import CollectiveError
+from repro.network.api import DeliveryRecord
 from repro.network.channel import RingChannel
-from repro.network.message import Message
 
 
 class _ResilientRingMixin:
@@ -111,10 +111,11 @@ class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
         self.ctx.send(node, nxt, self.message_bytes, self._route(node, nxt),
                       (self.label, step), self._delivered, on_failed)
 
-    def _delivered(self, message: Message) -> None:
+    def _delivered(self, record: DeliveryRecord) -> None:
         if self._stats is not None:
-            self._stats.record(message)
-        self._deliver(message.dst, message.tag[1])
+            self._stats.record(record, self._events.now)
+        # record[2] is the receiver, record[4] the (label, step) tag.
+        self._deliver(record[2], record[4][1])
 
     def _on_join(self, node: int) -> None:
         self._send_step(node, 1)
@@ -274,11 +275,12 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
         self.ctx.send(src, dst, self.message_bytes, self._route(src, dst),
                       (self.label, origin, final_dst), self._delivered, on_failed)
 
-    def _delivered(self, message: Message) -> None:
+    def _delivered(self, record: DeliveryRecord) -> None:
         if self._stats is not None:
-            self._stats.record(message)
-        _label, origin, final_dst = message.tag
-        here = message.dst
+            self._stats.record(record, self._events.now)
+        # record[2] is the receiving hop, record[4] the round's tag.
+        _label, origin, final_dst = record[4]
+        here = record[2]
         ring = self.ring
         # NORMAL pacing: issue the origin's next round once this round has
         # cleared its injection point — the first ring hop under software

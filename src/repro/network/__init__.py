@@ -14,7 +14,7 @@ from repro.network.channel import (
 )
 from repro.network.fast_backend import FastBackend
 from repro.network.link import Link, LinkStats
-from repro.network.message import Message, num_packets, packetize
+from repro.network.message import num_packets, packetize
 
 __all__ = [
     "Channel",
@@ -22,7 +22,6 @@ __all__ = [
     "FastBackend",
     "Link",
     "LinkStats",
-    "Message",
     "NetworkBackend",
     "RingChannel",
     "SwitchChannel",

@@ -12,13 +12,21 @@ exist: :class:`repro.network.fast_backend.FastBackend` (default) and
 from __future__ import annotations
 
 import abc
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.events.engine import EventHandle, EventQueue
 from repro.network.link import Link
-from repro.network.message import Message
 
-DeliveryCallback = Callable[[Message], None]
+#: What a backend hands ``on_delivered`` when a message arrives: the
+#: tuple ``(on_delivered, src, dst, size_bytes, tag, created_at,
+#: injected_at)``.  The delivery time is the event queue's ``now`` when
+#: the callback runs.  The fast backend queues exactly this tuple per
+#: send, so a delivery costs no object beyond it.
+DeliveryRecord = tuple
+DeliveryCallback = Callable[[DeliveryRecord], None]
+#: ``(kind, reason)`` of a message the fault layer dropped at injection
+#: (see :meth:`repro.network.fault_schedule.FaultState.classify`).
+Drop = tuple[str, str]
 
 
 class NetworkBackend(abc.ABC):
@@ -49,62 +57,53 @@ class NetworkBackend(abc.ABC):
         return self.events.schedule(delay, callback)
 
     @abc.abstractmethod
-    def send(self, message: Message, path: list[Link], on_delivered: DeliveryCallback) -> None:
-        """Inject ``message`` along ``path``; call ``on_delivered`` at arrival.
+    def send(self, src: int, dst: int, size_bytes: float, path: list[Link],
+             tag: object, on_delivered: DeliveryCallback) -> Optional[Drop]:
+        """Inject one ``size_bytes`` message from ``src`` to ``dst`` along
+        ``path``; call ``on_delivered(record)`` at arrival.
 
         ``path`` is an ordered list of physical links whose endpoints chain
-        from ``message.src`` to ``message.dst`` (possibly through switch
-        endpoints).  Implementations must fill the message's timing fields.
+        from ``src`` to ``dst`` (possibly through switch endpoints).
+        ``tag`` is opaque to the network: it comes back in the delivery
+        record so receivers can demultiplex.  Returns the fault layer's
+        ``(kind, reason)`` when the message is dropped at injection (it
+        will never be delivered), ``None`` otherwise.
         """
 
-    def _record_send(self, message: Message) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.conservation.message_sent(message)
-
-    def _drop_if_faulty(self, message: Message, path: list[Link]) -> bool:
+    def _drop_if_faulty(self, src: int, dst: int, path: list[Link]) -> Optional[Drop]:
         """Apply the installed fault state at injection time.
 
-        Returns ``True`` when the message is lost (down link, paused
-        endpoint, or probabilistic drop): the backend must then inject
-        nothing — recovery is the reliable transport's job.  Call after
-        :meth:`_record_send` so conservation balances as
+        Returns ``(kind, reason)`` when the message is lost (down link,
+        paused endpoint, or probabilistic drop): the backend must then
+        inject nothing — recovery is the reliable transport's job.  Call
+        after counting the send so conservation balances as
         ``sent == delivered + dropped``.
         """
         if self.faults is None:
-            return False
-        classified = self.faults.classify(message, path)
-        if classified is None:
-            return False
-        kind, reason = classified
-        self.faults.record_drop(reason)
+            return None
+        drop = self.faults.classify(src, dst, path)
+        if drop is None:
+            return None
+        self.faults.record_drop(drop[1])
         self.messages_dropped += 1
-        message.drop_reason = reason
-        message.drop_kind = kind
         if self.sanitizer is not None:
-            self.sanitizer.conservation.message_dropped(message)
-        return True
-
-    def _record_delivery(self, message: Message) -> None:
-        self.messages_delivered += 1
-        self.bytes_delivered += message.size_bytes
-        if self.sanitizer is not None:
-            self.sanitizer.conservation.message_delivered(message)
+            self.sanitizer.conservation.message_dropped()
+        return drop
 
 
-def validate_path(message: Message, path: list[Link]) -> None:
-    """Check that ``path`` actually chains src -> dst (shared by backends)."""
+def validate_path(src: int, dst: int, path: list[Link]) -> None:
+    """Check that ``path`` actually chains ``src`` -> ``dst`` with
+    ``src != dst`` (shared by backends)."""
     from repro.errors import NetworkError
 
+    if src == dst:
+        raise NetworkError(f"message src == dst == {src}")
     if not path:
-        raise NetworkError(f"empty path for message {message.src}->{message.dst}")
-    if path[0].src != message.src:
-        raise NetworkError(
-            f"path starts at {path[0].src}, message src is {message.src}"
-        )
-    if path[-1].dst != message.dst:
-        raise NetworkError(
-            f"path ends at {path[-1].dst}, message dst is {message.dst}"
-        )
+        raise NetworkError(f"empty path for message {src}->{dst}")
+    if path[0].src != src:
+        raise NetworkError(f"path starts at {path[0].src}, message src is {src}")
+    if path[-1].dst != dst:
+        raise NetworkError(f"path ends at {path[-1].dst}, message dst is {dst}")
     for a, b in zip(path, path[1:]):
         if a.dst != b.src:
             raise NetworkError(f"discontinuous path: {a!r} then {b!r}")

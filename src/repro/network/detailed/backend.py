@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from typing import Optional
+
 from repro.config.parameters import NetworkConfig
 from repro.errors import NetworkError
 from repro.events.engine import EventQueue
-from repro.network.api import DeliveryCallback, NetworkBackend, validate_path
+from repro.network.api import DeliveryCallback, Drop, NetworkBackend, validate_path
 from repro.network.detailed.router import HopContext, TxPort
 from repro.network.link import Link
-from repro.network.message import Message, packetize
+from repro.network.message import packetize
 
 
 def _flit_split(packet_bytes: float, flit_bytes: int) -> tuple[int, float]:
@@ -96,41 +98,50 @@ class DetailedBackend(NetworkBackend):
             self._ports[link.link_id] = port
         return port
 
-    def send(self, message: Message, path: list[Link], on_delivered: DeliveryCallback) -> None:
-        validate_path(message, path)
-        self._record_send(message)
-        message.created_at = self.now
-        # Drop before any flit is counted so the flit ledgers stay balanced.
-        if self._drop_if_faulty(message, path):
-            return
-
-        packet_bytes = min(link.config.packet_size_bytes for link in path)
-        flits, tails = packet_flits(message.size_bytes, packet_bytes,
-                                    self.network.flit_width_bytes)
-        remaining = int(flits.sum())
+    def send(self, src: int, dst: int, size_bytes: float, path: list[Link],
+             tag: object, on_delivered: DeliveryCallback) -> Optional[Drop]:
+        validate_path(src, dst, path)
         conservation = None if self.sanitizer is None else self.sanitizer.conservation
         if conservation is not None:
-            conservation.flits_created(message, remaining)
+            conservation.message_sent()
+        created_at = self.now
+        # Drop before any flit is counted so the flit ledgers stay balanced.
+        drop = self._drop_if_faulty(src, dst, path)
+        if drop is not None:
+            return drop
+
+        packet_bytes = min(link.config.packet_size_bytes for link in path)
+        flits, tails = packet_flits(size_bytes, packet_bytes,
+                                    self.network.flit_width_bytes)
+        remaining = int(flits.sum())
 
         def delivered(count: int) -> None:
             nonlocal remaining
-            if conservation is not None:
-                conservation.flits_delivered(message, count)
             remaining -= count
             if remaining == 0:
                 # Approximate injection time as creation (flit-level queues
                 # make per-message injection a fuzzy notion); queueing shows
-                # up in network_cycles instead.
-                message.injected_at = message.created_at
-                message.delivered_at = self.now
-                self._record_delivery(message)
-                on_delivered(message)
+                # up in network cycles instead.
+                self.messages_delivered += 1
+                self.bytes_delivered += size_bytes
+                if conservation is not None:
+                    conservation.message_delivered()
+                record = (on_delivered, src, dst, size_bytes, tag,
+                          created_at, created_at)
+                on_delivered(record)
 
+        # The delivery sink is this send's own object: the sanitizer's
+        # flit ledger keys on it, and the ports that sink the flits credit
+        # it (TxPort.observer).
+        if conservation is not None:
+            conservation.flits_created(delivered, remaining,
+                                       f"{src}->{dst} tag={tag!r}")
         vc = self._next_vc
         self._next_vc = (vc + len(flits)) % self.network.vcs_per_vnet
         ctx = HopContext(path=path, hop=0, upstream=None, on_delivered=delivered,
                          port_for=self._port_for)
         self._port_for(path[0]).enqueue_packets(ctx, vc, flits, tails)
+        return None
 
     @property
     def total_flits_sent(self) -> int:

@@ -88,7 +88,8 @@ class HopContext:
     hop: int
     upstream: Optional["TxPort"]
     #: Delivery sink, called with a flit count as flits reach the
-    #: destination.
+    #: destination; one per send, so it also names the message in the
+    #: sanitizer's flit ledger.
     on_delivered: Callable[[int], None]
     #: The backend's link -> port lookup, for forwarding to the next hop.
     #: It travels with the packet rather than living on each port: a port
@@ -148,8 +149,9 @@ class TxPort:
         self._rr = 0
         self._sending = False
         self.flits_sent = 0
-        #: Optional conservation observer (repro.sanitize.runtime); ``None``
-        #: on the default path so instrumentation costs one attribute test.
+        #: Optional conservation observer (repro.sanitize.runtime): credits
+        #: taken and released, flits sunk at the destination.  ``None`` on
+        #: the default path so instrumentation costs one attribute test.
         self.observer = None
         # Per-flit bandwidth memo keyed on config identity (fault-driven
         # degrades replace link.config, invalidating it) — this port
@@ -293,6 +295,8 @@ class TxPort:
         if ctx.is_last_hop:
             # The destination NPU sinks flits immediately; no credit was
             # consumed for the final hop.
+            if self.observer is not None:
+                self.observer.flits_delivered(ctx.on_delivered, 1)
             ctx.on_delivered(1)
             return
         next_port = ctx.port_for(ctx.path[ctx.hop + 1])
@@ -486,4 +490,6 @@ class TxPort:
     def _deliver(self, ctx: HopContext, flits: int) -> None:
         # Stands in for one per-flit arrival dispatch (see _burst_end).
         self.events.credit_batched(-1)
+        if self.observer is not None:
+            self.observer.flits_delivered(ctx.on_delivered, flits)
         ctx.on_delivered(flits)

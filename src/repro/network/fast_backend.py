@@ -14,11 +14,12 @@ flit-level simulation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.config.parameters import NetworkConfig
 from repro.events.engine import EventQueue
-from repro.network.api import DeliveryCallback, NetworkBackend, validate_path
+from repro.network.api import DeliveryCallback, Drop, NetworkBackend, validate_path
 from repro.network.link import Link
-from repro.network.message import Message
 
 
 class FastBackend(NetworkBackend):
@@ -27,10 +28,12 @@ class FastBackend(NetworkBackend):
     def __init__(self, events: EventQueue, network: NetworkConfig, sanitizer=None):
         super().__init__(events, sanitizer=sanitizer)
         self.network = network
-        #: delivered_at -> [(message, on_delivered), ...] in send order.
-        #: All same-cycle deliveries drain through ONE event dispatch (see
-        #: send); ring/alltoall steps deliver N messages at the same cycle,
-        #: so this coalesces the dominant event population of a collective.
+        #: delivered_at -> [record, ...] in send order, one delivery record
+        #: ``(on_delivered, src, dst, size_bytes, tag, created_at,
+        #: injected_at)`` per send.  All same-cycle deliveries drain
+        #: through ONE event dispatch (see send); ring/alltoall steps
+        #: deliver N messages at the same cycle, so this coalesces the
+        #: dominant event population of a collective.
         self._delivery_batches: dict[float, list] = {}
         #: id(path) -> the validated path object (strong ref, so the id
         #: stays valid) plus its endpoints.  Routes come from the topology
@@ -41,51 +44,40 @@ class FastBackend(NetworkBackend):
         #: pair would be a route-table bug validate_path must catch).
         self._validated_routes: dict[int, tuple] = {}
 
-    def send(self, message: Message, path: list[Link], on_delivered: DeliveryCallback) -> None:
+    def send(self, src: int, dst: int, size_bytes: float, path: list[Link],
+             tag: object, on_delivered: DeliveryCallback) -> Optional[Drop]:
         cached = self._validated_routes.get(id(path))
         if (cached is None or cached[0] is not path
-                or cached[1] != message.src or cached[2] != message.dst):
-            validate_path(message, path)
-            self._validated_routes[id(path)] = (path, message.src, message.dst)
-        # _record_send inlined: no call on the unsanitized path, and with a
+                or cached[1] != src or cached[2] != dst):
+            validate_path(src, dst, path)
+            self._validated_routes[id(path)] = (path, src, dst)
+        # Counted inline: no call on the unsanitized path, and with a
         # sanitizer every send still reaches its conservation ledger.
         sanitizer = self.sanitizer
         if sanitizer is not None:
-            sanitizer.conservation.message_sent(message)
+            sanitizer.conservation.message_sent()
         now = self.events.now
-        message.created_at = now
-        if self.faults is not None and self._drop_if_faulty(message, path):
-            return
+        if self.faults is not None:
+            drop = self._drop_if_faulty(src, dst, path)
+            if drop is not None:
+                return drop
 
         # Reserve each hop in order; hop k may begin once the head of the
-        # message has arrived at its input (packet-pipelined forwarding).
-        # Loop-invariant lookups are hoisted: this method runs once per
-        # message and dominates the fast backend's per-send cost.
-        router_latency = self.network.router_latency_cycles
-        size_bytes = message.size_bytes
-        arrival = now
-        injected = None
-        # validate_path guarantees a non-empty path, but keep last_tail
-        # bound regardless so a degenerate path can never surface as an
-        # UnboundLocalError two statements later.
-        last_tail = now
-        for hop, link in enumerate(path):
-            if hop > 0:
-                arrival += router_latency
-            start, head, tail = link.reserve(arrival, size_bytes)
-            if injected is None:
-                injected = start
-            # The next hop can start serializing when the first packet has
-            # fully arrived, but it also cannot finish before this hop's
-            # tail has arrived; Link.reserve's FIFO ordering handles the
-            # rest because per-hop serialization time only shrinks or stays
-            # equal downstream when bandwidths match.
-            arrival = head
-            last_tail = tail
-
-        message.injected_at = injected if injected is not None else now
-        delivered_at = max(last_tail, arrival)
-        message.delivered_at = delivered_at
+        # message has arrived at its input (packet-pipelined forwarding),
+        # plus the router latency.  The next hop can start serializing
+        # when the first packet has fully arrived, but it also cannot
+        # finish before this hop's tail has arrived; Link.reserve's FIFO
+        # ordering handles the rest because per-hop serialization time
+        # only shrinks or stays equal downstream when bandwidths match.
+        # validate_path guarantees a non-empty path; most are one hop.
+        injected, arrival, last_tail = path[0].reserve(now, size_bytes)
+        if len(path) > 1:
+            router_latency = self.network.router_latency_cycles
+            for link in path[1:]:
+                _start, arrival, last_tail = link.reserve(arrival + router_latency,
+                                                          size_bytes)
+        record = (on_delivered, src, dst, size_bytes, tag, now, injected)
+        delivered_at = last_tail if last_tail > arrival else arrival
 
         # Same-cycle delivery coalescing: the first message bound for a
         # given cycle schedules the one drain event; later sends append.
@@ -99,10 +91,11 @@ class FastBackend(NetworkBackend):
         batches = self._delivery_batches
         batch = batches.get(delivered_at)
         if batch is not None:
-            batch.append((message, on_delivered))
+            batch.append(record)
         else:
-            batches[delivered_at] = [(message, on_delivered)]
+            batches[delivered_at] = [record]
             self.events.schedule_at(delivered_at, self._drain_deliveries)
+        return None
 
     def _drain_deliveries(self) -> None:
         # Pop before iterating: an on_delivered handler that sends again
@@ -112,11 +105,10 @@ class FastBackend(NetworkBackend):
         batch = self._delivery_batches.pop(self.events.now)
         if len(batch) > 1:
             self.events.credit_batched(len(batch) - 1)
-        # _record_delivery inlined, as _record_send in send().
         sanitizer = self.sanitizer
-        for message, on_delivered in batch:
+        for record in batch:
             self.messages_delivered += 1
-            self.bytes_delivered += message.size_bytes
+            self.bytes_delivered += record[3]
             if sanitizer is not None:
-                sanitizer.conservation.message_delivered(message)
-            on_delivered(message)
+                sanitizer.conservation.message_delivered()
+            record[0](record)

@@ -32,7 +32,6 @@ from repro.network.faults import degrade_link
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.engine import EventQueue
     from repro.network.link import Link
-    from repro.network.message import Message
     from repro.network.physical.fabric import Fabric
 
 #: A directed physical "cable": every parallel link between the pair is
@@ -172,20 +171,20 @@ class FaultState:
         self.messages_dropped = 0
         self.drops_by_reason: dict[str, int] = {}
 
-    def classify(self, message: "Message",
+    def classify(self, src: int, dst: int,
                  path: list["Link"]) -> Optional[tuple[str, str]]:
-        """Why ``message`` would be lost if injected now, as a
-        ``(kind, reason)`` pair; ``None`` if healthy.
+        """Why a ``src`` -> ``dst`` message on ``path`` would be lost if
+        injected now, as a ``(kind, reason)`` pair; ``None`` if healthy.
 
         ``kind`` is one of ``"node_paused"``, ``"link_down"``,
         ``"random_drop"`` — the reliable transport treats a paused endpoint
         as transient flow control rather than a path failure, so it must be
         able to tell the classes apart without parsing the prose.
         """
-        if message.src in self.paused:
-            return "node_paused", f"node {message.src} paused"
-        if message.dst in self.paused:
-            return "node_paused", f"node {message.dst} paused"
+        if src in self.paused:
+            return "node_paused", f"node {src} paused"
+        if dst in self.paused:
+            return "node_paused", f"node {dst} paused"
         for link in path:
             if (link.src, link.dst) in self.down:
                 return "link_down", f"link {link.src}->{link.dst} down"
@@ -196,12 +195,6 @@ class FaultState:
                 if p > 0.0 and self.rng.random() < p:
                     return "random_drop", f"random drop on link {link.src}->{link.dst}"
         return None
-
-    def drop_reason(self, message: "Message", path: list["Link"]) -> Optional[str]:
-        """Prose-only variant of :meth:`classify` (kept for callers that
-        only report)."""
-        classified = self.classify(message, path)
-        return classified[1] if classified is not None else None
 
     def record_drop(self, reason: str) -> None:
         self.messages_dropped += 1

@@ -47,9 +47,11 @@ class FabricRouter:
             nodes = nx.shortest_path(self.graph, src, dst, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             raise NetworkError(f"no route from {src} to {dst}") from None
-        links = [
-            self.graph.edges[a, b]["link"] for a, b in zip(nodes, nodes[1:])
-        ]
+        # get_edge_data, not graph.edges[a, b]: the edges view is cached
+        # on the graph and points back at it, a reference cycle that would
+        # keep the graph and every Link for the cyclic collector.
+        get_edge_data = self.graph.get_edge_data
+        links = [get_edge_data(a, b)["link"] for a, b in zip(nodes, nodes[1:])]
         self._cache[(src, dst)] = links
         return links
 

@@ -29,7 +29,6 @@ cache summary, and treated as a miss so the next store rewrites it.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -76,6 +75,9 @@ def collective_cache_key(spec: Any, op: Any, size_bytes: float,
         repr(float(size_bytes)),
         backend,
     ))
+    # Imported here: a run with no cache never builds a key.
+    import hashlib
+
     return hashlib.sha256(material.encode()).hexdigest()
 
 

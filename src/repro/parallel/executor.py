@@ -25,7 +25,6 @@ stored on the way out.
 from __future__ import annotations
 
 import enum
-import logging
 import os
 import pickle
 import threading
@@ -180,8 +179,6 @@ def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
     return result if keep_system else replace(result, system=None)
 
 
-_log = logging.getLogger("repro.parallel")
-
 #: Seconds between a pool worker's checks that its parent is alive.
 PARENT_POLL_S = 0.2
 
@@ -333,7 +330,11 @@ class ParallelExecutor:
         failure = _pickle_failure(obj)
         if failure is not None and not self._degrade_logged:
             self._degrade_logged = True
-            _log.warning(
+            # Imported here: this warning is logging's only use, and a
+            # run that never degrades should not pay for the import.
+            import logging
+
+            logging.getLogger("repro.parallel").warning(
                 "work item is not picklable (%s: %s); running it "
                 "in-process instead of in the worker pool",
                 type(failure).__name__, failure)

@@ -34,7 +34,6 @@ from repro.sanitize.findings import Finding, Severity
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.events.engine import CountdownBarrier
     from repro.network.detailed.router import TxPort
-    from repro.network.message import Message
 
 
 @dataclass
@@ -129,42 +128,49 @@ class ConservationChecker:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: id(message) -> flit ledger; balanced entries are dropped eagerly
-        #: so the ledger only holds in-flight messages.
+        #: id(delivery sink) -> flit ledger (the detailed backend makes one
+        #: sink per send); balanced entries are dropped eagerly so the
+        #: ledger only holds in-flight messages.
         self._flit_ledgers: dict[int, _MessageLedger] = {}
         #: (link_id, vc) -> credits currently held downstream.
         self._credits_out: dict[tuple[int, int], int] = {}
         #: ports observed, for queue-drain checks at quiescence.
         self._ports: dict[int, "TxPort"] = {}
 
-    # -- fast-backend message balance ------------------------------------------
+    # -- message balance (both backends) ----------------------------------------
 
-    def message_sent(self, message: "Message") -> None:
+    def message_sent(self) -> None:
         self.messages_sent += 1
 
-    def message_delivered(self, message: "Message") -> None:
+    def message_delivered(self) -> None:
         self.messages_delivered += 1
 
-    def message_dropped(self, message: "Message") -> None:
+    def message_dropped(self) -> None:
         self.messages_dropped += 1
 
     # -- detailed-backend flit balance -----------------------------------------
 
-    def flits_created(self, message: "Message", count: int) -> None:
-        ledger = self._ledger(message)
+    def flits_created(self, sink: object, count: int, label: str) -> None:
+        """``count`` flits built for the message whose per-send delivery
+        sink is ``sink``; ``label`` names the message in leak reports."""
+        key = id(sink)
+        ledger = self._flit_ledgers.get(key)
+        if ledger is None:
+            ledger = self._flit_ledgers[key] = _MessageLedger(label=label)
         ledger.created += count
 
-    def flit_delivered(self, message: "Message") -> None:
-        self.flits_delivered(message, 1)
+    def flits_delivered(self, sink: object, count: int) -> None:
+        """``count`` flits of ``sink``'s message reached the destination.
 
-    def flits_delivered(self, message: "Message", count: int) -> None:
-        """Bulk delivery credit: one ledger update for ``count`` flits.
-
-        Flit bursts land a whole message chunk in one dispatch; per-flit
-        ledger calls there would undo the batching's point.  Identical
-        accounting to ``count`` single calls.
+        Flit bursts land a whole message chunk in one dispatch, so one
+        ledger update covers ``count`` flits.
         """
-        ledger = self._ledger(message)
+        key = id(sink)
+        ledger = self._flit_ledgers.get(key)
+        if ledger is None:
+            raise SanitizerError(
+                "flit conservation: a message delivered "
+                f"{count} flits that were never created")
         ledger.delivered += count
         if ledger.delivered > ledger.created:
             raise SanitizerError(
@@ -173,17 +179,7 @@ class ConservationChecker:
                 f"created (duplicated flit)"
             )
         if ledger.delivered == ledger.created:
-            del self._flit_ledgers[id(message)]
-
-    def _ledger(self, message: "Message") -> _MessageLedger:
-        key = id(message)
-        ledger = self._flit_ledgers.get(key)
-        if ledger is None:
-            ledger = _MessageLedger(
-                label=f"{message.src}->{message.dst} tag={message.tag!r}"
-            )
-            self._flit_ledgers[key] = ledger
-        return ledger
+            del self._flit_ledgers[key]
 
     # -- TxPort observer interface ---------------------------------------------
 

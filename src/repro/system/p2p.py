@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from repro.errors import NetworkError
 from repro.network.api import NetworkBackend
-from repro.network.message import Message
 from repro.network.routing import FabricRouter
 from repro.system.collective_set import split_into_chunks
 
@@ -84,9 +83,8 @@ class P2PEngine:
         transfer.created_at = self.backend.now
         self.transfers.append(transfer)
         for i, chunk in enumerate(chunks):
-            message = Message(src, dst, chunk, tag=(transfer.transfer_id, i))
             self.backend.send(
-                message, path,
-                lambda _msg, t=transfer: t._chunk_finished(self.backend.now),
+                src, dst, chunk, path, (transfer.transfer_id, i),
+                lambda _record, t=transfer: t._chunk_finished(self.backend.now),
             )
         return transfer

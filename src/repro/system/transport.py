@@ -12,8 +12,8 @@ without recovery the collective deadlocks.
 with the sanitizer's instrumented variants).  Every :meth:`send` arms a
 per-message delivery timer sized to the payload
 (``timeout_cycles + timeout_per_byte * size_bytes``).  If the timer fires
-first, the message is retransmitted as a fresh clone after an exponential
-backoff with seeded jitter, up to ``max_retries`` retransmissions; a
+first, the message is sent again with the same arguments after an
+exponential backoff with seeded jitter, up to ``max_retries`` retransmissions; a
 message that exhausts its budget fails — to the caller's ``on_failed``
 callback when provided (ring collectives use this to reroute or fail
 fast), otherwise by raising :class:`~repro.errors.TransportError`.
@@ -36,9 +36,8 @@ from typing import Callable, Optional
 from repro.config.parameters import TransportConfig
 from repro.errors import TransportError
 from repro.events.engine import EventHandle
-from repro.network.api import DeliveryCallback, NetworkBackend
+from repro.network.api import DeliveryCallback, DeliveryRecord, Drop, NetworkBackend
 from repro.network.link import Link
-from repro.network.message import Message
 
 FailureCallback = Callable[["TransportFailure"], None]
 
@@ -90,7 +89,9 @@ class TransportStats:
 class TransportFailure:
     """Diagnostic handed to ``on_failed`` when a message gives up."""
 
-    message: Message
+    src: int
+    dst: int
+    tag: object
     path: list[Link]
     attempts: int
     time: float
@@ -106,8 +107,8 @@ class TransportFailure:
             if self.dead_links else ""
         )
         return (
-            f"transport gave up on message {self.message.src}->"
-            f"{self.message.dst} (tag={self.message.tag!r}) after "
+            f"transport gave up on message {self.src}->{self.dst} "
+            f"(tag={self.tag!r}) after "
             f"{self.attempts} attempts at t={self.time:,.0f}; "
             f"last loss: {self.reason}{dead}"
         )
@@ -116,13 +117,17 @@ class TransportFailure:
 class _Entry:
     """In-flight state for one logical message."""
 
-    __slots__ = ("message", "path", "on_delivered", "on_failed",
-                 "attempts", "paused_waits", "done", "timer", "last_sent")
+    __slots__ = ("src", "dst", "size_bytes", "tag", "path", "on_delivered",
+                 "on_failed", "attempts", "paused_waits", "done", "timer",
+                 "last_drop")
 
-    def __init__(self, message: Message, path: list[Link],
-                 on_delivered: DeliveryCallback,
+    def __init__(self, src: int, dst: int, size_bytes: float, path: list[Link],
+                 tag: object, on_delivered: DeliveryCallback,
                  on_failed: Optional[FailureCallback]):
-        self.message = message
+        self.src = src
+        self.dst = dst
+        self.size_bytes = size_bytes
+        self.tag = tag
         self.path = path
         self.on_delivered = on_delivered
         self.on_failed = on_failed
@@ -130,7 +135,9 @@ class _Entry:
         self.paused_waits = 0
         self.done = False
         self.timer: Optional[EventHandle] = None
-        self.last_sent: Message = message
+        #: The fault layer's ``(kind, reason)`` for the latest attempt,
+        #: as the backend's ``send`` returned it; None when not dropped.
+        self.last_drop: Optional[Drop] = None
 
 
 class ReliableTransport:
@@ -175,37 +182,32 @@ class ReliableTransport:
 
     # -- sending ----------------------------------------------------------------
 
-    def send(self, message: Message, path: list[Link],
-             on_delivered: DeliveryCallback,
-             on_failed: Optional[FailureCallback] = None) -> None:
-        """Inject ``message``; retransmit on timeout until delivered or
-        the retry budget (``config.max_retries``) is exhausted."""
+    def send(self, src: int, dst: int, size_bytes: float, path: list[Link],
+             tag: object, on_delivered: DeliveryCallback,
+             on_failed: Optional[FailureCallback] = None) -> Optional[Drop]:
+        """Inject one message; retransmit on timeout until delivered or
+        the retry budget (``config.max_retries``) is exhausted.  Returns
+        the first attempt's drop, like the backend's ``send``."""
         self.stats.messages += 1
-        entry = _Entry(message, path, on_delivered, on_failed)
+        entry = _Entry(src, dst, size_bytes, path, tag, on_delivered, on_failed)
         self._attempt(entry)
+        return entry.last_drop
 
     def _attempt(self, entry: _Entry) -> None:
         entry.attempts += 1
         self.stats.sends += 1
         attempt = entry.attempts
-        if attempt == 1:
-            msg = entry.message
-        else:
-            # A retransmission is a fresh wire message (new msg_id, same
-            # tag so the receiver demultiplexes identically); the original
-            # Message object stays the caller's handle.
-            msg = Message(src=entry.message.src, dst=entry.message.dst,
-                          size_bytes=entry.message.size_bytes,
-                          tag=entry.message.tag)
-        entry.last_sent = msg
         timeout = (self.config.timeout_cycles
-                   + self.config.timeout_per_byte * msg.size_bytes)
+                   + self.config.timeout_per_byte * entry.size_bytes)
         entry.timer = self.inner.schedule(
             timeout, lambda: self._on_timeout(entry, attempt))
-        self.inner.send(msg, entry.path,
-                        lambda delivered: self._on_delivery(entry, delivered))
+        # A retransmission is the same send again: same endpoints, size
+        # and tag, so the receiver demultiplexes it identically.
+        entry.last_drop = self.inner.send(
+            entry.src, entry.dst, entry.size_bytes, entry.path, entry.tag,
+            lambda record: self._on_delivery(entry, record))
 
-    def _on_delivery(self, entry: _Entry, delivered: Message) -> None:
+    def _on_delivery(self, entry: _Entry, record: DeliveryRecord) -> None:
         if entry.done:
             return  # a late duplicate from a superseded attempt
         entry.done = True
@@ -215,7 +217,7 @@ class ReliableTransport:
             entry.timer = None
         if entry.attempts > 1:
             self.stats.recovered += 1
-        entry.on_delivered(delivered)
+        entry.on_delivered(record)
 
     def _on_timeout(self, entry: _Entry, attempt: int) -> None:
         if entry.done or attempt != entry.attempts:
@@ -226,7 +228,7 @@ class ReliableTransport:
         # is flow control, not path failure: wait it out with backoff
         # without burning the retry budget (the pause may outlast many
         # timeout windows), bounded only by the max_paused_waits valve.
-        paused = entry.last_sent.drop_kind == "node_paused"
+        paused = entry.last_drop is not None and entry.last_drop[0] == "node_paused"
         if paused:
             entry.paused_waits += 1
             self.stats.paused_waits += 1
@@ -253,11 +255,12 @@ class ReliableTransport:
 
     def _fail(self, entry: _Entry) -> None:
         entry.done = True
-        reason = entry.last_sent.drop_reason or "timeout"
+        reason = "timeout" if entry.last_drop is None else entry.last_drop[1]
         dead = (self.inner.faults.down_links_on(entry.path)
                 if self.inner.faults is not None else [])
         failure = TransportFailure(
-            message=entry.message, path=entry.path, attempts=entry.attempts,
+            src=entry.src, dst=entry.dst, tag=entry.tag, path=entry.path,
+            attempts=entry.attempts,
             time=self.inner.now, reason=reason, dead_links=dead,
         )
         self.stats.failed += 1

@@ -6,7 +6,7 @@ from repro.collectives import CollectiveContext, PhaseStats, RingReduceScatter
 from repro.config import LinkConfig, NetworkConfig
 from repro.errors import CollectiveError
 from repro.events import EventQueue
-from repro.network import FastBackend, Link, Message, RingChannel
+from repro.network import FastBackend, Link, RingChannel
 from repro.system import DelayBreakdown, ReliableTransport
 
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
@@ -83,9 +83,7 @@ class TestPhaseStats:
     def test_record_accumulates(self):
         stats = PhaseStats()
         for q, n in ((10.0, 40.0), (20.0, 60.0)):
-            m = Message(0, 1, 100.0)
-            m.created_at, m.injected_at, m.delivered_at = 0.0, q, q + n
-            stats.record(m)
+            stats.record((None, 0, 1, 100.0, None, 0.0, q), q + n)
         assert stats.messages == 2
         assert stats.mean_queue_cycles == pytest.approx(15.0)
         assert stats.mean_network_cycles == pytest.approx(50.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.config import LinkConfig, NetworkConfig
 from repro.errors import NetworkError
 from repro.events import EventQueue
-from repro.network import FastBackend, Link, Message
+from repro.network import FastBackend, Link
 from repro.network.detailed import DetailedBackend, packet_flits
 from repro.network.message import packetize
 
@@ -23,9 +23,15 @@ def make_net(**kwargs) -> NetworkConfig:
     return NetworkConfig(**defaults)
 
 
+def delivery_times(backend, done):
+    """A delivery handler appending each message's delivery time."""
+    return lambda record: done.append(backend.events.now)
+
+
 def run_send(backend, src, dst, size, path):
+    """Deliver one message; its delivery time."""
     done = []
-    backend.send(Message(src, dst, size), path, done.append)
+    backend.send(src, dst, size, path, None, delivery_times(backend, done))
     backend.events.run(max_events=2_000_000)
     assert len(done) == 1
     return done[0]
@@ -91,8 +97,7 @@ class TestAgreementWithFastBackend:
             q = EventQueue()
             link = Link(0, 1, IDEAL)
             backend = backend_cls(q, net)
-            msg = run_send(backend, 0, 1, size, [link])
-            times.append(msg.delivered_at)
+            times.append(run_send(backend, 0, 1, size, [link]))
         fast, detailed = times
         assert detailed == pytest.approx(fast, rel=0.05)
 
@@ -103,8 +108,7 @@ class TestAgreementWithFastBackend:
             q = EventQueue()
             l1, l2 = Link(0, 9, IDEAL), Link(9, 1, IDEAL)
             backend = backend_cls(q, net)
-            msg = run_send(backend, 0, 1, 8192.0, [l1, l2])
-            times.append(msg.delivered_at)
+            times.append(run_send(backend, 0, 1, 8192.0, [l1, l2]))
         fast, detailed = times
         # The detailed model pays per-flit router latency; allow 15%.
         assert detailed == pytest.approx(fast, rel=0.15)
@@ -117,8 +121,8 @@ class TestContention:
         link = Link(0, 1, IDEAL)
         backend = DetailedBackend(q, net)
         done = []
-        backend.send(Message(0, 1, 4096.0), [link], done.append)
-        backend.send(Message(0, 1, 4096.0), [link], done.append)
+        backend.send(0, 1, 4096.0, [link], None, delivery_times(backend, done))
+        backend.send(0, 1, 4096.0, [link], None, delivery_times(backend, done))
         q.run(max_events=1_000_000)
         assert len(done) == 2
         solo_q = EventQueue()
@@ -126,7 +130,7 @@ class TestContention:
                         [Link(0, 1, IDEAL)])
         # Sharing the link must slow at least one message down (flit-level
         # VC interleaving spreads the slowdown over both messages).
-        assert max(m.delivered_at for m in done) > solo.delivered_at * 1.2
+        assert max(done) > solo * 1.2
 
     def test_credit_limit_stalls_but_completes(self):
         """A tiny downstream buffer forces backpressure on a 2-hop path."""
@@ -134,11 +138,11 @@ class TestContention:
         q = EventQueue()
         l1, l2 = Link(0, 9, IDEAL), Link(9, 1, IDEAL)
         backend = DetailedBackend(q, net)
-        msg = run_send(backend, 0, 1, 16384.0, [l1, l2])
+        delivered_at = run_send(backend, 0, 1, 16384.0, [l1, l2])
         roomy_q = EventQueue()
         roomy = run_send(DetailedBackend(roomy_q, make_net()), 0, 1, 16384.0,
                          [Link(0, 9, IDEAL), Link(9, 1, IDEAL)])
-        assert msg.delivered_at >= roomy.delivered_at
+        assert delivered_at >= roomy
 
     def test_flit_counter(self):
         net = make_net()

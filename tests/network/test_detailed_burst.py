@@ -21,7 +21,7 @@ from repro.harness.runners import (
     run_collective,
     torus_platform,
 )
-from repro.network import Link, Message
+from repro.network import Link
 from repro.network.detailed import DetailedBackend
 from repro.network.detailed import router
 from repro.sanitize.runtime import RuntimeSanitizer
@@ -109,13 +109,13 @@ class TestBurstEquivalence:
         path (burst plans cannot survive a mid-run link retiming)."""
         from repro.events import EventQueue
         from tests.network.test_detailed_backend import IDEAL, make_net
-        from repro.network import Link, Message
+        from repro.network import Link
 
         net = make_net()
         q = EventQueue()
         backend = DetailedBackend(q, net)
         link = Link(0, 1, IDEAL)
-        backend.send(Message(0, 1, 4096.0), [link], lambda m: None)
+        backend.send(0, 1, 4096.0, [link], None, lambda record: None)
         port = next(iter(backend._ports.values()))
         assert port.burst_enabled
 
@@ -230,14 +230,17 @@ def _drive(shape, params, traffic, burst, sanitize):
     events = sanitizer.make_event_queue() if sanitize else EventQueue()
     backend = (DetailedBackend if burst else _PerFlitBackend)(
         events, network, sanitizer=sanitizer)
-    messages = []
-    for src, offset, size, at in traffic:
+    #: Each message's delivery time (0.0 while undelivered).
+    delivered = [0.0] * len(traffic)
+
+    def on_delivered(record):
+        delivered[record[4]] = events.now
+
+    for i, (src, offset, size, at) in enumerate(traffic):
         src %= nodes
         dst = (src + offset % (nodes - 1) + 1) % nodes
-        message = Message(src, dst, size)
-        messages.append(message)
-        events.schedule_at(at, lambda m=message, p=route(src, dst):
-                           backend.send(m, p, lambda _m: None))
+        events.schedule_at(at, lambda s=src, d=dst, n=size, i=i, p=route(src, dst):
+                           backend.send(s, d, n, p, i, on_delivered))
     events.run(max_events=5_000_000)
     # Without enough VCs and buffers a ring of multi-hop messages can
     # deadlock; both paths must then strand the same flits.
@@ -253,7 +256,7 @@ def _drive(shape, params, traffic, burst, sanitize):
         "simulated": events.events_simulated,
         "processed": events.events_processed,
         "ports": ports,
-        "delivered": [m.delivered_at.hex() for m in messages],
+        "delivered": [at.hex() for at in delivered],
         "findings": findings,
     }
 

@@ -1,5 +1,7 @@
 """Timing tests for the fast analytical backend."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import (
@@ -13,7 +15,7 @@ from repro.config.parameters import AllToAllShape
 from repro.dims import Dimension
 from repro.errors import NetworkError
 from repro.events import EventQueue
-from repro.network import FastBackend, Link, Message, validate_path
+from repro.network import FastBackend, Link, validate_path
 from repro.topology import build_alltoall_topology, build_torus_topology
 
 #: An idealized link class for exact hand calculations.
@@ -24,9 +26,20 @@ IDEAL_NET = NetworkConfig(local_link=IDEAL, package_link=IDEAL,
                           router_latency_cycles=1.0)
 
 
+def timings(backend, done):
+    """A delivery handler appending each message's delivery time and its
+    queueing/network split to ``done``."""
+    def on_delivered(record):
+        now = backend.events.now
+        done.append(SimpleNamespace(delivered_at=now,
+                                    queueing_cycles=record[6] - record[5],
+                                    network_cycles=now - record[6]))
+    return on_delivered
+
+
 def deliver(backend, src, dst, size, path):
     done = []
-    backend.send(Message(src, dst, size), path, done.append)
+    backend.send(src, dst, size, path, None, timings(backend, done))
     backend.events.run()
     assert len(done) == 1
     return done[0]
@@ -48,8 +61,8 @@ class TestSingleHop:
         backend = FastBackend(q, IDEAL_NET)
         link = Link(0, 1, IDEAL)
         done = []
-        backend.send(Message(0, 1, 1000.0), [link], done.append)
-        backend.send(Message(0, 1, 1000.0), [link], done.append)
+        backend.send(0, 1, 1000.0, [link], None, timings(backend, done))
+        backend.send(0, 1, 1000.0, [link], None, timings(backend, done))
         q.run()
         assert done[0].delivered_at == pytest.approx(60.0)
         assert done[1].delivered_at == pytest.approx(70.0)
@@ -97,37 +110,36 @@ class TestMultiHop:
 class TestPathValidation:
     def test_empty_path(self):
         with pytest.raises(NetworkError):
-            validate_path(Message(0, 1, 1.0), [])
+            validate_path(0, 1, [])
 
     def test_wrong_source(self):
         with pytest.raises(NetworkError):
-            validate_path(Message(0, 1, 1.0), [Link(2, 1, IDEAL)])
+            validate_path(0, 1, [Link(2, 1, IDEAL)])
 
     def test_wrong_destination(self):
         with pytest.raises(NetworkError):
-            validate_path(Message(0, 1, 1.0), [Link(0, 2, IDEAL)])
+            validate_path(0, 1, [Link(0, 2, IDEAL)])
 
     def test_discontinuous_path(self):
         with pytest.raises(NetworkError):
-            validate_path(Message(0, 1, 1.0),
+            validate_path(0, 1,
                           [Link(0, 5, IDEAL), Link(6, 1, IDEAL)])
 
     def test_valid_path_accepted(self):
-        validate_path(Message(0, 1, 1.0), [Link(0, 5, IDEAL), Link(5, 1, IDEAL)])
+        validate_path(0, 1, [Link(0, 5, IDEAL), Link(5, 1, IDEAL)])
 
     def test_send_rejects_empty_path_cleanly(self):
         """send() on a degenerate path must fail in validation, never
         reach the hop loop (regression: last_tail was unbound there)."""
         backend = FastBackend(EventQueue(), IDEAL_NET)
         with pytest.raises(NetworkError, match="empty path"):
-            backend.send(Message(0, 1, 1.0), [], lambda m: None)
+            backend.send(0, 1, 1.0, [], None, lambda record: None)
 
     def test_send_rejects_discontinuous_path_cleanly(self):
         backend = FastBackend(EventQueue(), IDEAL_NET)
         with pytest.raises(NetworkError, match="discontinuous"):
-            backend.send(Message(0, 1, 1.0),
-                         [Link(0, 5, IDEAL), Link(6, 1, IDEAL)],
-                         lambda m: None)
+            backend.send(0, 1, 1.0, [Link(0, 5, IDEAL), Link(6, 1, IDEAL)],
+                         None, lambda record: None)
 
 
 class TestScheduling:

@@ -17,7 +17,6 @@ from repro.errors import ConfigError, NetworkError
 from repro.events import EventQueue
 from repro.network import FastBackend, Link
 from repro.network.fault_schedule import FaultAction, FaultSchedule, FaultState
-from repro.network.message import Message
 from repro.topology.logical import build_torus_topology
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
@@ -193,8 +192,7 @@ class TestDropSemantics:
         link = Link(0, 1, IDEAL)
         backend.faults.down.add((0, 1))
         delivered = []
-        backend.send(Message(src=0, dst=1, size_bytes=1024.0, tag="t"),
-                     [link], delivered.append)
+        backend.send(0, 1, 1024.0, [link], "t", delivered.append)
         events.run()
         assert delivered == []
         assert backend.messages_dropped == 1
@@ -205,18 +203,16 @@ class TestDropSemantics:
         link = Link(0, 1, IDEAL)
         backend.faults.paused.add(1)
         delivered = []
-        msg = Message(src=0, dst=1, size_bytes=1024.0, tag="t")
-        backend.send(msg, [link], delivered.append)
+        drop = backend.send(0, 1, 1024.0, [link], "t", delivered.append)
         events.run()
         assert delivered == []
-        assert msg.drop_reason == "node 1 paused"
+        assert drop == ("node_paused", "node 1 paused")
 
     def test_healthy_message_delivered(self):
         events, backend = self.make_backend()
         link = Link(0, 1, IDEAL)
         delivered = []
-        backend.send(Message(src=0, dst=1, size_bytes=1024.0, tag="t"),
-                     [link], delivered.append)
+        backend.send(0, 1, 1024.0, [link], "t", delivered.append)
         events.run()
         assert len(delivered) == 1
         assert backend.messages_dropped == 0
@@ -230,9 +226,8 @@ class TestDropSemantics:
             link = Link(0, 1, IDEAL)
             outcomes = []
             for i in range(50):
-                msg = Message(src=0, dst=1, size_bytes=64.0, tag=f"m{i}")
-                backend.send(msg, [link], lambda m: None)
-                outcomes.append(msg.drop_reason is not None)
+                drop = backend.send(0, 1, 64.0, [link], f"m{i}", lambda record: None)
+                outcomes.append(drop is not None)
             events.run()
             return outcomes
 
@@ -246,8 +241,7 @@ class TestDropSemantics:
         backend.faults.default_drop_probability = 1.0
         link = Link(0, 1, IDEAL)
         delivered = []
-        backend.send(Message(src=0, dst=1, size_bytes=64.0, tag="t"),
-                     [link], delivered.append)
+        backend.send(0, 1, 64.0, [link], "t", delivered.append)
         events.run()
         assert delivered == []
 

@@ -20,7 +20,6 @@ from repro.network.faults import (
     degrade_random_links,
     slowest_link_bandwidth,
 )
-from repro.network.message import Message
 from repro.sanitize import RuntimeSanitizer
 from repro.topology.logical import build_torus_topology
 
@@ -87,16 +86,16 @@ class TestDegradedLinksOnDetailedBackend:
         degrade_link(link, bandwidth_factor=0.5)
         backend = DetailedBackend(events, NET)
         done = []
-        msg = Message(src=0, dst=1, size_bytes=8192.0, tag="d")
-        backend.send(msg, [link], lambda m: done.append(m.delivered_at))
+        backend.send(0, 1, 8192.0, [link], "d",
+                     lambda record: done.append(events.now))
         events.run()
 
         events2 = EventQueue()
         healthy = Link(0, 1, IDEAL)
         backend2 = DetailedBackend(events2, NET)
         done2 = []
-        msg2 = Message(src=0, dst=1, size_bytes=8192.0, tag="h")
-        backend2.send(msg2, [healthy], lambda m: done2.append(m.delivered_at))
+        backend2.send(0, 1, 8192.0, [healthy], "h",
+                      lambda record: done2.append(events2.now))
         events2.run()
         assert done[0] > done2[0]
 

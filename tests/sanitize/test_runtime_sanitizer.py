@@ -20,7 +20,6 @@ from repro.events.engine import _ScheduledEvent
 from repro.harness.runners import run_collective, torus_platform
 from repro.network import Link, RingChannel
 from repro.network.detailed import DetailedBackend
-from repro.network.message import Message
 from repro.sanitize import RuntimeSanitizer, SanitizerConfig
 from repro.system.sys_layer import System
 from repro.topology.logical import build_torus_topology
@@ -90,18 +89,18 @@ class TestSanitizedEventQueue:
 class TestConservationChecker:
     def test_balanced_ledgers_are_clean(self):
         sanitizer = RuntimeSanitizer()
-        msg = Message(src=0, dst=1, size_bytes=1024.0, tag="t")
-        sanitizer.conservation.message_sent(msg)
-        sanitizer.conservation.flits_created(msg, 2)
-        sanitizer.conservation.flit_delivered(msg)
-        sanitizer.conservation.flit_delivered(msg)
-        sanitizer.conservation.message_delivered(msg)
+        sink = object()
+        sanitizer.conservation.message_sent()
+        sanitizer.conservation.flits_created(sink, 2, "0->1 tag='t'")
+        sanitizer.conservation.flits_delivered(sink, 1)
+        sanitizer.conservation.flits_delivered(sink, 1)
+        sanitizer.conservation.message_delivered()
         assert sanitizer.quiescence_findings() == []
         sanitizer.verify_quiescent()
 
     def test_message_leak_detected(self):
         sanitizer = RuntimeSanitizer()
-        sanitizer.conservation.message_sent(None)
+        sanitizer.conservation.message_sent()
         findings = sanitizer.quiescence_findings()
         assert [f.code for f in findings] == ["message-leak"]
         with pytest.raises(SanitizerError, match="message-leak"):
@@ -109,20 +108,20 @@ class TestConservationChecker:
 
     def test_flit_leak_detected(self):
         sanitizer = RuntimeSanitizer()
-        msg = Message(src=0, dst=3, size_bytes=1024.0, tag="leak")
-        sanitizer.conservation.flits_created(msg, 4)
-        sanitizer.conservation.flit_delivered(msg)
+        sink = object()
+        sanitizer.conservation.flits_created(sink, 4, "0->3 tag='leak'")
+        sanitizer.conservation.flits_delivered(sink, 1)
         findings = sanitizer.quiescence_findings()
         assert any(f.code == "flit-leak" and "3 of 4" in f.message
                    for f in findings)
 
     def test_duplicated_flit_raises_immediately(self):
         sanitizer = RuntimeSanitizer()
-        msg = Message(src=0, dst=1, size_bytes=64.0, tag="dup")
-        sanitizer.conservation.flits_created(msg, 1)
-        sanitizer.conservation.flit_delivered(msg)
+        sink = object()
+        sanitizer.conservation.flits_created(sink, 1, "0->1 tag='dup'")
+        sanitizer.conservation.flits_delivered(sink, 1)
         with pytest.raises(SanitizerError, match="flit conservation"):
-            sanitizer.conservation.flit_delivered(msg)
+            sanitizer.conservation.flits_delivered(sink, 1)
 
     def test_unmatched_credit_release_raises(self):
         sanitizer = RuntimeSanitizer()
@@ -142,8 +141,7 @@ class TestConservationChecker:
         ring = RingChannel(list(range(n)), links)
         backend = DetailedBackend(events, NET, sanitizer=sanitizer)
         delivered = []
-        msg = Message(src=0, dst=2, size_bytes=4096.0, tag="steal")
-        backend.send(msg, ring.path(0, 2), delivered.append)
+        backend.send(0, 2, 4096.0, ring.path(0, 2), "steal", delivered.append)
 
         def steal():
             for port in backend._ports.values():
@@ -182,10 +180,9 @@ class TestConservationChecker:
 
         first_hop.release_credit = lossy_release
         delivered = []
-        msg = Message(src=0, dst=2, size_bytes=4096.0, tag="lost-credit")
-        backend.send(msg, ring.path(0, 2), delivered.append)
+        backend.send(0, 2, 4096.0, ring.path(0, 2), "lost-credit", delivered.append)
         events.run(max_events=100_000)
-        assert delivered == [msg]
+        assert [record[4] for record in delivered] == ["lost-credit"]
         findings = sanitizer.quiescence_findings()
         assert [f.code for f in findings] == ["credit-leak"]
         assert f"vc={lost[0]} holds 1 credits" in findings[0].message

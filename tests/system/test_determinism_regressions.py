@@ -19,7 +19,6 @@ from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape, TransportConfig
 from repro.harness.runners import run_collective, torus_platform
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
-from repro.network.message import Message
 from repro.system import stats as stats_module
 from repro.system.stats import DelayBreakdown
 
@@ -29,27 +28,23 @@ ILL_CONDITIONED = [1.0, 1e-16, 1e-16, 1e-16, -1.0, 1e16, -1e16]
 
 
 def message(q=0.0, n=0.0, size=0.0):
-    """A delivered Message whose queueing/network cycles are exactly
-    ``q``/``n``: created at -q and injected at a zero with q's sign, so
-    both differences are exact, signed zeros included (only q and n both
-    -0.0 cannot be represented; no test here needs it).  ``size`` is set
-    after construction: the samples include negative values, which the
-    constructor rejects."""
-    m = Message(0, 1, 0.0)
-    m.created_at = -q
-    m.injected_at = math.copysign(0.0, q)
-    m.delivered_at = n
-    m.size_bytes = size
-    return m
+    """``PhaseStats.record`` arguments for a delivered message whose
+    queueing/network cycles are exactly ``q``/``n``: created at -q and
+    injected at a zero with q's sign, so both differences are exact,
+    signed zeros included (only q and n both -0.0 cannot be represented;
+    no test here needs it).  Sizes may be negative: only sends check
+    them."""
+    injected = math.copysign(0.0, q)
+    return (None, 0, 1, size, None, -q, injected), n
 
 
 class TestPhaseStatsOrderInvariance:
     def test_totals_independent_of_record_order(self):
         forward, backward = PhaseStats(), PhaseStats()
         for value in ILL_CONDITIONED:
-            forward.record(message(q=value, n=value, size=value))
+            forward.record(*message(q=value, n=value, size=value))
         for value in reversed(ILL_CONDITIONED):
-            backward.record(message(q=value, n=value, size=value))
+            backward.record(*message(q=value, n=value, size=value))
         assert forward.queue_cycles == backward.queue_cycles
         assert forward.network_cycles == backward.network_cycles
         assert forward.bytes == backward.bytes
@@ -60,7 +55,7 @@ class TestPhaseStatsOrderInvariance:
         def build(values):
             stats = PhaseStats()
             for value in values:
-                stats.record(message(q=value))
+                stats.record(*message(q=value))
             return stats
 
         a, b = build(ILL_CONDITIONED[:3]), build(ILL_CONDITIONED[3:])
@@ -76,7 +71,7 @@ class TestPhaseStatsOrderInvariance:
     def test_as_dict_round_trip_preserves_totals(self):
         stats = PhaseStats()
         for value in ILL_CONDITIONED:
-            stats.record(message(q=value, n=2 * value, size=1.0))
+            stats.record(*message(q=value, n=2 * value, size=1.0))
         again = PhaseStats.from_dict(stats.as_dict())
         assert again.queue_cycles == stats.queue_cycles
         assert again.network_cycles == stats.network_cycles
@@ -132,7 +127,7 @@ class TestStreamingExactStats:
             for part in split(order, cuts):
                 stats = PhaseStats()
                 for value in part:
-                    stats.record(message(q=value, n=-value, size=value))
+                    stats.record(*message(q=value, n=-value, size=value))
                 parts.append(stats)
             merged = PhaseStats()
             for i in data.draw(st.permutations(range(len(parts)))):
@@ -187,7 +182,7 @@ class TestStreamingExactStats:
         breakdown = DelayBreakdown()
         for value in samples:
             breakdown.record_ready_queue(value)
-            breakdown.phase(1).record(message(q=value, n=value, size=value))
+            breakdown.phase(1).record(*message(q=value, n=value, size=value))
         again = DelayBreakdown.from_dict(json.loads(json.dumps(breakdown.as_dict())))
         assert again.ready_queue_count == breakdown.ready_queue_count == len(samples)
         assert (math.fsum(again.ready_queue_delays).hex()
@@ -202,7 +197,7 @@ class TestStreamingExactStats:
         stats, breakdown = PhaseStats(), DelayBreakdown()
         values = [i * 0.1 + (i % 7) * 1e-9 for i in range(100_000)]
         for value in values:
-            stats.record(message(q=value, n=value, size=value))
+            stats.record(*message(q=value, n=value, size=value))
             breakdown.record_ready_queue(value)
         for retained in (stats.queue_values, stats.network_values,
                          stats.byte_values, breakdown.ready_queue_delays):

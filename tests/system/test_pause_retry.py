@@ -19,7 +19,6 @@ from repro.events import EventQueue
 from repro.harness.runners import run_collective, torus_platform
 from repro.network import FastBackend, Link
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule, FaultState
-from repro.network.message import Message
 from repro.system import ReliableTransport
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
@@ -52,8 +51,7 @@ class TestPausedDestination:
         events.schedule_at(12_000.0, lambda: faults.paused.discard(1))
 
         delivered, failures = [], []
-        transport.send(Message(src=0, dst=1, size_bytes=512.0, tag="t"),
-                       [Link(0, 1, IDEAL)], delivered.append,
+        transport.send(0, 1, 512.0, [Link(0, 1, IDEAL)], "t", delivered.append,
                        on_failed=failures.append)
         events.run(max_events=100_000)
 
@@ -72,8 +70,7 @@ class TestPausedDestination:
         events.schedule_at(5_000.0, lambda: faults.paused.discard(1))
 
         delivered = []
-        transport.send(Message(src=0, dst=1, size_bytes=512.0, tag="t"),
-                       [Link(0, 1, IDEAL)], delivered.append,
+        transport.send(0, 1, 512.0, [Link(0, 1, IDEAL)], "t", delivered.append,
                        on_failed=lambda f: pytest.fail(f.describe()))
         events.run(max_events=100_000)
 
@@ -91,9 +88,8 @@ class TestPausedDestination:
         faults.paused.add(1)
 
         failures = []
-        transport.send(Message(src=0, dst=1, size_bytes=512.0, tag="t"),
-                       [Link(0, 1, IDEAL)],
-                       lambda m: pytest.fail("must not deliver"),
+        transport.send(0, 1, 512.0, [Link(0, 1, IDEAL)], "t",
+                       lambda record: pytest.fail("must not deliver"),
                        on_failed=failures.append)
         events.run(max_events=100_000)
 
@@ -116,9 +112,8 @@ class TestPausedDestination:
         events.schedule_at(5_000.0, flip)
 
         failures = []
-        transport.send(Message(src=0, dst=1, size_bytes=512.0, tag="t"),
-                       [Link(0, 1, IDEAL)],
-                       lambda m: pytest.fail("must not deliver"),
+        transport.send(0, 1, 512.0, [Link(0, 1, IDEAL)], "t",
+                       lambda record: pytest.fail("must not deliver"),
                        on_failed=failures.append)
         events.run(max_events=100_000)
 

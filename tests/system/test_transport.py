@@ -23,7 +23,6 @@ from repro.harness.runners import run_collective, torus_platform
 from repro.network import FastBackend, Link
 from repro.network.fault_schedule import FaultSchedule, FaultState
 from repro.network.detailed import DetailedBackend
-from repro.network.message import Message
 from repro.sanitize import RuntimeSanitizer
 from repro.system import ReliableTransport, System, TransportFailure
 from repro.topology.logical import build_torus_topology
@@ -78,8 +77,7 @@ class TestUnitTransport:
         events, _backend, transport = self.make()
         link = Link(0, 1, IDEAL)
         delivered = []
-        transport.send(Message(src=0, dst=1, size_bytes=4096.0, tag="t"),
-                       [link], delivered.append)
+        transport.send(0, 1, 4096.0, [link], "t", delivered.append)
         events.run()
         assert len(delivered) == 1
         stats = transport.snapshot_stats()
@@ -94,8 +92,7 @@ class TestUnitTransport:
         events.schedule_at(3000, lambda: faults.down.discard((0, 1)))
         link = Link(0, 1, IDEAL)
         delivered = []
-        transport.send(Message(src=0, dst=1, size_bytes=1024.0, tag="t"),
-                       [link], delivered.append)
+        transport.send(0, 1, 1024.0, [link], "t", delivered.append)
         events.run()
         assert len(delivered) == 1
         stats = transport.snapshot_stats()
@@ -110,8 +107,7 @@ class TestUnitTransport:
         events, _backend, transport = self.make(config=FAST_FAIL,
                                                 faults=faults)
         link = Link(0, 1, IDEAL)
-        transport.send(Message(src=0, dst=1, size_bytes=1024.0, tag="t"),
-                       [link], lambda m: None)
+        transport.send(0, 1, 1024.0, [link], "t", lambda record: None)
         with pytest.raises(TransportError, match="0->1"):
             events.run()
 
@@ -122,8 +118,8 @@ class TestUnitTransport:
                                                 faults=faults)
         link = Link(0, 1, IDEAL)
         failures: list[TransportFailure] = []
-        transport.send(Message(src=0, dst=1, size_bytes=1024.0, tag="t"),
-                       [link], lambda m: None, on_failed=failures.append)
+        transport.send(0, 1, 1024.0, [link], "t", lambda record: None,
+                       on_failed=failures.append)
         events.run()
         assert len(failures) == 1
         failure = failures[0]

@@ -114,6 +114,19 @@ class TestDesignPointFlags:
                               text=True, timeout=120, check=True)
         assert json.loads(done.stdout) == []
 
+    def test_collective_run_loads_no_logging_hashlib_networkx_or_numpy(self):
+        """Guards the cold start of a fast-backend collective: the run
+        cache's key hashing and the executor's one warning import what
+        they need only when they run."""
+        code = ("import json, sys\n"
+                "from repro.cli import main\n"
+                "assert main(['collective', '--shape', '2x2x2', '--size-mb', '1']) == 0\n"
+                "print(json.dumps(sorted(m for m in ('logging', 'hashlib', 'networkx', "
+                "'numpy') if m in sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
 
 class TestAllToAllPlatformFlags:
     """--scheduling-policy and --compute-scale reach an AllToAll platform
