@@ -28,9 +28,8 @@ from repro.collectives.ring_algorithms import (
 from repro.collectives.types import CollectiveOp, PhaseSpec
 from repro.dims import Dimension
 from repro.errors import CollectiveError
-from repro.network.channel import RingChannel, SwitchChannel
+from repro.network.channel import HopRing, SwitchChannel
 from repro.network.physical.fabric import Fabric
-from repro.topology.mapping import MappedRingChannel
 
 _RING_ALGORITHMS = {
     CollectiveOp.REDUCE_SCATTER: RingReduceScatter,
@@ -192,7 +191,7 @@ class ChunkExecution:
         on_node_done = partial(self._leave_phase, phase_idx=phase_idx)
         label = self._phase_labels[phase_idx]
         first = channels[0]
-        if isinstance(first, (RingChannel, MappedRingChannel)):
+        if isinstance(first, HopRing):
             ring = channels[self.chunk_index % len(channels)]
             algorithm = _RING_ALGORITHMS[spec.op]
             instance = algorithm(

@@ -1,6 +1,6 @@
 """Ring collective algorithms (Sec. III-B, Fig. 5 left).
 
-All four collectives over one unidirectional :class:`RingChannel`.  Data
+All four collectives over one unidirectional ring (:class:`HopRing`).  Data
 sizes follow the paper's convention: an algorithm with input size ``S``
 on an ``n``-node ring exchanges messages of ``S/n`` (Table II: message
 count proportional to the number of nodes).
@@ -28,7 +28,7 @@ from repro.collectives.context import CollectiveContext
 from repro.config.parameters import InjectionPolicy, PacketRouting
 from repro.errors import CollectiveError
 from repro.network.api import DeliveryRecord
-from repro.network.channel import RingChannel
+from repro.network.channel import HopRing
 
 
 class _ResilientRingMixin:
@@ -86,7 +86,7 @@ class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
     def __init__(
         self,
         ctx: CollectiveContext,
-        ring: RingChannel,
+        ring: HopRing,
         size_bytes: float,
         on_node_done: Optional[NodeDoneCallback] = None,
         on_all_done: Optional[AllDoneCallback] = None,
@@ -104,18 +104,30 @@ class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
         self._step_delay = delay
 
     def _send_step(self, node: int, step: int) -> None:
-        nxt = self.ring.next_node(node)
+        # One hop-table lookup gives the successor and its route.  After a
+        # reroute the step still goes to the forward successor, the long
+        # way round the reverse ring.
+        _position, nxt, path = self.ring.hops[node]
+        if self._rerouted:
+            path = self.ring.reverse_channel.path(node, nxt)
         on_failed = (partial(self._on_send_failed, via_reverse=self._rerouted,
                              resend=partial(self._send_step, node, step))
                      if self._reliable else None)
-        self.ctx.send(node, nxt, self.message_bytes, self._route(node, nxt),
+        self.ctx.send(node, nxt, self.message_bytes, path,
                       (self.label, step), self._delivered, on_failed)
 
     def _delivered(self, record: DeliveryRecord) -> None:
-        if self._stats is not None:
-            self._stats.record(record, self._events.now)
+        stats = self._stats
+        if stats is not None:
+            stats.record(record, self._events.now)
         # record[2] is the receiver, record[4] the (label, step) tag.
-        self._deliver(record[2], record[4][1])
+        # _deliver and _process inlined: this runs once per ring message.
+        node = record[2]
+        if node in self._joined:
+            self._after(self._step_delay,
+                        partial(self._advance, node, record[4][1]))
+        else:
+            self._pending.setdefault(node, []).append(record[4][1])
 
     def _on_join(self, node: int) -> None:
         self._send_step(node, 1)
@@ -154,7 +166,7 @@ class RingAllReduce:
     def __init__(
         self,
         ctx: CollectiveContext,
-        ring: RingChannel,
+        ring: HopRing,
         size_bytes: float,
         on_node_done: Optional[NodeDoneCallback] = None,
         on_all_done: Optional[AllDoneCallback] = None,
@@ -233,7 +245,7 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
     def __init__(
         self,
         ctx: CollectiveContext,
-        ring: RingChannel,
+        ring: HopRing,
         size_bytes: float,
         on_node_done: Optional[NodeDoneCallback] = None,
         on_all_done: Optional[AllDoneCallback] = None,
@@ -307,7 +319,7 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
     # -- lifecycle ----------------------------------------------------------------
 
     def _on_join(self, node: int) -> None:
-        if self.ring.size < 2:  # pragma: no cover - guarded by RingChannel
+        if self.ring.size < 2:  # pragma: no cover - guarded by the ring's constructor
             raise CollectiveError("all-to-all needs a ring of >= 2 nodes")
         if self._paced:
             self._issue_round(node, 1)

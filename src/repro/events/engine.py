@@ -29,6 +29,7 @@ not by the engine.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -393,12 +394,22 @@ class EventQueue:
         (:attr:`events_simulated`, so the budget does not depend on how
         timers group or deliveries batch; the last dispatch may overshoot
         by its batch).
+
+        Python's cyclic garbage collector is disabled while the queue
+        drains and re-enabled on the way out, whether the drain ends,
+        stops at ``until`` or raises, if it was enabled on entry.
         """
         if self._running:
             raise SimulationError("EventQueue.run() is not re-entrant")
         self._running = True
         budget_end = (None if max_events is None
                       else self.events_simulated + max_events)
+        # The cyclic collector is paused for the drain: a simulation frees
+        # everything it allocates by reference counting
+        # (tests/integration/test_reference_cycles.py), so its passes only
+        # scan live objects and find nothing.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             if type(self).step is not EventQueue.step:
                 # A subclass instrumented the per-event path (e.g. the
@@ -451,6 +462,8 @@ class EventQueue:
                     watcher(self)
         finally:
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero.

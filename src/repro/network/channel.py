@@ -16,18 +16,120 @@ from repro.network.link import Link
 from repro.errors import NetworkError, TopologyError
 
 
-class RingChannel:
-    """One unidirectional ring over ``nodes`` with a dedicated link per hop.
+class HopRing:
+    """Node lookups and routes of a unidirectional ring over ``nodes``
+    whose hop out of ``nodes[i]`` is one link path to ``nodes[(i + 1) %
+    len(nodes)]``: a dedicated link (:class:`RingChannel`) or a routed
+    multi-link path (:class:`repro.topology.MappedRingChannel`).
 
-    ``nodes`` is the traversal order: node ``nodes[i]`` sends to
-    ``nodes[(i + 1) % len(nodes)]``.
+    A subclass's constructor calls ``HopRing.__init__``, checks its hops,
+    then calls :meth:`_set_hops`.
     """
 
-    def __init__(self, nodes: Sequence[int], links: Sequence[Link], name: str = "ring"):
+    #: Weak reference to the counter-rotating partner (see
+    #: :attr:`reverse_channel`); ``None`` until :func:`pair_reverse_rings`.
+    #: The fabric owns both rings of a pair.
+    _reverse: "weakref.ref[HopRing] | None" = None
+
+    def __init__(self, nodes: Sequence[int], name: str):
         if len(nodes) < 2:
             raise TopologyError(f"a ring needs >= 2 nodes, got {len(nodes)}")
         if len(set(nodes)) != len(nodes):
             raise TopologyError(f"ring nodes must be unique: {nodes}")
+        self.nodes = list(nodes)
+        self.name = name
+
+    def _set_hops(self, hop_paths: Sequence[list[Link]]) -> None:
+        nodes = self.nodes
+        n = len(nodes)
+        #: The hop table, ``{node: (position, successor, hop path)}``: a
+        #: ring step reads its successor and its route in one lookup, and
+        #: ``path(node, successor)`` returns the same list object on every
+        #: call, which the fast backend's identity-keyed route memo needs.
+        #: It is the ring's only per-node state.  A successor dict next to
+        #: a position dict raised search_fig09 peak RSS from 46.05 to
+        #: 47.69 MB, and this table stacked on both the position dict and
+        #: a neighbour route cache from 45.5 to 48.8 MB: the search holds
+        #: all 312 points' systems (6,696 rings) alive at once, so any
+        #: duplicated per-node state is paid 6,696 times.
+        self.hops = {node: (i, nodes[(i + 1) % n], hop_paths[i])
+                     for i, node in enumerate(nodes)}
+        #: Multi-hop routes (all-to-all under hardware routing, reroutes
+        #: over the reverse ring), built on first use.  Callers treat every
+        #: returned path as read-only: the backends and the transport only
+        #: iterate it.
+        self._path_cache: dict[tuple[int, int], list[Link]] = {}
+
+    @property
+    def reverse_channel(self) -> "HopRing | None":
+        """A counter-rotating ring over the same nodes, when the fabric
+        provides one (see :func:`pair_reverse_rings`).  Ring collectives
+        use it to reroute around a permanently dead link."""
+        return self._reverse() if self._reverse is not None else None
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+    def _hop(self, node: int) -> tuple[int, int, list[Link]]:
+        try:
+            return self.hops[node]
+        except KeyError:
+            raise TopologyError(f"node {node} is not on ring {self.name}") from None
+
+    def position(self, node: int) -> int:
+        return self._hop(node)[0]
+
+    def next_node(self, node: int) -> int:
+        return self._hop(node)[1]
+
+    def prev_node(self, node: int) -> int:
+        return self.nodes[(self.position(node) - 1) % self.size]
+
+    def node_at_distance(self, node: int, distance: int) -> int:
+        """The node ``distance`` hops downstream of ``node``."""
+        return self.nodes[(self.position(node) + distance) % self.size]
+
+    def hop_path(self, node: int) -> list[Link]:
+        """The link path of the hop out of ``node``."""
+        return self._hop(node)[2]
+
+    def link_from(self, node: int) -> Link:
+        """The first link of the hop out of ``node``."""
+        return self._hop(node)[2][0]
+
+    def path(self, src: int, dst: int) -> list[Link]:
+        """Consecutive downstream links from ``src`` to ``dst``: the hop
+        table's list for a neighbour, a cached concatenation of hops
+        otherwise."""
+        hop = self.hops.get(src)
+        if hop is not None and hop[1] == dst:
+            return hop[2]
+        cached = self._path_cache.get((src, dst))
+        if cached is not None:
+            return cached
+        i, j = self.position(src), self.position(dst)
+        if i == j:
+            raise NetworkError(f"path src == dst == {src}")
+        n = self.size
+        path = [link for k in range(i, i + (j - i) % n)
+                for link in self.hops[self.nodes[k % n]][2]]
+        self._path_cache[(src, dst)] = path
+        return path
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.name}, nodes={self.nodes})"
+
+
+class RingChannel(HopRing):
+    """One unidirectional ring over ``nodes`` with a dedicated link per hop.
+
+    ``nodes`` is the traversal order: node ``nodes[i]`` sends to
+    ``nodes[(i + 1) % len(nodes)]`` over ``links[i]``.
+    """
+
+    def __init__(self, nodes: Sequence[int], links: Sequence[Link], name: str = "ring"):
+        super().__init__(nodes, name)
         if len(links) != len(nodes):
             raise TopologyError(
                 f"a ring over {len(nodes)} nodes needs {len(nodes)} links, got {len(links)}"
@@ -40,75 +142,8 @@ class RingChannel:
                     f"ring link {i} connects {link.src}->{link.dst}, "
                     f"expected {expected_src}->{expected_dst}"
                 )
-        self.nodes = list(nodes)
         self.links = list(links)
-        self.name = name
-        self._index = {node: i for i, node in enumerate(self.nodes)}
-        #: Per-(src, dst) route cache: ring collectives request the same
-        #: handful of paths once per message, and rebuilding the hop list
-        #: is pure modular arithmetic over immutable state — cache it.
-        #: Callers must treat returned paths as read-only (they do: paths
-        #: are only iterated by the backends and the transport).
-        self._path_cache: dict[tuple[int, int], list[Link]] = {}
-        #: Weak reference to the counter-rotating partner (see
-        #: :attr:`reverse_channel`); the fabric owns both rings.
-        self._reverse: "weakref.ref[RingChannel] | None" = None
-
-    @property
-    def reverse_channel(self) -> "RingChannel | None":
-        """A counter-rotating ring over the same nodes, when the fabric
-        provides one (see :func:`pair_reverse_rings`).  Ring collectives
-        use it to reroute around a permanently dead link."""
-        return self._reverse() if self._reverse is not None else None
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    def position(self, node: int) -> int:
-        try:
-            return self._index[node]
-        except KeyError:
-            raise TopologyError(f"node {node} is not on ring {self.name}") from None
-
-    def next_node(self, node: int) -> int:
-        # Runs once per ring message: the position lookup is inlined rather
-        # than a call to position().  No successor table: with fabrics
-        # freed by reference counting, a {node: successor} dict per ring
-        # left train_resnet50 run_s unchanged (3.54 vs 3.55 s, median of 10
-        # pairs) and raised search_fig09 peak RSS from 46.05 to 47.69 MB.
-        nodes = self.nodes
-        try:
-            return nodes[(self._index[node] + 1) % len(nodes)]
-        except KeyError:
-            raise TopologyError(f"node {node} is not on ring {self.name}") from None
-
-    def prev_node(self, node: int) -> int:
-        return self.nodes[(self.position(node) - 1) % self.size]
-
-    def node_at_distance(self, node: int, distance: int) -> int:
-        """The node ``distance`` hops downstream of ``node``."""
-        return self.nodes[(self.position(node) + distance) % self.size]
-
-    def link_from(self, node: int) -> Link:
-        """The dedicated link out of ``node`` along the ring."""
-        return self.links[self.position(node)]
-
-    def path(self, src: int, dst: int) -> list[Link]:
-        """Consecutive downstream links from ``src`` to ``dst`` (cached)."""
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        i, j = self.position(src), self.position(dst)
-        if i == j:
-            raise NetworkError(f"path src == dst == {src}")
-        hops = (j - i) % self.size
-        path = [self.links[(i + k) % self.size] for k in range(hops)]
-        self._path_cache[(src, dst)] = path
-        return path
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RingChannel({self.name}, nodes={self.nodes})"
+        self._set_hops([[link] for link in self.links])
 
 
 def pair_reverse_rings(forward: RingChannel, backward: RingChannel) -> None:

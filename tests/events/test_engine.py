@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -194,6 +196,108 @@ class TestEventQueue:
         q = EventQueue()
         handle = q.schedule_at(42.0, lambda: None)
         assert handle.time == 42.0
+
+
+class _StepCountingQueue(EventQueue):
+    """A queue whose instrumented step() makes run() take its slow loop."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        return super().step()
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("restore_gc")
+@pytest.mark.parametrize("queue_type", [EventQueue, _StepCountingQueue])
+class TestCollectorPause:
+    """run() pauses the cyclic collector and restores its state on exit."""
+
+    def test_disabled_inside_callbacks(self, queue_type):
+        q = queue_type()
+        seen = []
+        q.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        q.after(2.0, lambda: seen.append(gc.isenabled()))
+        gc.enable()
+        q.run()
+        assert seen == [False, False]
+        if queue_type is _StepCountingQueue:
+            assert q.steps == 2
+
+    def test_enabled_before_enabled_after(self, queue_type):
+        q = queue_type()
+        q.schedule(1.0, lambda: None)
+        gc.enable()
+        q.run()
+        assert gc.isenabled()
+
+    def test_disabled_before_still_disabled_after(self, queue_type):
+        q = queue_type()
+        seen = []
+        q.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        gc.disable()
+        q.run()
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_restored_after_callback_raises(self, queue_type):
+        q = queue_type()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        q.schedule(1.0, boom)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="boom"):
+            q.run()
+        assert gc.isenabled()
+
+    def test_restored_after_max_events(self, queue_type):
+        q = queue_type()
+
+        def forever():
+            q.schedule(1.0, forever)
+
+        q.schedule(0.0, forever)
+        gc.enable()
+        with pytest.raises(SimulationError, match="max_events"):
+            q.run(max_events=10)
+        assert gc.isenabled()
+
+    def test_restored_after_until(self, queue_type):
+        q = queue_type()
+        q.schedule(5.0, lambda: None)
+        gc.enable()
+        q.run(until=1.0)
+        assert gc.isenabled()
+        assert q.pending == 1
+
+    def test_not_reentrant_leaves_collector_alone(self, queue_type):
+        q = queue_type()
+        seen = []
+
+        def nested():
+            with pytest.raises(SimulationError, match="re-entrant"):
+                q.run()
+            seen.append(gc.isenabled())
+
+        q.schedule(1.0, nested)
+        gc.enable()
+        q.run()
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestCountdownBarrier:

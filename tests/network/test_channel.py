@@ -5,6 +5,7 @@ import pytest
 from repro.config import LinkConfig
 from repro.errors import NetworkError, TopologyError
 from repro.network import Link, RingChannel, SwitchChannel
+from repro.topology import map_ring_over_ring
 
 CFG = LinkConfig(bandwidth_gbps=25.0, latency_cycles=200.0, packet_size_bytes=256)
 
@@ -79,6 +80,50 @@ class TestRingChannel:
         ring = make_ring([5, 7])
         assert ring.next_node(5) == 7
         assert ring.next_node(7) == 5
+
+
+def make_mapped_ring(nodes, physical_size):
+    return map_ring_over_ring(nodes, make_ring(list(range(physical_size))))
+
+
+@pytest.mark.parametrize("ring", [
+    pytest.param(make_ring([10, 20, 30, 40]), id="ring"),
+    pytest.param(make_mapped_ring([0, 2, 4, 6], 8), id="mapped"),
+])
+class TestHopTable:
+    def test_neighbour_path_is_one_list_object(self, ring):
+        """The fast backend memoises route validation by list identity,
+        so a neighbour route must come back as the very same list."""
+        for node in ring.nodes:
+            path = ring.path(node, ring.next_node(node))
+            assert ring.path(node, ring.next_node(node)) is path
+            assert path is ring.hops[node][2]
+            assert path[0].src == node and path[-1].dst == ring.next_node(node)
+
+    def test_multi_hop_path_is_cached(self, ring):
+        src, dst = ring.nodes[0], ring.nodes[2]
+        assert ring.path(src, dst) is ring.path(src, dst)
+        assert ring.path(src, dst) == ring.hop_path(src) + ring.hop_path(ring.nodes[1])
+
+    def test_table_matches_lookups(self, ring):
+        for i, node in enumerate(ring.nodes):
+            position, successor, _path = ring.hops[node]
+            assert position == ring.position(node) == i
+            assert successor == ring.next_node(node) == ring.nodes[(i + 1) % ring.size]
+
+    @pytest.mark.parametrize("lookup", [
+        lambda ring, node: ring.position(node),
+        lambda ring, node: ring.next_node(node),
+        lambda ring, node: ring.path(node, ring.nodes[0]),
+        lambda ring, node: ring.path(ring.nodes[0], node),
+    ])
+    def test_node_not_on_ring_rejected(self, ring, lookup):
+        with pytest.raises(TopologyError):
+            lookup(ring, 99)
+
+    def test_path_rejects_self(self, ring):
+        with pytest.raises(NetworkError):
+            ring.path(ring.nodes[1], ring.nodes[1])
 
 
 class TestSwitchChannel:

@@ -2,13 +2,22 @@
 
 import pytest
 
-from repro.config import SystemConfig, TorusShape, paper_network_config
-from repro.collectives import CollectiveContext, RingAllReduce
+from repro.config import SimulationConfig, SystemConfig, TorusShape, paper_network_config
+from repro.config.parameters import TransportConfig
+from repro.config.units import MB
+from repro.collectives import CollectiveContext, CollectiveOp, RingAllReduce
 from repro.dims import Dimension
-from repro.errors import TopologyError
+from repro.errors import CollectiveError, TopologyError
 from repro.events import EventQueue
 from repro.network import FastBackend
-from repro.topology import MappedRingChannel, build_torus_topology, map_ring_over_ring
+from repro.network.fault_schedule import FaultSchedule
+from repro.system import System
+from repro.topology import (
+    MappedRingChannel,
+    build_torus_topology,
+    map_ring_over_ring,
+    map_torus_onto_fabric,
+)
 
 NET = paper_network_config()
 
@@ -90,3 +99,43 @@ class TestCollectivesOnMappedRings:
         native = physical_ring(4)
         mapped = map_ring_over_ring([0, 2, 4, 6], physical_ring(8))
         assert self._time_all_reduce(mapped) > self._time_all_reduce(native)
+
+
+class TestMappedRoutes:
+    """A mapped ring hands the backend the same list for the same route."""
+
+    def test_route_memo_holds_one_entry_per_hop_path(self):
+        """The fast backend validates a route once per list object: a
+        mapped ring that built a new list per send grew the memo by one
+        entry per message (768 for this all-reduce) and kept every list
+        alive until the backend was freed."""
+        phys = build_torus_topology(TorusShape(1, 8, 1), NET,
+                                    SystemConfig(horizontal_rings=1)).fabric
+        topology = map_torus_onto_fabric(TorusShape(2, 2, 2), phys)
+        hop_paths = {id(path)
+                     for dim in topology.dimensions
+                     for channels in topology.fabric.groups(dim).values()
+                     for channel in channels
+                     for path in channel.hop_paths}
+        system = System(topology, SimulationConfig(network=NET))
+        collective = system.request_collective(CollectiveOp.ALL_REDUCE, MB)
+        system.run_until_idle(max_events=2_000_000)
+        assert collective.done
+        assert collective.duration_cycles.hex() == (772673.787234037).hex()
+        assert len(system.backend._validated_routes) <= len(hop_paths) == 24
+
+    def test_reroute_failure_on_mapped_ring_fails_fast(self):
+        """A mapped ring has no counter-rotating partner: a message the
+        transport gives up on fails the collective with a diagnostic."""
+        phys = build_torus_topology(TorusShape(1, 8, 1), NET,
+                                    SystemConfig(horizontal_rings=2)).fabric
+        topology = map_torus_onto_fabric(TorusShape(2, 2, 2), phys)
+        assert topology.fabric.channels_for(Dimension.LOCAL, (0, 0))[0].reverse_channel is None
+        schedule = FaultSchedule.from_dict(
+            {"events": [{"time": 0, "action": "link_down", "link": [0, 1]}]})
+        config = SimulationConfig(
+            system=SystemConfig(transport=TransportConfig(max_retries=1)), network=NET)
+        system = System(topology, config, fault_schedule=schedule)
+        system.request_collective(CollectiveOp.ALL_REDUCE, MB)
+        with pytest.raises(CollectiveError, match="cannot make progress on the ring"):
+            system.run_until_idle(max_events=2_000_000)
