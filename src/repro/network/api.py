@@ -47,6 +47,14 @@ class NetworkBackend(abc.ABC):
         #: doomed messages.  ``None`` keeps the healthy path unchanged.
         self.faults = None
         self.messages_dropped = 0
+        #: id(path) -> ``(path, src, dst)`` of every route already checked
+        #: by :func:`validate_path`.  Routes come from the topology layer's
+        #: route caches, a small fixed set of lists reused for every send,
+        #: so after a route's first send its check is one dict hit.  The
+        #: entry's reference keeps the list alive, so its id cannot be
+        #: reused; a list sent between other endpoints is checked again (a
+        #: route-table bug validate_path must catch).
+        self._validated_routes: dict[int, tuple] = {}
 
     @property
     def now(self) -> float:
@@ -69,6 +77,13 @@ class NetworkBackend(abc.ABC):
         ``(kind, reason)`` when the message is dropped at injection (it
         will never be delivered), ``None`` otherwise.
         """
+
+    def _validate_route(self, src: int, dst: int, path: list[Link]) -> None:
+        """:func:`validate_path`, once per route list and endpoints."""
+        cached = self._validated_routes.get(id(path))
+        if cached is None or cached[1] != src or cached[2] != dst:
+            validate_path(src, dst, path)
+            self._validated_routes[id(path)] = (path, src, dst)
 
     def _drop_if_faulty(self, src: int, dst: int, path: list[Link]) -> Optional[Drop]:
         """Apply the installed fault state at injection time.

@@ -27,18 +27,21 @@ When every queued flit is on a single-hop path (no credit to take, no
 upstream to release, the destination sinks flits immediately), the
 port's whole drain is a pure function of its queues: strict round-robin
 over the occupied VCs, each flit serializing for
-``max(size, 1) / bytes_per_cycle`` cycles back to back.
-:meth:`TxPort._start_burst` plans it with numpy over the runs: the pick
-order (a rounds × VCs grid, masked and ravelled), the serialization
-``cumsum``, each message's last arrival and, as flits commit, the link's
-byte and busy-cycle totals.  ``cumsum`` adds strictly in order and every
-other float is the per-flit path's own expression, so each float equals
-the per-flit path's.  One burst-end event plus one delivery event per
-message replace two events per flit.
+``max(size, 1) / bytes_per_cycle`` cycles back to back.  One planner,
+:meth:`TxPort._plan`, computes it with numpy over arrays of packet runs
+in VC-major order: the pick order (a rounds × VCs grid, masked and
+ravelled), the serialization ``cumsum``, each message's last arrival
+(from its runs' last picks) and, as flits commit, the link's byte and
+busy-cycle totals.  ``cumsum`` adds strictly in order and every other
+float is the per-flit path's own expression, so each float equals the
+per-flit path's.  One burst-end event plus one delivery event per
+message replace two events per flit.  A message reaching an idle port is
+planned straight from its packet arrays; runs left in the queues are
+collected by :meth:`TxPort._start_burst`.
 
 Any interposed enqueue splits the burst (:meth:`TxPort._split_burst`):
 the already-transmitted prefix is committed, the rest is requeued as
-packet runs, and arbitration resumes — including the new packet — when
+packet runs, and arbitration resumes — including the new packets — when
 the in-flight flit completes, exactly when the per-flit path would have
 re-arbitrated.  Multi-hop traffic, and any run with live fault injection
 (which can retime links mid-flight), takes the per-flit path.
@@ -62,6 +65,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,7 +81,7 @@ def _accumulate(total: float, values: np.ndarray) -> float:
     acc = np.empty(len(values) + 1)
     acc[0] = total
     acc[1:] = values
-    return float(np.cumsum(acc)[-1])
+    return float(acc.cumsum()[-1])
 
 
 @dataclass(slots=True)
@@ -105,22 +109,29 @@ class HopContext:
 class _Burst:
     """An in-flight transmission plan for one :class:`TxPort`.
 
-    ``run_*`` describe the snapshot's packet runs in VC-major FIFO order
-    (``run_slots`` index ``vcs``).  Pick ``i``, the ``i``-th flit
-    transmitted, belongs to run ``runs[i]``, transmits over
-    ``[starts[i], ends[i])`` and arrives at ``arrivals[i]``; picks before
-    ``committed`` have had their stats and round-robin effects applied.
-    ``deliveries`` holds ``(owner, ctx, last pick, handle)`` per message
-    in the order they were scheduled; ``run_owners`` maps runs to owners.
+    The plan's packet runs are in VC-major FIFO order: run ``r`` is
+    ``run_flits[r]`` flits (the last one ``run_tails[r]`` bytes) of
+    message ``run_owners[r]``, whose context is ``owners[run_owners[r]]``,
+    queued on VC ``vcs[run_slots[r]]``; its flits are the VC-major flats
+    ending before ``run_ends[r]``, and slot ``s``'s flats start at
+    ``heads[s]``.  Pick ``i``, the ``i``-th flit transmitted, is flat
+    ``picks[i]`` on slot ``slots[i]``, transmits over ``[starts[i],
+    ends[i])`` and arrives at ``arrivals[i]``; picks before ``committed``
+    have had their stats and round-robin effects applied.
+    ``deliveries`` holds ``(owner, last pick, handle)`` per message in the
+    order they were scheduled.
     """
 
     vcs: list[int]
-    run_ctxs: tuple
-    run_tails: tuple
-    run_slots: list[int]
-    run_flits: np.ndarray
+    owners: list
     run_owners: np.ndarray
-    runs: np.ndarray
+    run_slots: np.ndarray
+    run_flits: np.ndarray
+    run_tails: np.ndarray
+    run_ends: np.ndarray
+    heads: np.ndarray
+    picks: np.ndarray
+    slots: np.ndarray
     sizes: np.ndarray
     sers: np.ndarray
     starts: np.ndarray
@@ -190,24 +201,39 @@ class TxPort:
         run of ``flits[i]`` flits ending in a ``tails[i]``-byte flit, on VC
         ``(first_vc + i) % vcs``.  ``DetailedBackend.send`` is the caller.
 
-        Identical to :meth:`enqueue` per packet.  On an idle, empty port a
-        single-hop message takes one pinned burst instead: the per-flit
-        path's first pick is packet 0's VC (the only occupied queue when
-        arbitration first runs), then round-robin over everything, so one
-        plan replaces the plan/split/replan cycle.
+        Identical to :meth:`enqueue` per packet.  A single-hop message on
+        a burst-ready port takes no per-packet step: on an idle port (its
+        queues are then empty) the packet arrays are planned as one burst
+        directly, and on a transmitting port the burst is split once and
+        every packet queued in one pass, which is exact because nothing
+        arbitrates before the in-flight flit completes.
         """
         queues = self.queues
         n = len(queues)
-        runs = zip(flits.tolist(), tails.tolist())
-        if (self.burst_enabled and not self._sending
-                and self._nonburst_queued == 0 and ctx.is_last_hop
-                and not any(queues)):
-            for i, (count, tail) in enumerate(runs):
-                queues[(first_vc + i) % n].append((ctx, count, tail))
-            self._start_burst(pin_first=first_vc)
+        if not (self.burst_enabled and self._nonburst_queued == 0
+                and ctx.is_last_hop):
+            for i, (count, tail) in enumerate(zip(flits.tolist(), tails.tolist())):
+                self.enqueue((first_vc + i) % n, ctx, count, tail)
             return
-        for i, (count, tail) in enumerate(runs):
-            self.enqueue((first_vc + i) % n, ctx, count, tail)
+        # Slot s holds packets s, s + n, s + 2n, ... on VC vcs[s].
+        vcs = [*range(first_vc, n), *range(first_vc)][:len(flits)]
+        if not self._sending:
+            # The per-flit path picks packet 0's VC first (the only one
+            # occupied when arbitration runs), then round-robin from the
+            # next: round-robin over the message's VCs from ``first_vc``.
+            slots = np.arange(len(flits))
+            if len(flits) > n:
+                slots %= n
+                runs = np.argsort(slots, kind="stable")
+                slots, flits, tails = slots[runs], flits[runs], tails[runs]
+            self._plan(vcs, [ctx], np.zeros(len(flits), dtype=np.intp),
+                       slots, flits, tails)
+            return
+        if self._burst is not None:
+            self._split_burst()
+        counts, sizes = flits.tolist(), tails.tolist()
+        for k, vc in enumerate(vcs):
+            queues[vc].extend(zip(repeat(ctx), counts[k::n], sizes[k::n]))
 
     def queued_flits(self) -> int:
         """Flits waiting in this port's VC queues (burst plans hold none:
@@ -309,57 +335,62 @@ class TxPort:
 
     # -- flit bursts (single-hop drains) ------------------------------------------
 
-    def _start_burst(self, pin_first: Optional[int] = None) -> None:
-        """Plan and schedule the whole queued drain as one burst.
+    def _start_burst(self) -> None:
+        """Collect every queued run and plan the drain as one burst.
 
         Only called when every queued flit is single-hop (see
-        ``_nonburst_queued``).  The pick order is exactly what repeated
-        ``_pick_vc`` calls would produce: strict round-robin over the
-        occupied VCs starting from ``_rr`` (no credit gating applies to
-        last-hop flits), per-VC FIFO order preserved.
-
-        ``pin_first`` (enqueue_packets' idle-port path) forces the first
-        pick to that VC's head — the pick per-flit arbitration made when
-        the message's first packet arrived at the idle port — with
-        round-robin continuing from the next VC, which puts the pinned VC
-        last in the snapshot.
+        ``_nonburst_queued``).  Runs are taken VC-major from ``_rr``, the
+        order repeated ``_pick_vc`` calls scan the VCs in (no credit
+        gating applies to last-hop flits), FIFO within each VC.
         """
         queues = self.queues
         n = len(queues)
-        rr = self._rr if pin_first is None else (pin_first + 1) % n
         vcs: list[int] = []
-        run_slots: list[int] = []
+        counts: list[int] = []
         snapshot: list = []
-        for offset in range(n):
-            vc = (rr + offset) % n
+        for vc in [*range(self._rr, n), *range(self._rr)]:
             queue = queues[vc]
             if queue:
-                run_slots += [len(vcs)] * len(queue)
                 vcs.append(vc)
+                counts.append(len(queue))
                 snapshot += queue
                 queue.clear()
         if not snapshot:
             return
-        run_ctxs, run_flits, run_tails = zip(*snapshot)
-        run_flits = np.array(run_flits)
-        run_end = np.cumsum(run_flits)
-        sizes = np.full(run_end[-1], self._flit_bytes)
-        sizes[run_end - 1] = run_tails
+        ctxs, flits, tails = zip(*snapshot)
+        # One owner per message (one context per send), numbered in
+        # first-queued order.
+        ids = list(map(id, ctxs))
+        by_id = dict(zip(ids, ctxs))
+        number = dict(zip(by_id, range(len(by_id))))
+        run_owners = np.fromiter(map(number.__getitem__, ids), dtype=np.intp,
+                                 count=len(ids))
+        self._plan(vcs, list(by_id.values()), run_owners,
+                   np.repeat(np.arange(len(vcs)), counts),
+                   np.array(flits), np.array(tails))
+
+    def _plan(self, vcs: list[int], owners: list, run_owners: np.ndarray,
+              run_slots: np.ndarray, run_flits: np.ndarray,
+              run_tails: np.ndarray) -> None:
+        """Plan and schedule the drain of packet runs as one burst.
+
+        The runs are in VC-major FIFO order over slots ``0..len(vcs)-1``
+        (``run_slots`` never decreases), slot ``s`` being VC ``vcs[s]``;
+        round-robin starts at slot 0.  Run ``r`` belongs to message
+        ``owners[run_owners[r]]`` (see :class:`_Burst`).
+        """
+        run_ends = run_flits.cumsum()
+        total = int(run_ends[-1])
+        sizes = np.full(total, self._flit_bytes)
+        sizes[run_ends - 1] = run_tails
 
         # Pick order: round r takes flit r of every VC that has one.  A
         # rounds x VCs grid masked by each VC's flit count, ravelled in
         # row order, is that sequence; ``heads`` index the VC-major flats.
         lengths = np.bincount(run_slots, weights=run_flits).astype(np.int64)
-        heads = np.cumsum(lengths) - lengths
-        if pin_first is not None:
-            first = heads[-1]
-            lengths[-1] -= 1
-            heads[-1] += 1
+        heads = lengths.cumsum() - lengths
         rounds, slots = np.nonzero(np.arange(lengths.max())[:, None] < lengths)
         picks = heads[slots] + rounds
-        if pin_first is not None:
-            picks = np.concatenate(([first], picks))
-        runs = np.repeat(np.arange(len(run_flits)), run_flits)[picks]
         sizes = sizes[picks]
 
         link = self.link
@@ -370,38 +401,43 @@ class TxPort:
         # ``end = start + ser`` chained by cumsum, and ``arrival = start +
         # (ser + latency)``: the per-flit path's schedule() expressions.
         sers = np.maximum(sizes, 1.0) / self._bytes_per_cycle
-        bounds = np.empty(len(sers) + 1)
+        bounds = np.empty(total + 1)
         bounds[0] = self.events.now
         bounds[1:] = sers
-        bounds = np.cumsum(bounds)
+        bounds = bounds.cumsum()
         starts = bounds[:-1]
         arrivals = starts + (sers + config.latency_cycles)
 
-        # Each message (one context per send) gets one delivery, at its
-        # last flit's arrival; arrivals rise with the pick, so deliveries
-        # are scheduled in time order.
-        ids = np.fromiter(map(id, run_ctxs), dtype=np.uint64, count=len(run_ctxs))
-        _ids, owner_run, run_owners = np.unique(ids, return_index=True,
-                                                return_inverse=True)
-        owners = run_owners[runs]
-        last_pick = np.zeros(len(owner_run), dtype=np.int64)
-        np.maximum.at(last_pick, owners, np.arange(len(runs)))
-        counts = np.bincount(owners).tolist()
-        last_arrival = arrivals[last_pick].tolist()
+        # Each message gets one delivery, at its last flit's arrival; a
+        # message's last pick is the latest of its runs' last picks, and
+        # arrivals rise with the pick, so deliveries are scheduled in time
+        # order.
+        if len(owners) == 1:
+            order, last_picks, counts = [0], [total - 1], [total]
+        else:
+            pick_of = np.empty(total, dtype=np.intp)
+            pick_of[picks] = np.arange(total)
+            last = np.zeros(len(owners), dtype=np.intp)
+            np.maximum.at(last, run_owners, pick_of[run_ends - 1])
+            by_last = np.argsort(last)
+            order = by_last.tolist()
+            last_picks = last[by_last].tolist()
+            counts = (np.bincount(run_owners, weights=run_flits)[by_last]
+                      .astype(np.int64).tolist())
         schedule_at = self.events.schedule_at
         deliveries = []
-        for owner in np.argsort(last_pick).tolist():
-            ctx = run_ctxs[owner_run[owner]]
-            handle = schedule_at(last_arrival[owner],
-                                 partial(self._deliver, ctx, counts[owner]))
-            deliveries.append((owner, ctx, int(last_pick[owner]), handle))
+        for owner, last_pick, count in zip(order, last_picks, counts):
+            handle = schedule_at(float(arrivals[last_pick]),
+                                 partial(self._deliver, owners[owner], count))
+            deliveries.append((owner, last_pick, handle))
 
         self._sending = True
         self._burst = _Burst(
-            vcs=vcs, run_ctxs=run_ctxs, run_tails=run_tails,
-            run_slots=run_slots, run_flits=run_flits, run_owners=run_owners,
-            runs=runs, sizes=sizes, sers=sers, starts=starts,
-            ends=bounds[1:], arrivals=arrivals, deliveries=deliveries,
+            vcs=vcs, owners=owners, run_owners=run_owners, run_slots=run_slots,
+            run_flits=run_flits, run_tails=run_tails, run_ends=run_ends,
+            heads=heads, picks=picks, slots=slots, sizes=sizes, sers=sers,
+            starts=starts, ends=bounds[1:], arrivals=arrivals,
+            deliveries=deliveries,
             end_handle=schedule_at(float(bounds[-1]), self._burst_end),
         )
 
@@ -423,8 +459,7 @@ class TxPort:
         stats = self.link.stats
         stats.bytes = _accumulate(stats.bytes, burst.sizes[done:cut])
         stats.busy_cycles = _accumulate(stats.busy_cycles, burst.sers[done:cut])
-        last_vc = burst.vcs[burst.run_slots[burst.runs[cut - 1]]]
-        self._rr = (last_vc + 1) % len(self.queues)
+        self._rr = (burst.vcs[burst.slots[cut - 1]] + 1) % len(self.queues)
 
     def _split_burst(self) -> None:
         """Interposition: stop the burst at ``now`` and requeue the rest.
@@ -442,7 +477,7 @@ class TxPort:
         now = self.events.now
         cut = int(np.searchsorted(burst.starts, now, side="right"))
         self._commit_upto(burst, cut)
-        if cut >= len(burst.runs):
+        if cut >= len(burst.picks):
             # Everything already transmitted; the pending end event doubles
             # as the resume point.
             return
@@ -450,15 +485,26 @@ class TxPort:
         schedule_at = self.events.schedule_at
         schedule_at(float(burst.ends[cut - 1]), self._burst_end)
 
-        owners = burst.run_owners[burst.runs[:cut]]
-        sent = np.bincount(owners, minlength=len(burst.deliveries)).tolist()
-        last_sent = np.full(len(burst.deliveries), -1)
-        np.maximum.at(last_sent, owners, np.arange(cut))
-        for owner, ctx, last, handle in burst.deliveries:
+        # Each VC transmits its flats in order, so a slot's first unsent
+        # flat is its head plus the picks it has had; a run has sent the
+        # part of it before that.
+        slot_sent = np.bincount(burst.slots[:cut], minlength=len(burst.vcs))
+        run_starts = burst.run_ends - burst.run_flits
+        unsent = (burst.heads + slot_sent)[burst.run_slots]
+        sent = np.clip(unsent - run_starts, 0, burst.run_flits)
+        pick_of = np.empty(len(burst.picks), dtype=np.intp)
+        pick_of[burst.picks] = np.arange(len(burst.picks))
+        begun = np.flatnonzero(sent)
+        last_sent = np.full(len(burst.owners), -1)
+        np.maximum.at(last_sent, burst.run_owners[begun],
+                      pick_of[run_starts[begun] + sent[begun] - 1])
+        owner_sent = np.bincount(burst.run_owners, weights=sent,
+                                 minlength=len(burst.owners))
+        for owner, last, handle in burst.deliveries:
             if last < cut:
                 continue  # fully committed; delivery time stands as planned
             handle.cancel()
-            if sent[owner]:
+            if last_sent[owner] >= 0:
                 # Deliver the transmitted prefix at its own last arrival.
                 # With zero propagation latency that can already be in the
                 # past (the per-flit path delivered those flits before the
@@ -467,24 +513,34 @@ class TxPort:
                 # rides the last chunk, whose arrival is in the future.
                 at = float(burst.arrivals[last_sent[owner]])
                 schedule_at(at if at > now else now,
-                            partial(self._deliver, ctx, sent[owner]))
+                            partial(self._deliver, burst.owners[owner],
+                                    int(owner_sent[owner])))
 
-        left = burst.run_flits - np.bincount(burst.runs[:cut],
-                                             minlength=len(burst.run_flits))
+        # The unsent runs, a partly sent one keeping its tail, go back to
+        # their VCs in FIFO order, one extend per VC.
+        remaining = burst.run_flits - sent
+        left = np.flatnonzero(remaining)
+        slots = burst.run_slots[left]
+        cuts = (np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()
+        owners = map(burst.owners.__getitem__, burst.run_owners[left].tolist())
+        runs = list(zip(owners, remaining[left].tolist(),
+                        burst.run_tails[left].tolist()))
         queues = self.queues
-        for run in np.flatnonzero(left).tolist():
-            queues[burst.vcs[burst.run_slots[run]]].append(
-                (burst.run_ctxs[run], int(left[run]), burst.run_tails[run]))
+        for begin, end in zip([0, *cuts], [*cuts, len(runs)]):
+            queues[burst.vcs[slots[begin]]].extend(runs[begin:end])
 
     def _burst_end(self) -> None:
         # This dispatch stands in for one per-flit tx-done already credited
         # by _commit_upto; debit it so logical event counts match exactly.
         self.events.credit_batched(-1)
+        self._sending = False
         burst = self._burst
         if burst is not None:
+            # Any enqueue since the plan would have split the burst, and the
+            # plan took everything queued, so the queues are empty.
             self._burst = None
-            self._commit_upto(burst, len(burst.runs))
-        self._sending = False
+            self._commit_upto(burst, len(burst.picks))
+            return
         self._try_send()
 
     def _deliver(self, ctx: HopContext, flits: int) -> None:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.config.parameters import NetworkConfig
 from repro.events.engine import EventQueue
-from repro.network.api import DeliveryCallback, Drop, NetworkBackend, validate_path
+from repro.network.api import DeliveryCallback, Drop, NetworkBackend
 from repro.network.link import Link
 
 
@@ -35,22 +35,10 @@ class FastBackend(NetworkBackend):
         #: deliver N messages at the same cycle, so this coalesces the
         #: dominant event population of a collective.
         self._delivery_batches: dict[float, list] = {}
-        #: id(path) -> the validated path object (strong ref, so the id
-        #: stays valid) plus its endpoints.  Routes come from the topology
-        #: layer's per-channel route caches (PR 5), a small fixed set of
-        #: list objects reused for every send — so after the first send per
-        #: route, validation is one dict hit.  A path revalidates when the
-        #: message endpoints differ (same list object reused for another
-        #: pair would be a route-table bug validate_path must catch).
-        self._validated_routes: dict[int, tuple] = {}
 
     def send(self, src: int, dst: int, size_bytes: float, path: list[Link],
              tag: object, on_delivered: DeliveryCallback) -> Optional[Drop]:
-        cached = self._validated_routes.get(id(path))
-        if (cached is None or cached[0] is not path
-                or cached[1] != src or cached[2] != dst):
-            validate_path(src, dst, path)
-            self._validated_routes[id(path)] = (path, src, dst)
+        self._validate_route(src, dst, path)
         # Counted inline: no call on the unsanitized path, and with a
         # sanitizer every send still reaches its conservation ledger.
         sanitizer = self.sanitizer

@@ -191,7 +191,9 @@ NETWORKS = st.fixed_dictionaries({
     "efficiency": st.sampled_from([1.0, 0.94]),
     "flit_width_bits": st.sampled_from([1024, 512, 1000]),
     "router_latency_cycles": st.sampled_from([0.0, 1.0]),
-    "vcs_per_vnet": st.integers(1, 4),
+    # Presets and the benchmark run 50 VCs: messages with fewer, as many
+    # and more packets than VCs.
+    "vcs_per_vnet": st.one_of(st.integers(1, 4), st.sampled_from([7, 50, 64])),
     "buffers_per_vc": st.integers(1, 3),
 })
 SIZES = st.one_of(
@@ -295,6 +297,79 @@ class TestBurstProperty:
             off.pop("processed")
             assert on == off
         assert splits
+
+
+class TestFiftyVCPort:
+    """One single-hop port with 50 VCs, the preset width: messages of 1,
+    49, 50, 51 and 256 packets, each packet three flits and each
+    message's last one two, starting on VC 7 and then wherever the
+    backend's VC counter stands."""
+
+    PACKETS = [1, 49, 50, 51, 256]
+    CONFIG = LinkConfig(bandwidth_gbps=25.0, latency_cycles=25.0,
+                        packet_size_bytes=300, efficiency=0.94,
+                        message_quantum_bytes=None)
+
+    def _drive(self, burst, gap):
+        """Send the messages ``gap`` cycles apart; fingerprint the port."""
+        network = NetworkConfig(
+            local_link=self.CONFIG, package_link=self.CONFIG,
+            flit_width_bits=1024, router_latency_cycles=1.0,
+            vcs_per_vnet=50, buffers_per_vc=1)
+        events = EventQueue()
+        backend = (DetailedBackend if burst else _PerFlitBackend)(events, network)
+        backend._next_vc = 7
+        link = Link(0, 1, self.CONFIG)
+        delivered = {}
+        #: (round-robin pointer, first VC) as each message is sent.
+        at_send = []
+
+        def on_delivered(record):
+            delivered[record[4]] = events.now.hex()
+
+        def send(i, packets):
+            port = backend._ports.get(link.link_id)
+            at_send.append((port and port._rr, backend._next_vc))
+            backend.send(0, 1, packets * 300.0 - 100.0, [link], i, on_delivered)
+
+        for i, packets in enumerate(self.PACKETS):
+            events.schedule_at(i * gap, lambda i=i, packets=packets: send(i, packets))
+        events.run()
+        port = backend._ports[link.link_id]
+        return {
+            "delivered": delivered,
+            "flits_sent": port.flits_sent,
+            "bytes": link.stats.bytes.hex(),
+            "busy_cycles": link.stats.busy_cycles.hex(),
+            "rr": port._rr,
+            "simulated": events.events_simulated,
+        }, at_send
+
+    def test_idle_port_messages_match_per_flit_path(self):
+        on, at_send = self._drive(burst=True, gap=10_000.0)
+        off, _ = self._drive(burst=False, gap=10_000.0)
+        assert on == off
+        assert on["flits_sent"] == 3 * sum(self.PACKETS) - len(self.PACKETS)
+        # Every message starts off VC 0, and at least one finds the
+        # round-robin pointer a previous burst left somewhere else.
+        assert all(first_vc for _rr, first_vc in at_send)
+        assert any(rr is not None and rr != first_vc for rr, first_vc in at_send)
+
+    def test_contended_port_matches_per_flit_path(self):
+        # Each send lands mid-burst, off any flit boundary.
+        on, _ = self._drive(burst=True, gap=37 * 0.7071067811865476)
+        off, _ = self._drive(burst=False, gap=37 * 0.7071067811865476)
+        assert on == off
+
+    def test_finished_burst_collects_nothing(self, monkeypatch):
+        """A burst no enqueue split leaves the queues empty: its end does
+        not walk the VCs for runs."""
+        collects = []
+        collect = router.TxPort._start_burst
+        monkeypatch.setattr(router.TxPort, "_start_burst",
+                            lambda port: (collects.append(port), collect(port)))
+        self._drive(burst=True, gap=10_000.0)
+        assert not collects
 
 
 #: The 2x4x4 torus 1 MB all-reduce (``preferred_set_splits=4``) as the

@@ -141,6 +141,21 @@ class TestPathValidation:
             backend.send(0, 1, 1.0, [Link(0, 5, IDEAL), Link(6, 1, IDEAL)],
                          None, lambda record: None)
 
+    @pytest.mark.parametrize("backend_class", ["fast", "detailed"])
+    def test_route_memo_shared_by_both_backends(self, backend_class):
+        """A route list is checked once per endpoints, on either backend:
+        reused for another pair it is checked again and rejected."""
+        from repro.network.detailed import DetailedBackend
+
+        backend = {"fast": FastBackend, "detailed": DetailedBackend}[
+            backend_class](EventQueue(), IDEAL_NET)
+        path = [Link(0, 5, IDEAL), Link(5, 1, IDEAL)]
+        for _ in range(3):
+            backend.send(0, 1, 1024.0, path, None, lambda record: None)
+        assert backend._validated_routes == {id(path): (path, 0, 1)}
+        with pytest.raises(NetworkError, match="path starts at 0"):
+            backend.send(2, 1, 1024.0, path, None, lambda record: None)
+
 
 class TestScheduling:
     def test_backend_exposes_event_queue(self):
