@@ -38,7 +38,7 @@ def run_backend(backend_cls):
     events.run(max_events=10_000_000)
     wall = time.perf_counter() - wall_start
     assert algo.done
-    return algo.finished_at, events.events_processed, wall
+    return algo.finished_at, events.events_simulated, wall
 
 
 def test_ablation_backend_agreement(benchmark):

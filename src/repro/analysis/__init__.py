@@ -1,13 +1,6 @@
 """Reporting and analysis helpers for simulation results."""
 
 from repro.analysis.compare import ComparisonTable
-from repro.analysis.export import (
-    breakdown_to_dict,
-    report_to_dict,
-    report_to_json,
-    rows_to_csv,
-)
-from repro.analysis.plots import bar_chart, series_chart
 from repro.analysis.trace import (
     PhaseSpan,
     collect_timeline,
@@ -25,14 +18,8 @@ from repro.analysis.report import (
 __all__ = [
     "ComparisonTable",
     "PhaseSpan",
-    "bar_chart",
-    "breakdown_to_dict",
     "collect_timeline",
     "phase_occupancy",
-    "report_to_dict",
-    "report_to_json",
-    "rows_to_csv",
-    "series_chart",
     "to_chrome_trace",
     "LayerRow",
     "RunSummary",

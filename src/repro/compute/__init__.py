@@ -1,15 +1,12 @@
 """Analytical NPU compute model: GEMM shapes + systolic-array delays."""
 
 from repro.compute.gemm import ConvSpec, GemmShape, LinearSpec
-from repro.compute.gpu import GpuComputeModel, GpuConfig
 from repro.compute.systolic import ComputeEstimate, SystolicArrayModel
 
 __all__ = [
     "ComputeEstimate",
     "ConvSpec",
     "GemmShape",
-    "GpuComputeModel",
-    "GpuConfig",
     "LinearSpec",
     "SystolicArrayModel",
 ]

@@ -24,14 +24,7 @@ from repro.config.presets import (
     paper_system_config,
     symmetric_network_config,
 )
-from repro.config.io import (
-    config_from_dict,
-    config_from_json,
-    config_to_dict,
-    config_to_json,
-    load_config,
-    save_config,
-)
+from repro.config.io import config_from_dict, config_to_dict
 from repro.config.units import DEFAULT_CLOCK, GB, KB, MB, Clock, format_bytes
 
 __all__ = [
@@ -56,12 +49,8 @@ __all__ = [
     "TopologyKind",
     "TorusShape",
     "config_from_dict",
-    "config_from_json",
     "config_to_dict",
-    "config_to_json",
     "format_bytes",
-    "load_config",
-    "save_config",
     "paper_compute_config",
     "paper_network_config",
     "paper_simulation_config",

@@ -1,9 +1,10 @@
 """Per-figure experiment runners regenerating the paper's evaluation.
 
 The package re-exports the shared runners and the bandwidth test.  The
-per-figure modules (``fig09``-``fig18``) and ``sweep`` are imported as
-submodules (``from repro.harness import fig09``), so running one
-collective does not load every figure.
+per-figure modules (``fig09``-``fig18``; Figs. 15 and 16 read
+``fig14``'s runs) are imported as submodules
+(``from repro.harness import fig09``), so running one collective does not
+load every figure.
 """
 
 from repro.harness.bandwidth_test import (

@@ -222,8 +222,7 @@ def sweep_collective(
 
     Under a :class:`repro.parallel.supervisor.SupervisedExecutor` a quarantined
     point comes back as an explicit ``None`` gap instead of aborting the
-    sweep; :func:`sweep_collective_outcomes` exposes the full typed
-    outcome per point.
+    sweep.
     """
     from repro.parallel import RunPoint, default_executor
 
@@ -231,26 +230,6 @@ def sweep_collective(
     points = [RunPoint(builder=platform_builder, op=op, size_bytes=float(size))
               for size in sizes]
     return ex.run_points(points)
-
-
-def sweep_collective_outcomes(
-    platform_builder: Callable[[], PlatformSpec],
-    op: CollectiveOp,
-    sizes: Sequence[float] = SWEEP_SIZES,
-    executor: Optional[object] = None,
-) -> list:
-    """:func:`sweep_collective`, returning typed per-point outcomes.
-
-    Each element is a :class:`repro.parallel.PointOutcome`
-    (ok / retried / timeout / crashed / quarantined) in size order; on a
-    plain executor every outcome is OK (failures raise, as always).
-    """
-    from repro.parallel import RunPoint, default_executor
-
-    ex = executor if executor is not None else default_executor()
-    points = [RunPoint(builder=platform_builder, op=op, size_bytes=float(size))
-              for size in sizes]
-    return ex.run_outcomes(points)
 
 
 def run_training(

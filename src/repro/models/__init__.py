@@ -2,7 +2,6 @@
 
 from repro.models.dlrm import DLRM_HYBRID, dlrm
 from repro.models.mlp import mlp
-from repro.models.moe import moe_transformer
 from repro.models.resnet50 import resnet50, total_parameters
 from repro.models.transformer import transformer
 
@@ -10,7 +9,6 @@ __all__ = [
     "DLRM_HYBRID",
     "dlrm",
     "mlp",
-    "moe_transformer",
     "resnet50",
     "total_parameters",
     "transformer",

@@ -64,12 +64,3 @@ class FabricRouter:
             return True
         except NetworkError:
             return False
-
-    def diameter_hops(self) -> int:
-        """Longest shortest path between any NPU pair (hops)."""
-        worst = 0
-        for src in range(self.fabric.num_npus):
-            for dst in range(self.fabric.num_npus):
-                if src != dst:
-                    worst = max(worst, self.hop_count(src, dst))
-        return worst

@@ -29,7 +29,6 @@ from repro.sanitize.findings import (
     Finding,
     LintReport,
     Severity,
-    merge_reports,
 )
 from repro.sanitize.runtime import (
     RuntimeSanitizer,
@@ -64,7 +63,6 @@ __all__ = [
     "Finding",
     "LintReport",
     "Severity",
-    "merge_reports",
     "RuntimeSanitizer",
     "SanitizedEventQueue",
     "SanitizerConfig",

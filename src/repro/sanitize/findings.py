@@ -136,19 +136,3 @@ class LintReport:
 def reports_to_json(reports: list[LintReport], indent: int = 2) -> str:
     """Serialize a batch of lint reports for tooling consumption."""
     return json.dumps([r.to_dict() for r in reports], indent=indent)
-
-
-def merge_reports(reports: list[LintReport], source: str = "") -> LintReport:
-    """Fold a batch of reports into one, findings sorted most-severe first.
-
-    Each finding keeps its own ``source`` (the file or preset it anchors
-    to); only the aggregate's label is replaced.  Merging then sorting is
-    deterministic regardless of the order the inputs were produced in —
-    the aggregate depends on *what* was found, not on directory-walk or
-    scheduling order.
-    """
-    merged = LintReport(source=source)
-    for report in reports:
-        merged.extend(report.findings)
-    merged.findings.sort(key=Finding.sort_key)
-    return merged

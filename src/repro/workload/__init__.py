@@ -9,7 +9,6 @@ from repro.workload.memory import (
     DEFAULT_HBM_BYTES,
     MemoryFootprint,
     estimate_footprint,
-    validate_fits,
 )
 from repro.workload.model import DNNModel
 from repro.workload.parallelism import (
@@ -21,7 +20,6 @@ from repro.workload.parallelism import (
     TrainingPhase,
     hybrid,
 )
-from repro.workload.generator import GeneratorSpec, synthetic_model
 from repro.workload.parser import dump, dumps, load, loads
 from repro.workload.training_loop import LayerReport, TrainingLoop, TrainingReport
 
@@ -31,7 +29,6 @@ __all__ = [
     "DEFAULT_HBM_BYTES",
     "DNNModel",
     "MemoryFootprint",
-    "GeneratorSpec",
     "LayerReport",
     "LayerSpec",
     "MODEL_PARALLEL",
@@ -48,6 +45,4 @@ __all__ = [
     "load",
     "loads",
     "estimate_footprint",
-    "synthetic_model",
-    "validate_fits",
 ]

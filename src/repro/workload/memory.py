@@ -98,19 +98,3 @@ def estimate_footprint(
         optimizer_bytes=optimizer_bytes,
         activation_bytes=float(activation_bytes),
     )
-
-
-def validate_fits(
-    model: DNNModel,
-    capacity_bytes: float = DEFAULT_HBM_BYTES,
-    **kwargs,
-) -> MemoryFootprint:
-    """Estimate and raise :class:`WorkloadError` if the NPU cannot hold
-    the workload."""
-    footprint = estimate_footprint(model, **kwargs)
-    if not footprint.fits(capacity_bytes):
-        raise WorkloadError(
-            f"workload {model.name} needs {footprint.total_bytes / GB:.1f} GB "
-            f"per NPU but only {capacity_bytes / GB:.1f} GB is available"
-        )
-    return footprint

@@ -63,7 +63,8 @@ class TestTorusRouting:
         fabric = build_torus_topology(
             TorusShape(1, 4, 1), NET, SystemConfig(horizontal_rings=1)).fabric
         router = FabricRouter(fabric)
-        assert router.diameter_hops() == 2  # bidirectional 4-ring
+        hops = [router.hop_count(s, d) for s in range(4) for d in range(4) if s != d]
+        assert max(hops) == 2  # bidirectional 4-ring
 
     def test_self_path_rejected(self):
         router = FabricRouter(build_torus_topology(TorusShape(2, 2, 2), NET).fabric)

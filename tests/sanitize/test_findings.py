@@ -1,4 +1,4 @@
-"""Tests for the findings machinery: severity ordering, sorting, merging."""
+"""Tests for the findings machinery: severity ordering, sorting, serialization."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.sanitize.findings import (
     Finding,
     LintReport,
     Severity,
-    merge_reports,
     reports_to_json,
 )
 
@@ -94,30 +93,3 @@ class TestLintReport:
         data = json.loads(reports_to_json([report]))
         assert data[0]["errors"] == 1
         assert data[0]["findings"][0]["line"] == 3
-
-
-class TestMergeReports:
-    def _reports(self):
-        a = LintReport(source="a.py")
-        a.add(Severity.WARNING, "slow", "", "w1", line=5)
-        b = LintReport(source="b.py")
-        b.add(Severity.ERROR, "bad", "", "e1", line=2)
-        return a, b
-
-    def test_merged_keeps_per_finding_source(self):
-        a, b = self._reports()
-        merged = merge_reports([a, b], source="all")
-        assert merged.source == "all"
-        assert {f.source for f in merged.findings} == {"a.py", "b.py"}
-
-    def test_merged_order_independent_of_input_order(self):
-        a, b = self._reports()
-        forward = merge_reports([a, b]).findings
-        backward = merge_reports([b, a]).findings
-        assert forward == backward
-        assert [f.code for f in forward] == ["bad", "slow"]
-
-    def test_merge_empty(self):
-        merged = merge_reports([], source="none")
-        assert merged.findings == []
-        assert merged.ok()

@@ -7,9 +7,7 @@ import pytest
 
 MODULES = [
     importlib.import_module(name) for name in (
-        "repro.analysis.plots",
         "repro.events.engine",
-        "repro.harness.sweep",
         "repro.network.message",
         "repro.service.queue",
         "repro.system.collective_set",

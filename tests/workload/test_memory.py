@@ -5,11 +5,7 @@ import pytest
 from repro.config.units import GB, MB
 from repro.errors import WorkloadError
 from repro.models import mlp, resnet50, transformer
-from repro.workload import (
-    DEFAULT_HBM_BYTES,
-    estimate_footprint,
-    validate_fits,
-)
+from repro.workload import DEFAULT_HBM_BYTES, estimate_footprint
 
 
 class TestEstimates:
@@ -56,12 +52,10 @@ class TestEstimates:
 
 class TestCapacityChecks:
     def test_resnet_fits_default_hbm(self):
-        footprint = validate_fits(resnet50())
-        assert footprint.fits(DEFAULT_HBM_BYTES)
+        assert estimate_footprint(resnet50()).fits(DEFAULT_HBM_BYTES)
 
     def test_undersized_hbm_rejected(self):
-        with pytest.raises(WorkloadError, match="needs"):
-            validate_fits(resnet50(), capacity_bytes=100 * MB)
+        assert not estimate_footprint(resnet50()).fits(100 * MB)
 
     def test_utilization(self):
         footprint = estimate_footprint(resnet50())
