@@ -66,6 +66,11 @@ class CollectiveAlgorithmBase:
         self._reliable = ctx.reliable
         self._events = ctx.events
         self._after = ctx.after
+        #: Where a delivery record names the node that receives it: the
+        #: receiver (2), or in a quotient run the sender (1), since there
+        #: the message NPU 0 sends its successor stands for the one it
+        #: receives from its predecessor.
+        self._receiver = 1 if ctx.copies > 1 else 2
 
         self._joined: set[int] = set()
         self._done: set[int] = set()
@@ -116,6 +121,12 @@ class CollectiveAlgorithmBase:
         """Convenience for tests / single-phase runs: all nodes join now."""
         for node in self.nodes:
             self.start_node(node)
+
+    def unfold(self) -> None:
+        """Deliveries go to their receivers from now on: the quotient run
+        this instance started in became a full run
+        (:meth:`repro.collectives.hierarchical.ChunkExecution.unfold`)."""
+        self._receiver = 2
 
     @property
     def done(self) -> bool:

@@ -41,19 +41,26 @@ class PhaseStats:
     incrementally rounded ``+=`` would drift in the last ulp whenever
     delivery order is perturbed (parallel execution, schedule tie
     permutation — see docs/DETERMINISM.md).
+
+    ``copies`` is how many identical messages each recorded one stands
+    for: the NPU count in a quotient run (see :class:`CollectiveContext`),
+    1 otherwise.  ``messages`` counts every copy, and a total is the
+    ``fsum`` of its list repeated ``copies`` times: the exact sum of
+    every copy's sample, rounded once, as recording each copy gives.
     """
 
     messages: int = 0
     queue_values: list[float] = field(default_factory=list, repr=False)
     network_values: list[float] = field(default_factory=list, repr=False)
     byte_values: list[float] = field(default_factory=list, repr=False)
+    copies: int = 1
 
     def record(self, record: DeliveryRecord, delivered_at: float) -> None:
         """Add one delivered message's samples: queueing cycles (first-link
         grant minus creation), network cycles (delivery minus grant) and
         bytes, read from the backend's delivery ``record``.  Runs once per
         message."""
-        self.messages += 1
+        self.messages += self.copies
         injected = record[6]
         queue_values = self.queue_values
         queue_values.append(injected - record[5])
@@ -89,17 +96,20 @@ class PhaseStats:
         for values in (self.queue_values, self.network_values, self.byte_values):
             self.compact_values(values)
 
+    def _total(self, values: list[float]) -> float:
+        return math.fsum(values if self.copies == 1 else values * self.copies)
+
     @property
     def queue_cycles(self) -> float:
-        return math.fsum(self.queue_values)
+        return self._total(self.queue_values)
 
     @property
     def network_cycles(self) -> float:
-        return math.fsum(self.network_values)
+        return self._total(self.network_values)
 
     @property
     def bytes(self) -> float:
-        return math.fsum(self.byte_values)
+        return self._total(self.byte_values)
 
     @property
     def mean_queue_cycles(self) -> float:
@@ -111,13 +121,25 @@ class PhaseStats:
 
     def merge_from(self, other: "PhaseStats") -> None:
         """Fold another phase's samples in (order-invariant: the merged
-        lists hold the exact sum of both)."""
+        lists hold the exact sum of both).  Stats of another ``copies``
+        are merged with every list expanded to one copy each."""
+        if other.copies != self.copies:
+            self._expand()
+        lists = (self.queue_values, self.network_values, self.byte_values)
+        for values, more in zip(lists, (other.queue_values, other.network_values,
+                                        other.byte_values)):
+            values.extend(more if other.copies == self.copies
+                          else more * other.copies)
         self.messages += other.messages
-        self.queue_values.extend(other.queue_values)
-        self.network_values.extend(other.network_values)
-        self.byte_values.extend(other.byte_values)
         if len(self.queue_values) >= COMPACT_AT:
             self.compact()
+
+    def _expand(self) -> None:
+        """Repeat every list ``copies`` times, then count one copy each."""
+        for values in (self.queue_values, self.network_values, self.byte_values):
+            values *= self.copies
+            self.compact_values(values)
+        self.copies = 1
 
     def as_dict(self) -> dict:
         """JSON-serializable form (run-cache payloads, bench reports)."""
@@ -146,6 +168,14 @@ class CollectiveContext:
     data.  ``endpoint_delay`` is Table III #13.  ``breakdown`` is the
     owning collective set's :class:`~repro.system.stats.DelayBreakdown`;
     without one (unit tests, examples) nothing is recorded.
+
+    ``copies`` > 1 makes this a *quotient run* context: every NPU of the
+    system is a translate of every other, so only NPU 0 is simulated and
+    stands for ``copies`` NPUs.  Chunk executions enter only NPU 0, a
+    ring step's message to its successor is delivered back to its sender
+    as the one it receives from its predecessor, and phase stats count
+    each message ``copies`` times.  :class:`repro.system.sys_layer.System`
+    chooses it (docs/PERFORMANCE.md, "Quotient run").
     """
 
     def __init__(
@@ -156,6 +186,7 @@ class CollectiveContext:
         packet_routing: PacketRouting = PacketRouting.SOFTWARE,
         injection_policy: InjectionPolicy = InjectionPolicy.NORMAL,
         breakdown: Optional[DelayBreakdown] = None,
+        copies: int = 1,
     ):
         if endpoint_delay_cycles < 0:
             raise CollectiveError("endpoint delay must be >= 0")
@@ -170,6 +201,7 @@ class CollectiveContext:
         self.packet_routing = packet_routing
         self.injection_policy = injection_policy
         self.breakdown = breakdown
+        self.copies = copies
         #: Whether the backend reports delivery failures (the reliable
         #: transport); algorithms build ``on_failed`` callbacks only then.
         self.reliable: bool = getattr(backend, "supports_failure_callback", False)
@@ -195,7 +227,7 @@ class CollectiveContext:
         (None without a breakdown); algorithm instances resolve it once."""
         if self.breakdown is None:
             return None
-        return self.breakdown.phase(phase_index)
+        return self.breakdown.phase(phase_index, self.copies)
 
     def send(
         self,

@@ -10,7 +10,7 @@ scheduler intends (different phases use different dedicated links).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.collectives.context import CollectiveContext
 from repro.collectives.direct_algorithms import (
@@ -77,13 +77,16 @@ class ChunkExecution:
         self.on_phase_done = on_phase_done
         self.label = label
 
-        self.nodes = list(range(fabric.num_npus))
+        #: The NPUs this execution simulates: all of them, or NPU 0 alone
+        #: in a quotient run (see :class:`CollectiveContext`), where its
+        #: phase joins and departures stand for every NPU's.
+        self.nodes = [0] if ctx.copies > 1 else list(range(fabric.num_npus))
         #: Per phase: group key -> that group's algorithm instance, built
         #: when the group's first node enters.  A phase's table is dropped
         #: (None) once every node has left the phase, so a finished
         #: instance is freed by reference counting: its ``on_node_done``
         #: points back at this execution.
-        self._instances: list[Optional[dict[tuple, object]]] = [
+        self._instances: list[Optional[dict[tuple, Any]]] = [
             {} for _ in self.plan
         ]
         #: Per-phase instance labels ("set3/c0/p2:all_reduce@VERTICAL"),
@@ -119,13 +122,21 @@ class ChunkExecution:
         for node in self.nodes:
             self._enter_phase(node, 0)
 
+    def unfold(self) -> None:
+        """Leave a quotient run before any event fired: NPU 0 is still in
+        phase 0, where every other NPU now joins it."""
+        instances = self._instances[0] if self.plan else None
+        if instances is None:
+            return
+        for instance in instances.values():
+            instance.unfold()
+        self.nodes = list(range(self.fabric.num_npus))
+        for node in self.nodes[1:]:
+            self._enter_phase(node, 0)
+
     @property
     def done(self) -> bool:
         return self.finished_at is not None
-
-    def phase_of(self, node_count_phase: int) -> int:
-        """Number of nodes currently executing ``node_count_phase``."""
-        return self._nodes_in_phase[node_count_phase]
 
     @property
     def current_min_phase(self) -> int:
@@ -232,6 +243,6 @@ class ChunkExecution:
         """Members of an alltoall-dimension group, in package order (the
         NPUs with the same local index across all packages)."""
         return [
-            n for n in self.nodes
+            n for n in range(self.fabric.num_npus)
             if self.fabric.group_of(Dimension.ALLTOALL, n) == group
         ]

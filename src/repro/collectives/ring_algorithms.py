@@ -120,9 +120,9 @@ class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
         stats = self._stats
         if stats is not None:
             stats.record(record, self._events.now)
-        # record[2] is the receiver, record[4] the (label, step) tag.
-        # _deliver and _process inlined: this runs once per ring message.
-        node = record[2]
+        # record[4] is the (label, step) tag.  _deliver and _process
+        # inlined: this runs once per ring message.
+        node = record[self._receiver]
         if node in self._joined:
             self._after(self._step_delay,
                         partial(self._advance, node, record[4][1]))
@@ -196,6 +196,10 @@ class RingAllReduce:
     def start_all(self) -> None:
         for node in self.nodes:
             self.start_node(node)
+
+    def unfold(self) -> None:
+        self._scatter.unfold()
+        self._gather.unfold()
 
     @property
     def done(self) -> bool:
@@ -307,6 +311,14 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
                     and round_index < ring.size - 1):
                 self._issue_round(origin, round_index + 1)
 
+        if self._receiver == 1:
+            # Quotient run: the hop landed on the sender's successor.  Its
+            # translate one position back is what the sender receives from
+            # its predecessor.  (Pacing above already acted on the origin,
+            # the sender itself whenever a first hop cleared.)
+            here = record[1]
+            origin = ring.prev_node(origin)
+            final_dst = ring.prev_node(final_dst)
         if here == final_dst:
             self._after(self.ctx.endpoint_delay_cycles,
                         partial(self._deliver, final_dst, _A2AReceive(origin)))

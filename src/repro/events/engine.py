@@ -171,12 +171,6 @@ class EventQueue:
         return self._events_processed
 
     @property
-    def batched_events(self) -> int:
-        """Logical events folded into batched dispatches (see
-        :meth:`credit_batched`)."""
-        return self._batched_events
-
-    @property
     def events_simulated(self) -> int:
         """Total logical events simulated: dispatches plus the per-flit /
         per-message events that batched handlers and step groups covered in

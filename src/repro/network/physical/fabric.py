@@ -252,13 +252,3 @@ class Fabric:
         """Clear link reservations/stats so the fabric can be reused."""
         for link in self.links:
             link.reset()
-
-    def utilization_report(self) -> dict[str, float]:
-        """Aggregate busy-byte counters per link kind (reporting helper)."""
-        report: dict[str, float] = {}
-        for link in self.links:
-            report[f"{link.kind}_bytes"] = report.get(f"{link.kind}_bytes", 0.0) + link.stats.bytes
-            report[f"{link.kind}_busy_cycles"] = (
-                report.get(f"{link.kind}_busy_cycles", 0.0) + link.stats.busy_cycles
-            )
-        return report

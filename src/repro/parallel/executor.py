@@ -161,19 +161,16 @@ def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
     from repro.harness.runners import MAX_EVENTS, run_collective
 
     max_events = point.max_events if point.max_events is not None else MAX_EVENTS
-    events = on_system = writer = None
+    on_system = writer = None
     if point.progress_path:
-        from repro.events.engine import EventQueue
         from repro.service.progress import ProgressWriter
 
-        events = EventQueue()
         writer = ProgressWriter(point.progress_path,
                                 every_events=point.progress_every_events)
-        events.watcher = writer.on_event
         on_system = writer.bind
     result = run_collective(point.builder(), point.op, point.size_bytes,
                             max_events=max_events, sanitize=point.sanitize,
-                            events=events, on_system=on_system)
+                            on_system=on_system)
     if writer is not None:
         writer.finish(result)
     return result if keep_system else replace(result, system=None)
@@ -231,10 +228,6 @@ def _pickle_failure(obj: Any) -> Optional[BaseException]:
     except _PICKLE_ERRORS as exc:
         return exc
     return None
-
-
-def _is_picklable(obj: Any) -> bool:
-    return _pickle_failure(obj) is None
 
 
 class ParallelExecutor:

@@ -2,8 +2,10 @@
 
 The simulator's own clock is simulated cycles; this module measures the
 *host* cost of producing them — per-phase wall-clock (build / simulate /
-report) and the throughput figure every perf PR is judged by:
-**events per second of wall-clock** through the event queue.
+report) and two throughput figures: **modeled messages per second** of
+simulate wall-clock (the messages the run stands for, every NPU's, which
+a quotient run simulates only once per orbit) and **events per second**
+through the event queue.
 
 Two consumers:
 
@@ -40,6 +42,9 @@ class RunProfile:
     phases: list = field(default_factory=list)
     #: Simulator events executed inside the profiled run.
     events: int = 0
+    #: Modeled collective messages of the profiled run (every NPU's: the
+    #: phase stats' counts, which a quotient run multiplies out).
+    messages: int = 0
     #: Final simulated time of the run (cycles).
     cycles: float = 0.0
 
@@ -66,6 +71,8 @@ class RunProfile:
         dispatched, not however few dispatches the batching needed.
         """
         self.events += system.events.events_simulated
+        self.messages += sum(stats.messages
+                             for stats in system.breakdown.phase_stats.values())
         self.cycles = max(self.cycles, system.now)
 
     @property
@@ -75,11 +82,20 @@ class RunProfile:
     def seconds_of(self, label: str) -> float:
         return sum(s for name, s in self.phases if name == label)
 
+    def _per_simulate_second(self, count: int) -> float:
+        simulate = self.seconds_of("simulate") or self.total_seconds
+        return count / simulate if simulate > 0 else 0.0
+
     @property
     def events_per_sec(self) -> float:
         """Events/sec over the *simulate* phases (the hot-loop figure)."""
-        simulate = self.seconds_of("simulate") or self.total_seconds
-        return self.events / simulate if simulate > 0 else 0.0
+        return self._per_simulate_second(self.events)
+
+    @property
+    def messages_per_sec(self) -> float:
+        """Modeled messages/sec over the *simulate* phases: the inverse of
+        wall time per simulated message."""
+        return self._per_simulate_second(self.messages)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -90,6 +106,8 @@ class RunProfile:
             "events": self.events,
             "cycles": self.cycles,
             "events_per_sec": self.events_per_sec,
+            "messages": self.messages,
+            "messages_per_sec": self.messages_per_sec,
         }
 
     def format(self) -> str:
@@ -100,6 +118,10 @@ class RunProfile:
             lines.append(
                 f"  events       {self.events:>10,d}  "
                 f"({self.events_per_sec:,.0f} events/sec)")
+        if self.messages:
+            lines.append(
+                f"  messages     {self.messages:>10,d}  "
+                f"({self.messages_per_sec:,.0f} messages/sec)")
         return "\n".join(lines)
 
 
@@ -192,12 +214,14 @@ def read_bench(path: str) -> dict[str, Any]:
 
 def compare_bench(baseline: dict[str, Any], current: dict[str, Any],
                   max_regression: float = 0.20) -> list[str]:
-    """Events/sec regressions of ``current`` vs ``baseline``.
+    """Throughput regressions of ``current`` vs ``baseline``.
 
-    Returns one message per benchmark whose events/sec dropped by more
-    than ``max_regression`` (empty = within tolerance).  Benchmarks
-    present on only one side are ignored — adding a benchmark must not
-    fail the gate.
+    A benchmark whose baseline records modeled messages/sec is gated on
+    that figure (wall time per simulated message), any other on
+    events/sec.  Returns one message per benchmark whose figure dropped
+    by more than ``max_regression`` (empty = within tolerance).
+    Benchmarks present on only one side are ignored — adding a benchmark
+    must not fail the gate.
     """
     if not 0 < max_regression < 1:
         raise ReproError(f"max_regression must be in (0, 1): {max_regression}")
@@ -205,13 +229,16 @@ def compare_bench(baseline: dict[str, Any], current: dict[str, Any],
     regressions = []
     for bench in current.get("benchmarks", []):
         ref = base.get(bench["name"])
-        if ref is None or not ref.get("events_per_sec"):
+        if ref is None:
             continue
-        ratio = bench["events_per_sec"] / ref["events_per_sec"]
+        key = "messages_per_sec" if ref.get("messages_per_sec") else "events_per_sec"
+        if not ref.get(key):
+            continue
+        ratio = bench.get(key, 0.0) / ref[key]
         if ratio < 1.0 - max_regression:
+            unit = key.replace("_per_sec", "/sec")
             regressions.append(
-                f"{bench['name']}: {bench['events_per_sec']:,.0f} events/sec "
-                f"is {1 - ratio:.0%} below baseline "
-                f"{ref['events_per_sec']:,.0f}"
+                f"{bench['name']}: {bench.get(key, 0.0):,.0f} {unit} "
+                f"is {1 - ratio:.0%} below baseline {ref[key]:,.0f}"
             )
     return regressions

@@ -254,13 +254,6 @@ class SearchSpace:
 
     # -- genomes -------------------------------------------------------------
 
-    @property
-    def genome_length(self) -> int:
-        return len(AXIS_NAMES)
-
-    def axis_size(self, axis: str) -> int:
-        return len(self.axes[axis])
-
     def num_genomes(self) -> int:
         """Size of the raw cross product (counts equivalent genomes)."""
         return math.prod(self._sizes)

@@ -27,9 +27,11 @@ class ProgressWriter:
 
     Installed by :func:`repro.parallel.executor._execute_point` when a
     :class:`~repro.parallel.executor.RunPoint` carries ``progress_path``.
-    ``bind`` attaches the freshly built system (the vector lives there),
-    ``on_event`` samples every ``every_events`` executed events, and
-    ``finish`` writes the terminal snapshot.
+    ``bind`` attaches the freshly built system (the vector lives there)
+    and becomes its queue's watcher, ``on_event`` samples every
+    ``every_events`` executed events, and ``finish`` writes the terminal
+    snapshot.  The system builds its own queue, so a job with progress
+    streaming on runs as the same quotient or full run as one without.
     """
 
     def __init__(self, path: str, every_events: int = 4096):
@@ -39,8 +41,10 @@ class ProgressWriter:
         self._next_at = self.every_events
 
     def bind(self, system) -> None:
-        """Attach the built system and write the initial snapshot."""
+        """Attach the built system, watch its event queue and write the
+        initial snapshot."""
         self._system = system
+        system.events.watcher = self.on_event
         self._write(done=False)
 
     def on_event(self, queue) -> None:

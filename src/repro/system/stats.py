@@ -33,15 +33,16 @@ class DelayBreakdown:
     ready_queue_delays: list[float] = field(default_factory=list)
     ready_queue_count: int = 0
 
-    def phase(self, phase_index: int) -> PhaseStats:
-        """The stats of phase ``phase_index``, created on first use.
+    def phase(self, phase_index: int, copies: int = 1) -> PhaseStats:
+        """The stats of phase ``phase_index``, created on first use with
+        ``copies`` (see :class:`PhaseStats`).
 
         Collective algorithm instances resolve their phase's stats here
         once and record every delivered message into it directly.
         """
         stats = self.phase_stats.get(phase_index)
         if stats is None:
-            stats = self.phase_stats[phase_index] = PhaseStats()
+            stats = self.phase_stats[phase_index] = PhaseStats(copies=copies)
         return stats
 
     def record_ready_queue(self, delay_cycles: float) -> None:
@@ -123,7 +124,7 @@ class DelayBreakdown:
     def merge_from(self, other: "DelayBreakdown") -> None:
         """Fold another breakdown into this one (per-set -> per-run)."""
         for p, stats in other.phase_stats.items():
-            self.phase_stats.setdefault(p, PhaseStats()).merge_from(stats)
+            self.phase(p, stats.copies).merge_from(stats)
         self.ready_queue_count += other.ready_queue_count
         self.ready_queue_delays.extend(other.ready_queue_delays)
         if len(self.ready_queue_delays) >= COMPACT_AT:

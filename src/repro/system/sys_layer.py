@@ -4,6 +4,11 @@
 and the statistics, and exposes the collective API the workload layer
 programs against: :meth:`request_collective` returns a
 :class:`CollectiveSet` whose completion can be awaited via callback.
+
+On a fabric whose NPUs are all translates of each other the system runs
+its collectives as a *quotient run*: it simulates NPU 0 alone and counts
+every message once per NPU (:meth:`System._quotient_copies`,
+docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -13,11 +18,13 @@ from typing import Callable, Optional, Sequence
 
 from repro.collectives.context import CollectiveContext
 from repro.collectives.types import CollectiveOp, build_phase_plan
-from repro.config.parameters import SimulationConfig
+from repro.config.parameters import PacketRouting, SimulationConfig
 from repro.errors import SimulationError
 from repro.events.engine import EventQueue
 from repro.network.api import NetworkBackend
+from repro.network.channel import RingChannel
 from repro.network.fast_backend import FastBackend
+from repro.network.physical.fabric import Ring
 from repro.system.collective_set import CollectiveSet, split_into_chunks
 from repro.system.p2p import P2PEngine, P2PTransfer
 from repro.system.scheduler import Scheduler
@@ -48,6 +55,7 @@ class System:
         #: sanitized event queue and an instrumented backend, and verifies
         #: quiescence invariants in :meth:`run_until_idle`.
         self.sanitizer = sanitizer
+        self._own_events = events is None
         if events is not None:
             self.events = events
         elif sanitizer is not None:
@@ -90,6 +98,9 @@ class System:
         # how many systems the process (or a pool worker) built before.
         self._set_ids = itertools.count()
         self._p2p: Optional[P2PEngine] = None
+        #: NPUs each simulated NPU stands for: chosen at the first
+        #: collective request (see :meth:`_quotient_copies`).
+        self._copies: Optional[int] = None
         #: repro.resilience.watchdog.Watchdog when a WatchdogConfig was
         #: supplied.  It is the queue's watcher: it observes after each
         #: executed event and never schedules one, so attaching it cannot
@@ -134,6 +145,8 @@ class System:
             dims = self.topology.dim_sizes(scope)
             plan = build_phase_plan(op, dims, sys_cfg.algorithm)
 
+        if self._copies is None:
+            self._copies = self._quotient_copies()
         chunk_sizes = split_into_chunks(size_bytes, sys_cfg.preferred_set_splits)
         collective = CollectiveSet(
             op=op,
@@ -153,6 +166,7 @@ class System:
             packet_routing=sys_cfg.packet_routing,
             injection_policy=sys_cfg.injection_policy,
             breakdown=collective.breakdown,
+            copies=self._copies,
         )
         self.sets.append(collective)
         self.scheduler.enqueue_set(collective, ctx)
@@ -161,7 +175,14 @@ class System:
     def request_p2p(self, src: int, dst: int, size_bytes: float,
                     name: str = "") -> P2PTransfer:
         """Issue a chunked point-to-point transfer (pipeline-parallel
-        activations etc.), routed over the fabric's minimum-latency path."""
+        activations etc.), routed over the fabric's minimum-latency path.
+
+        A point-to-point message breaks the symmetry a quotient run relies
+        on: before the first event fires, the system unfolds its quotient
+        collectives into the full run; after that, this raises
+        :class:`SimulationError`."""
+        if self._copies is not None and self._copies > 1:
+            self._unfold_quotient()
         if self._p2p is None:
             from repro.network.routing import FabricRouter
 
@@ -171,6 +192,59 @@ class System:
                 preferred_splits=min(4, self.config.system.preferred_set_splits),
             )
         return self._p2p.send(src, dst, size_bytes, name=name)
+
+    def _quotient_copies(self) -> int:
+        """How many NPUs each simulated NPU stands for: the NPU count when
+        every NPU runs the same event sequence up to translation, 1 (the
+        full run) otherwise.
+
+        The fabric must be rings only, each channel a plain
+        :class:`RingChannel` whose links still hold their block's link
+        config and carry no traffic yet, so every NPU's neighbourhood is
+        a translate of NPU 0's.  Software routing keeps every message on
+        one link (a multi-hop reservation orders messages of different
+        NPUs by event sequence on a shared link).  Anything that observes
+        or perturbs individual messages keeps the full run: another
+        backend or the reliable transport, a fault schedule, the
+        sanitizer, the watchdog, tracing, a caller's event queue (the
+        schedule-perturbation detector's) and point-to-point traffic.
+        """
+        fabric = self.topology.fabric
+        backend = self.backend
+        if (type(backend) is not FastBackend or backend.events is not self.events
+                or backend.faults is not None or self.sanitizer is not None
+                or self.watchdog is not None or self.scheduler.keep_completed
+                or not self._own_events or self._p2p is not None
+                or self.config.system.packet_routing is not PacketRouting.SOFTWARE):
+            return 1
+        for block in fabric.blocks:
+            if not isinstance(block, Ring):
+                return 1
+            for channels in fabric.channels.get(block.dim, {}).values():
+                for channel in channels:
+                    if not isinstance(channel, RingChannel):
+                        return 1
+                    for link in channel.links:
+                        if link.config is not block.link or link.next_free:
+                            return 1
+        return fabric.num_npus
+
+    def _unfold_quotient(self) -> None:
+        """Turn the quotient run into the full run before any event fired:
+        every in-flight chunk's other NPUs enter its first phase now, and
+        later chunks and sets run in full."""
+        if self.events.events_processed:
+            raise SimulationError(
+                "point-to-point transfer on a system whose collectives "
+                "already run as a quotient run (NPU 0 simulated for every "
+                "NPU); request it before the collectives start")
+        self._copies = 1
+        for collective in self.sets:
+            collective._ctx.copies = 1  # type: ignore[attr-defined]
+            for stats in collective.breakdown.phase_stats.values():
+                stats.copies = 1
+        for execution in self.scheduler.in_flight.values():
+            execution.unfold()
 
     @property
     def breakdown(self) -> DelayBreakdown:

@@ -6,6 +6,7 @@ import pytest
 from repro.collectives import CollectiveOp
 from repro.config import AllToAllShape, CollectiveAlgorithm, TorusShape
 from repro.config.units import KB, MB
+from repro.dims import Dimension
 from repro.harness import (
     alltoall_platform,
     run_collective,
@@ -97,9 +98,11 @@ class TestFig11Shapes:
         def package_bytes(algorithm):
             platform = torus_platform(self.SHAPE, algorithm=algorithm)
             system = platform.build_system()
-            system.request_collective(CollectiveOp.ALL_REDUCE, 4 * MB)
+            collective = system.request_collective(CollectiveOp.ALL_REDUCE, 4 * MB)
             system.run_until_idle(max_events=100_000_000)
-            return system.topology.fabric.utilization_report()["package_bytes"]
+            return sum(collective.breakdown.phase_stats[i + 1].bytes
+                       for i, spec in enumerate(collective.plan)
+                       if spec.dim is not Dimension.LOCAL)
 
         base = package_bytes(CollectiveAlgorithm.BASELINE)
         enh = package_bytes(CollectiveAlgorithm.ENHANCED)

@@ -9,6 +9,13 @@ logical-event counts.  The constants in ``PINS`` were captured from the
 reference implementation; a refactor of the hot path must reproduce them
 exactly.
 
+The eight ``ring-*-software-*`` cases run as quotient runs (NPU 0
+simulated for all 16 NPUs, docs/PERFORMANCE.md): their cycles, phases
+and payload are the full run's, while the host counters (``delivered``,
+``events``) are NPU 0's.  ``FULL_RUN_PINS`` keeps the full run's
+counters, reproduced by the same case under the sanitizer, which forces
+the full run.
+
 Regenerate (only for an intentional change to simulated behaviour)::
 
     PYTHONPATH=src python tests/integration/test_message_path_pins.py
@@ -108,8 +115,10 @@ def _cases() -> dict:
 CASES = _cases()
 
 
-def fingerprint(key: str) -> dict:
-    builder, op, size, sanitize = CASES[key]
+def fingerprint(key: str, sanitize: bool | None = None) -> dict:
+    builder, op, size, case_sanitize = CASES[key]
+    if sanitize is None:
+        sanitize = case_sanitize
     result = run_collective(builder(), op, size, sanitize=sanitize)
     system = result.system
     payload = json.dumps(result.breakdown.as_dict())
@@ -138,29 +147,53 @@ PINS: dict = {
     'fast-ar-sanitized': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280], 'transport': None},
     'ring-a2a-hardware-aggressive': {'cycles': '0x1.116afa8d9df50p+14', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 192, '0x1.acb0a8d9df519p+19', '0x1.2a260ae4c415bp+18', '0x1.8000000000000p+21']], 'payload': 'd5be0b97da50a85b', 'delivered': [320, '0x1.c000000000000p+22'], 'events': [118, 832], 'transport': None},
     'ring-a2a-hardware-normal': {'cycles': '0x1.e575f51b3bea0p+13', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 192, '0x1.998d882b93102p+17', '0x1.1feb1b3bea366p+18', '0x1.8000000000000p+21']], 'payload': '6664dbc071d1cbd4', 'delivered': [320, '0x1.c000000000000p+22'], 'events': [197, 832], 'transport': None},
-    'ring-a2a-software-aggressive': {'cycles': '0x1.48010572620aep+13', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 384, '0x1.239f51b3bea36p+18', '0x1.c872620ae4c41p+18', '0x1.8000000000000p+22']], 'payload': '4a4a794246149c65', 'delivered': [512, '0x1.4000000000000p+23'], 'events': [43, 1216], 'transport': None},
-    'ring-a2a-software-normal': {'cycles': '0x1.54810572620adp+13', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 384, '0x1.c59882b931056p+16', '0x1.c872620ae4c3fp+18', '0x1.8000000000000p+22']], 'payload': '57e3857de032a759', 'delivered': [512, '0x1.4000000000000p+23'], 'events': [165, 1216], 'transport': None},
+    'ring-a2a-software-aggressive': {'cycles': '0x1.48010572620aep+13', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 384, '0x1.239f51b3bea36p+18', '0x1.c872620ae4c41p+18', '0x1.8000000000000p+22']], 'payload': '4a4a794246149c65', 'delivered': [32, '0x1.4000000000000p+19'], 'events': [43, 76], 'transport': None},
+    'ring-a2a-software-normal': {'cycles': '0x1.54810572620adp+13', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 384, '0x1.c59882b931056p+16', '0x1.c872620ae4c3fp+18', '0x1.8000000000000p+22']], 'payload': '57e3857de032a759', 'delivered': [32, '0x1.4000000000000p+19'], 'events': [45, 76], 'transport': None},
     'ring-ag-hardware-aggressive': {'cycles': '0x1.0fcae4c415c99p+12', 'phases': [[1, 192, '0x0.0p+0', '0x1.54b9310572621p+16', '0x1.8000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.304c415c9882bp+16', '0x1.0000000000000p+20'], [3, 64, '0x1.972620ae4c418p+14', '0x1.c42620ae4c418p+15', '0x1.0000000000000p+21']], 'payload': 'e256badc7f6342ff', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [12, 640], 'transport': None},
     'ring-ag-hardware-normal': {'cycles': '0x1.0fcae4c415c99p+12', 'phases': [[1, 192, '0x0.0p+0', '0x1.54b9310572621p+16', '0x1.8000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.304c415c9882bp+16', '0x1.0000000000000p+20'], [3, 64, '0x1.972620ae4c418p+14', '0x1.c42620ae4c418p+15', '0x1.0000000000000p+21']], 'payload': 'e256badc7f6342ff', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [12, 640], 'transport': None},
-    'ring-ag-software-aggressive': {'cycles': '0x1.0fcae4c415c99p+12', 'phases': [[1, 192, '0x0.0p+0', '0x1.54b9310572621p+16', '0x1.8000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.304c415c9882bp+16', '0x1.0000000000000p+20'], [3, 64, '0x1.972620ae4c418p+14', '0x1.c42620ae4c418p+15', '0x1.0000000000000p+21']], 'payload': 'e256badc7f6342ff', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [12, 640], 'transport': None},
-    'ring-ag-software-normal': {'cycles': '0x1.0fcae4c415c99p+12', 'phases': [[1, 192, '0x0.0p+0', '0x1.54b9310572621p+16', '0x1.8000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.304c415c9882bp+16', '0x1.0000000000000p+20'], [3, 64, '0x1.972620ae4c418p+14', '0x1.c42620ae4c418p+15', '0x1.0000000000000p+21']], 'payload': 'e256badc7f6342ff', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [12, 640], 'transport': None},
+    'ring-ag-software-aggressive': {'cycles': '0x1.0fcae4c415c99p+12', 'phases': [[1, 192, '0x0.0p+0', '0x1.54b9310572621p+16', '0x1.8000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.304c415c9882bp+16', '0x1.0000000000000p+20'], [3, 64, '0x1.972620ae4c418p+14', '0x1.c42620ae4c418p+15', '0x1.0000000000000p+21']], 'payload': 'e256badc7f6342ff', 'delivered': [20, '0x1.e000000000000p+17'], 'events': [12, 40], 'transport': None},
+    'ring-ag-software-normal': {'cycles': '0x1.0fcae4c415c99p+12', 'phases': [[1, 192, '0x0.0p+0', '0x1.54b9310572621p+16', '0x1.8000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.304c415c9882bp+16', '0x1.0000000000000p+20'], [3, 64, '0x1.972620ae4c418p+14', '0x1.c42620ae4c418p+15', '0x1.0000000000000p+21']], 'payload': 'e256badc7f6342ff', 'delivered': [20, '0x1.e000000000000p+17'], 'events': [12, 40], 'transport': None},
     'ring-ar-hardware-aggressive': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280], 'transport': None},
     'ring-ar-hardware-normal': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280], 'transport': None},
-    'ring-ar-software-aggressive': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280], 'transport': None},
-    'ring-ar-software-normal': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280], 'transport': None},
+    'ring-ar-software-aggressive': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [40, '0x1.c000000000000p+19'], 'events': [40, 80], 'transport': None},
+    'ring-ar-software-normal': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [40, '0x1.c000000000000p+19'], 'events': [40, 80], 'transport': None},
     'ring-rs-hardware-aggressive': {'cycles': '0x1.138ae4c415c98p+12', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.304c415c9882cp+16', '0x1.0000000000000p+20'], [3, 192, '0x0.0p+0', '0x1.54b931057261ep+16', '0x1.8000000000000p+19']], 'payload': '4e1e396c7c9b49c8', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [20, 640], 'transport': None},
     'ring-rs-hardware-normal': {'cycles': '0x1.138ae4c415c98p+12', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.304c415c9882cp+16', '0x1.0000000000000p+20'], [3, 192, '0x0.0p+0', '0x1.54b931057261ep+16', '0x1.8000000000000p+19']], 'payload': '4e1e396c7c9b49c8', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [20, 640], 'transport': None},
-    'ring-rs-software-aggressive': {'cycles': '0x1.138ae4c415c98p+12', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.304c415c9882cp+16', '0x1.0000000000000p+20'], [3, 192, '0x0.0p+0', '0x1.54b931057261ep+16', '0x1.8000000000000p+19']], 'payload': '4e1e396c7c9b49c8', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [20, 640], 'transport': None},
-    'ring-rs-software-normal': {'cycles': '0x1.138ae4c415c98p+12', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.304c415c9882cp+16', '0x1.0000000000000p+20'], [3, 192, '0x0.0p+0', '0x1.54b931057261ep+16', '0x1.8000000000000p+19']], 'payload': '4e1e396c7c9b49c8', 'delivered': [320, '0x1.e000000000000p+21'], 'events': [20, 640], 'transport': None},
+    'ring-rs-software-aggressive': {'cycles': '0x1.138ae4c415c98p+12', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.304c415c9882cp+16', '0x1.0000000000000p+20'], [3, 192, '0x0.0p+0', '0x1.54b931057261ep+16', '0x1.8000000000000p+19']], 'payload': '4e1e396c7c9b49c8', 'delivered': [20, '0x1.e000000000000p+17'], 'events': [20, 40], 'transport': None},
+    'ring-rs-software-normal': {'cycles': '0x1.138ae4c415c98p+12', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.304c415c9882cp+16', '0x1.0000000000000p+20'], [3, 192, '0x0.0p+0', '0x1.54b931057261ep+16', '0x1.8000000000000p+19']], 'payload': '4e1e396c7c9b49c8', 'delivered': [20, '0x1.e000000000000p+17'], 'events': [20, 40], 'transport': None},
     'transport-ar': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280], 'transport': {'messages': 640, 'sends': 640, 'timeouts': 0, 'retries': 0, 'paused_waits': 0, 'recovered': 0, 'failed': 0, 'drops': 0}},
     'transport-flap-ar': {'cycles': '0x1.1c69ce75dfcbcp+19', 'phases': [[1, 448, '0x1.391b953978000p+9', '0x1.e8c572620ae31p+19', '0x1.c000000000000p+23']], 'payload': '5213cb6d56c357f9', 'delivered': [448, '0x1.c000000000000p+23'], 'events': [430, 994], 'transport': {'messages': 448, 'sends': 496, 'timeouts': 48, 'retries': 48, 'paused_waits': 0, 'recovered': 16, 'failed': 0, 'drops': 48}},
     'transport-reroute-ar': {'cycles': '0x1.7653ae0b6025fp+20', 'phases': [[1, 448, '0x1.e9928df9618e6p+20', '0x1.3819d9df51ca1p+20', '0x1.c000000000000p+23']], 'payload': '1b4751e7ed98a1ef', 'delivered': [448, '0x1.c000000000000p+23'], 'events': [541, 1105], 'transport': {'messages': 464, 'sends': 560, 'timeouts': 112, 'retries': 96, 'paused_waits': 0, 'recovered': 0, 'failed': 16, 'drops': 112}},
 }
 
 
+#: The full run's host counters of the quotient-run cases (see the
+#: module docstring); everything else of the full run is ``PINS``.
+FULL_RUN_PINS: dict = {
+    'ring-a2a-software-aggressive': {'delivered': [512, '0x1.4000000000000p+23'], 'events': [43, 1216]},
+    'ring-a2a-software-normal': {'delivered': [512, '0x1.4000000000000p+23'], 'events': [165, 1216]},
+    'ring-ag-software-aggressive': {'delivered': [320, '0x1.e000000000000p+21'], 'events': [12, 640]},
+    'ring-ag-software-normal': {'delivered': [320, '0x1.e000000000000p+21'], 'events': [12, 640]},
+    'ring-ar-software-aggressive': {'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280]},
+    'ring-ar-software-normal': {'delivered': [640, '0x1.c000000000000p+23'], 'events': [40, 1280]},
+    'ring-rs-software-aggressive': {'delivered': [320, '0x1.e000000000000p+21'], 'events': [20, 640]},
+    'ring-rs-software-normal': {'delivered': [320, '0x1.e000000000000p+21'], 'events': [20, 640]},
+}
+
+
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_message_path_bit_identical(key):
     assert fingerprint(key) == PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(FULL_RUN_PINS))
+def test_full_run_reproduces_quotient_case(key):
+    """The sanitized (full) run of a quotient-run case delivers every
+    NPU's messages and lands on the same cycles, phases and payload."""
+    full = fingerprint(key, sanitize=True)
+    assert {k: full[k] for k in ("delivered", "events")} == FULL_RUN_PINS[key]
+    assert {k: v for k, v in full.items() if k not in ("delivered", "events")} == \
+        {k: v for k, v in PINS[key].items() if k not in ("delivered", "events")}
 
 
 def test_fault_cases_take_the_retry_and_reroute_paths():

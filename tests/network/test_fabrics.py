@@ -99,12 +99,6 @@ class TestTorusChannels:
         inter = 2 * (8 * 4 * 4)
         assert fabric.total_links() == local + inter
 
-    def test_utilization_report_keys(self):
-        fabric = torus((2, 2, 2))
-        report = fabric.utilization_report()
-        assert "local_bytes" in report
-        assert "package_bytes" in report
-
 
 class TestAllToAllFabric:
     def test_coordinates(self):

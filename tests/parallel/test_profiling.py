@@ -47,6 +47,9 @@ class TestRunProfile:
         profile.record_system(system)
         assert profile.events > 0
         assert profile.cycles > 0
+        # Modeled messages: 8 NPUs x 4 chunks x 3 phases x 2 steps (one
+        # reduce-scatter and one all-gather step on each 2-node ring).
+        assert profile.messages == 192
 
     def test_active_profile_roundtrip(self):
         assert active_profile() is None
@@ -87,6 +90,18 @@ class TestBenchDocuments:
         assert compare_bench(baseline, fine, max_regression=0.20) == []
         messages = compare_bench(baseline, slow, max_regression=0.20)
         assert len(messages) == 1 and "below baseline" in messages[0]
+
+    def test_compare_gates_on_messages_when_recorded(self):
+        def doc(messages_per_sec, events_per_sec):
+            return {"benchmarks": [{"name": "bench",
+                                    "messages_per_sec": messages_per_sec,
+                                    "events_per_sec": events_per_sec}]}
+
+        baseline = doc(1000.0, 1000.0)
+        # Fewer events per second but as many messages: no regression.
+        assert compare_bench(baseline, doc(1000.0, 10.0)) == []
+        messages = compare_bench(baseline, doc(700.0, 1000.0))
+        assert len(messages) == 1 and "messages/sec" in messages[0]
 
     def test_compare_ignores_new_benchmarks(self):
         baseline = {"benchmarks": []}

@@ -189,7 +189,7 @@ class TestDeadlines:
         assert exit_code_for(outcomes) == 1
 
     def test_event_budget_quarantines_runaway_point(self):
-        policy = SupervisionPolicy(point_event_budget=50, max_retries=0)
+        policy = SupervisionPolicy(point_event_budget=20, max_retries=0)
         with SupervisedExecutor(jobs=1, policy=policy) as ex:
             outcomes = ex.run_outcomes(_points([KB64]))
         assert outcomes[0].status is PointStatus.FAILED

@@ -175,7 +175,7 @@ class TestExecution:
     def test_poison_job_quarantined_daemon_keeps_serving(self, tmp_path):
         """A payload that blows its event budget lands in quarantine
         with a diagnostic bundle; the next client is unaffected."""
-        policy = SupervisionPolicy(point_event_budget=50, max_retries=0)
+        policy = SupervisionPolicy(point_event_budget=20, max_retries=0)
         service = SimulationService(_config(tmp_path, policy=policy))
         try:
             poison, _ = service.submit(PAYLOAD)
@@ -255,7 +255,7 @@ class TestCrashRecovery:
             second.drain()
 
     def test_quarantined_outcome_replays_without_rerun(self, tmp_path):
-        policy = SupervisionPolicy(point_event_budget=50, max_retries=0)
+        policy = SupervisionPolicy(point_event_budget=20, max_retries=0)
         first = SimulationService(_config(tmp_path, policy=policy))
         poison, _ = first.submit(PAYLOAD)
         _drain_all(first)
@@ -422,7 +422,7 @@ class TestHTTP:
             daemon.service.drain()
 
     def test_quarantined_job_response_inlines_bundle(self, tmp_path):
-        policy = SupervisionPolicy(point_event_budget=50, max_retries=0)
+        policy = SupervisionPolicy(point_event_budget=20, max_retries=0)
         daemon = ServiceDaemon(_config(tmp_path, policy=policy))
         daemon.start()
         try:

@@ -138,6 +138,33 @@ class TestStreamingExactStats:
         assert merged.network_cycles.hex() == math.fsum(-v for v in samples).hex()
         assert merged.messages == len(samples)
 
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False,
+                                                min_value=-1e290, max_value=1e290),
+                                      st.sampled_from(ILL_CONDITIONED)),
+                            max_size=60),
+           threshold=st.sampled_from([1, 2, COMPACT_AT]), data=st.data())
+    def test_copies_total_equals_fsum_of_every_copy(self, samples, threshold, data):
+        """A quotient run's stats count each record ``copies`` times; its
+        totals, also merged with stats of other copy counts, equal
+        ``fsum`` over every copy's sample."""
+        cuts = data.draw(st.lists(st.integers(0, len(samples)), max_size=3))
+        with compact_at(threshold):
+            parts, every_copy = [], []
+            for part in split(samples, cuts):
+                copies = data.draw(st.sampled_from([1, 2, 3, 32]))
+                stats = PhaseStats(copies=copies)
+                for value in part:
+                    stats.record(*message(q=value, n=-value, size=value))
+                    every_copy += [value] * copies
+                parts.append(stats)
+            merged = PhaseStats()
+            for i in data.draw(st.permutations(range(len(parts)))):
+                merged.merge_from(parts[i])
+        assert merged.queue_cycles.hex() == math.fsum(every_copy).hex()
+        assert merged.network_cycles.hex() == math.fsum(-v for v in every_copy).hex()
+        assert merged.messages == len(every_copy)
+
     @settings(max_examples=300, deadline=None)
     @given(samples=SAMPLES, threshold=st.sampled_from([1, 2, COMPACT_AT]),
            data=st.data())
@@ -222,7 +249,9 @@ class TestRecordOnce:
         delivered = system.backend.messages_delivered
         assert record.call_count == delivered
         run = system.breakdown
-        assert sum(s.messages for s in run.phase_stats.values()) == delivered
+        # A quotient run: NPU 0's deliveries, each standing for all 8 NPUs'.
+        assert sum(s.messages for s in run.phase_stats.values()) == \
+            system.topology.num_npus * delivered
         assert run.ready_queue_count == sum(c.num_chunks for c in system.sets)
         for collective in system.sets:
             for stats in collective.breakdown.phase_stats.values():

@@ -143,8 +143,9 @@ def test_pipeline_respects_gpipe_lower_bound(stages, microbatches, fwd):
        horizontal=st.integers(min_value=2, max_value=4),
        vertical=st.integers(min_value=1, max_value=4))
 def test_baseline_all_reduce_moves_expected_bytes(local, horizontal, vertical):
-    """Measured link bytes must equal the Sec. V-B volume arithmetic:
-    per node, sum over dims of 2(n-1)/n times the payload."""
+    """Modeled bytes (every NPU's messages, from the breakdown) must equal
+    the Sec. V-B volume arithmetic: per node, sum over dims of 2(n-1)/n
+    times the payload."""
     from repro.analytical import hierarchical_all_reduce_volume
     from repro.collectives import CollectiveOp
     from repro.topology import LogicalTopology
@@ -157,7 +158,7 @@ def test_baseline_all_reduce_moves_expected_bytes(local, horizontal, vertical):
     size = 1 << 20
     system.request_collective(CollectiveOp.ALL_REDUCE, size)
     system.run_until_idle(max_events=200_000_000)
-    measured = sum(l.stats.bytes for l in fabric.links)
+    measured = sum(s.bytes for s in system.breakdown.phase_stats.values())
     expected = (hierarchical_all_reduce_volume(
         [local, horizontal, vertical], enhanced=False) * size * shape.num_npus)
     assert math.isclose(measured, expected, rel_tol=1e-9)
