@@ -5,9 +5,9 @@ all-reduce, a fast-backend all-to-all over a switch fabric, a detailed
 flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs),
 and a pure :class:`~repro.events.engine.EventQueue` schedule/cancel
 microbench.  Together they exercise every hot path the perf work
-touches: the event-queue run loop, heap scheduling and lazy
-cancellation, ``FastBackend.send`` + ``Link.reserve`` + delivery
-coalescing, the channel route caches, and the detailed backend's
+touches: the event-queue run loop, bucketed scheduling and lazy
+cancellation, ``FastBackend.send`` + ``Link.reserve`` + delivery, the
+channel route caches, and the detailed backend's
 ``TxPort`` arbitration with flit bursts.
 
 Each benchmark runs once as warm-up and then ``REPEATS`` times; the
@@ -21,7 +21,7 @@ the simulate phase's wall time, the inverse of wall time per simulated
 message.  A quotient run (docs/PERFORMANCE.md) simulates one NPU for all
 of them, so it makes far fewer events per modeled message and its
 events/sec says little about what a user waits for.  Events/sec, which
-counts *logical* events (``EventQueue.events_simulated``: real dispatches
+counts *logical* events (``EventQueue.events_simulated``: executed events
 plus the singleton events that batched handlers folded away), is still
 printed for every benchmark and stays the gate of the event-queue
 microbench.  See docs/PERFORMANCE.md.

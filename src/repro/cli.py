@@ -787,7 +787,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="Retry-After hint sent with 429 responses")
     serve.add_argument("--progress-every-events", type=int, default=4096,
                        metavar="N",
-                       help="progress-vector snapshot cadence in executed "
+                       help="progress-vector snapshot cadence in logical "
                             "events")
     serve.add_argument("--verbose", action="store_true",
                        help="per-request debug logging")

@@ -61,11 +61,11 @@ class CollectiveAlgorithmBase:
         #: messages record into (None when the context has no breakdown),
         #: whether the backend reports failures (sends build an
         #: ``on_failed`` callback only then), the event queue (its ``now``
-        #: is a delivery's time) and its ``after``.
+        #: is a delivery's time) and its ``at``.
         self._stats = ctx.phase_stats(phase_index)
         self._reliable = ctx.reliable
         self._events = ctx.events
-        self._after = ctx.after
+        self._at = ctx.at
         #: Where a delivery record names the node that receives it: the
         #: receiver (2), or in a quotient run the sender (1), since there
         #: the message NPU 0 sends its successor stands for the one it
@@ -121,12 +121,6 @@ class CollectiveAlgorithmBase:
         """Convenience for tests / single-phase runs: all nodes join now."""
         for node in self.nodes:
             self.start_node(node)
-
-    def unfold(self) -> None:
-        """Deliveries go to their receivers from now on: the quotient run
-        this instance started in became a full run
-        (:meth:`repro.collectives.hierarchical.ChunkExecution.unfold`)."""
-        self._receiver = 2
 
     @property
     def done(self) -> bool:

@@ -120,26 +120,16 @@ class PhaseStats:
         return self.network_cycles / self.messages if self.messages else 0.0
 
     def merge_from(self, other: "PhaseStats") -> None:
-        """Fold another phase's samples in (order-invariant: the merged
-        lists hold the exact sum of both).  Stats of another ``copies``
-        are merged with every list expanded to one copy each."""
-        if other.copies != self.copies:
-            self._expand()
+        """Fold in another phase's samples of the same ``copies``
+        (order-invariant: the merged lists hold the exact sum of both).
+        Every set of one system counts the same copies."""
         lists = (self.queue_values, self.network_values, self.byte_values)
         for values, more in zip(lists, (other.queue_values, other.network_values,
                                         other.byte_values)):
-            values.extend(more if other.copies == self.copies
-                          else more * other.copies)
+            values.extend(more)
         self.messages += other.messages
         if len(self.queue_values) >= COMPACT_AT:
             self.compact()
-
-    def _expand(self) -> None:
-        """Repeat every list ``copies`` times, then count one copy each."""
-        for values in (self.queue_values, self.network_values, self.byte_values):
-            values *= self.copies
-            self.compact_values(values)
-        self.copies = 1
 
     def as_dict(self) -> dict:
         """JSON-serializable form (run-cache payloads, bench reports)."""
@@ -205,10 +195,10 @@ class CollectiveContext:
         #: Whether the backend reports delivery failures (the reliable
         #: transport); algorithms build ``on_failed`` callbacks only then.
         self.reliable: bool = getattr(backend, "supports_failure_callback", False)
-        #: ``after(delay, callback)``: the event queue's own ``after``,
-        #: bound once, so a state machine's timer costs no wrapper calls
-        #: and same-time timers of one step share a dispatch (a step group).
-        self.after: Callable[[float, Callable[[], None]], None] = backend.events.after
+        #: ``at(time, callback)``: the event queue's own handle-less
+        #: ``at``, bound once, so a state machine's timer costs no wrapper
+        #: calls and allocates no event object.
+        self.at: Callable[[float, Callable[[], None]], None] = backend.events.at
         #: The event queue; a delivery handler reads the delivery time as
         #: its ``now``.
         self.events = backend.events

@@ -111,7 +111,7 @@ class _DirectExchangeBase(CollectiveAlgorithmBase):
         )
 
     def _process(self, node: int, item: _DirectReceive) -> None:
-        self._after(self._receive_delay, self._barriers[node].arrive)
+        self._at(self._events.now + self._receive_delay, self._barriers[node].arrive)
 
 
 class DirectReduceScatter(_DirectExchangeBase):

@@ -117,21 +117,9 @@ class ChunkExecution:
             self.finished_at = self.ctx.now
             on_done = self._release_callbacks()
             if on_done is not None:
-                self.ctx.after(0.0, partial(on_done, self))
+                self.ctx.at(self.ctx.now, partial(on_done, self))
             return
         for node in self.nodes:
-            self._enter_phase(node, 0)
-
-    def unfold(self) -> None:
-        """Leave a quotient run before any event fired: NPU 0 is still in
-        phase 0, where every other NPU now joins it."""
-        instances = self._instances[0] if self.plan else None
-        if instances is None:
-            return
-        for instance in instances.values():
-            instance.unfold()
-        self.nodes = list(range(self.fabric.num_npus))
-        for node in self.nodes[1:]:
             self._enter_phase(node, 0)
 
     @property

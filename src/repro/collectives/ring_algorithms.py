@@ -124,8 +124,8 @@ class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
         # inlined: this runs once per ring message.
         node = record[self._receiver]
         if node in self._joined:
-            self._after(self._step_delay,
-                        partial(self._advance, node, record[4][1]))
+            self._at(self._events.now + self._step_delay,
+                     partial(self._advance, node, record[4][1]))
         else:
             self._pending.setdefault(node, []).append(record[4][1])
 
@@ -133,7 +133,7 @@ class _RingStepAlgorithm(_ResilientRingMixin, CollectiveAlgorithmBase):
         self._send_step(node, 1)
 
     def _process(self, node: int, step: int) -> None:
-        self._after(self._step_delay, partial(self._advance, node, step))
+        self._at(self._events.now + self._step_delay, partial(self._advance, node, step))
 
     def _advance(self, node: int, step: int) -> None:
         if step < self._last_step:
@@ -196,10 +196,6 @@ class RingAllReduce:
     def start_all(self) -> None:
         for node in self.nodes:
             self.start_node(node)
-
-    def unfold(self) -> None:
-        self._scatter.unfold()
-        self._gather.unfold()
 
     @property
     def done(self) -> bool:
@@ -273,7 +269,7 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
         if round_index == self.ring.size - 1 and node in self._joined:
             # All receives may already have landed; re-check completion once
             # the final round is on the wire.
-            self._after(0.0, partial(self._maybe_done, node))
+            self._at(self._events.now, partial(self._maybe_done, node))
         if self._hardware:
             self._send(node, final_dst, node, final_dst)
         else:
@@ -320,13 +316,13 @@ class RingAllToAll(_ResilientRingMixin, CollectiveAlgorithmBase):
             origin = ring.prev_node(origin)
             final_dst = ring.prev_node(final_dst)
         if here == final_dst:
-            self._after(self.ctx.endpoint_delay_cycles,
-                        partial(self._deliver, final_dst, _A2AReceive(origin)))
+            self._at(self._events.now + self.ctx.endpoint_delay_cycles,
+                     partial(self._deliver, final_dst, _A2AReceive(origin)))
         else:
             # Relay: the intermediate messaging unit forwards without
             # needing that node's own chunk data, so no join gating.
-            self._after(self.ctx.endpoint_delay_cycles,
-                        partial(self._send_hop, here, origin, final_dst))
+            self._at(self._events.now + self.ctx.endpoint_delay_cycles,
+                     partial(self._send_hop, here, origin, final_dst))
 
     # -- lifecycle ----------------------------------------------------------------
 

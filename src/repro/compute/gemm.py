@@ -34,10 +34,6 @@ class GemmShape:
         """Input + weight + output bytes (single pass, no reuse model)."""
         return (self.m * self.k + self.k * self.n + self.m * self.n) * bytes_per_element
 
-    @property
-    def transposed(self) -> "GemmShape":
-        return GemmShape(self.n, self.k, self.m)
-
     def backward_shapes(self) -> tuple["GemmShape", "GemmShape"]:
         """(input-gradient GEMM, weight-gradient GEMM) for a forward GEMM
         out[M,N] = in[M,K] @ w[K,N]:

@@ -171,10 +171,6 @@ class TorusShape:
     def num_npus(self) -> int:
         return self.local * self.horizontal * self.vertical
 
-    @property
-    def num_packages(self) -> int:
-        return self.horizontal * self.vertical
-
     def __str__(self) -> str:
         return f"{self.local}x{self.horizontal}x{self.vertical}"
 

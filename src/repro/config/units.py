@@ -36,12 +36,6 @@ class Clock:
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.frequency_hz
 
-    def seconds_to_cycles(self, seconds: float) -> float:
-        return seconds * self.frequency_hz
-
-    def cycles_to_microseconds(self, cycles: float) -> float:
-        return self.cycles_to_seconds(cycles) * 1e6
-
     def bandwidth_bytes_per_cycle(self, gigabytes_per_second: float) -> float:
         """Convert a GB/s figure (decimal giga, as quoted in the paper)."""
         if gigabytes_per_second <= 0:

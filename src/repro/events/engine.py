@@ -2,25 +2,22 @@
 
 ASTRA-SIM uses an event-driven execution model with a single event queue
 implemented in the system layer and exposed upwards to the workload layer
-(Sec. IV of the paper).  This module provides that queue: one binary heap
-of plain ``(time, tiebreak, seq, event)`` tuples, which ``heapq`` compares
-entirely in C.  Cancellation is lazy (a cancelled entry stays in the heap
-until it reaches the head or a compaction purges it), and the executed
-event order is ``(time, tiebreak, seq)`` with or without compaction (see
-docs/DETERMINISM.md).
+(Sec. IV of the paper).  This module provides that queue: a binary heap
+of the *distinct* pending times plus a map from each time to that time's
+entries in schedule order (its bucket).  Every event of one time shares
+that time's heap entry, so a collective step's same-cycle timers and
+deliveries cost one ``deque`` append each, and the executed order is
+exactly ``(time, tiebreak, seq)``: buckets drain in time order, each from
+its head, and an entry added to the draining bucket fires after every
+entry already in it.  Cancellation is lazy (a cancelled entry stays in its
+bucket until it reaches the head or a compaction purges it); see
+docs/DETERMINISM.md.
 
-Step groups.  A collective step issues many timers for the same cycle in
-a row (64 sends per timestamp on the ResNet-50 step).  :meth:`EventQueue.after`
-lets such a run share one heap entry: a timer for the same time as the
-queue's most recent schedule, itself an unfired ``after``, joins that
-group's member list instead of pushing its own event.  Any other
-schedule in between starts a new group, so a group is always a run of
-adjacent sequence numbers and firing its members in list order is
-exactly the ``(time, seq)`` order separate events would run.  A group
-counts one dispatch (:attr:`EventQueue.events_processed`) and credits its
-other members as batched logical events (:attr:`EventQueue.events_simulated`).
-Grouping is off while a :attr:`EventQueue.tie_breaker` is installed, so
-the schedule race detector permutes every member on its own.
+A bucket holds two kinds of entries: bare callbacks from the handle-less
+:meth:`EventQueue.at`, which allocates nothing per event, and
+``_ScheduledEvent`` objects from :meth:`EventQueue.schedule_at` /
+:meth:`EventQueue.schedule`, which carry the state an
+:class:`EventHandle` cancels.
 
 Time is kept in floating-point *cycles*.  The mapping between cycles and
 wall-clock seconds is owned by the configuration layer (``ClockConfig``),
@@ -29,11 +26,13 @@ not by the engine.
 
 from __future__ import annotations
 
+import bisect
 import gc
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -43,20 +42,17 @@ EventCallback = Callable[[], None]
 
 @dataclass(slots=True)
 class _ScheduledEvent:
-    """Mutable per-event state (cancellation, fired flag).
+    """Mutable per-event state (cancellation, fired flag) of a
+    :meth:`EventQueue.schedule_at` entry.
 
-    The heap stores plain ``(time, tiebreak, seq, event)`` tuples —
-    heapq then compares entries entirely in C (the ``seq`` field is
-    unique, so the event object in slot 3 is never reached by a
-    comparison), which is the engine's single hottest code path.  The
-    ordering semantics: events scheduled for the same time fire in the
-    order they were scheduled (deterministic FIFO tie-break);
-    ``tiebreak`` is 0 unless a :attr:`EventQueue.tie_breaker` hook is
-    installed, in which case it permutes the drain order of
-    same-timestamp events (the schedule-perturbation race detector,
-    :mod:`repro.sanitize.schedule`).  ``slots=True``: millions of these
-    live in the queue of a long run, and the hot loop touches
-    ``.time``/``.cancelled`` on every pop.
+    Events of the same time fire in the order they were scheduled
+    (deterministic FIFO tie-break); ``tiebreak`` is 0 unless a
+    :attr:`EventQueue.tie_breaker` hook is installed, in which case the
+    bucket keeps its events sorted by ``(tiebreak, seq)`` and so permutes
+    the drain order of same-timestamp events (the schedule-perturbation
+    race detector, :mod:`repro.sanitize.schedule`).  ``slots=True``: a
+    long run queues many of these, and the drain touches
+    ``.cancelled``/``.callback`` on every one.
     """
 
     time: float
@@ -65,6 +61,9 @@ class _ScheduledEvent:
     callback: EventCallback
     cancelled: bool = False
     fired: bool = False
+
+
+_rank = attrgetter("tiebreak", "seq")
 
 
 class EventHandle:
@@ -115,35 +114,37 @@ class EventQueue:
     ['b', 'a']
     """
 
-    #: Lazy-removal compaction: once at least this many cancelled entries
-    #: sit in the heap *and* they outnumber the live ones, the heap is
-    #: rebuilt without them.  Long fuzz runs under the reliable transport
-    #: cancel one delivery timer per message and would otherwise grow the
-    #: heap without bound.
+    #: Lazy-removal compaction: once at least this many cancelled events
+    #: sit in the queue *and* they outnumber the live scheduled events,
+    #: the buckets are rebuilt without them.  Long fuzz runs under the
+    #: reliable transport cancel one delivery timer per message and would
+    #: otherwise grow the queue without bound.
     COMPACT_MIN_CANCELLED = 1024
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, _ScheduledEvent]] = []
+        #: The distinct pending times (a min-heap) and each one's bucket of
+        #: entries: bare ``at`` callbacks and ``_ScheduledEvent`` objects.
+        #: Invariant: the heap holds exactly the bucket keys, once each.
+        self._heap: list[float] = []
+        self._buckets: dict[float, deque[Any]] = {}
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current simulated time in cycles (written by the drain only).
+        self.now = 0.0
         self._events_processed = 0
         self._batched_events = 0
         self._running = False
+        #: Queued ``_ScheduledEvent`` entries, cancelled ones included
+        #: (bare ``at`` callbacks cannot be cancelled and are not counted).
+        self._scheduled = 0
         self._cancelled_in_heap = 0
         self._compactions = 0
-        #: The open step group: the member list of the most recent
-        #: schedule when that was an unfired :meth:`after` group, and its
-        #: time.  Any other schedule, the group firing and :meth:`reset`
-        #: close it (set it to ``None``).
-        self._group: Optional[list[EventCallback]] = None
-        self._group_time = 0.0
         #: Optional progress observer (see :mod:`repro.resilience`): called
         #: as ``watcher(queue)`` after every executed event.  ``None`` (the
         #: default) keeps the hot loop branch-predictable and the simulated
         #: schedule untouched — watchers observe, they never inject events.
-        #: Batched handlers (delivery coalescing, link drains) count as one
-        #: executed event, so the watcher fires once per *dispatch*; the
-        #: work they covered is visible through :attr:`events_simulated`.
+        #: A batched handler (the detailed backend's flit bursts) is one
+        #: executed event; the work it covered is visible through
+        #: :attr:`events_simulated`, which is what observers pace on.
         self.watcher: Optional[Callable[["EventQueue"], None]] = None
         #: Optional same-timestamp permutation hook (see
         #: :mod:`repro.sanitize.schedule`): called as ``tie_breaker(time,
@@ -153,49 +154,43 @@ class EventQueue:
         #: schedule.  A correct simulation must produce bit-identical
         #: results under any tie-break permutation; the race detector
         #: installs seeded permutations here to prove it.  While a hook is
-        #: installed :meth:`after` opens no groups, so the hook ranks
-        #: every timer on its own (install it before scheduling).
+        #: installed, :meth:`at` schedules a ranked event too; install it
+        #: before scheduling.
         self.tie_breaker: Optional[Callable[[float, int], int]] = None
 
     # -- introspection ---------------------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulated time in cycles."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
-        """Number of event-queue dispatches executed so far (a step group
-        is one dispatch)."""
+        """Number of events (callbacks) executed so far."""
         return self._events_processed
 
     @property
     def events_simulated(self) -> int:
-        """Total logical events simulated: dispatches plus the per-flit /
-        per-message events that batched handlers and step groups covered in
+        """Total logical events simulated: executed events plus the
+        per-flit events the detailed backend's batched handlers covered in
         bulk.  This is the throughput numerator profiling reports
-        (events/sec) and what ``run(max_events=...)`` bounds — it keeps
-        the figure comparable across batched and unbatched engines, which
-        simulate the same logical work in different numbers of dispatches.
+        (events/sec), what ``run(max_events=...)`` bounds and what the
+        stall watchdog and progress reporter pace on — it keeps the
+        figure comparable across batched and unbatched backends, which
+        simulate the same logical work in different numbers of events.
         """
         return self._events_processed + self._batched_events
 
     @property
     def pending(self) -> int:
-        """Number of *live* (non-cancelled) events still in the queue (a
-        step group counts once)."""
-        return len(self._heap) - self._cancelled_in_heap
+        """Number of *live* (non-cancelled) events still queued."""
+        return self.heap_size - self._cancelled_in_heap
 
     @property
     def heap_size(self) -> int:
-        """Raw heap population, including lazily-removed cancelled
+        """Raw queue population, including lazily-removed cancelled
         events."""
-        return len(self._heap)
+        return sum(map(len, self._buckets.values()))
 
     @property
     def compactions(self) -> int:
-        """How many times the heap was compacted (dead entries purged)."""
+        """How many times the queue was compacted (dead entries purged)."""
         return self._compactions
 
     @property
@@ -206,11 +201,11 @@ class EventQueue:
         return 0
 
     def credit_batched(self, count: int) -> None:
-        """Record that the current dispatch covered ``count`` additional
+        """Record that the current event covered ``count`` additional
         logical events (a batched handler standing in for ``count``
-        singleton dispatches).  Feeds :attr:`events_simulated`, and so the
-        ``max_events`` budget of :meth:`run`; ``events_processed`` and the
-        watcher cadence keep counting real dispatches.
+        singleton events).  Feeds :attr:`events_simulated`, and so the
+        ``max_events`` budget of :meth:`run`; ``events_processed`` keeps
+        counting executed events.
         """
         self._batched_events += count
 
@@ -221,137 +216,138 @@ class EventQueue:
         the runtime sanitizer compares the two at quiescence (a drift means
         a cancellation was double-counted or lost).
         """
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return sum(1 for bucket in self._buckets.values() for entry in bucket
+                   if entry.__class__ is not _ScheduledEvent or not entry.cancelled)
 
     # -- cancellation / compaction ---------------------------------------------
 
     def _note_cancel(self) -> None:
         self._cancelled_in_heap += 1
         if (self._cancelled_in_heap >= self.COMPACT_MIN_CANCELLED
-                and self._cancelled_in_heap * 2 > len(self._heap)):
+                and self._cancelled_in_heap * 2 > self._scheduled):
             self.compact()
 
     def compact(self) -> None:
-        """Rebuild the heap without cancelled entries.
+        """Rebuild the buckets without cancelled entries.
 
-        Drain order is (time, tiebreak, seq); all three survive compaction
-        unchanged, so the executed event sequence — and therefore the
-        simulation — is byte-for-byte identical with or without
-        compaction.  The heap list is mutated *in place* (slice
-        assignment): a compaction triggered from inside an event callback
-        must be visible to the running drain loop.
+        Each bucket keeps its live entries in order, so the executed event
+        sequence — and therefore the simulation — is byte-for-byte
+        identical with or without compaction.  Buckets are filtered *in
+        place* and the bucket at ``now`` is kept even when it empties: a
+        compaction triggered from inside an event callback must be visible
+        to the running drain loop, which holds that bucket.
         """
         if self._cancelled_in_heap == 0:
             return
-        self._heap[:] = [e for e in self._heap if not e[3].cancelled]
+        buckets = self._buckets
+        for time, bucket in list(buckets.items()):
+            live = [entry for entry in bucket
+                    if entry.__class__ is not _ScheduledEvent or not entry.cancelled]
+            if len(live) == len(bucket):
+                continue
+            if live or time == self.now:
+                bucket.clear()
+                bucket.extend(live)
+            else:
+                del buckets[time]
+        self._heap[:] = buckets
         heapq.heapify(self._heap)
+        self._scheduled -= self._cancelled_in_heap
         self._cancelled_in_heap = 0
         self._compactions += 1
 
     # -- scheduling ------------------------------------------------------------
 
+    def at(self, time: float, callback: EventCallback) -> None:
+        """Schedule ``callback`` to fire at absolute simulated ``time``,
+        without a handle.
+
+        The callback is appended to ``time``'s bucket as it is: no event
+        object is allocated, which is what the per-message paths (ring
+        step timers, fast-backend deliveries) use.  With a
+        :attr:`tie_breaker` installed it is a ranked :meth:`schedule_at`.
+        """
+        bucket = self._buckets.get(time)
+        if bucket is not None and self.tie_breaker is None:
+            bucket.append(callback)
+            return
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before current time t={self.now}"
+            )
+        if self.tie_breaker is not None:
+            self.schedule_at(time, callback)
+            return
+        self._buckets[time] = deque((callback,))
+        heapq.heappush(self._heap, time)
+
     def schedule_at(self, time: float, callback: EventCallback) -> EventHandle:
         """Schedule ``callback`` to fire at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
+                f"cannot schedule event at t={time} before current time t={self.now}"
             )
-        self._group = None
         seq = next(self._seq)
         tie_breaker = self.tie_breaker
         tiebreak = 0 if tie_breaker is None else tie_breaker(time, seq)
         event = _ScheduledEvent(time=time, tiebreak=tiebreak, seq=seq,
                                 callback=callback)
-        heapq.heappush(self._heap, (time, tiebreak, seq, event))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = deque((event,))
+            heapq.heappush(self._heap, time)
+        elif tie_breaker is None:
+            bucket.append(event)
+        else:
+            bisect.insort(bucket, event, key=_rank)
+        self._scheduled += 1
         return EventHandle(event, self)
 
     def schedule(self, delay: float, callback: EventCallback) -> EventHandle:
         """Schedule ``callback`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self._now + delay, callback)
-
-    def after(self, delay: float, callback: EventCallback) -> None:
-        """Schedule ``callback`` ``delay`` cycles from now, without a handle.
-
-        If the queue's most recent schedule was an ``after`` for the same
-        time whose event has not fired yet, ``callback`` joins that step
-        group; otherwise it opens a new group of one.  The members fire in
-        the order they joined, in one dispatch, which is the order separate
-        events would have fired in (see the module docstring).  With a
-        :attr:`tie_breaker` installed every call is a plain
-        :meth:`schedule`.
-
-        If a member raises, the exception propagates out of :meth:`step` /
-        :meth:`run` and the members after it stay queued at the group's
-        place in the ``(time, seq)`` order: the next ``step``/``run`` fires
-        them first, as it would have fired the separate events.
-        """
-        time = self._now + delay
-        members = self._group
-        if members is not None and time == self._group_time:
-            members.append(callback)
-            return
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
-        if self.tie_breaker is not None:
-            self.schedule_at(time, callback)
-            return
-        # schedule_at's past-time check cannot trip: delay >= 0.
-        members = [callback]
-        self._push_group(time, next(self._seq), members)
-        self._group = members
-        self._group_time = time
-
-    def _push_group(self, time: float, seq: int,
-                    members: list[EventCallback]) -> None:
-        event = _ScheduledEvent(time=time, tiebreak=0, seq=seq,
-                                callback=partial(self._fire_group, seq, members))
-        heapq.heappush(self._heap, (time, 0, seq, event))
-
-    def _fire_group(self, seq: int, members: list[EventCallback]) -> None:
-        """Run one step group's members (the group event's callback)."""
-        if self._group is members:
-            # Closed before the members run: a same-time ``after`` from a
-            # member opens a new group behind this one.  Dropping the
-            # reference also frees the members once they have run.
-            self._group = None
-        remaining = iter(members)
-        try:
-            for callback in remaining:
-                callback()
-        except BaseException:
-            rest = list(remaining)
-            self._batched_events += len(members) - len(rest) - 1
-            if rest:
-                self._push_group(self._now, seq, rest)
-            raise
-        self._batched_events += len(members) - 1
+        return self.schedule_at(self.now + delay, callback)
 
     # -- draining --------------------------------------------------------------
 
     def _peek_live(self) -> Optional[_ScheduledEvent]:
-        """The next live event, dropping cancelled heads along the way.
+        """The next live event, dropping cancelled heads and empty buckets
+        along the way.
 
-        The returned event is left queued (callers commit via
-        :meth:`_pop_live`).  :meth:`run`'s fast loop inlines the same
-        drop-and-count step, so ``pending`` and the compaction trigger see
-        identical bookkeeping whichever path drains the heap.
+        A bare ``at`` callback at the head is wrapped in place into an
+        event (``seq`` -1) so that instrumented :meth:`step` overrides see
+        one shape.  The returned event is left queued (callers commit via
+        :meth:`_pop_live`).  :meth:`run`'s fast loop keeps the same
+        bookkeeping, so ``pending`` and the compaction trigger agree
+        whichever path drains the queue.
         """
         heap = self._heap
+        buckets = self._buckets
         while heap:
-            head = heap[0][3]
-            if not head.cancelled:
-                return head
+            time = heap[0]
+            bucket = buckets[time]
+            while bucket:
+                entry = bucket[0]
+                if entry.__class__ is not _ScheduledEvent:
+                    entry = bucket[0] = _ScheduledEvent(time, 0, -1, entry)
+                    self._scheduled += 1
+                    return entry
+                if not entry.cancelled:
+                    return entry
+                bucket.popleft()
+                self._scheduled -= 1
+                self._cancelled_in_heap -= 1
             heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
+            del buckets[time]
         return None
 
     def _pop_live(self) -> Optional[_ScheduledEvent]:
         """Commit and return the next live event (peek + pop in one)."""
         event = self._peek_live()
         if event is not None:
-            heapq.heappop(self._heap)
+            self._buckets[event.time].popleft()
+            self._scheduled -= 1
         return event
 
     def step(self) -> bool:
@@ -360,17 +356,16 @@ class EventQueue:
         Returns ``True`` if an event was executed, ``False`` if the queue
         was empty (or contained only cancelled events).
 
-        Events scheduled *at* the current time from within a handler are
-        pushed with a fresh FIFO sequence number and therefore execute in
-        the same drain pass, after everything already scheduled for that
-        timestamp — a fault-schedule flip (e.g. ``link_down``) racing an
-        in-flight send at the same cycle resolves in schedule order,
-        deterministically.
+        Events scheduled *at* the current time from within a handler join
+        the current time's bucket and therefore execute in the same drain
+        pass, after everything already scheduled for that timestamp — a
+        fault-schedule flip (e.g. ``link_down``) racing an in-flight send
+        at the same cycle resolves in schedule order, deterministically.
         """
         event = self._pop_live()
         if event is None:
             return False
-        self._now = event.time
+        self.now = event.time
         self._events_processed += 1
         event.fired = True
         event.callback()
@@ -383,11 +378,13 @@ class EventQueue:
 
         ``until`` is an inclusive horizon: events at exactly ``until`` fire,
         including events a handler schedules at ``until`` while it runs.
-        ``max_events`` guards against runaway simulations: no dispatch
-        starts once this call has simulated ``max_events`` logical events
+        ``max_events`` guards against runaway simulations: no event starts
+        once this call has simulated ``max_events`` logical events
         (:attr:`events_simulated`, so the budget does not depend on how
-        timers group or deliveries batch; the last dispatch may overshoot
-        by its batch).
+        a backend batches; the last event may overshoot by its batch).
+        A stop at ``until`` or ``max_events``, like a raising callback,
+        leaves the rest of the current time queued in place, and the next
+        ``step``/``run`` resumes there.
 
         Python's cyclic garbage collector is disabled while the queue
         drains and re-enabled on the way out, whether the drain ends,
@@ -417,7 +414,7 @@ class EventQueue:
                     if head is None:
                         return
                     if until is not None and head.time > until:
-                        self._now = max(self._now, until)
+                        self.now = max(self.now, until)
                         return
                     if (budget_end is not None
                             and self.events_simulated >= budget_end):
@@ -425,39 +422,57 @@ class EventQueue:
                             f"exceeded max_events={max_events} (possible livelock)"
                         )
                     step()
-            # Hot loop: _peek_live/_pop_live inlined.  ``heap`` stays the
-            # live list because compaction and reset mutate it in place.
+            # Hot loop: one pass per distinct time, one popleft per entry.
+            # ``heap`` stays the live list because compaction mutates it
+            # in place.
             heap = self._heap
+            buckets = self._buckets
             heappop = heapq.heappop
+            event_class = _ScheduledEvent
             while heap:
-                entry = heap[0]
-                head = entry[3]
-                if head.cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                t = entry[0]
+                t = heap[0]
                 if until is not None and t > until:
-                    # Never rewind: run(until=past) must not move time back.
-                    self._now = max(self._now, until)
+                    # Time moves to the horizon only if a live event lies
+                    # beyond it, and never back (run(until=past)).
+                    if self._peek_live() is not None:
+                        self.now = max(self.now, until)
                     return
-                if (budget_end is not None and self._events_processed
-                        + self._batched_events >= budget_end):
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} (possible livelock)"
-                    )
+                bucket = buckets[t]
+                popleft = bucket.popleft
+                while bucket:
+                    callback = entry = popleft()
+                    if entry.__class__ is event_class:
+                        self._scheduled -= 1
+                        if entry.cancelled:
+                            self._cancelled_in_heap -= 1
+                            continue
+                        entry.fired = True
+                        callback = entry.callback
+                    if (budget_end is not None and self._events_processed
+                            + self._batched_events >= budget_end):
+                        self._requeue_head(bucket, entry)
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} (possible livelock)"
+                        )
+                    self.now = t
+                    self._events_processed += 1
+                    callback()
+                    watcher = self.watcher
+                    if watcher is not None:
+                        watcher(self)
                 heappop(heap)
-                self._now = t
-                self._events_processed += 1
-                head.fired = True
-                head.callback()
-                watcher = self.watcher
-                if watcher is not None:
-                    watcher(self)
+                del buckets[t]
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
+
+    def _requeue_head(self, bucket: deque[Any], entry: Any) -> None:
+        """Put back an entry the drain popped but must not fire."""
+        if entry.__class__ is _ScheduledEvent:
+            entry.fired = False
+            self._scheduled += 1
+        bucket.appendleft(entry)
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero.
@@ -465,15 +480,19 @@ class EventQueue:
         Also restarts the FIFO sequence counter so a reset queue schedules
         events with the same tie-break order as a fresh one: identical runs
         on a reused queue stay bit-identical (cross-run determinism).
+        Not allowed while :meth:`run` drains the queue.
         """
+        if self._running:
+            raise SimulationError("EventQueue.reset() during run()")
         self._heap.clear()
+        self._buckets.clear()
         self._seq = itertools.count()
-        self._now = 0.0
+        self.now = 0.0
         self._events_processed = 0
         self._batched_events = 0
+        self._scheduled = 0
         self._cancelled_in_heap = 0
         self._compactions = 0
-        self._group = None
 
 
 class CountdownBarrier:

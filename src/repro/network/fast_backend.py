@@ -14,11 +14,12 @@ flit-level simulation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.config.parameters import NetworkConfig
 from repro.events.engine import EventQueue
-from repro.network.api import DeliveryCallback, Drop, NetworkBackend
+from repro.network.api import DeliveryCallback, DeliveryRecord, Drop, NetworkBackend
 from repro.network.link import Link
 
 
@@ -28,13 +29,6 @@ class FastBackend(NetworkBackend):
     def __init__(self, events: EventQueue, network: NetworkConfig, sanitizer=None):
         super().__init__(events, sanitizer=sanitizer)
         self.network = network
-        #: delivered_at -> [record, ...] in send order, one delivery record
-        #: ``(on_delivered, src, dst, size_bytes, tag, created_at,
-        #: injected_at)`` per send.  All same-cycle deliveries drain
-        #: through ONE event dispatch (see send); ring/alltoall steps
-        #: deliver N messages at the same cycle, so this coalesces the
-        #: dominant event population of a collective.
-        self._delivery_batches: dict[float, list] = {}
 
     def send(self, src: int, dst: int, size_bytes: float, path: list[Link],
              tag: object, on_delivered: DeliveryCallback) -> Optional[Drop]:
@@ -66,37 +60,15 @@ class FastBackend(NetworkBackend):
                                                           size_bytes)
         record = (on_delivered, src, dst, size_bytes, tag, now, injected)
         delivered_at = last_tail if last_tail > arrival else arrival
-
-        # Same-cycle delivery coalescing: the first message bound for a
-        # given cycle schedules the one drain event; later sends append.
-        # Within a batch, messages deliver in send order — the same
-        # relative order the per-message events produced — and moving all
-        # of a cycle's deliveries to the head of that cycle's drain pass
-        # is a same-timestamp permutation, which the schedule-perturbation
-        # race detector proves the simulation is invariant under
-        # (docs/DETERMINISM.md).  The folded dispatches are credited to
-        # events_simulated so throughput stays comparable.
-        batches = self._delivery_batches
-        batch = batches.get(delivered_at)
-        if batch is not None:
-            batch.append(record)
-        else:
-            batches[delivered_at] = [record]
-            self.events.schedule_at(delivered_at, self._drain_deliveries)
+        # A handle-less engine entry per delivery: a ring step's N
+        # same-cycle deliveries share their time's bucket in the engine.
+        self.events.at(delivered_at, partial(self._deliver, record))
         return None
 
-    def _drain_deliveries(self) -> None:
-        # Pop before iterating: an on_delivered handler that sends again
-        # with zero network latency lands in a fresh batch whose drain
-        # event fires later in the same cycle's pass, exactly as the
-        # unbatched design ordered it.
-        batch = self._delivery_batches.pop(self.events.now)
-        if len(batch) > 1:
-            self.events.credit_batched(len(batch) - 1)
+    def _deliver(self, record: DeliveryRecord) -> None:
+        self.messages_delivered += 1
+        self.bytes_delivered += record[3]
         sanitizer = self.sanitizer
-        for record in batch:
-            self.messages_delivered += 1
-            self.bytes_delivered += record[3]
-            if sanitizer is not None:
-                sanitizer.conservation.message_delivered()
-            record[0](record)
+        if sanitizer is not None:
+            sanitizer.conservation.message_delivered()
+        record[0](record)

@@ -67,7 +67,7 @@ class RunPoint:
     #: to its clients (docs/SERVICE.md).  Purely observational: the
     #: snapshots never touch the simulated schedule or the cache key.
     progress_path: Optional[str] = None
-    #: Snapshot cadence in executed events (only with ``progress_path``).
+    #: Snapshot cadence in logical events (only with ``progress_path``).
     progress_every_events: int = 4096
 
 

@@ -64,11 +64,11 @@ class RunProfile:
         """Pull event/cycle counters off a finished system.
 
         Counts *logical* events (:attr:`EventQueue.events_simulated`):
-        dispatches plus the singleton events that batched handlers folded
-        away (delivery coalescing, flit bursts).  That keeps events/sec
-        meaningful as a throughput figure across batching changes — the
-        denominator work is what the unbatched design would have
-        dispatched, not however few dispatches the batching needed.
+        executed events plus the singleton events that batched handlers
+        folded away (the detailed backend's flit bursts).  That keeps
+        events/sec meaningful as a throughput figure across batching
+        changes — the denominator work is what the unbatched design would
+        have executed, not however few events the batching needed.
         """
         self.events += system.events.events_simulated
         self.messages += sum(stats.messages

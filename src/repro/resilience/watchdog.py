@@ -10,8 +10,10 @@ error, or forever.
 
 The :class:`Watchdog` observes the queue through the
 :attr:`~repro.events.engine.EventQueue.watcher` hook.  Every
-``check_every_events`` executed events it samples the system's *progress
-vector* (deliveries, chunk completions, finished sets — see
+``check_every_events`` logical events
+(:attr:`~repro.events.engine.EventQueue.events_simulated`, the count
+``max_events`` bounds, so a detailed-backend flit burst counts its flits)
+it samples the system's *progress vector* (deliveries, chunk completions, finished sets — see
 :meth:`repro.system.sys_layer.System.progress_vector`).  If the vector
 has not changed for ``stall_cycles`` of simulated time while events kept
 firing, the run is stalled: the watchdog assembles a
@@ -39,7 +41,7 @@ class WatchdogConfig:
 
     #: Simulated cycles without progress before declaring a stall.
     stall_cycles: float = 2_000_000.0
-    #: Sample the progress vector every this many executed events.
+    #: Sample the progress vector every this many logical events.
     check_every_events: int = 2048
     #: Where diagnostic bundles land; ``None`` keeps the diagnostics in
     #: the raised :class:`StallError` only.
@@ -96,7 +98,7 @@ class Watchdog:
         # so a strong reference back would make the pair a reference cycle.
         self._system = weakref.ref(system)
         self.config = config if config is not None else WatchdogConfig()
-        self._events_at_last_check = system.events.events_processed
+        self._events_at_last_check = system.events.events_simulated
         self._last_vector: Optional[tuple] = None
         self._last_progress_time = system.now
         #: The diagnostics of the trip, kept for post-mortem inspection
@@ -112,7 +114,7 @@ class Watchdog:
 
     def note_event(self, queue) -> None:
         """The queue's watcher: called after every executed event."""
-        events = queue.events_processed
+        events = queue.events_simulated
         if events - self._events_at_last_check < self.config.check_every_events:
             return
         self._events_at_last_check = events

@@ -100,10 +100,6 @@ class LintReport:
     def extend(self, findings: list[Finding]) -> None:
         self.findings.extend(findings)
 
-    def sorted_findings(self) -> list[Finding]:
-        """Findings most-severe first (see :meth:`Finding.sort_key`)."""
-        return sorted(self.findings, key=Finding.sort_key)
-
     @property
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity is Severity.ERROR]

@@ -59,7 +59,7 @@ class SanitizedEventQueue(EventQueue):
     """An :class:`EventQueue` with time-travel and livelock detection.
 
     The base queue already rejects scheduling into the past; this variant
-    additionally validates the heap discipline at *execution* time (a
+    additionally validates the time order at *execution* time (a
     popped event must not fire before ``now`` — catches corrupted state
     that bypassed ``schedule_at``) and bounds how many events may execute
     at a single timestamp (zero-delay reschedule loops never advance time
@@ -72,29 +72,30 @@ class SanitizedEventQueue(EventQueue):
         self._same_time_run = 0
 
     def step(self) -> bool:
-        # Cancelled heads are drained through the shared _pop_live()
-        # primitive so the pending/compaction bookkeeping cannot drift
-        # from the base queue's drain paths.
+        # Cancelled heads are drained (and bare ``at`` entries wrapped)
+        # through the shared _pop_live() primitive so the
+        # pending/compaction bookkeeping cannot drift from the base
+        # queue's drain paths.
         event = self._pop_live()
         if event is None:
             return False
-        if event.time < self._now:
+        if event.time < self.now:
             raise SanitizerError(
                 f"time-travel: event scheduled for t={event.time} fired "
-                f"at t={self._now} (seq={event.seq}); the event heap is "
+                f"at t={self.now} (seq={event.seq}); the event queue is "
                 f"corrupted"
             )
-        if event.time == self._now:
+        if event.time == self.now:
             self._same_time_run += 1
             if self._same_time_run > self.sanitizer.config.livelock_threshold:
                 raise SanitizerError(
                     f"zero-delay livelock: more than "
                     f"{self.sanitizer.config.livelock_threshold} events "
-                    f"executed at t={self._now} without time advancing"
+                    f"executed at t={self.now} without time advancing"
                 )
         else:
             self._same_time_run = 0
-        self._now = event.time
+        self.now = event.time
         self._events_processed += 1
         event.fired = True
         event.callback()

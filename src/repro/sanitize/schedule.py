@@ -16,20 +16,16 @@ results under any permutation of same-timestamp event order.**  It proves
 (or refutes) this empirically:
 
 1. Run the probe once under plain FIFO — the baseline.  The baseline
-   installs :func:`fifo_rank`, an all-zero ranker: same-timestamp order
-   stays FIFO, and because the engine groups step timers
-   (:meth:`repro.events.engine.EventQueue.after`) only without a
-   tie-breaker, every timer is its own event, as in the permuted trials.
-   All trials therefore fire the same per-member event stream.
-2. Run it once more as production runs it, step groups and all, and
-   require the baseline's payload: only ``events_processed`` (dispatches)
-   may differ, and ``events_simulated`` must be equal.
-3. Run it ``trials`` more times, each with a :class:`SeededTieBreak`
+   installs :func:`fifo_rank`, an all-zero ranker: every entry is a
+   ranked event numbered like the permuted trials', and same-timestamp
+   order stays FIFO, which is exactly the production order (the engine
+   fires each time's entries in schedule order).
+2. Run it ``trials`` more times, each with a :class:`SeededTieBreak`
    installed as the queue's ``tie_breaker`` hook: a seeded hash of the
    FIFO sequence number, ranked *between* timestamp and sequence, so
    same-timestamp events drain in a pseudo-random (but per-seed
    deterministic) permutation while cross-timestamp order is untouched.
-4. Fingerprint each run's result payload (stats, cycles, breakdown) and
+3. Fingerprint each run's result payload (stats, cycles, breakdown) and
    compare against the baseline, bit-for-bit.
 
 On a fingerprint mismatch the detector *bisects*: both schedules are
@@ -87,7 +83,7 @@ def _mix64(x: int) -> int:
 
 
 def fifo_rank(time: float, seq: int) -> int:
-    """The all-zero ranker: FIFO order with step grouping switched off."""
+    """The all-zero ranker: FIFO order, every entry a numbered event."""
     return 0
 
 
@@ -327,26 +323,18 @@ class DivergenceReport:
 
 @dataclass
 class ScheduleReport:
-    """All trials for one probe, plus the bisected divergence if any.
-
-    ``grouped`` is the production (step-grouped) run and
-    ``grouping_diff`` the fields in which it left the baseline (see
-    :func:`grouping_diff`).
-    """
+    """All trials for one probe, plus the bisected divergence if any."""
 
     label: str
     trials: int
     seed: int
     outcomes: list[ScheduleOutcome]
     divergence: Optional[DivergenceReport] = None
-    grouped: Optional[ScheduleOutcome] = None
-    grouping_diff: list[str] = field(default_factory=list)
 
     @property
     def identical(self) -> bool:
-        """True when the grouped run and every permuted schedule
-        reproduced the baseline."""
-        if self.divergence is not None or self.grouping_diff:
+        """True when every permuted schedule reproduced the baseline."""
+        if self.divergence is not None:
             return False
         baseline = self.outcomes[0].fingerprint
         return all(o.fingerprint == baseline for o in self.outcomes)
@@ -358,36 +346,22 @@ class ScheduleReport:
             "seed": self.seed,
             "identical": self.identical,
             "outcomes": [o.to_dict() for o in self.outcomes],
-            "grouped": (self.grouped.to_dict()
-                        if self.grouped is not None else None),
-            "grouping_diff": list(self.grouping_diff),
             "divergence": (self.divergence.to_dict()
                            if self.divergence is not None else None),
         }
-
-    def _grouping_message(self) -> str:
-        return ("step-grouped run differs from the ungrouped FIFO baseline "
-                "in: " + ", ".join(self.grouping_diff))
 
     def summary(self) -> str:
         if self.identical:
             ran = len(self.outcomes) - 1
             return (f"{self.label}: bit-identical under {ran} permuted "
-                    f"schedules and step grouping (fingerprint "
+                    f"schedules (fingerprint "
                     f"{self.outcomes[0].fingerprint[:12]})")
-        lines = []
-        if self.grouping_diff:
-            lines.append(f"{self.label}: {self._grouping_message()}")
-        if self.divergence is not None:
-            lines.append(self.divergence.summary())
-        return "\n".join(lines)
+        assert self.divergence is not None
+        return self.divergence.summary()
 
     def to_findings(self) -> LintReport:
         """Render as lint findings for the shared reporters/exit codes."""
         report = LintReport(source=self.label)
-        if self.grouping_diff:
-            report.add(Severity.ERROR, "step-group-divergence", "grouped",
-                       self._grouping_message())
         if self.divergence is not None:
             d = self.divergence
             report.add(
@@ -430,23 +404,6 @@ def payload_diff(a: dict, b: dict) -> list[str]:
     sentinel = object()
     return [k for k in keys
             if flat_a.get(k, sentinel) != flat_b.get(k, sentinel)]
-
-
-def grouping_diff(baseline: ScheduleOutcome,
-                  grouped: ScheduleOutcome) -> list[str]:
-    """Fields in which the step-grouped run left the ungrouped baseline.
-
-    Step groups change how many dispatches run, so the payloads' top-level
-    ``events_processed`` is left out; everything else, and the logical
-    event count, must be equal.
-    """
-    def logical(payload: dict) -> dict:
-        return {k: v for k, v in payload.items() if k != "events_processed"}
-
-    diff = payload_diff(logical(baseline.payload), logical(grouped.payload))
-    if grouped.events_simulated != baseline.events_simulated:
-        diff.append("events_simulated")
-    return diff
 
 
 def _run_trial(probe, trial: int, seed: int,
@@ -540,17 +497,14 @@ def run_schedule_trials(
     seed: int = DEFAULT_SCHEDULE_SEED,
     context_events: int = 12,
 ) -> ScheduleReport:
-    """Run ``probe`` under FIFO, step-grouped, and ``trials`` permuted
-    schedules.
+    """Run ``probe`` under FIFO and ``trials`` permuted schedules.
 
     Stops at the first diverging trial (the config is already proven
     racy) and bisects it; otherwise returns a report whose
-    :attr:`ScheduleReport.identical` is True when the grouped run matched
-    too — the probe's result is independent of same-timestamp event order
-    for every seed tried, and of step grouping.
+    :attr:`ScheduleReport.identical` is True — the probe's result is
+    independent of same-timestamp event order for every seed tried.
     """
     baseline = _run_trial(probe, 0, 0, fifo_rank)
-    grouped = _run_trial(probe, 0, 0, None)
     outcomes = [baseline]
     divergence = None
     for trial in range(1, trials + 1):
@@ -563,6 +517,4 @@ def run_schedule_trials(
                 context_events=context_events)
             break
     return ScheduleReport(label=probe.label, trials=trials, seed=seed,
-                          outcomes=outcomes, divergence=divergence,
-                          grouped=grouped,
-                          grouping_diff=grouping_diff(baseline, grouped))
+                          outcomes=outcomes, divergence=divergence)

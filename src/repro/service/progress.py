@@ -29,7 +29,8 @@ class ProgressWriter:
     :class:`~repro.parallel.executor.RunPoint` carries ``progress_path``.
     ``bind`` attaches the freshly built system (the vector lives there)
     and becomes its queue's watcher, ``on_event`` samples every
-    ``every_events`` executed events, and ``finish`` writes the terminal
+    ``every_events`` logical events (``events_simulated``, as the stall
+    watchdog paces), and ``finish`` writes the terminal
     snapshot.  The system builds its own queue, so a job with progress
     streaming on runs as the same quotient or full run as one without.
     """
@@ -48,8 +49,8 @@ class ProgressWriter:
         self._write(done=False)
 
     def on_event(self, queue) -> None:
-        if queue.events_processed >= self._next_at:
-            self._next_at = queue.events_processed + self.every_events
+        if queue.events_simulated >= self._next_at:
+            self._next_at = queue.events_simulated + self.every_events
             self._write(done=False)
 
     def finish(self, result: Any = None) -> None:

@@ -79,10 +79,6 @@ class Scheduler:
         return len(self._ready)
 
     @property
-    def first_phase_count(self) -> int:
-        return self._first_phase_chunks
-
-    @property
     def in_flight_count(self) -> int:
         return len(self.in_flight)
 

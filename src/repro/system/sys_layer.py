@@ -178,11 +178,14 @@ class System:
         activations etc.), routed over the fabric's minimum-latency path.
 
         A point-to-point message breaks the symmetry a quotient run relies
-        on: before the first event fires, the system unfolds its quotient
-        collectives into the full run; after that, this raises
-        :class:`SimulationError`."""
+        on, so on a system whose collectives chose the quotient run this
+        raises :class:`SimulationError`; point-to-point traffic requested
+        before the first collective keeps the system on the full run."""
         if self._copies is not None and self._copies > 1:
-            self._unfold_quotient()
+            raise SimulationError(
+                "point-to-point transfer on a system whose collectives "
+                "run as a quotient run (NPU 0 simulated for every NPU); "
+                "request point-to-point transfers before the first collective")
         if self._p2p is None:
             from repro.network.routing import FabricRouter
 
@@ -229,23 +232,6 @@ class System:
                             return 1
         return fabric.num_npus
 
-    def _unfold_quotient(self) -> None:
-        """Turn the quotient run into the full run before any event fired:
-        every in-flight chunk's other NPUs enter its first phase now, and
-        later chunks and sets run in full."""
-        if self.events.events_processed:
-            raise SimulationError(
-                "point-to-point transfer on a system whose collectives "
-                "already run as a quotient run (NPU 0 simulated for every "
-                "NPU); request it before the collectives start")
-        self._copies = 1
-        for collective in self.sets:
-            collective._ctx.copies = 1  # type: ignore[attr-defined]
-            for stats in collective.breakdown.phase_stats.values():
-                stats.copies = 1
-        for execution in self.scheduler.in_flight.values():
-            execution.unfold()
-
     @property
     def breakdown(self) -> DelayBreakdown:
         """The run's Fig. 12b breakdown: every set's breakdown merged.
@@ -278,10 +264,6 @@ class System:
             )
         if self.sanitizer is not None:
             self.sanitizer.verify_quiescent(self)
-        return self.events.now
-
-    def run_until(self, time: float, max_events: Optional[int] = None) -> float:
-        self.events.run(until=time, max_events=max_events)
         return self.events.now
 
     def transport_stats(self):

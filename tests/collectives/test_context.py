@@ -26,10 +26,10 @@ class TestContext:
         assert ctx.reduction_cycles(2048.0) == pytest.approx(20.0)
         assert ctx.reduction_cycles(0.0) == 0.0
 
-    def test_after_uses_event_queue(self):
+    def test_at_uses_event_queue(self):
         events, ctx = make_ctx()
         fired = []
-        ctx.after(7.0, lambda: fired.append(ctx.now))
+        ctx.at(7.0, lambda: fired.append(ctx.now))
         events.run()
         assert fired == [7.0]
 

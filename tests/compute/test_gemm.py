@@ -14,9 +14,6 @@ class TestGemmShape:
         g = GemmShape(2, 3, 4)
         assert g.bytes_touched(4) == (6 + 12 + 8) * 4
 
-    def test_transposed(self):
-        assert GemmShape(2, 3, 4).transposed == GemmShape(4, 3, 2)
-
     def test_backward_shapes(self):
         fwd = GemmShape(128, 64, 32)
         d_in, d_w = fwd.backward_shapes()

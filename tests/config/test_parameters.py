@@ -93,7 +93,6 @@ class TestTorusShape:
     def test_npu_and_package_counts(self):
         shape = TorusShape(4, 4, 4)
         assert shape.num_npus == 64
-        assert shape.num_packages == 16
 
     def test_str(self):
         assert str(TorusShape(2, 4, 8)) == "2x4x8"

@@ -1,11 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
 import gc
+import weakref
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.events import CountdownBarrier, EventQueue
+from repro.sanitize.schedule import SeededTieBreak, fifo_rank
 
 
 class TestEventQueue:
@@ -198,6 +200,240 @@ class TestEventQueue:
         assert handle.time == 42.0
 
 
+def _recorder(fired: list, name):
+    return lambda: fired.append(name)
+
+
+class TestSameTimeBuckets:
+    """Every entry of one time shares that time's bucket and fires in
+    schedule order, one event each, whether it came from ``at`` or
+    ``schedule_at``."""
+
+    def test_same_time_entries_fire_in_order(self):
+        q = EventQueue()
+        fired: list = []
+        for i in range(5):
+            q.at(3.0, _recorder(fired, i))
+        assert q.pending == q.live_count() == 5
+        q.run()
+        assert fired == [0, 1, 2, 3, 4]
+        assert q.now == 3.0
+        assert q.events_processed == q.events_simulated == 5
+
+    def test_entries_fire_in_time_order(self):
+        q = EventQueue()
+        fired: list = []
+        q.at(2.0, _recorder(fired, "a"))
+        q.at(1.0, _recorder(fired, "b"))
+        q.at(1.0, _recorder(fired, "c"))
+        q.run()
+        assert fired == ["b", "c", "a"]
+        assert (q.events_processed, q.events_simulated) == (3, 3)
+
+    def test_at_and_schedule_at_fire_in_schedule_order(self):
+        q = EventQueue()
+        fired: list = []
+        q.at(1.0, _recorder(fired, "a"))
+        q.schedule_at(1.0, _recorder(fired, "b"))
+        q.at(1.0, _recorder(fired, "c"))
+        assert q.pending == 3
+        q.run()
+        assert fired == ["a", "b", "c"]
+        assert (q.events_processed, q.events_simulated) == (3, 3)
+
+    def test_entry_from_a_callback_fires_after_queued_ones(self):
+        q = EventQueue()
+        fired: list = []
+
+        def first() -> None:
+            fired.append("first")
+            q.at(q.now, _recorder(fired, "child"))
+
+        q.at(1.0, first)
+        q.at(1.0, _recorder(fired, "second"))
+        q.schedule_at(1.0, _recorder(fired, "third"))
+        q.run()
+        assert fired == ["first", "second", "third", "child"]
+        assert (q.events_processed, q.events_simulated) == (4, 4)
+
+    def test_entry_added_at_its_own_time_by_an_earlier_event(self):
+        """An event of time t adds an ``at`` entry for t to a bucket that
+        still holds entries: it fires after them."""
+        q = EventQueue()
+        fired: list = []
+        q.schedule_at(1.0, lambda: q.at(1.0, _recorder(fired, "late")))
+        q.at(1.0, _recorder(fired, "queued"))
+        q.run()
+        assert fired == ["queued", "late"]
+        assert (q.events_processed, q.events_simulated) == (3, 3)
+
+    @pytest.mark.parametrize("hook", [fifo_rank, SeededTieBreak(7)],
+                             ids=["fifo", "seeded"])
+    def test_tie_breaker_ranks_at_entries(self, hook):
+        q = EventQueue()
+        q.tie_breaker = hook
+        fired: list = []
+        for i in range(4):
+            q.at(1.0, _recorder(fired, i))
+        assert q.pending == 4
+        q.run()
+        assert (q.events_processed, q.events_simulated) == (4, 4)
+        ranks = [hook(1.0, seq) for seq in range(4)]
+        assert fired == sorted(range(4), key=lambda seq: (ranks[seq], seq))
+
+    def test_reset_drops_queued_entries(self):
+        q = EventQueue()
+        fired: list = []
+        q.at(1.0, _recorder(fired, "dropped"))
+        q.reset()
+        q.at(1.0, _recorder(fired, "kept"))
+        q.run()
+        assert fired == ["kept"]
+        assert q.events_simulated == 1
+
+    def test_reset_during_run_rejected(self):
+        q = EventQueue()
+        q.at(1.0, q.reset)
+        with pytest.raises(SimulationError, match="reset"):
+            q.run()
+
+    def test_at_in_the_past_rejected(self):
+        q = EventQueue()
+        q.at(2.0, lambda: None)
+        q.run()
+        with pytest.raises(SimulationError, match="before current time"):
+            q.at(1.0, lambda: None)
+        assert q.pending == 0
+
+
+class TestRaisingCallback:
+    def test_rest_of_its_time_stays_queued_in_place(self):
+        """The exception escapes ``run``; the entries behind the raising
+        one keep their place, ahead of a later same-time event, and the
+        next ``run`` fires them."""
+        q = EventQueue()
+        fired: list = []
+
+        def boom() -> None:
+            fired.append("boom")
+            raise RuntimeError("callback failed")
+
+        q.at(1.0, _recorder(fired, "a"))
+        q.at(1.0, boom)
+        q.at(1.0, _recorder(fired, "c"))
+        q.at(1.0, _recorder(fired, "d"))
+        q.schedule_at(1.0, _recorder(fired, "later"))
+        with pytest.raises(RuntimeError, match="callback failed"):
+            q.run()
+        assert fired == ["a", "boom"]
+        assert q.events_simulated == 2
+        assert q.pending == 3
+        q.at(1.0, _recorder(fired, "added"))
+        q.run()
+        assert fired == ["a", "boom", "c", "d", "later", "added"]
+        assert q.events_processed == q.events_simulated == 6
+
+    def test_raising_last_entry_leaves_nothing_queued(self):
+        q = EventQueue()
+
+        def boom() -> None:
+            raise RuntimeError("last")
+
+        q.at(1.0, lambda: None)
+        q.at(1.0, boom)
+        with pytest.raises(RuntimeError):
+            q.run()
+        assert q.pending == 0
+        assert q.events_simulated == 2
+        assert q.step() is False
+
+
+class TestStopsWithinOneTime:
+    def test_max_events_stops_within_one_time(self):
+        """The budget stops the drain between two entries of one time;
+        the next run resumes with the first unfired one."""
+        q = EventQueue()
+        fired: list = []
+        for i in range(10):
+            q.at(1.0, _recorder(fired, i))
+        q.schedule_at(2.0, _recorder(fired, "next"))
+        with pytest.raises(SimulationError, match="max_events=5"):
+            q.run(max_events=5)
+        assert fired == [0, 1, 2, 3, 4]
+        assert (q.events_processed, q.events_simulated) == (5, 5)
+        assert q.pending == 6
+        q.run()
+        assert fired == list(range(10)) + ["next"]
+
+    def test_max_events_puts_a_scheduled_event_back_unfired(self):
+        q = EventQueue()
+        q.at(1.0, lambda: None)
+        handle = q.schedule_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="max_events=1"):
+            q.run(max_events=1)
+        assert not handle.fired
+        assert q.pending == q.live_count() == 1
+        handle.cancel()
+        q.run()
+        assert q.events_processed == 1
+
+    def test_run_until_fires_what_callbacks_add_at_the_horizon(self):
+        q = EventQueue()
+        fired: list = []
+        q.at(1.0, lambda: q.at(1.0, _recorder(fired, "same-time")))
+        q.at(2.0, _recorder(fired, "beyond"))
+        q.run(until=1.0)
+        assert fired == ["same-time"]
+        assert q.now == 1.0
+        q.at(2.0, _recorder(fired, "queued-later"))
+        q.run()
+        assert fired == ["same-time", "beyond", "queued-later"]
+
+    def test_budget_is_the_same_ranked_or_not(self):
+        def runaway(q: EventQueue) -> int:
+            def tick() -> None:
+                for _ in range(4):
+                    q.at(q.now + 1.0, lambda: None)
+                q.schedule(1.0, tick)
+
+            q.schedule(1.0, tick)
+            with pytest.raises(SimulationError, match="max_events"):
+                q.run(max_events=100)
+            return q.events_simulated
+
+        plain = EventQueue()
+        ranked = EventQueue()
+        ranked.tie_breaker = fifo_rank
+        assert runaway(plain) == runaway(ranked) == 100
+        assert plain.events_processed == ranked.events_processed == 100
+
+
+class Owner:
+    """Stands in for a collective instance whose bound methods are timers."""
+
+    def tick(self) -> None:
+        pass
+
+
+class TestReferences:
+    def test_fired_bucket_releases_its_callbacks(self):
+        """After ``run()`` drains, nothing in the queue holds the last
+        time's callbacks: their owners die by reference counting alone,
+        without a cyclic garbage collection."""
+        q = EventQueue()
+        owner = Owner()
+        ref = weakref.ref(owner)
+        q.at(1.0, owner.tick)
+        q.at(1.0, owner.tick)
+        del owner
+        gc.disable()
+        try:
+            q.run()
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class _StepCountingQueue(EventQueue):
     """A queue whose instrumented step() makes run() take its slow loop."""
 
@@ -229,7 +465,7 @@ class TestCollectorPause:
         q = queue_type()
         seen = []
         q.schedule(1.0, lambda: seen.append(gc.isenabled()))
-        q.after(2.0, lambda: seen.append(gc.isenabled()))
+        q.at(2.0, lambda: seen.append(gc.isenabled()))
         gc.enable()
         q.run()
         assert seen == [False, False]

@@ -1,23 +1,21 @@
 """EventQueue against a sorted-list reference model (hypothesis).
 
-Random interleavings of ``schedule_at``, ``schedule``, ``after``,
+Random interleavings of ``schedule_at``, ``schedule``, ``at``,
 ``cancel`` (of live, cancelled and already-fired handles), ``step``,
 ``run(until=...)`` and ``run(max_events=...)`` drive the real queue and a
 plain list of live ``(time, tiebreak, seq)`` keys in lockstep, one key per
-callback.  Fired events may themselves schedule (either way) or cancel,
-and ``COMPACT_MIN_CANCELLED`` is lowered on the instance so compaction
+callback.  Fired events may themselves schedule (any way) or cancel, and
+``COMPACT_MIN_CANCELLED`` is lowered on the instance so compaction
 happens in the middle of runs.  Checked:
 
 * every fired callback is the model's minimum live key — the executed
   order is ``(time, tiebreak, seq)``, with and without a seeded
-  tie-breaker, however ``after`` timers group;
-* ``pending == live_count()`` == the model's number of live step groups
-  (an ``after`` joins the open group when it is for the same time and
-  nothing else was scheduled since; without a tie-breaker only) after
-  every dispatch and every operation;
-* ``events_simulated`` equals the number of callbacks fired, and a
-  ``max_events`` budget counts callbacks, overshooting by at most the
-  last dispatch's group;
+  tie-breaker, for handle events and bare ``at`` entries alike;
+* ``pending == live_count()`` == the model's number of live events after
+  every executed event and every operation;
+* ``events_processed == events_simulated`` == the number of callbacks
+  fired (nothing credits batches here), and a ``max_events`` budget
+  stops the drain after exactly that many callbacks;
 * ``now`` never rewinds.
 """
 
@@ -36,19 +34,19 @@ HORIZONS = st.sampled_from([-3.0, 0.0, 0.5, 1.0, 2.0, 7.5, 100.0])
 # Handle picks for a cancel, several per operation so that cancelled
 # entries can outnumber live ones and trigger compaction.
 PICKS = st.lists(st.integers(0, 1 << 16), min_size=1, max_size=8)
-# What a fired event does: nothing, schedule a child (as an event or an
-# ``after`` timer), or cancel handles.
+# What a fired event does: nothing, schedule a child (as an event or a
+# bare ``at`` entry), or cancel handles.
 ACTIONS = st.one_of(
     st.none(),
-    st.tuples(st.sampled_from(["schedule", "after"]), OFFSETS),
+    st.tuples(st.sampled_from(["schedule", "at"]), OFFSETS),
     st.tuples(st.just("cancel"), PICKS),
 )
 OPS = st.lists(st.one_of(
     st.tuples(st.just("schedule_at"), OFFSETS, ACTIONS),
     st.tuples(st.just("schedule"), OFFSETS, ACTIONS),
-    st.tuples(st.just("after"), OFFSETS, ACTIONS),
-    # Several same-time ``after`` timers in a row: a step group.
-    st.tuples(st.just("afters"), OFFSETS, st.lists(ACTIONS, min_size=2, max_size=4)),
+    st.tuples(st.just("at"), OFFSETS, ACTIONS),
+    # Several same-time ``at`` entries in a row, as a ring step issues.
+    st.tuples(st.just("ats"), OFFSETS, st.lists(ACTIONS, min_size=2, max_size=4)),
     st.tuples(st.just("cancel"), PICKS),
     st.tuples(st.just("step")),
     st.tuples(st.just("until"), HORIZONS),
@@ -65,23 +63,20 @@ class Harness:
         self.q.COMPACT_MIN_CANCELLED = compact_at
         self.q.watcher = self.dispatched
         self.tie_breaker = tie_breaker
-        self.handles: list = []  # by seq; None for an ``after`` timer
+        self.handles: list = []  # by seq; None for an ``at`` entry
         self.actions: list = []
-        self.groups: list[int] = []  # by seq: the step group it fires in
-        self.open_group: Optional[tuple[float, int]] = None  # (time, group)
         self.live: list[tuple[float, int, int]] = []  # the model
         self.model_now = 0.0
         self.last_now = 0.0
         self.fired = 0
-        self.fired_at_dispatch = 0
-        self.last_dispatch = 0
 
     # -- both sides ------------------------------------------------------------
 
     def add(self, kind: str, offset: float, action) -> None:
         """Schedule at ``now + offset`` through ``schedule_at``,
-        ``schedule`` or ``after``; the callback fires :meth:`fire` with its
-        seq (the model numbers callbacks, not heap entries)."""
+        ``schedule`` or ``at``; the callback fires :meth:`fire` with its
+        seq (the model numbers callbacks; the queue numbers only ranked
+        events, and under a tie-breaker every callback is one)."""
         seq = len(self.handles)
         time = self.model_now + offset
         rank = 0 if self.tie_breaker is None else self.tie_breaker(time, seq)
@@ -91,25 +86,16 @@ class Harness:
         def callback() -> None:
             self.fire(seq)
 
-        group = seq
-        if kind == "after":
-            if self.open_group is not None and self.open_group[0] == time:
-                group = self.open_group[1]
-            elif self.tie_breaker is None:
-                self.open_group = (time, group)
-            self.groups.append(group)
-            self.handles.append(self.q.after(offset, callback))
-            return
-        self.open_group = None
-        self.groups.append(group)
-        if kind == "schedule_at":
+        if kind == "at":
+            self.handles.append(self.q.at(time, callback))
+        elif kind == "schedule_at":
             self.handles.append(self.q.schedule_at(time, callback))
         else:
             self.handles.append(self.q.schedule(offset, callback))
 
     def cancel(self, picks: list[int]) -> None:
         """An even pick cancels a live event; an odd pick any handle,
-        which may already have fired or been cancelled.  ``after`` timers
+        which may already have fired or been cancelled.  ``at`` entries
         have no handle and are never picked."""
         cancellable = [seq for seq, h in enumerate(self.handles) if h is not None]
         for k in picks:
@@ -130,9 +116,6 @@ class Harness:
         self.live.remove(head)
         self.model_now = head[0]
         self.fired += 1
-        if (self.open_group is not None
-                and self.open_group[1] == self.groups[seq]):
-            self.open_group = None  # a firing group takes no new members
         action = self.actions[seq]
         if action is None:
             return
@@ -142,17 +125,13 @@ class Harness:
             self.add(action[0], action[1], None)
 
     def dispatched(self, _queue: EventQueue) -> None:
-        """The watcher: once per dispatch, however many callbacks it ran."""
-        self.last_dispatch = self.fired - self.fired_at_dispatch
-        self.fired_at_dispatch = self.fired
-        assert self.last_dispatch >= 1
+        """The watcher: once per executed event, after its callback."""
         self.check()
 
     def check(self) -> None:
         q = self.q
-        live_groups = {self.groups[key[2]] for key in self.live}
-        assert q.pending == q.live_count() == len(live_groups)
-        assert q.events_simulated == self.fired
+        assert q.pending == q.live_count() == len(self.live)
+        assert q.events_processed == q.events_simulated == self.fired
         assert q.now >= self.last_now, "now rewound"
         self.last_now = q.now
         assert q.now == self.model_now
@@ -161,11 +140,11 @@ class Harness:
 
     def apply(self, op: tuple) -> None:
         kind = op[0]
-        if kind in ("schedule_at", "schedule", "after"):
+        if kind in ("schedule_at", "schedule", "at"):
             self.add(kind, op[1], op[2])
-        elif kind == "afters":
+        elif kind == "ats":
             for action in op[2]:
-                self.add("after", op[1], action)
+                self.add("at", op[1], action)
         elif kind == "cancel":
             self.cancel(op[1])
         elif kind == "step":
@@ -180,15 +159,12 @@ class Harness:
         else:
             limit = op[1]
             before = self.fired
-            self.last_dispatch = 0
             try:
                 self.q.run(max_events=limit)
             except SimulationError:
-                assert self.live and self.fired - before >= limit
+                assert self.live and self.fired - before == limit
             else:
-                assert not self.live
-            # No dispatch starts once the budget is spent.
-            assert self.fired - before - self.last_dispatch < max(limit, 1)
+                assert not self.live and self.fired - before <= limit
         self.check()
 
 

@@ -378,7 +378,7 @@ FULL_SCALE_CYCLES = "0x1.32b3ea3677f1ap+15"  # 39257.95744681191
 FULL_SCALE_MESSAGES = 1792
 FULL_SCALE_FLITS = 1_048_576
 FULL_SCALE_LOGICAL_EVENTS = 2_098_944
-FULL_SCALE_DISPATCHES = 3804
+FULL_SCALE_DISPATCHES = 5568
 
 
 def test_full_scale_allreduce_pinned():

@@ -14,9 +14,12 @@ import pytest
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape, TransportConfig
 from repro.errors import ConfigError, StallError
+from repro.events import EventQueue
 from repro.harness.runners import run_collective, torus_platform
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
 from repro.resilience import WatchdogConfig
+from repro.resilience.watchdog import Watchdog
+from repro.service.progress import ProgressWriter
 
 #: Tight timers so the stall develops (and is detected) quickly.
 STORMY = TransportConfig(timeout_cycles=2_000.0, timeout_per_byte=0.1,
@@ -60,13 +63,18 @@ class TestStallDetection:
 
     def test_healthy_run_never_trips_and_is_cycle_identical(self):
         """Criterion 5 spot-check: the watchdog observes through the
-        queue watcher, so enabling it must not move a single cycle."""
+        queue watcher, so enabling it must not move a single cycle.  The
+        watchdog keeps the full run, so the bare run gets a caller's
+        queue, which keeps it full too (a quotient run executes NPU 0's
+        events alone)."""
         def run(watchdog):
             spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
             if watchdog:
                 spec.watchdog = WatchdogConfig(stall_cycles=5_000.0,
                                                check_every_events=1)
-            return run_collective(spec, CollectiveOp.ALL_REDUCE, 256 * 1024)
+                return run_collective(spec, CollectiveOp.ALL_REDUCE, 256 * 1024)
+            return run_collective(spec, CollectiveOp.ALL_REDUCE, 256 * 1024,
+                                  events=EventQueue())
 
         bare = run(watchdog=False)
         watched = run(watchdog=True)
@@ -74,6 +82,54 @@ class TestStallDetection:
         assert watched.system.now == bare.system.now
         assert (watched.system.events.events_processed
                 == bare.system.events.events_processed)
+
+
+class _SampledSystem:
+    """The part of a System an observer reads; records each sample's
+    logical-event count."""
+
+    def __init__(self, events: EventQueue):
+        self.events = events
+        self.samples: list[int] = []
+
+    @property
+    def now(self) -> float:
+        return self.events.now
+
+    def progress_vector(self) -> tuple:
+        self.samples.append(self.events.events_simulated)
+        return (len(self.samples),)
+
+
+def _batched_run(install) -> list[int]:
+    """Ten events that each stand for ten logical events (a flit burst
+    crediting nine more), observed by ``install(system)``."""
+    events = EventQueue()
+    system = _SampledSystem(events)
+    install(system)
+    for i in range(10):
+        events.schedule_at(float(i), lambda: events.credit_batched(9))
+    events.run()
+    return system.samples
+
+
+class TestLogicalEventPacing:
+    """Observers pace on ``events_simulated``, as ``max_events`` does."""
+
+    def test_watchdog_samples_every_check_every_events_logical_events(self):
+        def install(system):
+            watchdog = Watchdog(system, WatchdogConfig(check_every_events=25))
+            system.events.watcher = watchdog.note_event
+            system.watchdog = watchdog  # the watchdog holds its system weakly
+
+        assert _batched_run(install) == [30, 60, 90]
+
+    def test_progress_writer_samples_every_every_events_logical_events(self, tmp_path):
+        def install(system):
+            ProgressWriter(str(tmp_path / "progress.json"), every_events=25).bind(system)
+
+        # The first sample is bind's initial snapshot.
+        assert _batched_run(install) == [0, 30, 60, 90]
 
 
 class TestConfigValidation:

@@ -51,14 +51,6 @@ class TestFindingSortKey:
         ordered = sorted([b1, a2, a1], key=Finding.sort_key)
         assert ordered == [a1, a2, b1]
 
-    def test_sorted_findings_does_not_mutate(self):
-        report = LintReport(source="x")
-        report.add(Severity.INFO, "later", "", "m")
-        report.add(Severity.ERROR, "first", "", "m")
-        ordered = report.sorted_findings()
-        assert [f.code for f in ordered] == ["first", "later"]
-        assert [f.code for f in report.findings] == ["later", "first"]
-
 
 class TestFormat:
     def test_param_included_when_present(self):

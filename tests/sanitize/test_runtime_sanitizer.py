@@ -7,6 +7,7 @@ sanitizer stays silent on healthy simulations.
 """
 
 import heapq
+from collections import deque
 
 import pytest
 
@@ -44,9 +45,10 @@ class TestSanitizedEventQueue:
         q = RuntimeSanitizer().make_event_queue()
         q.schedule_at(10.0, lambda: None)
         q.run()
-        # Corrupt the heap behind schedule_at's back: an event in the past.
+        # Corrupt the queue behind schedule_at's back: a bucket in the past.
         stale = _ScheduledEvent(time=5.0, tiebreak=0, seq=-1, callback=lambda: None)
-        heapq.heappush(q._heap, (stale.time, stale.tiebreak, stale.seq, stale))
+        q._buckets[stale.time] = deque([stale])
+        heapq.heappush(q._heap, stale.time)
         with pytest.raises(SanitizerError, match="time-travel"):
             q.step()
 

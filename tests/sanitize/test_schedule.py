@@ -147,42 +147,6 @@ class TestHarnessProbes:
                 == report.outcomes[1].events_processed)
 
 
-class _GroupingSensitiveProbe:
-    """Reports its dispatch count under another key than
-    ``events_processed``, so step grouping changes its payload."""
-
-    label = "grouping-sensitive"
-
-    def run(self, queue, on_system=None):
-        for _ in range(4):
-            queue.after(5.0, lambda: None)
-        queue.run()
-        return {"dispatches": queue.events_processed}
-
-
-class TestGroupedRun:
-    def test_grouped_collective_matches_the_ungrouped_baseline(self):
-        probe = fig12.schedule_probes(
-            size_bytes=64 * 1024, shapes=(TorusShape(2, 2, 2),))[0]
-        report = run_schedule_trials(probe, trials=1)
-        assert report.identical, report.summary()
-        baseline, grouped = report.outcomes[0], report.grouped
-        assert grouped.events_simulated == baseline.events_simulated
-        assert grouped.events_processed < baseline.events_processed
-        assert report.grouping_diff == []
-        assert report.to_dict()["grouped"]["events_simulated"] \
-            == baseline.events_simulated
-
-    def test_grouping_sensitive_result_is_flagged(self):
-        report = run_schedule_trials(_GroupingSensitiveProbe(), trials=2)
-        assert report.divergence is None  # every trial ran ungrouped
-        assert report.grouping_diff == ["dispatches"]
-        assert not report.identical
-        assert "step-grouped run differs" in report.summary()
-        findings = report.to_findings()
-        assert [f.code for f in findings.errors] == ["step-group-divergence"]
-
-
 class TestPayloadDiff:
     def test_nested_paths(self):
         a = {"x": 1, "rows": [{"q": 1.0}, {"q": 2.0}]}

@@ -146,19 +146,19 @@ class TestStreamingExactStats:
            threshold=st.sampled_from([1, 2, COMPACT_AT]), data=st.data())
     def test_copies_total_equals_fsum_of_every_copy(self, samples, threshold, data):
         """A quotient run's stats count each record ``copies`` times; its
-        totals, also merged with stats of other copy counts, equal
-        ``fsum`` over every copy's sample."""
+        totals, also merged across sets (which share one system's copy
+        count), equal ``fsum`` over every copy's sample."""
         cuts = data.draw(st.lists(st.integers(0, len(samples)), max_size=3))
+        copies = data.draw(st.sampled_from([1, 2, 3, 32]))
         with compact_at(threshold):
             parts, every_copy = [], []
             for part in split(samples, cuts):
-                copies = data.draw(st.sampled_from([1, 2, 3, 32]))
                 stats = PhaseStats(copies=copies)
                 for value in part:
                     stats.record(*message(q=value, n=-value, size=value))
                     every_copy += [value] * copies
                 parts.append(stats)
-            merged = PhaseStats()
+            merged = PhaseStats(copies=copies)
             for i in data.draw(st.permutations(range(len(parts)))):
                 merged.merge_from(parts[i])
         assert merged.queue_cycles.hex() == math.fsum(every_copy).hex()

@@ -83,7 +83,9 @@ class TestP2P:
         from repro.collectives import CollectiveOp
 
         sys_ = make_system()
-        collective = sys_.request_collective(CollectiveOp.ALL_REDUCE, 1 * MB)
+        # Point-to-point first: a system whose collectives already chose
+        # the quotient run rejects it.
         transfer = sys_.request_p2p(0, 7, 1 * MB)
+        collective = sys_.request_collective(CollectiveOp.ALL_REDUCE, 1 * MB)
         sys_.run_until_idle(max_events=50_000_000)
         assert collective.done and transfer.done

@@ -47,12 +47,6 @@ class TestDispatcher:
         assert collective.done
         assert sys_.scheduler.ready_count == 0
 
-    def test_first_phase_count_tracks_issue(self):
-        sys_ = make_system(preferred_set_splits=8, dispatch_threshold=8,
-                           dispatch_batch=16)
-        sys_.request_collective(CollectiveOp.ALL_REDUCE, 8 * MB)
-        assert sys_.scheduler.first_phase_count == 8
-
     def test_idle_after_drain(self):
         sys_ = make_system()
         sys_.request_collective(CollectiveOp.ALL_REDUCE, 64 * KB)

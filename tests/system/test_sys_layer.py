@@ -98,12 +98,6 @@ class TestRequestCollective:
         sys_.run_until_idle()
         assert fired == [100.0]
 
-    def test_run_until_partial(self):
-        sys_ = make_system()
-        sys_.request_collective(CollectiveOp.ALL_REDUCE, 8 * MB)
-        sys_.run_until(10.0)
-        assert sys_.now == pytest.approx(10.0)
-
     def test_reduction_rate_override_slows_collective(self):
         fast_sys = make_system()
         fast = fast_sys.request_collective(CollectiveOp.ALL_REDUCE, 1 * MB,
