@@ -62,7 +62,9 @@ class StallDiagnostics:
     """Everything a human needs to diagnose a tripped watchdog."""
 
     time: float
-    events_processed: int
+    #: Logical events simulated at the trip (``events_simulated``, the
+    #: count the watchdog paces on).
+    events_simulated: int
     stalled_for_cycles: float
     progress_vector: tuple
     wait_for: str
@@ -72,7 +74,7 @@ class StallDiagnostics:
     def to_dict(self) -> dict[str, Any]:
         return {
             "time": self.time,
-            "events_processed": self.events_processed,
+            "events_simulated": self.events_simulated,
             "stalled_for_cycles": self.stalled_for_cycles,
             "progress_vector": list(self.progress_vector),
             "wait_for": self.wait_for,
@@ -82,7 +84,7 @@ class StallDiagnostics:
     def summary(self) -> str:
         lines = [
             f"no progress for {self.stalled_for_cycles:,.0f} cycles at "
-            f"t={self.time:,.0f} ({self.events_processed} events executed)",
+            f"t={self.time:,.0f} ({self.events_simulated} events simulated)",
             self.wait_for,
         ]
         if self.bundle_path:
@@ -136,7 +138,7 @@ class Watchdog:
     def _trip(self, vector: tuple, stalled_for: float) -> None:
         diag = StallDiagnostics(
             time=self.system.now,
-            events_processed=self.system.events.events_processed,
+            events_simulated=self.system.events.events_simulated,
             stalled_for_cycles=stalled_for,
             progress_vector=vector,
             wait_for=self.system.wait_for_summary(),
@@ -150,5 +152,5 @@ class Watchdog:
     def _write_bundle(self, diag: StallDiagnostics) -> str:
         from repro.resilience.bundles import write_bundle
 
-        stem = f"stall-{diag.events_processed:012d}"
+        stem = f"stall-{diag.events_simulated:012d}"
         return write_bundle(self.config.bundle_dir, stem, diag.to_dict())

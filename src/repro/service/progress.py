@@ -63,7 +63,7 @@ class ProgressWriter:
             return
         snapshot = {
             "time": system.events.now,
-            "events_processed": system.events.events_processed,
+            "events_simulated": system.events.events_simulated,
             "progress_vector": list(system.progress_vector()),
             "done": done,
         }

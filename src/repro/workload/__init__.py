@@ -1,7 +1,9 @@
 """Workload layer: layers, models, parallelism, parser, training loop.
 
-Pipeline parallelism lives in :mod:`repro.workload.pipeline`, imported
-only by the runs that use it.
+Every workload runs on one dependency-graph executor,
+:mod:`repro.workload.graph`; :class:`TrainingLoop` builds its graph from a
+model and Table I.  Pipeline parallelism, the other graph builder, lives
+in :mod:`repro.workload.pipeline`, imported only by the runs that use it.
 """
 
 from repro.workload.layer import NO_COMM, CommSpec, LayerSpec

@@ -9,20 +9,21 @@ routed paths, and each stage is a serial compute resource — so the
 simulation reproduces the pipeline *bubble*: for uniform stages the idle
 fraction approaches (S-1)/(M+S-1).
 
-The loop is dependency-driven: a stage executes ready tasks in arrival
-order, a forward task becomes ready when its activation lands, a backward
-task when its output gradient lands.
+The loop builds a :class:`repro.workload.graph.WorkloadGraph` with one
+compute stream per stage: a forward task becomes ready when its
+activation lands, a backward task when its output gradient lands, and
+one join per iteration admits the next iteration's microbatches.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import WorkloadError
 from repro.system.sys_layer import System
+from repro.workload.graph import WorkloadGraph
 from repro.workload.model import DNNModel
 
 
@@ -49,11 +50,13 @@ class PipelineSchedule(str, enum.Enum):
     """Microbatch schedules.
 
     GPIPE admits every microbatch into the pipeline immediately (all
-    forwards stream in, backwards follow) — maximal throughput, O(M)
-    stashed activations on the early stages.  ONE_F_ONE_B caps each
-    stage's in-flight forwards at its pipeline depth (S - index) and
-    prefers a ready backward over a ready forward, bounding stashed
-    activations at O(S) per stage with the same steady-state throughput.
+    forwards stream in, backwards follow) and runs each stage's ready
+    tasks in arrival order — maximal throughput, O(M) stashed activations
+    on the early stages.  ONE_F_ONE_B admits microbatch m once microbatch
+    m - S has finished its backward at stage 0, which caps each stage's
+    in-flight forwards at its pipeline depth (S - index), and prefers a
+    ready backward over a ready forward, bounding stashed activations at
+    O(S) per stage with the same steady-state throughput.
     """
 
     GPIPE = "gpipe"
@@ -102,13 +105,6 @@ class PipelineReport:
         return (s - 1) / (m + s - 1)
 
 
-@dataclass
-class _Task:
-    kind: str  # "fwd" | "bwd"
-    microbatch: int
-    seq: int = 0
-
-
 class PipelineTrainingLoop:
     """Runs GPipe-style pipeline-parallel training on a simulated system."""
 
@@ -138,154 +134,69 @@ class PipelineTrainingLoop:
         self.num_iterations = num_iterations
         self.schedule = schedule
 
-        self._queues: list[deque[_Task]] = [deque() for _ in stages]
-        self._busy: list[bool] = [False] * len(stages)
-        self._reports = [StageReport(s.index, s.node) for s in stages]
-        self._completed_microbatches = 0
-        self._iteration = 0
-        self._finished = False
-        self._comm_cycles = 0.0
-        self._seq = 0
-        self._admitted = 0
-        self._stashed = [0] * len(stages)
-
-    # -- public ---------------------------------------------------------------
-
     def run(self, max_events: Optional[int] = None) -> PipelineReport:
-        self._start_iteration()
-        self.system.events.run(max_events=max_events)
-        if not self._finished:
-            raise WorkloadError(
-                "event queue drained before the pipeline finished "
-                "(a transfer or task never completed)"
-            )
+        graph = WorkloadGraph(self.system)
+        stages, last = self.stages, len(self.stages) - 1
+        one_f_one_b = self.schedule is PipelineSchedule.ONE_F_ONE_B
+        forward_rank = 1 if one_f_one_b else 0
+        forwards: set[int] = set()
+
+        def transfer(deps: list[int], src: int, dst: int, kind: str, m: int) -> list[int]:
+            return [graph.p2p(deps, stages[src].node, stages[dst].node,
+                              stages[min(src, dst)].activation_bytes,
+                              name=f"{kind}(s{src}->s{dst}, m{m})")]
+
+        # The previous iteration's join, which admits this one.
+        gate: list[int] = []
+        for _ in range(self.num_iterations):
+            first_backwards: list[int] = []
+            for m in range(self.num_microbatches):
+                deps = gate
+                if one_f_one_b and m >= len(stages):
+                    deps = [first_backwards[m - len(stages)]]
+                for s, stage in enumerate(stages):
+                    if s:
+                        deps = transfer(deps, s - 1, s, "act", m)
+                    deps = [graph.compute(stage.forward_cycles, s, deps, forward_rank)]
+                    forwards.add(deps[0])
+                for s in range(last, -1, -1):
+                    if s < last:
+                        deps = transfer(deps, s + 1, s, "grad", m)
+                    deps = [graph.compute(stages[s].backward_cycles, s, deps)]
+                first_backwards.append(deps[0])
+            gate = [graph.join(first_backwards)]
+        graph.run(max_events)
+
+        # Each stage runs its tasks one at a time, so completion order is
+        # also the order they started in.
+        reports = [StageReport(s.index, s.node) for s in stages]
+        stashed = [0] * len(stages)
+        comm_cycles = 0.0
+        for number in graph.completed:
+            node = graph.nodes[number]
+            if node.request is not None:
+                # det: allow[float-accumulation] summed in completion order
+                comm_cycles += node.handle.duration_cycles
+            elif node.cycles is not None:
+                s, report = node.stream, reports[node.stream]
+                # det: allow[float-accumulation] one stage = one sequential task stream
+                report.busy_cycles += node.cycles
+                if number in forwards:
+                    report.forward_tasks += 1
+                    stashed[s] += 1
+                    report.peak_stashed_activations = max(
+                        report.peak_stashed_activations, stashed[s])
+                else:
+                    report.backward_tasks += 1
+                    stashed[s] -= 1
         return PipelineReport(
-            num_stages=len(self.stages),
+            num_stages=len(stages),
             num_microbatches=self.num_microbatches,
             num_iterations=self.num_iterations,
             total_cycles=self.system.now,
-            stages=self._reports,
-            comm_cycles=self._comm_cycles,
+            stages=reports,
+            comm_cycles=comm_cycles,
         )
-
-    # -- scheduling ------------------------------------------------------------
-
-    def _start_iteration(self) -> None:
-        if self.schedule is PipelineSchedule.GPIPE:
-            for m in range(self.num_microbatches):
-                self._admit(m)
-        else:
-            # 1F1B warm-up: fill the pipeline depth, then pace admissions
-            # off backward completions at stage 0.
-            for m in range(min(len(self.stages), self.num_microbatches)):
-                self._admit(m)
-
-    def _admit(self, microbatch: int) -> None:
-        self._admitted += 1
-        self._enqueue(0, _Task("fwd", microbatch))
-
-    def _maybe_admit_next(self) -> None:
-        if (self.schedule is PipelineSchedule.ONE_F_ONE_B
-                and self._admitted < self.num_microbatches * (self._iteration + 1)):
-            self._admit(self._admitted % self.num_microbatches)
-
-    def _enqueue(self, stage_idx: int, task: _Task) -> None:
-        task.seq = self._seq
-        self._seq += 1
-        self._queues[stage_idx].append(task)
-        self._maybe_start(stage_idx)
-
-    def _pick_task(self, stage_idx: int) -> _Task:
-        queue = self._queues[stage_idx]
-        if self.schedule is PipelineSchedule.ONE_F_ONE_B:
-            for i, task in enumerate(queue):
-                if task.kind == "bwd":
-                    del queue[i]
-                    return task
-        return queue.popleft()
-
-    def _maybe_start(self, stage_idx: int) -> None:
-        if self._busy[stage_idx] or not self._queues[stage_idx]:
-            return
-        task = self._pick_task(stage_idx)
-        stage = self.stages[stage_idx]
-        cycles = (stage.forward_cycles if task.kind == "fwd"
-                  else stage.backward_cycles)
-        self._busy[stage_idx] = True
-        report = self._reports[stage_idx]
-        # det: allow[float-accumulation] one stage = one sequential task stream
-        report.busy_cycles += cycles
-        if task.kind == "fwd":
-            report.forward_tasks += 1
-        else:
-            report.backward_tasks += 1
-        self.system.schedule(
-            cycles, lambda: self._task_done(stage_idx, task)
-        )
-
-    def _task_done(self, stage_idx: int, task: _Task) -> None:
-        self._busy[stage_idx] = False
-        if task.kind == "fwd":
-            self._after_forward(stage_idx, task.microbatch)
-        else:
-            self._after_backward(stage_idx, task.microbatch)
-        self._maybe_start(stage_idx)
-
-    def _after_forward(self, stage_idx: int, microbatch: int) -> None:
-        self._stashed[stage_idx] += 1
-        report = self._reports[stage_idx]
-        report.peak_stashed_activations = max(
-            report.peak_stashed_activations, self._stashed[stage_idx])
-        stage = self.stages[stage_idx]
-        if stage_idx + 1 < len(self.stages):
-            transfer = self.system.request_p2p(
-                stage.node, self.stages[stage_idx + 1].node,
-                stage.activation_bytes,
-                name=f"act(s{stage_idx}->s{stage_idx + 1}, m{microbatch})",
-            )
-            transfer.on_complete(
-                lambda t, s=stage_idx + 1, m=microbatch: self._on_activation(s, m, t)
-            )
-        else:
-            # Last stage: loss computed, backward of this microbatch is ready.
-            self._enqueue(stage_idx, _Task("bwd", microbatch))
-
-    def _on_activation(self, stage_idx: int, microbatch: int, transfer) -> None:
-        # det: allow[float-accumulation] per-stage transfers complete sequentially
-        self._comm_cycles += transfer.duration_cycles
-        self._enqueue(stage_idx, _Task("fwd", microbatch))
-
-    def _after_backward(self, stage_idx: int, microbatch: int) -> None:
-        self._stashed[stage_idx] -= 1
-        if stage_idx > 0:
-            prev = self.stages[stage_idx - 1]
-            transfer = self.system.request_p2p(
-                self.stages[stage_idx].node, prev.node,
-                prev.activation_bytes,
-                name=f"grad(s{stage_idx}->s{stage_idx - 1}, m{microbatch})",
-            )
-            transfer.on_complete(
-                lambda t, s=stage_idx - 1, m=microbatch: self._on_gradient(s, m, t)
-            )
-        else:
-            self._completed_microbatches += 1
-            self._maybe_admit_next()
-            if self._completed_microbatches == self.num_microbatches:
-                self._end_iteration()
-
-    def _on_gradient(self, stage_idx: int, microbatch: int, transfer) -> None:
-        # det: allow[float-accumulation] per-stage transfers complete sequentially
-        self._comm_cycles += transfer.duration_cycles
-        self._enqueue(stage_idx, _Task("bwd", microbatch))
-
-    def _end_iteration(self) -> None:
-        self._iteration += 1
-        self._completed_microbatches = 0
-        self._admitted = self.num_microbatches * self._iteration
-        if self._iteration < self.num_iterations:
-            self._start_iteration()
-        else:
-            self._finished = True
 
 
 def partition_model(

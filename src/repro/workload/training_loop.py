@@ -1,7 +1,8 @@
 """The workload layer's training loop (Sec. IV-A).
 
 Drives ``num_iterations`` of synchronous training over a
-:class:`repro.system.System`:
+:class:`repro.system.System` as a :class:`repro.workload.graph.WorkloadGraph`
+on one compute stream:
 
 * **Forward pass** — layer by layer; before computing layer *i* the loop
   must wait for that layer's weight-gradient collective from the previous
@@ -14,9 +15,10 @@ Drives ``num_iterations`` of synchronous training over a
   Sec. III-E), computes its input gradient, and — for model/hybrid
   parallelism — blocks on the input-gradient exchange before moving on.
 
-The loop is written in continuation-passing style over the simulator's
-event queue: every wait is a callback, so communication genuinely
-overlaps compute inside the discrete-event simulation.
+Which phases communicate, over which dimensions and whether they block
+is Table I, asked of the model's :class:`ParallelismStrategy`.  A final
+join waits out the last iteration's weight-gradient collectives in layer
+order, charging the waits as exposed communication.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Optional
 from repro.errors import WorkloadError
 from repro.system.collective_set import CollectiveSet
 from repro.system.sys_layer import System
+from repro.workload.graph import WorkloadGraph
 from repro.workload.layer import CommSpec
 from repro.workload.model import DNNModel
 from repro.workload.parallelism import TrainingPhase
@@ -98,161 +101,64 @@ class TrainingLoop:
         self.system = system
         self.model = model
         self.num_iterations = num_iterations
-        self._reports = [LayerReport(layer.name) for layer in model.layers]
-        self._wg_pending: dict[int, CollectiveSet] = {}
-        self._iteration = 0
-        self._iteration_ends: list[float] = []
-        self._finished = False
-
-    # -- public -----------------------------------------------------------------------
 
     def run(self, max_events: Optional[int] = None) -> TrainingReport:
         """Run all iterations to completion and return the report."""
-        self._start_forward(0)
-        self.system.events.run(max_events=max_events)
-        if not self._finished:
-            raise WorkloadError(
-                "event queue drained before the training loop finished "
-                "(a collective never completed — likely a deadlock)"
-            )
+        graph = WorkloadGraph(self.system)
+        layers, strategy = self.model.layers, self.model.strategy
+        reports = [LayerReport(layer.name) for layer in layers]
+        issued: list[tuple[int, int, TrainingPhase]] = []
+        # Per layer, the overlapped collectives its next forward pass awaits.
+        pending: dict[int, list[int]] = {}
+
+        def step(index: int, phase: TrainingPhase, cycles: float, comm: CommSpec,
+                 deps: list[int]) -> list[int]:
+            """Layer ``index``'s ``phase`` compute and collective; returns
+            what the stream's next compute node depends on."""
+            reports[index].compute_cycles[phase] += cycles
+            node = graph.compute(cycles, 0, deps)
+            if not comm.active or not strategy.communicates(phase):
+                return [node]
+            layer = layers[index]
+            collective = graph.collective(
+                [node], index, comm.op, comm.size_bytes, scope=strategy.scope(phase),
+                layer_id=index, name=f"{layer.name}/{phase.value}",
+                reduction_cycles_per_kb=layer.local_update_cycles_per_kb)
+            issued.append((collective, index, phase))
+            reports[index].comm_bytes[phase] += comm.size_bytes
+            if strategy.blocking(phase):
+                return [node, collective]
+            pending.setdefault(index, []).append(collective)
+            return [node]
+
+        follow: list[int] = []
+        ends = []
+        for _ in range(self.num_iterations):
+            for index, layer in enumerate(layers):
+                follow = step(index, TrainingPhase.FORWARD, layer.forward_cycles,
+                              layer.forward_comm, follow + pending.pop(index, []))
+            for index in reversed(range(len(layers))):
+                layer = layers[index]
+                follow = step(index, TrainingPhase.WEIGHT_GRAD, layer.weight_grad_cycles,
+                              layer.weight_grad_comm, follow)
+                follow = step(index, TrainingPhase.INPUT_GRAD, layer.input_grad_cycles,
+                              layer.input_grad_comm, follow)
+            ends.append(follow[-1])
+        graph.join(follow + [c for index in sorted(pending) for c in pending[index]])
+        graph.run(max_events)
+
+        # A layer's collectives of one phase complete in issue order: each
+        # waits, through the stream, on the previous iteration's.
+        for collective, index, phase in issued:
+            handle = graph.nodes[collective].handle
+            reports[index].sets.append(handle)
+            reports[index].comm_cycles[phase] += handle.duration_cycles
+        for index, report in enumerate(reports):
+            report.exposed_cycles = graph.exposed.get(index, 0.0)
         return TrainingReport(
             model_name=self.model.name,
             num_iterations=self.num_iterations,
             total_cycles=self.system.now,
-            layers=self._reports,
-            iteration_ends=self._iteration_ends,
+            layers=reports,
+            iteration_ends=[graph.nodes[end].done_at for end in ends],
         )
-
-    # -- forward pass -------------------------------------------------------------------
-
-    def _start_forward(self, index: int) -> None:
-        pending = self._wg_pending.pop(index, None)
-        if pending is not None and not pending.done:
-            self._blocked_on(pending, index, lambda: self._forward_compute(index))
-        else:
-            self._forward_compute(index)
-
-    def _forward_compute(self, index: int) -> None:
-        layer = self.model.layers[index]
-        self._reports[index].compute_cycles[TrainingPhase.FORWARD] += layer.forward_cycles
-        self.system.schedule(layer.forward_cycles, lambda: self._forward_comm(index))
-
-    def _forward_comm(self, index: int) -> None:
-        layer = self.model.layers[index]
-        collective = self._issue(index, TrainingPhase.FORWARD, layer.forward_comm)
-        if collective is not None:
-            # Output activations block the next layer (Sec. III-E).
-            self._blocked_on(collective, index, lambda: self._after_forward(index))
-        else:
-            self._after_forward(index)
-
-    def _after_forward(self, index: int) -> None:
-        if index + 1 < self.model.num_layers:
-            self._start_forward(index + 1)
-        else:
-            self._start_backward(self.model.num_layers - 1)
-
-    # -- back-propagation ------------------------------------------------------------------
-
-    def _start_backward(self, index: int) -> None:
-        layer = self.model.layers[index]
-        self._reports[index].compute_cycles[TrainingPhase.WEIGHT_GRAD] += (
-            layer.weight_grad_cycles
-        )
-        self.system.schedule(
-            layer.weight_grad_cycles, lambda: self._weight_grad_comm(index)
-        )
-
-    def _weight_grad_comm(self, index: int) -> None:
-        layer = self.model.layers[index]
-        collective = self._issue(index, TrainingPhase.WEIGHT_GRAD, layer.weight_grad_comm)
-        if collective is not None:
-            # Asynchronous: awaited by the next iteration's forward pass.
-            self._wg_pending[index] = collective
-        self._input_grad_compute(index)
-
-    def _input_grad_compute(self, index: int) -> None:
-        layer = self.model.layers[index]
-        self._reports[index].compute_cycles[TrainingPhase.INPUT_GRAD] += (
-            layer.input_grad_cycles
-        )
-        self.system.schedule(layer.input_grad_cycles, lambda: self._input_grad_comm(index))
-
-    def _input_grad_comm(self, index: int) -> None:
-        layer = self.model.layers[index]
-        collective = self._issue(index, TrainingPhase.INPUT_GRAD, layer.input_grad_comm)
-        if collective is not None:
-            # Input gradients feed the previous layer's back-propagation:
-            # blocking (Sec. III-E).
-            self._blocked_on(collective, index, lambda: self._after_backward(index))
-        else:
-            self._after_backward(index)
-
-    def _after_backward(self, index: int) -> None:
-        if index > 0:
-            self._start_backward(index - 1)
-        else:
-            self._end_iteration()
-
-    # -- iteration boundaries ------------------------------------------------------------------
-
-    def _end_iteration(self) -> None:
-        self._iteration_ends.append(self.system.now)
-        self._iteration += 1
-        if self._iteration < self.num_iterations:
-            self._start_forward(0)
-        else:
-            self._drain(0)
-
-    def _drain(self, index: int) -> None:
-        """Wait out the final iteration's outstanding weight-gradient
-        collectives in layer order — exactly what iteration N+1's forward
-        pass would do — charging the waits as exposed communication."""
-        if index >= self.model.num_layers:
-            self._finished = True
-            return
-        pending = self._wg_pending.pop(index, None)
-        if pending is not None and not pending.done:
-            self._blocked_on(pending, index, lambda: self._drain(index + 1))
-        else:
-            self._drain(index + 1)
-
-    # -- helpers -----------------------------------------------------------------------------
-
-    def _issue(
-        self, index: int, phase: TrainingPhase, comm: CommSpec
-    ) -> Optional[CollectiveSet]:
-        if not comm.active or not self.model.strategy.communicates(phase):
-            return None
-        layer = self.model.layers[index]
-        scope = self.model.strategy.scope(phase)
-        collective = self.system.request_collective(
-            comm.op,
-            comm.size_bytes,
-            scope=scope,
-            layer_id=index,
-            name=f"{layer.name}/{phase.value}",
-            reduction_cycles_per_kb=layer.local_update_cycles_per_kb,
-        )
-        report = self._reports[index]
-        report.sets.append(collective)
-        report.comm_bytes[phase] += comm.size_bytes
-        collective.on_complete(
-            lambda c, r=report, p=phase: self._account_comm(r, p, c)
-        )
-        return collective
-
-    @staticmethod
-    def _account_comm(report: LayerReport, phase: TrainingPhase, collective) -> None:
-        report.comm_cycles[phase] += collective.duration_cycles
-
-    def _blocked_on(self, collective: CollectiveSet, index: int, resume) -> None:
-        wait_start = self.system.now
-        report = self._reports[index]
-
-        def unblock(_c) -> None:
-            # det: allow[float-accumulation] one layer blocks at most once per pass
-            report.exposed_cycles += self.system.now - wait_start
-            resume()
-
-        collective.on_complete(unblock)

@@ -61,6 +61,29 @@ class TestStallDetection:
         assert data["diagnostics"]["transport"]["paused_waits"] > 0
         assert data["stalled_for_cycles"] >= 50_000.0
 
+    def test_detailed_stall_reports_events_simulated(self, tmp_path):
+        """On the detailed backend a flit burst is one executed event
+        standing for many logical ones; the trip reports the logical
+        count, the one the watchdog paces on.  Bursts run only without
+        faults, so the stall here is a window shorter than one burst."""
+        from repro.network.detailed.backend import DetailedBackend
+
+        spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
+        spec.backend_factory = lambda events, network, sanitizer: DetailedBackend(
+            events, network, sanitizer=sanitizer)
+        spec.watchdog = WatchdogConfig(stall_cycles=1_000.0, check_every_events=1,
+                                       bundle_dir=str(tmp_path))
+        systems = []
+        with pytest.raises(StallError) as raised:
+            run_collective(spec, CollectiveOp.ALL_REDUCE, 1024 * 1024,
+                           on_system=systems.append)
+        queue = systems[0].events
+        assert queue.events_simulated > queue.events_processed
+        assert systems[0].watchdog.tripped.events_simulated == queue.events_simulated
+        assert f"({queue.events_simulated} events simulated)" in str(raised.value)
+        bundle = tmp_path / f"stall-{queue.events_simulated:012d}.json"
+        assert json.loads(bundle.read_text())["events_simulated"] == queue.events_simulated
+
     def test_healthy_run_never_trips_and_is_cycle_identical(self):
         """Criterion 5 spot-check: the watchdog observes through the
         queue watcher, so enabling it must not move a single cycle.  The
@@ -130,6 +153,8 @@ class TestLogicalEventPacing:
 
         # The first sample is bind's initial snapshot.
         assert _batched_run(install) == [0, 30, 60, 90]
+        snapshot = json.loads((tmp_path / "progress.json").read_text())
+        assert snapshot["events_simulated"] == 90
 
 
 class TestConfigValidation:

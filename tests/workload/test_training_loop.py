@@ -19,6 +19,7 @@ from repro.workload import (
     DNNModel,
     LayerSpec,
     MODEL_PARALLEL,
+    ParallelismStrategy,
     TrainingLoop,
     TrainingPhase,
 )
@@ -141,6 +142,21 @@ class TestModelParallelBlocking:
         # The all-gather duration is fully exposed.
         assert report.layers[0].exposed_cycles > 0
         assert report.total_cycles > report.total_compute_cycles
+
+    def test_blocking_is_asked_of_the_strategy(self, monkeypatch):
+        """Table I's blocking rule lives in ParallelismStrategy alone:
+        made non-blocking, an activation exchange overlaps the rest of
+        the iteration and is awaited only at its end."""
+        act = CommSpec(CollectiveOp.ALL_GATHER, 4 * MB)
+        model = DNNModel("mp", (
+            layer("l0", fwd=10.0, fwd_comm=act),
+            layer("l1", fwd=10.0),
+        ), MODEL_PARALLEL)
+        blocking = TrainingLoop(make_system(), model, num_iterations=1).run()
+        monkeypatch.setattr(ParallelismStrategy, "blocking", lambda self, phase: False)
+        overlapped = TrainingLoop(make_system(), model, num_iterations=1).run()
+        assert overlapped.total_cycles < blocking.total_cycles
+        assert 0 < overlapped.layers[0].exposed_cycles < blocking.layers[0].exposed_cycles
 
     def test_model_parallel_ignores_weight_grad_comm(self):
         """Table I: model parallelism exchanges no weight gradients even
