@@ -681,12 +681,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     search.set_defaults(func=_cmd_search)
 
     lint = sub.add_parser(
-        "lint", help="statically check run-spec / config files before simulating",
+        "lint", help="statically check the shipped presets and the JSON documents "
+                     "commands read before simulating",
         epilog=_EXIT_CODES_DOC,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     lint.add_argument("specs", nargs="*",
-                      help="run-spec or config JSON files (default: lint the "
-                           "shipped paper presets)")
+                      help="fault-schedule, search-space or service-payload "
+                           "JSON files (default: lint the shipped paper presets)")
     lint.add_argument("--presets", action="store_true",
                       help="also lint the shipped paper presets")
     lint.add_argument("--json", action="store_true",

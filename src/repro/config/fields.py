@@ -49,9 +49,11 @@ class Rule:
     ``kind`` is ``int``, ``number``, ``bool``, ``text``, ``choice``
     (one of ``options``: enum members, spelled in JSON by value, or
     strings), ``shape`` (a dimension list of ``arity`` dims, any if
-    ``None``), ``section`` (an object checked by ``cls``'s table) or
+    ``None``), ``section`` (an object checked by ``cls``'s table),
+    ``list`` (values each obeying ``item``, reported at their index) or
     ``axis`` (a non-empty list of values each obeying ``item``).
-    ``optional`` admits ``None``.
+    Constructed objects hold lists and axes as tuples.  ``optional``
+    admits ``None``.
     """
 
     kind: str
@@ -78,7 +80,7 @@ class Rule:
 
 _KIND_NAMES = {"int": "an integer", "number": "a number", "bool": "true or false",
                "text": "a string", "shape": "a shape like 2x4x4 or a list of integers",
-               "section": "an object", "axis": "a non-empty list"}
+               "section": "an object", "list": "a list", "axis": "a non-empty list"}
 
 #: The Python types of the scalar kinds (bools excepted for numbers).
 _TYPES = {"int": int, "number": (int, float), "bool": bool, "text": str}
@@ -254,7 +256,7 @@ def _convert(rule: Rule, value: Any) -> Any:
         return _construct(rule.cls, value)
     if rule.kind == "shape":
         return parse_shape(value, rule.arity)
-    if rule.kind == "axis":
+    if rule.kind in ("list", "axis"):
         return tuple(_convert(rule.item, v) for v in value)
     return value
 
@@ -292,8 +294,11 @@ def _value_errors(rule: Rule, value: Any, where: str, cls: type, siblings: Any,
             return field_errors(rule.cls, value, where)
         return [] if isinstance(value, rule.cls) else [
             (where, "bad-type", f"must be a {rule.cls.__name__}, got {value!r}")]
-    if not isinstance(value, list):
-        return [(where, "bad-type", f"axis values must be a list, got {value!r}")]
+    if not isinstance(value, list if raw else tuple):
+        return [(where, "bad-type", f"must be {rule.describe()}, got {value!r}")]
+    if kind == "list":
+        return [error for i, item in enumerate(value)
+                for error in _value_errors(rule.item, item, f"{where}[{i}]", cls, siblings, raw)]
     if not value:
         return [(where, "empty-axis", "axis has no values; drop it to use the default range")]
     return [error for item in value

@@ -14,7 +14,7 @@ from repro.network.channel import (
 )
 from repro.network.fast_backend import FastBackend
 from repro.network.link import Link, LinkStats
-from repro.network.message import num_packets, packetize
+from repro.network.message import packetize
 
 __all__ = [
     "Channel",
@@ -25,7 +25,6 @@ __all__ = [
     "NetworkBackend",
     "RingChannel",
     "SwitchChannel",
-    "num_packets",
     "packetize",
     "pair_reverse_rings",
     "validate_path",

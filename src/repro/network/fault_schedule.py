@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.config.fields import Rule, build, check, choice, declare, integer, number
 from repro.errors import ConfigError, NetworkError
 from repro.network.faults import degrade_link
 
@@ -57,12 +58,6 @@ _LINK_ACTIONS = {FaultAction.LINK_DOWN, FaultAction.LINK_UP,
 #: Actions that require a ``node`` reference.
 _NODE_ACTIONS = {FaultAction.NODE_PAUSE, FaultAction.NODE_RESUME}
 
-#: Keys one schedule event may carry (shared with the static linter).
-EVENT_KEYS = {"time", "action", "link", "node", "bandwidth_factor",
-              "extra_latency_cycles", "probability"}
-#: Top-level keys of a fault-schedule document.
-SCHEDULE_KEYS = {"seed", "events"}
-
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -74,73 +69,23 @@ class FaultEvent:
     applies to every link without its own rate.
     """
 
-    time: float
-    action: FaultAction
-    link: Optional[Endpoints] = None
-    node: Optional[int] = None
-    bandwidth_factor: float = 1.0
-    extra_latency_cycles: float = 0.0
-    probability: float = 0.0
+    time: float = number(ge=0)
+    action: FaultAction = choice(FaultAction)
+    link: Optional[Endpoints] = declare(Rule("list", item=Rule("int", ge=0)), None)
+    node: Optional[int] = integer(None, ge=0)
+    bandwidth_factor: float = number(1.0, gt=0, le=1)
+    extra_latency_cycles: float = number(0.0, ge=0)
+    probability: float = number(0.0, ge=0, le=1)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigError(f"fault event time must be >= 0, got {self.time}")
+        check(self)
         if self.action in _LINK_ACTIONS and self.link is None:
             raise ConfigError(f"{self.action.value} event needs a 'link' [src, dst]")
         if self.action in _NODE_ACTIONS and self.node is None:
             raise ConfigError(f"{self.action.value} event needs a 'node' id")
-        if self.link is not None:
-            src, dst = self.link
-            if src == dst:
-                raise ConfigError(f"fault link endpoints must differ, got {self.link}")
-        if not 0 < self.bandwidth_factor <= 1:
+        if self.link is not None and (len(self.link) != 2 or self.link[0] == self.link[1]):
             raise ConfigError(
-                f"bandwidth_factor must be in (0, 1], got {self.bandwidth_factor}"
-            )
-        if self.extra_latency_cycles < 0:
-            raise ConfigError(
-                f"extra_latency_cycles must be >= 0, got {self.extra_latency_cycles}"
-            )
-        if not 0 <= self.probability <= 1:
-            raise ConfigError(
-                f"drop probability must be in [0, 1], got {self.probability}"
-            )
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultEvent":
-        unknown = set(data) - EVENT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown fault-event keys: {sorted(unknown)}")
-        try:
-            action = FaultAction(data["action"])
-        except KeyError:
-            raise ConfigError("fault event missing 'action'") from None
-        except ValueError:
-            raise ConfigError(
-                f"unknown fault action {data['action']!r}; expected one of "
-                f"{sorted(a.value for a in FaultAction)}"
-            ) from None
-        link = data.get("link")
-        if link is not None:
-            if (not isinstance(link, (list, tuple)) or len(link) != 2
-                    or not all(isinstance(e, int) and not isinstance(e, bool)
-                               for e in link)):
-                raise ConfigError(
-                    f"fault link must be a [src, dst] pair of ints, got {link!r}"
-                )
-            link = (link[0], link[1])
-        node = data.get("node")
-        if node is not None and (isinstance(node, bool) or not isinstance(node, int)
-                                 or node < 0):
-            raise ConfigError(f"fault node must be an NPU id (an int >= 0), got {node!r}")
-        numbers: dict[str, float] = {}
-        for key, default in (("time", None), ("bandwidth_factor", 1.0),
-                             ("extra_latency_cycles", 0.0), ("probability", 0.0)):
-            value = data.get(key, default)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"fault event {key} must be a number, got {value!r}")
-            numbers[key] = float(value)
-        return cls(action=action, link=link, node=node, **numbers)
+                f"fault link must be a [src, dst] pair of distinct NPUs, got {list(self.link)}")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"time": self.time, "action": self.action.value}
@@ -154,6 +99,14 @@ class FaultEvent:
         if self.action is FaultAction.DROP:
             out["probability"] = self.probability
         return out
+
+
+@dataclass(frozen=True)
+class ScheduleDocument:
+    """A fault-schedule JSON document: the ``--fault-schedule`` format."""
+
+    seed: int = integer(0)
+    events: tuple = declare(Rule("list", item=Rule("section", cls=FaultEvent)), ())
 
 
 class FaultState:
@@ -255,23 +208,11 @@ class FaultSchedule:
         return len(self.events)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultSchedule":
-        if not isinstance(data, dict):
-            raise ConfigError(
-                f"fault schedule must be an object, got {type(data).__name__}"
-            )
-        unknown = set(data) - SCHEDULE_KEYS
-        if unknown:
-            raise ConfigError(f"unknown fault-schedule keys: {sorted(unknown)}")
-        seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"fault-schedule seed must be an int, got {seed!r}")
-        raw_events = data.get("events", [])
-        if not isinstance(raw_events, list):
-            raise ConfigError("fault-schedule 'events' must be a list")
-        events = [FaultEvent.from_dict(e) if isinstance(e, dict)
-                  else _reject_event(e) for e in raw_events]
-        return cls(events, seed=seed)
+    def from_dict(cls, data: Any) -> "FaultSchedule":
+        """Build from a :class:`ScheduleDocument`; raises
+        :class:`ConfigError` naming every field error."""
+        doc = build(ScheduleDocument, data, "fault_schedule")
+        return cls(list(doc.events), seed=doc.seed)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":
@@ -348,9 +289,3 @@ class FaultSchedule:
                     state.drop_probability[event.link] = event.probability
 
         return apply
-
-
-def _reject_event(entry: Any) -> FaultEvent:
-    raise ConfigError(
-        f"fault-schedule events must be objects, got {type(entry).__name__}"
-    )

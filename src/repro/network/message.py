@@ -36,12 +36,3 @@ def packetize(size_bytes: float, packet_size_bytes: int) -> list[float]:
     if rem:
         packets.append(float(rem))
     return packets
-
-
-def num_packets(size_bytes: float, packet_size_bytes: int) -> int:
-    """Packet count without materializing the list."""
-    if packet_size_bytes <= 0:
-        raise NetworkError(f"packet size must be positive: {packet_size_bytes}")
-    if size_bytes <= 0:
-        return 1
-    return int(-(-size_bytes // packet_size_bytes))

@@ -2,11 +2,12 @@
 
 Four complementary halves guard the event/network/collective stack:
 
-* :mod:`repro.sanitize.static_lint` — checks a fully-assembled run
-  *before* simulation starts (dimension products, flit/packet alignment,
-  unit consistency, mapping bijections, fault-factor ranges), surfaced
-  through the ``astra-repro lint`` subcommand with machine-readable
-  findings.
+* :mod:`repro.sanitize.static_lint` — checks inputs *before* simulation
+  starts: the JSON documents commands read (fault schedules, search
+  spaces, service payloads) against their field tables, and built
+  platforms for cross-parameter consistency (flit/packet alignment,
+  dimension products, mapping bijections), surfaced through the
+  ``astra-repro lint`` subcommand with machine-readable findings.
 * :mod:`repro.sanitize.source_lint` — AST-level determinism lint over the
   simulator's own Python sources (unseeded RNGs, wall-clock reads,
   unordered-set iteration, ``id()`` ordering, order-sensitive float
@@ -53,10 +54,8 @@ from repro.sanitize.static_lint import (
     lint_fault_schedule,
     lint_platform,
     lint_presets,
-    lint_run_spec,
     lint_search_space,
     lint_spec_file,
-    lint_topology,
 )
 
 __all__ = [
@@ -79,8 +78,6 @@ __all__ = [
     "lint_fault_schedule",
     "lint_platform",
     "lint_presets",
-    "lint_run_spec",
     "lint_search_space",
     "lint_spec_file",
-    "lint_topology",
 ]

@@ -166,8 +166,8 @@ def lint_payload(data: Any, source: str = "") -> list[Finding]:
     """Static-lint entry: payload errors as :class:`Finding` records.
 
     Routed from :func:`repro.sanitize.static_lint.lint_run_spec` so
-    ``astra-repro lint payload.json`` checks service payload documents
-    with the same tooling as run specs.
+    ``astra-repro lint payload.json`` checks a payload offline with the
+    daemon's own admission schema.
     """
     try:
         parse_payload(data)

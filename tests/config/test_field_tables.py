@@ -1,9 +1,11 @@
 """The field tables: one declaration per parameter, read by every validator.
 
 For every field of every table, a value of the wrong type, one below
-its range and (where the range is bounded above) one above it must give
-exactly one ERROR finding at the field's own path in the linter, and
-the constructor or parser of that input must reject the same value.
+its range and (where the range is bounded above) one above it must be
+rejected by the constructor or parser of that input.  Where a command
+reads the input as a JSON document (fault schedules, search spaces,
+service payloads), the linter must also give exactly one ERROR finding
+at the field's own path.
 """
 
 import copy
@@ -12,8 +14,7 @@ import dataclasses
 import pytest
 
 from repro.analytical.cost_models import CostTable
-from repro.config.fields import Rule, check, field_errors, parse_shape, rules, to_raw
-from repro.config.io import config_from_dict, config_to_dict
+from repro.config.fields import Rule, build, check, field_errors, parse_shape, rules, to_raw
 from repro.config.parameters import (
     ComputeConfig,
     LinkConfig,
@@ -25,8 +26,9 @@ from repro.config.parameters import (
 from repro.config.presets import PAPER_LOCAL_LINK, paper_network_config, paper_simulation_config
 from repro.config.units import Clock
 from repro.errors import ConfigError
+from repro.network.fault_schedule import FaultEvent, FaultSchedule, ScheduleDocument
 from repro.parallel.supervisor import SupervisionPolicy
-from repro.sanitize import Severity, lint_run_spec, lint_search_space
+from repro.sanitize import Severity, lint_fault_schedule, lint_search_space
 from repro.search.space import Axes, Constraints, SearchSpace, SpaceDocument
 from repro.service.schema import SimulationPayload, lint_payload, parse_payload
 
@@ -34,7 +36,7 @@ from repro.service.schema import SimulationPayload, lint_payload, parse_payload
 def wrong_type(rule: Rule):
     """A JSON value of the wrong type for ``rule`` (an int field gets a
     float, a number a string, a choice a value outside it)."""
-    if rule.kind == "axis":
+    if rule.kind in ("axis", "list"):
         return "x"
     return {"int": 2.5, "number": "x", "bool": "yes", "text": 5, "choice": "bogus",
             "shape": 3.5, "section": "x"}[rule.kind]
@@ -46,6 +48,8 @@ def out_of_range(rule: Rule, defaults: dict):
         return [[0] * (rule.arity or 3)]
     if rule.kind == "axis":
         return [[], *([v] for v in out_of_range(rule.item, defaults))]
+    if rule.kind == "list":
+        return [[v] for v in out_of_range(rule.item, defaults)]
     step = 1 if rule.kind == "int" else 0.5
     values = []
     low = rule.ge if rule.gt is None else rule.gt
@@ -62,16 +66,10 @@ def bad_values(cls):
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     for name, rule in rules(cls).items():
         yield name, wrong_type(rule)
-        if rule.kind == "axis":
+        if rule.kind in ("axis", "list"):
             yield name, [wrong_type(rule.item)]
         for value in out_of_range(rule, defaults):
             yield name, value
-
-
-def config_doc():
-    doc = config_to_dict(paper_simulation_config())
-    doc["system"]["transport"] = to_raw(TransportConfig())
-    return doc
 
 
 def with_value(doc: dict, path: str, value) -> dict:
@@ -89,38 +87,46 @@ def space_doc(path: str, value) -> dict:
                       path, value)
 
 
-#: Each config table, its path in a run spec's ``config`` and a valid
-#: instance the constructor check starts from.
+#: Each config table and a valid instance the constructor check starts
+#: from.  No command reads these as documents, so they have no lint half.
 CONFIG_TABLES = [
-    (LinkConfig, "network.local_link", PAPER_LOCAL_LINK),
-    (NetworkConfig, "network", paper_network_config()),
-    (SystemConfig, "system", SystemConfig()),
-    (TransportConfig, "system.transport", TransportConfig()),
-    (ComputeConfig, "compute", ComputeConfig()),
-    (Clock, "clock", Clock()),
-    (SimulationConfig, "", SimulationConfig()),
+    (LinkConfig, PAPER_LOCAL_LINK),
+    (NetworkConfig, paper_network_config()),
+    (SystemConfig, SystemConfig()),
+    (TransportConfig, TransportConfig()),
+    (ComputeConfig, ComputeConfig()),
+    (Clock, Clock()),
+    (SimulationConfig, SimulationConfig()),
+    (SupervisionPolicy, SupervisionPolicy()),
 ]
+
+#: A valid fault event; any one field of the event table may be set on it.
+GOOD_EVENT = {"time": 1, "action": "drop"}
 
 
 def cases():
     """(path, lint, rejects) per bad value: the linter's findings for a
-    document carrying it, and the constructors or parsers that must
-    refuse it."""
-    for cls, prefix, instance in CONFIG_TABLES:
+    document carrying it (``None`` for a table no command reads as a
+    document), and the constructors or parsers that must refuse it."""
+    for cls, instance in CONFIG_TABLES:
         for name, value in bad_values(cls):
-            path = f"{prefix}.{name}" if prefix else name
             yield pytest.param(
-                path, lambda p=path, v=value: lint_run_spec(
-                    {"config": with_value(config_doc(), p, v)}).findings,
-                [lambda p=path, v=value: config_from_dict(with_value(config_doc(), p, v)),
-                 lambda n=name, v=value, i=instance: dataclasses.replace(i, **{n: v})],
+                name, None,
+                [lambda n=name, v=value, i=instance: dataclasses.replace(i, **{n: v})],
                 id=f"{cls.__name__}.{name}={value!r}")
-    for name, value in bad_values(SupervisionPolicy):
-        path = f"supervision.{name}"
-        yield pytest.param(
-            path, lambda n=name, v=value: lint_run_spec({"supervision": {n: v}}).findings,
-            [lambda n=name, v=value: SupervisionPolicy(**{n: v})],
-            id=f"SupervisionPolicy.{name}={value!r}")
+    for cls, prefix, doc in ((ScheduleDocument, "fault_schedule", {"events": []}),
+                             (FaultEvent, "fault_schedule.events[0]", GOOD_EVENT)):
+        for name, value in bad_values(cls):
+            path = f"{prefix}.{name}"
+            if rules(cls)[name].kind == "list" and isinstance(value, list):
+                path += "[0]"
+            bad = {**doc, name: value}
+            if cls is FaultEvent:
+                bad = {"events": [bad]}
+            yield pytest.param(
+                path, lambda d=bad: lint_fault_schedule(d),
+                [lambda d=bad: FaultSchedule.from_dict(d)],
+                id=f"{cls.__name__}.{name}={value!r}")
     for name, value in bad_values(SimulationPayload):
         good = {"op": "allreduce", "size_mb": 0.0625}
         yield pytest.param(
@@ -141,8 +147,9 @@ def cases():
 
 @pytest.mark.parametrize("path,lint,rejects", cases())
 def test_bad_value_is_one_error_at_its_path_and_rejected(path, lint, rejects):
-    errors = [(f.code, f.param) for f in lint() if f.severity is Severity.ERROR]
-    assert len(errors) == 1 and errors[0][1] == path, errors
+    if lint is not None:
+        errors = [(f.code, f.param) for f in lint() if f.severity is Severity.ERROR]
+        assert len(errors) == 1 and errors[0][1] == path, errors
     for reject in rejects:
         with pytest.raises(ConfigError):
             reject()
@@ -152,8 +159,8 @@ def test_every_table_is_covered():
     covered = {case.id.split(".")[0] for case in cases()}
     assert covered == {"LinkConfig", "NetworkConfig", "SystemConfig", "TransportConfig",
                        "ComputeConfig", "Clock", "SimulationConfig", "SupervisionPolicy",
-                       "SimulationPayload", "SpaceDocument", "Axes", "Constraints",
-                       "CostTable"}
+                       "ScheduleDocument", "FaultEvent", "SimulationPayload",
+                       "SpaceDocument", "Axes", "Constraints", "CostTable"}
 
 
 class TestRules:
@@ -196,8 +203,9 @@ class TestRules:
             check(dataclasses.replace(SystemConfig(), local_rings=0))
 
     def test_to_raw_round_trips_through_config_from_dict(self):
+        """``config_from_dict`` was ``build(SimulationConfig, ...)``."""
         config = paper_simulation_config()
-        assert config_from_dict(to_raw(config)) == config
+        assert build(SimulationConfig, to_raw(config)) == config
 
 
 class TestParseShape:

@@ -1,4 +1,5 @@
-"""Tests for configuration serialization."""
+"""Tests for configuration serialization through the field tables
+(:func:`repro.config.fields.to_raw` and :func:`~repro.config.fields.build`)."""
 
 import json
 
@@ -7,17 +8,17 @@ import pytest
 from repro.config import (
     CollectiveAlgorithm,
     SchedulingPolicy,
-    config_from_dict,
-    config_to_dict,
+    SimulationConfig,
     paper_simulation_config,
 )
+from repro.config.fields import build, to_raw
 from repro.errors import ConfigError
 
 
 class TestRoundTrip:
     def test_default_bundle(self):
         cfg = paper_simulation_config()
-        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        assert build(SimulationConfig, json.loads(json.dumps(to_raw(cfg)))) == cfg
 
     def test_non_default_values_survive(self):
         cfg = paper_simulation_config(
@@ -27,13 +28,13 @@ class TestRoundTrip:
             local_bandwidth_scale=0.125,
             num_passes=5,
         )
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+        again = build(SimulationConfig, json.loads(json.dumps(to_raw(cfg))))
         assert again == cfg
         assert again.system.algorithm is CollectiveAlgorithm.ENHANCED
         assert again.compute.compute_scale == 4.0
 
     def test_dict_is_json_primitive_only(self):
-        d = config_to_dict(paper_simulation_config())
+        d = to_raw(paper_simulation_config())
         json.dumps(d)  # must not raise
         assert d["system"]["algorithm"] == "baseline"
 
@@ -43,16 +44,16 @@ class TestErrors:
         # Omitted sections and fields take their defaults; a link's
         # bandwidth, latency and packet size have none.
         with pytest.raises(ConfigError):
-            config_from_dict({"network": {"local_link": {}}})
+            build(SimulationConfig, {"network": {"local_link": {}}})
 
     def test_bad_enum_value(self):
-        d = config_to_dict(paper_simulation_config())
+        d = to_raw(paper_simulation_config())
         d["system"]["algorithm"] = "quantum"
         with pytest.raises(ConfigError):
-            config_from_dict(d)
+            build(SimulationConfig, d)
 
     def test_validation_still_applies(self):
-        d = config_to_dict(paper_simulation_config())
+        d = to_raw(paper_simulation_config())
         d["num_passes"] = 0
         with pytest.raises(ConfigError):
-            config_from_dict(d)
+            build(SimulationConfig, d)

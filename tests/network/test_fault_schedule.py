@@ -277,11 +277,14 @@ class TestScheduleLint:
         errors, _ = self.lint({"events": [
             {"time": 500, "action": "link_down", "link": [0, 1]},
             {"time": 10, "action": "bogus"}]})
-        assert [f.param for f in errors] == ["fault_schedule.events[1]"]
+        assert [f.param for f in errors] == ["fault_schedule.events[1].action"]
         errors, _ = self.lint({"events": [
             "not an event",
-            {"time": 1, "action": "link_down", "link": [0, 1], "lnik": 2}]})
-        assert "fault_schedule.events[1].lnik" in [f.param for f in errors]
+            {"time": 1, "action": "link_down", "link": [0, 1], "lnik": 2},
+            {"time": 2, "action": "link_down", "link": [0, 0]}]})
+        assert [f.param for f in errors] == [
+            "fault_schedule.events[0]", "fault_schedule.events[1].lnik",
+            "fault_schedule.events[2]"]
 
     def test_link_up_is_checked_in_time_order(self):
         errors, warnings = self.lint({"events": [
@@ -296,7 +299,9 @@ class TestScheduleLint:
              "bandwidth_factor": True},
             {"time": 3, "action": "node_pause", "node": -1}]})
         assert sorted((f.code, f.param) for f in errors) == [
-            ("fault-event-invalid", f"fault_schedule.events[{i}]") for i in range(3)]
+            ("bad-type", "fault_schedule.events[0].probability"),
+            ("bad-type", "fault_schedule.events[1].bandwidth_factor"),
+            ("out-of-range", "fault_schedule.events[2].node")]
 
     def test_link_up_without_down_warns(self):
         errors, warnings = self.lint(
@@ -305,18 +310,17 @@ class TestScheduleLint:
         assert warnings
 
     def test_run_spec_with_fault_schedule_section(self):
-        from repro.sanitize import lint_run_spec
+        """A link flap that comes back up lints clean: no errors and no
+        link_up-without-down warning."""
+        from repro.sanitize.static_lint import lint_run_spec
 
-        spec = {"topology": {"kind": "Torus", "shape": "1x4x1"},
-                "expected_npus": 4,
-                "fault_schedule": {"events": [
-                    {"time": 1, "action": "link_down", "link": [0, 1]},
-                    {"time": 9, "action": "link_up", "link": [0, 1]}]}}
-        report = lint_run_spec(spec, source="test")
-        assert not report.errors, report.format()
+        report = lint_run_spec({"events": [
+            {"time": 1, "action": "link_down", "link": [0, 1]},
+            {"time": 9, "action": "link_up", "link": [0, 1]}]}, source="test")
+        assert report.findings == [], report.format()
 
     def test_bare_schedule_document_linted(self):
-        from repro.sanitize import lint_run_spec
+        from repro.sanitize.static_lint import lint_run_spec
 
         report = lint_run_spec(
             {"events": [{"time": 1, "action": "warp_core_breach"}]},

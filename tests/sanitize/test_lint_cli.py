@@ -28,15 +28,12 @@ class TestLintCommand:
 
     def test_dimension_mismatch_exits_nonzero(self, capsys):
         assert main(["lint", bad("dimension_mismatch.json")]) == 1
-        assert "dim-product-mismatch" in capsys.readouterr().out
-
-    def test_flit_misalignment_exits_nonzero(self, capsys):
-        assert main(["lint", bad("flit_misalignment.json")]) == 1
-        assert "flit-packet-misalignment" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "search-space-error" in out and "yields 32 NPUs" in out
 
     def test_bad_fault_factor_exits_nonzero(self, capsys):
         assert main(["lint", bad("bad_fault_factor.json")]) == 1
-        assert "fault-factor-out-of-range" in capsys.readouterr().out
+        assert "events[0].bandwidth_factor" in capsys.readouterr().out
 
     def test_shipped_examples_exit_zero(self, capsys):
         specs = [example(n) for n in sorted(os.listdir(EXAMPLES))]
@@ -44,14 +41,14 @@ class TestLintCommand:
         assert main(["lint"] + specs) == 0
 
     def test_json_output_machine_readable(self, capsys):
-        assert main(["lint", "--json", bad("dimension_mismatch.json")]) == 1
+        assert main(["lint", "--json", bad("bad_fault_factor.json")]) == 1
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["errors"] >= 1
         finding = next(f for f in reports[0]["findings"]
                        if f["severity"] == "error")
-        assert finding["code"] == "dim-product-mismatch"
-        assert finding["param"] == "topology.shape"
-        assert finding["source"].endswith("dimension_mismatch.json")
+        assert finding["code"] == "out-of-range"
+        assert finding["param"] == "fault_schedule.events[0].bandwidth_factor"
+        assert finding["source"].endswith("bad_fault_factor.json")
 
     def test_missing_file_reported(self, capsys):
         assert main(["lint", "/nonexistent/nowhere.json"]) == 1
@@ -68,10 +65,10 @@ class TestLintCommand:
         assert args.strict and args.json and args.specs == []
 
     def test_explicit_presets_with_files(self, capsys):
-        code = main(["lint", "--presets", example("paper_torus.json")])
+        code = main(["lint", "--presets", example("flaky_torus.json")])
         assert code == 0
         out = capsys.readouterr().out
-        assert "torus-2x4x4" in out and "paper_torus.json" in out
+        assert "torus-2x4x4" in out and "flaky_torus.json" in out
 
 
 class TestSanitizeFlag:

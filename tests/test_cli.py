@@ -181,6 +181,26 @@ class TestWatchdogFlags:
         assert exc.value.code == 2
 
 
+class TestFaultScheduleExample:
+    def test_flaky_torus_schedule_runs_and_recovers(self, capsys):
+        """The shipped schedule drops, pauses and degrades links; the
+        reliable transport retransmits and every message recovers."""
+        import re
+        from pathlib import Path
+
+        schedule = Path(__file__).resolve().parents[1] / "examples" / "configs" / "flaky_torus.json"
+        code = main(["collective", "--topology", "Torus", "--shape", "2x2x2",
+                     "--op", "allreduce", "--size-mb", "8",
+                     "--fault-schedule", str(schedule)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "1,370,808 cycles" in out
+        dropped, retries = (int(re.search(rf"(\d+) {word}", out).group(1))
+                            for word in ("dropped", "retries"))
+        assert dropped > 0 and retries > 0
+        assert "0 failed" in out
+
+
 class TestTrainCommand:
     def test_mlp_training(self, capsys):
         code = main(["train", "--model", "mlp", "--shape", "2x2x2",
