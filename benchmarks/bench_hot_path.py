@@ -1,9 +1,10 @@
 """Hot-path macro-benchmark: the canonical throughput figures.
 
-Five benchmarks — three representative simulations (a fast-backend
+Six benchmarks — three representative simulations (a fast-backend
 all-reduce, a fast-backend all-to-all over a switch fabric, a detailed
-flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs),
-and a pure :class:`~repro.events.engine.EventQueue` schedule/cancel
+flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs), a
+detailed all-reduce of small messages (1x8x8, 64 KB: 28,672 four-flit
+messages), and a pure :class:`~repro.events.engine.EventQueue` schedule/cancel
 microbench.  Together they exercise every hot path the perf work
 touches: the event-queue run loop, bucketed scheduling and lazy
 cancellation, ``FastBackend.send`` + ``Link.reserve`` + delivery, the
@@ -169,12 +170,18 @@ def run_benchmarks() -> tuple[list[RunProfile], dict[str, float]]:
          CollectiveOp.ALL_TO_ALL, 1 * MB),
     ]
 
-    def _detailed_spec():
-        spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
+    def _detailed_spec(shape: TorusShape, **kwargs):
+        spec = torus_platform(shape, **kwargs)
         spec.backend_factory = _detailed_factory
         return spec
 
-    cases.append(("detailed_allreduce_2x2x2_64kb", _detailed_spec,
+    cases.append(("detailed_allreduce_2x2x2_64kb",
+                  lambda: _detailed_spec(TorusShape(2, 2, 2), preferred_set_splits=4),
+                  CollectiveOp.ALL_REDUCE, 64 * KB))
+    # Small messages: every one is its own four-flit burst at an idle port,
+    # so this gates the detailed backend's fixed cost per message.
+    cases.append(("detailed_allreduce_1x8x8_64kb",
+                  lambda: _detailed_spec(TorusShape(1, 8, 8)),
                   CollectiveOp.ALL_REDUCE, 64 * KB))
 
     profiles: list[RunProfile] = []

@@ -15,24 +15,23 @@ from __future__ import annotations
 from repro.errors import NetworkError
 
 
-def packetize(size_bytes: float, packet_size_bytes: int) -> list[float]:
-    """Split a message payload into packet payloads (Table II).
+def packetize(size_bytes: float, packet_size_bytes: int) -> tuple[int, float]:
+    """Split a message payload into packets (Table II): the packet count
+    and the last packet's payload; every other packet is full.
 
     The final packet may be short.  A zero-byte message still produces a
     single (header-only) packet so that control messages cost one packet
-    of latency.
+    of latency.  The detailed backend splits packets into flits the same
+    way.
 
     >>> packetize(1200, 512)
-    [512.0, 512.0, 176.0]
+    (3, 176.0)
     """
     if packet_size_bytes <= 0:
         raise NetworkError(f"packet size must be positive: {packet_size_bytes}")
     if size_bytes < 0:
         raise NetworkError(f"size must be >= 0: {size_bytes}")
-    if size_bytes == 0:
-        return [0.0]
     full, rem = divmod(size_bytes, packet_size_bytes)
-    packets = [float(packet_size_bytes)] * int(full)
-    if rem:
-        packets.append(float(rem))
-    return packets
+    if rem or not full:
+        return int(full) + 1, float(rem)
+    return int(full), float(packet_size_bytes)

@@ -2,13 +2,13 @@
 fast backend on uncontended transfers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import LinkConfig, NetworkConfig
 from repro.errors import NetworkError
 from repro.events import EventQueue
 from repro.network import FastBackend, Link
 from repro.network.detailed import DetailedBackend, packet_flits
-from repro.network.message import packetize
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,
@@ -37,11 +37,36 @@ def run_send(backend, src, dst, size, path):
     return done[0]
 
 
+def _packets(size, packet_bytes, flit_bytes):
+    """Every packet's ``(flits, tail)``, expanded from ``packet_flits``."""
+    count, flits, tail, last_flits, last_tail = packet_flits(
+        size, packet_bytes, flit_bytes)
+    return [(flits, tail)] * (count - 1) + [(last_flits, last_tail)]
+
+
 def _flit_sizes(size, packet_bytes, flit_bytes):
     """Every packet's flit sizes, expanded from ``packet_flits``."""
-    flits, tails = packet_flits(size, packet_bytes, flit_bytes)
     return [[float(flit_bytes)] * (count - 1) + [tail]
-            for count, tail in zip(flits.tolist(), tails.tolist())]
+            for count, tail in _packets(size, packet_bytes, flit_bytes)]
+
+
+def _reference_packets(size_bytes, packet_bytes):
+    """Packet payloads as a list, the way messages were once packetized."""
+    if size_bytes == 0:
+        return [0.0]
+    full, rem = divmod(size_bytes, packet_bytes)
+    return [float(packet_bytes)] * int(full) + ([float(rem)] if rem else [])
+
+
+def _flit_split(packet_bytes, flit_bytes):
+    """Flit count and last-flit size of one packet, by repeated
+    subtraction: the reference the closed form must match."""
+    count = 1
+    remaining = packet_bytes
+    while remaining > flit_bytes:
+        remaining -= flit_bytes
+        count += 1
+    return count, float(max(remaining, 0.0))
 
 
 #: Flit sizes per packet, as the decomposition produced them before flits
@@ -68,12 +93,11 @@ EXACT_FLIT_SIZES = {
 
 class TestFlitDecomposition:
     def test_packets_and_flits(self):
-        flits, tails = packet_flits(1200.0, packet_bytes=512, flit_bytes=128)
-        assert flits.tolist() == [4, 4, 2]
-        assert tails.tolist() == [128.0, 128.0, 48.0]
+        assert packet_flits(1200.0, packet_bytes=512, flit_bytes=128) == \
+            (3, 4, 128.0, 2, 48.0)
 
     def test_flit_sizes_sum_to_packet(self):
-        packets = packetize(1000.0, 512)
+        packets = _reference_packets(1000.0, 512)
         for packet, sizes in zip(packets, _flit_sizes(1000.0, 512, 128),
                                  strict=True):
             assert sum(sizes) == pytest.approx(packet)
@@ -86,6 +110,34 @@ class TestFlitDecomposition:
     def test_nonpositive_flit_width_rejected(self):
         with pytest.raises(NetworkError, match="flit width"):
             packet_flits(1024.0, 512, 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        packet_bytes=st.one_of(st.sampled_from([64, 100, 127, 128, 129, 256, 300,
+                                                512, 1000]),
+                               st.integers(1, 4096)),
+        flit_bytes=st.one_of(st.sampled_from([1, 16, 125, 128]),
+                             st.integers(1, 600)),
+        data=st.data(),
+    )
+    def test_closed_form_matches_repeated_subtraction(self, packet_bytes,
+                                                      flit_bytes, data):
+        """Zero-byte, sub-flit, exact-multiple, fractional and odd sizes:
+        the closed form equals packetizing into a list and splitting each
+        packet by repeated subtraction."""
+        unit = st.sampled_from([flit_bytes, packet_bytes])
+        size = data.draw(st.one_of(
+            st.just(0.0),
+            st.floats(0.0, flit_bytes, exclude_max=True),
+            st.builds(lambda k, u: float(k * u), st.integers(1, 64), unit),
+            st.builds(lambda k, u, d: k * u + d, st.integers(0, 64), unit,
+                      st.sampled_from([-0.5, 0.25, 0.5, 1.0, 1.5])).filter(
+                          lambda x: x >= 0),
+            st.floats(0.0, 64.0 * packet_bytes),
+        ))
+        expected = [_flit_split(packet, flit_bytes)
+                    for packet in _reference_packets(size, packet_bytes)]
+        assert _packets(size, packet_bytes, flit_bytes) == expected
 
 
 class TestAgreementWithFastBackend:

@@ -114,21 +114,23 @@ class TestDropReturn:
 
 
 class TestPacketize:
+    """``(count, last packet bytes)``; every other packet is full."""
+
     def test_exact_multiple(self):
-        assert packetize(1024, 512) == [512.0, 512.0]
+        assert packetize(1024, 512) == (2, 512.0)
 
     def test_remainder_packet(self):
-        assert packetize(1200, 512) == [512.0, 512.0, 176.0]
+        assert packetize(1200, 512) == (3, 176.0)
 
     def test_small_message_single_packet(self):
-        assert packetize(100, 512) == [100.0]
+        assert packetize(100, 512) == (1, 100.0)
 
     def test_zero_size_yields_header_packet(self):
-        assert packetize(0, 512) == [0.0]
+        assert packetize(0, 512) == (1, 0.0)
 
     def test_sum_preserved(self):
-        packets = packetize(999_999, 256)
-        assert sum(packets) == pytest.approx(999_999)
+        count, last = packetize(999_999, 256)
+        assert (count - 1) * 256 + last == 999_999
 
     def test_invalid_packet_size(self):
         with pytest.raises(NetworkError):
@@ -150,4 +152,4 @@ class TestNumPackets:
         (0, 512, 1),
     ])
     def test_counts(self, size, packet, expected):
-        assert len(packetize(size, packet)) == expected
+        assert packetize(size, packet)[0] == expected
