@@ -6,10 +6,11 @@ Two contracts, both "observation is free in simulated time":
   which fires after each executed event and never schedules anything —
   so a no-fault run with the watchdog attached must land on the exact
   same cycle as a bare run.  Timed bare and with the watchdog.
-* The supervisor (docs/SUPERVISION.md): deadlines, retry budgets, and
-  quarantine live entirely in the parent's dispatch loop — a no-fault
-  supervised batch must produce bit-identical cycles to the plain
-  executor, paying only wall-clock dispatch overhead (reported as a
+* Supervision (docs/SUPERVISION.md): deadlines, retry budgets, and
+  quarantine live entirely in the parent's task loop — a no-fault
+  supervised batch (its points run in a worker slot) must produce
+  bit-identical cycles to an unsupervised one (its points run in the
+  parent), paying only wall-clock dispatch overhead (reported as a
   ratio, bounded loosely for shared CI machines).
 """
 
@@ -22,7 +23,7 @@ from repro.config.parameters import TransportConfig
 from repro.config.units import MB
 from repro.harness.runners import run_collective, torus_platform
 from repro.parallel import ParallelExecutor, RunPoint
-from repro.parallel.supervisor import SupervisedExecutor, SupervisionPolicy
+from repro.parallel.supervisor import SupervisionPolicy
 from repro.resilience import WatchdogConfig
 
 from bench_common import print_table, run_once
@@ -95,7 +96,7 @@ def supervised_vs_plain():
 
     policy = SupervisionPolicy(point_timeout_s=600.0, max_retries=2)
     start = time.perf_counter()
-    with SupervisedExecutor(jobs=1, policy=policy) as sup_ex:
+    with ParallelExecutor(jobs=1, policy=policy) as sup_ex:
         outcomes = sup_ex.run_outcomes(_bench_points())
     supervised_wall = time.perf_counter() - start
 
@@ -117,7 +118,7 @@ def test_supervision_overhead(benchmark):
     for reference, outcome in zip(plain, outcomes):
         assert reference.duration_cycles == outcome.result.duration_cycles, (
             "a supervised no-fault run must land on the exact cycle of "
-            "the plain executor")
+            "an unsupervised run")
         assert (reference.breakdown.as_dict()
                 == outcome.result.breakdown.as_dict())
     # Dispatch overhead only; generous bound for loaded CI boxes.

@@ -1,7 +1,8 @@
 """Supervision smoke gate: a sweep with an injected crash and hang.
 
-Runs a small Fig. 9 all-reduce batch through the supervised executor
-with two faults injected:
+Runs a small Fig. 9 all-reduce batch through a supervised executor (a
+``ParallelExecutor`` with a ``SupervisionPolicy``) with two faults
+injected:
 
 * one point SIGKILLs its worker on the first attempt (must be retried
   and land bit-identical to a clean run), and
@@ -28,7 +29,11 @@ from dataclasses import replace
 from repro.collectives import CollectiveOp
 from repro.harness import fig09
 from repro.parallel import ParallelExecutor, PointStatus, exit_code_for, results_with_gaps
-from repro.parallel.supervisor import SupervisedExecutor, SupervisionPolicy
+from repro.parallel.supervisor import (
+    SupervisionPolicy,
+    quarantine_summary,
+    write_quarantine_report,
+)
 
 SIZES = [64 * 1024.0, 256 * 1024.0]
 
@@ -75,11 +80,11 @@ def main(argv=None) -> int:
 
     policy = SupervisionPolicy(point_timeout_s=args.point_timeout,
                                max_retries=1)
-    with SupervisedExecutor(jobs=2, policy=policy,
-                            journal_path=journal) as ex:
+    with ParallelExecutor(jobs=2, policy=policy,
+                          journal_path=journal) as ex:
         outcomes = ex.run_outcomes(_faulty_points(marker))
-        ex.write_quarantine_report(report_path)
-        summary = ex.quarantine_summary()
+        write_quarantine_report(report_path, policy, ex.quarantine)
+        summary = quarantine_summary(ex.quarantine)
 
     statuses = [o.status for o in outcomes]
     print(f"statuses: {[s.value for s in statuses]}")
@@ -104,8 +109,8 @@ def main(argv=None) -> int:
 
     # Resume: the journal must carry the campaign past completed AND
     # quarantined points without re-simulating either.
-    with SupervisedExecutor(jobs=2, policy=policy,
-                            journal_path=journal) as resumed_ex:
+    with ParallelExecutor(jobs=2, policy=policy,
+                          journal_path=journal) as resumed_ex:
         resumed = resumed_ex.run_outcomes(_faulty_points(marker))
         assert resumed_ex.simulations_run == 0, "resume re-simulated"
     assert all(o.from_journal for o in resumed)

@@ -173,7 +173,7 @@ def _add_execution_args(p: argparse.ArgumentParser, default=None) -> None:
 
 def _supervision_from_args(args: argparse.Namespace):
     """(policy, journal_path, quarantine_dir) when any supervision flag
-    was given; (None, None, None) → plain unsupervised executor."""
+    was given; (None, None, None) → an unsupervised executor."""
     given = (getattr(args, "supervise", False)
              or any(getattr(args, key, None) is not None
                     for key in ("point_timeout", "point_event_budget",
@@ -853,14 +853,18 @@ def _report_quarantine(executor) -> bool:
     quarantine dir is configured); True when anything was quarantined."""
     import os
 
-    if not getattr(executor, "quarantine", None):
+    if not executor.quarantine:
         return False
-    summary = executor.quarantine_summary()
-    if summary:
-        print(summary, file=sys.stderr)
+    from repro.parallel.supervisor import (
+        quarantine_summary,
+        write_quarantine_report,
+    )
+
+    print(quarantine_summary(executor.quarantine), file=sys.stderr)
     if executor.quarantine_dir:
-        path = executor.write_quarantine_report(
-            os.path.join(executor.quarantine_dir, "quarantine-report.json"))
+        path = write_quarantine_report(
+            os.path.join(executor.quarantine_dir, "quarantine-report.json"),
+            executor.policy, executor.quarantine)
         print(f"quarantine report: {path}", file=sys.stderr)
     return True
 

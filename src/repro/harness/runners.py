@@ -220,9 +220,8 @@ def sweep_collective(
     come back in size order regardless of job count, bit-identical to the
     serial loop this used to be.
 
-    Under a :class:`repro.parallel.supervisor.SupervisedExecutor` a quarantined
-    point comes back as an explicit ``None`` gap instead of aborting the
-    sweep.
+    Under a supervised executor a quarantined point comes back as an
+    explicit ``None`` gap instead of aborting the sweep.
     """
     from repro.parallel import RunPoint, default_executor
 

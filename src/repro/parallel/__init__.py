@@ -1,23 +1,23 @@
-"""Parallel design-space execution: process pools + cache + supervision.
+"""Parallel design-space execution: one executor + cache + supervision.
 
-Three pieces (docs/PERFORMANCE.md, docs/SUPERVISION.md):
+Two pieces and a policy (docs/PERFORMANCE.md, docs/SUPERVISION.md):
 
 * :class:`ParallelExecutor` — runs independent design-space points
-  across a process pool (``jobs > 1``) or deterministically in-process
-  (``jobs = 1``), preserving input order and bit-identical per-point
-  results either way.
+  through one task loop, in the parent or in one-worker process slots,
+  preserving input order and bit-identical per-point results either way.
 * :class:`RunCache` — a content-addressed store keyed on the canonical
   simulation config + topology + op + size + backend + code salt, so
   repeated points across figures and re-runs are free.
-* :class:`SupervisedExecutor` — crash-isolated, deadline-bounded
-  batches: worker deaths retry under a seeded backoff budget, hangs are
-  reaped, poison points are quarantined with diagnostic bundles, and
-  typed :class:`PointOutcome` partial results journal to an append-only
-  JSONL so interrupted campaigns resume.
+* :class:`~repro.parallel.supervisor.SupervisionPolicy` — handed to the
+  executor, it makes batches crash-isolated and deadline-bounded: worker
+  deaths retry under a seeded backoff budget, hangs are reaped, poison
+  points are quarantined with diagnostic bundles, and typed
+  :class:`PointOutcome` partial results journal to an append-only JSONL
+  so interrupted campaigns resume.
 
-The package re-exports the executor and the cache; the supervisor, which
-loads :mod:`multiprocessing`, is imported from
-:mod:`repro.parallel.supervisor` by the commands that supervise.
+The package re-exports the executor and the cache; the policy and the
+journal are imported from :mod:`repro.parallel.supervisor` by the
+commands that supervise.
 
 The CLI's global ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags
 configure a process-wide default executor that the harness entry points

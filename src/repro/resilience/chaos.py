@@ -319,10 +319,10 @@ def run_chaos(config: ChaosConfig,
     point — and the report is identical at any job count because every
     iteration seeds its own RNG from ``(seed, i)``.
 
-    Under a :class:`repro.parallel.supervisor.SupervisedExecutor` an iteration
-    whose *worker* dies or hangs (as opposed to the simulated platform
-    failing) is classified :attr:`Outcome.HOST_FAILURE` — never
-    acceptable — instead of silently aborting the campaign.
+    Under a supervised executor an iteration whose *worker* dies or hangs
+    (as opposed to the simulated platform failing) is classified
+    :attr:`Outcome.HOST_FAILURE` — never acceptable — instead of silently
+    aborting the campaign.
     """
     import functools
 
@@ -330,21 +330,18 @@ def run_chaos(config: ChaosConfig,
 
     ex = executor if executor is not None else default_executor()
     iterate = functools.partial(run_iteration, config)
-    if hasattr(ex, "map_outcomes"):
-        runs = []
-        for i, outcome in enumerate(ex.map_outcomes(iterate,
-                                                    range(config.iterations))):
-            if outcome.ok:
-                runs.append(outcome.result)
-            else:
-                runs.append(ChaosRun(
-                    iteration=i,
-                    backend=config.backends[i % len(config.backends)],
-                    op="?", outcome=Outcome.HOST_FAILURE,
-                    detail=f"{outcome.failure_class}: {outcome.error}"))
-    else:
-        runs = ex.map(iterate, range(config.iterations))
-    report = ChaosReport(seed=config.seed, runs=list(runs))
+    runs = []
+    for i, outcome in enumerate(ex.map_outcomes(iterate,
+                                                range(config.iterations))):
+        if outcome.ok:
+            runs.append(outcome.result)
+        else:
+            runs.append(ChaosRun(
+                iteration=i,
+                backend=config.backends[i % len(config.backends)],
+                op="?", outcome=Outcome.HOST_FAILURE,
+                detail=f"{outcome.failure_class}: {outcome.error}"))
+    report = ChaosReport(seed=config.seed, runs=runs)
     if log is not None:
         for run in report.runs:
             log(f"[{run.iteration + 1}/{config.iterations}] {run.backend} "

@@ -11,14 +11,15 @@ A stdlib-only HTTP daemon where every edge is defensive:
   ``429 Too Many Requests`` with ``Retry-After`` instead of stalling the
   accept loop.  Identical in-flight payloads coalesce onto one job via
   the RunCache content key.
-* **Supervised execution** — jobs run through
-  :class:`~repro.parallel.supervisor.SupervisedExecutor`: per-job
+* **Supervised execution** — jobs run through a
+  :class:`~repro.parallel.executor.ParallelExecutor` with a
+  :class:`~repro.parallel.supervisor.SupervisionPolicy`: per-job
   wall-clock deadlines, seeded-backoff retries, and poison-payload
   quarantine with diagnostic bundles.  A poison job answers its client
   with a structured error; the daemon keeps serving everyone else.
 * **Crash-safe resume** — submissions and outcomes share one
   :class:`~repro.parallel.supervisor.OutcomeJournal` (``"job"`` records
-  from the daemon, ``"outcome"`` records from the supervisor).  SIGTERM
+  from the daemon, ``"outcome"`` records from the executor).  SIGTERM
   closes the queue and drains it; a SIGKILLed daemon restarts against
   the same state directory, replays the journal, completes finished jobs
   instantly, and re-enqueues unfinished ones — zero re-simulation of any
@@ -45,17 +46,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
 # The job path (runners, workload, the simulator under them), imported
-# here so the supervisor's worker processes inherit it when they fork
+# here so the executor's slot workers inherit it when they fork
 # instead of importing it on their first job.
 import repro.harness.runners  # noqa: F401
 from repro.errors import EXIT_OK, EXIT_PARTIAL, ConfigError
 from repro.parallel.cache import RunCache, payload_to_result
-from repro.parallel.executor import RunPoint
-from repro.parallel.supervisor import (
-    OutcomeJournal,
-    SupervisedExecutor,
-    SupervisionPolicy,
-)
+from repro.parallel.executor import ParallelExecutor, RunPoint
+from repro.parallel.supervisor import OutcomeJournal, SupervisionPolicy
 from repro.resilience.bundles import read_bundle
 from repro.service.jobs import Job, JobState, JobStore
 from repro.service.progress import read_progress
@@ -153,7 +150,7 @@ class SimulationService:
             self.store = JobStore()
             self.queue = BoundedJobQueue(config.queue_limit,
                                          retry_after_s=config.retry_after_s)
-            self.executor = SupervisedExecutor(
+            self.executor = ParallelExecutor(
                 jobs=1, cache=self.cache, policy=config.policy,
                 journal_path=self.journal.path,
                 quarantine_dir=config.resolved_quarantine_dir())

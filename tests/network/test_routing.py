@@ -4,6 +4,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,10 @@ class TestAllToAllRouting:
         assert all(l.kind == "local" for l in path)
 
 
+#: Process machinery and supervision: only a run that fans points out to
+#: worker processes, or supervises them, may import these.
+PROCESS_MODULES = ("repro.parallel.supervisor", "multiprocessing", "concurrent.futures")
+
 #: Modules a CLI ``collective`` on the fast backend never runs, so it must
 #: not import them: the cold start is what a CLI user waits for.
 COLLECTIVE_NEVER_IMPORTS = (
@@ -106,10 +111,8 @@ COLLECTIVE_NEVER_IMPORTS = (
     *(f"repro.harness.fig{n:02d}" for n in range(9, 19)),
     "repro.search",
     "repro.workload.pipeline",
-    "repro.parallel.supervisor",
     "repro.profiling",
-    "multiprocessing",
-    "concurrent.futures",
+    *PROCESS_MODULES,
 )
 
 
@@ -135,6 +138,15 @@ class TestLazyNetworkx:
                 "assert main(['collective', '--shape', '2x2x2', '--op', 'allreduce', "
                 "'--size-mb', '1']) == 0")
         assert _modules_loaded_by(code, COLLECTIVE_NEVER_IMPORTS) == []
+
+    def test_serial_search_imports_no_process_machinery(self, tmp_path):
+        """A serial search runs every point in-process: no process pool,
+        no supervisor."""
+        space = Path(__file__).parents[2] / "examples" / "configs" / "search_fig09.json"
+        code = ("from repro.cli import main\n"
+                f"assert main(['--cache-dir', {str(tmp_path)!r}, 'search', '--space', "
+                f"{str(space)!r}, '--budget', '8']) == 0")
+        assert _modules_loaded_by(code, PROCESS_MODULES) == []
 
     def test_bare_import_does_not_load_numpy(self):
         assert _modules_loaded_by("import repro", ["numpy", "repro.network.detailed"]) == []

@@ -12,6 +12,7 @@ import signal
 import time
 
 from repro.config.parameters import TorusShape
+from repro.errors import SimulationError
 from repro.harness.runners import torus_platform
 
 
@@ -92,6 +93,61 @@ def report_pid_and_sleep(pid_dir: str, x: int):
     os.replace(path + ".tmp", path)
     time.sleep(60.0)
     return x
+
+
+def raise_once_sibling_started(pid_dir: str, *_):
+    """Raise :class:`SimulationError` once the sibling sleeper (item 1 of
+    :func:`report_pid_and_sleep`) has reported its pid, so the failure
+    surely lands while that sibling is in flight."""
+    deadline = time.monotonic() + 30.0
+    while (not os.path.exists(os.path.join(pid_dir, "1"))
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    raise SimulationError("injected simulation failure")
+
+
+def fail_first_sleep_rest(pid_dir: str, x: int):
+    """Map item: 0 raises once 1 is running; the rest report and sleep."""
+    if x == 0:
+        raise_once_sibling_started(pid_dir)
+    return report_pid_and_sleep(pid_dir, x)
+
+
+def clock_after(x: int):
+    """Map item: item 0 takes 2 s, the rest are instant; each returns the
+    wall-clock time it finished at, read in the worker."""
+    if x == 0:
+        time.sleep(2.0)
+    return time.time()
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+def wait_for(predicate, timeout_s: float) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def reported_pids(pid_dir: str) -> list[int]:
+    """Pids written by :func:`report_pid_and_sleep` into ``pid_dir``."""
+    pids = []
+    for name in os.listdir(pid_dir):
+        if not name.endswith(".tmp"):
+            with open(os.path.join(pid_dir, name)) as f:
+                pids.append(int(f.read()))
+    return pids
 
 
 def append_journal_lines(path: str, writer_id: int, count: int):

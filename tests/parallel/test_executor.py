@@ -1,12 +1,20 @@
-"""ParallelExecutor: ordering, fallbacks, cache integration."""
+"""ParallelExecutor: ordering, fallbacks, failures, cache integration."""
 
 import functools
 
 import pytest
 
+from _supervision_helpers import (
+    alive,
+    fail_first_sleep_rest,
+    raise_once_sibling_started,
+    report_pid_and_sleep,
+    reported_pids,
+    wait_for,
+)
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.harness.runners import torus_platform
 from repro.parallel import (
     ParallelExecutor,
@@ -28,6 +36,14 @@ def _square(x):
     return x * x
 
 
+def _raise_simulation_error():
+    raise SimulationError("injected simulation failure")
+
+
+def _results(outcomes):
+    return [o.result for o in outcomes]
+
+
 @pytest.fixture(autouse=True)
 def _clean_default():
     yield
@@ -36,11 +52,12 @@ def _clean_default():
 
 class TestMap:
     def test_serial_map_keeps_order(self):
-        assert ParallelExecutor(jobs=1).map(_square, [3, 1, 2]) == [9, 1, 4]
+        outcomes = ParallelExecutor(jobs=1).map_outcomes(_square, [3, 1, 2])
+        assert _results(outcomes) == [9, 1, 4]
 
     def test_parallel_map_keeps_order(self):
         with ParallelExecutor(jobs=2) as ex:
-            assert ex.map(_square, list(range(6))) == [
+            assert _results(ex.map_outcomes(_square, list(range(6)))) == [
                 x * x for x in range(6)]
 
     def test_unpicklable_fn_falls_back_in_process(self):
@@ -50,7 +67,8 @@ class TestMap:
             captured.append(x)
             return -x
 
-        assert ParallelExecutor(jobs=4).map(closure, [1, 2]) == [-1, -2]
+        outcomes = ParallelExecutor(jobs=4).map_outcomes(closure, [1, 2])
+        assert _results(outcomes) == [-1, -2]
         assert captured == [1, 2]  # ran here, not in a worker
 
     def test_jobs_must_be_positive(self):
@@ -125,8 +143,10 @@ class TestPickleClassification:
     def test_lambda_degrades_with_one_logged_warning(self, caplog):
         with caplog.at_level("WARNING", logger="repro.parallel"):
             with ParallelExecutor(jobs=2) as ex:
-                assert ex.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-                assert ex.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+                assert _results(ex.map_outcomes(lambda x: x + 1,
+                                                [1, 2, 3])) == [2, 3, 4]
+                assert _results(ex.map_outcomes(lambda x: x * 2,
+                                                [1, 2, 3])) == [2, 4, 6]
         degradations = [r for r in caplog.records
                         if "not picklable" in r.message]
         assert len(degradations) == 1  # once per executor, not per batch
@@ -141,7 +161,55 @@ class TestPickleClassification:
 
         with ParallelExecutor(jobs=2) as ex:
             with pytest.raises(RuntimeError, match="corrupted handle"):
-                ex.map(Exploding(), [1, 2])
+                ex.map_outcomes(Exploding(), [1, 2])
+
+
+class TestUnsupervisedFailures:
+    """Without a policy a failing point raises its own exception — no
+    retry, quarantine or ``PoisonPointError`` — and no slot worker
+    outlives the call."""
+
+    @staticmethod
+    def _assert_sleeper_reaped(pid_dir):
+        sleepers = reported_pids(pid_dir)
+        assert len(sleepers) == 1
+        assert wait_for(lambda: not alive(sleepers[0]), 5.0), (
+            "the in-flight slot worker outlived the failed batch")
+
+    def test_slot_error_raises_from_run_points(self, tmp_path):
+        pid_dir = str(tmp_path)
+        points = [
+            RunPoint(builder=functools.partial(raise_once_sibling_started,
+                                               pid_dir),
+                     op=CollectiveOp.ALL_REDUCE, size_bytes=KB64),
+            RunPoint(builder=functools.partial(report_pid_and_sleep, pid_dir, 1),
+                     op=CollectiveOp.ALL_REDUCE, size_bytes=KB64),
+        ]
+        with ParallelExecutor(jobs=2) as ex:
+            with pytest.raises(SimulationError, match="injected simulation"):
+                ex.run_points(points)
+            self._assert_sleeper_reaped(pid_dir)
+        assert ex.quarantine == [] and ex.attempts_total == 0
+
+    def test_slot_error_raises_from_map_outcomes(self, tmp_path):
+        pid_dir = str(tmp_path)
+        job = functools.partial(fail_first_sleep_rest, pid_dir)
+        with ParallelExecutor(jobs=2) as ex:
+            with pytest.raises(SimulationError, match="injected simulation"):
+                ex.map_outcomes(job, [0, 1])
+            self._assert_sleeper_reaped(pid_dir)
+
+    @pytest.mark.parametrize("jobs,count", [(1, 2), (2, 1)])
+    def test_parent_error_raises(self, jobs, count):
+        points = [RunPoint(builder=_raise_simulation_error,
+                           op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)
+                  ] * count
+        ex = ParallelExecutor(jobs=jobs)
+        with pytest.raises(SimulationError, match="injected simulation"):
+            ex.run_points(points)
+        with pytest.raises(SimulationError, match="injected simulation"):
+            ex.map_outcomes(lambda x: _raise_simulation_error(), [0] * count)
+        assert ex._slots is None  # ran in the parent: no slot
 
 
 class TestDefaultExecutor:

@@ -1,4 +1,4 @@
-"""SupervisedExecutor: crash isolation, deadlines, quarantine, resume.
+"""Supervised ParallelExecutor: crash isolation, deadlines, quarantine, resume.
 
 The injectors live in ``_supervision_helpers`` (module-level, so they
 pickle into pool workers) and kill/hang only the worker process they run
@@ -26,8 +26,9 @@ from repro.parallel import (
 )
 from repro.parallel.supervisor import (
     OutcomeJournal,
-    SupervisedExecutor,
     SupervisionPolicy,
+    quarantine_summary,
+    write_quarantine_report,
 )
 
 from _supervision_helpers import (
@@ -90,7 +91,7 @@ class TestNoFaultPath:
     def test_bit_identical_to_plain_executor(self):
         points = _points([KB64, 2 * KB64, 4 * KB64])
         plain = ParallelExecutor(jobs=1).run_points(points)
-        with SupervisedExecutor(jobs=2) as ex:
+        with ParallelExecutor(jobs=2, policy=SupervisionPolicy()) as ex:
             outcomes = ex.run_outcomes(points)
         assert [o.status for o in outcomes] == [PointStatus.OK] * 3
         assert ex.quarantine == []
@@ -101,13 +102,14 @@ class TestNoFaultPath:
 
     def test_run_points_returns_plain_results(self):
         points = _points([KB64])
-        with SupervisedExecutor(jobs=1) as ex:
+        with ParallelExecutor(jobs=1, policy=SupervisionPolicy()) as ex:
             results = ex.run_points(points)
         assert results[0].duration_cycles > 0
 
     def test_warm_cache_serves_without_slots(self, tmp_path):
         points = _points([KB64])
-        with SupervisedExecutor(jobs=1, cache=RunCache(str(tmp_path))) as ex:
+        with ParallelExecutor(jobs=1, cache=RunCache(str(tmp_path)),
+                              policy=SupervisionPolicy()) as ex:
             first = ex.run_outcomes(points)
             assert ex.simulations_run == 1
             second = ex.run_outcomes(points)
@@ -130,7 +132,7 @@ class TestCrashIsolation:
                            size_bytes=KB64),
                   RunPoint(builder=small_torus, op=CollectiveOp.ALL_REDUCE,
                            size_bytes=2 * KB64)]
-        with SupervisedExecutor(jobs=2) as ex:
+        with ParallelExecutor(jobs=2, policy=SupervisionPolicy()) as ex:
             outcomes = ex.run_outcomes(points)
 
         assert outcomes[0].status is PointStatus.RETRIED
@@ -152,7 +154,7 @@ class TestCrashIsolation:
                   RunPoint(builder=small_torus, op=CollectiveOp.ALL_REDUCE,
                            size_bytes=KB64)]
         policy = SupervisionPolicy(max_retries=1, backoff_max_s=0.05)
-        with SupervisedExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             outcomes = ex.run_outcomes(points)
 
         assert outcomes[0].status is PointStatus.CRASHED
@@ -167,7 +169,7 @@ class TestCrashIsolation:
         points = [RunPoint(builder=always_raise_builder,
                            op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)]
         policy = SupervisionPolicy(max_retries=0)
-        with SupervisedExecutor(jobs=1, policy=policy) as ex:
+        with ParallelExecutor(jobs=1, policy=policy) as ex:
             outcomes = ex.run_outcomes(points)
         assert outcomes[0].status is PointStatus.FAILED
         assert outcomes[0].failure_class == "error"
@@ -181,7 +183,7 @@ class TestDeadlines:
                   RunPoint(builder=small_torus, op=CollectiveOp.ALL_REDUCE,
                            size_bytes=KB64)]
         policy = SupervisionPolicy(point_timeout_s=2.0, max_retries=0)
-        with SupervisedExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             outcomes = ex.run_outcomes(points)
         assert outcomes[0].status is PointStatus.TIMEOUT
         assert outcomes[0].failure_class == "timeout"
@@ -190,7 +192,7 @@ class TestDeadlines:
 
     def test_event_budget_quarantines_runaway_point(self):
         policy = SupervisionPolicy(point_event_budget=20, max_retries=0)
-        with SupervisedExecutor(jobs=1, policy=policy) as ex:
+        with ParallelExecutor(jobs=1, policy=policy) as ex:
             outcomes = ex.run_outcomes(_points([KB64]))
         assert outcomes[0].status is PointStatus.FAILED
         assert outcomes[0].failure_class == "event-budget"
@@ -199,7 +201,7 @@ class TestDeadlines:
         points = [RunPoint(builder=always_crash_builder,
                            op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)]
         policy = SupervisionPolicy(max_retries=0, on_poison="fail")
-        with SupervisedExecutor(jobs=1, policy=policy) as ex:
+        with ParallelExecutor(jobs=1, policy=policy) as ex:
             with pytest.raises(PoisonPointError):
                 ex.run_outcomes(points)
 
@@ -209,8 +211,8 @@ class TestQuarantineReport:
         points = [RunPoint(builder=always_crash_builder,
                            op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)]
         policy = SupervisionPolicy(max_retries=0)
-        with SupervisedExecutor(jobs=1, policy=policy,
-                                quarantine_dir=str(tmp_path)) as ex:
+        with ParallelExecutor(jobs=1, policy=policy,
+                              quarantine_dir=str(tmp_path)) as ex:
             outcomes = ex.run_outcomes(points)
         bundle_path = outcomes[0].bundle_path
         assert bundle_path and bundle_path.endswith(".json")
@@ -228,15 +230,17 @@ class TestQuarantineReport:
         points = [RunPoint(builder=always_crash_builder,
                            op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)]
         policy = SupervisionPolicy(max_retries=0)
-        with SupervisedExecutor(jobs=1, policy=policy) as ex:
+        with ParallelExecutor(jobs=1, policy=policy) as ex:
             ex.run_outcomes(points)
-            path = ex.write_quarantine_report(str(tmp_path / "report.json"))
+        path = write_quarantine_report(str(tmp_path / "report.json"),
+                                       policy, ex.quarantine)
         with open(path) as f:
             report = json.load(f)
         assert report["kind"] == "quarantine-report"
+        assert report["policy"]["max_retries"] == 0
         assert len(report["quarantined"]) == 1
         assert report["quarantined"][0]["failure_class"] == "crash"
-        assert "poison point" in ex.quarantine_summary()
+        assert "poison point" in quarantine_summary(ex.quarantine)
 
 
 class TestJournalResume:
@@ -250,14 +254,14 @@ class TestJournalResume:
                   RunPoint(builder=always_crash_builder,
                            op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)]
         policy = SupervisionPolicy(max_retries=0)
-        with SupervisedExecutor(jobs=1, policy=policy,
-                                journal_path=journal) as ex:
+        with ParallelExecutor(jobs=1, policy=policy,
+                              journal_path=journal) as ex:
             first = ex.run_outcomes(points)
         assert first[0].status is PointStatus.OK
         assert first[1].status is PointStatus.CRASHED
 
-        with SupervisedExecutor(jobs=1, policy=policy,
-                                journal_path=journal) as resumed:
+        with ParallelExecutor(jobs=1, policy=policy,
+                              journal_path=journal) as resumed:
             second = resumed.run_outcomes(points)
         assert resumed.simulations_run == 0
         assert resumed.attempts_total == 0
@@ -411,13 +415,28 @@ class TestMapOutcomes:
         from _supervision_helpers import hang_if_two
 
         policy = SupervisionPolicy(point_timeout_s=2.0, max_retries=0)
-        with SupervisedExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             outcomes = ex.map_outcomes(hang_if_two, [0, 1, 2, 3])
         assert [o.result for o in outcomes] == [0, 1, None, 9]
         assert outcomes[2].status is PointStatus.TIMEOUT
 
+    def test_free_slot_refills_while_a_sibling_is_busy(self):
+        """A slot that finishes early takes the next item at once: every
+        instant item completes before the long one, although the loop's
+        poll tick (0.5 s) would let only about four through if the idle
+        wait returned only when every busy slot had finished."""
+        from _supervision_helpers import clock_after
+
+        policy = SupervisionPolicy(poll_interval_s=0.5)
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
+            outcomes = ex.map_outcomes(clock_after, range(21))
+        assert all(o.status is PointStatus.OK for o in outcomes)
+        finished = [o.result for o in outcomes]
+        late = [i for i, t in enumerate(finished[1:], 1) if t >= finished[0]]
+        assert not late, f"instant items {late} waited for the long one"
+
     def test_unpicklable_fn_runs_in_parent(self):
-        with SupervisedExecutor(jobs=2) as ex:
+        with ParallelExecutor(jobs=2, policy=SupervisionPolicy()) as ex:
             outcomes = ex.map_outcomes(lambda x: -x, [1, 2])
         assert [o.result for o in outcomes] == [-1, -2]
         assert all(o.status is PointStatus.OK for o in outcomes)
@@ -447,7 +466,7 @@ class TestFig09Acceptance:
             builder=functools.partial(crash_once_then,
                                       str(tmp_path / "armed"),
                                       fig09._alltoall))
-        with SupervisedExecutor(jobs=2) as ex:
+        with ParallelExecutor(jobs=2, policy=SupervisionPolicy()) as ex:
             outcomes = ex.run_outcomes(points)
 
         assert [o.status for o in outcomes] == [
@@ -469,8 +488,8 @@ class TestFig09Acceptance:
             points[2],
             builder=functools.partial(hang_forever, fig09._torus))
         policy = SupervisionPolicy(point_timeout_s=2.0, max_retries=0)
-        with SupervisedExecutor(jobs=2, policy=policy,
-                                journal_path=journal) as ex:
+        with ParallelExecutor(jobs=2, policy=policy,
+                              journal_path=journal) as ex:
             outcomes = ex.run_outcomes(points)
 
         assert outcomes[2].status is PointStatus.TIMEOUT
@@ -487,8 +506,8 @@ class TestFig09Acceptance:
         assert rows[1]["torus_over_alltoall"] is not None
 
         # Resume past completed AND quarantined points: zero simulations.
-        with SupervisedExecutor(jobs=2, policy=policy,
-                                journal_path=journal) as resumed:
+        with ParallelExecutor(jobs=2, policy=policy,
+                              journal_path=journal) as resumed:
             second = resumed.run_outcomes(points)
         assert resumed.simulations_run == 0
         assert all(o.from_journal for o in second)
@@ -502,11 +521,18 @@ class TestConfigureDefault:
         ex = configure_default(jobs=2,
                                supervision=SupervisionPolicy(max_retries=1),
                                journal_path=str(tmp_path / "j.jsonl"))
-        assert isinstance(ex, SupervisedExecutor)
+        assert ex.policy is not None
         assert ex.policy.max_retries == 1
+        ex.close()
+
+    @pytest.mark.parametrize("path_kwarg", ["journal_path", "quarantine_dir"])
+    def test_a_journal_or_quarantine_path_implies_supervision(
+            self, tmp_path, path_kwarg):
+        ex = configure_default(jobs=2, **{path_kwarg: str(tmp_path / "p")})
+        assert ex.policy == SupervisionPolicy()
         ex.close()
 
     def test_plain_knobs_build_plain_executor(self):
         ex = configure_default(jobs=2)
-        assert type(ex) is ParallelExecutor
+        assert ex.policy is None
         ex.close()
