@@ -147,7 +147,7 @@ class Slots:
                 self._slots[s] = None
 
     def close(self) -> None:
+        """Shut every slot down: wait for idle workers, kill busy ones."""
         for slot in self._slots:
             if slot is not None:
                 slot.shutdown(kill=slot.busy, wait=not slot.busy)
-        self._slots = [None] * len(self._slots)
