@@ -27,8 +27,8 @@ from typing import Any
 
 #: Public name -> the module that defines it.  Nothing is imported until a
 #: name is first used (PEP 562), so ``import repro`` stays cheap and each
-#: command loads only the layers it runs: numpy, for one, is imported only
-#: with ``DetailedBackend``.
+#: command loads only the layers it runs: the flit-level ``DetailedBackend``,
+#: for one, only when a run names it.
 _EXPORTS = {
     **dict.fromkeys(("ChunkExecution", "CollectiveContext", "CollectiveOp", "PhaseSpec",
                      "build_phase_plan"), "repro.collectives"),

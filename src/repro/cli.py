@@ -12,7 +12,7 @@ Exposes the Table III input parameters and the predefined workloads::
 
 Each subcommand imports what it runs inside its own handler, so a
 ``collective`` never loads the models, the figure harnesses, the search,
-the supervisor's process pools or numpy.
+the supervisor's process pools or the detailed backend.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Network layer: links, channels, physical fabrics, and two backends.
 
-Fault injection (:mod:`repro.network.fault_schedule`) and the detailed
-backend (:mod:`repro.network.detailed`, which needs numpy) are imported
-as submodules by the runs that use them.
+Fault injection (:mod:`repro.network.fault_schedule`) and the flit-level
+detailed backend (:mod:`repro.network.detailed`) are imported as
+submodules by the runs that use them.
 """
 
 from repro.network.api import DeliveryCallback, NetworkBackend, validate_path

@@ -3,10 +3,10 @@
 Implements the same :class:`NetworkBackend` interface as the fast
 backend, but moves every message flit by flit through per-link
 :class:`TxPort` instances with VC arbitration and credit flow control.
-A 1x8x8 64 KB all-reduce takes about 1.6 s of CPU time on a 2-vCPU
-Linux guest (3.1 s before flit bursts were planned from the packet
-structure), where the fast backend's quotient run takes about 9 ms
-(docs/PERFORMANCE.md) — use it to validate timing on small
+A 1x8x8 64 KB all-reduce takes about 1 s of CPU time on a 2-vCPU Linux
+guest (1.4 s with numpy burst plans, 3.1 s before flit bursts were
+planned from the packet structure), where the fast backend's quotient
+run takes about 9 ms (docs/PERFORMANCE.md) — use it to validate timing on small
 configurations (see the backend-agreement tests and the
 ``bench_ablation_backends`` benchmark).
 """

@@ -18,7 +18,9 @@ Packet runs
 No flit is an object.  A VC queue holds *packet runs*
 ``(ctx, flits, tail)``: the next ``flits`` flits of one packet, each
 ``flit_width_bytes`` wide except the last, which carries ``tail`` bytes.
-The per-flit path pops one flit at a time off the head run.
+The per-flit path pops one flit at a time off the head run.  A VC's
+queue is created by its first append: a port that only bursts never
+builds one.
 
 Flit bursts
 -----------
@@ -27,32 +29,35 @@ When every queued flit is on a single-hop path (no credit to take, no
 upstream to release, the destination sinks flits immediately), the
 port's whole drain is a pure function of its queues: strict round-robin
 over the occupied VCs, each flit serializing for
-``max(size, 1) / bytes_per_cycle`` cycles back to back.  A plan computes
-only what events read: each pick's size and serialization time in pick
-order, their ``cumsum`` (the flit boundaries), each message's last
-arrival and the burst end.  ``cumsum`` adds strictly in order and every
-other float is the per-flit path's own expression, so each float equals
-the per-flit path's.  One burst-end event plus one delivery event per
-message replace two events per flit; as flits commit, the link's byte
-and busy-cycle totals are added in pick order.
+``max(size, 1) / bytes_per_cycle`` cycles back to back.  A plan holds
+the picks (the flits in transmission order) as segments ``(size, ser,
+count)``, runs of picks of one size.  Every float a burst needs — flit
+boundaries, each message's last arrival, the burst end, the link's byte
+and busy-cycle totals — is a chain of the per-flit path's own additions,
+one per flit, and :func:`_advance` computes a segment's chain exactly in
+O(binades), so each float equals the per-flit path's bit for bit.  One
+burst-end event plus one delivery event per message replace two events
+per flit.
 
 A message reaching an idle port is planned from its packet structure
 (:meth:`TxPort._plan_packets`): packet ``i`` is on slot ``i % n`` and
 every packet but the last is the same, so each round picks one flit size
-on every slot but the last packet's, a few ``np.repeat`` runs.  Queued
-runs are planned by :meth:`TxPort._plan`, whose pick order is a rounds ×
-VCs grid, masked and ravelled.
+on every slot but the last packet's, a few segments.  Queued runs are
+planned by :meth:`TxPort._plan` over *bands*, ranges of slots holding
+the same runs, sweeping the rounds from one size change of any band to
+the next.
 
 Any interposed enqueue splits the burst (:meth:`TxPort._split_burst`):
 the already-transmitted prefix is committed, and arbitration resumes —
 including the new packets — when the in-flight flit completes, exactly
-when the per-flit path would have re-arbitrated.  Only a split reads the
-per-pick order and the packet runs, which a message's plan builds then.
-The unsent runs stay arrays, held with whatever is enqueued before the
-resume, which merges them VC-major, FIFO within each VC (or hands them
-to the VC queues if the per-flit path must run).  Multi-hop traffic, and
-any run with live fault injection (which can retime links mid-flight),
-takes the per-flit path.
+when the per-flit path would have re-arbitrated.  Pick order is round by
+round, slot by slot, so the round and slot of the last sent pick give
+every slot's sent flits, and from them each message's sent flits and
+last pick, in O(bands x runs) without walking the picks.  The unsent
+runs are held, with whatever is enqueued before the resume, and merged
+VC-major, FIFO within each VC (or handed to the VC queues if the
+per-flit path must run).  Multi-hop traffic, and any run with live fault
+injection (which can retime links mid-flight), takes the per-flit path.
 
 Given the same enqueues, a port transmits and delivers every flit at the
 per-flit path's times.  A burst schedules its deliveries when it is
@@ -70,13 +75,13 @@ debits one, so the logical event count equals the per-flit path's.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from operator import itemgetter
+from itertools import repeat
+from math import ulp
 from typing import Callable, Optional
-
-import numpy as np
 
 from repro.config.parameters import NetworkConfig
 from repro.errors import NetworkError
@@ -105,58 +110,183 @@ class HopContext:
         return self.hop == len(self.path) - 1
 
 
+#: The top of a double's binade (and of the subnormals) in its ulps.
+_TOP_UNITS = 2 ** 53
+
+
+def _advance(start: float, step: float, count: int) -> float:
+    """``start`` after ``count`` sequential IEEE-754 additions of
+    ``step >= 0``, bit for bit, in O(binades) rather than O(count).
+
+    While a sum stays inside the binade of ``total``, whose ulp is
+    ``unit``, every addition rounds ``step`` to the same multiple of
+    ``unit``, so those additions are one exact product.  Additions go one
+    at a time while ``step >= total`` (the sum leaves the binade at
+    once), at the binade's top (the next binade's ulp rounds there), and
+    at an exact half-ulp tie on an odd significand: ties round to even,
+    and after one the significand is even and every later tie rounds the
+    same way.
+    """
+    total = start
+    if not step:
+        return total
+    while count:
+        if step < total:
+            unit = ulp(total)
+            ratio = step / unit
+            whole = int(ratio)
+            half = ratio - whole
+            significand = int(total / unit)
+            if half != 0.5 or not significand & 1:
+                # The multiple of ``unit`` each addition adds: ties round
+                # to the even significand, so an odd multiple rounds up.
+                whole += whole & 1 if half == 0.5 else half > 0.5
+                if not whole:
+                    return total  # each addition rounds back to ``total``
+                # Additions whose sum stays a unit below the binade's top.
+                fit = min((_TOP_UNITS - 1 - significand) // whole, count)
+                total += fit * whole * unit
+                count -= fit
+                if not count:
+                    break
+        # At the top of the binade, an odd tie, or ``step >= total``.
+        total += step
+        count -= 1
+    return total
+
+
 @dataclass(slots=True)
 class _Burst:
     """An in-flight transmission plan for one :class:`TxPort`.
 
     Slot ``s`` is VC ``(base + s) % vcs``; round-robin starts at slot 0.
-    Pick ``i``, the ``i``-th flit transmitted, is ``rows[0, i + 1]`` bytes,
-    serializes for ``ser = rows[1, i + 1]`` cycles from ``bounds[i]`` (the
-    ``cumsum`` of ``rows[1]``, which starts with the burst's start) and
-    arrives at ``bounds[i] + (ser + latency)``.  The last pick is on slot
-    ``last_slot``.  ``deliveries`` holds ``(owner, last pick, handle)`` per
-    message ``owners[owner]``, in scheduling order.
+    The picks, the flits in transmission order, are ``segments`` of
+    ``(size, ser, count)``: ``count`` flits of ``size`` bytes serializing
+    for ``ser`` cycles each.  Segment ``k``'s first pick is pick
+    ``firsts[k]`` and starts at ``starts[k]``; both lists end with the
+    pick total and the burst's end.  The last pick is on slot
+    ``last_slot``.  ``deliveries`` holds ``(owner, last pick, handle)``
+    per message ``owners[owner]``, in scheduling order.
 
-    Only a split reads the rest.  ``runs`` are ``(run_owners, run_slots,
-    run_flits, run_tails)`` in VC-major FIFO order: ``run_flits[r]`` flits,
-    the last one ``run_tails[r]`` bytes, of message ``run_owners[r]`` on
-    slot ``run_slots[r]``, and pick ``i`` is a flit of run ``pick_runs[i]``;
-    a burst planned from one message's ``packets`` builds both on first
-    use.
+    Only a split reads ``bands``: the occupied slots, in slot order, as
+    ``(slot, width, groups)``: slots ``slot`` to ``slot + width - 1``
+    each hold the packet runs ``groups``, FIFO.  A group ``(owner,
+    flits, tail, packets)`` is ``packets`` runs of message
+    ``owners[owner]``, each ``flits`` flits with a ``tail``-byte last
+    one.  A burst planned from one message's ``packets`` builds them on
+    first use.
     """
 
     base: int
     owners: list
-    rows: np.ndarray
-    bounds: np.ndarray
+    segments: list
+    firsts: list
+    starts: list
     latency: float
     last_slot: int
     deliveries: list
-    end_handle: EventHandle
     packets: Optional[tuple] = None
-    runs: Optional[tuple] = None
-    pick_runs: Optional[np.ndarray] = None
+    bands: Optional[list] = None
+    end_handle: EventHandle = field(init=False)
+
+    def start(self, pick: int) -> float:
+        """When pick ``pick`` (``< firsts[-1]``) starts transmitting."""
+        k = bisect_right(self.firsts, pick) - 1
+        return _advance(self.starts[k], self.segments[k][1], pick - self.firsts[k])
+
+    def arrival(self, pick: int) -> float:
+        """When pick ``pick`` arrives: the per-flit path's
+        ``start + (ser + latency)``."""
+        k = bisect_right(self.firsts, pick) - 1
+        ser = self.segments[k][1]
+        return (_advance(self.starts[k], ser, pick - self.firsts[k])
+                + (ser + self.latency))
 
 
-def _pick_order(runs: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each pick's VC-major flat and run (see :class:`_Burst`).
+def _lengths(bands: list) -> list:
+    """The flits on each slot of every band (see :class:`_Burst`)."""
+    return [sum(flits * packets for _owner, flits, _tail, packets in groups)
+            for _slot, _width, groups in bands]
 
-    Round ``r`` takes flit ``r`` of every slot that has one: a rounds x
-    slots grid masked by each slot's flit count, ravelled in row order.
+
+def _pick(bands: list, lengths: list, rnd: int, slot: int) -> int:
+    """The pick of round ``rnd`` on ``slot``: round ``r`` takes flit ``r``
+    of every slot that has one, in slot order."""
+    pick = 0
+    for (first, width, _groups), length in zip(bands, lengths):
+        pick += width * min(length, rnd)
+        if length > rnd and slot > first:
+            pick += min(slot - first, width)
+    return pick
+
+
+def _round_of(bands: list, lengths: list, pick: int) -> tuple[int, int]:
+    """Pick ``pick``'s round and slot (the inverse of :func:`_pick`)."""
+    active = sum(width for _slot, width, _groups in bands)
+    done = previous = 0
+    for length, width in sorted(zip(lengths, (band[1] for band in bands))):
+        # Rounds ``[previous, length)`` take one flit from each slot at
+        # least ``length`` long.
+        span = (length - previous) * active
+        if pick < done + span:
+            break
+        done += span
+        previous = length
+        active -= width
+    rnd, rank = divmod(pick - done, active)
+    rnd += previous
+    for (first, width, _groups), length in zip(bands, lengths):
+        if length > rnd:
+            if rank < width:
+                break
+            rank -= width
+    return rnd, first + rank
+
+
+def _pick_sizes(bands: list, flit_bytes: float):
+    """The picks over ``bands`` (see :class:`_Burst`) as ``(size, count)``
+    runs in pick order.
+
+    A stretch is a band's consecutive flits of one size.  Until the next
+    stretch of any band ends, every round repeats one size pattern, so
+    the sweep steps from one stretch end to the next.
     """
-    _owners, run_slots, run_flits, _tails = runs
-    lengths = np.bincount(run_slots, weights=run_flits).astype(np.int64)
-    rounds, slots = np.nonzero(np.arange(lengths.max())[:, None] < lengths)
-    picks = (lengths.cumsum() - lengths)[slots] + rounds
-    return picks, np.arange(len(run_flits)).repeat(run_flits)[picks]
-
-
-def _last_picks(pick_owners: np.ndarray, owners: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each owner's last pick (-1 if none) and number of picks, given the
-    owner of each pick."""
-    last = np.full(owners, -1)
-    np.maximum.at(last, pick_owners, np.arange(len(pick_owners)))
-    return last, np.bincount(pick_owners, minlength=owners)
+    live = []
+    for _slot, width, groups in bands:
+        stretches: list = []
+        for _owner, flits, tail, packets in groups:
+            if flits == 1 or tail == flit_bytes:
+                parts: tuple = ((tail if flits == 1 else flit_bytes, flits * packets),)
+            else:
+                parts = ((flit_bytes, flits - 1), (tail, 1)) * packets
+            for size, count in parts:
+                if stretches and stretches[-1][0] == size:
+                    stretches[-1][1] += count
+                else:
+                    stretches.append([size, count])
+        # [stretches, current stretch, its rounds left, width]
+        live.append([stretches, 0, stretches[0][1], width])
+    while live:
+        rounds = min(cursor[2] for cursor in live)
+        pattern: list = []
+        for stretches, current, _left, width in live:
+            size = stretches[current][0]
+            if pattern and pattern[-1][0] == size:
+                pattern[-1][1] += width
+            else:
+                pattern.append([size, width])
+        if len(pattern) == 1:
+            yield pattern[0][0], rounds * pattern[0][1]
+        else:
+            for _round in range(rounds):
+                yield from pattern
+        for cursor in live:
+            cursor[2] -= rounds
+            if not cursor[2]:
+                cursor[1] += 1
+                if cursor[1] < len(cursor[0]):
+                    cursor[2] = cursor[0][cursor[1]][1]
+        live = [cursor for cursor in live if cursor[2]]
 
 
 class TxPort:
@@ -172,8 +302,10 @@ class TxPort:
         self.network = network
         self.events = events
         self._flit_bytes = float(network.flit_width_bytes)
-        self.queues: list[deque] = [deque() for _ in range(network.vcs_per_vnet)]
-        self.credits: list[int] = [network.buffers_per_vc] * network.vcs_per_vnet
+        self._vcs = network.vcs_per_vnet
+        #: Per-VC run queues, each created by its first append.
+        self.queues: list[Optional[deque]] = [None] * self._vcs
+        self.credits: list[int] = [network.buffers_per_vc] * self._vcs
         self._rr = 0
         self._sending = False
         self.flits_sent = 0
@@ -192,10 +324,12 @@ class TxPort:
         #: invalidate the precomputed plan.
         self.burst_enabled = True
         self._burst: Optional[_Burst] = None
-        #: From a split to its resume, the queued runs as blocks ``(owners,
-        #: run_owners, vcs, flits, tails)``, oldest first, each FIFO per VC:
-        #: the split's unsent runs, then messages queued since.  The VC
-        #: queues are empty while it is a list.
+        #: From a split to its resume, the queued runs as blocks, oldest
+        #: first: the split's unsent runs, then messages queued since.  A
+        #: block is bands ``(vc, width, groups)`` as in :class:`_Burst`, on
+        #: VCs ``vc`` to ``vc + width - 1`` (mod the VC count), FIFO per VC,
+        #: with each group's owner a :class:`HopContext`.  The VC queues
+        #: are empty while it is a list.
         self._held: Optional[list] = None
         #: Queued flits that disqualify bursting (multi-hop, or final hop
         #: of a multi-hop path, which still must release upstream credits
@@ -204,6 +338,13 @@ class TxPort:
         self._nonburst_queued = 0
 
     # -- queue interface --------------------------------------------------------
+
+    def _queue(self, vc: int) -> deque:
+        """VC ``vc``'s run queue, created on first use."""
+        queue = self.queues[vc]
+        if queue is None:
+            queue = self.queues[vc] = deque()
+        return queue
 
     def enqueue(self, vc: int, ctx: HopContext, flits: int, tail: float) -> None:
         """Queue a run of ``flits`` flits of one packet on ``vc``."""
@@ -214,7 +355,7 @@ class TxPort:
             self._split_burst()
         if self._held is not None:
             self._spill()
-        self.queues[vc].append((ctx, flits, tail))
+        self._queue(vc).append((ctx, flits, tail))
         if ctx.upstream is not None or not ctx.is_last_hop:
             self._nonburst_queued += flits
         self._try_send()
@@ -246,7 +387,7 @@ class TxPort:
                 self._held.append(self._packet_runs(ctx, first_vc, packets))
                 return
         count, flits, tail, last_flits, last_tail = packets
-        n = len(self.queues)
+        n = self._vcs
         for i in range(count - 1):
             self.enqueue((first_vc + i) % n, ctx, flits, tail)
         self.enqueue((first_vc + count - 1) % n, ctx, last_flits, last_tail)
@@ -255,8 +396,10 @@ class TxPort:
         """Flits waiting in this port's VC queues and held runs (burst plans
         hold none: a split holds only its unsent runs, so at quiescence
         this is exactly the stuck-flit count)."""
-        held = sum(int(block[3].sum()) for block in self._held or ())
-        return held + sum(flits for queue in self.queues
+        held = sum(width * flits * packets for block in self._held or ()
+                   for _vc, width, groups in block
+                   for _ctx, flits, _tail, packets in groups)
+        return held + sum(flits for queue in self.queues if queue
                           for _ctx, flits, _tail in queue)
 
     def release_credit(self, vc: int) -> None:
@@ -272,12 +415,13 @@ class TxPort:
 
     def _pick_vc(self) -> Optional[int]:
         """Round-robin over VCs that have a flit and (if needed) a credit."""
-        n = len(self.queues)
+        n = self._vcs
         for offset in range(n):
             vc = (self._rr + offset) % n
-            if not self.queues[vc]:
+            queue = self.queues[vc]
+            if not queue:
                 continue
-            ctx = self.queues[vc][0][0]
+            ctx = queue[0][0]
             if ctx.is_last_hop or self.credits[vc] > 0:
                 self._rr = (vc + 1) % n
                 return vc
@@ -304,7 +448,7 @@ class TxPort:
         if vc is None:
             return
         self._sending = True
-        queue = self.queues[vc]
+        queue = self._queue(vc)
         ctx, flits, tail = queue[0]
         if flits == 1:
             queue.popleft()
@@ -358,53 +502,89 @@ class TxPort:
 
     # -- flit bursts (single-hop drains) ------------------------------------------
 
-    def _packet_runs(self, ctx: HopContext, first_vc: int, packets: tuple) -> tuple:
-        """One message's packets as a block of runs (see ``_held``)."""
+    def _packet_runs(self, ctx: HopContext, first_vc: int, packets: tuple) -> list:
+        """One message's packets as a block (see ``_held``).
+
+        Offset ``i`` holds packets ``i``, ``i + width``, ... on VC
+        ``first_vc + i``: offsets before the last packet's hold one more
+        full packet than those after it.  Full packets whose flits are
+        all full-width are one run (the per-flit path reads only flit
+        sizes).
+        """
         count, flits, tail, last_flits, last_tail = packets
-        run_flits = np.full(count, flits)
-        run_flits[-1] = last_flits
-        run_tails = np.full(count, tail)
-        run_tails[-1] = last_tail
-        vcs = np.arange(first_vc, first_vc + count) % len(self.queues)
-        return [ctx], np.zeros(count, dtype=np.intp), vcs, run_flits, run_tails
+        width = min(count, self._vcs)
+        last = (count - 1) % width
+        full = (count - 1) // width
+
+        def runs(packets: int) -> list:
+            if not packets:
+                return []
+            if tail == self._flit_bytes:
+                return [(ctx, flits * packets, tail, 1)]
+            return [(ctx, flits, tail, packets)]
+
+        block = [(first_vc + last, 1,
+                  runs(full) + [(ctx, last_flits, last_tail, 1)])]
+        if last:
+            block.insert(0, (first_vc, last, runs(full + 1)))
+        if last + 1 < width:
+            block.append((first_vc + last + 1, width - last - 1, runs(full)))
+        return block
 
     def _queued_runs(self) -> list:
         """The VC queues' runs as one block (none if they are empty)."""
-        runs = [(vc, *run) for vc, queue in enumerate(self.queues) for run in queue]
-        if not runs:
+        block = [(vc, 1, [(ctx, flits, tail, 1)])
+                 for vc, queue in enumerate(self.queues) if queue
+                 for ctx, flits, tail in queue]
+        if not block:
             return []
         for queue in self.queues:
-            queue.clear()
-        vcs, ctxs, flits, tails = zip(*runs)
-        # One owner per message, named by its per-send delivery sink.
-        number: dict = {}
-        owners = [number.setdefault(ctx.on_delivered, (len(number), ctx))[0]
-                  for ctx in ctxs]
-        return [([ctx for _i, ctx in number.values()],
-                 *map(np.array, (owners, vcs, flits, tails)))]
+            if queue:
+                queue.clear()
+        return [block]
 
     def _spill(self) -> None:
         """Put the held runs back in the VC queues, for the per-flit path."""
-        for owners, run_owners, vcs, flits, tails in self._held:
-            for owner, vc, count, tail in zip(run_owners.tolist(), vcs.tolist(),
-                                              flits.tolist(), tails.tolist()):
-                self.queues[vc].append((owners[owner], count, tail))
+        for block in self._held:
+            for first, width, groups in block:
+                for vc in range(first, first + width):
+                    queue = self._queue(vc % self._vcs)
+                    for ctx, flits, tail, packets in groups:
+                        queue.extend(repeat((ctx, flits, tail), packets))
         self._held = None
 
-    def _merge(self, blocks: list, base: int) -> tuple:
-        """Blocks of runs, oldest first, as their owners and one run list
-        (see :class:`_Burst`) in VC-major order from VC ``base``: a stable
-        sort on the slot keeps every VC's runs in arrival order."""
-        owners, shifted = [], []
+    def _merge(self, blocks: list, base: int) -> tuple[list, list]:
+        """Blocks of bands, oldest first, as their owners and bands in
+        slot order from VC ``base`` (see :class:`_Burst`), every slot's
+        groups in arrival order.  One owner per message, named by its
+        per-send delivery sink."""
+        owners: list = []
+        number: dict = {}
+        n = self._vcs
+        pieces = []
         for block in blocks:
-            shifted.append(block[1] + len(owners))
-            owners += block[0]
-        run_owners = np.concatenate(shifted)
-        vcs, flits, tails = (np.concatenate(column)
-                             for column in list(zip(*blocks))[2:])
-        slots = (vcs - base) % len(self.queues)
-        order = slots.argsort(kind="stable")
-        return owners, (run_owners[order], slots[order], flits[order], tails[order])
+            for vc, width, groups in block:
+                renamed = []
+                for ctx, flits, tail, packets in groups:
+                    owner = number.get(ctx.on_delivered)
+                    if owner is None:
+                        owner = number[ctx.on_delivered] = len(owners)
+                        owners.append(ctx)
+                    renamed.append((owner, flits, tail, packets))
+                start = (vc - base) % n
+                if start + width > n:
+                    pieces.append((0, start + width - n, renamed))
+                    width = n - start
+                pieces.append((start, start + width, renamed))
+        # Cut the slots wherever a band starts or ends; each cell holds
+        # the groups of every band over it, in band order.
+        edges = sorted({edge for start, end, _groups in pieces for edge in (start, end)})
+        cells: list = [[] for _edge in edges]
+        for start, end, groups in pieces:
+            for cell in range(bisect_left(edges, start), bisect_left(edges, end)):
+                cells[cell] += groups
+        return owners, [(edge, end - edge, cell)
+                        for edge, end, cell in zip(edges, edges[1:], cells) if cell]
 
     def _start_burst(self) -> None:
         """Plan every queued run as one burst.
@@ -432,75 +612,90 @@ class TxPort:
         slot picks last among them.
         """
         count, flits, tail, last_flits, last_tail = packets
-        width = min(count, len(self.queues))
+        width = min(count, self._vcs)
         last = (count - 1) % width  # the last packet's slot
         full = (count - 1) // width  # packet rounds on every slot
-        # Flit codes: 0 a body flit, 1 a full packet's tail, 2 the last
-        # one's.  In the last packet's rounds, slots 0..last pick body flits
-        # until its tail, then slots before it finish their full packets.
-        codes = [0, 1] * full + [0, 1 if last_flits == flits else 0, 2]
-        counts = ([1] + [(flits - 1) * width, width] * full
-                  + [(last + 1) * (last_flits - 1), last, 1])
+        body = self._flit_bytes
+        # In the last packet's rounds, slots 0..last pick body flits until
+        # its tail, then slots before it finish their full packets.
+        sizes = ([(body, (flits - 1) * width), (tail, width)] * full
+                 + [(body, (last + 1) * (last_flits - 1)),
+                    (tail if last_flits == flits else body, last), (last_tail, 1)])
         if last_flits < flits:
-            codes += [0, 1]
-            counts += [last * (flits - 1 - last_flits), last]
-        pick = itemgetter(*codes)
-        sizes = (self._flit_bytes, tail, last_tail)
-        rate = self._rate()
-        rows = np.array([(0.0, *pick(sizes)),
-                         (self.events.now,
-                          *pick([max(size, 1.0) / rate for size in sizes]))])
+            sizes += [(body, last * (flits - 1 - last_flits)), (tail, last)]
         total = (count - 1) * flits + last_flits
         # The last pick is on the last slot with the most flits.
-        self._launch(first_vc, [ctx], rows.repeat(counts, axis=1),
-                     [(0, total - 1, total)],
+        self._launch(first_vc, [ctx], sizes, [(0, total - 1, total)],
                      last if last_flits == flits or last == 0 else last - 1,
                      packets=packets)
 
-    def _plan(self, base: int, owners: list, runs: tuple) -> None:
-        """Plan the drain of VC-major packet runs (see :class:`_Burst`) as
-        one burst."""
-        run_owners, run_slots, run_flits, run_tails = runs
-        picks, pick_runs = _pick_order(runs)
-        total = len(picks)
-        flats = np.full(total, self._flit_bytes)
-        flats[run_flits.cumsum() - 1] = run_tails
-        rows = np.empty((2, total + 1))
-        rows[:, 0] = 0.0, self.events.now
-        rows[0, 1:] = flats[picks]
-        rows[1, 1:] = np.maximum(rows[0, 1:], 1.0) / self._rate()
-        last, counts = _last_picks(run_owners[pick_runs], len(owners))
-        by_last = last.argsort()
-        self._launch(base, owners, rows,
-                     zip(by_last.tolist(), last[by_last].tolist(),
-                         counts[by_last].tolist()),
-                     int(run_slots[pick_runs[-1]]), runs=runs, pick_runs=pick_runs)
+    def _plan(self, base: int, owners: list, bands: list) -> None:
+        """Plan the drain of ``bands`` (see :class:`_Burst`) as one burst."""
+        lengths = _lengths(bands)
+        flits = [0] * len(owners)
+        #: Each owner's last flit as (round, slot); pick order is
+        #: round-major, so the largest is its last pick.
+        last_flit: dict = {}
+        for first, width, groups in bands:
+            position = 0
+            for owner, run_flits, _tail, packets in groups:
+                position += run_flits * packets
+                flits[owner] += width * run_flits * packets
+                last_flit[owner] = max(last_flit.get(owner, (-1, 0)),
+                                       (position - 1, first + width - 1))
+        lasts = sorted((_pick(bands, lengths, *last_flit[owner]), owner)
+                       for owner in last_flit)
+        # The last pick is on the last slot with the most flits.
+        longest = max(lengths)
+        last_slot = max(first + width - 1 for (first, width, _groups), length
+                        in zip(bands, lengths) if length == longest)
+        self._launch(base, owners, _pick_sizes(bands, self._flit_bytes),
+                     [(owner, pick, flits[owner]) for pick, owner in lasts],
+                     last_slot, bands=bands)
 
-    def _launch(self, base: int, owners: list, rows: np.ndarray, lasts,
-                last_slot: int, **lazy) -> None:
-        """Schedule a planned burst (``rows`` as in :class:`_Burst`);
-        ``lasts`` holds ``(owner, last pick, flits)`` per message in
-        last-pick order."""
-        bounds = rows[1].cumsum()
-        sers = rows[1, 1:]
+    def _launch(self, base: int, owners: list, sizes, lasts, last_slot: int,
+                **lazy) -> None:
+        """Schedule a burst of picks given as ``(size, count)`` runs in
+        pick order; ``lasts`` holds ``(owner, last pick, flits)`` per
+        message in last-pick order."""
+        runs: list = []
+        for size, count in sizes:
+            if not count:
+                continue
+            if runs and runs[-1][0] == size:
+                runs[-1][1] += count
+            else:
+                runs.append([size, count])
+        rate = self._rate()
+        segments, firsts, starts = [], [], []
+        pick, at = 0, self.events.now
+        for size, count in runs:
+            ser = max(size, 1.0) / rate
+            segments.append((size, ser, count))
+            firsts.append(pick)
+            starts.append(at)
+            pick += count
+            final = _advance(at, ser, count - 1)  # the segment's last start
+            at = final + ser
+        firsts.append(pick)
+        starts.append(at)
         latency = self.link.config.latency_cycles
         schedule_at = self.events.schedule_at
-        deliveries = []
+        burst = _Burst(base, owners, segments, firsts, starts, latency,
+                       last_slot, [], **lazy)
         # Arrivals rise with the pick, so deliveries go in time order.
         for owner, last, flits in lasts:
-            # The per-flit path's ``start + (ser + latency)``.
-            at = float(bounds[last]) + (float(sers[last]) + latency)
-            handle = schedule_at(at, partial(self._deliver, owners[owner], flits))
-            deliveries.append((owner, last, handle))
+            arrival = (final + (ser + latency) if last == pick - 1
+                       else burst.arrival(last))
+            handle = schedule_at(arrival, partial(self._deliver, owners[owner], flits))
+            burst.deliveries.append((owner, last, handle))
+        burst.end_handle = schedule_at(at, self._burst_end)
         self._sending = True
-        self._burst = _Burst(base, owners, rows, bounds, latency,
-                             last_slot, deliveries,
-                             schedule_at(float(bounds[-1]), self._burst_end),
-                             **lazy)
+        self._burst = burst
 
-    def _commit(self, burst: _Burst, cut: int) -> None:
-        """Apply transmit effects for picks ``[0, cut)``, once per burst:
-        when it ends, or when a split stops it.
+    def _commit(self, burst: _Burst, cut: int, slot: int) -> None:
+        """Apply transmit effects for picks ``[0, cut)``, the last on slot
+        ``slot``, once per burst: when it ends, or when a split stops it.
 
         Mirrors the per-flit path's effects in pick order: link stats
         accumulation (same floats, same order), flit counter, and the
@@ -511,14 +706,15 @@ class TxPort:
         self.flits_sent += cut
         self.events.credit_batched(2 * cut)
         stats = self.link.stats
-        # The leading column (the burst's start, already in ``bounds``)
-        # takes the running totals; the cumsum adds the picks in order.
-        rows = burst.rows[:, :cut + 1]
-        rows[:, 0] = stats.bytes, stats.busy_cycles
-        stats.bytes, stats.busy_cycles = rows.cumsum(axis=1)[:, -1].tolist()
-        slot = (burst.last_slot if cut == len(burst.bounds) - 1
-                else int(burst.runs[1][burst.pick_runs[cut - 1]]))
-        self._rr = (burst.base + slot + 1) % len(self.queues)
+        sent, busy = stats.bytes, stats.busy_cycles
+        for (size, ser, count), first in zip(burst.segments, burst.firsts):
+            if first >= cut:
+                break
+            count = min(count, cut - first)
+            sent = _advance(sent, size, count)
+            busy = _advance(busy, ser, count)
+        stats.bytes, stats.busy_cycles = sent, busy
+        self._rr = (burst.base + slot + 1) % self._vcs
 
     def _split_burst(self) -> None:
         """Interposition: stop the burst at ``now`` and hold the rest.
@@ -535,52 +731,93 @@ class TxPort:
         self._burst = None
         self._held = []
         now = self.events.now
-        total = len(burst.bounds) - 1
-        cut = int(np.searchsorted(burst.bounds[:-1], now, side="right"))
+        firsts, starts = burst.firsts, burst.starts
+        total = firsts[-1]
+        # The last segment starting by now, then its picks starting by now
+        # (starts rise with the pick, and a quotient estimate is nearly
+        # always exact; an unbounded link serializes in zero cycles).
+        k = bisect_right(starts, now, 0, len(burst.segments)) - 1
+        _size, ser, count = burst.segments[k]
+        low, high = 1, count
+        guess = min(max(int((now - starts[k]) / ser) + 1, low), high) if ser else high
+        if (_advance(starts[k], ser, guess - 1) <= now
+                and (guess == count or _advance(starts[k], ser, guess) > now)):
+            low = high = guess
+        while low < high:
+            middle = (low + high) // 2
+            if _advance(starts[k], ser, middle) <= now:
+                low = middle + 1
+            else:
+                high = middle
+        cut = firsts[k] + low
         if cut >= total:
             # Everything already transmitted; the pending end event doubles
             # as the resume point.
-            self._commit(burst, total)
+            self._commit(burst, total, burst.last_slot)
             return
-        if burst.runs is None:
+        if burst.bands is None:
             block = self._packet_runs(burst.owners[0], burst.base, burst.packets)
-            burst.runs = self._merge([block], burst.base)[1]
-            burst.pick_runs = _pick_order(burst.runs)[1]
-        pick_runs = burst.pick_runs
-        run_owners, run_slots, run_flits, run_tails = burst.runs
-        self._commit(burst, cut)
+            burst.bands = self._merge([block], burst.base)[1]
+        bands = burst.bands
+        lengths = _lengths(bands)
+        # The last sent pick's round and slot: every slot sent its flits
+        # before that round, and in it the slots up to that one, one more.
+        rnd, last_slot = _round_of(bands, lengths, cut - 1)
+        self._commit(burst, cut, last_slot)
         burst.end_handle.cancel()
         schedule_at = self.events.schedule_at
-        schedule_at(float(burst.bounds[cut]), self._burst_end)
+        schedule_at(burst.start(cut), self._burst_end)
 
-        last_sent, owner_sent = _last_picks(run_owners[pick_runs[:cut]],
-                                            len(burst.owners))
+        # Each owner's sent flits and last sent flit (as in _plan), and
+        # the unsent runs, a partly sent packet keeping its tail.
+        owners = burst.owners
+        owner_sent = [0] * len(owners)
+        last_sent: dict = {}
+        held = []
+        for (first, width, groups), length in zip(bands, lengths):
+            if length <= rnd:
+                pieces: tuple = ((first, width, length),)
+            else:
+                ahead = min(max(last_slot + 1 - first, 0), width)
+                pieces = ((first, ahead, rnd + 1), (first + ahead, width - ahead, rnd))
+            for start, span, left in pieces:
+                if not span:
+                    continue
+                unsent = []
+                position = 0
+                for owner, flits, tail, packets in groups:
+                    done = min(left, flits * packets)
+                    left -= done
+                    position += done
+                    if done:
+                        owner_sent[owner] += span * done
+                        last_sent[owner] = max(last_sent.get(owner, (-1, 0)),
+                                               (position - 1, start + span - 1))
+                    if done < flits * packets:
+                        whole, part = divmod(done, flits)
+                        if part:
+                            unsent.append((owners[owner], flits - part, tail, 1))
+                            whole += 1
+                        if packets > whole:
+                            unsent.append((owners[owner], flits, tail, packets - whole))
+                if unsent:
+                    held.append(((burst.base + start) % self._vcs, span, unsent))
+
         for owner, last, handle in burst.deliveries:
             if last < cut:
                 continue  # fully committed; delivery time stands as planned
             handle.cancel()
-            if last_sent[owner] >= 0:
+            if owner in last_sent:
                 # Deliver the transmitted prefix at its own last arrival.
                 # With zero propagation latency that can already be in the
                 # past (the per-flit path delivered those flits before the
                 # interposing event); clamping to now only retimes counter
                 # decrements — the message's final, visible delivery always
                 # rides the last chunk, whose arrival is in the future.
-                pick = int(last_sent[owner])
-                at = float(burst.bounds[pick]) + (float(burst.rows[1, pick + 1])
-                                                  + burst.latency)
+                at = burst.arrival(_pick(bands, lengths, *last_sent[owner]))
                 schedule_at(at if at > now else now,
-                            partial(self._deliver, burst.owners[owner],
-                                    int(owner_sent[owner])))
-
-        # The unsent runs, a partly sent one keeping its tail, numbered
-        # over the messages they belong to.
-        remaining = np.bincount(pick_runs[cut:], minlength=len(run_flits))
-        left = np.flatnonzero(remaining)
-        used, owners_left = np.unique(run_owners[left], return_inverse=True)
-        self._held.append(([burst.owners[i] for i in used.tolist()], owners_left,
-                           (burst.base + run_slots[left]) % len(self.queues),
-                           remaining[left], run_tails[left]))
+                            partial(self._deliver, owners[owner], owner_sent[owner]))
+        self._held.append(held)
 
     def _burst_end(self) -> None:
         # This dispatch stands in for one per-flit tx-done already credited
@@ -592,7 +829,7 @@ class TxPort:
             # Any enqueue since the plan would have split the burst, and the
             # plan took everything queued, so the queues are empty.
             self._burst = None
-            self._commit(burst, len(burst.bounds) - 1)
+            self._commit(burst, burst.firsts[-1], burst.last_slot)
             return
         self._try_send()
 

@@ -10,9 +10,11 @@ strict expected failures.
 """
 
 import itertools
+import math
+from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.collectives import CollectiveOp
 from repro.config import AllToAllShape, LinkConfig, NetworkConfig, TorusShape
@@ -301,6 +303,22 @@ class TestBurstProperty:
             assert on == off
         assert splits
 
+    def test_unbounded_bandwidth_splits(self):
+        """A link of infinite bandwidth serializes every flit in zero
+        cycles, so sends at one instant split a burst whose flits all
+        start at once."""
+        params = {"bandwidth_gbps": float("inf"), "latency_cycles": 1.0,
+                  "packet_size_bytes": 100, "efficiency": 0.94,
+                  "flit_width_bits": 1024, "router_latency_cycles": 1.0,
+                  "vcs_per_vnet": 3, "buffers_per_vc": 2}
+        traffic = [(0, 1, 4096.0, 0.0), (0, 1, 1000.5, 0.0), (0, 1, 129.0, 0.0),
+                   (1, 3, 0.0, 0.0), (2, 2, 9000.0, 0.0)]
+        on = _drive(("torus", 2, 2), params, traffic, True, True)
+        off = _drive(("torus", 2, 2), params, traffic, False, True)
+        on.pop("processed")
+        off.pop("processed")
+        assert on == off
+
     def test_runs_held_and_queued_around_multi_hop_flits(self, monkeypatch):
         """Two-hop messages (0 -> 2 on a 4-ring) share node 0's first link
         with one-hop ones: a split's held runs, a message held with them,
@@ -415,10 +433,63 @@ class TestFiftyVCPort:
         assert not collects
 
 
+def _accumulate(start, step, count):
+    """``start`` after ``count`` additions of ``step``, one at a time (not
+    ``sum()``, which compensates float sums from Python 3.12)."""
+    return deque(itertools.accumulate(itertools.repeat(step, count), initial=start),
+                 maxlen=1)[0]
+
+
+#: Starts just below a power of two, some with odd significands.
+_BELOW_POWERS = st.builds(lambda e, k: 2.0 ** e - k * math.ulp(2.0 ** (e - 1)),
+                          st.integers(-20, 40), st.integers(0, 8))
+
+
+@st.composite
+def _advance_cases(draw):
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e9), _BELOW_POWERS))
+    unit = math.ulp(start or 1.0)
+    step = draw(st.one_of(
+        st.floats(0.0, 1e4),
+        st.floats(1.0, 1e3).map(lambda factor: start * factor),  # step >= start
+        st.floats(0.0, 0.5, exclude_max=True).map(lambda part: part * unit),
+        st.integers(0, 64).map(lambda whole: (whole + 0.5) * unit),  # exact ties
+    ))
+    count = draw(st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 6)))
+    return start, step, count
+
+
+class TestAdvance:
+    """``router._advance``, every burst float, against one addition at a
+    time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_advance_cases())
+    # A half-ulp tie on an odd significand rounds up once, then holds.
+    @example(case=(1.0 + 2.0 ** -52, 2.0 ** -53, 3))
+    # Crossing binades, from zero.
+    @example(case=(0.0, 0.1, 10 ** 6))
+    def test_matches_sequential_additions(self, case):
+        start, step, count = case
+        assert router._advance(start, step, count).hex() == _accumulate(*case).hex()
+
+
+def _picks(burst):
+    """A burst plan per pick: each flit's size, serialization time and
+    start, then the burst's end."""
+    picks = [(size, ser) for size, ser, count in burst.segments for _pick in range(count)]
+    starts = [burst.start(pick) for pick in range(len(picks))]
+    # The per-flit path's starts: the previous one plus its serialization.
+    assert starts + [burst.starts[-1]] == list(itertools.accumulate(
+        (ser for _size, ser in picks), initial=burst.starts[0]))
+    return [(*pick, start) for pick, start in zip(picks, starts)], burst.starts[-1]
+
+
 def test_packet_structure_plan_matches_run_plan():
     """An idle-port message planned from its packet structure equals the
-    same packets planned as VC-major runs: sizes, serialization times,
-    flit boundaries, last slot and deliveries."""
+    same packets planned as VC-major runs: every pick's size,
+    serialization time and start, the burst's end, last slot and
+    deliveries."""
     config = LinkConfig(bandwidth_gbps=25.0, latency_cycles=3.0,
                         packet_size_bytes=512, efficiency=0.94,
                         message_quantum_bytes=None)
@@ -441,8 +512,7 @@ def test_packet_structure_plan_matches_run_plan():
                         block = port._packet_runs(ctx, first_vc, packets)
                         port._plan(first_vc, *port._merge([block], first_vc))
                     burst = port._burst
-                    plans.append((burst.rows.tolist(), burst.bounds.tolist(),
-                                  burst.last_slot,
+                    plans.append((_picks(burst), burst.last_slot,
                                   [delivery[:2] for delivery in burst.deliveries]))
                 assert plans[0] == plans[1], (vcs, packets, first_vc)
 
@@ -466,7 +536,8 @@ class TestShortLastPacket:
         backend = DetailedBackend(EventQueue(), self.NETWORK)
         link = Link(0, 1, self.CONFIG)
         backend.send(0, 1, size, [link], 0, lambda record: None)
-        return backend._ports[link.link_id]._burst.bounds.tolist()
+        picks, end = _picks(backend._ports[link.link_id]._burst)
+        return [start for _size, _ser, start in picks] + [end]
 
     def _drive(self, burst, size, at, armed):
         """Send ``size`` at 0 and 1000 B at ``at``, that send scheduled at

@@ -151,6 +151,23 @@ class TestLazyNetworkx:
     def test_bare_import_does_not_load_numpy(self):
         assert _modules_loaded_by("import repro", ["numpy", "repro.network.detailed"]) == []
 
+    def test_detailed_run_needs_no_numpy(self):
+        """The flit-level backend runs where numpy cannot be imported."""
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from repro import CollectiveOp, DetailedBackend, TorusShape\n"
+                "from repro.config.units import KB\n"
+                "from repro.harness.runners import run_collective, torus_platform\n"
+                "spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)\n"
+                "spec.backend_factory = lambda events, network, sanitizer: "
+                "DetailedBackend(events, network, sanitizer=sanitizer)\n"
+                "print(repr(run_collective(spec, CollectiveOp.ALL_REDUCE, 64 * KB)"
+                ".duration_cycles))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout.split()[-1]) == 2601.3617021276464
+
     def test_every_exported_name_resolves(self):
         """Each package's ``__all__`` (lazy or eager) names real objects."""
         import pkgutil
