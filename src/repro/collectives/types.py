@@ -79,9 +79,6 @@ def build_phase_plan(
     active = [(d, n) for d, n in dims if n > 1]
     if not active:
         return []
-    for d, n in active:
-        if n < 2:
-            raise CollectiveError(f"dimension {d} size must be >= 2, got {n}")
 
     if op is CollectiveOp.ALL_REDUCE:
         return _all_reduce_plan(active, algorithm)

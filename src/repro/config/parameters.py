@@ -140,7 +140,6 @@ class NetworkConfig:
     router_latency_cycles: float = number(1.0, ge=0)
     vcs_per_vnet: int = integer(50, ge=1)
     buffers_per_vc: int = integer(5000, ge=1)
-    switch_latency_cycles: float = number(1.0, ge=0)
 
     def __post_init__(self) -> None:
         check(self)
@@ -240,9 +239,9 @@ class TransportConfig:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """System-layer parameters (Table III #3-#16)."""
+    """System-layer parameters (Table III #3-#16).  The topology family
+    (#8) is not one: it picks the builder, and lives on :class:`DesignPoint`."""
 
-    topology: TopologyKind = choice(TopologyKind, TopologyKind.TORUS)
     algorithm: CollectiveAlgorithm = choice(CollectiveAlgorithm,
                                             CollectiveAlgorithm.BASELINE)
     scheduling_policy: SchedulingPolicy = choice(SchedulingPolicy,
@@ -308,7 +307,6 @@ class SimulationConfig:
     network: Optional[NetworkConfig] = section(NetworkConfig, None)
     compute: ComputeConfig = section(ComputeConfig, default_factory=ComputeConfig)
     clock: Clock = section(Clock, default_factory=Clock)
-    num_passes: int = integer(1, ge=1)
 
     def __post_init__(self) -> None:
         check(self)
@@ -330,7 +328,7 @@ class DesignPoint:
     sets them; the shape defaults per topology (:data:`DEFAULT_SHAPES`).
     """
 
-    topology: TopologyKind = like(SystemConfig, "topology", TopologyKind.TORUS)
+    topology: TopologyKind = choice(TopologyKind, TopologyKind.TORUS)
     #: ``None`` picks the topology's default shape.
     shape: tuple[int, ...] = declare(Rule("shape"), None)
     algorithm: CollectiveAlgorithm = like(SystemConfig, "algorithm",

@@ -24,7 +24,6 @@ from repro.config.parameters import (
     SchedulingPolicy,
     SimulationConfig,
     SystemConfig,
-    TopologyKind,
 )
 
 #: Table IV intra-package link: 200 GB/s, 90-cycle latency, 512 B packets.
@@ -86,7 +85,6 @@ def symmetric_network_config() -> NetworkConfig:
 
 
 def paper_system_config(
-    topology: TopologyKind = TopologyKind.TORUS,
     algorithm: CollectiveAlgorithm = CollectiveAlgorithm.BASELINE,
     scheduling_policy: SchedulingPolicy = SchedulingPolicy.LIFO,
     preferred_set_splits: int = 16,
@@ -102,7 +100,6 @@ def paper_system_config(
     when fewer than 8 are in their first phase (Sec. V-F).
     """
     return SystemConfig(
-        topology=topology,
         algorithm=algorithm,
         scheduling_policy=scheduling_policy,
         local_rings=2,
@@ -127,23 +124,19 @@ def paper_compute_config(compute_scale: float = 1.0) -> ComputeConfig:
 
 
 def paper_simulation_config(
-    topology: TopologyKind = TopologyKind.TORUS,
     algorithm: CollectiveAlgorithm = CollectiveAlgorithm.BASELINE,
     scheduling_policy: SchedulingPolicy = SchedulingPolicy.LIFO,
     local_bandwidth_scale: float = 1.0,
     compute_scale: float = 1.0,
-    num_passes: int = 1,
     preferred_set_splits: int = 16,
 ) -> SimulationConfig:
     """One-stop bundle of the paper's Table IV defaults."""
     return SimulationConfig(
         system=paper_system_config(
-            topology=topology,
             algorithm=algorithm,
             scheduling_policy=scheduling_policy,
             preferred_set_splits=preferred_set_splits,
         ),
         network=paper_network_config(local_bandwidth_scale=local_bandwidth_scale),
         compute=paper_compute_config(compute_scale=compute_scale),
-        num_passes=num_passes,
     )

@@ -543,8 +543,6 @@ class CountdownBarrier:
         self._remaining -= 1
         if self._remaining == 0:
             self._fire()
-        elif self._remaining < 0:  # pragma: no cover - guarded above
-            raise SimulationError("barrier over-arrived")
 
     def _fire(self) -> None:
         # ``on_done`` is released as it runs: it usually points back at

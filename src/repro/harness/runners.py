@@ -158,8 +158,8 @@ def platform_for(point: DesignPoint) -> PlatformSpec:
     network = symmetric_network_config() if point.symmetric else paper_network_config()
     # Values a family never reads stay fixed so that configs, and the
     # run-cache keys made from them, do not depend on them: an AllToAll
-    # config keeps topology=TORUS and 2 horizontal and vertical rings, a
-    # torus keeps 2 global switches.
+    # config keeps 2 horizontal and vertical rings, a torus keeps 2
+    # global switches.
     system = replace(base.system, local_rings=point.local_rings,
                      horizontal_rings=point.horizontal_rings if torus else 2,
                      vertical_rings=point.vertical_rings if torus else 2,

@@ -237,13 +237,11 @@ class Fabric:
         return groups[group]
 
     def dim_size(self, dim: Dimension) -> int:
-        """Number of NPUs in each group of ``dim`` (uniform by construction)."""
-        groups = self.groups(dim)
-        sizes = {len(chs[0].nodes) for chs in groups.values()}
-        if len(sizes) != 1:
-            raise TopologyError(
-                f"non-uniform group sizes in {dim}: {sorted(sizes)}")
-        return min(sizes)
+        """Number of NPUs in each group of ``dim``: its block's size (a
+        switch's channels span every NPU, but its groups hold one NPU per
+        package)."""
+        self.groups(dim)  # an absent or size-1 dimension raises
+        return next(block.size for block in self.blocks if block.dim is dim)
 
     def total_links(self) -> int:
         return len(self.links)

@@ -45,6 +45,18 @@ from repro.resilience.watchdog import WatchdogConfig
 #: actually intersect in-flight traffic instead of landing after the run.
 FAULT_HORIZON = 8_000.0
 
+#: Collective payload per backend (the detailed backend moves flits, so it
+#: gets a smaller payload to keep wall-clock sane).
+PAYLOAD_BYTES = {"fast": 256 * 1024.0, "detailed": 16 * 1024.0}
+
+#: Fault-fuzz window per backend, sized to overlap the in-flight traffic
+#: of that backend's payload.
+HORIZONS = {"fast": FAULT_HORIZON, "detailed": 1_000.0}
+
+#: Watchdog stall window for the fuzzed runs.
+STALL_CYCLES = 1_500_000.0
+
+
 class Outcome(enum.Enum):
     """How one chaos iteration ended."""
 
@@ -78,18 +90,8 @@ class ChaosConfig:
     seed: int = 0
     #: Backends iterations round-robin across ("fast", "detailed").
     backends: tuple = ("fast", "detailed")
-    #: Collective payload per backend (the detailed backend moves flits,
-    #: so it gets a smaller payload to keep wall-clock sane).
-    size_bytes_fast: float = 256 * 1024.0
-    size_bytes_detailed: float = 16 * 1024.0
     #: Livelock guard; the watchdog should always trip long before this.
     max_events: int = 5_000_000
-    #: Fault-fuzz window per backend, sized to overlap the in-flight
-    #: traffic of that backend's payload (see :data:`FAULT_HORIZON`).
-    horizon_fast: float = FAULT_HORIZON
-    horizon_detailed: float = 1_000.0
-    #: Watchdog stall window for the fuzzed runs.
-    stall_cycles: float = 1_500_000.0
     #: Where stall bundles land (None: in-error diagnostics only).
     bundle_dir: Optional[str] = None
 
@@ -272,10 +274,9 @@ def run_iteration(config: ChaosConfig, i: int) -> ChaosRun:
     rng = random.Random(f"{config.seed}:{i}")
     backend = config.backends[i % len(config.backends)]
     op = rng.choice(COLLECTIVE_OPS)
-    size = (config.size_bytes_detailed if backend == "detailed"
-            else config.size_bytes_fast)
+    size = PAYLOAD_BYTES[backend]
     transport = fuzz_transport(rng)
-    watchdog = WatchdogConfig(stall_cycles=config.stall_cycles,
+    watchdog = WatchdogConfig(stall_cycles=STALL_CYCLES,
                               check_every_events=64,
                               bundle_dir=config.bundle_dir)
     # Fuzz against the actual fabric: build the topology once just to
@@ -283,10 +284,8 @@ def run_iteration(config: ChaosConfig, i: int) -> ChaosRun:
     probe = _build_spec(backend, FaultSchedule([]), transport, watchdog)
     fabric = probe.topology_builder(probe.config.system).fabric
     link_pairs = sorted({(l.src, l.dst) for l in fabric.links})
-    horizon = (config.horizon_detailed if backend == "detailed"
-               else config.horizon_fast)
     schedule = fuzz_schedule(rng, link_pairs, fabric.num_npus,
-                             horizon=horizon)
+                             horizon=HORIZONS[backend])
 
     spec = _build_spec(backend, schedule, transport, watchdog)
     try:

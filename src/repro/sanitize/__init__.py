@@ -4,9 +4,9 @@ Four complementary halves guard the event/network/collective stack:
 
 * :mod:`repro.sanitize.static_lint` — checks inputs *before* simulation
   starts: the JSON documents commands read (fault schedules, search
-  spaces, service payloads) against their field tables, and built
-  platforms for cross-parameter consistency (flit/packet alignment,
-  dimension products, mapping bijections), surfaced through the
+  spaces, service payloads) against their field tables, and platform
+  configs for cross-parameter consistency (flit/packet alignment,
+  bandwidth hierarchy), surfaced through the
   ``astra-repro lint`` subcommand with machine-readable findings.
 * :mod:`repro.sanitize.source_lint` — AST-level determinism lint over the
   simulator's own Python sources (unseeded RNGs, wall-clock reads,

@@ -47,7 +47,7 @@ class Finding:
     """One lint/sanitizer finding.
 
     ``code`` is a stable kebab-case identifier tools can match on (e.g.
-    ``dim-product-mismatch``); ``param`` is the dotted parameter path the
+    ``flit-packet-misalignment``); ``param`` is the dotted parameter path the
     finding anchors to (e.g. ``network.local_link.packet_size_bytes``);
     ``source`` names the linted file or preset.
     """

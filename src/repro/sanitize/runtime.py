@@ -43,10 +43,6 @@ class SanitizerConfig:
     #: Maximum consecutive events executed at one timestamp before the
     #: run is declared a zero-delay livelock.
     livelock_threshold: int = 1_000_000
-    #: Track per-message / per-port conservation ledgers.
-    check_conservation: bool = True
-    #: Track registered countdown barriers.
-    check_barriers: bool = True
 
     def __post_init__(self) -> None:
         if self.livelock_threshold < 1:
@@ -300,12 +296,8 @@ class RuntimeSanitizer:
         return SanitizedEventQueue(self)
 
     def quiescence_findings(self) -> list[Finding]:
-        findings: list[Finding] = []
-        if self.config.check_conservation:
-            findings.extend(self.conservation.quiescence_findings())
-        if self.config.check_barriers:
-            findings.extend(self.barriers.quiescence_findings())
-        return findings
+        return (self.conservation.quiescence_findings()
+                + self.barriers.quiescence_findings())
 
     def event_queue_findings(self, events: EventQueue) -> list[Finding]:
         """The pending-vs-heap invariant: the incrementally maintained live

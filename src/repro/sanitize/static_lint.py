@@ -13,12 +13,11 @@ Two kinds of input are checked:
   :func:`lint_spec_file` reads one from disk;
 * built platforms: :func:`lint_config` checks cross-parameter
   consistency (flit width divides packet size, message quantum fits a
-  packet, bandwidth hierarchy) and :func:`lint_fabric_structure` the
-  logical topology (dimension products match the NPU count,
-  logical→physical group mappings are bijections, channel uniformity).
-  :func:`lint_platform` runs both on a harness :class:`PlatformSpec`
-  (service admission does, for every payload) and :func:`lint_presets`
-  on everything shipped in :mod:`repro.config.presets`.
+  packet, bandwidth hierarchy).  :func:`lint_platform` runs it on a
+  harness :class:`PlatformSpec` (service admission does, for every
+  payload) and :func:`lint_presets` on everything shipped in
+  :mod:`repro.config.presets`.  Neither builds a fabric: a platform's
+  topology is checked where the spec is made.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Any
 
 from repro.config.fields import build, field_errors
 from repro.config.parameters import LinkConfig, SimulationConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError
 from repro.sanitize.findings import Finding, LintReport, Severity
 
 
@@ -119,93 +118,6 @@ def lint_config(config: SimulationConfig, source: str = "") -> list[Finding]:
             f"threshold {config.system.dispatch_threshold} > batch "
             f"{config.system.dispatch_batch}: the dispatcher refills less "
             f"than one threshold per round",
-        )
-    return report.findings
-
-
-# -- topology lint --------------------------------------------------------------
-
-
-def lint_fabric_structure(topology, source: str = "") -> list[Finding]:
-    """Structural checks on a built logical topology.
-
-    Verifies the invariants collective composition depends on: the
-    logical→physical mapping (``group_of``) assigns every NPU to exactly
-    one registered group per dimension, group sizes are uniform and their
-    product matches the NPU count, every group's channels actually span
-    its members, and channel counts are uniform across groups.
-    """
-    report = LintReport(source=source)
-    fabric = topology.fabric
-
-    product = 1
-    for dim in fabric.dimensions:
-        groups = fabric.groups(dim)
-        membership: dict = {g: set() for g in groups}
-        unmapped: list[int] = []
-        for npu in range(fabric.num_npus):
-            try:
-                group = fabric.group_of(dim, npu)
-            except ReproError:
-                unmapped.append(npu)
-                continue
-            if group not in membership:
-                report.add(
-                    Severity.ERROR, "mapping-not-bijective",
-                    f"topology.{dim.value}",
-                    f"NPU {npu} maps to group {group}, which has no "
-                    f"registered channels",
-                )
-                continue
-            membership[group].add(npu)
-        if unmapped:
-            report.add(
-                Severity.ERROR, "mapping-not-bijective",
-                f"topology.{dim.value}",
-                f"NPUs {unmapped} map to no {dim.value} group; the "
-                f"logical→physical mapping must cover every NPU exactly once",
-            )
-        empty = [g for g, members in membership.items() if not members]
-        if empty:
-            report.add(
-                Severity.ERROR, "mapping-not-bijective",
-                f"topology.{dim.value}",
-                f"groups {empty} have channels but no member NPUs",
-            )
-        sizes = {len(members) for members in membership.values() if members}
-        if len(sizes) > 1:
-            report.add(
-                Severity.ERROR, "non-uniform-groups",
-                f"topology.{dim.value}",
-                f"groups have different sizes: {sorted(sizes)}",
-            )
-        elif sizes:
-            product *= min(sizes)
-
-        for group, channels in groups.items():
-            members = membership.get(group, set())
-            for channel in channels:
-                missing = sorted(members - set(channel.nodes))
-                if missing:
-                    report.add(
-                        Severity.ERROR, "channel-missing-nodes",
-                        f"topology.{dim.value}.group{group}",
-                        f"channel {getattr(channel, 'name', channel)!r} does "
-                        f"not reach group members {missing}",
-                    )
-        counts = {len(chs) for chs in groups.values()}
-        if len(counts) != 1:
-            report.add(
-                Severity.ERROR, "non-uniform-channels",
-                f"topology.{dim.value}",
-                f"groups expose different channel counts: {sorted(counts)}",
-            )
-
-    if product != fabric.num_npus:
-        report.add(
-            Severity.ERROR, "dim-product-mismatch", "topology.shape",
-            f"logical group sizes multiply to {product} but the fabric has "
-            f"{fabric.num_npus} NPUs",
         )
     return report.findings
 
@@ -333,20 +245,17 @@ def lint_spec_file(path: str) -> LintReport:
 
 
 def lint_platform(platform, source: str = "") -> LintReport:
-    """Lint a harness :class:`PlatformSpec`: its config and its built topology."""
+    """Lint a harness :class:`PlatformSpec`'s config.  Its topology needs
+    no lint: :func:`~repro.topology.logical.topology_builder` refuses a
+    bad shape when the spec is made, and the fabric's blocks make every
+    group uniform and every channel span its group by construction."""
     report = LintReport(source=source or platform.name)
     report.extend(lint_config(platform.config, source=report.source))
-    try:
-        topology = platform.topology_builder(platform.config.system)
-    except ReproError as exc:
-        report.add(Severity.ERROR, "topology-error", "topology", str(exc))
-        return report
-    report.extend(lint_fabric_structure(topology, source=report.source))
     return report
 
 
 def lint_presets() -> list[LintReport]:
-    """Lint every shipped preset platform (the CI gate)."""
+    """Lint the config of every shipped preset platform (the CI gate)."""
     from repro.config.parameters import (
         AllToAllShape as A2A,
         CollectiveAlgorithm,

@@ -65,6 +65,7 @@ def _sweeps(rule: Rule, default: Optional[tuple] = None):
 
 
 _SYSTEM = rules(SystemConfig)
+_POINT = rules(DesignPoint)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class Axes:
     """The ``axes`` section, in genome order.  Each axis lists the values
     it sweeps, checked against the rule of the field it sets."""
 
-    topology: Optional[tuple] = _sweeps(_SYSTEM["topology"])
+    topology: Optional[tuple] = _sweeps(_POINT["topology"])
     torus_shape: Optional[tuple] = _sweeps(
         Rule("shape", arity=SHAPE_ARITY[TopologyKind.TORUS]))
     alltoall_shape: Optional[tuple] = _sweeps(
@@ -204,7 +205,7 @@ class SearchSpace:
         doc = build(SpaceDocument, data)
         alltoall_shapes = tuple(s for s in _factorizations(doc.num_npus, 2) if s[1] >= 2)
         derived = {  # the default ranges that depend on num_npus
-            "topology": (_SYSTEM["topology"].options if alltoall_shapes
+            "topology": (_POINT["topology"].options if alltoall_shapes
                          else (TopologyKind.TORUS,)),
             "torus_shape": tuple(_factorizations(doc.num_npus, 3)),
             "alltoall_shape": alltoall_shapes,

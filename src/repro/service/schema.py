@@ -11,11 +11,12 @@ engine state is touched, in two passes:
    ``op``, ``size_mb`` and ``priority``.  Unknown keys are rejected
    with a typo hint, never ignored: a client that misspells
    ``algorithm`` must not silently simulate the default.
-2. **Cross-parameter** — the payload is built into the platform the CLI
-   builds (:meth:`~repro.config.parameters.DesignPoint.platform_spec`)
-   and routed through :func:`repro.sanitize.static_lint.lint_platform`,
-   so an inconsistent platform is rejected with the findings
-   ``astra-repro lint`` reports.
+2. **Cross-parameter** — the payload is made into the platform the CLI
+   makes (:meth:`~repro.config.parameters.DesignPoint.platform_spec`,
+   which refuses a single-NPU shape) and its config is routed through
+   :func:`repro.sanitize.static_lint.lint_platform`, so an inconsistent
+   platform is rejected with the findings ``astra-repro lint`` reports.
+   No fabric is built.
 
 A rejected payload raises :class:`PayloadError` carrying every field
 error — the daemon serializes it straight into the 400 response body.
@@ -183,7 +184,7 @@ def _error(field: str, code: str, message: str) -> dict[str, str]:
 
 
 def _lint_platform(payload: SimulationPayload) -> list[dict[str, str]]:
-    """Cross-parameter pass: build the spec, route through static lint."""
+    """Cross-parameter pass: make the spec, lint its config."""
     from repro.sanitize.static_lint import lint_platform
 
     try:

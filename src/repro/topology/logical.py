@@ -12,6 +12,7 @@ Non-identity mappings are built with :mod:`repro.topology.mapping`.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Optional, Sequence
 
 from repro.config.parameters import (
@@ -56,15 +57,6 @@ class LogicalTopology:
                 raise TopologyError(f"scope dimensions {unknown} not in topology {dims}")
             dims = [d for d in dims if d in set(scope)]
         return [(d, self.fabric.dim_size(d)) for d in dims]
-
-    def channels_in(self, dim: Dimension) -> int:
-        """Parallel channels per group of ``dim`` (the LSQ count driver)."""
-        groups = self.fabric.groups(dim)
-        counts = {len(chs) for chs in groups.values()}
-        if len(counts) != 1:
-            raise TopologyError(
-                f"non-uniform channel counts in {dim}: {sorted(counts)}")
-        return min(counts)
 
 
 def _local_rings(size: int, network: NetworkConfig, system: SystemConfig) -> Ring:
@@ -122,8 +114,12 @@ def topology_builder(kind: TopologyKind, dims: Sequence[int], network: NetworkCo
     """The builder of the ``kind`` topology of shape ``dims`` on ``network``,
     called with the system config that sets its ring and switch counts:
     the one place a family picks its shape class and builder.  The shape
-    is checked now, not when the builder runs."""
+    is checked now, not when the builder runs: a platform is refused when
+    it is made, so nothing downstream re-checks its fabric."""
     check_arity(kind, dims)
+    if math.prod(dims) < 2:
+        raise TopologyError(f"a {kind.value} of shape {'x'.join(map(str, dims))} "
+                            f"has a single NPU; a platform needs at least 2")
     if kind is TopologyKind.TORUS:
         return functools.partial(build_torus_topology, TorusShape(*dims), network)
     return functools.partial(build_alltoall_topology, AllToAllShape(*dims), network)

@@ -8,7 +8,6 @@ from repro.config import (
     ComputeConfig,
     LinkConfig,
     NetworkConfig,
-    SimulationConfig,
     SystemConfig,
     TorusShape,
 )
@@ -156,9 +155,3 @@ class TestComputeConfig:
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigError):
             ComputeConfig(**kwargs)
-
-
-class TestSimulationConfig:
-    def test_num_passes_validated(self):
-        with pytest.raises(ConfigError):
-            SimulationConfig(num_passes=0)

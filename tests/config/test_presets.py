@@ -7,7 +7,6 @@ from repro.config import (
     PAPER_LOCAL_LINK,
     PAPER_PACKAGE_LINK,
     SchedulingPolicy,
-    TopologyKind,
     paper_network_config,
     paper_simulation_config,
     paper_system_config,
@@ -60,7 +59,6 @@ class TestNetworkPresets:
 class TestSystemPresets:
     def test_defaults(self):
         cfg = paper_system_config()
-        assert cfg.topology is TopologyKind.TORUS
         assert cfg.scheduling_policy is SchedulingPolicy.LIFO
         assert cfg.local_rings == 2
         assert cfg.endpoint_delay_cycles == 10.0
@@ -76,9 +74,8 @@ class TestSystemPresets:
 
 class TestSimulationPreset:
     def test_bundle(self):
-        cfg = paper_simulation_config(compute_scale=2.0, num_passes=3)
+        cfg = paper_simulation_config(compute_scale=2.0)
         assert cfg.compute.compute_scale == pytest.approx(2.0)
         assert cfg.compute.array_rows == 256
         assert cfg.compute.array_cols == 256
-        assert cfg.num_passes == 3
         assert cfg.network is not None

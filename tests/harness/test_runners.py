@@ -33,7 +33,8 @@ class TestPlatformBuilders:
         platform = torus_platform(TorusShape(1, 8, 1), horizontal_rings=4)
         system = platform.build_system()
         from repro.dims import Dimension
-        assert system.topology.channels_in(Dimension.HORIZONTAL) == 8
+        groups = system.topology.fabric.groups(Dimension.HORIZONTAL)
+        assert {len(channels) for channels in groups.values()} == {8}
 
     def test_alltoall_platform_builds(self):
         platform = alltoall_platform(AllToAllShape(1, 8), global_switches=7)

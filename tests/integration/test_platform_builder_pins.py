@@ -28,7 +28,7 @@ from repro.config.parameters import (
 )
 
 PINNED = {"count": 3189,
-          "sha256": "37ece364b95b187b28c44a0bff2a21c14436ad54348216790aea2e3832bbd571"}
+          "sha256": "0e8385b9fa31bd560684f0e5410ab1b718d88bbb673a1d137680ef7bd9853bc7"}
 
 TORUS_GRID = {
     "shape": [TorusShape(2, 2, 2), TorusShape(1, 8, 1), TorusShape(4, 2, 1)],

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +27,7 @@ from repro.sanitize import (
     lint_spec_file,
 )
 from repro.sanitize.findings import Finding, LintReport, reports_to_json
-from repro.sanitize.static_lint import lint_fabric_structure, lint_platform, lint_run_spec
+from repro.sanitize.static_lint import lint_platform, lint_run_spec
 from repro.search import SearchSpace
 from repro.service.schema import parse_payload
 
@@ -119,36 +118,6 @@ class TestTopologyLint:
         with pytest.raises(ConfigError, match="3 dimensions") as excinfo:
             check_arity(TopologyKind.TORUS, (4, 4))
         assert excinfo.value.code == "bad-shape"
-
-    def test_dim_product_mismatch(self):
-        """A logical topology that drops a dimension groups too few NPUs."""
-        config = paper_simulation_config()
-        from repro.topology.logical import build_torus_topology
-
-        fabric = build_torus_topology(TorusShape(2, 4, 4), config.network,
-                                      config.system).fabric
-        partial = SimpleNamespace(dimensions=fabric.dimensions[:-1],
-                                  groups=fabric.groups, group_of=fabric.group_of,
-                                  num_npus=fabric.num_npus)
-        findings = lint_fabric_structure(SimpleNamespace(fabric=partial))
-        assert error_codes(findings) == {"dim-product-mismatch"}
-
-    def test_structural_lint_all_preset_fabrics(self):
-        from repro.topology.logical import (
-            build_alltoall_topology,
-            build_torus_topology,
-        )
-
-        config = paper_simulation_config()
-        for topology in (
-            build_torus_topology(TorusShape(2, 4, 4), config.network,
-                                 config.system),
-            build_torus_topology(TorusShape(1, 8, 1), config.network,
-                                 config.system),
-            build_alltoall_topology(AllToAllShape(4, 16), config.network,
-                                    config.system),
-        ):
-            assert not error_codes(lint_fabric_structure(topology))
 
 
 def degrade(**fields):

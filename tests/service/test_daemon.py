@@ -340,6 +340,12 @@ class TestHTTP:
         assert body["error"] == "invalid-payload"
         assert {e["field"] for e in body["errors"]} >= {"op", "size_mb"}
 
+    def test_single_npu_shape_is_400(self, daemon):
+        status, body, _ = _Client(daemon.address).post(
+            "/v1/jobs", {"op": "allreduce", "size_mb": 0.0625, "shape": "1x1x1"})
+        assert status == 400
+        assert [e["code"] for e in body["errors"]] == ["platform-construction"]
+
     def test_unknown_routes_are_404(self, daemon):
         client = _Client(daemon.address)
         assert client.get("/nope")[0] == 404

@@ -69,6 +69,10 @@ class TestCollectiveCommand:
                      "--shape", "2x2x2"])
         assert code == 2
 
+    def test_single_npu_shape_is_refused(self, capsys):
+        assert main(["collective", "--shape", "1x1x1"]) == 2
+        assert "single NPU" in capsys.readouterr().err
+
 
 def _subparser(command: str) -> argparse.ArgumentParser:
     parser = build_arg_parser()

@@ -65,7 +65,8 @@ class TestMappingStructure:
     def test_rings_per_dim(self):
         topo = map_torus_onto_fabric(TorusShape(2, 2, 2), physical_ring(),
                                      rings_per_dim=2)
-        assert topo.channels_in(Dimension.LOCAL) == 2
+        groups = topo.fabric.groups(Dimension.LOCAL)
+        assert {len(channels) for channels in groups.values()} == {2}
 
 
 class TestMappedCollectives:
