@@ -17,6 +17,7 @@ from repro.analytical.cost_models import CostTable
 from repro.config.fields import Rule, build, check, field_errors, parse_shape, rules, to_raw
 from repro.config.parameters import (
     ComputeConfig,
+    DesignPoint,
     LinkConfig,
     NetworkConfig,
     SimulationConfig,
@@ -97,6 +98,7 @@ CONFIG_TABLES = [
     (ComputeConfig, ComputeConfig()),
     (Clock, Clock()),
     (SimulationConfig, SimulationConfig()),
+    (DesignPoint, DesignPoint()),
     (SupervisionPolicy, SupervisionPolicy()),
 ]
 
@@ -158,7 +160,8 @@ def test_bad_value_is_one_error_at_its_path_and_rejected(path, lint, rejects):
 def test_every_table_is_covered():
     covered = {case.id.split(".")[0] for case in cases()}
     assert covered == {"LinkConfig", "NetworkConfig", "SystemConfig", "TransportConfig",
-                       "ComputeConfig", "Clock", "SimulationConfig", "SupervisionPolicy",
+                       "ComputeConfig", "Clock", "SimulationConfig", "DesignPoint",
+                       "SupervisionPolicy",
                        "ScheduleDocument", "FaultEvent", "SimulationPayload",
                        "SpaceDocument", "Axes", "Constraints", "CostTable"}
 
