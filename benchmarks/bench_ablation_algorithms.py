@@ -6,8 +6,8 @@ the inter-package volume, so its advantage should grow with the
 local-bandwidth advantage and shrink toward parity on symmetric links.
 """
 
-from repro.collectives import CollectiveOp
-from repro.config import (
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import (
     CollectiveAlgorithm,
     NetworkConfig,
     SimulationConfig,
@@ -16,8 +16,8 @@ from repro.config import (
 )
 from repro.config.presets import PAPER_PACKAGE_LINK
 from repro.config.units import MB
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 
 from bench_common import print_table, run_once
 

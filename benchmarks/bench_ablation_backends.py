@@ -10,11 +10,14 @@ import time
 
 import pytest
 
-from repro.collectives import CollectiveContext, RingAllReduce
-from repro.config import LinkConfig, NetworkConfig
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, RingChannel
-from repro.network.detailed import DetailedBackend
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
+from repro.config.parameters import LinkConfig, NetworkConfig
+from repro.events.engine import EventQueue
+from repro.network.channel import RingChannel
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
+from repro.network.detailed.backend import DetailedBackend
 
 from bench_common import print_table, run_once
 

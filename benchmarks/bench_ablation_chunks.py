@@ -6,10 +6,10 @@ large gain from 1 -> 4 chunks (parallel rings engaged) with diminishing
 returns after the channel count is saturated.
 """
 
-from repro.collectives import CollectiveOp
-from repro.config import CollectiveAlgorithm, TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, TorusShape
 from repro.config.units import MB
-from repro.harness import run_collective, torus_platform
+from repro.harness.runners import run_collective, torus_platform
 
 from bench_common import print_table, run_once
 

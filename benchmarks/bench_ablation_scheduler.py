@@ -8,13 +8,12 @@ ready-queue delay (Queue P0) showing where the conservative setting
 holds chunks back.
 """
 
-from repro.collectives import CollectiveOp
-from repro.config import CollectiveAlgorithm, TorusShape
-from repro.config.units import MB
-from repro.config.parameters import SystemConfig, SimulationConfig
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, SimulationConfig, SystemConfig, TorusShape
 from repro.config.presets import paper_network_config
+from repro.config.units import MB
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 
 from bench_common import print_table, run_once
 

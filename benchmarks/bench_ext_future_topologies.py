@@ -5,20 +5,14 @@ a 4D torus with shorter rings, and a scale-out system whose outermost
 dimension rides Ethernet-class links.
 """
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    CollectiveAlgorithm,
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
-from repro.config.presets import DEFAULT_SCALEOUT_LINK
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import DEFAULT_SCALEOUT_LINK, paper_network_config
 from repro.config.units import MB
 from repro.dims import Dimension
-from repro.network.physical import Fabric, Ring
-from repro.system import System
-from repro.topology import LogicalTopology, build_torus_topology
+from repro.network.physical.fabric import Fabric, Ring
+from repro.system.sys_layer import System
+from repro.topology.logical import LogicalTopology, build_torus_topology
 
 from bench_common import print_table, run_once
 

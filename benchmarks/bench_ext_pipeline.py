@@ -5,11 +5,11 @@ strategies; this bench sweeps GPipe microbatching on an 8-stage ring and
 checks the bubble fraction converges toward (S-1)/(M+S-1).
 """
 
-from repro.config import SimulationConfig, SystemConfig, TorusShape
-from repro.config import paper_network_config
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import KB
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 from repro.workload.pipeline import PipelineStage, PipelineTrainingLoop
 
 from bench_common import print_table, run_once

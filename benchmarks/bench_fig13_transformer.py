@@ -5,7 +5,7 @@ Paper shape: the six encoder layers show near-uniform communication time
 embedding layer has none.
 """
 
-from repro.analysis import layer_rows
+from repro.analysis.report import layer_rows
 from repro.harness import fig13
 
 from bench_common import print_table, run_once

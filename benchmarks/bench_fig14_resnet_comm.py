@@ -5,7 +5,7 @@ communication time per layer tracks the layer's parameter volume — the
 deep conv5/conv4 stages dominate, conv1 and the 1x1 projections are tiny.
 """
 
-from repro.analysis import layer_rows
+from repro.analysis.report import layer_rows
 from repro.harness import fig14
 from repro.workload.parallelism import TrainingPhase
 

@@ -6,7 +6,7 @@ gradients are computed last with no compute left to cover them
 (Sec. III-E), plus layers whose collectives queue behind the rest.
 """
 
-from repro.analysis import layer_rows
+from repro.analysis.report import layer_rows
 from repro.harness import fig14
 
 from bench_common import print_table, run_once

@@ -53,12 +53,12 @@ import os
 import statistics
 import sys
 
-from repro.collectives import CollectiveOp
-from repro.config import AllToAllShape, TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import AllToAllShape, TorusShape
 from repro.config.units import KB, MB
 from repro.events.engine import EventQueue
 from repro.harness.runners import alltoall_platform, run_collective, torus_platform
-from repro.profiling import (
+from repro.profiling.profiler import (
     RunProfile,
     compare_bench,
     find_newest_bench,

@@ -17,14 +17,13 @@ Two contracts, both "observation is free in simulated time":
 import time
 from dataclasses import replace
 
-from repro.collectives import CollectiveOp
-from repro.config import TorusShape
-from repro.config.parameters import TransportConfig
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import TorusShape, TransportConfig
 from repro.config.units import MB
 from repro.harness.runners import run_collective, torus_platform
-from repro.parallel import ParallelExecutor, RunPoint
+from repro.parallel.executor import ParallelExecutor, RunPoint
 from repro.parallel.supervisor import SupervisionPolicy
-from repro.resilience import WatchdogConfig
+from repro.resilience.watchdog import WatchdogConfig
 
 from bench_common import print_table, run_once
 

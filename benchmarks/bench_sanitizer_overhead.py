@@ -16,8 +16,8 @@ wall ratio.
 
 import time
 
-from repro.collectives import CollectiveOp
-from repro.config import TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import TorusShape
 from repro.config.units import MB
 from repro.harness.runners import run_collective, torus_platform
 

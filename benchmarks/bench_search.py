@@ -9,14 +9,11 @@ so this also exercises the generation-batching hot path.
 
 import json
 
-from repro.parallel import ParallelExecutor, RunPoint
-from repro.search import (
-    SearchSpace,
-    make_objective,
-    make_strategy,
-    rank_frontier,
-    run_search,
-)
+from repro.parallel.executor import ParallelExecutor, RunPoint
+from repro.search.driver import rank_frontier, run_search
+from repro.search.objectives import make_objective
+from repro.search.space import SearchSpace
+from repro.search.strategies import make_strategy
 
 from bench_common import print_table, run_once
 

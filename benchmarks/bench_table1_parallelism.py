@@ -6,19 +6,13 @@ exchanges weight gradients only; model parallel exchanges activations and
 input gradients only; hybrid exchanges in all three phases.
 """
 
-from repro.collectives import CollectiveOp
-from repro.config import TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import TorusShape
 from repro.dims import Dimension
-from repro.harness import run_training, torus_platform
-from repro.workload import (
-    CommSpec,
-    DATA_PARALLEL,
-    DNNModel,
-    LayerSpec,
-    MODEL_PARALLEL,
-    TrainingPhase,
-    hybrid,
-)
+from repro.harness.runners import run_training, torus_platform
+from repro.workload.layer import CommSpec, LayerSpec
+from repro.workload.model import DNNModel
+from repro.workload.parallelism import DATA_PARALLEL, MODEL_PARALLEL, TrainingPhase, hybrid
 
 from bench_common import print_table, run_once
 

@@ -20,9 +20,8 @@ wall ratio.
 import time
 from dataclasses import replace
 
-from repro.collectives import CollectiveOp
-from repro.config import TorusShape
-from repro.config.parameters import TransportConfig
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import TorusShape, TransportConfig
 from repro.config.units import MB
 from repro.harness.runners import run_collective, torus_platform
 

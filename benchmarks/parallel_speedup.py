@@ -20,8 +20,8 @@ import os
 import sys
 import time
 
-from repro.parallel import ParallelExecutor, RunPoint
-from repro.search import SearchSpace
+from repro.parallel.executor import ParallelExecutor, RunPoint
+from repro.search.space import SearchSpace
 
 SPACE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                      "examples", "configs", "search_fig09.json")

@@ -26,9 +26,9 @@ import sys
 import time
 from dataclasses import replace
 
-from repro.collectives import CollectiveOp
+from repro.collectives.types import CollectiveOp
 from repro.harness import fig09
-from repro.parallel import ParallelExecutor, PointStatus, exit_code_for, results_with_gaps
+from repro.parallel.executor import ParallelExecutor, PointStatus, exit_code_for, results_with_gaps
 from repro.parallel.supervisor import (
     SupervisionPolicy,
     quarantine_summary,

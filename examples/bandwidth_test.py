@@ -12,7 +12,8 @@ Run with::
 
 from repro import CollectiveAlgorithm, CollectiveOp, TorusShape
 from repro.config.units import KB, MB
-from repro.harness import format_points, measure, torus_platform
+from repro.harness.bandwidth_test import format_points, measure
+from repro.harness.runners import torus_platform
 
 SIZES = (64 * KB, 512 * KB, 4 * MB, 32 * MB)
 

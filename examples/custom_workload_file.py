@@ -11,10 +11,16 @@ Run with::
 
 import tempfile
 
-from repro import CollectiveAlgorithm, System, TorusShape, build_torus_topology
-from repro import paper_simulation_config
-from repro.analysis import RunSummary
-from repro.workload import TrainingLoop, dumps, loads
+from repro import (
+    CollectiveAlgorithm,
+    System,
+    TorusShape,
+    build_torus_topology,
+    paper_simulation_config,
+)
+from repro.analysis.report import RunSummary
+from repro.workload.parser import dumps, loads
+from repro.workload.training_loop import TrainingLoop
 
 #: A small hybrid-parallel network in the Fig. 8 format: parallelism
 #: header, layer count, then per layer: name / compute times

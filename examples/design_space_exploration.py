@@ -18,9 +18,9 @@ from repro import (
     CollectiveOp,
     TorusShape,
 )
-from repro.analysis import ComparisonTable
+from repro.analysis.compare import ComparisonTable
 from repro.config.units import MB
-from repro.harness import alltoall_platform, run_collective, torus_platform
+from repro.harness.runners import alltoall_platform, run_collective, torus_platform
 
 SIZES = {"512 KB (latency-bound)": MB // 2, "16 MB (bandwidth-bound)": 16 * MB}
 

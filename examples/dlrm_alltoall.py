@@ -14,10 +14,10 @@ Run with::
 """
 
 from repro import AllToAllShape, CollectiveAlgorithm, Dimension
-from repro.analysis import RunSummary, format_layer_table
-from repro.harness import alltoall_platform, run_training
+from repro.analysis.report import RunSummary, format_layer_table
+from repro.harness.runners import alltoall_platform, run_training
 from repro.models.dlrm import dlrm
-from repro.workload import hybrid
+from repro.workload.parallelism import hybrid
 
 
 def main() -> None:

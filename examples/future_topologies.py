@@ -27,8 +27,8 @@ from repro import (
 from repro.config.presets import DEFAULT_SCALEOUT_LINK
 from repro.config.units import MB, format_bytes
 from repro.dims import Dimension
-from repro.network.physical import Fabric, Ring
-from repro.topology import LogicalTopology, build_torus_topology
+from repro.network.physical.fabric import Fabric, Ring
+from repro.topology.logical import LogicalTopology, build_torus_topology
 
 SIZE = 8 * MB
 

@@ -14,12 +14,13 @@ Run with::
     python examples/logical_mapping.py
 """
 
-from repro import EventQueue, FastBackend, SystemConfig, TorusShape
-from repro import paper_network_config
-from repro.collectives import CollectiveContext, RingAllReduce
+from repro import EventQueue, FastBackend, SystemConfig, TorusShape, paper_network_config
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
 from repro.config.units import MB
 from repro.dims import Dimension
-from repro.topology import build_torus_topology, map_ring_over_ring
+from repro.topology.logical import build_torus_topology
+from repro.topology.mapping import map_ring_over_ring
 
 
 def time_all_reduce(ring, network, size_bytes: float) -> float:

@@ -12,8 +12,8 @@ Run with::
 
 from repro import System, TorusShape, paper_simulation_config
 from repro.config.units import KB
-from repro.models import mlp
-from repro.topology import build_torus_topology
+from repro.models.mlp import mlp
+from repro.topology.logical import build_torus_topology
 from repro.workload.pipeline import PipelineTrainingLoop, partition_model
 
 STAGE_NODES = [0, 2, 4, 6]

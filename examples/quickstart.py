@@ -16,7 +16,7 @@ from repro import (
     paper_simulation_config,
     resnet50,
 )
-from repro.analysis import RunSummary, format_breakdown, format_layer_table
+from repro.analysis.report import RunSummary, format_breakdown, format_layer_table
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ from repro import (
     TorusShape,
 )
 from repro.config.units import MB, format_bytes
-from repro.harness import alltoall_platform, run_collective, torus_platform
+from repro.harness.runners import alltoall_platform, run_collective, torus_platform
 
 SIZE = 8 * MB
 

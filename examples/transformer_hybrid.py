@@ -13,7 +13,7 @@ Run with::
     python examples/transformer_hybrid.py
 """
 
-from repro.analysis import RunSummary, layer_rows
+from repro.analysis.report import RunSummary, layer_rows
 from repro.harness.fig13 import run as run_fig13
 
 

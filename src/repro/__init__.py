@@ -28,31 +28,37 @@ from typing import Any
 #: Public name -> the module that defines it.  Nothing is imported until a
 #: name is first used (PEP 562), so ``import repro`` stays cheap and each
 #: command loads only the layers it runs: the flit-level ``DetailedBackend``,
-#: for one, only when a run names it.
+#: for one, only when a run names it.  The targets are defining modules, not
+#: packages: a package ``__init__`` imports none of its modules.
 _EXPORTS = {
-    **dict.fromkeys(("ChunkExecution", "CollectiveContext", "CollectiveOp", "PhaseSpec",
-                     "build_phase_plan"), "repro.collectives"),
-    **dict.fromkeys(("ConvSpec", "GemmShape", "LinearSpec", "SystolicArrayModel"),
-                    "repro.compute"),
-    **dict.fromkeys(("AllToAllShape", "Clock", "CollectiveAlgorithm", "ComputeConfig",
-                     "LinkConfig", "NetworkConfig", "SchedulingPolicy", "SimulationConfig",
-                     "SystemConfig", "TopologyKind", "TorusShape", "paper_network_config",
-                     "paper_simulation_config", "paper_system_config",
-                     "symmetric_network_config"), "repro.config"),
+    "CollectiveContext": "repro.collectives.context",
+    "ChunkExecution": "repro.collectives.hierarchical",
+    **dict.fromkeys(("CollectiveOp", "PhaseSpec", "build_phase_plan"), "repro.collectives.types"),
+    **dict.fromkeys(("ConvSpec", "GemmShape", "LinearSpec"), "repro.compute.gemm"),
+    "SystolicArrayModel": "repro.compute.systolic",
+    **dict.fromkeys(("AllToAllShape", "CollectiveAlgorithm", "ComputeConfig", "LinkConfig",
+                     "NetworkConfig", "SchedulingPolicy", "SimulationConfig", "SystemConfig",
+                     "TopologyKind", "TorusShape"), "repro.config.parameters"),
+    **dict.fromkeys(("paper_network_config", "paper_simulation_config", "paper_system_config",
+                     "symmetric_network_config"), "repro.config.presets"),
+    "Clock": "repro.config.units",
     "Dimension": "repro.dims",
     **dict.fromkeys(("CollectiveError", "ConfigError", "NetworkError", "ReproError",
                      "SchedulerError", "SimulationError", "TopologyError", "WorkloadError"),
                     "repro.errors"),
-    "EventQueue": "repro.events",
-    **dict.fromkeys(("dlrm", "mlp", "resnet50", "transformer"), "repro.models"),
-    "FastBackend": "repro.network",
-    "DetailedBackend": "repro.network.detailed",
-    **dict.fromkeys(("CollectiveSet", "System"), "repro.system"),
+    "EventQueue": "repro.events.engine",
+    **{name: f"repro.models.{name}" for name in ("dlrm", "mlp", "resnet50", "transformer")},
+    "DetailedBackend": "repro.network.detailed.backend",
+    "FastBackend": "repro.network.fast_backend",
+    "CollectiveSet": "repro.system.collective_set",
+    "System": "repro.system.sys_layer",
     **dict.fromkeys(("LogicalTopology", "build_alltoall_topology", "build_torus_topology"),
-                    "repro.topology"),
-    **dict.fromkeys(("DATA_PARALLEL", "MODEL_PARALLEL", "CommSpec", "DNNModel", "LayerSpec",
-                     "ParallelismStrategy", "TrainingLoop", "TrainingPhase", "TrainingReport",
-                     "hybrid"), "repro.workload"),
+                    "repro.topology.logical"),
+    **dict.fromkeys(("CommSpec", "LayerSpec"), "repro.workload.layer"),
+    "DNNModel": "repro.workload.model",
+    **dict.fromkeys(("DATA_PARALLEL", "MODEL_PARALLEL", "ParallelismStrategy", "TrainingPhase",
+                     "hybrid"), "repro.workload.parallelism"),
+    **dict.fromkeys(("TrainingLoop", "TrainingReport"), "repro.workload.training_loop"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,6 +1,6 @@
 """Timeline reconstruction and Chrome-trace export.
 
-Build a :class:`repro.system.System` with ``trace=True`` and, after the
+Build a :class:`repro.system.sys_layer.System` with ``trace=True`` and, after the
 run, hand it to :func:`collect_timeline` to get per-chunk phase spans —
 or :func:`to_chrome_trace` to get a ``chrome://tracing`` /
 https://ui.perfetto.dev compatible JSON string where each collective set

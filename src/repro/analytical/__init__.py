@@ -1,41 +1,1 @@
 """Closed-form collective cost models for analysis and cross-checks."""
-
-from repro.analytical.cost_models import (
-    CostTable,
-    LinkCounts,
-    LinkParams,
-    alltoall_link_counts,
-    bandwidth_lower_bound_cycles,
-    direct_all_reduce_cycles,
-    direct_reduce_scatter_cycles,
-    dollars_per_step,
-    hierarchical_all_reduce_volume,
-    link_dollars,
-    perf_per_link_dollar,
-    platform_dollars,
-    ring_all_gather_cycles,
-    ring_all_reduce_cycles,
-    ring_all_to_all_cycles,
-    ring_reduce_scatter_cycles,
-    torus_link_counts,
-)
-
-__all__ = [
-    "CostTable",
-    "LinkCounts",
-    "LinkParams",
-    "alltoall_link_counts",
-    "bandwidth_lower_bound_cycles",
-    "direct_all_reduce_cycles",
-    "direct_reduce_scatter_cycles",
-    "dollars_per_step",
-    "hierarchical_all_reduce_volume",
-    "link_dollars",
-    "perf_per_link_dollar",
-    "platform_dollars",
-    "ring_all_gather_cycles",
-    "ring_all_reduce_cycles",
-    "ring_all_to_all_cycles",
-    "ring_reduce_scatter_cycles",
-    "torus_link_counts",
-]

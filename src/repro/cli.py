@@ -35,7 +35,8 @@ from repro.errors import (
     ReproError,
 )
 
-#: The predefined workloads (Table III #1), each a builder in repro.models.
+#: The predefined workloads (Table III #1), each a builder of the same name
+#: in its own repro.models module.
 _MODELS = ("dlrm", "mlp", "resnet50", "transformer")
 
 #: The ``--op`` choices: the shared op table, spelled by value.
@@ -43,9 +44,9 @@ _OP_NAMES = sorted(op.value for op in COLLECTIVE_OPS)
 
 
 def _build_model(name: str, compute):
-    import repro.models
+    from importlib import import_module
 
-    return getattr(repro.models, name)(compute=compute)
+    return getattr(import_module(f"repro.models.{name}"), name)(compute=compute)
 
 
 def _build_platform(args: argparse.Namespace):
@@ -88,7 +89,7 @@ def _apply_watchdog_args(spec, args: argparse.Namespace):
     bundle_dir = getattr(args, "bundle_dir", None)
     if getattr(args, "watchdog", False) or stall_cycles is not None \
             or bundle_dir is not None:
-        from repro.resilience import WatchdogConfig
+        from repro.resilience.watchdog import WatchdogConfig
 
         if stall_cycles is None:
             stall_cycles = WatchdogConfig.stall_cycles
@@ -106,7 +107,7 @@ def _record_profile(args: argparse.Namespace, system) -> None:
     """Feed a finished system's event counters to the --profile output."""
     if not args.profile or system is None:
         return
-    from repro.profiling import active_profile
+    from repro.profiling.profiler import active_profile
 
     profile = active_profile()
     if profile is not None:
@@ -273,7 +274,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_collective(args: argparse.Namespace) -> int:
-    from repro.parallel import RunPoint, default_executor
+    from repro.parallel.executor import RunPoint, default_executor
 
     # One design-space point through the executor: pure runs hit the
     # --cache-dir store; anything impure (faults, watchdog, transport,
@@ -332,16 +333,12 @@ def _cmd_bandwidth(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     import os
 
-    from repro.parallel import default_executor
-    from repro.search import (
-        SearchReport,
-        SearchSpace,
-        load_trajectory,
-        make_objective,
-        make_strategy,
-        rank_frontier,
-        run_search,
-    )
+    from repro.parallel.executor import default_executor
+    from repro.search.driver import load_trajectory, rank_frontier, run_search
+    from repro.search.objectives import make_objective
+    from repro.search.report import SearchReport
+    from repro.search.space import SearchSpace
+    from repro.search.strategies import make_strategy
 
     space = SearchSpace.from_file(args.space)
     objective = make_objective(args.objective, space.cost_table, space.size_bytes)
@@ -407,7 +404,7 @@ exit status (supervised runs; docs/SUPERVISION.md):
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.sanitize import lint_presets, lint_spec_file
+    from repro.sanitize.static_lint import lint_presets, lint_spec_file
     from repro.sanitize.findings import reports_to_json
 
     reports = []
@@ -501,7 +498,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience import ChaosConfig, run_chaos
+    from repro.resilience.chaos import ChaosConfig, run_chaos
 
     backends = tuple(tok.strip() for tok in args.backends.split(",") if tok.strip())
     config = ChaosConfig(
@@ -554,7 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
 
     from repro.parallel.supervisor import SupervisionPolicy
-    from repro.service import ServiceConfig, ServiceDaemon
+    from repro.service.daemon import ServiceConfig, ServiceDaemon
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
@@ -800,7 +797,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
 
-    from repro.parallel import configure_default, set_default_executor
+    from repro.parallel.executor import configure_default, set_default_executor
 
     try:
         policy, journal_path, quarantine_dir = _supervision_from_args(args)
@@ -814,7 +811,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG
     profile = None
     if args.profile:
-        from repro.profiling import RunProfile, set_active_profile
+        from repro.profiling.profiler import RunProfile, set_active_profile
 
         profile = RunProfile(name=args.command)
         set_active_profile(profile)

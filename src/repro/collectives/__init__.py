@@ -1,36 +1,10 @@
-"""Topology-aware collective communication algorithms (Sec. III-B/III-D)."""
+"""Topology-aware collective communication algorithms (Sec. III-B/III-D).
 
-from repro.collectives.base import CollectiveAlgorithmBase
-from repro.collectives.context import CollectiveContext, PhaseStats
-from repro.collectives.direct_algorithms import (
-    DirectAllGather,
-    DirectAllReduce,
-    DirectAllToAll,
-    DirectReduceScatter,
-)
-from repro.collectives.hierarchical import ChunkExecution
-from repro.collectives.ring_algorithms import (
-    RingAllGather,
-    RingAllReduce,
-    RingAllToAll,
-    RingReduceScatter,
-)
-from repro.collectives.types import CollectiveOp, PhaseSpec, build_phase_plan
+The package root names only :class:`~repro.collectives.types.CollectiveOp`,
+which every command parses; the algorithms are imported from their
+modules by the runs that use them.
+"""
 
-__all__ = [
-    "ChunkExecution",
-    "CollectiveAlgorithmBase",
-    "CollectiveContext",
-    "CollectiveOp",
-    "DirectAllGather",
-    "DirectAllReduce",
-    "DirectAllToAll",
-    "DirectReduceScatter",
-    "PhaseSpec",
-    "PhaseStats",
-    "RingAllGather",
-    "RingAllReduce",
-    "RingAllToAll",
-    "RingReduceScatter",
-    "build_phase_plan",
-]
+from repro.collectives.types import CollectiveOp
+
+__all__ = ["CollectiveOp"]

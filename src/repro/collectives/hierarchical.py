@@ -230,7 +230,7 @@ class ChunkExecution:
     def _alltoall_group_nodes(self, group: tuple) -> list[int]:
         """Members of an alltoall-dimension group, in package order (the
         NPUs with the same local index across all packages)."""
-        return [
-            n for n in range(self.fabric.num_npus)
-            if self.fabric.group_of(Dimension.ALLTOALL, n) == group
-        ]
+        fabric = self.fabric
+        axis = next(i for i, block in enumerate(fabric.blocks)
+                    if block.dim is Dimension.ALLTOALL)
+        return dict(fabric.block_groups(axis))[group]

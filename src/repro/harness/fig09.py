@@ -24,7 +24,7 @@ from repro.harness.runners import (
     alltoall_platform,
     torus_platform,
 )
-from repro.parallel import RunPoint, default_executor
+from repro.parallel.executor import RunPoint, default_executor
 
 PACKAGES = 8
 

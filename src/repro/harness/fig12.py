@@ -106,7 +106,7 @@ def run(
     size_bytes: float = DEFAULT_SIZE,
     shapes: Sequence[TorusShape] = SHAPES,
 ) -> Figure12Result:
-    from repro.parallel import RunPoint, default_executor
+    from repro.parallel.executor import RunPoint, default_executor
 
     points = [
         RunPoint(builder=functools.partial(_platform, shape),

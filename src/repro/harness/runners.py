@@ -6,13 +6,17 @@ Two entry points:
   exactly as in a training run) on a freshly built platform; returns the
   set duration and the delay breakdown.  Used by the Fig. 9-12 studies.
 * :func:`run_training` — a full multi-iteration training simulation;
-  returns the :class:`TrainingReport`.  Used by the Fig. 13-18 studies.
+  returns the :class:`~repro.workload.training_loop.TrainingReport`.
+  Used by the Fig. 13-18 studies.  The name resolves on first access
+  (``from repro.harness.runners import run_training``) together with the
+  workload layer it runs, so a collective run never imports that layer
+  and a training run has it loaded before the training starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import (
@@ -35,8 +39,10 @@ from repro.events.engine import EventQueue
 from repro.system.stats import DelayBreakdown
 from repro.system.sys_layer import System
 from repro.topology.logical import LogicalTopology, topology_builder
-from repro.workload.model import DNNModel
-from repro.workload.training_loop import TrainingLoop, TrainingReport
+
+if TYPE_CHECKING:
+    from repro.workload.model import DNNModel
+    from repro.workload.training_loop import TrainingReport
 
 #: Collective-sweep message sizes (bytes): the Fig. 9-11 x-axes.
 SWEEP_SIZES = (64 * 1024, 512 * 1024, 4 * 1024 * 1024, 32 * 1024 * 1024)
@@ -223,7 +229,7 @@ def sweep_collective(
     Under a supervised executor a quarantined point comes back as an
     explicit ``None`` gap instead of aborting the sweep.
     """
-    from repro.parallel import RunPoint, default_executor
+    from repro.parallel.executor import RunPoint, default_executor
 
     ex = executor if executor is not None else default_executor()
     points = [RunPoint(builder=platform_builder, op=op, size_bytes=float(size))
@@ -231,7 +237,7 @@ def sweep_collective(
     return ex.run_points(points)
 
 
-def run_training(
+def _run_training(
     model: DNNModel,
     platform: PlatformSpec,
     num_iterations: int = 2,
@@ -240,8 +246,19 @@ def run_training(
 ) -> tuple[TrainingReport, System]:
     """Run a training workload; returns the report and the system (for
     its delay breakdown)."""
+    from repro.workload.training_loop import TrainingLoop
+
     system = platform.build_system(sanitize=sanitize)
     report = TrainingLoop(system, model, num_iterations=num_iterations).run(
         max_events=max_events
     )
     return report, system
+
+
+def __getattr__(name: str) -> Any:
+    """``run_training``, resolved with the training layer it runs."""
+    if name != "run_training":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import repro.workload.training_loop  # noqa: F401
+
+    return _run_training

@@ -20,7 +20,7 @@ class HopRing:
     """Node lookups and routes of a unidirectional ring over ``nodes``
     whose hop out of ``nodes[i]`` is one link path to ``nodes[(i + 1) %
     len(nodes)]``: a dedicated link (:class:`RingChannel`) or a routed
-    multi-link path (:class:`repro.topology.MappedRingChannel`).
+    multi-link path (:class:`repro.topology.mapping.MappedRingChannel`).
 
     A subclass's constructor calls ``HopRing.__init__``, checks its hops,
     then calls :meth:`_set_hops`.

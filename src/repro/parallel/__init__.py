@@ -12,10 +12,12 @@ Two pieces and a policy (docs/PERFORMANCE.md, docs/SUPERVISION.md):
   executor, it makes batches crash-isolated and deadline-bounded: worker
   deaths retry under a seeded backoff budget, hangs are reaped, poison
   points are quarantined with diagnostic bundles, and typed
-  :class:`PointOutcome` partial results journal to an append-only JSONL
-  so interrupted campaigns resume.
+  :class:`~repro.parallel.executor.PointOutcome` partial results journal
+  to an append-only JSONL so interrupted campaigns resume.
 
-The package re-exports the executor and the cache; the policy and the
+The package root names the executor and the cache.  The cache (and the
+``json`` and stats modules under it) loads on first use of the name, so
+a run without ``--cache-dir`` never imports it; the policy and the
 journal are imported from :mod:`repro.parallel.supervisor` by the
 commands that supervise.
 
@@ -25,40 +27,16 @@ configure a process-wide default executor that the harness entry points
 runners, ``astra-repro chaos``) pick up implicitly.
 """
 
-from repro.parallel.cache import (
-    CACHE_SALT,
-    CacheStats,
-    RunCache,
-    collective_cache_key,
-    payload_to_result,
-    result_to_payload,
-)
-from repro.parallel.executor import (
-    ParallelExecutor,
-    PointOutcome,
-    PointStatus,
-    RunPoint,
-    configure_default,
-    default_executor,
-    exit_code_for,
-    results_with_gaps,
-    set_default_executor,
-)
+from typing import Any
 
-__all__ = [
-    "CACHE_SALT",
-    "CacheStats",
-    "ParallelExecutor",
-    "PointOutcome",
-    "PointStatus",
-    "RunCache",
-    "RunPoint",
-    "collective_cache_key",
-    "configure_default",
-    "default_executor",
-    "exit_code_for",
-    "payload_to_result",
-    "result_to_payload",
-    "results_with_gaps",
-    "set_default_executor",
-]
+from repro.parallel.executor import ParallelExecutor
+
+__all__ = ["ParallelExecutor", "RunCache"]
+
+
+def __getattr__(name: str) -> Any:
+    if name != "RunCache":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.parallel.cache import RunCache
+
+    return RunCache

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import pickle
 import time  # det: allow-file[wall-clock] deadlines and retry backoff are host-side by design
 from collections import deque
 from dataclasses import dataclass, replace
@@ -45,14 +44,10 @@ from repro.errors import (
     ReproError,
     SimulationError,
 )
-from repro.parallel.cache import (
-    RunCache,
-    collective_cache_key,
-    payload_to_result,
-    result_to_payload,
-)
 
 if TYPE_CHECKING:
+    from repro.harness.runners import PlatformSpec
+    from repro.parallel.cache import RunCache
     from repro.parallel.slots import Slots
     from repro.parallel.supervisor import (
         OutcomeJournal,
@@ -166,14 +161,17 @@ def exit_code_for(outcomes: Sequence[PointOutcome]) -> int:
     return EXIT_OK if all(o.ok for o in outcomes) else EXIT_PARTIAL
 
 
-def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
+def _execute_point(point: RunPoint, keep_system: bool = False,
+                   spec: Optional[PlatformSpec] = None) -> Any:
     """Run one point to completion (worker-process entry).
 
     By default the :class:`CollectiveResult` comes back with ``system``
     stripped — the live system holds the event queue's closures and
     cannot (and should not) cross a process boundary.  In-parent
     execution passes ``keep_system=True`` so callers that need the
-    finished system (CLI profile reporting) still get it.
+    finished system (CLI profile reporting) still get it, and the
+    ``spec`` the cache key was computed from, if any, so the point's
+    platform is built once.
     """
     from repro.harness.runners import MAX_EVENTS, run_collective
 
@@ -185,7 +183,8 @@ def _execute_point(point: RunPoint, keep_system: bool = False) -> Any:
         writer = ProgressWriter(point.progress_path,
                                 every_events=point.progress_every_events)
         on_system = writer.bind
-    result = run_collective(point.builder(), point.op, point.size_bytes,
+    result = run_collective(spec if spec is not None else point.builder(),
+                            point.op, point.size_bytes,
                             max_events=max_events, sanitize=point.sanitize,
                             on_system=on_system)
     if writer is not None:
@@ -202,11 +201,14 @@ def _point_label(point: RunPoint, index: int) -> str:
 class _Task:
     """One point's state across attempts."""
 
-    __slots__ = ("index", "arg", "key", "label", "in_parent", "attempts",
-                 "not_before")
+    __slots__ = ("index", "arg", "key", "label", "spec", "in_parent",
+                 "attempts", "not_before")
 
-    def __init__(self, index: int, arg: Any, key: str, label: str) -> None:
+    def __init__(self, index: int, arg: Any, key: str, label: str,
+                 spec: Optional[PlatformSpec] = None) -> None:
         self.index, self.arg, self.key, self.label = index, arg, key, label
+        #: The platform built for the cache key; an in-parent run reuses it.
+        self.spec = spec
         self.in_parent = False
         self.attempts = 0
         self.not_before = 0.0
@@ -305,7 +307,7 @@ class ParallelExecutor:
         tasks: list[_Task] = []
         cache_keys: dict[int, str] = {}
         for i, point in enumerate(points):
-            cache_key = self._key_for(point)
+            cache_key, spec = self._key_for(point)
             key = cache_key or ("" if self.policy is None else structural_key(
                 point.builder, point.op, float(point.size_bytes), i))
             label = _point_label(point, i)
@@ -316,6 +318,8 @@ class ParallelExecutor:
             if cache_key is not None:
                 payload = self.cache.get(cache_key)  # type: ignore[union-attr]
                 if payload is not None:
+                    from repro.parallel.cache import payload_to_result
+
                     result = payload_to_result(payload)
                     outcomes[i] = PointOutcome(
                         index=i, key=key, label=result.label,
@@ -324,12 +328,14 @@ class ParallelExecutor:
                         journal.append_outcome(outcomes[i])
                     continue
                 cache_keys[i] = cache_key
-            tasks.append(_Task(index=i, arg=point, key=key, label=label))
+            tasks.append(_Task(index=i, arg=point, key=key, label=label, spec=spec))
 
         if tasks:
             self._run_tasks(_execute_point, tasks, outcomes, journal)
         for i, cache_key in cache_keys.items():
             if outcomes[i].ok:
+                from repro.parallel.cache import result_to_payload
+
                 self.cache.put(cache_key, result_to_payload(  # type: ignore[union-attr]
                     outcomes[i].result, cache_key))
         return outcomes
@@ -368,16 +374,23 @@ class ParallelExecutor:
 
     # -- the task loop ------------------------------------------------------------
 
-    def _key_for(self, point: RunPoint) -> Optional[str]:
-        """Cache key for ``point``, or None (cache off / point impure).
+    def _key_for(self, point: RunPoint) -> tuple[Optional[str], Optional[PlatformSpec]]:
+        """Cache key for ``point``, or None (cache off / point impure),
+        with the spec it was computed from when the point is cacheable.
 
-        Builds the spec once in the parent purely for keying — spec
-        construction is cheap (dataclasses only; the topology is not
-        built until the run itself).
+        The spec is built in the parent for keying — spec construction is
+        cheap (dataclasses only; the topology is not built until the run
+        itself) — and an in-parent run executes that same spec.  An
+        uncacheable spec (faults, a watchdog, a backend factory, the
+        transport) may hold run state, so it is not handed on.
         """
         if self.cache is None or point.sanitize:
-            return None
-        return collective_cache_key(point.builder(), point.op, point.size_bytes)
+            return None, None
+        from repro.parallel.cache import collective_cache_key
+
+        spec = point.builder()
+        key = collective_cache_key(spec, point.op, point.size_bytes)
+        return key, spec if key is not None else None
 
     def _unpicklable(self, obj: Any) -> bool:
         """Whether ``obj`` must run in the parent; logged once per executor.
@@ -387,6 +400,9 @@ class ParallelExecutor:
         *else* raised while pickling is a bug in the object's own
         ``__reduce__``/``__getstate__`` and propagates.
         """
+        # Imported here: an unsupervised serial batch never probes.
+        import pickle
+
         try:
             pickle.dumps(obj)
         except (pickle.PicklingError, TypeError, AttributeError) as failure:
@@ -481,7 +497,7 @@ class ParallelExecutor:
         supervised failure is still classified, retried and quarantined."""
         try:
             if fn is _execute_point:
-                result = _execute_point(task.arg, keep_system=True)
+                result = _execute_point(task.arg, keep_system=True, spec=task.spec)
             else:
                 result = fn(task.arg)
         except Exception as exc:
@@ -595,7 +611,11 @@ def configure_default(jobs: int = 1, cache_dir: Optional[str] = None,
     every batch supervised, so every harness entry point inherits crash
     isolation and deadlines without changing its call sites.
     """
-    cache = RunCache(cache_dir) if (cache_dir and use_cache) else None
+    cache = None
+    if cache_dir and use_cache:
+        from repro.parallel.cache import RunCache
+
+        cache = RunCache(cache_dir)
     executor = ParallelExecutor(jobs=jobs, cache=cache, policy=supervision,
                                 journal_path=journal_path,
                                 quarantine_dir=quarantine_dir)

@@ -1,30 +1,9 @@
 """Perf-trajectory tooling: wall-clock phase timing and events/sec.
 
 See docs/PERFORMANCE.md.  The CLI's global ``--profile`` flag prints a
-:class:`RunProfile` after any run; ``benchmarks/bench_hot_path.py``
-writes the canonical macro-benchmark as ``BENCH_PR<k>.json`` and CI
-fails on a >20% events/sec regression versus the newest committed
-baseline (:func:`find_newest_bench`).
+:class:`~repro.profiling.profiler.RunProfile` after any run;
+``benchmarks/bench_hot_path.py`` writes the canonical macro-benchmark as
+``BENCH_PR<k>.json`` and CI fails on a >20% events/sec regression versus
+the newest committed baseline
+(:func:`~repro.profiling.profiler.find_newest_bench`).
 """
-
-from repro.profiling.profiler import (
-    BENCH_SCHEMA,
-    RunProfile,
-    active_profile,
-    compare_bench,
-    find_newest_bench,
-    read_bench,
-    set_active_profile,
-    write_bench,
-)
-
-__all__ = [
-    "BENCH_SCHEMA",
-    "RunProfile",
-    "active_profile",
-    "compare_bench",
-    "find_newest_bench",
-    "read_bench",
-    "set_active_profile",
-    "write_bench",
-]

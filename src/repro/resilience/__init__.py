@@ -13,23 +13,3 @@ observer, which fires after each executed event and never schedules
 events itself — so enabling it cannot change a single simulated cycle
 (asserted by ``benchmarks/bench_resilience_overhead.py``).
 """
-
-from repro.resilience.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    ChaosRun,
-    Outcome,
-    run_chaos,
-)
-from repro.resilience.watchdog import StallDiagnostics, Watchdog, WatchdogConfig
-
-__all__ = [
-    "ChaosConfig",
-    "ChaosReport",
-    "ChaosRun",
-    "Outcome",
-    "StallDiagnostics",
-    "Watchdog",
-    "WatchdogConfig",
-    "run_chaos",
-]

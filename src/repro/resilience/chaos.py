@@ -325,7 +325,7 @@ def run_chaos(config: ChaosConfig,
     """
     import functools
 
-    from repro.parallel import default_executor
+    from repro.parallel.executor import default_executor
 
     ex = executor if executor is not None else default_executor()
     iterate = functools.partial(run_iteration, config)

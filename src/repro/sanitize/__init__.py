@@ -25,59 +25,3 @@ Four complementary halves guard the event/network/collective stack:
 See docs/DETERMINISM.md for the determinism contract the middle two
 enforce.
 """
-
-from repro.sanitize.findings import (
-    Finding,
-    LintReport,
-    Severity,
-)
-from repro.sanitize.runtime import (
-    RuntimeSanitizer,
-    SanitizedEventQueue,
-    SanitizerConfig,
-)
-from repro.sanitize.schedule import (
-    CollectiveProbe,
-    DivergenceReport,
-    InjectedRaceProbe,
-    ScheduleReport,
-    SeededTieBreak,
-    run_schedule_trials,
-)
-from repro.sanitize.source_lint import (
-    lint_source_file,
-    lint_source_text,
-    lint_source_tree,
-)
-from repro.sanitize.static_lint import (
-    lint_config,
-    lint_fault_schedule,
-    lint_platform,
-    lint_presets,
-    lint_search_space,
-    lint_spec_file,
-)
-
-__all__ = [
-    "Finding",
-    "LintReport",
-    "Severity",
-    "RuntimeSanitizer",
-    "SanitizedEventQueue",
-    "SanitizerConfig",
-    "CollectiveProbe",
-    "DivergenceReport",
-    "InjectedRaceProbe",
-    "ScheduleReport",
-    "SeededTieBreak",
-    "run_schedule_trials",
-    "lint_source_file",
-    "lint_source_text",
-    "lint_source_tree",
-    "lint_config",
-    "lint_fault_schedule",
-    "lint_platform",
-    "lint_presets",
-    "lint_search_space",
-    "lint_spec_file",
-]

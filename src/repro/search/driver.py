@@ -148,7 +148,7 @@ def run_search(
     :data:`_STALE_ROUNDS` generations without a new unique point, or
     when the strategy stops proposing.
     """
-    from repro.parallel import RunPoint, default_executor
+    from repro.parallel.executor import RunPoint, default_executor
 
     if budget < 1:
         raise ConfigError(f"search budget must be >= 1, got {budget}")

@@ -21,7 +21,7 @@ Every field of a space document is declared once, as a
 :class:`Constraints` and :class:`~repro.analytical.cost_models.CostTable`);
 each axis checks its values against the rule of the field it sweeps
 (``chunks`` against ``SystemConfig.preferred_set_splits``).
-:func:`repro.sanitize.lint_search_space` reports the table's findings
+:func:`repro.sanitize.static_lint.lint_search_space` reports the table's findings
 with parameter paths, and :meth:`SearchSpace.from_dict` raises on the
 same findings; construction then rejects what no single field can
 express (shapes whose NPU count differs from ``num_npus``, a topology
@@ -201,7 +201,7 @@ class SearchSpace:
     @classmethod
     def from_dict(cls, data: dict, source: str = "") -> "SearchSpace":
         """Build from a space document; raises :class:`ConfigError` on
-        the findings :func:`repro.sanitize.lint_search_space` reports."""
+        the findings :func:`repro.sanitize.static_lint.lint_search_space` reports."""
         doc = build(SpaceDocument, data)
         alltoall_shapes = tuple(s for s in _factorizations(doc.num_npus, 2) if s[1] >= 2)
         derived = {  # the default ranges that depend on num_npus

@@ -14,44 +14,3 @@ isolation (docs/SERVICE.md):
 * :mod:`repro.service.daemon` — the HTTP front end, supervised
   execution, journal-backed crash recovery, and graceful drain.
 """
-
-from repro.service.daemon import (
-    ServiceConfig,
-    ServiceDaemon,
-    SimulationService,
-)
-from repro.service.jobs import Job, JobState, JobStore
-from repro.service.progress import ProgressWriter, read_progress
-from repro.service.queue import (
-    BoundedJobQueue,
-    QueueClosedError,
-    QueueFullError,
-)
-from repro.service.schema import (
-    PAYLOAD_VERSION,
-    PayloadError,
-    SimulationPayload,
-    build_payload_platform,
-    lint_payload,
-    parse_payload,
-)
-
-__all__ = [
-    "PAYLOAD_VERSION",
-    "BoundedJobQueue",
-    "Job",
-    "JobState",
-    "JobStore",
-    "PayloadError",
-    "ProgressWriter",
-    "QueueClosedError",
-    "QueueFullError",
-    "ServiceConfig",
-    "ServiceDaemon",
-    "SimulationPayload",
-    "SimulationService",
-    "build_payload_platform",
-    "lint_payload",
-    "parse_payload",
-    "read_progress",
-]

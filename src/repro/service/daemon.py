@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
-# The job path (runners, workload, the simulator under them), imported
+# The job path (the runners and the simulator under them), imported
 # here so the executor's slot workers inherit it when they fork
 # instead of importing it on their first job.
 import repro.harness.runners  # noqa: F401

@@ -1,23 +1,1 @@
 """System layer: scheduler, collective sets, the Sys facade, and stats."""
-
-from repro.system.collective_set import CollectiveSet, split_into_chunks
-from repro.system.scheduler import ReadyChunk, Scheduler
-from repro.system.stats import DelayBreakdown
-from repro.system.sys_layer import System
-from repro.system.transport import (
-    ReliableTransport,
-    TransportFailure,
-    TransportStats,
-)
-
-__all__ = [
-    "CollectiveSet",
-    "DelayBreakdown",
-    "ReadyChunk",
-    "ReliableTransport",
-    "Scheduler",
-    "System",
-    "TransportFailure",
-    "TransportStats",
-    "split_into_chunks",
-]

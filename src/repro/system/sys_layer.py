@@ -14,7 +14,7 @@ docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.collectives.context import CollectiveContext
 from repro.collectives.types import CollectiveOp, build_phase_plan
@@ -26,11 +26,13 @@ from repro.network.channel import RingChannel
 from repro.network.fast_backend import FastBackend
 from repro.network.physical.fabric import Ring
 from repro.system.collective_set import CollectiveSet, split_into_chunks
-from repro.system.p2p import P2PEngine, P2PTransfer
 from repro.system.scheduler import Scheduler
 from repro.system.stats import DelayBreakdown
 from repro.dims import Dimension
 from repro.topology.logical import LogicalTopology
+
+if TYPE_CHECKING:
+    from repro.system.p2p import P2PEngine, P2PTransfer
 
 
 class System:
@@ -188,6 +190,7 @@ class System:
                 "request point-to-point transfers before the first collective")
         if self._p2p is None:
             from repro.network.routing import FabricRouter
+            from repro.system.p2p import P2PEngine
 
             self._p2p = P2PEngine(
                 self.backend,

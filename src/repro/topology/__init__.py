@@ -1,20 +1,1 @@
 """Logical topologies, dimensions, and logical-to-physical mapping."""
-
-from repro.dims import Dimension
-from repro.topology.logical import (
-    LogicalTopology,
-    build_alltoall_topology,
-    build_torus_topology,
-)
-from repro.topology.auto_map import map_torus_onto_fabric
-from repro.topology.mapping import MappedRingChannel, map_ring_over_ring
-
-__all__ = [
-    "Dimension",
-    "LogicalTopology",
-    "MappedRingChannel",
-    "build_alltoall_topology",
-    "build_torus_topology",
-    "map_ring_over_ring",
-    "map_torus_onto_fabric",
-]

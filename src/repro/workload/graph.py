@@ -9,8 +9,8 @@ off it.  Four node kinds:
   compute); a stream runs its ready nodes one at a time, lowest
   ``(rank, arrival)`` first, and each compute node is exactly one event
   (zero-cycle ones included);
-* a **collective** node calls :meth:`repro.system.System.request_collective`;
-* a **p2p** node calls :meth:`repro.system.System.request_p2p`;
+* a **collective** node calls :meth:`repro.system.sys_layer.System.request_collective`;
+* a **p2p** node calls :meth:`repro.system.sys_layer.System.request_p2p`;
 * a **join** costs nothing and schedules no event.
 
 A node is issued synchronously, in the callback where its last dependency

@@ -1,7 +1,7 @@
 """The workload layer's training loop (Sec. IV-A).
 
 Drives ``num_iterations`` of synchronous training over a
-:class:`repro.system.System` as a :class:`repro.workload.graph.WorkloadGraph`
+:class:`repro.system.sys_layer.System` as a :class:`repro.workload.graph.WorkloadGraph`
 on one compute stream:
 
 * **Forward pass** — layer by layer; before computing layer *i* the loop

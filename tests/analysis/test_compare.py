@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ComparisonTable
+from repro.analysis.compare import ComparisonTable
 from repro.errors import ReproError
 
 

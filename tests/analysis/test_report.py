@@ -2,29 +2,18 @@
 
 import pytest
 
-from repro.analysis import (
-    RunSummary,
-    format_breakdown,
-    format_layer_table,
-    layer_rows,
-)
-from repro.collectives import CollectiveOp
-from repro.config import (
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.analysis.report import RunSummary, format_breakdown, format_layer_table, layer_rows
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
-from repro.system import DelayBreakdown, System
-from repro.topology import build_torus_topology
-from repro.workload import (
-    CommSpec,
-    DATA_PARALLEL,
-    DNNModel,
-    LayerSpec,
-    TrainingLoop,
-)
+from repro.system.stats import DelayBreakdown
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
+from repro.workload.layer import CommSpec, LayerSpec
+from repro.workload.model import DNNModel
+from repro.workload.parallelism import DATA_PARALLEL
+from repro.workload.training_loop import TrainingLoop
 
 
 @pytest.fixture(scope="module")

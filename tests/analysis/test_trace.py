@@ -10,18 +10,13 @@ from repro.analysis.trace import (
     phase_occupancy,
     to_chrome_trace,
 )
-from repro.collectives import CollectiveOp
-from repro.config import (
-    CollectiveAlgorithm,
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
 from repro.errors import ReproError
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 
 NET = paper_network_config()
 

@@ -3,7 +3,7 @@ data-volume arithmetic."""
 
 import pytest
 
-from repro.analytical import (
+from repro.analytical.cost_models import (
     CostTable,
     LinkCounts,
     LinkParams,

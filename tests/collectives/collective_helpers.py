@@ -3,10 +3,12 @@ where timing can be computed by hand."""
 
 import pytest
 
-from repro.collectives import CollectiveContext
-from repro.config import LinkConfig, NetworkConfig
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, RingChannel, SwitchChannel
+from repro.collectives.context import CollectiveContext
+from repro.config.parameters import LinkConfig, NetworkConfig
+from repro.events.engine import EventQueue
+from repro.network.channel import RingChannel, SwitchChannel
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
 
 #: 100 B/cycle, 50-cycle latency, no efficiency loss, no quantum overhead.
 IDEAL_LINK = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.collectives import CollectiveContext, PhaseStats, RingReduceScatter
-from repro.config import LinkConfig, NetworkConfig
+from repro.collectives.context import CollectiveContext, PhaseStats
+from repro.collectives.ring_algorithms import RingReduceScatter
+from repro.config.parameters import LinkConfig, NetworkConfig
 from repro.errors import CollectiveError
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, RingChannel
-from repro.system import DelayBreakdown, ReliableTransport
+from repro.events.engine import EventQueue
+from repro.network.channel import RingChannel
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
+from repro.system.stats import DelayBreakdown
+from repro.system.transport import ReliableTransport
 
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.collectives import (
+from repro.collectives.direct_algorithms import (
     DirectAllGather,
     DirectAllReduce,
     DirectAllToAll,

@@ -10,16 +10,16 @@ from dataclasses import replace
 
 import pytest
 
-from repro.collectives import CollectiveContext
+from repro.collectives.context import CollectiveContext
 from repro.collectives.direct_algorithms import DirectAllReduce
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape, TransportConfig
 from repro.errors import CollectiveError
-from repro.events import EventQueue
+from repro.events.engine import EventQueue
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import FastBackend
+from repro.network.fast_backend import FastBackend
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule, FaultState
-from repro.system import ReliableTransport
+from repro.system.transport import ReliableTransport
 
 from collective_helpers import IDEAL_NET, make_switches
 

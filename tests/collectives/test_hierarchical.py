@@ -2,25 +2,17 @@
 
 import pytest
 
-from repro.collectives import (
-    ChunkExecution,
-    CollectiveContext,
-    CollectiveOp,
-    build_phase_plan,
-)
-from repro.config import (
-    AllToAllShape,
-    CollectiveAlgorithm,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.context import CollectiveContext
+from repro.collectives.hierarchical import ChunkExecution
+from repro.collectives.types import CollectiveOp, build_phase_plan
+from repro.config.parameters import AllToAllShape, CollectiveAlgorithm, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.dims import Dimension
 from repro.errors import CollectiveError
-from repro.events import EventQueue
-from repro.network import FastBackend
-from repro.system import DelayBreakdown
-from repro.topology import build_alltoall_topology, build_torus_topology
+from repro.events.engine import EventQueue
+from repro.network.fast_backend import FastBackend
+from repro.system.stats import DelayBreakdown
+from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
 NET = paper_network_config()
 

@@ -7,13 +7,13 @@ per-step cost for a message of m bytes is m/100 + 50 + 10.
 
 import pytest
 
-from repro.collectives import (
+from repro.collectives.ring_algorithms import (
     RingAllGather,
     RingAllReduce,
     RingAllToAll,
     RingReduceScatter,
 )
-from repro.config import InjectionPolicy, PacketRouting
+from repro.config.parameters import InjectionPolicy, PacketRouting
 from repro.errors import CollectiveError
 
 from collective_helpers import Platform, make_ring

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp, PhaseSpec, build_phase_plan
-from repro.config import CollectiveAlgorithm
+from repro.collectives.types import CollectiveOp, PhaseSpec, build_phase_plan
+from repro.config.parameters import CollectiveAlgorithm
 from repro.dims import Dimension
 from repro.errors import CollectiveError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compute import ConvSpec, GemmShape, LinearSpec
+from repro.compute.gemm import ConvSpec, GemmShape, LinearSpec
 from repro.errors import WorkloadError
 
 

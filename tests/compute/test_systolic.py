@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.compute import GemmShape, SystolicArrayModel
-from repro.config import ComputeConfig
+from repro.compute.gemm import GemmShape
+from repro.compute.systolic import SystolicArrayModel
+from repro.config.parameters import ComputeConfig
 from repro.errors import WorkloadError
 
 

@@ -29,7 +29,8 @@ from repro.config.units import Clock
 from repro.errors import ConfigError
 from repro.network.fault_schedule import FaultEvent, FaultSchedule, ScheduleDocument
 from repro.parallel.supervisor import SupervisionPolicy
-from repro.sanitize import Severity, lint_fault_schedule, lint_search_space
+from repro.sanitize.findings import Severity
+from repro.sanitize.static_lint import lint_fault_schedule, lint_search_space
 from repro.search.space import Axes, Constraints, SearchSpace, SpaceDocument
 from repro.service.schema import SimulationPayload, lint_payload, parse_payload
 

@@ -5,12 +5,8 @@ import json
 
 import pytest
 
-from repro.config import (
-    CollectiveAlgorithm,
-    SchedulingPolicy,
-    SimulationConfig,
-    paper_simulation_config,
-)
+from repro.config.parameters import CollectiveAlgorithm, SchedulingPolicy, SimulationConfig
+from repro.config.presets import paper_simulation_config
 from repro.config.fields import build, to_raw
 from repro.errors import ConfigError
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import (
+from repro.config.parameters import (
     AllToAllShape,
     CollectiveAlgorithm,
     ComputeConfig,

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.config import (
-    CollectiveAlgorithm,
+from repro.config.parameters import CollectiveAlgorithm, SchedulingPolicy
+from repro.config.presets import (
     PAPER_LOCAL_LINK,
     PAPER_PACKAGE_LINK,
-    SchedulingPolicy,
     paper_network_config,
     paper_simulation_config,
     paper_system_config,

@@ -8,7 +8,7 @@ order is (time, tiebreak, seq), the executed event sequence is identical
 with or without it.
 """
 
-from repro.events import EventQueue
+from repro.events.engine import EventQueue
 from repro.sanitize.runtime import RuntimeSanitizer
 
 

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from repro.errors import SimulationError
-from repro.events import CountdownBarrier, EventQueue
+from repro.events.engine import CountdownBarrier, EventQueue
 from repro.sanitize.schedule import SeededTieBreak, fifo_rank
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import TorusShape
 from repro.config.units import KB, MB
 from repro.errors import CollectiveError
-from repro.harness import format_points, measure, torus_platform, traffic_factor
+from repro.harness.bandwidth_test import format_points, measure, traffic_factor
+from repro.harness.runners import torus_platform
 
 
 class TestTrafficFactor:

@@ -1,21 +1,17 @@
 """Tests for the shared experiment runners and the cheap figure harnesses."""
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    AllToAllShape,
-    TorusShape,
-)
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import AllToAllShape, TorusShape
 from repro.config.units import KB, MB
-from repro.harness import (
+from repro.harness import fig09, fig12
+from repro.harness.runners import (
     alltoall_platform,
-    fig09,
-    fig12,
     run_collective,
     run_training,
     sweep_collective,
     torus_platform,
 )
-from repro.models import mlp
+from repro.models.mlp import mlp
 
 
 class TestPlatformBuilders:

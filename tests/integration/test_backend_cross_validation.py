@@ -6,17 +6,19 @@ collective through both backends and compare the finish times.
 
 import pytest
 
-from repro.collectives import (
-    CollectiveContext,
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import (
     RingAllGather,
     RingAllReduce,
     RingAllToAll,
     RingReduceScatter,
 )
-from repro.config import LinkConfig, NetworkConfig
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, RingChannel
-from repro.network.detailed import DetailedBackend
+from repro.config.parameters import LinkConfig, NetworkConfig
+from repro.events.engine import EventQueue
+from repro.network.channel import RingChannel
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
+from repro.network.detailed.backend import DetailedBackend
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

@@ -12,16 +12,23 @@ from dataclasses import replace
 
 import pytest
 
-from repro.collectives import CollectiveContext, RingAllReduce
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
 from repro.collectives.types import CollectiveOp
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import AllToAllShape, TorusShape, TransportConfig
-from repro.events import EventQueue
+from repro.config.parameters import (
+    AllToAllShape,
+    LinkConfig,
+    NetworkConfig,
+    TorusShape,
+    TransportConfig,
+)
+from repro.events.engine import EventQueue
 from repro.harness.runners import alltoall_platform, run_collective, torus_platform
-from repro.network import Link, RingChannel
-from repro.network.detailed import DetailedBackend
+from repro.network.channel import RingChannel
+from repro.network.detailed.backend import DetailedBackend
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
-from repro.sanitize import RuntimeSanitizer
+from repro.network.link import Link
+from repro.sanitize.runtime import RuntimeSanitizer
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

@@ -3,15 +3,11 @@ reproduce the qualitative shapes of Figs. 9-12 (orderings, crossovers)."""
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import AllToAllShape, CollectiveAlgorithm, TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import AllToAllShape, CollectiveAlgorithm, TorusShape
 from repro.config.units import KB, MB
 from repro.dims import Dimension
-from repro.harness import (
-    alltoall_platform,
-    run_collective,
-    torus_platform,
-)
+from repro.harness.runners import alltoall_platform, run_collective, torus_platform
 
 
 def duration(platform, op, size):

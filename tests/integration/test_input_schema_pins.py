@@ -71,7 +71,7 @@ CLI_DEFAULTS = [
 
 
 def lint_pins() -> dict:
-    from repro.sanitize import lint_presets, lint_spec_file
+    from repro.sanitize.static_lint import lint_presets, lint_spec_file
 
     reports = list(lint_presets())
     for pattern in ("tests/data/badconfigs/*.json", "examples/configs/*.json"):
@@ -102,7 +102,7 @@ def payload_pins() -> list:
 def platform_specs():
     """Every platform the digest covers, in a fixed order."""
     from repro.cli import _build_platform, build_arg_parser
-    from repro.search import SearchSpace
+    from repro.search.space import SearchSpace
     from repro.service.schema import parse_payload
 
     space = SearchSpace.from_file(str(ROOT / "examples" / "configs" / "search_fig09.json"))

@@ -20,24 +20,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collectives.types import CollectiveOp
-from repro.config import SimulationConfig, SystemConfig, TorusShape, paper_network_config
 from repro.config.parameters import (
     CollectiveAlgorithm,
     InjectionPolicy,
     PacketRouting,
     SchedulingPolicy,
+    SimulationConfig,
+    SystemConfig,
+    TorusShape,
     TransportConfig,
 )
+from repro.config.presets import paper_network_config
 from repro.errors import SimulationError
 from repro.events.engine import EventQueue
 from repro.harness.runners import run_collective, run_training, torus_platform
-from repro.models import dlrm, resnet50, transformer
+from repro.models.dlrm import dlrm
+from repro.models.resnet50 import resnet50
+from repro.models.transformer import transformer
 from repro.network.faults import degrade_link
 from repro.sanitize.runtime import RuntimeSanitizer
 from repro.sanitize.schedule import SeededTieBreak
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
 from repro.topology.auto_map import map_torus_onto_fabric
+from repro.topology.logical import build_torus_topology
 
 KB = 1024
 

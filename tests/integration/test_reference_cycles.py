@@ -39,11 +39,15 @@ from repro.harness.runners import (
 from repro.models.resnet50 import resnet50
 from repro.network.detailed.backend import DetailedBackend
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
-from repro.parallel import ParallelExecutor, RunCache
+from repro.parallel.cache import RunCache
+from repro.parallel.executor import ParallelExecutor
 from repro.resilience.watchdog import WatchdogConfig
-from repro.search import SearchSpace, make_objective, make_strategy, run_search
+from repro.search.driver import run_search
+from repro.search.objectives import make_objective
+from repro.search.space import SearchSpace
+from repro.search.strategies import make_strategy
 from repro.system.sys_layer import System
-from repro.topology import build_torus_topology
+from repro.topology.logical import build_torus_topology
 from repro.workload.pipeline import PipelineStage, PipelineTrainingLoop
 
 KB = 1024

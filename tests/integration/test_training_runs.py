@@ -3,16 +3,18 @@ topologies and backends."""
 
 import pytest
 
-from repro.config import (
+from repro.config.parameters import (
     AllToAllShape,
     CollectiveAlgorithm,
     SchedulingPolicy,
     TorusShape,
 )
 from repro.dims import Dimension
-from repro.harness import alltoall_platform, run_training, torus_platform
-from repro.models import dlrm, mlp, transformer
-from repro.workload import hybrid
+from repro.harness.runners import alltoall_platform, run_training, torus_platform
+from repro.models.dlrm import dlrm
+from repro.models.mlp import mlp
+from repro.models.transformer import transformer
+from repro.workload.parallelism import hybrid
 
 
 class TestMLPRuns:

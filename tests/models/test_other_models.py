@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
+from repro.collectives.types import CollectiveOp
 from repro.errors import WorkloadError
-from repro.models import dlrm, mlp, transformer
-from repro.models.transformer import NUM_ENCODER_LAYERS
-from repro.workload import ParallelismKind, TrainingPhase
+from repro.models.dlrm import dlrm
+from repro.models.mlp import mlp
+from repro.models.transformer import NUM_ENCODER_LAYERS, transformer
+from repro.workload.parallelism import ParallelismKind, TrainingPhase
 
 
 class TestTransformer:

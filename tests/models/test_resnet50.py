@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.models import resnet50, total_parameters
-from repro.models.resnet50 import _architecture
-from repro.workload import ParallelismKind
+from repro.collectives.types import CollectiveOp
+from repro.models.resnet50 import _architecture, resnet50, total_parameters
+from repro.workload.parallelism import ParallelismKind
 
 
 class TestArchitecture:

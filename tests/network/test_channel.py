@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.config import LinkConfig
+from repro.config.parameters import LinkConfig
 from repro.errors import NetworkError, TopologyError
-from repro.network import Link, RingChannel, SwitchChannel
-from repro.topology import map_ring_over_ring
+from repro.network.channel import RingChannel, SwitchChannel
+from repro.network.link import Link
+from repro.topology.mapping import map_ring_over_ring
 
 CFG = LinkConfig(bandwidth_gbps=25.0, latency_cycles=200.0, packet_size_bytes=256)
 

@@ -4,11 +4,12 @@ fast backend on uncontended transfers."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import LinkConfig, NetworkConfig
+from repro.config.parameters import LinkConfig, NetworkConfig
 from repro.errors import NetworkError
-from repro.events import EventQueue
-from repro.network import FastBackend, Link
-from repro.network.detailed import DetailedBackend, packet_flits
+from repro.events.engine import EventQueue
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
+from repro.network.detailed.backend import DetailedBackend, packet_flits
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

@@ -16,17 +16,17 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.collectives import CollectiveOp
-from repro.config import AllToAllShape, LinkConfig, NetworkConfig, TorusShape
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import AllToAllShape, LinkConfig, NetworkConfig, TorusShape
 from repro.config.units import KB
-from repro.events import EventQueue
+from repro.events.engine import EventQueue
 from repro.harness.runners import (
     alltoall_platform,
     run_collective,
     torus_platform,
 )
-from repro.network import Link
-from repro.network.detailed import DetailedBackend
+from repro.network.link import Link
+from repro.network.detailed.backend import DetailedBackend
 from repro.network.detailed import router
 from repro.network.detailed.router import HopContext, TxPort
 from repro.sanitize.runtime import RuntimeSanitizer
@@ -112,9 +112,9 @@ class TestBurstEquivalence:
     def test_faults_disable_bursting(self):
         """Installing a fault state flips every live port to the serial
         path (burst plans cannot survive a mid-run link retiming)."""
-        from repro.events import EventQueue
+        from repro.events.engine import EventQueue
         from tests.network.test_detailed_backend import IDEAL, make_net
-        from repro.network import Link
+        from repro.network.link import Link
 
         net = make_net()
         q = EventQueue()

@@ -15,22 +15,14 @@ import hashlib
 
 import pytest
 
-from repro.config import (
-    AllToAllShape,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
-from repro.config.presets import DEFAULT_SCALEOUT_LINK
+from repro.config.parameters import AllToAllShape, SystemConfig, TorusShape
+from repro.config.presets import DEFAULT_SCALEOUT_LINK, paper_network_config
 from repro.dims import Dimension
 from repro.network.channel import RingChannel, SwitchChannel
-from repro.network.physical import Fabric, Ring
+from repro.network.physical.fabric import Fabric, Ring
 from repro.network.routing import FabricRouter
-from repro.topology import (
-    build_alltoall_topology,
-    build_torus_topology,
-    map_torus_onto_fabric,
-)
+from repro.topology.auto_map import map_torus_onto_fabric
+from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
 NET = paper_network_config()
 

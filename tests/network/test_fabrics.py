@@ -3,14 +3,16 @@ lower it."""
 
 import pytest
 
-from repro.collectives import CollectiveContext, DirectReduceScatter
-from repro.config import AllToAllShape, SystemConfig, TorusShape, paper_network_config
+from repro.collectives.context import CollectiveContext
+from repro.collectives.direct_algorithms import DirectReduceScatter
+from repro.config.parameters import AllToAllShape, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.events import EventQueue
-from repro.network import FastBackend
-from repro.network.physical import Fabric, Ring, Switch
-from repro.topology import build_alltoall_topology, build_torus_topology
+from repro.events.engine import EventQueue
+from repro.network.fast_backend import FastBackend
+from repro.network.physical.fabric import Fabric, Ring, Switch
+from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
 NET = paper_network_config()
 

@@ -4,19 +4,21 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import (
+from repro.config.parameters import (
+    AllToAllShape,
     LinkConfig,
     NetworkConfig,
     SystemConfig,
     TorusShape,
-    paper_network_config,
 )
-from repro.config.parameters import AllToAllShape
+from repro.config.presets import paper_network_config
 from repro.dims import Dimension
 from repro.errors import NetworkError
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, validate_path
-from repro.topology import build_alltoall_topology, build_torus_topology
+from repro.events.engine import EventQueue
+from repro.network.api import validate_path
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
+from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
 #: An idealized link class for exact hand calculations.
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
@@ -145,7 +147,7 @@ class TestPathValidation:
     def test_route_memo_shared_by_both_backends(self, backend_class):
         """A route list is checked once per endpoints, on either backend:
         reused for another pair it is checked again and rejected."""
-        from repro.network.detailed import DetailedBackend
+        from repro.network.detailed.backend import DetailedBackend
 
         backend = {"fast": FastBackend, "detailed": DetailedBackend}[
             backend_class](EventQueue(), IDEAL_NET)

@@ -10,13 +10,13 @@ import os
 
 import pytest
 
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import TorusShape
+from repro.config.parameters import LinkConfig, NetworkConfig, TorusShape
 from repro.config.presets import paper_simulation_config
 from repro.errors import ConfigError, NetworkError
-from repro.events import EventQueue
-from repro.network import FastBackend, Link
+from repro.events.engine import EventQueue
+from repro.network.fast_backend import FastBackend
 from repro.network.fault_schedule import FaultAction, FaultSchedule, FaultState
+from repro.network.link import Link
 from repro.topology.logical import build_torus_topology
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
@@ -254,7 +254,7 @@ class TestDropSemantics:
 
 class TestScheduleLint:
     def lint(self, doc):
-        from repro.sanitize import lint_fault_schedule
+        from repro.sanitize.static_lint import lint_fault_schedule
 
         findings = lint_fault_schedule(doc, source="test")
         return [f for f in findings if f.severity.value == "error"], \

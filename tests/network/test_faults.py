@@ -3,25 +3,23 @@ break them."""
 
 import pytest
 
-from repro.collectives import CollectiveContext, CollectiveOp, RingAllReduce
-from repro.config import (
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
 from repro.dims import Dimension
 from repro.errors import NetworkError
-from repro.events import EventQueue
-from repro.network import FastBackend
+from repro.events.engine import EventQueue
+from repro.network.fast_backend import FastBackend
 from repro.network.faults import (
     degrade_link,
     degrade_random_links,
     slowest_link_bandwidth,
 )
-from repro.system import System
-from repro.topology import LogicalTopology, build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import LogicalTopology, build_torus_topology
 
 NET = paper_network_config()
 

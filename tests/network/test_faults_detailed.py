@@ -7,20 +7,17 @@ propagation, and credit flow control all still conserving every flit.
 
 import pytest
 
-from repro.collectives import CollectiveContext, RingAllReduce
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import TorusShape
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
+from repro.config.parameters import LinkConfig, NetworkConfig, TorusShape
 from repro.config.presets import paper_simulation_config
 from repro.errors import NetworkError
-from repro.events import EventQueue
-from repro.network import Link, RingChannel
-from repro.network.detailed import DetailedBackend
-from repro.network.faults import (
-    degrade_link,
-    degrade_random_links,
-    slowest_link_bandwidth,
-)
-from repro.sanitize import RuntimeSanitizer
+from repro.events.engine import EventQueue
+from repro.network.channel import RingChannel
+from repro.network.detailed.backend import DetailedBackend
+from repro.network.faults import degrade_link, degrade_random_links, slowest_link_bandwidth
+from repro.network.link import Link
+from repro.sanitize.runtime import RuntimeSanitizer
 from repro.topology.logical import build_torus_topology
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,

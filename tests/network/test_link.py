@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.config import LinkConfig
+from repro.config.parameters import LinkConfig
 from repro.errors import NetworkError
-from repro.network import Link
+from repro.network.link import Link
 
 
 def make_link(**kwargs) -> Link:

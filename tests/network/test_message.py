@@ -3,14 +3,15 @@ record) and packetization (Table II granularity)."""
 
 import pytest
 
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import TransportConfig
+from repro.config.parameters import LinkConfig, NetworkConfig, TransportConfig
 from repro.errors import NetworkError
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, packetize
-from repro.network.detailed import DetailedBackend
+from repro.events.engine import EventQueue
+from repro.network.detailed.backend import DetailedBackend
+from repro.network.fast_backend import FastBackend
 from repro.network.fault_schedule import FaultState
-from repro.system import ReliableTransport
+from repro.network.link import Link
+from repro.network.message import packetize
+from repro.system.transport import ReliableTransport
 
 LINK = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
                   packet_size_bytes=512, efficiency=1.0,

@@ -3,20 +3,15 @@ future-work extensions), stacked from Ring blocks."""
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    CollectiveAlgorithm,
-    SimulationConfig,
-    SystemConfig,
-    paper_network_config,
-)
-from repro.config.presets import DEFAULT_SCALEOUT_LINK
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, SimulationConfig, SystemConfig
+from repro.config.presets import DEFAULT_SCALEOUT_LINK, paper_network_config
 from repro.config.units import MB
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.network.physical import Fabric, Ring
-from repro.system import System
-from repro.topology import LogicalTopology
+from repro.network.physical.fabric import Fabric, Ring
+from repro.system.sys_layer import System
+from repro.topology.logical import LogicalTopology
 
 NET = paper_network_config()
 INTER_DIMS = (Dimension.VERTICAL, Dimension.HORIZONTAL, Dimension.FOURTH)

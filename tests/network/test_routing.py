@@ -1,22 +1,18 @@
 """Tests for the fabric router."""
 
+import ast
 import importlib
-import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.config import (
-    AllToAllShape,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.config.parameters import AllToAllShape, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.errors import NetworkError
 from repro.network.routing import FabricRouter
-from repro.topology import build_alltoall_topology, build_torus_topology
+from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
 NET = paper_network_config()
 
@@ -110,19 +106,40 @@ COLLECTIVE_NEVER_IMPORTS = (
     "repro.models",
     *(f"repro.harness.fig{n:02d}" for n in range(9, 19)),
     "repro.search",
-    "repro.workload.pipeline",
+    "repro.workload",
     "repro.profiling",
+    "repro.harness.bandwidth_test",
+    "repro.system.transport",
+    "repro.system.p2p",
+    "repro.network.routing",
+    "pickle",
     *PROCESS_MODULES,
 )
+
+#: What only a run with a run cache (``--cache-dir``) needs.
+CACHE_MODULES = ("repro.parallel.cache", "json")
+
+#: A fast-backend 2x2x2 all-reduce through the CLI; ``{}`` takes global flags.
+CLI_COLLECTIVE = ("from repro.cli import main\n"
+                  "assert main([{}'collective', '--shape', '2x2x2', '--op', 'allreduce', "
+                  "'--size-mb', '1']) == 0")
+
+
+def _run_probe(code: str, expression: str):
+    """The value of ``expression`` after a fresh interpreter runs ``code``.
+
+    The value is printed as a literal, so the probe imports nothing of
+    its own (``json`` included) before ``expression`` is evaluated."""
+    probe = f"import sys\n{code}\nprint(repr({expression}))"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 def _modules_loaded_by(code: str, candidates) -> list[str]:
     """The ``candidates`` that a fresh interpreter running ``code`` imports."""
-    probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {list(candidates)!r} if m in sys.modules]))")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=120, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    return _run_probe(code, f"[m for m in {list(candidates)!r} if m in sys.modules]")
 
 
 class TestLazyNetworkx:
@@ -134,10 +151,24 @@ class TestLazyNetworkx:
         assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
 
     def test_cli_collective_imports_only_what_it_runs(self):
-        code = ("from repro.cli import main\n"
-                "assert main(['collective', '--shape', '2x2x2', '--op', 'allreduce', "
-                "'--size-mb', '1']) == 0")
-        assert _modules_loaded_by(code, COLLECTIVE_NEVER_IMPORTS) == []
+        code = CLI_COLLECTIVE.format("")
+        assert _modules_loaded_by(code, COLLECTIVE_NEVER_IMPORTS + CACHE_MODULES) == []
+
+    def test_cache_dir_loads_the_cache(self, tmp_path):
+        """The cache modules load when a run has a cache: the probe above
+        would see them."""
+        code = CLI_COLLECTIVE.format(f"'--cache-dir', {str(tmp_path)!r}, ")
+        assert _modules_loaded_by(code, CACHE_MODULES) == list(CACHE_MODULES)
+
+    def test_bare_cli_import_loads_no_simulator(self):
+        """``import repro.cli`` builds the parser only: no simulator layer
+        and, of the collectives, only the op table."""
+        loaded = _run_probe("import repro.cli", "sorted(sys.modules)")
+        simulator = [m for m in loaded
+                     if m.startswith(("repro.system", "repro.network", "repro.events"))
+                     or (m.startswith("repro.collectives.") and m != "repro.collectives.types")]
+        assert simulator == []
+        assert "repro.collectives.types" in loaded
 
     def test_serial_search_imports_no_process_machinery(self, tmp_path):
         """A serial search runs every point in-process: no process pool,
@@ -167,6 +198,25 @@ class TestLazyNetworkx:
                               timeout=120)
         assert done.returncode == 0, done.stderr
         assert float(done.stdout.split()[-1]) == 2601.3617021276464
+
+    @pytest.mark.parametrize("setup, run", [
+        ("from repro.harness.runners import run_training, torus_platform\n"
+         "from repro.models.resnet50 import resnet50\n"
+         "platform = torus_platform(TorusShape(2, 2, 2))\n"
+         "model = resnet50(compute=platform.config.compute, minibatch=32)\n",
+         "run_training(model, platform, num_iterations=1)"),
+        ("from repro.collectives import CollectiveOp\n"
+         "from repro.harness.runners import run_collective, torus_platform\n"
+         "platform = torus_platform(TorusShape(2, 2, 2))\n",
+         "run_collective(platform, CollectiveOp.ALL_REDUCE, 1 << 20)"),
+    ], ids=["train", "collective"])
+    def test_timed_run_imports_nothing(self, setup, run):
+        """The e2e benchmark's train and collective setups (benchmarks/e2e)
+        load every module the run they time needs: the run compiles none."""
+        code = (f"from repro.config.parameters import TorusShape\n{setup}"
+                f"before = set(sys.modules)\n{run}")
+        new = "sorted(m for m in set(sys.modules) - before if m.startswith('repro'))"
+        assert _run_probe(code, new) == []
 
     def test_every_exported_name_resolves(self):
         """Each package's ``__all__`` (lazy or eager) names real objects."""

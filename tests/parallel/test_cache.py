@@ -8,15 +8,14 @@ import pytest
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape
 from repro.harness.runners import run_collective, torus_platform
-from repro.parallel import (
-    ParallelExecutor,
+from repro.parallel.cache import (
+    PAYLOAD_SCHEMA,
     RunCache,
-    RunPoint,
     collective_cache_key,
     payload_to_result,
     result_to_payload,
 )
-from repro.parallel.cache import PAYLOAD_SCHEMA
+from repro.parallel.executor import ParallelExecutor, RunPoint
 
 
 def _spec():
@@ -62,7 +61,7 @@ class TestCacheKey:
 
         from repro.config.parameters import TransportConfig
         from repro.network.fault_schedule import FaultSchedule
-        from repro.resilience import WatchdogConfig
+        from repro.resilience.watchdog import WatchdogConfig
 
         faulty = _spec()
         faulty.fault_schedule = FaultSchedule([])

@@ -16,9 +16,9 @@ from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape
 from repro.errors import ReproError, SimulationError
 from repro.harness.runners import torus_platform
-from repro.parallel import (
+from repro.parallel.cache import RunCache
+from repro.parallel.executor import (
     ParallelExecutor,
-    RunCache,
     RunPoint,
     configure_default,
     default_executor,
@@ -125,6 +125,20 @@ class TestRunPoints:
         for a, b in zip(first, second):
             assert a.duration_cycles == b.duration_cycles
             assert a.breakdown.as_dict() == b.breakdown.as_dict()
+
+    def test_cached_point_builds_its_platform_once(self, tmp_path):
+        """An in-parent run executes the spec built for its cache key."""
+        built = []
+
+        def builder():
+            built.append(_small_torus())
+            return built[-1]
+
+        point = RunPoint(builder=builder, op=CollectiveOp.ALL_REDUCE, size_bytes=KB64)
+        cached = ParallelExecutor(jobs=1, cache=RunCache(str(tmp_path))).run_points([point])
+        assert len(built) == 1
+        uncached = ParallelExecutor(jobs=1).run_points([point])
+        assert cached[0].duration_cycles == uncached[0].duration_cycles
 
     def test_sanitized_points_bypass_the_cache(self, tmp_path):
         ex = ParallelExecutor(jobs=1, cache=RunCache(str(tmp_path)))

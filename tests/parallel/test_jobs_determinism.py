@@ -9,7 +9,7 @@ keep the suite fast — determinism does not depend on payload size.
 import pytest
 
 from repro.harness import fig09, fig10, fig11, fig12
-from repro.parallel import ParallelExecutor, set_default_executor
+from repro.parallel.executor import ParallelExecutor, set_default_executor
 
 SIZES = [64 * 1024.0, 256 * 1024.0]
 
@@ -75,7 +75,7 @@ class TestFigureJobsDeterminism:
 
 class TestChaosJobsDeterminism:
     def test_report_identical_at_any_job_count(self):
-        from repro.resilience import ChaosConfig, run_chaos
+        from repro.resilience.chaos import ChaosConfig, run_chaos
 
         config = ChaosConfig(iterations=3, seed=11, backends=("fast",))
         serial = run_chaos(config, executor=ParallelExecutor(jobs=1))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.profiling import (
+from repro.profiling.profiler import (
     RunProfile,
     active_profile,
     compare_bench,

@@ -15,10 +15,10 @@ import pytest
 
 from repro.collectives.types import CollectiveOp
 from repro.errors import ConfigError, PoisonPointError
-from repro.parallel import (
+from repro.parallel.cache import RunCache
+from repro.parallel.executor import (
     ParallelExecutor,
     PointStatus,
-    RunCache,
     RunPoint,
     configure_default,
     exit_code_for,
@@ -457,7 +457,7 @@ class TestFig09Acceptance:
 
     def test_crash_mid_fig09_batch_retries_bit_identical(self, tmp_path):
         from repro.harness import fig09
-        from repro.parallel import results_with_gaps
+        from repro.parallel.executor import results_with_gaps
 
         clean = self._clean_figure()
         points = fig09._points(self.SIZES, CollectiveOp.ALL_REDUCE)
@@ -480,7 +480,7 @@ class TestFig09Acceptance:
 
     def test_hang_mid_fig09_batch_quarantines_and_resumes(self, tmp_path):
         from repro.harness import fig09
-        from repro.parallel import results_with_gaps
+        from repro.parallel.executor import results_with_gaps
 
         journal = str(tmp_path / "journal.jsonl")
         points = fig09._points(self.SIZES, CollectiveOp.ALL_REDUCE)

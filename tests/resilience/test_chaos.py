@@ -5,16 +5,16 @@ import random
 import pytest
 
 from repro.config.parameters import TorusShape
-from repro.errors import (
-    CollectiveError,
-    ReproError,
-    SimulationError,
-    StallError,
-    TransportError,
-)
+from repro.errors import CollectiveError, ReproError, SimulationError, StallError, TransportError
 from repro.harness.runners import torus_platform
-from repro.resilience import ChaosConfig, Outcome, run_chaos
-from repro.resilience.chaos import _classify, fuzz_schedule, fuzz_transport
+from repro.resilience.chaos import (
+    ChaosConfig,
+    Outcome,
+    _classify,
+    fuzz_schedule,
+    fuzz_transport,
+    run_chaos,
+)
 
 
 class TestCampaign:
@@ -62,7 +62,7 @@ class TestFuzzers:
 
     def test_fuzzed_schedule_installs_against_fabric(self):
         """Every fuzzed schedule must reference only real links/nodes."""
-        from repro.events import EventQueue
+        from repro.events.engine import EventQueue
 
         fabric = self.fabric()
         pairs = sorted({(l.src, l.dst) for l in fabric.links})

@@ -14,11 +14,10 @@ import pytest
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape, TransportConfig
 from repro.errors import ConfigError, StallError
-from repro.events import EventQueue
+from repro.events.engine import EventQueue
 from repro.harness.runners import run_collective, torus_platform
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule
-from repro.resilience import WatchdogConfig
-from repro.resilience.watchdog import Watchdog
+from repro.resilience.watchdog import Watchdog, WatchdogConfig
 from repro.service.progress import ProgressWriter
 
 #: Tight timers so the stall develops (and is detected) quickly.

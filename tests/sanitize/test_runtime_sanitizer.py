@@ -11,17 +11,17 @@ from collections import deque
 
 import pytest
 
-from repro.collectives import CollectiveContext, RingAllReduce
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
 from repro.collectives.types import CollectiveOp
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import TorusShape
+from repro.config.parameters import LinkConfig, NetworkConfig, TorusShape
 from repro.errors import SanitizerError
-from repro.events import CountdownBarrier
-from repro.events.engine import _ScheduledEvent
+from repro.events.engine import CountdownBarrier, _ScheduledEvent
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import Link, RingChannel
-from repro.network.detailed import DetailedBackend
-from repro.sanitize import RuntimeSanitizer, SanitizerConfig
+from repro.network.channel import RingChannel
+from repro.network.detailed.backend import DetailedBackend
+from repro.network.link import Link
+from repro.sanitize.runtime import RuntimeSanitizer, SanitizerConfig
 from repro.system.sys_layer import System
 from repro.topology.logical import build_torus_topology
 
@@ -269,7 +269,7 @@ class TestCleanEndToEnd:
 
     def test_training_run_clean(self):
         from repro.harness.runners import run_training
-        from repro.models import mlp
+        from repro.models.mlp import mlp
 
         platform = torus_platform(TorusShape(2, 2, 1))
         model = mlp(compute=platform.config.compute)

@@ -7,9 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.search import SearchSpace
-from repro.sanitize import lint_search_space, lint_spec_file
-from repro.sanitize.static_lint import lint_run_spec
+from repro.sanitize.static_lint import lint_run_spec, lint_search_space, lint_spec_file
+from repro.search.space import SearchSpace
 
 GOOD = "examples/configs/search_fig09.json"
 BAD_AXIS = "tests/data/badconfigs/bad_search_space_axis.json"

@@ -19,16 +19,16 @@ from repro.config.presets import paper_simulation_config
 from repro.errors import ConfigError
 from repro.network.fault_schedule import FaultSchedule
 from repro.parallel.supervisor import SupervisionPolicy
-from repro.sanitize import (
-    Severity,
+from repro.sanitize.findings import Finding, LintReport, Severity, reports_to_json
+from repro.sanitize.static_lint import (
     lint_config,
     lint_fault_schedule,
+    lint_platform,
     lint_presets,
+    lint_run_spec,
     lint_spec_file,
 )
-from repro.sanitize.findings import Finding, LintReport, reports_to_json
-from repro.sanitize.static_lint import lint_platform, lint_run_spec
-from repro.search import SearchSpace
+from repro.search.space import SearchSpace
 from repro.service.schema import parse_payload
 
 ROOT = Path(__file__).resolve().parents[2]

@@ -6,15 +6,12 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel import ParallelExecutor, RunCache
-from repro.search import (
-    SearchSpace,
-    load_trajectory,
-    make_objective,
-    make_strategy,
-    rank_frontier,
-    run_search,
-)
+from repro.parallel.cache import RunCache
+from repro.parallel.executor import ParallelExecutor
+from repro.search.driver import load_trajectory, rank_frontier, run_search
+from repro.search.objectives import make_objective
+from repro.search.space import SearchSpace
+from repro.search.strategies import make_strategy
 
 SPEC = {
     "name": "driver-unit",
@@ -185,7 +182,7 @@ class TestFig09Acceptance:
                                    space.size_bytes)
 
         genomes = space.enumerate_genomes()
-        from repro.parallel import RunPoint
+        from repro.parallel.executor import RunPoint
 
         ex = ParallelExecutor(jobs=4)
         points = [space.decode(g) for g in genomes]

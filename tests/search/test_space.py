@@ -8,7 +8,7 @@ import pytest
 from repro.config.fields import parse_shape
 from repro.config.parameters import TopologyKind
 from repro.errors import ConfigError
-from repro.search import AXIS_NAMES, SearchSpace
+from repro.search.space import AXIS_NAMES, SearchSpace
 
 SPEC = {
     "name": "unit",

@@ -4,12 +4,8 @@ and the factory."""
 import pytest
 
 from repro.errors import ConfigError
-from repro.search import (
-    EvolutionaryStrategy,
-    RandomStrategy,
-    SearchSpace,
-    make_strategy,
-)
+from repro.search.space import SearchSpace
+from repro.search.strategies import EvolutionaryStrategy, RandomStrategy, make_strategy
 
 SPEC = {
     "num_npus": 8,

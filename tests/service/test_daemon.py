@@ -16,17 +16,11 @@ import pytest
 
 from repro.errors import EXIT_OK, EXIT_PARTIAL, ConfigError
 from repro.parallel.supervisor import SupervisionPolicy
-from repro.service import (
-    JobState,
-    PayloadError,
-    QueueFullError,
-    ServiceConfig,
-    ServiceDaemon,
-    SimulationService,
-    parse_payload,
-)
 from repro.service import daemon as daemon_module
-from repro.service.jobs import JobStore
+from repro.service.daemon import ServiceConfig, ServiceDaemon, SimulationService
+from repro.service.jobs import JobState, JobStore
+from repro.service.queue import QueueFullError
+from repro.service.schema import PayloadError, parse_payload
 
 #: A tiny-but-real payload: 2x2x2 torus, 64 KB allreduce, 4 chunks.
 PAYLOAD = {"op": "allreduce", "size_mb": 0.0625, "shape": "2x2x2",
@@ -144,7 +138,7 @@ class TestAdmission:
             service.drain()
 
     def test_draining_service_refuses_submissions(self, tmp_path):
-        from repro.service import QueueClosedError
+        from repro.service.queue import QueueClosedError
 
         service = SimulationService(_config(tmp_path))
         assert service.drain() == EXIT_OK

@@ -18,7 +18,7 @@ from repro.config.parameters import (
 )
 from repro.config.units import MB
 from repro.errors import ConfigError
-from repro.parallel import collective_cache_key
+from repro.parallel.cache import collective_cache_key
 from repro.service.schema import (
     MAX_PRIORITY,
     MAX_SIZE_MB,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CollectiveError
-from repro.system import split_into_chunks
+from repro.system.collective_set import split_into_chunks
 
 
 class TestSplitIntoChunks:

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.config import (
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import KB, MB
 from repro.errors import NetworkError
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 
 NET = paper_network_config()
 
@@ -80,7 +76,7 @@ class TestP2P:
         assert max(x.finished_at for x in transfers) > t.duration_cycles
 
     def test_p2p_and_collectives_coexist(self):
-        from repro.collectives import CollectiveOp
+        from repro.collectives.types import CollectiveOp
 
         sys_ = make_system()
         # Point-to-point first: a system whose collectives already chose

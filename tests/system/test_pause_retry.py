@@ -13,13 +13,19 @@ from dataclasses import replace
 import pytest
 
 from repro.collectives.types import CollectiveOp
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import ConfigError, TorusShape, TransportConfig
-from repro.events import EventQueue
+from repro.config.parameters import (
+    ConfigError,
+    LinkConfig,
+    NetworkConfig,
+    TorusShape,
+    TransportConfig,
+)
+from repro.events.engine import EventQueue
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import FastBackend, Link
+from repro.network.fast_backend import FastBackend
 from repro.network.fault_schedule import FaultAction, FaultEvent, FaultSchedule, FaultState
-from repro.system import ReliableTransport
+from repro.network.link import Link
+from repro.system.transport import ReliableTransport
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

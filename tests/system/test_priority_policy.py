@@ -1,16 +1,11 @@
 """Tests for the Sec. III-E first-layer priority scheduling extension."""
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    SchedulingPolicy,
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import SchedulingPolicy, SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 
 NET = paper_network_config()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.system import DelayBreakdown
+from repro.system.stats import DelayBreakdown
 
 
 def delivered_message(queue=5.0, network=20.0, size=100.0):

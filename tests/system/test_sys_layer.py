@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    CollectiveAlgorithm,
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import KB, MB
 from repro.dims import Dimension
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 
 NET = paper_network_config()
 

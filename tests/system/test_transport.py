@@ -14,17 +14,18 @@ from dataclasses import replace
 import pytest
 
 from repro.collectives.types import CollectiveOp
-from repro.config import LinkConfig, NetworkConfig
-from repro.config.parameters import TorusShape, TransportConfig
+from repro.config.parameters import LinkConfig, NetworkConfig, TorusShape, TransportConfig
 from repro.config.presets import paper_simulation_config
 from repro.errors import CollectiveError, ConfigError, TransportError
-from repro.events import EventQueue
+from repro.events.engine import EventQueue
 from repro.harness.runners import run_collective, torus_platform
-from repro.network import FastBackend, Link
+from repro.network.detailed.backend import DetailedBackend
+from repro.network.fast_backend import FastBackend
 from repro.network.fault_schedule import FaultSchedule, FaultState
-from repro.network.detailed import DetailedBackend
-from repro.sanitize import RuntimeSanitizer
-from repro.system import ReliableTransport, System, TransportFailure
+from repro.network.link import Link
+from repro.sanitize.runtime import RuntimeSanitizer
+from repro.system.sys_layer import System
+from repro.system.transport import ReliableTransport, TransportFailure
 from repro.topology.logical import build_torus_topology
 
 IDEAL = LinkConfig(bandwidth_gbps=128.0, latency_cycles=50.0,

@@ -13,8 +13,8 @@ import pytest
 from repro.cli import _build_platform, build_arg_parser, main
 from repro.config.fields import RULE, build, rules
 from repro.config.parameters import DesignPoint
-from repro.workload import dumps
-from repro.models import mlp
+from repro.workload.parser import dumps
+from repro.models.mlp import mlp
 
 
 class TestArgumentParsing:

@@ -125,3 +125,40 @@ def test_every_parameter_field_has_a_reader():
     unread = [f"{cls.__name__}.{field.name}" for cls in tables
               for field in dataclasses.fields(cls) if field.name not in read]
     assert not unread, f"parameter fields nothing outside config/ reads: {unread}"
+
+
+def _defines(module: str, name: str) -> bool:
+    """Whether ``module``'s own source binds ``name`` at module level
+    (a def, a class or an assignment; an import does not count)."""
+    for node in ast.parse(_source(module).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return True
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return True
+    return False
+
+
+def test_lazy_exports_name_defining_modules():
+    wrong = sorted(f"{name} -> {module}" for name, module in repro._EXPORTS.items()
+                   if not _defines(module, name))
+    assert not wrong, f"repro._EXPORTS targets that do not define the name: {wrong}"
+
+
+def test_package_roots_import_only_what_the_benchmark_child_reads():
+    """A package ``__init__`` imports no module, except the names that
+    ``benchmarks/e2e/child.py`` imports from the package root."""
+    child = ast.parse((ROOT / "benchmarks" / "e2e" / "child.py").read_text())
+    allowed = {(module, name) for module, name in _imports(child) if name}
+    extra = []
+    for init in (SRC / "repro").rglob("__init__.py"):
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        if package == "repro":
+            continue
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "typing"):
+                extra += [f"{package}: {alias.name}" for alias in node.names
+                          if (package, alias.name) not in allowed]
+    assert not extra, f"package roots importing what no benchmark reads from them: {extra}"

@@ -4,25 +4,22 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analytical import (
+from repro.analytical.cost_models import (
     LinkParams,
     hierarchical_all_reduce_volume,
     ring_all_reduce_cycles,
 )
-from repro.collectives import (
-    CollectiveContext,
-    CollectiveOp,
-    RingAllGather,
-    RingAllReduce,
-    RingReduceScatter,
-    build_phase_plan,
-)
-from repro.config import CollectiveAlgorithm, LinkConfig, NetworkConfig
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllGather, RingAllReduce, RingReduceScatter
+from repro.collectives.types import CollectiveOp, build_phase_plan
+from repro.config.parameters import CollectiveAlgorithm, LinkConfig, NetworkConfig
 from repro.dims import Dimension
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, RingChannel
-from repro.system import split_into_chunks
-from repro.workload import dumps, loads
+from repro.events.engine import EventQueue
+from repro.network.channel import RingChannel
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
+from repro.system.collective_set import split_into_chunks
+from repro.workload.parser import dumps, loads
 
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
                    packet_size_bytes=512, efficiency=1.0,

@@ -5,22 +5,25 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analytical import direct_all_reduce_cycles, LinkParams
-from repro.collectives import CollectiveContext, DirectAllReduce
-from repro.config import (
+from repro.analytical.cost_models import direct_all_reduce_cycles, LinkParams
+from repro.collectives.context import CollectiveContext
+from repro.collectives.direct_algorithms import DirectAllReduce
+from repro.config.parameters import (
     LinkConfig,
     NetworkConfig,
     SimulationConfig,
     SystemConfig,
     TorusShape,
-    paper_network_config,
 )
-from repro.events import EventQueue
-from repro.network import FastBackend, Link, SwitchChannel
+from repro.config.presets import paper_network_config
+from repro.events.engine import EventQueue
+from repro.network.channel import SwitchChannel
+from repro.network.fast_backend import FastBackend
+from repro.network.link import Link
 from repro.network.faults import degrade_random_links
 from repro.network.routing import FabricRouter
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 from repro.workload.pipeline import PipelineStage, PipelineTrainingLoop
 
 IDEAL = LinkConfig(bandwidth_gbps=100.0, latency_cycles=50.0,
@@ -97,14 +100,14 @@ def test_routing_survives_random_degradation(seed):
 @settings(max_examples=8, deadline=None)
 @given(factor=st.floats(min_value=0.1, max_value=0.9))
 def test_degradation_never_speeds_up_collectives(factor):
-    from repro.collectives import CollectiveOp
+    from repro.collectives.types import CollectiveOp
 
     def all_reduce_time(degrade):
         fabric = build_torus_topology(TorusShape(2, 2, 2), PAPER_NET).fabric
         if degrade:
             degrade_random_links(fabric, count=4, bandwidth_factor=factor,
                                  seed=5, kind="package")
-        from repro.topology import LogicalTopology
+        from repro.topology.logical import LogicalTopology
 
         system = System(LogicalTopology(fabric),
                         SimulationConfig(system=SystemConfig(),
@@ -146,9 +149,9 @@ def test_baseline_all_reduce_moves_expected_bytes(local, horizontal, vertical):
     """Modeled bytes (every NPU's messages, from the breakdown) must equal
     the Sec. V-B volume arithmetic: per node, sum over dims of 2(n-1)/n
     times the payload."""
-    from repro.analytical import hierarchical_all_reduce_volume
-    from repro.collectives import CollectiveOp
-    from repro.topology import LogicalTopology
+    from repro.analytical.cost_models import hierarchical_all_reduce_volume
+    from repro.collectives.types import CollectiveOp
+    from repro.topology.logical import LogicalTopology
 
     shape = TorusShape(local, horizontal, vertical)
     fabric = build_torus_topology(shape, NET).fabric

@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    CollectiveAlgorithm,
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import CollectiveAlgorithm, SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.system import System
-from repro.topology import LogicalTopology, build_torus_topology, map_torus_onto_fabric
+from repro.system.sys_layer import System
+from repro.topology.auto_map import map_torus_onto_fabric
+from repro.topology.logical import LogicalTopology, build_torus_topology
 
 NET = paper_network_config()
 

@@ -2,18 +2,11 @@
 
 import pytest
 
-from repro.config import (
-    AllToAllShape,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.config.parameters import AllToAllShape, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.topology import (
-    build_alltoall_topology,
-    build_torus_topology,
-)
+from repro.topology.logical import build_alltoall_topology, build_torus_topology
 
 NET = paper_network_config()
 

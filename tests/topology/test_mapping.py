@@ -2,22 +2,21 @@
 
 import pytest
 
-from repro.config import SimulationConfig, SystemConfig, TorusShape, paper_network_config
-from repro.config.parameters import TransportConfig
+from repro.collectives.context import CollectiveContext
+from repro.collectives.ring_algorithms import RingAllReduce
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape, TransportConfig
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
-from repro.collectives import CollectiveContext, CollectiveOp, RingAllReduce
 from repro.dims import Dimension
 from repro.errors import CollectiveError, TopologyError
-from repro.events import EventQueue
-from repro.network import FastBackend
+from repro.events.engine import EventQueue
+from repro.network.fast_backend import FastBackend
 from repro.network.fault_schedule import FaultSchedule
-from repro.system import System
-from repro.topology import (
-    MappedRingChannel,
-    build_torus_topology,
-    map_ring_over_ring,
-    map_torus_onto_fabric,
-)
+from repro.system.sys_layer import System
+from repro.topology.auto_map import map_torus_onto_fabric
+from repro.topology.logical import build_torus_topology
+from repro.topology.mapping import MappedRingChannel, map_ring_over_ring
 
 NET = paper_network_config()
 

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
+from repro.collectives.types import CollectiveOp
 from repro.errors import WorkloadError
-from repro.workload import CommSpec, DNNModel, LayerSpec, DATA_PARALLEL, NO_COMM
+from repro.workload.layer import CommSpec, LayerSpec, NO_COMM
+from repro.workload.model import DNNModel
+from repro.workload.parallelism import DATA_PARALLEL
 
 
 def make_layer(name="layer", **kwargs):

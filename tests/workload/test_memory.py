@@ -4,8 +4,10 @@ import pytest
 
 from repro.config.units import GB, MB
 from repro.errors import WorkloadError
-from repro.models import mlp, resnet50, transformer
-from repro.workload import DEFAULT_HBM_BYTES, estimate_footprint
+from repro.models.mlp import mlp
+from repro.models.resnet50 import resnet50
+from repro.models.transformer import transformer
+from repro.workload.memory import DEFAULT_HBM_BYTES, estimate_footprint
 
 
 class TestEstimates:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dims import Dimension
 from repro.errors import WorkloadError
-from repro.workload import (
+from repro.workload.parallelism import (
     DATA_PARALLEL,
     MODEL_PARALLEL,
     TRANSFORMER_HYBRID,

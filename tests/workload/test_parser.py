@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
+from repro.collectives.types import CollectiveOp
 from repro.dims import Dimension
 from repro.errors import WorkloadError
-from repro.workload import ParallelismKind, dumps, loads
+from repro.workload.parallelism import ParallelismKind
+from repro.workload.parser import dumps, loads
 
 VALID = """
 # A comment line.
@@ -116,7 +117,7 @@ class TestRoundTrip:
 
 class TestFileIO:
     def test_load_dump_file(self, tmp_path):
-        from repro.workload import dump, load
+        from repro.workload.parser import dump, load
 
         model = loads(VALID, name="file-test")
         path = tmp_path / "workload.txt"

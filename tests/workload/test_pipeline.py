@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.config import (
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import KB, MB
 from repro.errors import WorkloadError
-from repro.models import mlp
-from repro.system import System
-from repro.topology import build_torus_topology
+from repro.models.mlp import mlp
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
 from repro.workload.pipeline import (
     PipelineStage,
     PipelineTrainingLoop,

@@ -2,27 +2,22 @@
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import (
-    SimulationConfig,
-    SystemConfig,
-    TorusShape,
-    paper_network_config,
-)
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import SimulationConfig, SystemConfig, TorusShape
+from repro.config.presets import paper_network_config
 from repro.config.units import MB
 from repro.errors import WorkloadError
-from repro.system import System
-from repro.topology import build_torus_topology
-from repro.workload import (
-    CommSpec,
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
+from repro.workload.layer import CommSpec, LayerSpec
+from repro.workload.model import DNNModel
+from repro.workload.parallelism import (
     DATA_PARALLEL,
-    DNNModel,
-    LayerSpec,
     MODEL_PARALLEL,
     ParallelismStrategy,
-    TrainingLoop,
     TrainingPhase,
 )
+from repro.workload.training_loop import TrainingLoop
 
 NET = paper_network_config()
 

@@ -19,15 +19,25 @@ import json
 
 import pytest
 
-from repro.collectives import CollectiveOp
-from repro.config import SimulationConfig, SystemConfig, TorusShape, paper_network_config
-from repro.config.parameters import CollectiveAlgorithm, SchedulingPolicy
+from repro.collectives.types import CollectiveOp
+from repro.config.parameters import (
+    CollectiveAlgorithm,
+    SchedulingPolicy,
+    SimulationConfig,
+    SystemConfig,
+    TorusShape,
+)
+from repro.config.presets import paper_network_config
 from repro.config.units import KB, MB
 from repro.harness.runners import run_training, torus_platform
-from repro.models import dlrm, resnet50, transformer
-from repro.system import System
-from repro.topology import build_torus_topology
-from repro.workload import MODEL_PARALLEL, CommSpec, DNNModel, LayerSpec
+from repro.models.dlrm import dlrm
+from repro.models.resnet50 import resnet50
+from repro.models.transformer import transformer
+from repro.system.sys_layer import System
+from repro.topology.logical import build_torus_topology
+from repro.workload.layer import CommSpec, LayerSpec
+from repro.workload.model import DNNModel
+from repro.workload.parallelism import MODEL_PARALLEL
 from repro.workload.pipeline import PipelineSchedule, PipelineStage, PipelineTrainingLoop
 
 
