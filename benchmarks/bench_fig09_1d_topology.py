@@ -15,9 +15,17 @@ from bench_common import print_table, run_once
 SIZES = (64 * KB, 512 * KB, 4 * MB, 16 * MB)
 
 
+def _rows(result):
+    """The sweep's rows plus the torus/alltoall ratio the paper plots."""
+    rows = result.rows()
+    for row in rows:
+        row["torus_over_alltoall"] = row["torus_cycles"] / row["alltoall_cycles"]
+    return rows
+
+
 def test_fig09_all_to_all(benchmark):
     result = run_once(benchmark, lambda: fig09.run(SIZES, fig09.CollectiveOp.ALL_TO_ALL))
-    rows = result.rows()
+    rows = _rows(result)
     print_table("Fig 9a: all-to-all collective (cycles)", rows)
     for row in rows:
         assert row["alltoall_cycles"] < row["torus_cycles"], (
@@ -26,7 +34,7 @@ def test_fig09_all_to_all(benchmark):
 
 def test_fig09_all_reduce(benchmark):
     result = run_once(benchmark, lambda: fig09.run(SIZES, fig09.CollectiveOp.ALL_REDUCE))
-    rows = result.rows()
+    rows = _rows(result)
     print_table("Fig 9b: all-reduce collective (cycles)", rows)
     assert rows[0]["alltoall_cycles"] < rows[0]["torus_cycles"], (
         "alltoall should win at the smallest message size")

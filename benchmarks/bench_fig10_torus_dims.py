@@ -25,14 +25,14 @@ def test_fig10_torus_shapes(benchmark):
     print_table("Fig 10: all-reduce on 64-package tori (cycles)", rows)
 
     small = rows[0]
-    assert small["1x8x8"] < small["1x64x1"], "2D must beat 1D at small sizes"
-    assert small["4x4x4"] < small["2x8x4"], "3D must beat the unbalanced 3D"
-    assert small["4x4x4"] < small["1x8x8"], "4x4x4 wins small messages"
+    assert small["1x8x8_cycles"] < small["1x64x1_cycles"], "2D must beat 1D at small sizes"
+    assert small["4x4x4_cycles"] < small["2x8x4_cycles"], "3D must beat the unbalanced 3D"
+    assert small["4x4x4_cycles"] < small["1x8x8_cycles"], "4x4x4 wins small messages"
     for row in rows:
-        assert row["1x8x8"] < row["2x8x4"], (
+        assert row["1x8x8_cycles"] < row["2x8x4_cycles"], (
             "1x8x8 must beat 2x8x4 at every size (same bottleneck ring, "
             "less volume)")
 
     large = rows[-1]
-    assert large["1x8x8"] < large["4x4x4"], (
+    assert large["1x8x8_cycles"] < large["4x4x4_cycles"], (
         "1x8x8 regains the lead at large sizes (28/8 N vs 36/8 N)")

@@ -18,6 +18,10 @@ def test_fig11_all_reduce(benchmark):
     result = run_once(benchmark,
                       lambda: fig11.run(SIZES, fig11.CollectiveOp.ALL_REDUCE))
     rows = result.rows()
+    for row in rows:
+        row["asym_speedup"] = row["symmetric_cycles"] / row["asym_baseline_cycles"]
+        row["enhanced_speedup"] = (row["asym_baseline_cycles"]
+                                   / row["asym_enhanced_cycles"])
     print_table("Fig 11: all-reduce on 4x4x4 (cycles)", rows)
     for row in rows:
         assert row["asym_baseline_cycles"] < row["symmetric_cycles"], (

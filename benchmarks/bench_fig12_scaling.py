@@ -16,11 +16,13 @@ from bench_common import print_table, run_once
 def test_fig12_scaling_and_breakdown(benchmark):
     result = run_once(benchmark, lambda: fig12.run(size_bytes=2 * MB))
 
-    totals = result.total_rows()
+    results = [r for (r,) in result.series.values()]
+    totals = [{"shape": r.label, "modules": r.num_npus,
+               "cycles": r.duration_cycles} for r in results]
     print_table("Fig 12a: total communication time", totals,
                 keys=["shape", "modules", "cycles"])
-    for name, rows in result.breakdown_rows().items():
-        print_table(f"Fig 12b breakdown: {name}", rows,
+    for r in results:
+        print_table(f"Fig 12b breakdown: {r.label}", r.breakdown.rows(),
                     keys=["phase", "queue", "network"])
 
     times = [r["cycles"] for r in totals]
@@ -33,5 +35,5 @@ def test_fig12_scaling_and_breakdown(benchmark):
 
     # Queue P2 (the first inter-package phase) dominates queueing among the
     # inter-package phases at 2x4x4.
-    b_2x4x4 = result.results[2].breakdown
+    b_2x4x4 = results[2].breakdown
     assert b_2x4x4.mean_queue_delay(2) >= b_2x4x4.mean_queue_delay(3)

@@ -28,7 +28,14 @@ from dataclasses import replace
 
 from repro.collectives.types import CollectiveOp
 from repro.harness import fig09
-from repro.parallel.executor import ParallelExecutor, PointStatus, exit_code_for, results_with_gaps
+from repro.harness.runners import Sweep
+from repro.parallel.executor import (
+    ParallelExecutor,
+    PointStatus,
+    RunPoint,
+    exit_code_for,
+    results_with_gaps,
+)
 from repro.parallel.supervisor import (
     SupervisionPolicy,
     quarantine_summary,
@@ -54,8 +61,13 @@ def hang(builder):
 
 
 def _faulty_points(marker_path: str):
-    """The Fig. 9 batch with point 0 crashing once and point 2 hanging."""
-    points = fig09._points(SIZES, CollectiveOp.ALL_REDUCE)
+    """The Fig. 9 all-reduce batch in ``fig09.run``'s order (the alltoall
+    series, then the torus series) with point 0 crashing once and point 2
+    hanging."""
+    points = [RunPoint(builder=builder, op=CollectiveOp.ALL_REDUCE,
+                       size_bytes=size)
+              for builder in (fig09._alltoall, fig09._torus)
+              for size in SIZES]
     points[0] = replace(points[0], builder=functools.partial(
         crash_once, marker_path, fig09._alltoall))
     points[2] = replace(points[2], builder=functools.partial(
@@ -75,8 +87,7 @@ def main(argv=None) -> int:
     journal = os.path.join(args.work_dir, "journal.jsonl")
     report_path = os.path.join(args.work_dir, "quarantine-report.json")
 
-    clean = ParallelExecutor(jobs=1).run_points(
-        fig09._points(SIZES, CollectiveOp.ALL_REDUCE))
+    clean = fig09.run(SIZES, CollectiveOp.ALL_REDUCE)
 
     policy = SupervisionPolicy(point_timeout_s=args.point_timeout,
                                max_retries=1)
@@ -94,10 +105,13 @@ def main(argv=None) -> int:
 
     # The retried point must be bit-identical to the clean run; the
     # hung point is an explicit gap in the partial figure.
-    figure = fig09._split(CollectiveOp.ALL_REDUCE, SIZES,
-                          results_with_gaps(outcomes))
+    results = results_with_gaps(outcomes)
+    figure = Sweep(CollectiveOp.ALL_REDUCE, SIZES,
+                   {"alltoall": results[:len(SIZES)],
+                    "torus": results[len(SIZES):]})
     assert not figure.complete
-    for reference, outcome in zip(clean, outcomes):
+    reference_results = [r for series in clean.series.values() for r in series]
+    for reference, outcome in zip(reference_results, outcomes):
         if outcome.ok:
             assert (reference.duration_cycles
                     == outcome.result.duration_cycles), (

@@ -317,14 +317,18 @@ def _cmd_collective(args: argparse.Namespace) -> int:
 
 
 def _cmd_bandwidth(args: argparse.Namespace) -> int:
+    import functools
+
     from repro.harness.bandwidth_test import format_points, measure
 
     try:
         sizes = [float(tok) * MB for tok in args.sizes_mb.split(",")]
     except ValueError:
         raise ConfigError(f"bad --sizes-mb list: {args.sizes_mb!r}") from None
-    points = measure(lambda: _build_platform(args), CollectiveOp(args.op), sizes,
-                     sanitize=args.sanitize)
+    # A partial over the module-level builder, not a lambda, so --jobs
+    # can hand the sizes to worker slots.
+    points = measure(functools.partial(_build_platform, args),
+                     CollectiveOp(args.op), sizes, sanitize=args.sanitize)
     print(f"{args.op} bandwidth test on {_build_platform(args).name}:")
     print(format_points(points))
     return EXIT_OK

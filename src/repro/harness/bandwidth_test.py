@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.errors import CollectiveError
-from repro.harness.runners import MAX_EVENTS, PlatformSpec
+from repro.harness.runners import PlatformSpec, run_sweep
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,22 @@ def measure(
     sizes: Sequence[float],
     sanitize: bool = False,
 ) -> list[BandwidthPoint]:
-    """Run the bandwidth test: one fresh platform per point."""
-    points = []
-    for size in sizes:
-        platform = platform_builder()
-        system = platform.build_system(sanitize=sanitize)
-        collective = system.request_collective(op, size)
-        system.run_until_idle(max_events=MAX_EVENTS)
-        latency = collective.duration_cycles
-        algbw = size / latency
-        busbw = algbw * traffic_factor(op, system.topology.num_npus)
-        points.append(BandwidthPoint(
+    """Run the bandwidth test: one fresh platform per size, every size in
+    one executor batch.  A size a supervised run quarantined is left out
+    of the table."""
+    results = run_sweep({"bandwidth": platform_builder}, op, sizes,
+                        sanitize=sanitize).series["bandwidth"]
+    return [
+        BandwidthPoint(
             op=op,
-            size_bytes=size,
-            latency_cycles=latency,
-            algbw_bytes_per_cycle=algbw,
-            busbw_bytes_per_cycle=busbw,
-        ))
-    return points
+            size_bytes=r.size_bytes,
+            latency_cycles=r.duration_cycles,
+            algbw_bytes_per_cycle=r.size_bytes / r.duration_cycles,
+            busbw_bytes_per_cycle=(r.size_bytes / r.duration_cycles
+                                   * traffic_factor(op, r.num_npus)),
+        )
+        for r in results if r is not None
+    ]
 
 
 def format_points(points: Sequence[BandwidthPoint]) -> str:

@@ -13,48 +13,19 @@ chunks across rings, while alltoall drives only 7 links).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import AllToAllShape, TorusShape
 from repro.harness.runners import (
     SWEEP_SIZES,
-    CollectiveResult,
+    Sweep,
     alltoall_platform,
+    run_sweep,
     torus_platform,
 )
-from repro.parallel.executor import RunPoint, default_executor
 
 PACKAGES = 8
-
-
-@dataclass
-class Figure9Result:
-    collective: CollectiveOp
-    alltoall: list[CollectiveResult]
-    torus: list[CollectiveResult]
-
-    @property
-    def complete(self) -> bool:
-        """False when a supervised run quarantined a point (gap rows)."""
-        return all(r is not None for r in self.alltoall + self.torus)
-
-    def rows(self) -> list[dict[str, float]]:
-        """One row per size; quarantined points render as explicit
-        ``None`` gaps (partial figure) instead of aborting the panel."""
-        out = []
-        for a, t in zip(self.alltoall, self.torus):
-            present = a if a is not None else t
-            out.append({
-                "size_bytes": present.size_bytes if present is not None else None,
-                "alltoall_cycles": a.duration_cycles if a is not None else None,
-                "torus_cycles": t.duration_cycles if t is not None else None,
-                "torus_over_alltoall": (t.duration_cycles / a.duration_cycles
-                                        if a is not None and t is not None
-                                        else None),
-            })
-        return out
 
 
 def _alltoall():
@@ -73,29 +44,12 @@ def _torus():
     )
 
 
-def _points(sizes: Sequence[float], collective: CollectiveOp) -> list[RunPoint]:
-    """Both topologies' sweep points, alltoall block first then torus."""
-    return [RunPoint(builder=builder, op=collective, size_bytes=float(size))
-            for builder in (_alltoall, _torus) for size in sizes]
-
-
-def _split(collective: CollectiveOp, sizes: Sequence[float],
-           results: list[CollectiveResult]) -> Figure9Result:
-    n = len(sizes)
-    return Figure9Result(collective=collective,
-                         alltoall=results[:n], torus=results[n:])
-
-
 def run(sizes: Sequence[float] = SWEEP_SIZES,
-        collective: CollectiveOp = CollectiveOp.ALL_REDUCE) -> Figure9Result:
-    """Run one of the two Fig. 9 panels ((a) all-to-all, (b) all-reduce).
-
-    Both topologies' points go to the executor as one batch so ``--jobs``
-    overlaps them instead of parallelizing each 4-point sweep alone.
-    """
-    sizes = list(sizes)
-    results = default_executor().run_points(_points(sizes, collective))
-    return _split(collective, sizes, results)
+        collective: CollectiveOp = CollectiveOp.ALL_REDUCE) -> Sweep:
+    """Run one of the two Fig. 9 panels ((a) all-to-all, (b) all-reduce):
+    the ``alltoall`` and ``torus`` series, as one executor batch."""
+    return run_sweep({"alltoall": _alltoall, "torus": _torus},
+                     collective, sizes)
 
 
 def schedule_probes(size_bytes: float = 64 * 1024) -> list:
@@ -117,16 +71,3 @@ def schedule_probes(size_bytes: float = 64 * 1024) -> list:
         for name, builder in (("alltoall", _alltoall), ("torus", _torus))
         for op in (CollectiveOp.ALL_TO_ALL, CollectiveOp.ALL_REDUCE)
     ]
-
-
-def run_both(sizes: Sequence[float] = SWEEP_SIZES) -> dict[str, Figure9Result]:
-    """Both panels, all 2 collectives x 2 topologies x sizes in one batch."""
-    sizes = list(sizes)
-    points = (_points(sizes, CollectiveOp.ALL_TO_ALL)
-              + _points(sizes, CollectiveOp.ALL_REDUCE))
-    results = default_executor().run_points(points)
-    half = 2 * len(sizes)
-    return {
-        "all_to_all": _split(CollectiveOp.ALL_TO_ALL, sizes, results[:half]),
-        "all_reduce": _split(CollectiveOp.ALL_REDUCE, sizes, results[half:]),
-    }

@@ -14,17 +14,11 @@ lower volume (28/8 N vs 36/8 N) dominates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import TorusShape
-from repro.harness.runners import (
-    SWEEP_SIZES,
-    CollectiveResult,
-    sweep_collective,
-    torus_platform,
-)
+from repro.harness.runners import SWEEP_SIZES, Sweep, run_sweep, torus_platform
 
 SHAPES = (
     TorusShape(1, 64, 1),
@@ -32,37 +26,6 @@ SHAPES = (
     TorusShape(2, 8, 4),
     TorusShape(4, 4, 4),
 )
-
-
-@dataclass
-class Figure10Result:
-    collective: CollectiveOp
-    by_shape: dict[str, list[CollectiveResult]]
-
-    @property
-    def complete(self) -> bool:
-        """False when a supervised run quarantined a point (gap rows)."""
-        return all(r is not None
-                   for results in self.by_shape.values() for r in results)
-
-    def rows(self) -> list[dict[str, float]]:
-        labels = list(self.by_shape)
-        lengths = {len(v) for v in self.by_shape.values()}
-        assert len(lengths) == 1
-        out = []
-        for i in range(min(lengths)):  # singleton by the assert; min() is order-free
-            # Quarantined points are explicit None gaps; the row's size
-            # comes from any shape that did complete at this index.
-            present = next((self.by_shape[label][i] for label in labels
-                            if self.by_shape[label][i] is not None), None)
-            row: dict[str, float] = {
-                "size_bytes": present.size_bytes if present is not None else None
-            }
-            for label in labels:
-                result = self.by_shape[label][i]
-                row[label] = result.duration_cycles if result is not None else None
-            out.append(row)
-        return out
 
 
 def _platform(shape: TorusShape):
@@ -82,12 +45,9 @@ def run(
     sizes: Sequence[float] = SWEEP_SIZES,
     collective: CollectiveOp = CollectiveOp.ALL_REDUCE,
     shapes: Sequence[TorusShape] = SHAPES,
-) -> Figure10Result:
-    # functools.partial over the module-level builder (not a lambda) so
-    # the points stay picklable for process-parallel execution.
-    by_shape = {
-        str(shape): sweep_collective(
-            functools.partial(_platform, shape), collective, sizes)
-        for shape in shapes
-    }
-    return Figure10Result(collective=collective, by_shape=by_shape)
+) -> Sweep:
+    """Every shape's sweep as one executor batch; series are named by
+    shape (``1x8x8``).  functools.partial over the module-level builder
+    (not a lambda) keeps the points picklable for worker slots."""
+    return run_sweep({str(shape): functools.partial(_platform, shape)
+                      for shape in shapes}, collective, sizes)

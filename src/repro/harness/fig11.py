@@ -17,53 +17,13 @@ algorithm improves further by cutting inter-package volume 4x.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import CollectiveAlgorithm, TorusShape
-from repro.harness.runners import (
-    SWEEP_SIZES,
-    CollectiveResult,
-    sweep_collective,
-    torus_platform,
-)
+from repro.harness.runners import SWEEP_SIZES, Sweep, run_sweep, torus_platform
 
 SHAPE = TorusShape(local=4, horizontal=4, vertical=4)
-
-
-@dataclass
-class Figure11Result:
-    collective: CollectiveOp
-    symmetric: list[CollectiveResult]
-    asymmetric_baseline: list[CollectiveResult]
-    asymmetric_enhanced: list[CollectiveResult]
-
-    @property
-    def complete(self) -> bool:
-        """False when a supervised run quarantined a point (gap rows)."""
-        return all(r is not None for r in (self.symmetric
-                                           + self.asymmetric_baseline
-                                           + self.asymmetric_enhanced))
-
-    def rows(self) -> list[dict[str, float]]:
-        out = []
-        for s, ab, ae in zip(self.symmetric, self.asymmetric_baseline,
-                             self.asymmetric_enhanced):
-            # Quarantined points are explicit None gaps; ratios need both
-            # of their operands present.
-            present = next((r for r in (s, ab, ae) if r is not None), None)
-            out.append({
-                "size_bytes": present.size_bytes if present is not None else None,
-                "symmetric_cycles": s.duration_cycles if s is not None else None,
-                "asym_baseline_cycles": ab.duration_cycles if ab is not None else None,
-                "asym_enhanced_cycles": ae.duration_cycles if ae is not None else None,
-                "asym_speedup": (s.duration_cycles / ab.duration_cycles
-                                 if s is not None and ab is not None else None),
-                "enhanced_speedup": (ab.duration_cycles / ae.duration_cycles
-                                     if ab is not None and ae is not None else None),
-            })
-        return out
 
 
 def _platform(symmetric: bool, algorithm: CollectiveAlgorithm):
@@ -80,25 +40,15 @@ def _platform(symmetric: bool, algorithm: CollectiveAlgorithm):
 def run(
     sizes: Sequence[float] = SWEEP_SIZES,
     collective: CollectiveOp = CollectiveOp.ALL_REDUCE,
-) -> Figure11Result:
-    # functools.partial over the module-level builder (not a lambda) so
-    # the points stay picklable for process-parallel execution.
-    return Figure11Result(
-        collective=collective,
-        symmetric=sweep_collective(
-            functools.partial(_platform, True, CollectiveAlgorithm.BASELINE),
-            collective, sizes),
-        asymmetric_baseline=sweep_collective(
-            functools.partial(_platform, False, CollectiveAlgorithm.BASELINE),
-            collective, sizes),
-        asymmetric_enhanced=sweep_collective(
-            functools.partial(_platform, False, CollectiveAlgorithm.ENHANCED),
-            collective, sizes),
-    )
-
-
-def run_both(sizes: Sequence[float] = SWEEP_SIZES) -> dict[str, Figure11Result]:
-    return {
-        "all_reduce": run(sizes, CollectiveOp.ALL_REDUCE),
-        "all_to_all": run(sizes, CollectiveOp.ALL_TO_ALL),
-    }
+) -> Sweep:
+    """The ``symmetric``, ``asym_baseline`` and ``asym_enhanced`` series
+    as one executor batch.  functools.partial over the module-level
+    builder (not a lambda) keeps the points picklable for worker slots."""
+    return run_sweep({
+        "symmetric": functools.partial(
+            _platform, True, CollectiveAlgorithm.BASELINE),
+        "asym_baseline": functools.partial(
+            _platform, False, CollectiveAlgorithm.BASELINE),
+        "asym_enhanced": functools.partial(
+            _platform, False, CollectiveAlgorithm.ENHANCED),
+    }, collective, sizes)

@@ -15,13 +15,12 @@ dominant at 2x4x4) — then jumps again at 2x4x8 (a new ring of 8).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import CollectiveAlgorithm, TorusShape
 from repro.config.units import MB
-from repro.harness.runners import CollectiveResult, torus_platform
+from repro.harness.runners import Sweep, run_sweep, torus_platform
 
 SHAPES = (
     TorusShape(2, 2, 2),
@@ -31,44 +30,6 @@ SHAPES = (
 )
 
 DEFAULT_SIZE = 2 * MB
-
-
-@dataclass
-class Figure12Result:
-    size_bytes: float
-    results: list[CollectiveResult]
-    #: Shape labels in point order — lets gap rows stay attributable to
-    #: their shape when a supervised run quarantined the point.
-    shapes: Sequence[str] = ()
-
-    @property
-    def complete(self) -> bool:
-        """False when a supervised run quarantined a point (gap rows)."""
-        return all(r is not None for r in self.results)
-
-    def _shape_label(self, i: int) -> str:
-        if i < len(self.shapes):
-            return str(self.shapes[i])
-        return f"point[{i}]"
-
-    def total_rows(self) -> list[dict[str, float]]:
-        """Fig. 12a: total communication time per shape; quarantined
-        points render as explicit ``None`` gaps."""
-        rows = []
-        for i, r in enumerate(self.results):
-            if r is None:
-                rows.append({"shape": self._shape_label(i),
-                             "modules": None, "cycles": None})
-            else:
-                rows.append({"shape": r.label, "modules": r.num_npus,
-                             "cycles": r.duration_cycles})
-        return rows
-
-    def breakdown_rows(self) -> dict[str, list[dict[str, float]]]:
-        """Fig. 12b: queue/network delays per phase, per shape (gaps
-        omitted — there is no breakdown to render for a poison point)."""
-        return {r.label: r.breakdown.rows()
-                for r in self.results if r is not None}
 
 
 def _platform(shape: TorusShape):
@@ -105,14 +66,11 @@ def schedule_probes(size_bytes: float = 256 * 1024,
 def run(
     size_bytes: float = DEFAULT_SIZE,
     shapes: Sequence[TorusShape] = SHAPES,
-) -> Figure12Result:
-    from repro.parallel.executor import RunPoint, default_executor
-
-    points = [
-        RunPoint(builder=functools.partial(_platform, shape),
-                 op=CollectiveOp.ALL_REDUCE, size_bytes=float(size_bytes))
-        for shape in shapes
-    ]
-    return Figure12Result(size_bytes=size_bytes,
-                          results=default_executor().run_points(points),
-                          shapes=[f"torus-{shape}" for shape in shapes])
+) -> Sweep:
+    """One ``size_bytes`` all-reduce per shape, as one executor batch;
+    series are named like the platforms (``torus-2x4x4``).  A series'
+    one result carries Fig. 12a's total time and module count and Fig.
+    12b's per-phase breakdown."""
+    return run_sweep({f"torus-{shape}": functools.partial(_platform, shape)
+                      for shape in shapes},
+                     CollectiveOp.ALL_REDUCE, [size_bytes])

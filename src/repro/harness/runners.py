@@ -1,10 +1,13 @@
 """Shared experiment runners used by the per-figure harnesses and benches.
 
-Two entry points:
+Three entry points:
 
 * :func:`run_collective` — one collective set (chunked and scheduled
   exactly as in a training run) on a freshly built platform; returns the
-  set duration and the delay breakdown.  Used by the Fig. 9-12 studies.
+  set duration and the delay breakdown.
+* :func:`run_sweep` — one collective across message sizes on named
+  platforms, as one executor batch; returns a :class:`Sweep`.  Used by
+  the Fig. 9-12 studies and the bandwidth test.
 * :func:`run_training` — a full multi-iteration training simulation;
   returns the :class:`~repro.workload.training_loop.TrainingReport`.
   Used by the Fig. 13-18 studies.  The name resolves on first access
@@ -16,7 +19,7 @@ Two entry points:
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import (
@@ -212,29 +215,59 @@ def run_collective(
     )
 
 
-def sweep_collective(
-    platform_builder: Callable[[], PlatformSpec],
+@dataclass
+class Sweep:
+    """One collective swept across message sizes on named platforms: the
+    result of every Fig. 9-12 study and of the bandwidth test.
+
+    ``series`` maps each platform name to one result per size, in size
+    order.  A point a supervised run quarantined is an explicit ``None``
+    gap, so a partial figure renders with a hole instead of aborting
+    (docs/SUPERVISION.md).
+    """
+
+    op: CollectiveOp
+    sizes: list[float]
+    series: dict[str, list[Optional[CollectiveResult]]]
+
+    @property
+    def complete(self) -> bool:
+        """False when a supervised run quarantined a point."""
+        return all(r is not None for results in self.series.values()
+                   for r in results)
+
+    def rows(self) -> list[dict[str, Optional[float]]]:
+        """One row per size: ``size_bytes`` plus ``<name>_cycles`` for
+        every platform (``None`` for a quarantined point)."""
+        return [{"size_bytes": size, **{
+            f"{name}_cycles": None if results[i] is None else results[i].duration_cycles
+            for name, results in self.series.items()}}
+            for i, size in enumerate(self.sizes)]
+
+
+def run_sweep(
+    builders: Mapping[str, Callable[[], PlatformSpec]],
     op: CollectiveOp,
     sizes: Sequence[float] = SWEEP_SIZES,
-    executor: Optional[object] = None,
-) -> list[CollectiveResult]:
-    """Run ``op`` across message sizes, one fresh platform per point.
+    sanitize: bool = False,
+) -> Sweep:
+    """Run ``op`` at every size on a fresh platform from every builder.
 
-    Points go through a :class:`repro.parallel.ParallelExecutor` — the
-    one passed in, else the process-wide default (serial and uncached
-    unless the CLI installed one via ``--jobs``/``--cache-dir``).  Results
-    come back in size order regardless of job count, bit-identical to the
-    serial loop this used to be.
-
-    Under a supervised executor a quarantined point comes back as an
-    explicit ``None`` gap instead of aborting the sweep.
+    All the points go to the process-wide
+    :class:`repro.parallel.ParallelExecutor` as one batch, so ``--jobs``
+    overlaps them and ``--cache-dir`` serves each one; results are
+    bit-identical at any job count.  A builder runs in a worker only if
+    it pickles (a module-level function or a ``functools.partial``).
     """
     from repro.parallel.executor import RunPoint, default_executor
 
-    ex = executor if executor is not None else default_executor()
-    points = [RunPoint(builder=platform_builder, op=op, size_bytes=float(size))
-              for size in sizes]
-    return ex.run_points(points)
+    sizes = [float(size) for size in sizes]
+    points = [RunPoint(builder=builder, op=op, size_bytes=size, sanitize=sanitize)
+              for builder in builders.values() for size in sizes]
+    results = default_executor().run_points(points)
+    n = len(sizes)
+    return Sweep(op=op, sizes=sizes, series={
+        name: results[i * n:(i + 1) * n] for i, name in enumerate(builders)})
 
 
 def _run_training(

@@ -23,8 +23,8 @@ commands that supervise.
 
 The CLI's global ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags
 configure a process-wide default executor that the harness entry points
-(:func:`repro.harness.runners.sweep_collective`, the per-figure
-runners, ``astra-repro chaos``) pick up implicitly.
+(:func:`repro.harness.runners.run_sweep` under the per-figure runners
+and the bandwidth test, ``astra-repro chaos``) pick up implicitly.
 """
 
 from typing import Any

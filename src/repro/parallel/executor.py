@@ -260,8 +260,9 @@ class ParallelExecutor:
         self.quarantine: list[QuarantineRecord] = []
         self._degrade_logged = False
         # Slots are forked on first use and *reused* across batches: a
-        # figure harness issues several sweeps back-to-back, and
-        # re-forking workers per sweep would eat most of the speedup.
+        # search issues one batch per generation, a figure bench one per
+        # panel, and re-forking workers per batch would eat most of the
+        # speedup.
         self._slots: Optional[Slots] = None
 
     def close(self) -> None:
@@ -579,8 +580,8 @@ class ParallelExecutor:
 # -- process-global default executor ----------------------------------------------
 #
 # The CLI configures one executor from its global --jobs/--cache-dir
-# flags; harness entry points (sweep_collective, the fig runners, chaos)
-# pick it up implicitly so every layer that fans out work parallelizes
+# flags; harness entry points (run_sweep under the fig runners and the
+# bandwidth test, chaos) pick it up implicitly so every layer that fans out work parallelizes
 # without threading an executor argument through every call site.
 
 _default_executor: Optional[ParallelExecutor] = None

@@ -229,10 +229,11 @@ def fuzz_transport(rng: random.Random) -> TransportConfig:
 # -- the campaign -----------------------------------------------------------------
 
 
-def _build_spec(backend: str, schedule: FaultSchedule,
-                transport: TransportConfig, watchdog: WatchdogConfig):
-    """A small 2x2x2 torus platform carrying the fuzzed fault/transport
-    configuration, on the requested backend."""
+def _build_spec(backend: str, transport: TransportConfig,
+                watchdog: WatchdogConfig):
+    """A small 2x2x2 torus platform carrying the fuzzed transport
+    configuration, on the requested backend; the fault schedule is
+    attached once it has been fuzzed against the spec's fabric."""
     from dataclasses import replace
 
     from repro.harness.runners import torus_platform
@@ -240,7 +241,6 @@ def _build_spec(backend: str, schedule: FaultSchedule,
     spec = torus_platform(TorusShape(2, 2, 2), preferred_set_splits=4)
     spec.config = replace(
         spec.config, system=replace(spec.config.system, transport=transport))
-    spec.fault_schedule = schedule
     spec.watchdog = watchdog
     if backend == "detailed":
         from repro.network.detailed.backend import DetailedBackend
@@ -281,13 +281,12 @@ def run_iteration(config: ChaosConfig, i: int) -> ChaosRun:
                               bundle_dir=config.bundle_dir)
     # Fuzz against the actual fabric: build the topology once just to
     # enumerate its directed link endpoint pairs.
-    probe = _build_spec(backend, FaultSchedule([]), transport, watchdog)
-    fabric = probe.topology_builder(probe.config.system).fabric
+    spec = _build_spec(backend, transport, watchdog)
+    fabric = spec.topology_builder(spec.config.system).fabric
     link_pairs = sorted({(l.src, l.dst) for l in fabric.links})
     schedule = fuzz_schedule(rng, link_pairs, fabric.num_npus,
                              horizon=HORIZONS[backend])
-
-    spec = _build_spec(backend, schedule, transport, watchdog)
+    spec.fault_schedule = schedule
     try:
         result = run_collective(spec, op, size,
                                 max_events=config.max_events)

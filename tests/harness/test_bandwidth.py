@@ -63,3 +63,26 @@ class TestMeasure:
         text = format_points(points)
         assert "algbw" in text
         assert len(text.splitlines()) == 2 + len(points)
+
+    def test_quarantined_size_is_left_out(self):
+        """Under supervision a size whose point fails is dropped from the
+        table; the other sizes still report."""
+        from repro.parallel.executor import ParallelExecutor, set_default_executor
+        from repro.parallel.supervisor import SupervisionPolicy
+
+        calls = []
+
+        def second_build_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("injected builder failure")
+            return torus_platform(TorusShape(2, 2, 2))
+
+        set_default_executor(ParallelExecutor(
+            jobs=1, policy=SupervisionPolicy(max_retries=0)))
+        try:
+            points = measure(second_build_fails, CollectiveOp.ALL_REDUCE,
+                             (256 * KB, 1 * MB, 4 * MB))
+        finally:
+            set_default_executor(None)
+        assert [p.size_bytes for p in points] == [256 * KB, 4 * MB]

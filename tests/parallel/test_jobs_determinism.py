@@ -31,20 +31,23 @@ def _with_jobs(jobs, fn):
 
 
 def _assert_identical(serial, parallel):
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.label == b.label
-        assert a.size_bytes == b.size_bytes
-        assert a.duration_cycles == b.duration_cycles
-        assert a.breakdown.as_dict() == b.breakdown.as_dict()
+    """Same series, sizes and per-point results, in the same order."""
+    assert serial.sizes == parallel.sizes
+    assert serial.series.keys() == parallel.series.keys()
+    for name in serial.series:
+        assert len(serial.series[name]) == len(parallel.series[name])
+        for a, b in zip(serial.series[name], parallel.series[name]):
+            assert a.label == b.label
+            assert a.size_bytes == b.size_bytes
+            assert a.duration_cycles == b.duration_cycles
+            assert a.breakdown.as_dict() == b.breakdown.as_dict()
 
 
 class TestFigureJobsDeterminism:
     def test_fig09_points(self):
         serial = _with_jobs(1, lambda: fig09.run(sizes=SIZES))
         parallel = _with_jobs(4, lambda: fig09.run(sizes=SIZES))
-        _assert_identical(serial.alltoall, parallel.alltoall)
-        _assert_identical(serial.torus, parallel.torus)
+        _assert_identical(serial, parallel)
 
     def test_fig10_points(self):
         from repro.config.parameters import TorusShape
@@ -54,23 +57,17 @@ class TestFigureJobsDeterminism:
             1, lambda: fig10.run(sizes=SIZES[:1], shapes=shapes))
         parallel = _with_jobs(
             4, lambda: fig10.run(sizes=SIZES[:1], shapes=shapes))
-        assert serial.by_shape.keys() == parallel.by_shape.keys()
-        for label in serial.by_shape:
-            _assert_identical(serial.by_shape[label], parallel.by_shape[label])
+        _assert_identical(serial, parallel)
 
     def test_fig11_points(self):
         serial = _with_jobs(1, lambda: fig11.run(sizes=SIZES[:1]))
         parallel = _with_jobs(4, lambda: fig11.run(sizes=SIZES[:1]))
-        _assert_identical(serial.symmetric, parallel.symmetric)
-        _assert_identical(serial.asymmetric_baseline,
-                          parallel.asymmetric_baseline)
-        _assert_identical(serial.asymmetric_enhanced,
-                          parallel.asymmetric_enhanced)
+        _assert_identical(serial, parallel)
 
     def test_fig12_points(self):
         serial = _with_jobs(1, lambda: fig12.run(size_bytes=SIZES[0]))
         parallel = _with_jobs(4, lambda: fig12.run(size_bytes=SIZES[0]))
-        _assert_identical(serial.results, parallel.results)
+        _assert_identical(serial, parallel)
 
 
 class TestChaosJobsDeterminism:

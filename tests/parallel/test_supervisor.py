@@ -448,19 +448,30 @@ class TestFig09Acceptance:
 
     SIZES = [KB64, 2 * KB64]
 
-    def _clean_figure(self):
+    def _points(self):
+        """The fig09 all-reduce batch in ``fig09.run``'s order: the
+        alltoall series, then the torus series."""
         from repro.harness import fig09
 
-        results = ParallelExecutor(jobs=1).run_points(
-            fig09._points(self.SIZES, CollectiveOp.ALL_REDUCE))
-        return fig09._split(CollectiveOp.ALL_REDUCE, self.SIZES, results)
+        return [RunPoint(builder=builder, op=CollectiveOp.ALL_REDUCE,
+                         size_bytes=size)
+                for builder in (fig09._alltoall, fig09._torus)
+                for size in self.SIZES]
+
+    def _figure(self, outcomes):
+        from repro.harness.runners import Sweep
+        from repro.parallel.executor import results_with_gaps
+
+        results = results_with_gaps(outcomes)
+        n = len(self.SIZES)
+        return Sweep(CollectiveOp.ALL_REDUCE, self.SIZES,
+                     {"alltoall": results[:n], "torus": results[n:]})
 
     def test_crash_mid_fig09_batch_retries_bit_identical(self, tmp_path):
         from repro.harness import fig09
-        from repro.parallel.executor import results_with_gaps
 
-        clean = self._clean_figure()
-        points = fig09._points(self.SIZES, CollectiveOp.ALL_REDUCE)
+        clean = fig09.run(self.SIZES, CollectiveOp.ALL_REDUCE)
+        points = self._points()
         points[0] = dataclasses.replace(
             points[0],
             builder=functools.partial(crash_once_then,
@@ -472,18 +483,16 @@ class TestFig09Acceptance:
         assert [o.status for o in outcomes] == [
             PointStatus.RETRIED, PointStatus.OK, PointStatus.OK,
             PointStatus.OK]
-        figure = fig09._split(CollectiveOp.ALL_REDUCE, self.SIZES,
-                              results_with_gaps(outcomes))
+        figure = self._figure(outcomes)
         assert figure.complete
         assert figure.rows() == clean.rows()
         assert exit_code_for(outcomes) == 0
 
     def test_hang_mid_fig09_batch_quarantines_and_resumes(self, tmp_path):
         from repro.harness import fig09
-        from repro.parallel.executor import results_with_gaps
 
         journal = str(tmp_path / "journal.jsonl")
-        points = fig09._points(self.SIZES, CollectiveOp.ALL_REDUCE)
+        points = self._points()
         points[2] = dataclasses.replace(
             points[2],
             builder=functools.partial(hang_forever, fig09._torus))
@@ -497,13 +506,13 @@ class TestFig09Acceptance:
         assert len(ex.quarantine) == 1
         assert exit_code_for(outcomes) == 1
 
-        figure = fig09._split(CollectiveOp.ALL_REDUCE, self.SIZES,
-                              results_with_gaps(outcomes))
+        figure = self._figure(outcomes)
         assert not figure.complete
         rows = figure.rows()
         assert rows[0]["torus_cycles"] is None  # the quarantined point
         assert rows[0]["alltoall_cycles"] is not None
-        assert rows[1]["torus_over_alltoall"] is not None
+        assert rows[0]["size_bytes"] == KB64
+        assert None not in rows[1].values()
 
         # Resume past completed AND quarantined points: zero simulations.
         with ParallelExecutor(jobs=2, policy=policy,

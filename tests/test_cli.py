@@ -298,6 +298,29 @@ class TestGlobalExecutionFlags:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    BANDWIDTH = ["bandwidth", "--shape", "2x2x2", "--sizes-mb", "0.0625,0.5"]
+
+    def test_bandwidth_goes_through_the_run_cache(self, tmp_path, capsys):
+        argv = ["--cache-dir", str(tmp_path)] + self.BANDWIDTH
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "2 stored" in cold
+
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "2 hits" in warm
+        # The same table from the cached payloads; only the summary differs.
+        assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
+
+    def test_bandwidth_jobs_fans_out_with_identical_table(self, capsys, caplog):
+        assert main(self.BANDWIDTH) == 0
+        serial = capsys.readouterr().out
+        assert main(["--jobs", "2"] + self.BANDWIDTH) == 0
+        parallel = capsys.readouterr().out
+        assert serial == parallel
+        # The builder pickles, so the sizes ran in worker slots.
+        assert "not picklable" not in caplog.text
+
 
 class TestServeCommand:
     def test_serve_defaults(self):
