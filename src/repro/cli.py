@@ -329,7 +329,8 @@ def _cmd_bandwidth(args: argparse.Namespace) -> int:
     # can hand the sizes to worker slots.
     points = measure(functools.partial(_build_platform, args),
                      CollectiveOp(args.op), sizes, sanitize=args.sanitize)
-    print(f"{args.op} bandwidth test on {_build_platform(args).name}:")
+    platform = points[0].label if points else "(every size quarantined)"
+    print(f"{args.op} bandwidth test on {platform}:")
     print(format_points(points))
     return EXIT_OK
 

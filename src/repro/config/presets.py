@@ -88,6 +88,10 @@ def paper_system_config(
     algorithm: CollectiveAlgorithm = CollectiveAlgorithm.BASELINE,
     scheduling_policy: SchedulingPolicy = SchedulingPolicy.LIFO,
     preferred_set_splits: int = 16,
+    local_rings: int = 2,
+    horizontal_rings: int = 1,
+    vertical_rings: int = 1,
+    global_switches: int = 2,
 ) -> SystemConfig:
     """System-layer defaults used across Section V.
 
@@ -102,10 +106,10 @@ def paper_system_config(
     return SystemConfig(
         algorithm=algorithm,
         scheduling_policy=scheduling_policy,
-        local_rings=2,
-        vertical_rings=1,
-        horizontal_rings=1,
-        global_switches=2,
+        local_rings=local_rings,
+        vertical_rings=vertical_rings,
+        horizontal_rings=horizontal_rings,
+        global_switches=global_switches,
         endpoint_delay_cycles=10.0,
         preferred_set_splits=preferred_set_splits,
         dispatch_threshold=8,

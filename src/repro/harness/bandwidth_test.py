@@ -22,8 +22,10 @@ from repro.harness.runners import PlatformSpec, run_sweep
 
 @dataclass(frozen=True)
 class BandwidthPoint:
-    """One (collective, size) measurement."""
+    """One (platform, collective, size) measurement."""
 
+    #: The platform's name, as its collective result carries it.
+    label: str
     op: CollectiveOp
     size_bytes: float
     latency_cycles: float
@@ -56,6 +58,7 @@ def measure(
                         sanitize=sanitize).series["bandwidth"]
     return [
         BandwidthPoint(
+            label=r.label,
             op=op,
             size_bytes=r.size_bytes,
             latency_cycles=r.duration_cycles,

@@ -18,7 +18,7 @@ Three entry points:
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro.collectives.types import CollectiveOp
@@ -33,8 +33,9 @@ from repro.config.parameters import (
     TorusShape,
 )
 from repro.config.presets import (
+    paper_compute_config,
     paper_network_config,
-    paper_simulation_config,
+    paper_system_config,
     symmetric_network_config,
 )
 from repro.errors import ConfigError
@@ -160,23 +161,23 @@ def platform_for(point: DesignPoint) -> PlatformSpec:
     count; every other knob applies to both.
     """
     torus = point.topology is TopologyKind.TORUS
-    base = paper_simulation_config(
-        algorithm=point.algorithm, scheduling_policy=point.scheduling_policy,
-        compute_scale=point.compute_scale,
-        preferred_set_splits=point.preferred_set_splits)
     network = symmetric_network_config() if point.symmetric else paper_network_config()
     # Values a family never reads stay fixed so that configs, and the
     # run-cache keys made from them, do not depend on them: an AllToAll
     # config keeps 2 horizontal and vertical rings, a torus keeps 2
     # global switches.
-    system = replace(base.system, local_rings=point.local_rings,
-                     horizontal_rings=point.horizontal_rings if torus else 2,
-                     vertical_rings=point.vertical_rings if torus else 2,
-                     global_switches=2 if torus else point.global_switches)
+    system = paper_system_config(
+        algorithm=point.algorithm, scheduling_policy=point.scheduling_policy,
+        preferred_set_splits=point.preferred_set_splits,
+        local_rings=point.local_rings,
+        horizontal_rings=point.horizontal_rings if torus else 2,
+        vertical_rings=point.vertical_rings if torus else 2,
+        global_switches=2 if torus else point.global_switches)
     return PlatformSpec(
         name=f"{point.topology.value.lower()}-{'x'.join(map(str, point.shape))}",
         topology_builder=topology_builder(point.topology, point.shape, network),
-        config=replace(base, system=system, network=network),
+        config=SimulationConfig(system=system, network=network,
+                                compute=paper_compute_config(point.compute_scale)),
     )
 
 

@@ -194,6 +194,9 @@ class SearchSpace:
         self.constraints = constraints if constraints is not None else Constraints()
         self.cost_table = cost_table if cost_table is not None else CostTable()
         self.source = source
+        #: Canonical genome → feasibility: equivalent genomes share one
+        #: decode and one constraint check.
+        self._feasible: dict[tuple[int, ...], bool] = {}
         self._validate()
 
     # -- construction --------------------------------------------------------
@@ -329,9 +332,22 @@ class SearchSpace:
 
         Infeasible-by-construction points (shape/NPU mismatches, bad
         enum values) are rejected at load time; this checks the
-        cross-axis constraints a single axis cannot express.
+        cross-axis constraints a single axis cannot express.  Dead genes
+        never reach them (``link_counts`` ignores what ``canonical``
+        zeroes), so the answer is memoized per canonical genome.
         """
-        point = self.decode(genome)
+        return self._feasible_canonical(genome) is not None
+
+    def _feasible_canonical(self, genome: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """``canonical(genome)`` if the genome is feasible, else ``None``."""
+        canon = self.canonical(genome)
+        feasible = self._feasible.get(canon)
+        if feasible is None:
+            feasible = self._feasible[canon] = self._check_constraints(
+                self.decode(canon))
+        return canon if feasible else None
+
+    def _check_constraints(self, point: SearchPoint) -> bool:
         if point.topology is TopologyKind.ALLTOALL:
             # More switch planes than peer packages duplicates paths the
             # direct algorithms never schedule — reject as wasted budget.
@@ -354,9 +370,10 @@ class SearchSpace:
         """One feasible canonical genome drawn from ``rng`` (seeded
         ``random.Random``); raises when constraints admit no point."""
         for _ in range(_SAMPLE_RETRIES):
-            genome = tuple(rng.randrange(size) for size in self._sizes)
-            if self.is_feasible(genome):
-                return self.canonical(genome)
+            canon = self._feasible_canonical(
+                [rng.randrange(size) for size in self._sizes])
+            if canon is not None:
+                return canon
         raise ConfigError(
             f"search space {self.name!r}: no feasible point found after "
             f"{_SAMPLE_RETRIES} samples; constraints are too tight")
@@ -381,8 +398,9 @@ class SearchSpace:
             if not changed:
                 i, axis = rng.choice(variable)
                 mutant[i] = rng.randrange(len(self.axes[axis]))
-            if self.is_feasible(mutant):
-                return self.canonical(mutant)
+            canon = self._feasible_canonical(mutant)
+            if canon is not None:
+                return canon
         return self.random_genome(rng)
 
     def crossover(self, rng, a: Sequence[int],
@@ -392,8 +410,9 @@ class SearchSpace:
         a, b = tuple(a), tuple(b)
         for _ in range(_SAMPLE_RETRIES // 10):
             child = tuple(x if rng.random() < 0.5 else y for x, y in zip(a, b))
-            if self.is_feasible(child):
-                return self.canonical(child)
+            canon = self._feasible_canonical(child)
+            if canon is not None:
+                return canon
         return self.canonical(a)
 
     # -- exhaustive enumeration ----------------------------------------------
@@ -412,12 +431,10 @@ class SearchSpace:
         sizes = self._sizes
         genome = [0] * len(sizes)
         while True:
-            g = tuple(genome)
-            if self.is_feasible(g):
-                canon = self.canonical(g)
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(canon)
+            canon = self._feasible_canonical(genome)
+            if canon is not None and canon not in seen:
+                seen.add(canon)
+                out.append(canon)
             # Odometer increment in lexicographic order.
             for i in range(len(sizes) - 1, -1, -1):
                 genome[i] += 1

@@ -239,6 +239,26 @@ class TestBandwidthCommand:
         code = main(["bandwidth", "--shape", "2x2x2", "--sizes-mb", "a,b"])
         assert code == 2
 
+    def test_fault_schedule_is_read_once_per_size(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """Each size's platform reads the schedule; the header prints
+        the label the results carry instead of building one more."""
+        from repro.network.fault_schedule import FaultSchedule
+
+        schedule = tmp_path / "flap.json"
+        schedule.write_text(json.dumps({"events": [
+            {"time": 1000, "action": "link_down", "link": [0, 1]},
+            {"time": 5000, "action": "link_up", "link": [0, 1]}]}))
+        reads = []
+        from_file = FaultSchedule.from_file.__func__
+        monkeypatch.setattr(FaultSchedule, "from_file", classmethod(
+            lambda cls, path: reads.append(path) or from_file(cls, path)))
+        code = main(["bandwidth", "--shape", "2x2x2", "--sizes-mb", "0.25",
+                     "--fault-schedule", str(schedule)])
+        assert code == 0
+        assert reads == [str(schedule)]
+        assert "bandwidth test on torus-2x2x2:" in capsys.readouterr().out
+
 
 class TestMemoryCommand:
     def test_memory_report(self, capsys):
