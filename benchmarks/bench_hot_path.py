@@ -1,11 +1,13 @@
 """Hot-path macro-benchmark: the canonical throughput figures.
 
-Six benchmarks — three representative simulations (a fast-backend
+Seven benchmarks — three representative simulations (a fast-backend
 all-reduce, a fast-backend all-to-all over a switch fabric, a detailed
 flit-level all-reduce), one larger fast-backend all-reduce (256 NPUs), a
-detailed all-reduce of small messages (1x8x8, 64 KB: 28,672 four-flit
-messages), and a pure :class:`~repro.events.engine.EventQueue` schedule/cancel
-microbench.  Together they exercise every hot path the perf work
+fast-backend all-to-all over 2 switches shared by 3 peers (2x4, 4 MB),
+whose messages/sec falls several-fold if switch fabrics lose the
+quotient run, a detailed all-reduce of small messages (1x8x8, 64 KB:
+28,672 four-flit messages), and a pure
+:class:`~repro.events.engine.EventQueue` schedule/cancel microbench.  Together they exercise every hot path the perf work
 touches: the event-queue run loop, bucketed scheduling and lazy
 cancellation, ``FastBackend.send`` + ``Link.reserve`` + delivery, the
 channel route caches, and the detailed backend's
@@ -168,6 +170,10 @@ def run_benchmarks() -> tuple[list[RunProfile], dict[str, float]]:
         ("fast_alltoall_4x8_1mb",
          lambda: alltoall_platform(AllToAllShape(local=4, packages=8)),
          CollectiveOp.ALL_TO_ALL, 1 * MB),
+        ("fast_alltoall_2x4_s2_4mb",
+         lambda: alltoall_platform(AllToAllShape(local=2, packages=4),
+                                   global_switches=2),
+         CollectiveOp.ALL_TO_ALL, 4 * MB),
     ]
 
     def _detailed_spec(shape: TorusShape, **kwargs):

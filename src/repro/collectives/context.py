@@ -166,6 +166,9 @@ class CollectiveContext:
     as the one it receives from its predecessor, and phase stats count
     each message ``copies`` times.  :class:`repro.system.sys_layer.System`
     chooses it (docs/PERFORMANCE.md, "Quotient run").
+
+    ``set_id`` is the owning set's number; direct exchanges rank their
+    same-time flushes by it first.
     """
 
     def __init__(
@@ -177,6 +180,7 @@ class CollectiveContext:
         injection_policy: InjectionPolicy = InjectionPolicy.NORMAL,
         breakdown: Optional[DelayBreakdown] = None,
         copies: int = 1,
+        set_id: int = 0,
     ):
         if endpoint_delay_cycles < 0:
             raise CollectiveError("endpoint delay must be >= 0")
@@ -192,6 +196,7 @@ class CollectiveContext:
         self.injection_policy = injection_policy
         self.breakdown = breakdown
         self.copies = copies
+        self.set_id = set_id
         #: Whether the backend reports delivery failures (the reliable
         #: transport); algorithms build ``on_failed`` callbacks only then.
         self.reliable: bool = getattr(backend, "supports_failure_callback", False)

@@ -19,6 +19,12 @@ A bucket holds two kinds of entries: bare callbacks from the handle-less
 :meth:`EventQueue.schedule`, which carry the state an
 :class:`EventHandle` cancels.
 
+Besides events, a time can hold *end-of-time hooks*
+(:meth:`EventQueue.at_end_of_time`): callbacks that run once every entry
+of the current time has fired, in the order of a rank their caller
+chose, not in the order they were registered.  A direct exchange sends
+its messages from one (docs/DETERMINISM.md, "End-of-time flush").
+
 Time is kept in floating-point *cycles*.  The mapping between cycles and
 wall-clock seconds is owned by the configuration layer (``ClockConfig``),
 not by the engine.
@@ -32,7 +38,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -64,6 +70,7 @@ class _ScheduledEvent:
 
 
 _rank = attrgetter("tiebreak", "seq")
+_hook_rank = itemgetter(0)
 
 
 class EventHandle:
@@ -157,6 +164,9 @@ class EventQueue:
         #: installed, :meth:`at` schedules a ranked event too; install it
         #: before scheduling.
         self.tie_breaker: Optional[Callable[[float, int], int]] = None
+        #: End-of-time hooks registered at ``now``, as ``(rank,
+        #: callback)`` (see :meth:`at_end_of_time`).
+        self._end_of_time: list[tuple[Any, EventCallback]] = []
 
     # -- introspection ---------------------------------------------------------
 
@@ -309,6 +319,30 @@ class EventQueue:
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_at(self.now + delay, callback)
 
+    def at_end_of_time(self, rank: Any, callback: EventCallback) -> None:
+        """Run ``callback`` once every entry of the current time has fired,
+        before time advances.
+
+        The hooks of one time run together, sorted by ``rank``: callers
+        pass distinct ranks that do not depend on event order, so no
+        same-timestamp permutation (:attr:`tie_breaker`) moves them.  A
+        hook is not an event (it is not counted, and no watcher sees
+        it).  Entries it schedules at the current time fire after it,
+        then any hooks they register.  A hook registered outside
+        :meth:`run` runs at the start of the next drain.
+        """
+        if self.now not in self._buckets:
+            self._buckets[self.now] = deque()
+            heapq.heappush(self._heap, self.now)
+        self._end_of_time.append((rank, callback))
+
+    def _run_end_of_time(self) -> None:
+        """Run the registered end-of-time hooks in rank order."""
+        hooks, self._end_of_time = self._end_of_time, []
+        hooks.sort(key=_hook_rank)
+        for _rank, callback in hooks:
+            callback()
+
     # -- draining --------------------------------------------------------------
 
     def _peek_live(self) -> Optional[_ScheduledEvent]:
@@ -318,9 +352,10 @@ class EventQueue:
         A bare ``at`` callback at the head is wrapped in place into an
         event (``seq`` -1) so that instrumented :meth:`step` overrides see
         one shape.  The returned event is left queued (callers commit via
-        :meth:`_pop_live`).  :meth:`run`'s fast loop keeps the same
-        bookkeeping, so ``pending`` and the compaction trigger agree
-        whichever path drains the queue.
+        :meth:`_pop_live`).  When a time's bucket is empty, its end-of-time
+        hooks run before the time is dropped.  :meth:`run`'s fast loop
+        keeps the same bookkeeping, so ``pending``, the compaction trigger
+        and the hooks agree whichever path drains the queue.
         """
         heap = self._heap
         buckets = self._buckets
@@ -338,6 +373,9 @@ class EventQueue:
                 bucket.popleft()
                 self._scheduled -= 1
                 self._cancelled_in_heap -= 1
+            if self._end_of_time:
+                self._run_end_of_time()
+                continue
             heapq.heappop(heap)
             del buckets[time]
         return None
@@ -460,6 +498,10 @@ class EventQueue:
                     watcher = self.watcher
                     if watcher is not None:
                         watcher(self)
+                if self._end_of_time:
+                    # The hooks may add entries at t: drain them too.
+                    self._run_end_of_time()
+                    continue
                 heappop(heap)
                 del buckets[t]
         finally:
@@ -493,6 +535,7 @@ class EventQueue:
         self._scheduled = 0
         self._cancelled_in_heap = 0
         self._compactions = 0
+        self._end_of_time.clear()
 
 
 class CountdownBarrier:

@@ -13,6 +13,7 @@ chunks across rings, while alltoall drives only 7 links).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.collectives.types import CollectiveOp
@@ -57,11 +58,14 @@ def schedule_probes(size_bytes: float = 64 * 1024) -> list:
 
     Small payloads (one sweep point per topology x collective) keep
     ``astra-repro analyze --schedule`` runs short; the race detector
-    re-runs each probe once per trial.
+    re-runs each probe once per trial.  Two more all-reduce probes share
+    switches between peers (2 switches on 2x4, 4 on 1x8; 4 chunks of
+    4 MB): several senders reserve one downlink there, so their results
+    hold only because direct exchanges send in one canonical order.
     """
     from repro.sanitize.schedule import CollectiveProbe
 
-    return [
+    probes = [
         CollectiveProbe(
             label=f"fig09/{name}/{op.value}",
             platform_builder=builder,
@@ -71,3 +75,13 @@ def schedule_probes(size_bytes: float = 64 * 1024) -> list:
         for name, builder in (("alltoall", _alltoall), ("torus", _torus))
         for op in (CollectiveOp.ALL_TO_ALL, CollectiveOp.ALL_REDUCE)
     ]
+    for local, packages, switches in ((2, 4, 2), (1, 8, 4)):
+        probes.append(CollectiveProbe(
+            label=f"fig09/alltoall-{local}x{packages}-s{switches}/allreduce",
+            platform_builder=partial(
+                alltoall_platform, AllToAllShape(local=local, packages=packages),
+                global_switches=switches, preferred_set_splits=4),
+            op=CollectiveOp.ALL_REDUCE,
+            size_bytes=4.0 * 1024 * 1024,
+        ))
+    return probes

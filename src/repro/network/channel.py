@@ -213,6 +213,11 @@ class SwitchChannel:
     def size(self) -> int:
         return len(self.nodes)
 
+    @property
+    def links(self) -> list[Link]:
+        """Every uplink, then every downlink."""
+        return [*self.uplinks.values(), *self.downlinks.values()]
+
     def path(self, src: int, dst: int) -> list[Link]:
         cached = self._path_cache.get((src, dst))
         if cached is not None:

@@ -45,7 +45,7 @@ from repro.system.stats import DelayBreakdown
 #: Code-version component of every cache key.  Bump on any change that
 #: alters simulated timing (collective schedules, link model, backend
 #: behavior): stale results must never be served across such a change.
-CACHE_SALT = "astra-repro/run-cache/v1"
+CACHE_SALT = "astra-repro/run-cache/v2"
 
 #: Payload schema version; entries with another schema are misses.
 #: 2: the breakdown carries ``ready_queue_count`` and compacted delays.

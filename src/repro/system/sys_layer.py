@@ -22,7 +22,7 @@ from repro.config.parameters import PacketRouting, SimulationConfig
 from repro.errors import SimulationError
 from repro.events.engine import EventQueue
 from repro.network.api import NetworkBackend
-from repro.network.channel import RingChannel
+from repro.network.channel import RingChannel, SwitchChannel
 from repro.network.fast_backend import FastBackend
 from repro.network.physical.fabric import Ring
 from repro.system.collective_set import CollectiveSet, split_into_chunks
@@ -169,6 +169,7 @@ class System:
             injection_policy=sys_cfg.injection_policy,
             breakdown=collective.breakdown,
             copies=self._copies,
+            set_id=collective.set_id,
         )
         self.sets.append(collective)
         self.scheduler.enqueue_set(collective, ctx)
@@ -204,16 +205,22 @@ class System:
         every NPU runs the same event sequence up to translation, 1 (the
         full run) otherwise.
 
-        The fabric must be rings only, each channel a plain
-        :class:`RingChannel` whose links still hold their block's link
-        config and carry no traffic yet, so every NPU's neighbourhood is
-        a translate of NPU 0's.  Software routing keeps every message on
-        one link (a multi-hop reservation orders messages of different
-        NPUs by event sequence on a shared link).  Anything that observes
-        or perturbs individual messages keeps the full run: another
-        backend or the reliable transport, a fault schedule, the
-        sanitizer, the watchdog, tracing, a caller's event queue (the
-        schedule-perturbation detector's) and point-to-point traffic.
+        Every block must be a ring or a global switch whose links still
+        hold their block's link config and carry no traffic yet, so every
+        NPU's neighbourhood is a translate of NPU 0's.  A ring block's
+        channels must be plain :class:`RingChannel` objects (a mapped
+        ring routes over links other rings share).  A switch block's
+        uplinks and downlinks are per NPU, and a direct exchange sends
+        its messages in one translation-invariant order
+        (:mod:`repro.collectives.direct_algorithms`), so NPU 0's messages
+        into one fixed peer's downlink stand for every NPU's.  Software
+        routing keeps every ring message on one link (a multi-hop
+        reservation orders messages of different NPUs by event sequence
+        on a shared link).  Anything that observes or perturbs individual
+        messages keeps the full run: another backend or the reliable
+        transport, a fault schedule, the sanitizer, the watchdog,
+        tracing, a caller's event queue (the schedule-perturbation
+        detector's) and point-to-point traffic.
         """
         fabric = self.topology.fabric
         backend = self.backend
@@ -224,11 +231,10 @@ class System:
                 or self.config.system.packet_routing is not PacketRouting.SOFTWARE):
             return 1
         for block in fabric.blocks:
-            if not isinstance(block, Ring):
-                return 1
+            channel_type = RingChannel if isinstance(block, Ring) else SwitchChannel
             for channels in fabric.channels.get(block.dim, {}).values():
                 for channel in channels:
-                    if not isinstance(channel, RingChannel):
+                    if type(channel) is not channel_type:
                         return 1
                     for link in channel.links:
                         if link.config is not block.link or link.next_free:

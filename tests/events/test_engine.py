@@ -637,3 +637,68 @@ class TestResetDeterminism:
         assert q.heap_size == 0
         q.schedule_at(1.0, lambda: None)
         assert q.pending == 1
+
+
+@pytest.mark.parametrize("queue_type", [EventQueue, _StepCountingQueue],
+                         ids=["run-loop", "step-path"])
+class TestEndOfTime:
+    """End-of-time hooks run once every entry of their time has fired,
+    in rank order, on both drain paths."""
+
+    def test_hooks_run_after_the_time_in_rank_order(self, queue_type):
+        q = queue_type()
+        fired: list = []
+
+        def register(name, rank):
+            return lambda: q.at_end_of_time(rank, _recorder(fired, name))
+
+        q.at(5.0, register("b", (1, 0)))
+        q.at(5.0, _recorder(fired, "e1"))
+        q.at(5.0, register("a", (0, 3)))
+        q.at(5.0, _recorder(fired, "e2"))
+        q.at(6.0, _recorder(fired, "later"))
+        q.run()
+        assert fired == ["e1", "e2", "a", "b", "later"]
+
+    def test_rank_order_holds_under_a_seeded_permutation(self, queue_type):
+        orders = set()
+        for seed in range(6):
+            q = queue_type()
+            q.tie_breaker = SeededTieBreak(seed)
+            fired: list = []
+            for rank in (3, 0, 2, 1):
+                q.at(1.0, lambda rank=rank: q.at_end_of_time(
+                    rank, _recorder(fired, rank)))
+            q.run()
+            orders.add(tuple(fired))
+        assert orders == {(0, 1, 2, 3)}
+
+    def test_entries_a_hook_schedules_now_fire_before_time_advances(self, queue_type):
+        q = queue_type()
+        fired: list = []
+
+        def hook():
+            fired.append(("hook", q.now))
+            q.at(q.now, lambda: fired.append(("same time", q.now)))
+            q.at(q.now + 1.0, lambda: fired.append(("next", q.now)))
+
+        q.at(2.0, lambda: q.at_end_of_time(0, hook))
+        q.run()
+        assert fired == [("hook", 2.0), ("same time", 2.0), ("next", 3.0)]
+
+    def test_hook_registered_outside_a_run(self, queue_type):
+        q = queue_type()
+        fired: list = []
+        q.at_end_of_time(0, _recorder(fired, "hook"))
+        q.run()
+        assert fired == ["hook"]
+        assert q.now == 0.0 and q.pending == 0
+        assert q.events_processed == 0
+
+    def test_reset_drops_pending_hooks(self, queue_type):
+        q = queue_type()
+        fired: list = []
+        q.at_end_of_time(0, _recorder(fired, "hook"))
+        q.reset()
+        q.run()
+        assert fired == []

@@ -9,10 +9,10 @@ logical-event counts.  The constants in ``PINS`` were captured from the
 reference implementation; a refactor of the hot path must reproduce them
 exactly.
 
-The eight ``ring-*-software-*`` cases run as quotient runs (NPU 0
-simulated for all 16 NPUs, docs/PERFORMANCE.md): their cycles, phases
-and payload are the full run's, while the host counters (``delivered``,
-``events``) are NPU 0's.  ``FULL_RUN_PINS`` keeps the full run's
+The eight ``ring-*-software-*`` cases and the four ``direct-*`` cases
+run as quotient runs (NPU 0 simulated for all 16 or 8 NPUs,
+docs/PERFORMANCE.md): their cycles, phases and payload are the full
+run's, while the host counters (``delivered``, ``events``) are NPU 0's.  ``FULL_RUN_PINS`` keeps the full run's
 counters, reproduced by the same case under the sanitizer, which forces
 the full run.
 
@@ -140,10 +140,10 @@ def fingerprint(key: str, sanitize: bool | None = None) -> dict:
 PINS: dict = {
     'detailed-a2a': {'cycles': '0x1.4615c9882b932p+10', 'phases': [[1, 32, '0x0.0p+0', '0x1.42fa8d9df51b4p+12', '0x1.0000000000000p+18'], [2, 32, '0x0.0p+0', '0x1.124c415c98825p+14', '0x1.0000000000000p+18'], [3, 32, '0x0.0p+0', '0x1.124c415c98836p+14', '0x1.0000000000000p+18']], 'payload': '8d8e635352714278', 'delivered': [96, '0x1.8000000000000p+19'], 'events': [400, 12480], 'transport': None},
     'detailed-ar': {'cycles': '0x1.452b931057245p+11', 'phases': [[1, 64, '0x0.0p+0', '0x1.2f3bea3677d35p+13', '0x1.0000000000000p+19'], [2, 64, '0x0.0p+0', '0x1.124c415c98824p+15', '0x1.0000000000000p+19'], [3, 64, '0x0.0p+0', '0x1.124c415c98800p+15', '0x1.0000000000000p+19']], 'payload': '85318802eeb65a57', 'delivered': [192, '0x1.8000000000000p+20'], 'events': [608, 24768], 'transport': None},
-    'direct-a2a': {'cycles': '0x1.0894415c9882cp+13', 'phases': [[1, 32, '0x1.972620ae4c416p+13', '0x1.c42620ae4c416p+14', '0x1.0000000000000p+20'], [2, 96, '0x1.9077d46cefa8ep+17', '0x1.653e4c415c989p+17', '0x1.8000000000000p+20']], 'payload': '4bba4c79d27936cd', 'delivered': [128, '0x1.4000000000000p+21'], 'events': [288, 288], 'transport': None},
-    'direct-ag': {'cycles': '0x1.32a5c9882b931p+12', 'phases': [[1, 96, '0x1.dccefa8d9df51p+16', '0x1.b459310572621p+16', '0x1.8000000000000p+19'], [2, 32, '0x0.0p+0', '0x1.c42620ae4c416p+14', '0x1.0000000000000p+20']], 'payload': 'ef3a4ed44cb415da', 'delivered': [128, '0x1.c000000000000p+20'], 'events': [256, 256], 'transport': None},
-    'direct-ar': {'cycles': '0x1.fa323677d46ccp+13', 'phases': [[1, 64, '0x1.105c9882b9310p+15', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 192, '0x1.0dd86cefa8d9dp+19', '0x1.69377d46cefa6p+18', '0x1.8000000000000p+21']], 'payload': 'dbbe24a6317cdac0', 'delivered': [256, '0x1.4000000000000p+22'], 'events': [512, 512], 'transport': None},
-    'direct-rs': {'cycles': '0x1.3525c9882b931p+12', 'phases': [[1, 32, '0x1.972620ae4c416p+13', '0x1.c42620ae4c416p+14', '0x1.0000000000000p+20'], [2, 96, '0x1.4420ae4c415cap+16', '0x1.b459310572622p+16', '0x1.8000000000000p+19']], 'payload': '71dd8bcd67b01a40', 'delivered': [128, '0x1.c000000000000p+20'], 'events': [256, 256], 'transport': None},
+    'direct-a2a': {'cycles': '0x1.d19572620ae4dp+12', 'phases': [[1, 32, '0x1.972620ae4c416p+13', '0x1.c42620ae4c416p+14', '0x1.0000000000000p+20'], [2, 96, '0x1.9077d46cefa8ep+17', '0x1.0dd415c9882bbp+17', '0x1.8000000000000p+20']], 'payload': 'dd15cd29486dec98', 'delivered': [16, '0x1.4000000000000p+18'], 'events': [36, 36], 'transport': None},
+    'direct-ag': {'cycles': '0x1.12dc415c9882cp+12', 'phases': [[1, 96, '0x1.dccefa8d9df51p+16', '0x1.5ceefa8d9df52p+16', '0x1.8000000000000p+19'], [2, 32, '0x0.0p+0', '0x1.c42620ae4c416p+14', '0x1.0000000000000p+20']], 'payload': '459624270556ae87', 'delivered': [16, '0x1.c000000000000p+17'], 'events': [32, 32], 'transport': None},
+    'direct-ar': {'cycles': '0x1.da68ae4c415c7p+13', 'phases': [[1, 64, '0x1.105c9882b9310p+15', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 192, '0x1.25af931057261p+19', '0x1.0dd415c9882b8p+18', '0x1.8000000000000p+21']], 'payload': '4b788e8d053fa4ef', 'delivered': [32, '0x1.4000000000000p+19'], 'events': [64, 64], 'transport': None},
+    'direct-rs': {'cycles': '0x1.155c415c9882cp+12', 'phases': [[1, 32, '0x1.972620ae4c416p+13', '0x1.c42620ae4c416p+14', '0x1.0000000000000p+20'], [2, 96, '0x1.4420ae4c415cap+16', '0x1.5ceefa8d9df53p+16', '0x1.8000000000000p+19']], 'payload': 'f0117891ea499464', 'delivered': [16, '0x1.c000000000000p+17'], 'events': [32, 32], 'transport': None},
     'fast-ar-sanitized': {'cycles': '0x1.ddc8d9df51b3ap+13', 'phases': [[1, 128, '0x1.105c9882b9310p+16', '0x1.c42620ae4c416p+16', '0x1.0000000000000p+22'], [2, 128, '0x0.0p+0', '0x1.174c415c9882cp+18', '0x1.0000000000000p+22'], [3, 384, '0x0.0p+0', '0x1.c872620ae4c3ep+18', '0x1.8000000000000p+22']], 'payload': 'c4558e2d1fd10a83', 'delivered': [640, '0x1.c000000000000p+23'], 'events': [1280, 1280], 'transport': None},
     'ring-a2a-hardware-aggressive': {'cycles': '0x1.116afa8d9df50p+14', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 192, '0x1.acb0a8d9df519p+19', '0x1.2a260ae4c415bp+18', '0x1.8000000000000p+21']], 'payload': 'd5be0b97da50a85b', 'delivered': [320, '0x1.c000000000000p+22'], 'events': [832, 832], 'transport': None},
     'ring-a2a-hardware-normal': {'cycles': '0x1.e575f51b3bea0p+13', 'phases': [[1, 64, '0x1.972620ae4c416p+14', '0x1.c42620ae4c416p+15', '0x1.0000000000000p+21'], [2, 64, '0x0.0p+0', '0x1.174c415c9882cp+17', '0x1.0000000000000p+21'], [3, 192, '0x1.998d882b93102p+17', '0x1.1feb1b3bea366p+18', '0x1.8000000000000p+21']], 'payload': '6664dbc071d1cbd4', 'delivered': [320, '0x1.c000000000000p+22'], 'events': [832, 832], 'transport': None},
@@ -170,6 +170,10 @@ PINS: dict = {
 #: The full run's host counters of the quotient-run cases (see the
 #: module docstring); everything else of the full run is ``PINS``.
 FULL_RUN_PINS: dict = {
+    'direct-a2a': {'delivered': [128, '0x1.4000000000000p+21'], 'events': [288, 288]},
+    'direct-ag': {'delivered': [128, '0x1.c000000000000p+20'], 'events': [256, 256]},
+    'direct-ar': {'delivered': [256, '0x1.4000000000000p+22'], 'events': [512, 512]},
+    'direct-rs': {'delivered': [128, '0x1.c000000000000p+20'], 'events': [256, 256]},
     'ring-a2a-software-aggressive': {'delivered': [512, '0x1.4000000000000p+23'], 'events': [1216, 1216]},
     'ring-a2a-software-normal': {'delivered': [512, '0x1.4000000000000p+23'], 'events': [1216, 1216]},
     'ring-ag-software-aggressive': {'delivered': [320, '0x1.e000000000000p+21'], 'events': [640, 640]},

@@ -127,8 +127,19 @@ class TestDivergenceDetection:
 class TestHarnessProbes:
     def test_fig09_probe_batch(self):
         labels = [p.label for p in fig09.schedule_probes()]
-        assert len(labels) == 4
+        assert len(labels) == 6
         assert all(label.startswith("fig09/") for label in labels)
+        assert "fig09/alltoall-2x4-s2/allreduce" in labels
+        assert "fig09/alltoall-1x8-s4/allreduce" in labels
+
+    def test_shared_switch_probes_are_schedule_identical(self):
+        """Several senders share a downlink here; direct exchanges send in
+        one canonical order, so no same-time permutation moves a result."""
+        probes = [p for p in fig09.schedule_probes() if "-s" in p.label]
+        assert len(probes) == 2
+        for probe in probes:
+            report = run_schedule_trials(probe, trials=4)
+            assert report.identical, report.summary()
 
     def test_fig12_probe_batch(self):
         labels = [p.label for p in fig12.schedule_probes()]
