@@ -146,6 +146,9 @@ class ChunkExecution:
     def _leave_phase(self, node: int, phase_idx: int) -> None:
         self._nodes_in_phase[phase_idx] -= 1
         self._nodes_left_phase[phase_idx] += 1
+        next_idx = phase_idx + 1
+        if next_idx < len(self.plan):
+            self._enter_phase(node, next_idx)
         if self._nodes_left_phase[phase_idx] == len(self.nodes):
             # Every node has passed through this phase (a transient zero
             # while slow groups are still upstream does not count).  From
@@ -155,10 +158,7 @@ class ChunkExecution:
             self._instances[phase_idx] = None
             if self.on_phase_done is not None:
                 self.on_phase_done(self.chunk_index, phase_idx)
-        next_idx = phase_idx + 1
-        if next_idx < len(self.plan):
-            self._enter_phase(node, next_idx)
-        else:
+        if next_idx == len(self.plan):
             self._finished_nodes += 1
             if self._finished_nodes == len(self.nodes):
                 self.finished_at = self.ctx.now

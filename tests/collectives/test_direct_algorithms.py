@@ -116,8 +116,8 @@ class TestSwitchSpreading:
                                  lsq_offset=0)
         a1 = DirectReduceScatter(platform.ctx, NODES, switches, 4000.0,
                                  lsq_offset=1)
-        s0 = a0._switch_for(0, 1)
-        s1 = a1._switch_for(0, 1)
+        s0 = a0._switch_at(1)
+        s1 = a1._switch_at(1)
         assert s0.switch_id != s1.switch_id
 
     def test_distance_spread_contention_free(self, platform):
@@ -125,14 +125,14 @@ class TestSwitchSpreading:
         (uplinks), and so do each receiver's (downlinks)."""
         switches = make_switches(3, NODES)
         algo = DirectReduceScatter(platform.ctx, NODES, switches, 4000.0)
+        def switch_id(src, dst):
+            distance = (NODES.index(dst) - NODES.index(src)) % len(NODES)
+            return algo._switch_at(distance).switch_id
+
         for src in NODES:
-            used = {algo._switch_for(src, dst).switch_id
-                    for dst in NODES if dst != src}
-            assert len(used) == 3
+            assert len({switch_id(src, dst) for dst in NODES if dst != src}) == 3
         for dst in NODES:
-            used = {algo._switch_for(src, dst).switch_id
-                    for src in NODES if src != dst}
-            assert len(used) == 3
+            assert len({switch_id(src, dst) for src in NODES if src != dst}) == 3
 
     def test_duplicate_nodes_rejected(self, platform):
         with pytest.raises(CollectiveError):
