@@ -38,7 +38,7 @@ def main() -> None:
     network = paper_network_config()
     fabric = build_torus_topology(TorusShape(1, 8, 1), network,
                                   SystemConfig(horizontal_rings=1)).fabric
-    physical = fabric.channels[Dimension.HORIZONTAL][(0, 0)][0]
+    physical = fabric.channels_for(Dimension.HORIZONTAL, (0, 0))[0]
     size = 4 * MB
 
     t_physical = time_all_reduce(physical, network, size)

@@ -26,7 +26,6 @@ from repro.collectives.ring_algorithms import (
     RingReduceScatter,
 )
 from repro.collectives.types import CollectiveOp, PhaseSpec
-from repro.dims import Dimension
 from repro.errors import CollectiveError
 from repro.network.channel import HopRing, SwitchChannel
 from repro.network.physical.fabric import Fabric
@@ -200,7 +199,9 @@ class ChunkExecution:
                 label=label,
             )
         elif isinstance(first, SwitchChannel):
-            nodes = self._alltoall_group_nodes(group)
+            # The group's NPUs in package order: one per package, at the
+            # same local index.
+            nodes = self.fabric.group_members(spec.dim, group)
             algorithm = _DIRECT_ALGORITHMS[spec.op]
             instance = algorithm(
                 self.ctx, nodes, channels, size,
@@ -226,11 +227,3 @@ class ChunkExecution:
             f"phase {phase_index}/{len(self.plan)} "
             f"({spec.op.value} over {spec.dim.name}) of {self.label}"
         )
-
-    def _alltoall_group_nodes(self, group: tuple) -> list[int]:
-        """Members of an alltoall-dimension group, in package order (the
-        NPUs with the same local index across all packages)."""
-        fabric = self.fabric
-        axis = next(i for i, block in enumerate(fabric.blocks)
-                    if block.dim is Dimension.ALLTOALL)
-        return dict(fabric.block_groups(axis))[group]

@@ -50,8 +50,9 @@ class HopRing:
         #: a position dict raised search_fig09 peak RSS from 46.05 to
         #: 47.69 MB, and this table stacked on both the position dict and
         #: a neighbour route cache from 45.5 to 48.8 MB: the search holds
-        #: all 312 points' systems (6,696 rings) alive at once, so any
-        #: duplicated per-node state is paid 6,696 times.
+        #: all 312 points' systems alive at once, so any duplicated
+        #: per-node state is paid once per ring they built (6,696 rings
+        #: then; 1,968 since fabrics build only the groups a run touches).
         self.hops = {node: (i, nodes[(i + 1) % n], hop_paths[i])
                      for i, node in enumerate(nodes)}
         #: Multi-hop routes (all-to-all under hardware routing, reroutes

@@ -11,16 +11,18 @@ The paper's fabrics (Fig. 3, Sec. III-C) stack two kinds of dimension:
   dimension share them.
 
 Block order is both the NPU numbering (the first block has stride 1) and
-the link build order.  A dimension's groups enumerate the other
-coordinates lowest-stride first, and a group key is those coordinates in
-block order.  Collectives still traverse dimensions in
+the order of :attr:`Fabric.links`.  A dimension's groups enumerate the
+other coordinates lowest-stride first, and a group key is those
+coordinates in block order.  A group's links are built when the group is
+first asked for, but they are listed in that order whatever order the
+groups were built in.  Collectives still traverse dimensions in
 :data:`~repro.dims.TRAVERSAL_ORDER`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from repro.config.parameters import LinkConfig, NetworkConfig
 from repro.config.units import Clock, DEFAULT_CLOCK
@@ -77,7 +79,15 @@ Block = Union[Ring, Switch]
 
 
 class Fabric:
-    """Every physical link of a system plus per-dimension channel groups."""
+    """Every physical link of a system plus per-dimension channel groups.
+
+    A group's links and channels are built the first time something asks
+    for the group (:meth:`channels_for`), so a quotient run, which
+    simulates NPU 0 alone, builds only NPU 0's group of each ring
+    dimension.  :attr:`links`, :attr:`channels` and :meth:`groups` build
+    whatever is still missing and list it in block-then-group order,
+    whatever order the groups were built in.
+    """
 
     def __init__(
         self,
@@ -85,46 +95,6 @@ class Fabric:
         network: NetworkConfig,
         clock: Clock = DEFAULT_CLOCK,
     ):
-        self._set_blocks(blocks)
-        self.network = network
-        self.clock = clock
-        self.links: list[Link] = []
-        #: Serialization memos shared by every link of this fabric (see
-        #: :class:`Link`): one per link config rather than one per link.
-        self._serialization_memos: dict = {}
-        #: channels[dim][group_key] -> list of parallel channels for that group
-        self.channels: dict[Dimension, dict[GroupKey, list[Channel]]] = {}
-        for axis, block in enumerate(self.blocks):
-            if block.size < 2:
-                continue
-            if isinstance(block, Switch):
-                # At most one Switch block, so its ids follow the NPUs'.
-                switches = [self._build_switch(block, self.num_npus + i)
-                            for i in range(block.switches)]
-                for key, _members in self.block_groups(axis):
-                    self._add_channels(block.dim, key, switches)
-                continue
-            if block.bidirectional:
-                directions = [(f"{r}{tag}", reverse) for r in range(block.rings)
-                              for tag, reverse in (("cw", False), ("ccw", True))]
-            else:
-                directions = [(str(r), bool(r % 2)) for r in range(block.rings)]
-            for key, members in self.block_groups(axis):
-                name = f"{block.dim.value}{key}#"
-                rings = [self._build_ring(members, block, name + tag, reverse)
-                         for tag, reverse in directions]
-                # Rings come in counter-rotating pairs 2i/2i+1; a trailing
-                # unpaired ring (odd unidirectional count) has no partner.
-                for i in range(0, len(rings) - 1, 2):
-                    pair_reverse_rings(rings[i], rings[i + 1])
-                self._add_channels(block.dim, key, rings)
-        if not self.channels:
-            raise TopologyError("degenerate fabric: every dimension has size 1")
-
-    # -- coordinates ------------------------------------------------------------
-
-    def _set_blocks(self, blocks: Sequence[Block]) -> None:
-        """Validate ``blocks`` and derive the NPU numbering from them."""
         blocks = tuple(blocks)
         if not blocks:
             raise TopologyError("a fabric needs at least one dimension block")
@@ -147,6 +117,24 @@ class Fabric:
                         if other is not block]
             for block in blocks
         }
+        self.network = network
+        self.clock = clock
+        #: Serialization memos shared by every link of this fabric (see
+        #: :class:`Link`): one per link config rather than one per link.
+        self._serialization_memos: dict = {}
+        #: dim -> {group key: parallel channels}, one entry per group built
+        #: so far (see :meth:`built_groups`).
+        self._built: dict[Dimension, dict[GroupKey, list[Channel]]] = {
+            block.dim: {} for block in self.blocks if block.size >= 2}
+        if not self._built:
+            raise TopologyError("degenerate fabric: every dimension has size 1")
+        #: The switch block's switches, built with its first group and
+        #: shared by all of its groups.
+        self._switches: list[SwitchChannel] | None = None
+        #: Every link in block-then-group order, once all groups are built.
+        self._links: list[Link] | None = None
+
+    # -- coordinates ------------------------------------------------------------
 
     def coords(self, npu: int) -> tuple[int, ...]:
         if not 0 <= npu < self.num_npus:
@@ -188,13 +176,36 @@ class Fabric:
             for base in range(high, high + stride)
         ]
 
-    # -- construction helpers -------------------------------------------------
+    # -- construction ------------------------------------------------------------
+
+    def _build_group(self, dim: Dimension, group: GroupKey) -> list[Channel]:
+        """Build the channels of one group: its rings, or the switch
+        block's switches on its first group."""
+        members = self.group_members(dim, group)  # raises for a bad key
+        block = self.blocks[self._axis(dim)]
+        if isinstance(block, Switch):
+            if self._switches is None:
+                # At most one Switch block, so its ids follow the NPUs'.
+                self._switches = [self._build_switch(block, self.num_npus + i)
+                                  for i in range(block.switches)]
+            return self._switches
+        if block.bidirectional:
+            directions = [(f"{r}{tag}", reverse) for r in range(block.rings)
+                          for tag, reverse in (("cw", False), ("ccw", True))]
+        else:
+            directions = [(str(r), bool(r % 2)) for r in range(block.rings)]
+        name = f"{block.dim.value}{group}#"
+        rings = [self._build_ring(members, block, name + tag, reverse)
+                 for tag, reverse in directions]
+        # Rings come in counter-rotating pairs 2i/2i+1; a trailing
+        # unpaired ring (odd unidirectional count) has no partner.
+        for i in range(0, len(rings) - 1, 2):
+            pair_reverse_rings(rings[i], rings[i + 1])
+        return rings
 
     def _new_link(self, src: int, dst: int, config: LinkConfig, kind: str) -> Link:
-        link = Link(src, dst, config, kind=kind, clock=self.clock,
+        return Link(src, dst, config, kind=kind, clock=self.clock,
                     memos=self._serialization_memos)
-        self.links.append(link)
-        return link
 
     def _build_ring(self, nodes: list[int], block: Ring, name: str, reverse: bool) -> RingChannel:
         """Create a unidirectional ring channel with dedicated links."""
@@ -213,40 +224,78 @@ class Fabric:
         return SwitchChannel(switch_id, nodes, uplinks, downlinks,
                              name=f"{block.dim.value}-switch#{switch_id - self.num_npus}")
 
-    def _add_channels(
-        self, dim: Dimension, group: GroupKey, channels: Iterable[Channel]
-    ) -> None:
-        self.channels.setdefault(dim, {}).setdefault(group, []).extend(channels)
-
     # -- queries ---------------------------------------------------------------
+
+    def _axis(self, dim: Dimension) -> int:
+        """The block index of ``dim``; an absent or size-1 dimension raises."""
+        for axis, block in enumerate(self.blocks):
+            if block.dim is dim and block.size >= 2:
+                return axis
+        raise TopologyError(f"fabric has no {dim} dimension")
 
     @property
     def dimensions(self) -> list[Dimension]:
         """Dimensions present, in collective traversal order (Sec. III-D)."""
-        return [d for d in TRAVERSAL_ORDER if d in self.channels]
-
-    def groups(self, dim: Dimension) -> dict[GroupKey, list[Channel]]:
-        if dim not in self.channels:
-            raise TopologyError(f"fabric has no {dim} dimension")
-        return self.channels[dim]
-
-    def channels_for(self, dim: Dimension, group: GroupKey) -> list[Channel]:
-        groups = self.groups(dim)
-        if group not in groups:
-            raise TopologyError(f"no group {group} in {dim} dimension")
-        return groups[group]
+        present = {block.dim for block in self.blocks if block.size >= 2}
+        return [d for d in TRAVERSAL_ORDER if d in present]
 
     def dim_size(self, dim: Dimension) -> int:
         """Number of NPUs in each group of ``dim``: its block's size (a
         switch's channels span every NPU, but its groups hold one NPU per
         package)."""
-        self.groups(dim)  # an absent or size-1 dimension raises
-        return next(block.size for block in self.blocks if block.dim is dim)
+        return self.blocks[self._axis(dim)].size
+
+    def group_members(self, dim: Dimension, group: GroupKey) -> list[int]:
+        """The NPUs of ``group`` within ``dim``, in ring order."""
+        axis = self._axis(dim)
+        key_axes = self._key_axes[dim]
+        if len(group) != len(key_axes) or not all(
+                0 <= c < size for c, (_stride, size) in zip(group, key_axes)):
+            raise TopologyError(f"no group {group} in {dim} dimension")
+        base = sum(c * stride for c, (stride, _size) in zip(group, key_axes))
+        stride = self._strides[axis]
+        return list(range(base, base + stride * self.blocks[axis].size, stride))
+
+    def channels_for(self, dim: Dimension, group: GroupKey) -> list[Channel]:
+        """The parallel channels of ``group`` within ``dim``, built on the
+        first call."""
+        built = self._built.get(dim)
+        if built is None:
+            raise TopologyError(f"fabric has no {dim} dimension")
+        channels = built.get(group)
+        if channels is None:
+            channels = built[group] = self._build_group(dim, group)
+        return channels
+
+    def groups(self, dim: Dimension) -> dict[GroupKey, list[Channel]]:
+        """Every group of ``dim`` in enumeration order, building any still
+        missing."""
+        return {key: self.channels_for(dim, key)
+                for key, _members in self.block_groups(self._axis(dim))}
+
+    def built_groups(self, dim: Dimension) -> dict[GroupKey, list[Channel]]:
+        """The groups of ``dim`` built so far, in build order, with none
+        for a dimension the fabric lacks; builds nothing.  Read-only: a
+        group not in it has no links yet, so nothing has touched it."""
+        return self._built.get(dim, {})
+
+    @property
+    def channels(self) -> dict[Dimension, dict[GroupKey, list[Channel]]]:
+        """:meth:`groups` of every dimension, in block order."""
+        return {dim: self.groups(dim) for dim in self._built}
+
+    @property
+    def links(self) -> list[Link]:
+        """Every link in block-then-group order, building every group
+        still missing.  The order is behaviour: fault sampling and the
+        :class:`~repro.network.routing.FabricRouter` tie-breaks follow it."""
+        if self._links is None:
+            # A switch block's groups share its switches: list each once.
+            channels = dict.fromkeys(
+                channel for groups in self.channels.values()
+                for group in groups.values() for channel in group)
+            self._links = [link for channel in channels for link in channel.links]
+        return self._links
 
     def total_links(self) -> int:
         return len(self.links)
-
-    def reset(self) -> None:
-        """Clear link reservations/stats so the fabric can be reused."""
-        for link in self.links:
-            link.reset()

@@ -172,15 +172,3 @@ class Scheduler:
             # a first-phase slot, but its completion may still free budget.
             self._maybe_dispatch()
         ready.collective._chunk_finished(self._events.now)
-
-    # -- LSQ reporting ------------------------------------------------------------
-
-    def lsq_counts(self, plan) -> list[int]:
-        """Number of LSQs per phase for a plan: one per dedicated channel
-        of the phase's dimension (Sec. IV-B)."""
-        counts = []
-        for spec in plan:
-            groups = self.fabric.groups(spec.dim)
-            channels = next(iter(groups.values()))
-            counts.append(len(channels))
-        return counts

@@ -207,7 +207,9 @@ class System:
 
         Every block must be a ring or a global switch whose links still
         hold their block's link config and carry no traffic yet, so every
-        NPU's neighbourhood is a translate of NPU 0's.  A ring block's
+        NPU's neighbourhood is a translate of NPU 0's.  Only the groups
+        the fabric has built are checked: an unbuilt group has no links
+        yet, so nothing has touched it.  A ring block's
         channels must be plain :class:`RingChannel` objects (a mapped
         ring routes over links other rings share).  A switch block's
         uplinks and downlinks are per NPU, and a direct exchange sends
@@ -232,7 +234,7 @@ class System:
             return 1
         for block in fabric.blocks:
             channel_type = RingChannel if isinstance(block, Ring) else SwitchChannel
-            for channels in fabric.channels.get(block.dim, {}).values():
+            for channels in fabric.built_groups(block.dim).values():
                 for channel in channels:
                     if type(channel) is not channel_type:
                         return 1

@@ -11,29 +11,56 @@ feature exists to study.
 from __future__ import annotations
 
 from repro.config.parameters import SystemConfig, TorusShape
-from repro.dims import Dimension
 from repro.errors import TopologyError
-from repro.network.physical.fabric import Fabric, GroupKey
+from repro.network.link import Link
+from repro.network.physical.fabric import Fabric
 from repro.network.routing import FabricRouter
 from repro.topology.logical import LogicalTopology, torus_blocks
 from repro.topology.mapping import MappedRingChannel
 
 
 class _MappedFabricView(Fabric):
-    """A channel structure borrowed from a host fabric's links.
+    """The logical shape's blocks over a host fabric's links.
 
-    Shares the host's links (and thus its contention) but presents the
-    logical shape's dimensions/groups to the system layer.
+    It owns no links: every ring hop is a routed path over the host's
+    links (and thus shares their contention).  Every group is built here,
+    so a check over built groups
+    (:meth:`repro.system.sys_layer.System._quotient_copies`) sees every
+    mapped ring.
     """
 
-    def __init__(self, host: Fabric, shape: TorusShape):
-        # Deliberately skip Fabric.__init__'s link allocation: this view
-        # owns no links of its own, only the logical shape's coordinates.
-        self._set_blocks(torus_blocks(shape, host.network, SystemConfig()))
-        self.network = host.network
-        self.clock = host.clock
-        self.links = host.links
-        self.channels = {}
+    def __init__(self, host: Fabric, shape: TorusShape, rings_per_dim: int):
+        super().__init__(torus_blocks(shape, host.network, SystemConfig()),
+                         host.network, host.clock)
+        self._host = host
+        router = FabricRouter(host)
+        for axis, block in enumerate(self.blocks):
+            if block.size >= 2:
+                for group, nodes in self.block_groups(axis):
+                    self._built[block.dim][group] = _mapped_rings(
+                        router, f"mapped-{block.dim}{group}#", nodes, rings_per_dim)
+
+    @property
+    def links(self) -> list[Link]:
+        return self._host.links
+
+
+def _mapped_rings(router: FabricRouter, name: str, nodes: list[int],
+                  rings_per_dim: int) -> list[MappedRingChannel]:
+    """``rings_per_dim`` rings over ``nodes``, alternating direction, whose
+    hops are ``router``'s paths."""
+    hop_paths = [
+        router.path(nodes[i], nodes[(i + 1) % len(nodes)])
+        for i in range(len(nodes))
+    ]
+    channels = []
+    for r in range(rings_per_dim):
+        order = list(reversed(nodes)) if r % 2 else list(nodes)
+        paths = ([router.path(order[i], order[(i + 1) % len(order)])
+                  for i in range(len(order))]
+                 if r % 2 else hop_paths)
+        channels.append(MappedRingChannel(order, paths, name=f"{name}{r}"))
+    return channels
 
 
 def map_torus_onto_fabric(
@@ -56,29 +83,4 @@ def map_torus_onto_fabric(
         )
     if rings_per_dim < 1:
         raise TopologyError("rings_per_dim must be >= 1")
-
-    router = FabricRouter(physical)
-    view = _MappedFabricView(physical, shape)
-
-    def add_rings(dim: Dimension, group: GroupKey, nodes: list[int]) -> None:
-        hop_paths = [
-            router.path(nodes[i], nodes[(i + 1) % len(nodes)])
-            for i in range(len(nodes))
-        ]
-        channels = []
-        for r in range(rings_per_dim):
-            order = list(reversed(nodes)) if r % 2 else list(nodes)
-            paths = ([router.path(order[i], order[(i + 1) % len(order)])
-                      for i in range(len(order))]
-                     if r % 2 else hop_paths)
-            channels.append(MappedRingChannel(
-                order, paths, name=f"mapped-{dim}{group}#{r}"))
-        view._add_channels(dim, group, channels)
-
-    for axis, block in enumerate(view.blocks):
-        if block.size >= 2:
-            for group, nodes in view.block_groups(axis):
-                add_rings(block.dim, group, nodes)
-    if not view.channels:
-        raise TopologyError(f"degenerate logical shape {shape}")
-    return LogicalTopology(view)
+    return LogicalTopology(_MappedFabricView(physical, shape, rings_per_dim))

@@ -116,6 +116,18 @@ def _assert_quotient_equals_full(quotient_system, full_system) -> None:
         == full_system.backend.messages_delivered
 
 
+def _assert_built_groups(quotient_system, full_system) -> None:
+    """The quotient run built only NPU 0's group of each dimension (on a
+    switch dimension: every switch, which all its groups share); the full
+    run built every group."""
+    quotient = quotient_system.topology.fabric
+    full = full_system.topology.fabric
+    for dim in quotient.dimensions:
+        assert list(quotient.built_groups(dim)) == [quotient.group_of(dim, 0)]
+        axis = next(i for i, block in enumerate(full.blocks) if block.dim is dim)
+        assert set(full.built_groups(dim)) == {key for key, _ in full.block_groups(axis)}
+
+
 # -- the property --------------------------------------------------------------
 
 dims = st.integers(min_value=1, max_value=4)
@@ -159,6 +171,7 @@ def test_larger_shapes(shape):
         full = run_collective(spec, op, 200 * KB, sanitize=True)
         assert _collective_fingerprint(quotient) == _collective_fingerprint(full)
         _assert_quotient_equals_full(quotient.system, full.system)
+        _assert_built_groups(quotient.system, full.system)
 
 
 # -- switch fabrics ---------------------------------------------------------------
@@ -204,6 +217,7 @@ def test_every_alltoall_point_of_the_fig09_search():
         assert _collective_fingerprint(quotient) == _collective_fingerprint(full), \
             point.label
         _assert_quotient_equals_full(quotient.system, full.system)
+        _assert_built_groups(quotient.system, full.system)
 
 
 def _run_sets(spec, ops, sanitize=False, tie_breaker=None):

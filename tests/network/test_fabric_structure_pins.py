@@ -8,6 +8,11 @@ Group keys are left out, so a key renaming does not move a pin.  Link
 order is behaviour: fault injection samples from ``fabric.links`` and
 the router's shortest-path tie-breaks follow link insertion order, so
 the all-pairs route digests pin that too.
+
+A fabric builds each group on first use, so every pin is taken after
+three build orders: ``links`` first, NPU 0's groups first, and every
+group in reverse order.  ``links`` lists block-then-group order either
+way.
 """
 
 import dataclasses
@@ -173,11 +178,39 @@ ROUTE_PINS = {
 }
 
 
+def _links_first(fabric):
+    fabric.links
+
+
+def _npu0_first(fabric):
+    for dim in fabric.dimensions:
+        fabric.channels_for(dim, fabric.group_of(dim, 0))
+
+
+def _reversed(fabric):
+    for axis in reversed(range(len(fabric.blocks))):
+        if fabric.blocks[axis].size >= 2:
+            for key, _members in reversed(fabric.block_groups(axis)):
+                fabric.channels_for(fabric.blocks[axis].dim, key)
+
+
+BUILD_ORDERS = {"links-first": _links_first, "npu0-first": _npu0_first,
+                "reversed": _reversed}
+
+
+def _built(case, order):
+    fabric = CASES[case]()
+    BUILD_ORDERS[order](fabric)
+    return fabric
+
+
+@pytest.mark.parametrize("order", sorted(BUILD_ORDERS))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_structure_pin(case):
-    assert structure_digest(CASES[case]()) == STRUCTURE_PINS[case]
+def test_structure_pin(case, order):
+    assert structure_digest(_built(case, order)) == STRUCTURE_PINS[case]
 
 
+@pytest.mark.parametrize("order", sorted(BUILD_ORDERS))
 @pytest.mark.parametrize("case", sorted(ROUTE_PINS))
-def test_route_pin(case):
-    assert route_digest(CASES[case]()) == ROUTE_PINS[case]
+def test_route_pin(case, order):
+    assert route_digest(_built(case, order)) == ROUTE_PINS[case]

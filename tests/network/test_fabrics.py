@@ -71,6 +71,14 @@ class TestTorusChannels:
         for channels in fabric.groups(Dimension.HORIZONTAL).values():
             assert len(channels) == 8  # 4 bidirectional = 8 unidirectional
 
+    def test_channels_per_group(self):
+        """One channel per LSQ (Sec. IV-B): two unidirectional local
+        rings, and one bidirectional ring per inter-package dimension as
+        two channels."""
+        fabric = torus((2, 2, 2), local_rings=2, vertical_rings=1, horizontal_rings=1)
+        for dim in fabric.dimensions:
+            assert {len(channels) for channels in fabric.groups(dim).values()} == {2}
+
     def test_opposite_directions_present(self):
         fabric = torus((1, 4, 1), horizontal_rings=1)
         cw, ccw = next(iter(fabric.groups(Dimension.HORIZONTAL).values()))

@@ -1,10 +1,9 @@
-"""Tests for the ready queue, dispatcher and LSQ bookkeeping (Fig. 7)."""
+"""Tests for the ready queue and dispatcher (Fig. 7)."""
 
 import pytest
 
 from repro.collectives.types import CollectiveOp
 from repro.config.parameters import (
-    CollectiveAlgorithm,
     SchedulingPolicy,
     SimulationConfig,
     SystemConfig,
@@ -101,15 +100,3 @@ class TestReadyQueueStats:
         sys_.request_collective(CollectiveOp.ALL_REDUCE, 4 * MB)
         sys_.run_until_idle(max_events=50_000_000)
         assert sys_.breakdown.mean_ready_queue_delay == pytest.approx(0.0)
-
-
-class TestLSQReporting:
-    def test_lsq_counts_match_channels(self):
-        sys_ = make_system(local_rings=2, vertical_rings=1, horizontal_rings=1,
-                           algorithm=CollectiveAlgorithm.ENHANCED)
-        collective = sys_.request_collective(CollectiveOp.ALL_REDUCE, 1 * MB)
-        counts = sys_.scheduler.lsq_counts(collective.plan)
-        # Enhanced: RS local (2 rings), AR vertical (2 = 1 bidir),
-        # AR horizontal (2), AG local (2).
-        assert counts == [2, 2, 2, 2]
-        sys_.run_until_idle(max_events=50_000_000)
