@@ -2,8 +2,8 @@
 
 Two contracts, both "observation is free in simulated time":
 
-* The watchdog (docs/RESILIENCE.md) is the event queue's ``watcher``,
-  which fires after each executed event and never schedules anything —
+* The watchdog (docs/RESILIENCE.md) watches the event queue: it is
+  called before each event and never schedules anything —
   so a no-fault run with the watchdog attached must land on the exact
   same cycle as a bare run.  Timed bare and with the watchdog.
 * Supervision (docs/SUPERVISION.md): deadlines, retry budgets, and

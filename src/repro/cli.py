@@ -81,7 +81,7 @@ def _apply_watchdog_args(spec, args: argparse.Namespace):
     """Attach --watchdog to a spec; --bundle-dir or an explicit
     --watchdog-stall-cycles imply it.
 
-    The watchdog observes through the event queue's watcher hook, so the
+    The watchdog only watches the event queue's events, so the
     simulated trajectory is identical with or without these flags
     (docs/RESILIENCE.md).
     """

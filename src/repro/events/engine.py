@@ -44,6 +44,9 @@ from typing import Any, Callable, Optional
 from repro.errors import SimulationError
 
 EventCallback = Callable[[], None]
+#: A per-event observer, called as ``watcher(time, entry)`` (see
+#: :meth:`EventQueue.watch`).
+Watcher = Callable[[float, Any], None]
 
 
 @dataclass(slots=True)
@@ -145,14 +148,9 @@ class EventQueue:
         self._scheduled = 0
         self._cancelled_in_heap = 0
         self._compactions = 0
-        #: Optional progress observer (see :mod:`repro.resilience`): called
-        #: as ``watcher(queue)`` after every executed event.  ``None`` (the
-        #: default) keeps the hot loop branch-predictable and the simulated
-        #: schedule untouched — watchers observe, they never inject events.
-        #: A batched handler (the detailed backend's flit bursts) is one
-        #: executed event; the work it covered is visible through
-        #: :attr:`events_simulated`, which is what observers pace on.
-        self.watcher: Optional[Callable[["EventQueue"], None]] = None
+        #: The composed per-event observer (see :meth:`watch`).  ``None``
+        #: (the default) keeps the hot loop branch-predictable.
+        self._watcher: Optional[Watcher] = None
         #: Optional same-timestamp permutation hook (see
         #: :mod:`repro.sanitize.schedule`): called as ``tie_breaker(time,
         #: seq)`` at schedule time, and the returned rank is ordered
@@ -345,48 +343,31 @@ class EventQueue:
 
     # -- draining --------------------------------------------------------------
 
-    def _peek_live(self) -> Optional[_ScheduledEvent]:
-        """The next live event, dropping cancelled heads and empty buckets
-        along the way.
+    def watch(self, watcher: Watcher) -> None:
+        """Observe every event: ``watcher(time, entry)`` is called just
+        before the event fires, while :attr:`now` is still the previous
+        event's time and the event is still queued.  ``entry`` is the
+        queued entry: a bare :meth:`at` callback or a scheduled event
+        (``.seq``, ``.callback``).
 
-        A bare ``at`` callback at the head is wrapped in place into an
-        event (``seq`` -1) so that instrumented :meth:`step` overrides see
-        one shape.  The returned event is left queued (callers commit via
-        :meth:`_pop_live`).  When a time's bucket is empty, its end-of-time
-        hooks run before the time is dropped.  :meth:`run`'s fast loop
-        keeps the same bookkeeping, so ``pending``, the compaction trigger
-        and the hooks agree whichever path drains the queue.
+        Watchers compose in the order they were added.  A raising watcher
+        stops the drain with the event still queued, so the next
+        ``step``/``run`` resumes at it.  Watchers observe; they never
+        schedule events, so a watched run is cycle-identical to an
+        unwatched one.  A batched handler (the detailed backend's flit
+        bursts) is one event; observers pace on :attr:`events_simulated`,
+        which counts the work it covered.
         """
-        heap = self._heap
-        buckets = self._buckets
-        while heap:
-            time = heap[0]
-            bucket = buckets[time]
-            while bucket:
-                entry = bucket[0]
-                if entry.__class__ is not _ScheduledEvent:
-                    entry = bucket[0] = _ScheduledEvent(time, 0, -1, entry)
-                    self._scheduled += 1
-                    return entry
-                if not entry.cancelled:
-                    return entry
-                bucket.popleft()
-                self._scheduled -= 1
-                self._cancelled_in_heap -= 1
-            if self._end_of_time:
-                self._run_end_of_time()
-                continue
-            heapq.heappop(heap)
-            del buckets[time]
-        return None
+        first = self._watcher
+        if first is None:
+            self._watcher = watcher
+            return
 
-    def _pop_live(self) -> Optional[_ScheduledEvent]:
-        """Commit and return the next live event (peek + pop in one)."""
-        event = self._peek_live()
-        if event is not None:
-            self._buckets[event.time].popleft()
-            self._scheduled -= 1
-        return event
+        def both(time: float, entry: Any) -> None:
+            first(time, entry)
+            watcher(time, entry)
+
+        self._watcher = both
 
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
@@ -400,16 +381,7 @@ class EventQueue:
         fault-schedule flip (e.g. ``link_down``) racing an in-flight send
         at the same cycle resolves in schedule order, deterministically.
         """
-        event = self._pop_live()
-        if event is None:
-            return False
-        self.now = event.time
-        self._events_processed += 1
-        event.fired = True
-        event.callback()
-        if self.watcher is not None:
-            self.watcher(self)
-        return True
+        return self._drain(None, None, single=True)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
@@ -423,13 +395,21 @@ class EventQueue:
         A stop at ``until`` or ``max_events``, like a raising callback,
         leaves the rest of the current time queued in place, and the next
         ``step``/``run`` resumes there.
+        """
+        self._drain(until, max_events, single=False)
+
+    def _drain(self, until: Optional[float], max_events: Optional[int],
+               single: bool) -> bool:
+        """The one drain loop behind :meth:`run` and :meth:`step`
+        (``single``: return after the first executed event).  Returns
+        whether an event was executed.
 
         Python's cyclic garbage collector is disabled while the queue
         drains and re-enabled on the way out, whether the drain ends,
-        stops at ``until`` or raises, if it was enabled on entry.
+        stops or raises, if it was enabled on entry.
         """
         if self._running:
-            raise SimulationError("EventQueue.run() is not re-entrant")
+            raise SimulationError("EventQueue.run()/step() is not re-entrant")
         self._running = True
         budget_end = (None if max_events is None
                       else self.events_simulated + max_events)
@@ -440,29 +420,8 @@ class EventQueue:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if type(self).step is not EventQueue.step:
-                # A subclass instrumented the per-event path (e.g. the
-                # runtime sanitizer's time-travel/livelock checks); route
-                # every execution through its step() override instead of
-                # the inlined fast loop below.
-                peek_live = self._peek_live
-                step = self.step
-                while True:
-                    head = peek_live()
-                    if head is None:
-                        return
-                    if until is not None and head.time > until:
-                        self.now = max(self.now, until)
-                        return
-                    if (budget_end is not None
-                            and self.events_simulated >= budget_end):
-                        raise SimulationError(
-                            f"exceeded max_events={max_events} (possible livelock)"
-                        )
-                    step()
-            # Hot loop: one pass per distinct time, one popleft per entry.
-            # ``heap`` stays the live list because compaction mutates it
-            # in place.
+            # One pass per distinct time, one popleft per entry.  ``heap``
+            # stays the live list because compaction mutates it in place.
             heap = self._heap
             buckets = self._buckets
             heappop = heapq.heappop
@@ -472,9 +431,9 @@ class EventQueue:
                 if until is not None and t > until:
                     # Time moves to the horizon only if a live event lies
                     # beyond it, and never back (run(until=past)).
-                    if self._peek_live() is not None:
+                    if self.pending:
                         self.now = max(self.now, until)
-                    return
+                    return False
                 bucket = buckets[t]
                 popleft = bucket.popleft
                 while bucket:
@@ -492,50 +451,38 @@ class EventQueue:
                         raise SimulationError(
                             f"exceeded max_events={max_events} (possible livelock)"
                         )
+                    watcher = self._watcher
+                    if watcher is not None:
+                        # Watchers see the event still queued, and a raise
+                        # leaves it there.
+                        self._requeue_head(bucket, entry)
+                        watcher(t, entry)
+                        if popleft().__class__ is event_class:
+                            self._scheduled -= 1
+                            entry.fired = True
                     self.now = t
                     self._events_processed += 1
                     callback()
-                    watcher = self.watcher
-                    if watcher is not None:
-                        watcher(self)
+                    if single:
+                        return True
                 if self._end_of_time:
                     # The hooks may add entries at t: drain them too.
                     self._run_end_of_time()
                     continue
                 heappop(heap)
                 del buckets[t]
+            return False
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
 
     def _requeue_head(self, bucket: deque[Any], entry: Any) -> None:
-        """Put back an entry the drain popped but must not fire."""
+        """Put back an entry the drain popped but must not fire yet."""
         if entry.__class__ is _ScheduledEvent:
             entry.fired = False
             self._scheduled += 1
         bucket.appendleft(entry)
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero.
-
-        Also restarts the FIFO sequence counter so a reset queue schedules
-        events with the same tie-break order as a fresh one: identical runs
-        on a reused queue stay bit-identical (cross-run determinism).
-        Not allowed while :meth:`run` drains the queue.
-        """
-        if self._running:
-            raise SimulationError("EventQueue.reset() during run()")
-        self._heap.clear()
-        self._buckets.clear()
-        self._seq = itertools.count()
-        self.now = 0.0
-        self._events_processed = 0
-        self._batched_events = 0
-        self._scheduled = 0
-        self._cancelled_in_heap = 0
-        self._compactions = 0
-        self._end_of_time.clear()
 
 
 class CountdownBarrier:

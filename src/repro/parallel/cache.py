@@ -138,10 +138,7 @@ class RunCache:
     workers, several ``astra-repro`` invocations, the serve daemon's
     clients): writes are atomic renames, directory creation tolerates
     races, and a corrupt entry both racers notice is quarantined — and
-    counted — exactly once.  An optional ``namespace`` scopes entries
-    under a subdirectory, so tenants sharing one cache root (e.g. a
-    service instance per team) can isolate their entries and their
-    corrupt-quarantine blast radius without separate roots.
+    counted — exactly once.
 
     >>> import tempfile
     >>> cache = RunCache(tempfile.mkdtemp())
@@ -149,18 +146,10 @@ class RunCache:
     True
     """
 
-    def __init__(self, directory: str, namespace: Optional[str] = None):
+    def __init__(self, directory: str):
         if not directory:
             raise ReproError("run cache needs a directory")
-        if namespace is not None:
-            if (not namespace or os.sep in namespace or namespace in
-                    (".", "..") or namespace.startswith(".")):
-                raise ReproError(
-                    f"cache namespace must be a plain directory name, "
-                    f"got {namespace!r}")
-            directory = os.path.join(directory, namespace)
         self.directory = directory
-        self.namespace = namespace
         self.stats = CacheStats()
 
     def _path(self, key: str) -> str:

@@ -8,8 +8,9 @@ Two cooperating pieces:
   harness: randomized fault schedules and transport configs, every run
   classified, silent hangs forbidden.
 
-The watchdog is the :attr:`repro.events.engine.EventQueue.watcher`
-observer, which fires after each executed event and never schedules
-events itself — so enabling it cannot change a single simulated cycle
+The watchdog watches the event queue
+(:meth:`repro.events.engine.EventQueue.watch`): it is called before each
+event and never schedules events itself — so enabling it cannot change a
+single simulated cycle
 (asserted by ``benchmarks/bench_resilience_overhead.py``).
 """

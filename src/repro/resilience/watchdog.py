@@ -8,9 +8,9 @@ permanently-down path or a never-resuming node.  Without a watchdog such
 a run burns wall-clock until ``max_events`` trips with a generic livelock
 error, or forever.
 
-The :class:`Watchdog` observes the queue through the
-:attr:`~repro.events.engine.EventQueue.watcher` hook.  Every
-``check_every_events`` logical events
+The :class:`Watchdog` watches the queue
+(:meth:`~repro.events.engine.EventQueue.watch`), beside any other
+observer.  Every ``check_every_events`` logical events
 (:attr:`~repro.events.engine.EventQueue.events_simulated`, the count
 ``max_events`` bounds, so a detailed-backend flit burst counts its flits)
 it samples the system's *progress vector* (deliveries, chunk completions, finished sets — see
@@ -96,9 +96,10 @@ class Watchdog:
     """Progress monitor for one :class:`~repro.system.sys_layer.System`."""
 
     def __init__(self, system, config: Optional[WatchdogConfig] = None):
-        # Weak: the system's queue holds this watchdog (as its watcher),
-        # so a strong reference back would make the pair a reference cycle.
+        # Weak: the system's queue holds this watchdog (as a watcher), so
+        # a strong reference back would make the pair a reference cycle.
         self._system = weakref.ref(system)
+        self._events = weakref.proxy(system.events)
         self.config = config if config is not None else WatchdogConfig()
         self._events_at_last_check = system.events.events_simulated
         self._last_vector: Optional[tuple] = None
@@ -114,9 +115,9 @@ class Watchdog:
 
     # -- the watcher-side entry point --------------------------------------------
 
-    def note_event(self, queue) -> None:
-        """The queue's watcher: called after every executed event."""
-        events = queue.events_simulated
+    def note_event(self, _time: float, _entry) -> None:
+        """The queue watcher: called before every event fires."""
+        events = self._events.events_simulated
         if events - self._events_at_last_check < self.config.check_every_events:
             return
         self._events_at_last_check = events

@@ -3,9 +3,9 @@
 One :class:`RuntimeSanitizer` instance follows a simulation run and
 verifies the invariants the layers' composition depends on:
 
-* **event engine** — :class:`SanitizedEventQueue` refuses time-travel
-  (an event firing before the current time) and zero-delay livelock
-  (an unbounded run of events at one timestamp);
+* **event engine** — :class:`EventOrderCheck`, a queue watcher, refuses
+  time-travel (an event firing before the one before it) and zero-delay
+  livelock (an unbounded run of events at one timestamp);
 * **network backends** — :class:`ConservationChecker` balances message
   sends against deliveries (fast backend) and flit/credit ledgers per
   message and per port/VC (detailed backend): a flit that never reaches
@@ -51,53 +51,40 @@ class SanitizerConfig:
             )
 
 
-class SanitizedEventQueue(EventQueue):
-    """An :class:`EventQueue` with time-travel and livelock detection.
+class EventOrderCheck:
+    """The event engine's checks, as a queue watcher
+    (:meth:`~repro.events.engine.EventQueue.watch`).
 
-    The base queue already rejects scheduling into the past; this variant
-    additionally validates the time order at *execution* time (a
-    popped event must not fire before ``now`` — catches corrupted state
-    that bypassed ``schedule_at``) and bounds how many events may execute
-    at a single timestamp (zero-delay reschedule loops never advance time
-    and would otherwise spin until ``max_events``).
+    The queue already rejects scheduling into the past; this check
+    validates the time order at *execution* time (an event must not fire
+    before the one before it — catches corrupted state that bypassed
+    ``schedule_at``) and bounds how many events may execute at a single
+    timestamp (zero-delay reschedule loops never advance time and would
+    otherwise spin until ``max_events``).
     """
 
-    def __init__(self, sanitizer: "RuntimeSanitizer"):
-        super().__init__()
-        self.sanitizer = sanitizer
+    def __init__(self, config: SanitizerConfig, now: float):
+        self.livelock_threshold = config.livelock_threshold
+        self._time = now
         self._same_time_run = 0
 
-    def step(self) -> bool:
-        # Cancelled heads are drained (and bare ``at`` entries wrapped)
-        # through the shared _pop_live() primitive so the
-        # pending/compaction bookkeeping cannot drift from the base
-        # queue's drain paths.
-        event = self._pop_live()
-        if event is None:
-            return False
-        if event.time < self.now:
+    def check(self, time: float, _entry) -> None:
+        if time < self._time:
             raise SanitizerError(
-                f"time-travel: event scheduled for t={event.time} fired "
-                f"at t={self.now} (seq={event.seq}); the event queue is "
-                f"corrupted"
+                f"time-travel: an event for t={time} fires after "
+                f"t={self._time}; the event queue is corrupted"
             )
-        if event.time == self.now:
+        if time == self._time:
             self._same_time_run += 1
-            if self._same_time_run > self.sanitizer.config.livelock_threshold:
+            if self._same_time_run > self.livelock_threshold:
                 raise SanitizerError(
                     f"zero-delay livelock: more than "
-                    f"{self.sanitizer.config.livelock_threshold} events "
-                    f"executed at t={self.now} without time advancing"
+                    f"{self.livelock_threshold} events executed at "
+                    f"t={time} without time advancing"
                 )
         else:
+            self._time = time
             self._same_time_run = 0
-        self.now = event.time
-        self._events_processed += 1
-        event.fired = True
-        event.callback()
-        if self.watcher is not None:
-            self.watcher(self)
-        return True
 
 
 @dataclass
@@ -292,8 +279,9 @@ class RuntimeSanitizer:
         self.conservation = ConservationChecker()
         self.barriers = BarrierChecker()
 
-    def make_event_queue(self) -> SanitizedEventQueue:
-        return SanitizedEventQueue(self)
+    def watch(self, events: EventQueue) -> None:
+        """Attach the event engine's checks to ``events``."""
+        events.watch(EventOrderCheck(self.config, events.now).check)
 
     def quiescence_findings(self) -> list[Finding]:
         return (self.conservation.quiescence_findings()

@@ -29,7 +29,7 @@ results under any permutation of same-timestamp event order.**  It proves
    compare against the baseline, bit-for-bit.
 
 On a fingerprint mismatch the detector *bisects*: both schedules are
-re-run with a tracing queue that records ``(time, seq, handler)`` per
+re-run with a tracing watcher that records ``(time, seq, handler)`` per
 executed event; because the two runs schedule identical events until the
 first order-sensitive handler fires, the first position where the traces
 differ is the race point.  Both runs are then replayed up to that event
@@ -189,7 +189,7 @@ class InjectedRaceProbe:
 
 
 class ScheduleReplayLimit(Exception):
-    """Raised by the replay queue when it reaches its event limit.
+    """Raised by the replay tracer when it reaches its event limit.
 
     Control flow only — the bisection runner catches it after stepping a
     run up to the divergence point; it never escapes this module.
@@ -210,30 +210,33 @@ def _describe_callback(cb: Callable) -> str:
     return f"{mod}.{qual}" if mod else qual
 
 
-class _TraceQueue(EventQueue):
-    """An event queue recording ``(time, seq, handler)`` per executed event.
+class _Tracer:
+    """A queue watcher recording ``(time, seq, handler)`` per event.
 
-    Overriding :meth:`step` routes :meth:`EventQueue.run` through the
-    instrumented per-event path automatically.  With a ``limit``, raises
-    :class:`ScheduleReplayLimit` *before* executing event number
-    ``limit`` — the replay stops with the pre-event state intact.
+    With a ``limit``, raises :class:`ScheduleReplayLimit` *before* event
+    number ``limit`` fires — the replay stops with the pre-event state
+    intact.  Traced queues have a tie-breaker installed, so every entry
+    is a ranked event (``.seq``, ``.callback``).
     """
 
-    def __init__(self, tie_breaker=None, limit: Optional[int] = None):
-        super().__init__()
-        self.tie_breaker = tie_breaker
+    def __init__(self, limit: Optional[int] = None):
         self.limit = limit
         self.records: list[tuple[float, int, str]] = []
 
-    def step(self) -> bool:
-        event = self._peek_live()
-        if event is None:
-            return False
+    def __call__(self, time: float, entry) -> None:
         if self.limit is not None and len(self.records) >= self.limit:
             raise ScheduleReplayLimit()
         self.records.append(
-            (event.time, event.seq, _describe_callback(event.callback)))
-        return super().step()
+            (time, entry.seq, _describe_callback(entry.callback)))
+
+
+def _traced_queue(tie_breaker, limit: Optional[int] = None
+                  ) -> tuple[EventQueue, _Tracer]:
+    queue = EventQueue()
+    queue.tie_breaker = tie_breaker
+    tracer = _Tracer(limit)
+    queue.watch(tracer)
+    return queue, tracer
 
 
 # -- reports --------------------------------------------------------------------
@@ -420,14 +423,14 @@ def _run_trial(probe, trial: int, seed: int,
 
 
 def _traced_run(probe, tie_breaker) -> list[tuple[float, int, str]]:
-    queue = _TraceQueue(tie_breaker=tie_breaker)
+    queue, tracer = _traced_queue(tie_breaker)
     probe.run(queue)
-    return queue.records
+    return tracer.records
 
 
 def _partial_run(probe, tie_breaker, limit: int) -> dict:
     """Replay a schedule up to ``limit`` events; snapshot where it stands."""
-    queue = _TraceQueue(tie_breaker=tie_breaker, limit=limit)
+    queue, _tracer = _traced_queue(tie_breaker, limit)
     captured: list = []
     try:
         probe.run(queue, on_system=captured.append)

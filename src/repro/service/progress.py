@@ -7,12 +7,13 @@ things that only change when the simulation makes real progress — is
 periodically written to a per-job file by the executing worker, and the
 daemon streams it to clients watching ``GET /v1/jobs/<id>/progress``.
 
-The writer is installed through the event queue's ``watcher`` hook, the
-one observation point the engine exposes (watchers observe, they never
-schedule), so a job with progress streaming on is cycle-identical to one
-without.  Snapshots are written atomically (temp file + rename) so a
-reader never sees a torn JSON document, and write failures are swallowed
-— progress is best-effort telemetry and must never fail a simulation.
+The writer watches the event queue (:meth:`EventQueue.watch
+<repro.events.engine.EventQueue.watch>`), beside the stall watchdog and
+the sanitizer's checks; watchers observe, they never schedule, so a job
+with progress streaming on is cycle-identical to one without.
+Snapshots are written atomically (temp file + rename) so a reader never
+sees a torn JSON document, and write failures are swallowed — progress
+is best-effort telemetry and must never fail a simulation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class ProgressWriter:
     Installed by :func:`repro.parallel.executor._execute_point` when a
     :class:`~repro.parallel.executor.RunPoint` carries ``progress_path``.
     ``bind`` attaches the freshly built system (the vector lives there)
-    and becomes its queue's watcher, ``on_event`` samples every
+    and watches its queue, ``on_event`` samples every
     ``every_events`` logical events (``events_simulated``, as the stall
     watchdog paces), and ``finish`` writes the terminal
     snapshot.  The system builds its own queue, so a job with progress
@@ -45,12 +46,13 @@ class ProgressWriter:
         """Attach the built system, watch its event queue and write the
         initial snapshot."""
         self._system = system
-        system.events.watcher = self.on_event
+        system.events.watch(self.on_event)
         self._write(done=False)
 
-    def on_event(self, queue) -> None:
-        if queue.events_simulated >= self._next_at:
-            self._next_at = queue.events_simulated + self.every_events
+    def on_event(self, _time: float, _entry) -> None:
+        events = self._system.events.events_simulated
+        if events >= self._next_at:
+            self._next_at = events + self.every_events
             self._write(done=False)
 
     def finish(self, result: Any = None) -> None:

@@ -21,7 +21,6 @@ from repro.collectives.types import CollectiveOp, build_phase_plan
 from repro.config.parameters import PacketRouting, SimulationConfig
 from repro.errors import SimulationError
 from repro.events.engine import EventQueue
-from repro.network.api import NetworkBackend
 from repro.network.channel import RingChannel, SwitchChannel
 from repro.network.fast_backend import FastBackend
 from repro.network.physical.fabric import Ring
@@ -42,7 +41,6 @@ class System:
         self,
         topology: LogicalTopology,
         config: SimulationConfig,
-        backend: Optional[NetworkBackend] = None,
         events: Optional[EventQueue] = None,
         trace: bool = False,
         sanitizer=None,
@@ -53,36 +51,29 @@ class System:
         self.topology = topology
         self.config = config
         #: Optional repro.sanitize.runtime.RuntimeSanitizer.  When present
-        #: (and no explicit queue/backend was passed) the system builds a
-        #: sanitized event queue and an instrumented backend, and verifies
-        #: quiescence invariants in :meth:`run_until_idle`.
+        #: the system attaches its event checks to the queue it runs and
+        #: builds an instrumented backend, and verifies quiescence
+        #: invariants in :meth:`run_until_idle`.
         self.sanitizer = sanitizer
         self._own_events = events is None
-        if events is not None:
-            self.events = events
-        elif sanitizer is not None:
-            self.events = sanitizer.make_event_queue()
+        self.events = events if events is not None else EventQueue()
+        if sanitizer is not None:
+            sanitizer.watch(self.events)
+        network = config.network if config.network is not None else topology.fabric.network
+        if backend_factory is not None:
+            # Harness hook for the non-default backend (the detailed
+            # flit-level one), called with the queue the system runs.
+            backend = backend_factory(self.events, network, sanitizer)
         else:
-            self.events = EventQueue()
-        if backend is None:
-            network = config.network if config.network is not None else topology.fabric.network
-            if backend_factory is not None:
-                # Harness hook for the non-default backend (the detailed
-                # flit-level one), called with the queue the system built.
-                backend = backend_factory(self.events, network, sanitizer)
-            else:
-                backend = FastBackend(self.events, network, sanitizer=sanitizer)
+            backend = FastBackend(self.events, network, sanitizer=sanitizer)
         #: Reliable transport wrapper, when config.system.transport enables
         #: it (required for surviving fault schedules — docs/FAULTS.md).
         self.transport = None
         if config.system.transport is not None:
-            if getattr(backend, "supports_failure_callback", False):
-                self.transport = backend  # caller passed a wrapped backend
-            else:
-                from repro.system.transport import ReliableTransport
+            from repro.system.transport import ReliableTransport
 
-                backend = ReliableTransport(backend, config.system.transport)
-                self.transport = backend
+            backend = ReliableTransport(backend, config.system.transport)
+            self.transport = backend
         self.backend = backend
         #: Live fault state (repro.network.fault_schedule.FaultState) when a
         #: schedule was installed; both backends consult it at injection.
@@ -104,15 +95,15 @@ class System:
         #: collective request (see :meth:`_quotient_copies`).
         self._copies: Optional[int] = None
         #: repro.resilience.watchdog.Watchdog when a WatchdogConfig was
-        #: supplied.  It is the queue's watcher: it observes after each
-        #: executed event and never schedules one, so attaching it cannot
-        #: change the simulated trajectory.
+        #: supplied.  It watches the queue: it observes before each event
+        #: and never schedules one, so attaching it cannot change the
+        #: simulated trajectory.
         self.watchdog = None
         if watchdog is not None:
             from repro.resilience.watchdog import Watchdog
 
             self.watchdog = Watchdog(self, watchdog)
-            self.events.watcher = self.watchdog.note_event
+            self.events.watch(self.watchdog.note_event)
 
     # -- time ----------------------------------------------------------------------
 
@@ -226,9 +217,8 @@ class System:
         """
         fabric = self.topology.fabric
         backend = self.backend
-        if (type(backend) is not FastBackend or backend.events is not self.events
-                or backend.faults is not None or self.sanitizer is not None
-                or self.watchdog is not None or self.scheduler.keep_completed
+        if (type(backend) is not FastBackend or backend.faults is not None
+                or self.sanitizer is not None or self.watchdog is not None or self.scheduler.keep_completed
                 or not self._own_events or self._p2p is not None
                 or self.config.system.packet_routing is not PacketRouting.SOFTWARE):
             return 1

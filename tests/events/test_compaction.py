@@ -73,14 +73,6 @@ class TestCompaction:
         assert queue.compactions == 0
         assert queue.heap_size == 1
 
-    def test_reset_clears_compaction_state(self):
-        queue = EventQueue()
-        fill_and_cancel(queue)
-        assert queue.compactions >= 1
-        queue.reset()
-        assert queue.compactions == 0
-        assert queue.heap_size == queue.pending == 0
-
 
 class TestPendingHeapInvariant:
     def sanitizer(self):
@@ -103,9 +95,8 @@ class TestPendingHeapInvariant:
 
 
 class TestUnifiedDrain:
-    """step() and run() drop cancelled heads with the same bookkeeping
-    (run() inlines _peek_live), so the pending/compaction counters cannot
-    drift between the two paths — whichever mix of them executes a run."""
+    """step() and run() share one drain loop, so the pending/compaction
+    counters stay exact whichever mix of them executes a run."""
 
     def test_interleaved_step_and_run_keep_counters_exact(self):
         queue = EventQueue()

@@ -3,8 +3,8 @@
 Every case runs with the production FIFO schedule and with a seeded
 same-timestamp permutation (:class:`SeededTieBreak`): the executed order
 must be ``(time, tiebreak, seq)`` either way, ``pending`` must match a
-ground-truth recount after every dispatch, and the watcher must fire
-once per dispatch however far apart events are.
+ground-truth recount before every dispatch, and a watcher must see
+each dispatch once, before it fires, however far apart events are.
 """
 
 import pytest
@@ -73,8 +73,8 @@ class TestHeapOrder:
         assert q.pending == q.live_count() == 0
 
     def test_pending_matches_live_count_under_churn(self, tie_breaker):
-        """Incremental ``pending`` vs ground-truth recount, checked after
-        every dispatch via the watcher hook."""
+        """Incremental ``pending`` vs ground-truth recount, checked before
+        every dispatch by a watcher."""
         q = make_queue(tie_breaker)
         state = {"i": 0}
 
@@ -88,10 +88,10 @@ class TestHeapOrder:
                 handle.cancel()
                 churn()
 
-        def check_no_drift(queue: EventQueue) -> None:
-            assert queue.pending == queue.live_count(), "pending drift"
+        def check_no_drift(_time: float, _entry) -> None:
+            assert q.pending == q.live_count(), "pending drift"
 
-        q.watcher = check_no_drift
+        q.watch(check_no_drift)
         for i in range(32):
             state["i"] += 1
             q.schedule(_delay(i), churn)
@@ -102,14 +102,17 @@ class TestHeapOrder:
     def test_watcher_once_per_dispatch_across_gaps(self, tie_breaker):
         q = make_queue(tie_breaker)
         ticks = []
-        q.watcher = lambda queue: ticks.append(queue.now)
+        q.watch(lambda time, _entry: ticks.append((q.now, time)))
         for i in range(64):
             q.schedule_at(float(i), lambda: None)
         for i in range(4):
             q.schedule_at(1e7 + i * 1e6, lambda: None)
         q.run()
         assert len(ticks) == q.events_processed == 68
-        assert ticks == sorted(ticks)
+        times = [time for _now, time in ticks]
+        assert times == sorted(times)
+        # Each event is seen while ``now`` is still the previous one's time.
+        assert [now for now, _time in ticks] == [0.0] + times[:-1]
 
     def test_run_until_never_rewinds(self, tie_breaker):
         q = make_queue(tie_breaker)

@@ -13,6 +13,9 @@ happens in the middle of runs.  Checked:
   tie-breaker, for handle events and bare ``at`` entries alike;
 * ``pending == live_count()`` == the model's number of live events after
   every executed event and every operation;
+* a watcher sees each executed event just before it fires: its time is
+  the model's minimum live key's, ``now`` is still the previous event's
+  time and the event still counts as pending;
 * ``events_processed == events_simulated`` == the number of callbacks
   fired (nothing credits batches here), and a ``max_events`` budget
   stops the drain after exactly that many callbacks;
@@ -61,7 +64,7 @@ class Harness:
         self.q = EventQueue()
         self.q.tie_breaker = tie_breaker
         self.q.COMPACT_MIN_CANCELLED = compact_at
-        self.q.watcher = self.dispatched
+        self.q.watch(self.dispatching)
         self.tie_breaker = tie_breaker
         self.handles: list = []  # by seq; None for an ``at`` entry
         self.actions: list = []
@@ -85,6 +88,7 @@ class Harness:
 
         def callback() -> None:
             self.fire(seq)
+            self.check()
 
         if kind == "at":
             self.handles.append(self.q.at(time, callback))
@@ -124,9 +128,13 @@ class Harness:
         else:
             self.add(action[0], action[1], None)
 
-    def dispatched(self, _queue: EventQueue) -> None:
-        """The watcher: once per executed event, after its callback."""
-        self.check()
+    def dispatching(self, time: float, _entry) -> None:
+        """The watcher: once per executed event, before its callback."""
+        q = self.q
+        assert time == min(self.live)[0]
+        assert q.now == self.model_now, "now advanced before the event"
+        assert q.pending == q.live_count() == len(self.live)
+        assert q.events_processed == self.fired
 
     def check(self) -> None:
         q = self.q

@@ -54,14 +54,6 @@ class TestTieBreaker:
         queue.run()
         assert fired == [0, 1, 2, 3]
 
-    def test_reset_keeps_hook(self):
-        queue = EventQueue()
-        breaker = SeededTieBreak(7)
-        queue.tie_breaker = breaker
-        drain_order(queue, 3)
-        queue.reset()
-        assert queue.tie_breaker is breaker
-
     def test_handles_and_cancellation_work_under_permutation(self):
         queue = EventQueue()
         queue.tie_breaker = SeededTieBreak(trial_seed(2020, 1))

@@ -65,8 +65,9 @@ def run_fast(platform_builder, op, size):
 
 def run_detailed(n=4, size=16 * 1024, sanitize=False):
     sanitizer = RuntimeSanitizer() if sanitize else None
-    events = (sanitizer.make_event_queue() if sanitizer is not None
-              else EventQueue())
+    events = EventQueue()
+    if sanitizer is not None:
+        sanitizer.watch(events)
     links = [Link(i, (i + 1) % n, IDEAL) for i in range(n)]
     ring = RingChannel(list(range(n)), links)
     backend = DetailedBackend(events, NET, sanitizer=sanitizer)

@@ -234,7 +234,9 @@ def _drive(shape, params, traffic, burst, sanitize):
     else:
         nodes, route = _alltoall_routes(shape[1], config, shape[0] == "switch")
     sanitizer = RuntimeSanitizer() if sanitize else None
-    events = sanitizer.make_event_queue() if sanitize else EventQueue()
+    events = EventQueue()
+    if sanitize:
+        sanitizer.watch(events)
     backend = (DetailedBackend if burst else _PerFlitBackend)(
         events, network, sanitizer=sanitizer)
     #: Each message's delivery time (0.0 while undelivered).

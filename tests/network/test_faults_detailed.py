@@ -31,8 +31,9 @@ def run_ring_allreduce(n=4, size=16 * 1024, degrade=None, sanitize=False):
     """One ring all-reduce on the detailed backend; ``degrade`` may mutate
     the link list before the run."""
     sanitizer = RuntimeSanitizer() if sanitize else None
-    events = (sanitizer.make_event_queue() if sanitizer is not None
-              else EventQueue())
+    events = EventQueue()
+    if sanitizer is not None:
+        sanitizer.watch(events)
     links = [Link(i, (i + 1) % n, IDEAL) for i in range(n)]
     if degrade is not None:
         degrade(links)

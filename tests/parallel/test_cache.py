@@ -191,23 +191,6 @@ class TestConcurrentClients:
     """Two processes sharing one cache directory must never surface an
     exception to either — races resolve to at-most-one count."""
 
-    def test_namespace_scopes_entries(self, tmp_path):
-        a = RunCache(str(tmp_path), namespace="team-a")
-        b = RunCache(str(tmp_path), namespace="team-b")
-        key = "a" * 64
-        a.put(key, {"schema": PAYLOAD_SCHEMA, "key": key, "x": 1})
-        assert a.get(key)["x"] == 1
-        assert b.get(key) is None  # isolated roots
-        assert os.path.isdir(os.path.join(str(tmp_path), "team-a"))
-        assert a.directory != b.directory
-
-    @pytest.mark.parametrize("bad", ["", ".", "..", "a/b", ".hidden"])
-    def test_bad_namespace_rejected(self, tmp_path, bad):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            RunCache(str(tmp_path), namespace=bad)
-
     def test_concurrent_same_key_put_is_atomic(self, tmp_path):
         """Interleaved writers of one key never leave a torn entry: the
         per-pid+sequence temp names keep them from clobbering each

@@ -83,6 +83,21 @@ class TestStallDetection:
         bundle = tmp_path / f"stall-{queue.events_simulated:012d}.json"
         assert json.loads(bundle.read_text())["events_simulated"] == queue.events_simulated
 
+    def test_progress_writer_does_not_silence_the_watchdog(self, tmp_path):
+        """The watchdog and a service progress writer both watch one
+        queue: binding the writer after the system is built must not
+        replace the watchdog, which trips on a 1-cycle stall bound."""
+        spec = torus_platform(TorusShape(2, 2, 2))
+        spec.watchdog = WatchdogConfig(stall_cycles=1.0, check_every_events=1)
+        path = tmp_path / "progress.json"
+        writer = ProgressWriter(str(path), every_events=1)
+        with pytest.raises(StallError, match="no progress"):
+            run_collective(spec, CollectiveOp.ALL_REDUCE, 64 * 1024,
+                           on_system=writer.bind)
+        snapshot = json.loads(path.read_text())
+        assert snapshot["done"] is False
+        assert snapshot["events_simulated"] > 0
+
     def test_healthy_run_never_trips_and_is_cycle_identical(self):
         """Criterion 5 spot-check: the watchdog observes through the
         queue watcher, so enabling it must not move a single cycle.  The
@@ -141,7 +156,7 @@ class TestLogicalEventPacing:
     def test_watchdog_samples_every_check_every_events_logical_events(self):
         def install(system):
             watchdog = Watchdog(system, WatchdogConfig(check_every_events=25))
-            system.events.watcher = watchdog.note_event
+            system.events.watch(watchdog.note_event)
             system.watchdog = watchdog  # the watchdog holds its system weakly
 
         assert _batched_run(install) == [30, 60, 90]

@@ -184,14 +184,14 @@ class TestDetailedBackendFlap:
         topology = build_torus_topology(TorusShape(1, 4, 1), config.network,
                                         config.system)
         sanitizer = RuntimeSanitizer()
-        events = sanitizer.make_event_queue()
-        backend = DetailedBackend(events, config.network, sanitizer=sanitizer)
         sched = FaultSchedule.from_dict({"events": [
             {"time": 500, "action": "link_down", "link": [1, 2]},
             {"time": 120_000, "action": "link_up", "link": [1, 2]},
         ]})
-        system = System(topology, config, backend=backend, events=events,
-                        sanitizer=sanitizer, fault_schedule=sched)
+        system = System(topology, config, sanitizer=sanitizer,
+                        fault_schedule=sched,
+                        backend_factory=lambda events, network, sanitizer:
+                        DetailedBackend(events, network, sanitizer=sanitizer))
         coll = system.request_collective(CollectiveOp.ALL_REDUCE, size)
         system.run_until_idle(max_events=50_000_000)
         assert coll.done
